@@ -23,7 +23,7 @@ from repro.data.corpus import ImageCorpus
 from repro.db.executor import QueryExecutor
 from repro.db.retention import RetentionPolicy
 from repro.locking import make_rlock
-from repro.query.processor import DEFAULT_TABLE
+from repro.query.model import DEFAULT_TABLE
 from repro.storage.store import RepresentationStore
 from repro.telemetry.metrics import MetricsRegistry
 

@@ -58,7 +58,7 @@ from repro.db.planner import QueryPlan, QueryPlanner, annotate_plan_dict
 from repro.db.results import (AggregateResultSet, FanoutResultSet, ResultSet,
                               build_result_set)
 from repro.db.retention import RetentionPolicy
-from repro.query.processor import Query
+from repro.query.model import Query
 from repro.query.sql import parse_query, split_explain_analyze
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import NO_SPAN, Tracer
@@ -847,7 +847,7 @@ class VisualDatabase:
         """Plan and run one query under a fresh trace.
 
         Returns ``(result_set, plans, raw, trace, wall_time_s)`` — ``raw``
-        is the executor-level :class:`~repro.query.processor.QueryResult`
+        is the executor-level :class:`~repro.query.model.QueryResult`
         (or ``{table: QueryResult}`` for a fan-out), which still carries the
         per-plan-node measurements ``EXPLAIN ANALYZE`` annotates with.
         """
@@ -900,20 +900,6 @@ class VisualDatabase:
                        for table, plan in plans.items()}
             return {table: future.result()
                     for table, future in futures.items()}
-
-    def _execute_fanout(self, plans: dict[str, QueryPlan], cancel=None
-                        ) -> FanoutResultSet | AggregateResultSet:
-        """Run per-shard plans concurrently and merge with provenance.
-
-        For an aggregate query each shard returns *partial aggregates*
-        (group tuples — COUNT/SUM/MIN/MAX associative states, AVG as
-        sum+count) and the coordinator merges them exactly; selected rows
-        never cross the shard boundary.
-        """
-        results = self._fanout_results(plans, cancel=cancel)
-        if next(iter(plans.values())).is_aggregate:
-            return AggregateResultSet.from_fanout(results, plans)
-        return FanoutResultSet(results, plans)
 
     def explain_analyze(self, sql: str,
                         constraints: UserConstraints | None = None, *,

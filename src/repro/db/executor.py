@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.data.corpus import ImageCorpus
 from repro.locking import make_rlock
+from repro.query.model import QueryResult
 from repro.query.relation import Relation
 from repro.storage.store import RepresentationStore
 from repro.telemetry.metrics import MetricsRegistry
@@ -49,7 +50,6 @@ from repro.db.retention import RetentionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.db.wal import TableWal
-    from repro.query.processor import QueryResult
     from repro.transforms.spec import TransformSpec
 
 __all__ = ["QueryExecutor"]
@@ -447,8 +447,9 @@ class QueryExecutor:
 
     def execute(self, plan: QueryPlan,
                 cancel: "Callable[[], None] | None" = None,
-                span=NO_SPAN) -> "QueryResult":
-        """Run the plan: metadata filters, then cost-ordered content steps.
+                span=NO_SPAN) -> QueryResult:
+        """Run the plan: free metadata conjuncts over the whole snapshot,
+        then the rest of the ordered predicate tree over the survivors.
 
         Execution is snapshot-based: the shard's state is captured under the
         lock, the plan runs lock-free against the frozen view, and new labels
@@ -464,10 +465,10 @@ class QueryExecutor:
         (:attr:`~repro.db.planner.QueryPlan.allow_early_stop`), where the
         limit applies to the final groups / sorted rows instead.
 
-        A plan carrying a boolean :attr:`~repro.db.planner.QueryPlan
-        .predicate_tree` is evaluated with mask-based short-circuiting: an
-        AND child only sees rows every earlier child accepted, an OR child
-        only classifies rows the earlier (cheaper) children left undecided.
+        The :attr:`~repro.db.planner.QueryPlan.predicate_tree` is evaluated
+        with mask-based short-circuiting: an AND child only sees rows every
+        earlier child accepted, an OR child only classifies rows the earlier
+        (cheaper) children left undecided.
         For an aggregate plan the result additionally carries per-shard
         partial aggregates (:class:`~repro.db.aggregates.GroupedPartials`).
 
@@ -591,9 +592,8 @@ class QueryExecutor:
 
     def _execute_snapshot(self, snap: _Snapshot, plan: QueryPlan,
                           cancel: "Callable[[], None] | None" = None,
-                          span=NO_SPAN) -> "QueryResult":
+                          span=NO_SPAN) -> QueryResult:
         from repro.db.aggregates import compute_partials
-        from repro.query.processor import QueryResult
 
         if cancel is not None:
             # A query that sat in the admission queue past its deadline (or
@@ -603,40 +603,33 @@ class QueryExecutor:
         # Under aggregates/ORDER BY the limit caps the *final* output, not
         # the scan: every candidate row must be evaluated first.
         limit = plan.limit if plan.allow_early_stop else None
-
-        # Metadata leaf masks are evaluated once per query (keyed by node
-        # identity) and sliced per chunk — a LIMIT query over many chunks
-        # must not re-evaluate full-corpus metadata predicates per chunk.
-        metadata_masks: dict[int, np.ndarray] = {}
+        content_steps = plan.content_steps
         node_stats = snap.node_stats
-        table = self.table or plan.table or "-"
-        if plan.predicate_tree is None:
-            mask = np.ones(n, dtype=bool)
-            for step in plan.metadata_steps:
+        filter_started = time.perf_counter()
+
+        # Free metadata conjuncts are a prefilter: applied (and measured)
+        # once over the whole snapshot, so chunking walks the surviving rows
+        # only and no chunk ever re-counts them.
+        mask = np.ones(n, dtype=bool)
+        residual = []
+        for conjunct in plan.conjuncts:
+            if isinstance(conjunct, MetadataStep):
                 rows_in = int(mask.sum())
                 step_started = time.perf_counter()
-                mask &= step.predicate.evaluate(snap.relation)
-                self._accumulate(node_stats, step, rows_in, int(mask.sum()),
-                                 0, time.perf_counter() - step_started)
-            candidates = np.where(mask)[0]
-        else:
-            # Top-level AND metadata children are a conjunctive prefilter:
-            # apply them up front so chunking walks the surviving rows only,
-            # exactly like the flat conjunctive path.
-            mask = np.ones(n, dtype=bool)
-            if isinstance(plan.predicate_tree, PlanAnd):
-                for child in plan.predicate_tree.children:
-                    if isinstance(child, MetadataStep):
-                        mask &= self._metadata_mask(snap, child,
-                                                    metadata_masks)
-            candidates = np.where(mask)[0]
+                mask &= conjunct.predicate.evaluate(snap.relation)
+                self._accumulate(node_stats, conjunct, rows_in,
+                                 int(mask.sum()), 0,
+                                 time.perf_counter() - step_started)
+            else:
+                residual.append(conjunct)
+        candidates = np.where(mask)[0]
 
         # LIMIT 0 is unconditionally empty output — even under ORDER BY or
         # aggregates (zero rows / zero groups survive the final truncation),
         # so never pay for a scan or a single classification.
         if plan.limit == 0:
             chunks = []
-        elif not plan.content_steps or (limit is None and cancel is None):
+        elif not content_steps or (limit is None and cancel is None):
             chunks = [candidates]
         else:
             # A cancellable query chunks even without a LIMIT, so unbounded
@@ -647,32 +640,25 @@ class QueryExecutor:
                       for start in range(0, candidates.size, size)]
 
         cascades_used = {step.category: step.evaluation
-                         for step in plan.content_steps}
-        images_classified = {step.category: 0 for step in plan.content_steps}
+                         for step in content_steps}
+        images_classified = {step.category: 0 for step in content_steps}
+        # Metadata leaves below the top level are evaluated once per query
+        # (keyed by node identity) and sliced per chunk — a LIMIT query over
+        # many chunks must not re-evaluate full-corpus predicates per chunk.
+        metadata_masks: dict[int, np.ndarray] = {}
         survivors: list[np.ndarray] = []
         n_selected = 0
+        n_unvisited = candidates.size
         for chunk in chunks:
             if cancel is not None:
                 cancel()
+            n_unvisited -= chunk.size
             chunk_mask = np.zeros(n, dtype=bool)
             chunk_mask[chunk] = True
-            if plan.predicate_tree is None:
-                for step in plan.content_steps:
-                    rows_in = int(chunk_mask.sum())
-                    step_started = time.perf_counter()
-                    labels, n_classified = self._evaluate_content(snap, step,
-                                                                  chunk_mask)
-                    images_classified[step.category] += n_classified
-                    chunk_mask &= labels.astype(bool)
-                    self._accumulate(node_stats, step, rows_in,
-                                     int(chunk_mask.sum()), n_classified,
-                                     time.perf_counter() - step_started)
-                    if n_classified:
-                        self._rows_classified.inc(n_classified, table=table,
-                                                  category=step.category)
-            else:
-                chunk_mask = self._evaluate_tree(snap, plan.predicate_tree,
-                                                 chunk_mask,
+            for conjunct in residual:
+                if not chunk_mask.any():
+                    break
+                chunk_mask = self._evaluate_tree(snap, conjunct, chunk_mask,
                                                  images_classified,
                                                  metadata_masks)
             surviving = np.where(chunk_mask)[0]
@@ -680,6 +666,12 @@ class QueryExecutor:
             n_selected += surviving.size
             if limit is not None and n_selected >= limit:
                 break
+        if isinstance(plan.predicate_tree, PlanAnd):
+            # The AND root decided every row except the candidates an early
+            # LIMIT stop never looked at.
+            self._accumulate(node_stats, plan.predicate_tree, n - n_unvisited,
+                             n_selected, 0,
+                             time.perf_counter() - filter_started)
 
         selected = (np.concatenate(survivors) if survivors
                     else np.array([], dtype=np.int64))
@@ -695,7 +687,7 @@ class QueryExecutor:
         # exposed by SELECT * instead mark unevaluated rows with -1.
         if selected.size:
             referenced = plan.referenced_columns()
-            for step in plan.content_steps:
+            for step in content_steps:
                 if step.predicate.column_name in referenced:
                     gap_started = time.perf_counter()
                     _, n_classified = self._evaluate_content(snap, step,
@@ -705,15 +697,16 @@ class QueryExecutor:
                         self._accumulate(
                             node_stats, step, 0, 0, n_classified,
                             time.perf_counter() - gap_started)
-                        self._rows_classified.inc(n_classified, table=table,
-                                                  category=step.category)
+                        self._rows_classified.inc(
+                            n_classified, table=self.table or "-",
+                            category=step.category)
 
         # Content columns are rebuilt from the materialized state: real
         # labels where a cascade evaluated the row (this query or an earlier
         # one), -1 where it never did — a decided OR can select rows no
         # cascade ever saw.
         relation = snap.relation
-        for step in plan.content_steps:
+        for step in content_steps:
             key = (step.category, step.evaluation.cascade.name)
             entry = snap.materialized.get(key)
             if entry is None:
@@ -731,17 +724,16 @@ class QueryExecutor:
         # One span per content predicate, carrying the accumulated per-node
         # measurements (rows in/out, classified, elapsed) so the trace tree
         # mirrors the plan's cascade structure.
-        for step in plan.content_steps:
+        for step in content_steps:
             stats = node_stats.get(id(step))
             if stats:
                 step_span = span.child(f"cascade:{step.category}",
                                        cascade=step.evaluation.name)
                 step_span.annotate(**stats)
-        if plan.predicate_tree is not None:
-            tree_stats = node_stats.get(id(plan.predicate_tree))
-            if tree_stats and "short_circuit_rows_saved" in tree_stats:
-                span.annotate(short_circuit_rows_saved=tree_stats[
-                    "short_circuit_rows_saved"])
+        root_stats = node_stats.get(id(plan.predicate_tree), {})
+        if "short_circuit_rows_saved" in root_stats:
+            span.annotate(short_circuit_rows_saved=root_stats[
+                "short_circuit_rows_saved"])
         span.annotate(rows_selected=int(selected.size),
                       images_classified=dict(images_classified))
 

@@ -8,7 +8,9 @@ predicate's selectivity from the optimizer's cached evaluation-set
 predictions, and orders the content predicates by estimated selectivity x
 selected-cascade cost so that cheap, selective predicates shrink the
 candidate set before expensive ones run.  Metadata predicates always run
-first — they cost microseconds and touch no pixels.
+first — they cost microseconds and touch no pixels.  The same rule orders
+every level of a boolean WHERE tree, so the paper's conjunctive plan is just
+the tree whose root is an AND of leaves.
 
 The resulting :class:`QueryPlan` is a pure description: executing it is the
 job of :class:`~repro.db.executor.QueryExecutor`, and ``db.explain(sql)``
@@ -20,7 +22,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -29,12 +31,10 @@ from repro.core.optimizer import TahomaOptimizer
 from repro.costs.profiler import CostProfiler
 from repro.query.ast import (Aggregate, AndExpr, BooleanExpr, NotExpr,
                              OrderItem, OrExpr, PredicateExpr, SelectItem,
-                             conjunctive_predicates, select_label)
+                             select_label)
+from repro.query.model import Query
 from repro.query.predicates import ContainsObject, MetadataPredicate
 from repro.telemetry.metrics import MetricsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.query.processor import Query
 
 __all__ = ["MetadataStep", "ContentStep", "QueryPlan", "QueryPlanner",
            "PlanAnd", "PlanOr", "PlanNot",
@@ -78,9 +78,6 @@ class MetadataStep:
 
     predicate: MetadataPredicate
 
-    def describe(self) -> str:
-        return f"filter   {self.predicate}"
-
 
 @dataclass(frozen=True)
 class ContentStep:
@@ -99,15 +96,6 @@ class ContentStep:
     def rank(self) -> float:
         """Ordering key: estimated selectivity x selected-cascade cost."""
         return self.selectivity * self.cost_per_image_s
-
-    def describe(self) -> str:
-        lines = [f"cascade  {self.predicate}",
-                 f"    cascade     : {self.evaluation.name}",
-                 f"    selectivity : {self.selectivity:.2f} (estimated)",
-                 f"    cost/image  : {self.cost_per_image_s * 1e3:.3f} ms "
-                 f"({self.evaluation.throughput:,.0f} fps)",
-                 f"    exp accuracy: {self.evaluation.accuracy:.3f}"]
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -170,17 +158,34 @@ def _node_stats(node) -> tuple[float, float]:
     raise TypeError(f"not a plan node: {node!r}")
 
 
-def _and_rank(node) -> float:
-    """AND-child ordering key: selectivity x cost (cheap, selective first)."""
+def _and_key(node) -> tuple[float, float]:
+    """AND-child ordering key: selectivity x cost (cheap, selective first).
+
+    Cost breaks rank ties, so a free metadata filter still runs before a
+    cascade whose observed selectivity is 0.
+    """
     selectivity, cost = _node_stats(node)
-    return selectivity * cost
+    return selectivity * cost, cost
 
 
-def _or_rank(node) -> float:
+def _or_key(node) -> tuple[float, float]:
     """OR-child ordering key: (1 - selectivity) x cost — a likely-true cheap
-    disjunct decides the most rows before any expensive child runs."""
+    disjunct decides the most rows before any expensive child runs.  Cost
+    breaks rank ties (a cascade observed to accept every row)."""
     selectivity, cost = _node_stats(node)
-    return (1.0 - selectivity) * cost
+    return (1.0 - selectivity) * cost, cost
+
+
+def _cascade_leaves(node) -> "Iterator[ContentStep]":
+    """Every cascade leaf under ``node`` in execution order (none for a
+    metadata leaf or the ``None`` tree of a predicate-free scan)."""
+    if isinstance(node, ContentStep):
+        yield node
+    elif isinstance(node, PlanNot):
+        yield from _cascade_leaves(node.child)
+    elif isinstance(node, (PlanAnd, PlanOr)):
+        for child in node.children:
+            yield from _cascade_leaves(child)
 
 
 def _json_value(value):
@@ -192,56 +197,64 @@ def _json_value(value):
     return value
 
 
-def _node_dict(node) -> dict:
-    """Serialize one predicate-tree node for :meth:`QueryPlan.to_dict`."""
-    if isinstance(node, MetadataStep):
-        return {"op": "filter",
-                "column": node.predicate.column,
-                "operator": node.predicate.operator,
-                "value": _json_value(node.predicate.value)}
-    if isinstance(node, ContentStep):
-        return {"op": "cascade", **_content_step_dict(node)}
-    if isinstance(node, PlanNot):
-        return {"op": "not", "child": _node_dict(node.child)}
-    label = "and" if isinstance(node, PlanAnd) else "or"
-    return {"op": label,
-            "children": [_node_dict(child) for child in node.children]}
+def _node_dict(node, node_stats: dict | None = None) -> dict:
+    """Serialize one predicate-tree node (``EXPLAIN`` over the wire).
 
-
-def _content_step_dict(step: ContentStep) -> dict:
-    return {"category": step.category,
-            "cascade": step.evaluation.name,
-            "depth": step.evaluation.depth,
-            "selectivity": float(step.selectivity),
-            "cost_per_image_s": float(step.cost_per_image_s),
-            "expected_accuracy": float(step.evaluation.accuracy),
-            "throughput_fps": float(step.evaluation.throughput)}
-
-
-def _annotated_node(node, node_stats: dict) -> dict:
-    """Serialize one plan node with estimated *and* actual execution stats.
-
-    ``node_stats`` maps ``id(plan node)`` to the executor's measurements for
-    that node (rows in/out, actual selectivity, rows classified, elapsed
-    seconds).  Nodes execution never reached — e.g. an OR disjunct decided
-    away by short-circuiting — carry no ``"actual"`` key, which is itself
-    informative.
+    With ``node_stats`` (``EXPLAIN ANALYZE``) every node also carries the
+    planner's ``estimated_selectivity`` and, keyed off ``id(plan node)``,
+    the executor's measurements as ``"actual"`` (rows in/out, actual
+    selectivity, rows classified, elapsed seconds).  Nodes execution never
+    reached — e.g. an OR disjunct decided away by short-circuiting — carry
+    no ``"actual"`` key, which is itself informative.
     """
-    if isinstance(node, PlanNot):
-        rendered = {"op": "not",
-                    "child": _annotated_node(node.child, node_stats)}
-    elif isinstance(node, (PlanAnd, PlanOr)):
-        rendered = {"op": "and" if isinstance(node, PlanAnd) else "or",
-                    "children": [_annotated_node(child, node_stats)
-                                 for child in node.children]}
+    if isinstance(node, MetadataStep):
+        rendered = {"op": "filter",
+                    "column": node.predicate.column,
+                    "operator": node.predicate.operator,
+                    "value": _json_value(node.predicate.value)}
+    elif isinstance(node, ContentStep):
+        rendered = {"op": "cascade",
+                    "category": node.category,
+                    "cascade": node.evaluation.name,
+                    "depth": node.evaluation.depth,
+                    "selectivity": float(node.selectivity),
+                    "cost_per_image_s": float(node.cost_per_image_s),
+                    "expected_accuracy": float(node.evaluation.accuracy),
+                    "throughput_fps": float(node.evaluation.throughput)}
+    elif isinstance(node, PlanNot):
+        rendered = {"op": "not", "child": _node_dict(node.child, node_stats)}
     else:
-        rendered = _node_dict(node)
-    estimated, _ = _node_stats(node)
-    rendered.setdefault("estimated_selectivity", float(estimated))
-    actual = node_stats.get(id(node))
-    if actual is not None:
-        rendered["actual"] = dict(actual)
+        rendered = {"op": "and" if isinstance(node, PlanAnd) else "or",
+                    "children": [_node_dict(child, node_stats)
+                                 for child in node.children]}
+    if node_stats is not None:
+        rendered["estimated_selectivity"] = float(_node_stats(node)[0])
+        actual = node_stats.get(id(node))
+        if actual is not None:
+            rendered["actual"] = dict(actual)
     return rendered
+
+
+def _plan_dict(plan: "QueryPlan", node_stats: dict | None = None) -> dict:
+    """The one wire shape of a plan: ``EXPLAIN`` without ``node_stats``,
+    ``EXPLAIN ANALYZE`` with (see :func:`_node_dict`)."""
+    tree = plan.predicate_tree  # None: a predicate-free scan serializes null
+    return {
+        "scenario": plan.scenario_name,
+        "table": plan.table,
+        "limit": plan.limit,
+        "select": (None if plan.select is None
+                   else [select_label(item) for item in plan.select]),
+        "group_by": list(plan.group_by),
+        "order_by": [{"key": item.label, "ascending": item.ascending}
+                     for item in plan.order_by],
+        "is_aggregate": plan.is_aggregate,
+        "content_steps": [_node_dict(step, node_stats)
+                          for step in plan.content_steps],
+        "predicate_tree": tree and _node_dict(tree, node_stats),
+        "expected_cost_per_candidate_s":
+            plan.expected_cost_per_candidate_s(),
+    }
 
 
 def annotate_plan_dict(plan: "QueryPlan", node_stats: dict) -> dict:
@@ -249,19 +262,10 @@ def annotate_plan_dict(plan: "QueryPlan", node_stats: dict) -> dict:
 
     The ``EXPLAIN ANALYZE`` serialization: every predicate node carries its
     planner estimate (``estimated_selectivity``) next to the executor's
-    measurements (``actual``: rows in/out, actual selectivity, rows
-    classified, elapsed seconds), keyed off ``node_stats`` as recorded by
+    measurements (``actual``), keyed off ``node_stats`` as recorded by
     :class:`~repro.db.executor.QueryExecutor` during the run.
     """
-    rendered = plan.to_dict()
-    rendered["metadata_steps"] = [_annotated_node(step, node_stats)
-                                  for step in plan.metadata_steps]
-    rendered["content_steps"] = [_annotated_node(step, node_stats)
-                                 for step in plan.content_steps]
-    if plan.predicate_tree is not None:
-        rendered["predicate_tree"] = _annotated_node(plan.predicate_tree,
-                                                     node_stats)
-    return rendered
+    return _plan_dict(plan, node_stats)
 
 
 def _describe_node(node, indent: str = "") -> str:
@@ -271,7 +275,8 @@ def _describe_node(node, indent: str = "") -> str:
     if isinstance(node, ContentStep):
         return (f"{indent}cascade  {node.predicate} "
                 f"[{node.evaluation.name}, sel {node.selectivity:.2f}, "
-                f"{node.cost_per_image_s * 1e3:.3f} ms/image]")
+                f"{node.cost_per_image_s * 1e3:.3f} ms/image, "
+                f"exp accuracy {node.evaluation.accuracy:.3f}]")
     if isinstance(node, PlanNot):
         return f"{indent}NOT\n{_describe_node(node.child, indent + '  ')}"
     label = "AND" if isinstance(node, PlanAnd) else "OR"
@@ -286,28 +291,45 @@ class QueryPlan:
     """The physical plan for one query, lowered from the logical pipeline
     Scan -> Filter -> Aggregate -> OrderBy -> Project -> Limit.
 
-    For a conjunctive query (the paper's shape) the filter is the flat
-    ``metadata_steps`` + ``content_steps`` (already in execution order,
-    ascending selectivity x cost) and ``predicate_tree`` is ``None`` — the
-    executor runs the seed's chunked path unchanged.  A query with OR/NOT
-    carries the ordered boolean tree in ``predicate_tree``;
-    ``content_steps`` then still lists every cascade leaf (for provenance),
-    but execution follows the tree with mask-based short-circuiting.
+    The filter is the ordered boolean tree in ``predicate_tree`` (``None``
+    only for a predicate-free scan): children of every AND/OR are already in
+    execution order, so the paper's conjunctive shape is simply an AND root
+    whose metadata leaves come first (syntactic order) and whose cascades
+    follow in ascending selectivity x cost.  :attr:`conjuncts`,
+    :attr:`content_steps` and :attr:`categories` are views derived from the
+    tree, never stored beside it.
 
     ``select``/``group_by``/``order_by`` carry the projection, grouping and
     sort stages; ``db.explain(sql)`` returns this object and ``str(plan)``
     renders the human-readable form.
     """
 
-    metadata_steps: tuple[MetadataStep, ...]
-    content_steps: tuple[ContentStep, ...]
+    predicate_tree: "PlanExpr | None" = None
     limit: int | None = None
     scenario_name: str = ""
     table: str = ""
-    predicate_tree: "PlanExpr | None" = None
     select: tuple[SelectItem, ...] | None = None
     group_by: tuple[str, ...] = ()
     order_by: tuple[OrderItem, ...] = ()
+
+    @property
+    def conjuncts(self) -> "tuple[PlanExpr, ...]":
+        """The top-level conjuncts, in execution order: the children of an
+        AND root, the root itself otherwise, nothing for a predicate-free
+        scan.  A row is selected iff every conjunct accepts it."""
+        tree = self.predicate_tree
+        if tree is None:
+            return ()
+        return tree.children if isinstance(tree, PlanAnd) else (tree,)
+
+    @property
+    def content_steps(self) -> tuple[ContentStep, ...]:
+        """The tree's distinct cascade leaves (one per category), ascending
+        selectivity x cost — the provenance listing behind ``cascades_used``
+        / ``images_classified`` and the selections a plan cache rebinds."""
+        distinct = {step.category: step
+                    for step in _cascade_leaves(self.predicate_tree)}
+        return tuple(sorted(distinct.values(), key=lambda step: step.rank))
 
     @property
     def aggregates(self) -> tuple[Aggregate, ...]:
@@ -351,57 +373,45 @@ class QueryPlan:
 
     @property
     def categories(self) -> tuple[str, ...]:
-        """The content-predicate categories, in execution order."""
+        """The content-predicate categories, ascending selectivity x cost."""
         return tuple(step.category for step in self.content_steps)
 
     def expected_cost_per_candidate_s(self) -> float:
         """Expected content cost per candidate image surviving metadata.
 
-        Each content step's per-image cost is weighted by the product of the
-        selectivities of the steps before it, mirroring how earlier
-        predicates shrink the set later cascades must classify.
+        The top-level metadata filters run once over the whole table for
+        free; the remaining conjuncts then run in order, each one's cost
+        weighted by the selectivity of those before it (and, inside an OR,
+        by the share of rows earlier disjuncts left undecided).
         """
-        total, surviving = 0.0, 1.0
-        for step in self.content_steps:
-            total += surviving * step.cost_per_image_s
-            surviving *= step.selectivity
-        return total
+        _, cost = _node_stats(PlanAnd(tuple(
+            conjunct for conjunct in self.conjuncts
+            if not isinstance(conjunct, MetadataStep))))
+        return cost
 
     def describe(self) -> str:
         target = f", table={self.table!r}" if self.table else ""
         header = f"QueryPlan (scenario={self.scenario_name or 'unknown'}{target})"
-        lines = [header]
-        number = 1
-        if self.predicate_tree is not None:
-            body = _describe_node(self.predicate_tree).replace("\n", "\n   ")
-            lines.append(f"  {number}. {body}")
-            number += 1
-        else:
-            for step in self.metadata_steps:
-                body = step.describe().replace("\n", "\n   ")
-                lines.append(f"  {number}. {body}")
-                number += 1
-            for step in self.content_steps:
-                body = step.describe().replace("\n", "\n   ")
-                lines.append(f"  {number}. {body}")
-                number += 1
+        # Subtree lines are indented to sit under the "  N. " stage prefix.
+        stages = [_describe_node(conjunct, "     ").lstrip()
+                  for conjunct in self.conjuncts]
         if self.is_aggregate:
             spec = ", ".join(aggregate.label for aggregate in self.aggregates)
             if self.group_by:
                 spec += f"{' ' if spec else ''}group by " + \
                         ", ".join(self.group_by)
-            lines.append(f"  {number}. aggregate {spec}")
-            number += 1
+            stages.append(f"aggregate {spec}")
         if self.order_by:
-            keys = ", ".join(str(item) for item in self.order_by)
-            lines.append(f"  {number}. order by {keys}")
-            number += 1
+            stages.append("order by " +
+                          ", ".join(str(item) for item in self.order_by))
         if self.select is not None and not self.is_aggregate:
-            columns = ", ".join(select_label(item) for item in self.select)
-            lines.append(f"  {number}. project  {columns}")
-            number += 1
+            stages.append("project  " + ", ".join(
+                select_label(item) for item in self.select))
         if self.limit is not None:
-            lines.append(f"  {number}. limit    {self.limit}")
+            stages.append(f"limit    {self.limit}")
+        lines = [header]
+        lines.extend(f"  {number}. {stage}"
+                     for number, stage in enumerate(stages, start=1))
         if self.content_steps:
             lines.append(f"  expected content cost per candidate: "
                          f"{self.expected_cost_per_candidate_s() * 1e3:.3f} ms")
@@ -410,31 +420,13 @@ class QueryPlan:
     def to_dict(self) -> dict:
         """A JSON-serializable form of the plan (``EXPLAIN`` over the wire).
 
-        Carries the same information as :meth:`describe` — predicate tree
-        (or the flat conjunctive steps), selected cascades with estimated
+        Carries the same information as :meth:`describe` — the ordered
+        predicate tree, the selected cascades with estimated
         selectivity/cost, projection, grouping, sort and limit stages, and
         the expected content cost per candidate — as plain dicts and lists,
         so clients can inspect plans without the repro package installed.
         """
-        return {
-            "scenario": self.scenario_name,
-            "table": self.table,
-            "limit": self.limit,
-            "select": (None if self.select is None
-                       else [select_label(item) for item in self.select]),
-            "group_by": list(self.group_by),
-            "order_by": [{"key": item.label, "ascending": item.ascending}
-                         for item in self.order_by],
-            "is_aggregate": self.is_aggregate,
-            "metadata_steps": [_node_dict(step)
-                               for step in self.metadata_steps],
-            "content_steps": [_content_step_dict(step)
-                              for step in self.content_steps],
-            "predicate_tree": (None if self.predicate_tree is None
-                               else _node_dict(self.predicate_tree)),
-            "expected_cost_per_candidate_s":
-                self.expected_cost_per_candidate_s(),
-        }
+        return _plan_dict(self)
 
     def __str__(self) -> str:
         return self.describe()
@@ -511,7 +503,10 @@ class QueryPlanner:
         (1 - selectivity) x cost — a likely-true cheap disjunct decides the
         most rows per unit cost, and every later child only evaluates rows
         the earlier children left undecided.  Metadata filters cost nothing
-        and therefore always run before any cascade at the same level.
+        and therefore always run before any cascade at the same level, in
+        syntactic order (the sort is stable).  Nested AND-of-AND / OR-of-OR
+        is flattened first, so a pure conjunction orders globally however
+        it was parenthesized.
         """
         if isinstance(expr, PredicateExpr):
             if isinstance(expr.predicate, ContainsObject):
@@ -519,25 +514,30 @@ class QueryPlanner:
             return MetadataStep(expr.predicate)
         if isinstance(expr, NotExpr):
             return PlanNot(self._lower(expr.child, constraints, cache))
-        children = [self._lower(child, constraints, cache)
-                    for child in expr.children]
         if isinstance(expr, AndExpr):
-            children.sort(key=_and_rank)
-            return PlanAnd(tuple(children))
-        if isinstance(expr, OrExpr):
-            children.sort(key=_or_rank)
-            return PlanOr(tuple(children))
-        raise TypeError(f"not a BooleanExpr node: {expr!r}")
+            node_type, key = PlanAnd, _and_key
+        elif isinstance(expr, OrExpr):
+            node_type, key = PlanOr, _or_key
+        else:
+            raise TypeError(f"not a BooleanExpr node: {expr!r}")
+        children = []
+        for child in expr.children:
+            lowered = self._lower(child, constraints, cache)
+            if isinstance(lowered, node_type):
+                children.extend(lowered.children)
+            else:
+                children.append(lowered)
+        children.sort(key=key)
+        return node_type(tuple(children))
 
-    def plan(self, query: "Query", table: str | None = None,
+    def plan(self, query: Query, table: str | None = None,
              selections: "dict[str, ContentStep] | None" = None) -> QueryPlan:
         """Select cascades, estimate selectivities and order the predicates.
 
-        A conjunctive query (the original dialect) lowers to the seed's flat
-        plan: metadata steps first, then content steps ordered by estimated
-        selectivity x selected-cascade cost.  A query whose WHERE tree has
-        OR/NOT lowers to an ordered :data:`PlanExpr` tree instead, with
-        cascades selected once per category.
+        The WHERE tree lowers to one ordered :data:`PlanExpr` tree, with
+        cascades selected once per category.  For a conjunctive query (the
+        paper's shape) that is an AND root: metadata filters first, then
+        cascades by estimated selectivity x selected-cascade cost.
 
         ``table`` overrides the plan's table provenance — a fan-out query
         plans once per shard, and each shard's plan names the shard it was
@@ -553,31 +553,14 @@ class QueryPlanner:
         """
         started = time.perf_counter()
         cache: dict[str, ContentStep] = dict(selections) if selections else {}
-        wanted = {predicate.category
-                  for predicate in query.content_predicates}
-        conjuncts = conjunctive_predicates(query.where)
         predicate_tree = None
-        if conjuncts is not None:
-            metadata_steps = tuple(MetadataStep(predicate)
-                                   for predicate in query.metadata_predicates)
-            content_steps = [self._content_step(predicate, query.constraints,
-                                                cache)
-                             for predicate in query.content_predicates]
-            content_steps.sort(key=lambda step: step.rank)
-        else:
-            predicate_tree = self._lower(query.where, query.constraints, cache)
-            metadata_steps = tuple(MetadataStep(predicate)
-                                   for predicate in query.metadata_predicates)
-            content_steps = sorted(
-                (step for step in cache.values() if step.category in wanted),
-                key=lambda step: step.rank)
-
-        plan = QueryPlan(metadata_steps=metadata_steps,
-                         content_steps=tuple(content_steps),
+        if query.where is not None:
+            predicate_tree = self._lower(query.where, query.constraints,
+                                         cache)
+        plan = QueryPlan(predicate_tree=predicate_tree,
                          limit=query.limit,
                          scenario_name=self.profiler.scenario.name,
                          table=table if table is not None else query.table,
-                         predicate_tree=predicate_tree,
                          select=query.select,
                          group_by=query.group_by,
                          order_by=query.order_by)

@@ -30,11 +30,11 @@ import numpy as np
 from repro.db.aggregates import GroupedPartials, merge_partials
 from repro.db.planner import QueryPlan
 from repro.query.ast import OrderItem, QueryError, select_label
+from repro.query.model import QueryResult
 from repro.query.relation import Relation, to_python as _to_python
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.evaluator import CascadeEvaluation
-    from repro.query.processor import QueryResult
 
 __all__ = ["ResultSet", "FanoutResultSet", "AggregateResultSet",
            "build_result_set", "TABLE_COLUMN"]
@@ -220,8 +220,6 @@ def _shape_rows(result: "QueryResult", plan: QueryPlan | None,
     ORDER BY it deferred both, so the limit is applied here, after the sort.
     ``extra_columns`` (fan-out provenance) survive projection.
     """
-    from repro.query.processor import QueryResult
-
     if plan is None or (not plan.order_by and plan.select is None):
         return result
     relation, selected = result.relation, result.selected_indices
@@ -271,8 +269,6 @@ class AggregateResultSet(ResultSet):
     def __init__(self, partials: GroupedPartials, plan: QueryPlan, *,
                  cascades_used: dict, images_classified: dict,
                  plans: Mapping[str, QueryPlan] | None = None) -> None:
-        from repro.query.processor import QueryResult
-
         if partials is None:
             raise ValueError("aggregate plan executed without partials; "
                              "the executor did not aggregate")
@@ -375,8 +371,6 @@ def _merge_relations(results: "Mapping[str, QueryResult]") -> Relation:
 
 def _head(result: "QueryResult", n: int) -> "QueryResult":
     """The first ``n`` selected rows of a shard's result (corpus order)."""
-    from repro.query.processor import QueryResult
-
     mask = np.zeros(len(result.relation), dtype=bool)
     mask[:n] = True
     return QueryResult(relation=result.relation.filter(mask),
@@ -430,8 +424,6 @@ class FanoutResultSet(ResultSet):
 
     def __init__(self, results: "Mapping[str, QueryResult]",
                  plans: Mapping[str, QueryPlan]) -> None:
-        from repro.query.processor import QueryResult
-
         if not results:
             raise ValueError("a fan-out needs at least one table")
         reference = next(iter(plans.values())) if plans else None

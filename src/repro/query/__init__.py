@@ -6,18 +6,21 @@ This package provides that surface:
 
 * :mod:`repro.query.relation` — an in-memory columnar relation,
 * :mod:`repro.query.predicates` — metadata predicates and the
-  ``contains_object`` binary predicate, and
-* :mod:`repro.query.processor` — a SELECT/WHERE processor that evaluates
-  metadata predicates first, runs the selected cascade only over the
-  surviving rows, and materializes the resulting binary predicate column for
-  reuse by later queries.
+  ``contains_object`` binary predicate,
+* :mod:`repro.query.model` — the :class:`Query` / :class:`QueryResult`
+  model, and
+* :mod:`repro.query.sql` — the SQL front end that parses text into it.
+
+Planning and execution (metadata predicates first, the selected cascade
+only over the surviving rows, materialized predicate columns reused by later
+queries) live in :mod:`repro.db`.
 """
 
 from repro.query.ast import (Aggregate, AndExpr, BooleanExpr, NotExpr,
                              OrderItem, OrExpr, PredicateExpr, QueryError,
                              SqlParseError, tokenize)
+from repro.query.model import Query, QueryResult
 from repro.query.predicates import ContainsObject, MetadataPredicate
-from repro.query.processor import Query, QueryProcessor, QueryResult
 from repro.query.relation import Relation
 from repro.query.sql import parse_query
 
@@ -27,7 +30,6 @@ __all__ = [
     "ContainsObject",
     "Query",
     "QueryResult",
-    "QueryProcessor",
     "parse_query",
     "tokenize",
     "SqlParseError",

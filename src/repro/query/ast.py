@@ -30,7 +30,7 @@ __all__ = [
     "SqlParseError", "QueryError", "QueryTimeoutError",
     "Token", "tokenize",
     "BooleanExpr", "PredicateExpr", "AndExpr", "OrExpr", "NotExpr",
-    "iter_predicates", "conjunctive_predicates",
+    "iter_predicates",
     "Aggregate", "OrderItem", "AGGREGATE_FUNCTIONS", "select_label",
 ]
 
@@ -228,29 +228,6 @@ def iter_predicates(expr: BooleanExpr) -> Iterator:
         yield from iter_predicates(expr.child)
     else:
         raise TypeError(f"not a BooleanExpr node: {expr!r}")
-
-
-def conjunctive_predicates(expr: BooleanExpr | None) -> list | None:
-    """The flat predicate list of a pure conjunction, else ``None``.
-
-    A bare leaf or an (arbitrarily nested) AND of leaves is *conjunctive* —
-    exactly the fragment the original regex dialect supported, and the shape
-    for which the planner keeps the seed's flat metadata-then-cascades plan.
-    Any OR or NOT anywhere makes the query non-conjunctive.
-    """
-    if expr is None:
-        return []
-    if isinstance(expr, PredicateExpr):
-        return [expr.predicate]
-    if isinstance(expr, AndExpr):
-        leaves = []
-        for child in expr.children:
-            child_leaves = conjunctive_predicates(child)
-            if child_leaves is None:
-                return None
-            leaves.extend(child_leaves)
-        return leaves
-    return None
 
 
 # -- SELECT-list items and ORDER BY keys --------------------------------------

@@ -1,11 +1,9 @@
-"""The query processor: SELECT ... FROM images WHERE <predicates>.
+"""The query model: SELECT ... FROM <table> WHERE <predicates>.
 
-As of the :mod:`repro.db` redesign this module holds the query *model*
-(:class:`Query`, :class:`QueryResult`) and a thin back-compat
-:class:`QueryProcessor` shim over the planner/executor split
-(:class:`~repro.db.planner.QueryPlanner` +
-:class:`~repro.db.executor.QueryExecutor`).  New code should use
-:func:`repro.db.connect` instead of constructing a processor directly.
+:class:`Query` is what the SQL front end (:mod:`repro.query.sql`) parses
+into and :class:`~repro.db.planner.QueryPlanner` plans from;
+:class:`QueryResult` is what :class:`~repro.db.executor.QueryExecutor`
+returns and :mod:`repro.db.results` wraps into result sets.
 """
 
 from __future__ import annotations
@@ -16,10 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.evaluator import CascadeEvaluation
-from repro.core.optimizer import TahomaOptimizer
 from repro.core.selector import UserConstraints
-from repro.costs.profiler import CostProfiler
-from repro.data.corpus import ImageCorpus
 from repro.query.ast import (Aggregate, AndExpr, BooleanExpr, OrderItem,
                              PredicateExpr, SelectItem, iter_predicates)
 from repro.query.predicates import ContainsObject, MetadataPredicate
@@ -28,7 +23,7 @@ from repro.query.relation import Relation
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.db.aggregates import GroupedPartials
 
-__all__ = ["Query", "QueryResult", "QueryProcessor", "DEFAULT_TABLE"]
+__all__ = ["Query", "QueryResult", "DEFAULT_TABLE"]
 
 #: The table an unqualified query targets — what ``connect(corpus)`` names
 #: its single corpus.  :mod:`repro.db.catalog` re-exports this; it lives here
@@ -125,62 +120,3 @@ class QueryResult:
 
     def __len__(self) -> int:
         return int(self.selected_indices.size)
-
-
-class QueryProcessor:
-    """Answers queries over an :class:`~repro.data.corpus.ImageCorpus`.
-
-    Back-compat shim: planning (cascade selection, predicate ordering) is
-    delegated to :class:`~repro.db.planner.QueryPlanner` and execution
-    (materialized virtual columns, the shared persistent representation
-    store) to :class:`~repro.db.executor.QueryExecutor`.
-
-    Parameters
-    ----------
-    corpus:
-        The image corpus with metadata columns.
-    optimizers:
-        Mapping from category name to an *initialized*
-        :class:`~repro.core.optimizer.TahomaOptimizer` for that predicate.
-    profiler:
-        Cost profiler describing the current deployment scenario, used to
-        select the cascade for each content predicate at query time.
-    """
-
-    def __init__(self, corpus: ImageCorpus,
-                 optimizers: dict[str, TahomaOptimizer],
-                 profiler: CostProfiler) -> None:
-        # Imported here: repro.db imports repro.query.sql (which needs this
-        # module's Query) at package-init time, so a module-level import of
-        # repro.db from here would be circular.
-        from repro.db.executor import QueryExecutor
-        from repro.db.planner import QueryPlanner
-
-        self._planner = QueryPlanner(optimizers, profiler)
-        self._executor = QueryExecutor(corpus)
-
-    # -- public API ----------------------------------------------------------
-    @property
-    def corpus(self) -> ImageCorpus:
-        return self._executor.corpus
-
-    @property
-    def optimizers(self) -> dict[str, TahomaOptimizer]:
-        return self._planner.optimizers
-
-    @property
-    def profiler(self) -> CostProfiler:
-        return self._planner.profiler
-
-    @profiler.setter
-    def profiler(self, profiler: CostProfiler) -> None:
-        self._planner.profiler = profiler
-
-    @property
-    def relation(self) -> Relation:
-        """The metadata relation (without content columns)."""
-        return self._executor.relation
-
-    def execute(self, query: Query) -> QueryResult:
-        """Evaluate a query: metadata predicates first, then content predicates."""
-        return self._executor.execute(self._planner.plan(query))

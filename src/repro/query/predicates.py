@@ -85,8 +85,8 @@ class ContainsObject:
     """The binary content predicate ``contains_object(category)``.
 
     Evaluating it requires running a classifier (cascade) over image pixels;
-    the query processor decides which cascade, under which deployment
-    scenario and user constraints.
+    the planner decides which cascade, under which deployment scenario and
+    user constraints.
     """
 
     category: str

@@ -4,7 +4,7 @@ The paper frames TAHOMA's workload as queries of the form::
 
     SELECT * FROM images WHERE location = 'detroit' AND contains_object(bicycle)
 
-This module parses the dialect into a :class:`~repro.query.processor.Query`
+This module parses the dialect into a :class:`~repro.query.model.Query`
 via the AST node types of :mod:`repro.query.ast`.  Supported grammar
 (case-insensitive keywords)::
 
@@ -52,7 +52,7 @@ from repro.query.ast import (AGGREGATE_FUNCTIONS, Aggregate, AndExpr,
                              PredicateExpr, SelectItem, SqlParseError, Token,
                              select_label, tokenize)
 from repro.query.predicates import ContainsObject, MetadataPredicate
-from repro.query.processor import Query
+from repro.query.model import Query
 
 __all__ = ["parse_query", "split_explain_analyze", "SqlParseError"]
 

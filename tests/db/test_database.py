@@ -16,7 +16,8 @@ from repro.costs.scenario import CAMERA
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
 from repro.db import VisualDatabase, connect
-from repro.query.processor import QueryProcessor
+from repro.db.executor import QueryExecutor
+from repro.db.planner import QueryPlanner
 from repro.query.sql import parse_query
 from repro.transforms.spec import TransformSpec
 from tests.conftest import TINY_SIZE
@@ -65,9 +66,10 @@ class TestExecute:
     def test_paper_query_matches_raw_processor(self, db, corpus, tiny_optimizer,
                                                camera_profiler):
         results = db.execute(SQL)
-        raw = QueryProcessor(corpus, {"komondor": tiny_optimizer},
-                             camera_profiler).execute(
+        plan = QueryPlanner({"komondor": tiny_optimizer},
+                            camera_profiler).plan(
             parse_query(SQL, constraints=CONSTRAINED))
+        raw = QueryExecutor(corpus).execute(plan)
         np.testing.assert_array_equal(results.image_ids, raw.selected_indices)
         assert all(row["location"] == "detroit" for row in results)
 
@@ -503,10 +505,14 @@ class TestPlanSerialization:
         json.dumps(payload)
         assert payload["table"] == "images"
         assert payload["scenario"] == "camera"
-        assert payload["metadata_steps"] == [
-            {"op": "filter", "column": "location", "operator": "==",
-             "value": "detroit"}]
+        tree = payload["predicate_tree"]
+        assert tree["op"] == "and"
+        assert tree["children"][0] == {
+            "op": "filter", "column": "location", "operator": "==",
+            "value": "detroit"}
+        assert "metadata_steps" not in payload
         step = payload["content_steps"][0]
+        assert tree["children"][1] == step
         assert step["category"] == "komondor"
         assert step["depth"] >= 1
         assert step["cost_per_image_s"] > 0

@@ -7,9 +7,10 @@ from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
 from repro.db.executor import QueryExecutor
-from repro.db.planner import QueryPlanner
+from repro.db.planner import MetadataStep, PlanAnd, QueryPlanner
+from repro.query.ast import AndExpr, NotExpr, OrExpr, PredicateExpr
+from repro.query.model import Query
 from repro.query.predicates import ContainsObject, MetadataPredicate
-from repro.query.processor import Query
 from tests.conftest import TINY_SIZE
 
 
@@ -289,8 +290,6 @@ class TestBooleanTrees:
         return Query(where=where, constraints=CONSTRAINED, **kwargs)
 
     def test_or_classifies_only_undecided_rows(self, corpus, planner):
-        from repro.query.ast import OrExpr, PredicateExpr
-
         executor = QueryExecutor(corpus)
         where = OrExpr((
             PredicateExpr(MetadataPredicate("location", "==", "detroit")),
@@ -304,8 +303,6 @@ class TestBooleanTrees:
         assert result.images_classified["komondor"] == len(corpus) - n_detroit
 
     def test_or_result_matches_row_wise_reference(self, corpus, planner):
-        from repro.query.ast import OrExpr, PredicateExpr
-
         executor = QueryExecutor(corpus)
         conjunctive = planner.plan(Query(
             content_predicates=(ContainsObject("komondor"),),
@@ -323,8 +320,6 @@ class TestBooleanTrees:
                                       expected)
 
     def test_not_complements_selection(self, corpus, planner):
-        from repro.query.ast import NotExpr, PredicateExpr
-
         executor = QueryExecutor(corpus)
         selected = executor.execute(planner.plan(Query(
             content_predicates=(ContainsObject("komondor"),),
@@ -336,8 +331,6 @@ class TestBooleanTrees:
         assert not set(selected) & set(inverted)
 
     def test_and_inside_or_short_circuits(self, corpus, planner):
-        from repro.query.ast import AndExpr, OrExpr, PredicateExpr
-
         executor = QueryExecutor(corpus)
         # (location = detroit AND contains) OR (location = seattle): the
         # cascade only ever sees Detroit rows — seattle rows are decided by
@@ -352,8 +345,6 @@ class TestBooleanTrees:
         assert result.images_classified["komondor"] <= n_detroit
 
     def test_tree_limit_early_stop_matches_prefix(self, corpus, planner):
-        from repro.query.ast import OrExpr, PredicateExpr
-
         where = OrExpr((
             PredicateExpr(MetadataPredicate("location", "==", "detroit")),
             PredicateExpr(ContainsObject("komondor"))))
@@ -366,8 +357,6 @@ class TestBooleanTrees:
 
     def test_top_level_and_metadata_prefilters_tree_chunks(self, corpus,
                                                            planner):
-        from repro.query.ast import AndExpr, NotExpr, PredicateExpr
-
         # location = detroit AND NOT contains: non-conjunctive (the NOT),
         # but the top-level metadata child must still prefilter, so the
         # cascade only ever touches Detroit rows.
@@ -381,8 +370,6 @@ class TestBooleanTrees:
 
     def test_short_circuited_rows_report_unknown_labels(self, corpus,
                                                         planner):
-        from repro.query.ast import OrExpr, PredicateExpr
-
         where = OrExpr((
             PredicateExpr(MetadataPredicate("location", "==", "detroit")),
             PredicateExpr(ContainsObject("komondor"))))
@@ -452,6 +439,101 @@ class TestBooleanTrees:
             MetadataPredicate("camera_id", "in", ("one", "two")),)))
         with pytest.raises(QueryError, match="camera_id"):
             executor.execute(plan)
+
+
+class TestPrefilterStats:
+    def test_prefilter_measured_once_over_the_whole_snapshot(self, corpus,
+                                                             planner):
+        # Chunked execution (cancel forces chunking) must not re-count the
+        # free metadata conjunct per chunk: it is measured once, over every
+        # snapshot row, and the AND root accounts for the same rows.
+        plan = planner.plan(Query(
+            metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
+            content_predicates=(ContainsObject("komondor"),),
+            constraints=CONSTRAINED))
+        result = QueryExecutor(corpus, min_limit_chunk=4).execute(
+            plan, cancel=lambda: None)
+        n_detroit = int((corpus.metadata["location"] == "detroit").sum())
+        assert n_detroit > 4, "fixture must span several chunks"
+        root = plan.predicate_tree
+        assert isinstance(root, PlanAnd)
+        filter_step, cascade_step = root.children
+        assert isinstance(filter_step, MetadataStep)
+        stats = result.node_stats
+        assert stats[id(filter_step)]["rows_in"] == len(corpus)
+        assert stats[id(filter_step)]["rows_out"] == n_detroit
+        assert stats[id(cascade_step)]["rows_in"] == n_detroit
+        assert stats[id(root)]["rows_in"] == len(corpus)
+        assert stats[id(root)]["rows_out"] == len(result)
+
+
+_LEAVES = (
+    MetadataPredicate("location", "==", "detroit"),
+    MetadataPredicate("location", "in", ("seattle", "austin")),
+    MetadataPredicate("camera_id", "<", 4),
+    MetadataPredicate("timestamp", ">", 43_200.0),
+    ContainsObject("komondor"),
+    ContainsObject("komondor2"),
+)
+
+
+def _random_tree(rng, depth=0):
+    """A random AND/OR/NOT tree over ``_LEAVES`` (at most three levels)."""
+    if depth == 3 or rng.random() < 0.25:
+        return PredicateExpr(_LEAVES[rng.integers(len(_LEAVES))])
+    kind = rng.integers(3)
+    if kind == 2:
+        return NotExpr(_random_tree(rng, depth + 1))
+    children = tuple(_random_tree(rng, depth + 1)
+                     for _ in range(rng.integers(2, 4)))
+    return AndExpr(children) if kind == 0 else OrExpr(children)
+
+
+def _brute_force(expr, relation, labels):
+    """Row-wise reference: evaluate every leaf over every row, then combine."""
+    if isinstance(expr, PredicateExpr):
+        if isinstance(expr.predicate, ContainsObject):
+            return labels
+        return expr.predicate.evaluate(relation)
+    if isinstance(expr, NotExpr):
+        return ~_brute_force(expr.child, relation, labels)
+    masks = [_brute_force(child, relation, labels) for child in expr.children]
+    combine = np.logical_and if isinstance(expr, AndExpr) else np.logical_or
+    return combine.reduce(masks)
+
+
+class TestRandomTreesMatchBruteForce:
+    @pytest.fixture(scope="class")
+    def labels(self, corpus, tiny_optimizer, camera_profiler):
+        # komondor and komondor2 share one optimizer, hence one label column.
+        planner = QueryPlanner({"komondor": tiny_optimizer}, camera_profiler)
+        full = QueryExecutor(corpus).execute(planner.plan(Query(
+            content_predicates=(ContainsObject("komondor"),),
+            constraints=CONSTRAINED)))
+        labels = np.zeros(len(corpus), dtype=bool)
+        labels[full.selected_indices] = True
+        return labels
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_selected_ids_equal_brute_force(self, corpus, planner, labels,
+                                            seed):
+        where = _random_tree(np.random.default_rng(seed))
+        expected = np.where(_brute_force(
+            where, QueryExecutor(corpus).relation, labels))[0]
+
+        def run(executor, *, limit=None, cancel=None):
+            plan = planner.plan(Query(where=where, constraints=CONSTRAINED,
+                                      limit=limit))
+            return executor.execute(plan, cancel=cancel).selected_indices
+
+        np.testing.assert_array_equal(run(QueryExecutor(corpus)), expected)
+        np.testing.assert_array_equal(
+            run(QueryExecutor(corpus, min_limit_chunk=4), limit=2),
+            expected[:2])
+        np.testing.assert_array_equal(
+            run(QueryExecutor(corpus, min_limit_chunk=4),
+                cancel=lambda: None),
+            expected)
 
 
 class TestConstruction:

@@ -11,7 +11,7 @@ from repro.db import connect
 from repro.db.executor import QueryExecutor
 from repro.db.planner import QueryPlanner
 from repro.query.predicates import ContainsObject, MetadataPredicate
-from repro.query.processor import Query
+from repro.query.model import Query
 from repro.storage.store import RepresentationStore
 from tests.conftest import TINY_SIZE
 

@@ -3,14 +3,18 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.evaluator import CascadeEvaluation
 from repro.core.selector import UserConstraints
 from repro.costs.profiler import CostBreakdown
-from repro.db.planner import (DEFAULT_SELECTIVITY, QueryPlanner,
+from repro.db.planner import (DEFAULT_SELECTIVITY, ContentStep, MetadataStep,
+                              PlanAnd, PlanOr, QueryPlanner,
                               estimate_selectivity)
+from repro.query.ast import AndExpr, OrExpr, PredicateExpr
+from repro.query.model import Query
 from repro.query.predicates import ContainsObject, MetadataPredicate
-from repro.query.processor import Query
 
 _STUB_PROFILER = SimpleNamespace(scenario=SimpleNamespace(name="stub"))
 
@@ -83,6 +87,88 @@ class TestOrdering:
         with pytest.raises(KeyError):
             planner.plan(Query(content_predicates=(ContainsObject("zebra"),)))
 
+    def test_free_filter_wins_an_and_rank_tie(self):
+        # A cascade observed to reject everything ranks 0.0 x cost = 0, the
+        # same as a free metadata filter; the filter must still run first.
+        planner = QueryPlanner(
+            {"never": _StubOptimizer(cost_s=0.01, selectivity=0.0)},
+            _STUB_PROFILER)
+        where = AndExpr((PredicateExpr(ContainsObject("never")),
+                         PredicateExpr(MetadataPredicate("a", "==", 1))))
+        tree = planner.plan(Query(where=where)).predicate_tree
+        assert isinstance(tree, PlanAnd)
+        assert [type(child) for child in tree.children] == [MetadataStep,
+                                                            ContentStep]
+
+    def test_free_filter_wins_an_or_rank_tie(self):
+        # Likewise under OR: (1 - 1.0) x cost = 0 for a cascade observed to
+        # accept everything.
+        planner = QueryPlanner(
+            {"always": _StubOptimizer(cost_s=0.01, selectivity=1.0)},
+            _STUB_PROFILER)
+        where = OrExpr((PredicateExpr(ContainsObject("always")),
+                        PredicateExpr(MetadataPredicate("a", "==", 1))))
+        tree = planner.plan(Query(where=where)).predicate_tree
+        assert isinstance(tree, PlanOr)
+        assert [type(child) for child in tree.children] == [MetadataStep,
+                                                            ContentStep]
+
+
+_COSTS = (0.001, 0.01, 0.02, 0.1)
+_SELECTIVITIES = (0.0, 0.1, 0.5, 0.5, 1.0)
+_N_CATEGORIES = 4
+
+_leaves = st.one_of(
+    st.integers(0, 3).map(lambda i: MetadataPredicate(f"m{i}", "==", i)),
+    st.integers(0, _N_CATEGORIES - 1).map(lambda i: ContainsObject(f"c{i}")))
+# A leaf, or any nesting of ANDs over leaves (tuples become AndExpr nodes).
+_conjunctions = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, min_size=2, max_size=4).map(tuple),
+    max_leaves=10)
+
+
+def _to_expr(node):
+    if isinstance(node, tuple):
+        return AndExpr(tuple(_to_expr(child) for child in node))
+    return PredicateExpr(node)
+
+
+def _flat_leaves(node):
+    if isinstance(node, tuple):
+        return [leaf for child in node for leaf in _flat_leaves(child)]
+    return [node]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=_conjunctions,
+       stats=st.lists(st.tuples(st.sampled_from(_COSTS),
+                                st.sampled_from(_SELECTIVITIES)),
+                      min_size=_N_CATEGORIES, max_size=_N_CATEGORIES))
+def test_pure_conjunction_orders_like_the_paper(shape, stats):
+    """However a pure conjunction is parenthesized, it executes metadata
+    leaves in syntactic order, then cascades by selectivity x cost (cost
+    breaking rank ties, syntactic order breaking the rest)."""
+    optimizers = {f"c{i}": _StubOptimizer(cost_s=cost, selectivity=selectivity)
+                  for i, (cost, selectivity) in enumerate(stats)}
+    plan = QueryPlanner(optimizers, _STUB_PROFILER).plan(
+        Query(where=_to_expr(shape)))
+
+    leaves = _flat_leaves(shape)
+    metadata = [leaf for leaf in leaves
+                if isinstance(leaf, MetadataPredicate)]
+    content = sorted(
+        (leaf for leaf in leaves if isinstance(leaf, ContainsObject)),
+        key=lambda leaf: (
+            optimizers[leaf.category]._selectivity
+            * optimizers[leaf.category]._cost_s,
+            optimizers[leaf.category]._cost_s))
+    assert [step.predicate for step in plan.conjuncts] == metadata + content
+    # content_steps lists each distinct cascade once, ascending rank.
+    assert set(plan.categories) == {leaf.category for leaf in content}
+    ranks = [step.rank for step in plan.content_steps]
+    assert ranks == sorted(ranks)
+
 
 class TestExpectedCost:
     def test_cost_weighted_by_upstream_selectivity(self):
@@ -128,28 +214,37 @@ class TestTreeLowering:
              "pricey": _StubOptimizer(cost_s=0.1, selectivity=0.5)},
             _STUB_PROFILER)
 
-    def test_conjunctive_query_has_no_tree(self):
+    def test_conjunctive_query_lowers_to_and_root(self):
         plan = self._planner().plan(Query(
             metadata_predicates=(MetadataPredicate("a", "==", 1),),
             content_predicates=(ContainsObject("cheap"),)))
-        assert plan.predicate_tree is None
+        assert isinstance(plan.predicate_tree, PlanAnd)
+        assert plan.conjuncts == plan.predicate_tree.children
+        assert [type(step) for step in plan.conjuncts] == [MetadataStep,
+                                                           ContentStep]
         assert plan.allow_early_stop
 
-    def test_or_query_lowers_to_tree_with_metadata_first(self):
-        from repro.db.planner import PlanOr, MetadataStep as MS
-        from repro.query.ast import OrExpr, PredicateExpr
+    def test_single_predicate_is_its_own_conjunct(self):
+        plan = self._planner().plan(Query(
+            content_predicates=(ContainsObject("cheap"),)))
+        assert plan.conjuncts == (plan.predicate_tree,)
+        assert plan.content_steps == (plan.predicate_tree,)
 
+    def test_predicate_free_scan_has_no_tree(self):
+        plan = self._planner().plan(Query())
+        assert plan.predicate_tree is None
+        assert plan.conjuncts == ()
+        assert plan.content_steps == ()
+
+    def test_or_query_lowers_to_tree_with_metadata_first(self):
         where = OrExpr((PredicateExpr(ContainsObject("pricey")),
                         PredicateExpr(MetadataPredicate("a", "==", 1))))
         plan = self._planner().plan(Query(where=where))
         assert isinstance(plan.predicate_tree, PlanOr)
         # The free metadata disjunct is ordered before the cascade.
-        assert isinstance(plan.predicate_tree.children[0], MS)
+        assert isinstance(plan.predicate_tree.children[0], MetadataStep)
 
     def test_or_children_ordered_cheap_first(self):
-        from repro.db.planner import PlanOr
-        from repro.query.ast import OrExpr, PredicateExpr
-
         where = OrExpr((PredicateExpr(ContainsObject("pricey")),
                         PredicateExpr(ContainsObject("cheap"))))
         plan = self._planner().plan(Query(where=where))
@@ -158,8 +253,6 @@ class TestTreeLowering:
             "cheap", "pricey"]
 
     def test_tree_plan_still_lists_content_steps_for_provenance(self):
-        from repro.query.ast import OrExpr, PredicateExpr
-
         where = OrExpr((PredicateExpr(ContainsObject("pricey")),
                         PredicateExpr(ContainsObject("cheap"))))
         plan = self._planner().plan(Query(where=where))
@@ -168,8 +261,6 @@ class TestTreeLowering:
         assert ranks == sorted(ranks)
 
     def test_cascade_selected_once_per_category(self):
-        from repro.query.ast import AndExpr, OrExpr, PredicateExpr
-
         # The same category twice in one tree: one ContentStep, not two.
         where = OrExpr((
             AndExpr((PredicateExpr(MetadataPredicate("a", "==", 1)),

@@ -5,7 +5,7 @@ import pytest
 
 from repro.db.planner import QueryPlan
 from repro.db.results import ResultSet
-from repro.query.processor import QueryResult
+from repro.query.model import QueryResult
 from repro.query.relation import Relation
 
 
@@ -18,7 +18,7 @@ def _result_set(n_rows: int = 5) -> ResultSet:
     result = QueryResult(relation=relation,
                          selected_indices=np.arange(n_rows) * 2,
                          cascades_used={}, images_classified={"komondor": n_rows})
-    plan = QueryPlan(metadata_steps=(), content_steps=(), scenario_name="camera")
+    plan = QueryPlan(scenario_name="camera")
     return ResultSet(result, plan)
 
 
@@ -186,7 +186,7 @@ class TestShapedRows:
         from repro.db.results import build_result_set
         from repro.query.ast import OrderItem
 
-        plan = QueryPlan(metadata_steps=(), content_steps=(), limit=2,
+        plan = QueryPlan(limit=2,
                          order_by=(OrderItem("speed", ascending=False),))
         results = build_result_set(self._result(), plan)
         assert [row["speed"] for row in results] == [9.0, 9.0]
@@ -197,8 +197,7 @@ class TestShapedRows:
         from repro.db.results import build_result_set
         from repro.query.ast import OrderItem
 
-        plan = QueryPlan(metadata_steps=(), content_steps=(),
-                         order_by=(OrderItem("location"),
+        plan = QueryPlan(order_by=(OrderItem("location"),
                                    OrderItem("speed", ascending=False)))
         results = build_result_set(self._result(), plan)
         assert [(row["location"], row["speed"]) for row in results] == [
@@ -207,8 +206,7 @@ class TestShapedRows:
     def test_projection(self):
         from repro.db.results import build_result_set
 
-        plan = QueryPlan(metadata_steps=(), content_steps=(),
-                         select=("speed", "image_id"))
+        plan = QueryPlan(select=("speed", "image_id"))
         results = build_result_set(self._result(), plan)
         assert results.columns == ["image_id", "speed"]
 
@@ -216,8 +214,7 @@ class TestShapedRows:
         from repro.db.results import build_result_set
         from repro.query.ast import QueryError
 
-        plan = QueryPlan(metadata_steps=(), content_steps=(),
-                         select=("nope",))
+        plan = QueryPlan(select=("nope",))
         with pytest.raises(QueryError, match="nope"):
             build_result_set(self._result(), plan)
 
@@ -225,8 +222,7 @@ class TestShapedRows:
         from repro.db.results import build_result_set
         from repro.query.ast import OrderItem, QueryError
 
-        plan = QueryPlan(metadata_steps=(), content_steps=(),
-                         order_by=(OrderItem("nope"),))
+        plan = QueryPlan(order_by=(OrderItem("nope"),))
         with pytest.raises(QueryError, match="ORDER BY"):
             build_result_set(self._result(), plan)
 
@@ -245,7 +241,7 @@ class TestAggregateResultSet:
         from repro.db.aggregates import compute_partials
         from repro.db.results import build_result_set
 
-        plan = QueryPlan(metadata_steps=(), content_steps=(), limit=limit,
+        plan = QueryPlan(limit=limit,
                          select=select, group_by=group_by, order_by=order_by)
         result = self._result()
         result.partials = compute_partials(result.relation, plan.aggregates,
@@ -293,8 +289,7 @@ class TestAggregateResultSet:
 
         select = ("location", Aggregate("count", None),
                   Aggregate("avg", "speed"))
-        plan = QueryPlan(metadata_steps=(), content_steps=(),
-                         select=select, group_by=("location",))
+        plan = QueryPlan(select=select, group_by=("location",))
         shards = {}
         for name, locations, speeds in [
                 ("cam_a", ["x", "y"], [1.0, 5.0]),
@@ -330,8 +325,7 @@ class TestFanoutOrderBy:
             "cam_b": _shard_result([5], {"image_id": np.array([5]),
                                          "speed": np.array([4.0])}),
         }
-        plans = {table: QueryPlan(
-            metadata_steps=(), content_steps=(), limit=2, table=table,
+        plans = {table: QueryPlan(limit=2, table=table,
             order_by=(OrderItem("speed", ascending=False),))
             for table in results}
         merged = FanoutResultSet(results, plans)
@@ -349,8 +343,7 @@ class TestFanoutLimit:
             "cam_a": _shard_result([0, 1, 2], {"image_id": np.array([0, 1, 2])}),
             "cam_b": _shard_result([5, 6], {"image_id": np.array([5, 6])}),
         }
-        plans = {table: QueryPlan(metadata_steps=(), content_steps=(),
-                                  limit=limit, table=table)
+        plans = {table: QueryPlan(limit=limit, table=table)
                  for table in results}
         return FanoutResultSet(results, plans)
 

@@ -19,7 +19,7 @@ from repro.db import RetentionPolicy, VisualDatabase, connect
 from repro.db.executor import QueryExecutor
 from repro.db.planner import QueryPlanner
 from repro.query.predicates import ContainsObject
-from repro.query.processor import Query
+from repro.query.model import Query
 from repro.storage.store import RepresentationStore
 from repro.transforms.spec import TransformSpec
 from tests.conftest import TINY_SIZE

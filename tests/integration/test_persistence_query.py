@@ -13,7 +13,8 @@ from repro.core.persistence import load_optimizer, save_optimizer
 from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
-from repro.query.processor import QueryProcessor
+from repro.db.executor import QueryExecutor
+from repro.db.planner import QueryPlanner
 from repro.query.sql import parse_query
 from tests.conftest import TINY_SIZE
 
@@ -31,12 +32,11 @@ def test_reloaded_optimizer_answers_sql_query(reloaded_optimizer, camera_profile
     corpus = generate_corpus((get_category("komondor"),), n_images=20,
                              image_size=TINY_SIZE, rng=np.random.default_rng(5),
                              positive_rate=0.8)
-    processor = QueryProcessor(corpus, {"komondor": reloaded_optimizer},
-                               camera_profiler)
+    planner = QueryPlanner({"komondor": reloaded_optimizer}, camera_profiler)
     query = parse_query(
         "SELECT * FROM images WHERE contains_object(komondor)",
         constraints=UserConstraints(max_accuracy_loss=0.1))
-    result = processor.execute(query)
+    result = QueryExecutor(corpus).execute(planner.plan(query))
 
     assert result.images_classified["komondor"] == len(corpus)
     assert "contains_komondor" in result.relation

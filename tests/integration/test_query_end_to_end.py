@@ -2,8 +2,9 @@
 
 "Find images from Detroit containing a komondor" decomposes into a metadata
 predicate (location == 'detroit') and a binary content predicate
-(contains_object(komondor)); the query processor must evaluate the cheap
-metadata predicate first and run the selected cascade only on the survivors.
+(contains_object(komondor)); the planner must order the cheap metadata
+predicate first and the executor run the selected cascade only on the
+survivors.
 """
 
 import numpy as np
@@ -12,8 +13,10 @@ import pytest
 from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
+from repro.db.executor import QueryExecutor
+from repro.db.planner import QueryPlanner
+from repro.query.model import Query
 from repro.query.predicates import ContainsObject, MetadataPredicate
-from repro.query.processor import Query, QueryProcessor
 from tests.conftest import TINY_SIZE
 
 
@@ -25,13 +28,13 @@ def corpus():
 
 
 def test_detroit_komondor_query(corpus, tiny_optimizer, camera_profiler):
-    processor = QueryProcessor(corpus, {"komondor": tiny_optimizer},
-                               camera_profiler)
+    planner = QueryPlanner({"komondor": tiny_optimizer}, camera_profiler)
+    executor = QueryExecutor(corpus)
     query = Query(
         metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
         content_predicates=(ContainsObject("komondor"),),
         constraints=UserConstraints(max_accuracy_loss=0.05))
-    result = processor.execute(query)
+    result = executor.execute(planner.plan(query))
 
     detroit_mask = corpus.metadata["location"] == "detroit"
     # Only Detroit images were classified.
@@ -49,13 +52,13 @@ def test_detroit_komondor_query(corpus, tiny_optimizer, camera_profiler):
 
 def test_follow_up_query_reuses_materialized_column(corpus, tiny_optimizer,
                                                     camera_profiler):
-    processor = QueryProcessor(corpus, {"komondor": tiny_optimizer},
-                               camera_profiler)
+    planner = QueryPlanner({"komondor": tiny_optimizer}, camera_profiler)
+    executor = QueryExecutor(corpus)
     broad = Query(content_predicates=(ContainsObject("komondor"),))
-    processor.execute(broad)
+    executor.execute(planner.plan(broad))
     narrow = Query(
         metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
         content_predicates=(ContainsObject("komondor"),))
-    result = processor.execute(narrow)
+    result = executor.execute(planner.plan(narrow))
     # Everything needed was already materialized by the broad query.
     assert result.images_classified["komondor"] == 0

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.query.ast import (Aggregate, AndExpr, NotExpr, OrderItem, OrExpr,
-                             PredicateExpr, SqlParseError,
-                             conjunctive_predicates, iter_predicates,
+                             PredicateExpr, SqlParseError, iter_predicates,
                              select_label, tokenize)
 from repro.query.predicates import ContainsObject, MetadataPredicate
 
@@ -77,26 +76,6 @@ class TestBooleanNodes:
                        NotExpr(PredicateExpr(ContainsObject("dog")))))
         assert [getattr(p, "column", getattr(p, "category", None))
                 for p in iter_predicates(tree)] == ["a", "b", "dog"]
-
-    def test_conjunctive_predicates_flat_and(self):
-        tree = AndExpr((self._leaf("a"), self._leaf("b")))
-        assert [p.column for p in conjunctive_predicates(tree)] == ["a", "b"]
-
-    def test_conjunctive_predicates_nested_and(self):
-        tree = AndExpr((AndExpr((self._leaf("a"), self._leaf("b"))),
-                        self._leaf("c")))
-        assert [p.column for p in conjunctive_predicates(tree)] == [
-            "a", "b", "c"]
-
-    def test_or_and_not_are_not_conjunctive(self):
-        assert conjunctive_predicates(
-            OrExpr((self._leaf(), self._leaf("b")))) is None
-        assert conjunctive_predicates(NotExpr(self._leaf())) is None
-        assert conjunctive_predicates(
-            AndExpr((self._leaf(), NotExpr(self._leaf("b"))))) is None
-
-    def test_none_is_the_empty_conjunction(self):
-        assert conjunctive_predicates(None) == []
 
 
 class TestAggregateSpec:

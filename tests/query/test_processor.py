@@ -1,4 +1,9 @@
-"""Tests for the query processor (uses the session-scoped tiny optimizer)."""
+"""Tests for the query model and the plan -> execute pipeline behind it.
+
+These began as the tests of the ``QueryProcessor`` shim; the shim is gone and
+they now drive :class:`QueryPlanner` + :class:`QueryExecutor` directly (with
+the session-scoped tiny optimizer), under their original test ids.
+"""
 
 import numpy as np
 import pytest
@@ -6,8 +11,10 @@ import pytest
 from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
+from repro.db.executor import QueryExecutor
+from repro.db.planner import QueryPlanner
+from repro.query.model import Query
 from repro.query.predicates import ContainsObject, MetadataPredicate
-from repro.query.processor import Query, QueryProcessor
 from tests.conftest import TINY_SIZE
 
 
@@ -18,9 +25,20 @@ def corpus():
                            rng=np.random.default_rng(3), positive_rate=0.8)
 
 
+class _Pipeline:
+    """One planner + one executor over a corpus."""
+
+    def __init__(self, corpus, optimizers, profiler):
+        self.planner = QueryPlanner(optimizers, profiler)
+        self.executor = QueryExecutor(corpus)
+
+    def execute(self, query):
+        return self.executor.execute(self.planner.plan(query))
+
+
 @pytest.fixture(scope="module")
 def processor(corpus, tiny_optimizer, camera_profiler):
-    return QueryProcessor(corpus, {"komondor": tiny_optimizer}, camera_profiler)
+    return _Pipeline(corpus, {"komondor": tiny_optimizer}, camera_profiler)
 
 
 class TestQueryValidation:
@@ -34,12 +52,13 @@ class TestQueryValidation:
             Query(limit=-1)
 
     def test_predicates_synthesize_conjunctive_where(self):
-        from repro.query.ast import conjunctive_predicates
+        from repro.query.ast import AndExpr, iter_predicates
 
         query = Query(
             metadata_predicates=(MetadataPredicate("location", "==", "x"),),
             content_predicates=(ContainsObject("dog"),))
-        assert conjunctive_predicates(query.where) == [
+        assert isinstance(query.where, AndExpr)
+        assert list(iter_predicates(query.where)) == [
             MetadataPredicate("location", "==", "x"), ContainsObject("dog")]
 
     def test_where_tree_derives_flat_predicates(self):
@@ -95,8 +114,8 @@ class TestContentQueries:
     def test_metadata_predicate_reduces_classified_images(self, corpus,
                                                           tiny_optimizer,
                                                           camera_profiler):
-        processor = QueryProcessor(corpus, {"komondor": tiny_optimizer},
-                                   camera_profiler)
+        processor = _Pipeline(corpus, {"komondor": tiny_optimizer},
+                              camera_profiler)
         narrow = Query(
             metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
             content_predicates=(ContainsObject("komondor"),))
@@ -107,8 +126,8 @@ class TestContentQueries:
     def test_materialized_column_reused_across_queries(self, corpus,
                                                        tiny_optimizer,
                                                        camera_profiler):
-        processor = QueryProcessor(corpus, {"komondor": tiny_optimizer},
-                                   camera_profiler)
+        processor = _Pipeline(corpus, {"komondor": tiny_optimizer},
+                              camera_profiler)
         query = Query(content_predicates=(ContainsObject("komondor"),))
         first = processor.execute(query)
         second = processor.execute(query)
@@ -121,8 +140,8 @@ class TestContentQueries:
                                                camera_profiler):
         """The selected rows should be enriched in images that truly contain
         the object, compared to the corpus base rate."""
-        processor = QueryProcessor(corpus, {"komondor": tiny_optimizer},
-                                   camera_profiler)
+        processor = _Pipeline(corpus, {"komondor": tiny_optimizer},
+                              camera_profiler)
         result = processor.execute(
             Query(content_predicates=(ContainsObject("komondor"),)))
         truth = corpus.content["komondor"]
@@ -137,9 +156,9 @@ class TestProcessorConstruction:
         from repro.data.corpus import ImageCorpus
 
         with pytest.raises(ValueError):
-            QueryProcessor(ImageCorpus(images=np.zeros((0, 8, 8, 3)), metadata={}),
-                           {}, camera_profiler)
+            _Pipeline(ImageCorpus(images=np.zeros((0, 8, 8, 3)), metadata={}),
+                      {}, camera_profiler)
 
     def test_relation_exposes_metadata(self, processor):
-        assert "location" in processor.relation
-        assert "image_id" in processor.relation
+        assert "location" in processor.executor.relation
+        assert "image_id" in processor.executor.relation

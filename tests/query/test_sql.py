@@ -237,7 +237,7 @@ class TestBareScan:
         assert query.limit == 5
 
     def test_query_model_allows_bare_scan(self):
-        from repro.query.processor import Query
+        from repro.query.model import Query
 
         assert Query().where is None
 

@@ -104,17 +104,55 @@ class TestExplainAnalyzeSingleTable:
                                     "WHERE location = 'detroit' "
                                     "AND contains_object(komondor)")
         plan = report["plan"]
-        steps = plan["metadata_steps"] + plan["content_steps"]
-        assert len(steps) == 2
-        for step in steps:
+        assert "metadata_steps" not in plan
+        tree = plan["predicate_tree"]
+        assert tree["op"] == "and"
+        steps = tree["children"]
+        assert [step["op"] for step in steps] == ["filter", "cascade"]
+        for step in steps + [tree]:
             assert 0.0 <= step["estimated_selectivity"] <= 1.0
             assert ACTUAL_KEYS <= set(step["actual"])
             assert step["actual"]["rows_in"] > 0
+        # The cascade listing carries the same node, same measurements.
         cascade_step = plan["content_steps"][0]
+        assert cascade_step == steps[1]
         assert cascade_step["actual"]["rows_classified"] > 0
         actual = cascade_step["actual"]
         assert actual["actual_selectivity"] == pytest.approx(
             actual["rows_out"] / actual["rows_in"])
+
+    def test_metadata_actuals_do_not_depend_on_the_rest_of_the_tree(self, db):
+        # Regression: the same top-level filter used to read 30 -> 12 rows
+        # beside a bare cascade but 12 -> 12 (selectivity 1.0) beside an OR,
+        # whose arm prefiltered without recording and re-counted per chunk.
+        n_rows = len(db.execute("SELECT * FROM cam_a"))
+        n_detroit = len(db.execute(
+            "SELECT * FROM cam_a WHERE location = 'detroit'"))
+        assert 0 < n_detroit < n_rows
+        for rest in ("contains_object(komondor)",
+                     "(contains_object(komondor) OR timestamp > 0)"):
+            report = db.explain_analyze(
+                f"SELECT * FROM cam_a WHERE location = 'detroit' AND {rest}")
+            root = report["plan"]["predicate_tree"]
+            assert root["op"] == "and"
+            filter_node = root["children"][0]
+            assert filter_node["op"] == "filter"
+            assert filter_node["actual"]["rows_in"] == n_rows
+            assert filter_node["actual"]["rows_out"] == n_detroit
+            assert filter_node["actual"]["actual_selectivity"] == \
+                pytest.approx(n_detroit / n_rows)
+            assert root["actual"]["rows_in"] == n_rows
+            assert root["actual"]["rows_out"] == report["rows"]
+
+    def test_free_disjunct_is_consulted_before_the_cascade(self, db):
+        # `timestamp > 0` accepts every row, so the OR is decided before the
+        # cascade is reached: the filter carries actuals, the cascade none.
+        report = db.explain_analyze(
+            "SELECT * FROM cam_a "
+            "WHERE contains_object(komondor) OR timestamp > 0")
+        first, second = report["plan"]["predicate_tree"]["children"]
+        assert first["op"] == "filter" and "actual" in first
+        assert second["op"] == "cascade" and "actual" not in second
 
     def test_accepts_prefixed_and_bare_sql(self, db):
         sql = "SELECT count(*) FROM cam_a WHERE contains_object(komondor)"
