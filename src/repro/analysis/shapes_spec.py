@@ -324,7 +324,7 @@ SHAPES: tuple[ShapeSpec, ...] = (
     ShapeSpec("core/cascade.py", "Cascade.classify",
               "(N, H, W, C) -> (N,)", dtype="int64"),
     ShapeSpec("core/cascade.py", "Cascade.classify_with_stats",
-              "(N, H, W, C) -> (N,)", dtype="int64", tuple_index=0, hot=True),
+              "(N, H, W, C) -> (R,)", dtype="int64", tuple_index=0, hot=True),
     # -- db/: the mask algebra the executor runs per query -------------------
     ShapeSpec("db/executor.py", "QueryExecutor._metadata_mask",
               "-> (S,)", dtype="bool"),

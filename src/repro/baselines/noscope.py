@@ -26,7 +26,6 @@ from repro.core.cascade import Cascade
 from repro.core.model import TrainedModel
 from repro.core.thresholds import DecisionThresholds
 from repro.costs.profiler import CostBreakdown, CostProfiler
-from repro.storage.store import RepresentationStore
 
 __all__ = ["PipelineResult", "NoScopePipeline", "TahomaWithDifferenceDetector"]
 
@@ -86,18 +85,16 @@ class NoScopePipeline:
         self.name = name
 
     def run(self, frames: np.ndarray, true_labels: np.ndarray,
-            profiler: CostProfiler,
-            store: RepresentationStore | None = None) -> PipelineResult:
+            profiler: CostProfiler) -> PipelineResult:
         """Run the pipeline over ``frames`` and price the processed frames."""
         true_labels = np.asarray(true_labels, dtype=np.int64).ravel()
         if frames.shape[0] != true_labels.size:
             raise ValueError("frames and labels have different lengths")
-        store = store if store is not None else RepresentationStore()
         plan = self.detector.plan(frames)
         processed_frames = frames[plan.processed]
 
-        specialized_repr = store.get_or_transform(self.specialized.transform,
-                                                  processed_frames)
+        specialized_repr = self.specialized.transform.apply_batch(
+            processed_frames)
         probabilities = self.specialized.predict_proba_transformed(specialized_repr)
         confident = self.thresholds.confident_mask(probabilities)
         labels_processed = np.zeros(plan.n_processed, dtype=np.int64)
@@ -145,18 +142,16 @@ class TahomaWithDifferenceDetector:
         self.name = name
 
     def run(self, frames: np.ndarray, true_labels: np.ndarray,
-            profiler: CostProfiler,
-            store: RepresentationStore | None = None) -> PipelineResult:
+            profiler: CostProfiler) -> PipelineResult:
         """Run the cascade over the frames the detector does not skip."""
         true_labels = np.asarray(true_labels, dtype=np.int64).ravel()
         if frames.shape[0] != true_labels.size:
             raise ValueError("frames and labels have different lengths")
-        store = store if store is not None else RepresentationStore()
         plan = self.detector.plan(frames)
         processed_frames = frames[plan.processed]
 
         labels_processed, stats = self.cascade.classify_with_stats(
-            processed_frames, store=store)
+            processed_frames)
         labels = plan.expand_labels(labels_processed)
         accuracy = float((labels == true_labels).mean())
 

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from repro.core.model import TrainedModel
 from repro.core.thresholds import DecisionThresholds
-from repro.storage.store import RepresentationStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.metrics import MetricsRegistry
@@ -72,30 +71,35 @@ class Cascade:
 
     # -- execution ---------------------------------------------------------
     def classify(self, raw_images: np.ndarray,
-                 store: RepresentationStore | None = None,
                  batch_size: int = 256,
                  metrics: "MetricsRegistry | None" = None) -> np.ndarray:
         # shape: (N, H, W, C) -> (N,)
         # dtype: int64
-        """Actually execute the cascade over raw images, returning hard labels.
-
-        A :class:`~repro.storage.store.RepresentationStore` can be passed so
-        representations shared across levels (or across cascades) are computed
-        only once, mirroring the paper's once-per-input data-handling rule.
-        """
-        labels, _ = self.classify_with_stats(raw_images, store=store,
+        """Execute the cascade over every raw image, returning hard labels."""
+        labels, _ = self.classify_with_stats(raw_images,
                                              batch_size=batch_size,
                                              metrics=metrics)
         return labels
 
-    def classify_with_stats(self, raw_images: np.ndarray,
-                            store: RepresentationStore | None = None,
-                            batch_size: int = 256,
-                            metrics: "MetricsRegistry | None" = None
-                            ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        # shape: (N, H, W, C) -> (N,)
+    def classify_with_stats(
+            self, raw_images: np.ndarray, batch_size: int = 256,
+            metrics: "MetricsRegistry | None" = None, *,
+            rows: np.ndarray | None = None,
+            representations: Mapping[str, np.ndarray] | None = None
+            ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        # shape: (N, H, W, C) -> (R,)
         # dtype: int64
-        """Like :meth:`classify` but also returns per-level execution counts.
+        """Classify ``rows`` of ``raw_images``; labels plus per-level counts.
+
+        ``rows`` are indices into ``raw_images`` (every row when omitted);
+        the returned labels align with them.  ``representations`` maps
+        ``TransformSpec.name`` to an already-transformed array row-aligned
+        with ``raw_images``; a level whose spec is there indexes it by row.
+        Any other spec is transformed from ``raw_images`` for just the rows
+        still pending at the first level that needs it, and that result is
+        reused by later levels sharing the spec — so a representation is
+        paid for once per input, per level actually reached (the paper's
+        data-handling rule).
 
         The stats dictionary contains ``evaluated`` (images reaching each
         level) and ``decided`` (images decided at each level), both arrays of
@@ -106,10 +110,15 @@ class Cascade:
         """
         if raw_images.ndim != 4:
             raise ValueError(f"expected NHWC batch, got shape {raw_images.shape}")
-        n = raw_images.shape[0]
-        store = store if store is not None else RepresentationStore()
-        labels = np.zeros(n, dtype=np.int64)
-        pending = np.arange(n)
+        if rows is None:
+            rows = np.arange(raw_images.shape[0])
+        if representations is None:
+            representations = {}
+        labels = np.zeros(rows.size, dtype=np.int64)
+        # Positions into ``rows`` / ``labels`` still undecided; stays sorted,
+        # so a later level finds its rows in an earlier level's transform.
+        pending = np.arange(rows.size)
+        transformed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         evaluated = np.zeros(self.depth, dtype=np.int64)
         decided = np.zeros(self.depth, dtype=np.int64)
 
@@ -117,10 +126,17 @@ class Cascade:
             if pending.size == 0:
                 break
             evaluated[index] = pending.size
-            representation = store.get_or_transform(level.model.transform,
-                                                    raw_images)
+            spec = level.model.transform
+            if spec.name in representations:
+                representation = representations[spec.name][rows[pending]]
+            elif spec.name in transformed:
+                positions, array = transformed[spec.name]
+                representation = array[np.searchsorted(positions, pending)]
+            else:
+                representation = spec.apply_batch(raw_images[rows[pending]])
+                transformed[spec.name] = (pending, representation)
             probabilities = level.model.predict_proba_transformed(
-                representation[pending], batch_size=batch_size)
+                representation, batch_size=batch_size)
             if level.is_final:
                 labels[pending] = (probabilities >= 0.5).astype(np.int64)
                 decided[index] = pending.size

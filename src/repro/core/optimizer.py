@@ -195,13 +195,13 @@ class TahomaOptimizer:
         constraints = constraints or UserConstraints()
         return select_cascade(self.frontier(profiler), constraints)
 
-    def query(self, images: np.ndarray, cascade: Cascade | CascadeEvaluation,
-              store: RepresentationStore | None = None) -> np.ndarray:
+    def query(self, images: np.ndarray,
+              cascade: Cascade | CascadeEvaluation) -> np.ndarray:
         """Execute a (selected) cascade over raw corpus images."""
         self._require_initialized()
         if isinstance(cascade, CascadeEvaluation):
             cascade = cascade.cascade
-        return cascade.classify(images, store=store)
+        return cascade.classify(images)
 
     # -- introspection -----------------------------------------------------
     @property

@@ -54,6 +54,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["QueryExecutor"]
 
+#: A representation missing from the store is transformed (and kept) for the
+#: *whole* snapshot only when one classify call covers at least this fraction
+#: of it; narrower calls leave it to the cascade, which transforms just the
+#: rows reaching the level that needs it, so a needle-in-haystack query never
+#: pays O(corpus) transform work.
+FULL_MATERIALIZE_FRACTION = 0.5
+
 
 @dataclass
 class _Snapshot:
@@ -64,7 +71,8 @@ class _Snapshot:
     shard moves on.  ``materialized`` / ``reps`` start as shallow copies of
     the live state; execution replaces entries it touches and records the
     keys in ``dirty_materialized`` / ``dirty_reps`` so the merge step knows
-    what it learned.
+    what it learned.  ``reps`` maps ``TransformSpec.name`` to a row-aligned
+    array and is handed to the cascades as is.
     """
 
     images: np.ndarray
@@ -73,9 +81,9 @@ class _Snapshot:
     id_offset: int
     epoch: int
     n: int
-    reps: dict[str, tuple["TransformSpec", np.ndarray]]
+    reps: dict[str, np.ndarray]
     dirty_materialized: set[tuple[str, str]] = field(default_factory=set)
-    dirty_reps: set[str] = field(default_factory=set)
+    dirty_reps: dict[str, "TransformSpec"] = field(default_factory=dict)
     registered: list = field(default_factory=list)
     # Per-plan-node execution measurements, keyed by ``id(plan node)``:
     # rows in/out, rows classified, elapsed seconds — accumulated across
@@ -94,11 +102,8 @@ class QueryExecutor:
         Optional pre-populated representation store (e.g. the paper's ONGOING
         scenario, where representations are materialized at ingest).  A fresh
         store is created when omitted; either way it persists across queries.
-    full_materialize_fraction:
-        A representation is transformed (and kept) for the *whole* corpus
-        only when a query is about to classify at least this fraction of it;
-        narrower queries transform just their candidate rows without caching,
-        so a needle-in-haystack query never pays O(corpus) transform work.
+        Queries add a missing representation to it only when they classify
+        at least :data:`FULL_MATERIALIZE_FRACTION` of the corpus at once.
     min_limit_chunk:
         Chunk size floor for ``LIMIT`` queries: candidate rows are classified
         in chunks of ``max(min_limit_chunk, 4 * limit)`` and execution stops
@@ -117,20 +122,16 @@ class QueryExecutor:
 
     def __init__(self, corpus: ImageCorpus,
                  store: RepresentationStore | None = None,
-                 full_materialize_fraction: float = 0.5,
                  min_limit_chunk: int = 64,
                  table: str = "",
                  retention: RetentionPolicy | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
         if len(corpus) == 0:
             raise ValueError("corpus is empty")
-        if not 0.0 <= full_materialize_fraction <= 1.0:
-            raise ValueError("full_materialize_fraction must be in [0, 1]")
         if min_limit_chunk < 1:
             raise ValueError("min_limit_chunk must be positive")
         self.corpus = corpus
         self.store = store if store is not None else RepresentationStore()
-        self.full_materialize_fraction = full_materialize_fraction
         self.min_limit_chunk = min_limit_chunk
         self.table = table
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -144,6 +145,8 @@ class QueryExecutor:
             "repro_wal_replay_seconds")
         self._rows_classified = self.metrics.counter(
             "repro_query_rows_classified_total")
+        self._store_hits = self.metrics.counter("repro_store_hits_total")
+        self._store_misses = self.metrics.counter("repro_store_misses_total")
         # One lock per table: ingest and retention on the same shard
         # serialize; queries only take it for snapshot capture and merge
         # (fan-out stays concurrent — each shard has its own lock).  Created
@@ -424,7 +427,7 @@ class QueryExecutor:
     def clear_cache(self) -> None:
         """Drop materialized virtual columns and stored representations.
 
-        The store's tier, byte budget and ingest-time registrations are
+        The store's byte budget and ingest-time registrations are
         kept — only the cached arrays are released.
         """
         with self._lock:
@@ -510,7 +513,7 @@ class QueryExecutor:
         """Freeze the shard's current state for lock-free execution."""
         with self._lock:
             images = self.corpus.images  # consolidates segments under the lock
-            reps = {spec.name: (spec, array)
+            reps = {spec.name: array
                     for spec, array in self.store.arrays_by_recency()}
             return _Snapshot(images=images, relation=self._base_relation,
                              materialized=dict(self._materialized),
@@ -556,8 +559,8 @@ class QueryExecutor:
                     newly, snap_labels[shift:shift + usable],
                     cur_labels[:usable])
                 self._materialized[key] = (merged_eval, merged_labels)
-            for name in snap.dirty_reps:
-                spec, array = snap.reps[name]
+            for name, spec in snap.dirty_reps.items():
+                array = snap.reps[name]
                 usable = min(int(array.shape[0]) - shift, n_cur)
                 if usable <= 0:
                     continue
@@ -859,10 +862,14 @@ class QueryExecutor:
         to_classify = candidate_mask & ~evaluated_mask
         n_classified = int(to_classify.sum())
         if n_classified > 0:
-            new_labels = step.evaluation.cascade.classify(
-                snap.images[to_classify],
-                store=self._subset_store(snap, step, to_classify),
-                metrics=self.metrics)
+            cascade = step.evaluation.cascade
+            materialize = n_classified >= FULL_MATERIALIZE_FRACTION * n
+            for spec in dict.fromkeys(model.transform
+                                      for model in cascade.models):
+                self._full_representation(snap, spec, materialize=materialize)
+            new_labels, _ = cascade.classify_with_stats(
+                snap.images, metrics=self.metrics,
+                rows=np.flatnonzero(to_classify), representations=snap.reps)
             labels = labels.copy()
             labels[to_classify] = new_labels
             evaluated_mask = evaluated_mask | to_classify
@@ -893,59 +900,35 @@ class QueryExecutor:
         self.store.register(spec)
 
     def _full_representation(self, snap: _Snapshot, spec, *,
-                             materialize: bool):
-        """The snapshot-length array for ``spec``, or None when staying lazy.
+                             materialize: bool) -> None:
+        """Bring ``snap.reps[spec.name]`` to snapshot length, or stay lazy.
 
-        Captured arrays shorter than the snapshot (rows ingested since they
-        were built) are topped up by transforming just the missing tail.
-        Missing arrays are built snapshot-wide only when ``materialize`` —
-        and then registered at merge time, so ONGOING ingest keeps extending
-        them for future frames.  All updates stay in the snapshot until the
+        The one place a query resolves a representation, hence where
+        ``repro_store_hits_total`` (a stored array is used) and
+        ``repro_store_misses_total`` (none is, so the transform runs at
+        query time) are counted.  A captured array shorter than the snapshot
+        (rows ingested since it was built) is topped up by transforming just
+        the missing tail.  A missing one is built snapshot-wide only when
+        ``materialize`` — and then registered at merge time, so ONGOING
+        ingest keeps extending it for future frames; otherwise it stays out
+        of ``snap.reps`` and the cascade transforms just the rows reaching
+        the level that needs it.  All updates stay in the snapshot until the
         merge writes them back shift-adjusted; the shared store is never
         touched mid-query.
         """
-        entry = snap.reps.get(spec.name)
-        if entry is not None:
-            _, array = entry
+        array = snap.reps.get(spec.name)
+        if array is not None:
+            self._store_hits.inc()
             n_stored = int(array.shape[0])
-            if n_stored < snap.n:
-                tail = spec.apply_batch(snap.images[n_stored:])
-                array = np.concatenate([array, tail])
-                snap.reps[spec.name] = (spec, array)
-                snap.dirty_reps.add(spec.name)
-            return array
-        if materialize:
+            if n_stored >= snap.n:
+                return
+            tail = spec.apply_batch(snap.images[n_stored:])
+            array = np.concatenate([array, tail])
+        else:
+            self._store_misses.inc()
+            if not materialize:
+                return
             array = spec.apply_batch(snap.images)
-            snap.reps[spec.name] = (spec, array)
-            snap.dirty_reps.add(spec.name)
             snap.registered.append(spec)
-            return array
-        return None
-
-    def _subset_store(self, snap: _Snapshot, step: ContentStep,
-                      to_classify: np.ndarray) -> RepresentationStore:
-        """A store seeded with the candidate rows of each needed representation.
-
-        The persistent store holds *full-corpus* representations (so they can
-        be sliced for any future candidate set); the cascade receives a
-        per-call view store holding only the rows it will classify, since
-        ``Cascade.classify`` indexes representations by batch position.
-
-        Already-captured representations are always sliced (topped up first
-        if ingest left them short).  Missing ones are materialized
-        snapshot-wide only when the candidate set is large enough
-        (``full_materialize_fraction``); otherwise they are left out and the
-        cascade transforms just the candidate rows, lazily, for the levels it
-        actually reaches.
-        """
-        n_candidates = int(to_classify.sum())
-        materialize = (n_candidates
-                       >= self.full_materialize_fraction * snap.n)
-        scratch = RepresentationStore(tier=self.store.tier)
-        for model in step.evaluation.cascade.models:
-            spec = model.transform
-            full = self._full_representation(snap, spec,
-                                             materialize=materialize)
-            if full is not None:
-                scratch.add(spec, full[to_classify])
-        return scratch
+        snap.reps[spec.name] = array
+        snap.dirty_reps[spec.name] = spec

@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.locking import make_rlock
 from repro.storage.encoding import representation_bytes
-from repro.storage.tiers import SSD, StorageTier
 from repro.telemetry.metrics import MetricsRegistry
 from repro.transforms.spec import TransformSpec
 
@@ -60,7 +59,6 @@ class _StoreState:
     collapse the list to one array in place.
     """
 
-    tier: StorageTier
     byte_budget: int | None
     arrays: dict[_Key, list[np.ndarray]] = field(default_factory=dict)  # guarded by: lock
     specs: dict[_Key, TransformSpec] = field(default_factory=dict)  # guarded by: lock
@@ -69,7 +67,7 @@ class _StoreState:
     # its own lock), so `stats` and `metrics` views can never disagree.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     # Reentrant: public entry points hold it while calling each other
-    # (extend -> get/add) and the _enforce_budget/_evict helpers.
+    # (purge -> clear, specs -> _names) and the _enforce_budget/_evict helpers.
     lock: threading.RLock = field(default_factory=lambda: make_rlock("store"))
 
     def __post_init__(self) -> None:
@@ -84,9 +82,6 @@ class RepresentationStore:
 
     Parameters
     ----------
-    tier:
-        The storage tier the representations notionally live on; used to
-        answer simulated load-time questions.
     byte_budget:
         Maximum simulated bytes the store may hold *across all namespaces*.
         ``None`` (the default) means unbounded.  When an insertion pushes the
@@ -98,8 +93,7 @@ class RepresentationStore:
         never kept).
     """
 
-    def __init__(self, tier: StorageTier = SSD,
-                 byte_budget: int | None = None, *,
+    def __init__(self, byte_budget: int | None = None, *,
                  namespace: str = "",
                  metrics: MetricsRegistry | None = None,
                  _state: _StoreState | None = None) -> None:
@@ -107,7 +101,7 @@ class RepresentationStore:
             if byte_budget is not None and byte_budget <= 0:
                 raise ValueError("byte_budget must be positive (or None)")
             _state = _StoreState(
-                tier=tier, byte_budget=byte_budget,
+                byte_budget=byte_budget,
                 metrics=metrics if metrics is not None else MetricsRegistry())
         self._state = _state
         self.namespace = namespace
@@ -123,10 +117,6 @@ class RepresentationStore:
         if not isinstance(namespace, str) or not namespace:
             raise ValueError("namespace must be a non-empty string")
         return RepresentationStore(namespace=namespace, _state=self._state)
-
-    @property
-    def tier(self) -> StorageTier:
-        return self._state.tier
 
     @property
     def byte_budget(self) -> int | None:
@@ -164,35 +154,12 @@ class RepresentationStore:
             state.specs[key] = spec
             self._enforce_budget(newest=key)
 
-    def extend(self, spec: TransformSpec, array: np.ndarray) -> np.ndarray:
-        """Append already-transformed rows and return the full extended array.
-
-        This is the consolidating path: the stored chunks collapse so the
-        whole-corpus array can be handed back.  When the caller does not need
-        the full array (the ingest hot path), :meth:`append_rows` does the
-        same bookkeeping in O(batch).  Returns the extended array — under a
-        byte budget the store may evict it immediately, but the caller can
-        still use it.
-        """
-        with self._state.lock:
-            if spec not in self:
-                raise KeyError(f"representation {spec.name!r} not materialized; "
-                               f"cannot extend it")
-            stored = self.get(spec)
-            if array.shape[1:] != stored.shape[1:]:
-                raise ValueError(
-                    f"array shape {array.shape[1:]} does not match stored "
-                    f"shape {stored.shape[1:]}")
-            extended = np.concatenate([stored, array], axis=0)
-            self.add(spec, extended)
-            return extended
-
     def append_rows(self, spec: TransformSpec, array: np.ndarray) -> None:
         """Append already-transformed rows as a new chunk, in O(batch).
 
-        The streaming-ingest counterpart of :meth:`extend`: the new rows
-        land as one more chunk (mirroring the corpus segment they describe)
-        and nothing is concatenated until a reader asks for the full array.
+        The streaming-ingest path: the new rows land as one more chunk
+        (mirroring the corpus segment they describe) and nothing is
+        concatenated until a reader asks for the full array.
         Marks the entry hot and enforces the byte budget like any insertion.
         """
         state = self._state
@@ -247,8 +214,10 @@ class RepresentationStore:
 
         Concurrent shards sharing a byte budget can evict each other's
         entries between a caller's ``in`` check and its ``get`` — consumers
-        that fall back to recomputing (the query executor) use this instead
-        of the non-atomic check-then-get pair.
+        that fall back to recomputing (:meth:`get_or_transform`) use this
+        instead of the non-atomic check-then-get pair.  The query executor
+        does not come through here: it reads :meth:`arrays_by_recency` once
+        per snapshot and counts its own hits and misses.
         """
         state = self._state
         key = self._key(spec.name)
@@ -331,14 +300,6 @@ class RepresentationStore:
                 return 0
             return sum(int(chunk.shape[0]) for chunk in chunks)
 
-    def chunk_counts(self) -> dict[str, int]:
-        """Chunks per materialized representation (this namespace) — a
-        fragmentation gauge for stats endpoints."""
-        state = self._state
-        with state.lock:
-            return {key[1]: len(chunks) for key, chunks in state.arrays.items()
-                    if key[0] == self.namespace}
-
     def drop_oldest_rows(self, n: int) -> None:
         """Trim the first ``n`` rows from every array in this namespace.
 
@@ -364,7 +325,7 @@ class RepresentationStore:
                 state.arrays[key] = _drop_chunk_rows(state.arrays[key], n)
 
     def clear(self) -> None:
-        """Drop this namespace's stored arrays, keeping tier, budget and
+        """Drop this namespace's stored arrays, keeping budget and
         registrations (other namespaces are untouched)."""
         state = self._state
         with state.lock:
@@ -415,10 +376,6 @@ class RepresentationStore:
     def metrics(self) -> MetricsRegistry:
         """The registry this store's hit/miss/eviction counters live on."""
         return self._state.metrics
-
-    def load_time(self, spec: TransformSpec) -> float:
-        """Simulated seconds to load one image's representation from the tier."""
-        return self.tier.read_time(representation_bytes(spec))
 
     def __len__(self) -> int:
         return len(self._names())

@@ -8,6 +8,8 @@ and shared by all tests that need them.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,20 @@ TINY_SIZE = 16
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def transformed_rows(monkeypatch) -> Counter:
+    """Rows handed to ``TransformSpec.apply_batch``, summed per spec name."""
+    rows: Counter = Counter()
+    apply_batch = TransformSpec.apply_batch
+
+    def counting_apply_batch(self, images):
+        rows[self.name] += len(images)
+        return apply_batch(self, images)
+
+    monkeypatch.setattr(TransformSpec, "apply_batch", counting_apply_batch)
+    return rows
 
 
 @pytest.fixture(scope="session")

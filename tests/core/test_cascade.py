@@ -7,7 +7,6 @@ from repro.core.cascade import Cascade, CascadeBuilder, CascadeLevel, count_casc
 from repro.core.model import TrainedModel
 from repro.core.spec import ArchitectureSpec, ModelSpec
 from repro.core.thresholds import DecisionThresholds
-from repro.storage.store import RepresentationStore
 from repro.transforms.spec import TransformSpec
 
 
@@ -98,13 +97,63 @@ class TestCascadeExecution:
         expected_downstream = int(((probs > 0.0) & (probs < 1.0)).sum())
         assert stats["evaluated"][1] == expected_downstream
 
-    def test_shared_store_reuses_representations(self, models, thresholds):
-        cascade = Cascade((CascadeLevel(models[0], thresholds["m1"][0]),
-                           CascadeLevel(models[2], None)))
-        store = RepresentationStore()
-        images = np.random.default_rng(4).random((6, 16, 16, 3))
-        cascade.classify(images, store=store)
-        assert len(store) == 2  # one per distinct representation
+    @staticmethod
+    def _splitting_cascade(first, second, images):
+        """``first -> second``, with ``first`` deciding about half of ``images``."""
+        low, high = np.quantile(first.predict_proba(images), [0.25, 0.75])
+        thresholds = DecisionThresholds(float(low), float(high), 0.95)
+        return Cascade((CascadeLevel(first, thresholds),
+                        CascadeLevel(second, None)))
+
+    def test_level_two_transforms_only_the_rows_it_evaluates(
+            self, models, transformed_rows):
+        # The cost model charges a level's data handling per input reaching
+        # it; transform work must match.
+        images = np.random.default_rng(4).random((40, 16, 16, 3))
+        first, second = models[0], models[2]
+        cascade = self._splitting_cascade(first, second, images)
+        transformed_rows.clear()
+        _, stats = cascade.classify_with_stats(images)
+        assert 0 < stats["evaluated"][1] < 40
+        assert transformed_rows == {
+            first.transform.name: 40,
+            second.transform.name: stats["evaluated"][1]}
+
+    def test_levels_sharing_a_spec_transform_it_once(self, transformed_rows):
+        first = make_model("a", 8, "gray", seed=1)
+        second = make_model("b", 8, "gray", seed=5)
+        images = np.random.default_rng(5).random((40, 16, 16, 3))
+        cascade = self._splitting_cascade(first, second, images)
+        thresholds = cascade.levels[0].thresholds
+        transformed_rows.clear()
+        labels, stats = cascade.classify_with_stats(images)
+        assert 0 < stats["evaluated"][1] < 40
+        assert transformed_rows == {"8x8-gray": 40}
+        # Level two read the right rows out of level one's transform.
+        first_probs = first.predict_proba(images)
+        expected = np.where(thresholds.confident_mask(first_probs),
+                            thresholds.decide(first_probs),
+                            second.predict(images))
+        np.testing.assert_array_equal(labels, expected)
+
+    def test_rows_index_stored_representations(self, models,
+                                               transformed_rows):
+        images = np.random.default_rng(6).random((30, 16, 16, 3))
+        first, second = models[0], models[2]
+        cascade = self._splitting_cascade(first, second, images)
+        whole = cascade.classify(images)
+        stored = {first.transform.name: first.transform.apply_batch(images)}
+        rows = np.array([3, 4, 11, 20, 29])
+        transformed_rows.clear()
+        labels, stats = cascade.classify_with_stats(
+            images, rows=rows, representations=stored)
+        np.testing.assert_array_equal(labels, whole[rows])
+        assert stats["evaluated"][0] == rows.size
+        # The stored spec is indexed, never transformed; the missing one is
+        # transformed for the rows reaching its level only.
+        assert first.transform.name not in transformed_rows
+        assert (transformed_rows[second.transform.name]
+                == stats["evaluated"][1])
 
     def test_rejects_non_batch_input(self, models):
         cascade = Cascade((CascadeLevel(models[0], None),))

@@ -76,35 +76,56 @@ class TestSharedRepresentationStore:
         for spec in executor.store.specs():
             assert executor.store.get(spec).shape[0] == len(corpus)
 
-    def test_narrow_queries_do_not_bloat_the_store(self, corpus, planner):
-        # 'detroit' selects roughly a third of the corpus, below the default
-        # 50% materialization threshold: the candidate rows are transformed
-        # for the cascade but no corpus-wide representation is cached.
+    def test_narrow_queries_do_not_bloat_the_store(self, corpus, planner,
+                                                   transformed_rows):
+        # 'detroit' selects roughly a third of the corpus, below
+        # FULL_MATERIALIZE_FRACTION: each cascade level transforms just the
+        # rows reaching it and no corpus-wide representation is cached.
         executor = QueryExecutor(corpus)
         plan = planner.plan(Query(
             metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
             content_predicates=(ContainsObject("komondor"),),
             constraints=CONSTRAINED))
+        transformed_rows.clear()
         result = executor.execute(plan)
         assert result.images_classified["komondor"] > 0
         assert len(executor.store) == 0
+        cascade = plan.content_steps[0].evaluation.cascade
+        evaluated = [
+            int(executor.metrics.value("repro_cascade_level_evaluated_total",
+                                       cascade=cascade.name, level=str(index)))
+            for index in range(cascade.depth)]
+        # The fixture's cascade has two levels over distinct specs, and the
+        # first decides most (not all) of detroit.
+        assert 0 < evaluated[1] < evaluated[0]
+        assert evaluated[0] == result.images_classified["komondor"]
+        assert transformed_rows == {
+            level.model.transform.name: rows
+            for level, rows in zip(cascade.levels, evaluated)}
+        assert executor.metrics.value("repro_store_misses_total") == 2
+        assert executor.metrics.value("repro_store_hits_total") == 0
 
-    def test_narrow_queries_slice_already_stored_representations(self, corpus,
-                                                                 planner):
+    def test_narrow_queries_slice_already_stored_representations(
+            self, corpus, planner, transformed_rows):
         executor = QueryExecutor(corpus)
         broad = planner.plan(Query(
             content_predicates=(ContainsObject("komondor"),),
             constraints=CONSTRAINED))
         executor.execute(broad)
         n_stored = len(executor.store)
+        assert executor.metrics.value("repro_store_misses_total") == n_stored
         executor.invalidate()
         narrow = planner.plan(Query(
             metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
             content_predicates=(ContainsObject("komondor"),),
             constraints=CONSTRAINED))
+        transformed_rows.clear()
         executor.execute(narrow)
-        # The warm store was reused, not extended.
+        # The warm store was reused: nothing transformed, nothing added.
+        assert not transformed_rows
         assert len(executor.store) == n_stored
+        assert executor.metrics.value("repro_store_hits_total") == n_stored
+        assert executor.metrics.value("repro_store_misses_total") == n_stored
 
 
 class TestMaterializedColumns:

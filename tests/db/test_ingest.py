@@ -103,6 +103,39 @@ class TestExecutorIngest:
         np.testing.assert_array_equal(incremental.selected_indices,
                                       fresh.selected_indices)
 
+    @pytest.mark.parametrize("shape", ["wide", "narrow", "stale", "retained"])
+    def test_every_snapshot_shape_matches_whole_corpus_classify(
+            self, corpus, batch, planner, shape):
+        # One read path, four ways a snapshot can hold a representation:
+        # built snapshot-wide by this query (wide), not at all (narrow),
+        # shorter than the snapshot after ingest (stale), trimmed by
+        # retention and then stale (retained).
+        executor = QueryExecutor(corpus)
+        wide = content_plan(planner)
+        plan = wide
+        if shape == "narrow":
+            plan = content_plan(planner, metadata_predicates=(
+                MetadataPredicate("location", "==", "detroit"),))
+        if shape in ("stale", "retained"):
+            executor.execute(wide)
+            if shape == "retained":
+                assert executor.drop_oldest(5) == 5
+            executor.ingest(batch.images, metadata=batch.metadata)
+        result = executor.execute(plan)
+
+        n = len(executor.corpus)
+        stored_rows = {executor.store.rows(spec)
+                       for spec in executor.store.specs()}
+        assert stored_rows == (set() if shape == "narrow" else {n})
+        cascade = plan.content_steps[0].evaluation.cascade
+        expected = cascade.classify(executor.corpus.images).astype(bool)
+        if shape == "narrow":
+            expected &= executor.relation["location"] == "detroit"
+            assert 0 < result.images_classified["komondor"] < n / 2
+        np.testing.assert_array_equal(
+            result.selected_indices,
+            executor.id_offset + np.flatnonzero(expected))
+
     def test_materialize_on_ingest_extends_registered_reps(self, corpus,
                                                            batch, planner):
         executor = QueryExecutor(corpus)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.storage.store import RepresentationStore
-from repro.storage.tiers import MEMORY
 from repro.transforms.spec import TransformSpec
 
 
@@ -57,12 +56,6 @@ def test_bytes_stored_counts_all_images(images):
     assert store.bytes_stored(per_image=True) == 8 * 8
 
 
-def test_load_time_uses_tier(images):
-    fast = RepresentationStore(tier=MEMORY)
-    spec = TransformSpec(8, "rgb")
-    assert fast.load_time(spec) >= 0.0
-
-
 def test_specs_listing(images):
     store = RepresentationStore()
     store.materialize(images, [TransformSpec(8, "rgb"), TransformSpec(16, "gray")])
@@ -83,8 +76,10 @@ def test_extend_appends_rows(images):
     store = RepresentationStore()
     spec = TransformSpec(8, "gray")
     store.materialize(images, [spec])
-    store.extend(spec, spec.apply_batch(images[:2]))
+    store.append_rows(spec, spec.apply_batch(images[:2]))
     assert store.rows(spec) == 8
+    np.testing.assert_array_equal(store.get(spec)[6:],
+                                  spec.apply_batch(images[:2]))
     assert store.rows(TransformSpec(16, "rgb")) == 0
 
 
@@ -92,10 +87,11 @@ def test_extend_missing_or_mismatched_rejected(images):
     store = RepresentationStore()
     spec = TransformSpec(8, "gray")
     with pytest.raises(KeyError):
-        store.extend(spec, np.zeros((2, 8, 8, 1)))
+        store.append_rows(spec, np.zeros((2, 8, 8, 1)))
     store.materialize(images, [spec])
     with pytest.raises(ValueError):
-        store.extend(spec, np.zeros((2, 8, 8, 3)))
+        store.append_rows(spec, np.zeros((2, 8, 8, 3)))
+    assert store.rows(spec) == 6  # the rejected rows left the entry intact
 
 
 def test_clear_keeps_policy(images):
@@ -165,7 +161,7 @@ class TestByteBudget:
         spec = TransformSpec(8, "gray")
         store.add(spec, spec.apply_batch(images))
         assert store.rows(spec) == 6
-        store.extend(spec, spec.apply_batch(images))  # doubles the bytes
+        store.append_rows(spec, spec.apply_batch(images))  # doubles the bytes
         assert store.bytes_stored() <= self.ONE
         assert len(store) == 0  # the doubled array no longer fits
 
