@@ -31,7 +31,8 @@ from repro.core.thresholds import DecisionThresholds
 from repro.nn.serialize import load_weights, save_weights
 from repro.transforms.spec import TransformSpec
 
-__all__ = ["save_optimizer", "load_optimizer"]
+__all__ = ["save_optimizer", "load_optimizer", "transform_to_dict",
+           "transform_from_dict"]
 
 _FORMAT_VERSION = 1
 
@@ -52,13 +53,15 @@ def _architecture_from_dict(data: dict | None) -> ArchitectureSpec | None:
     return ArchitectureSpec(**data)
 
 
-def _transform_to_dict(transform: TransformSpec) -> dict:
+def transform_to_dict(transform: TransformSpec) -> dict:
+    """JSON form of a representation spec (also used by the database manifest)."""
     return {"resolution": transform.resolution,
             "color_mode": transform.color_mode,
             "resize_mode": transform.resize_mode}
 
 
-def _transform_from_dict(data: dict) -> TransformSpec:
+def transform_from_dict(data: dict) -> TransformSpec:
+    """Inverse of :func:`transform_to_dict`."""
     return TransformSpec(**data)
 
 
@@ -69,7 +72,7 @@ def _model_to_dict(model: TrainedModel) -> dict:
             "train_accuracy": (None if np.isnan(model.train_accuracy)
                                else float(model.train_accuracy)),
             "architecture": _architecture_to_dict(model.architecture),
-            "transform": _transform_to_dict(model.transform)}
+            "transform": transform_to_dict(model.transform)}
 
 
 def _thresholds_to_list(thresholds: list[DecisionThresholds]) -> list[dict]:
@@ -84,7 +87,7 @@ def _thresholds_from_list(data: list[dict]) -> list[DecisionThresholds]:
 def _config_to_dict(config: TahomaConfig) -> dict:
     return {
         "architectures": [_architecture_to_dict(a) for a in config.architectures],
-        "transforms": [_transform_to_dict(t) for t in config.transforms],
+        "transforms": [transform_to_dict(t) for t in config.transforms],
         "precision_targets": list(config.precision_targets),
         "max_depth": config.max_depth,
         "include_reference_tail": config.include_reference_tail,
@@ -95,7 +98,7 @@ def _config_to_dict(config: TahomaConfig) -> dict:
 def _config_from_dict(data: dict) -> TahomaConfig:
     return TahomaConfig(
         architectures=tuple(_architecture_from_dict(a) for a in data["architectures"]),
-        transforms=tuple(_transform_from_dict(t) for t in data["transforms"]),
+        transforms=tuple(transform_from_dict(t) for t in data["transforms"]),
         precision_targets=tuple(data["precision_targets"]),
         max_depth=data["max_depth"],
         include_reference_tail=data["include_reference_tail"],
@@ -105,7 +108,7 @@ def _config_from_dict(data: dict) -> TahomaConfig:
 
 def _rebuild_network(model_meta: dict):
     """Rebuild an untrained network matching a saved model's metadata."""
-    transform = _transform_from_dict(model_meta["transform"])
+    transform = transform_from_dict(model_meta["transform"])
     architecture = _architecture_from_dict(model_meta["architecture"])
     if architecture is not None:
         return architecture.build(transform.shape), architecture, transform

@@ -285,13 +285,8 @@ class VisualDatabase:
             return
         self._closed = True
         for name in self.tables():
-            executor = self._catalog.executor(name)
-            wal = executor.wal
-            if wal is not None:
-                # Detach the journal before detaching the table, so the
-                # catalog teardown below is not mistaken for a detach().
-                executor.set_wal(None)
-                wal.close()
+            # No tombstone: the catalog teardown below is not a detach().
+            self._release_wal(name, tombstone=False)
             self._catalog.detach(name)
         self._catalog.store.clear()
         if self._plan_cache is not None:
@@ -371,18 +366,11 @@ class VisualDatabase:
                         retention: RetentionPolicy | None = None) -> None:
         """Attach (or replace) ``name``; that table's caches start fresh."""
         self._check_open()
-        old_wal = None
-        if self._wal_root is not None and name in self._catalog:
-            executor = self._catalog.executor(name)
-            old_wal = executor.wal
-            executor.set_wal(None)
+        # The replaced table's journal ends with a tombstone; the new
+        # incarnation's baseline is journaled right after, in the same log,
+        # so replay reproduces the replace.
+        self._release_wal(name, tombstone=True)
         self._catalog.replace(name, corpus, retention=retention)
-        if old_wal is not None:
-            # The replaced table's journal ends with a tombstone; the new
-            # incarnation's baseline is journaled right after, in the same
-            # log, so replay reproduces the replace.
-            old_wal.log_detach()
-            old_wal.close()
         if self._wal_root is not None:
             self._arm_wal(name, baseline=True)
         self._invalidate_plans()
@@ -409,15 +397,8 @@ class VisualDatabase:
         On a WAL-enabled database a ``detach`` tombstone is journaled, so
         recovery from an older checkpoint drops the table again.
         """
-        wal = None
-        if self._wal_root is not None and name in self._catalog:
-            executor = self._catalog.executor(name)
-            wal = executor.wal
-            executor.set_wal(None)
+        self._release_wal(name, tombstone=True)
         self._catalog.detach(name)
-        if wal is not None:
-            wal.log_detach()
-            wal.close()
         self._invalidate_plans()
 
     def tables(self) -> list[str]:
@@ -994,15 +975,11 @@ class VisualDatabase:
             return self.save(self._wal_root)
         except BaseException:
             for name in self.tables():
-                executor = self._catalog.executor(name)
-                wal = executor.wal
-                if wal is not None:
-                    executor.set_wal(None)
-                    wal.close()
+                self._release_wal(name, tombstone=False)
             self._wal_root = None
             raise
 
-    def checkpoint(self, store_bytes_cap: int | None = None) -> Path:
+    def checkpoint(self) -> Path:
         """Fold the write-ahead log into a fresh checkpoint image.
 
         A checkpoint bounds recovery time: the log tail replayed at load
@@ -1016,7 +993,7 @@ class VisualDatabase:
         if self._wal_root is None:
             raise RuntimeError("no write-ahead log; call enable_wal(root) "
                                "before checkpoint()")
-        return self.save(self._wal_root, store_bytes_cap=store_bytes_cap)
+        return self.save(self._wal_root)
 
     def compact(self, table: str | None = None,
                 min_rows: int | None = None) -> dict[str, int]:
@@ -1074,35 +1051,57 @@ class VisualDatabase:
                 wal.log_retention(executor.retention.to_dict())
         executor.set_wal(wal)
 
+    def _release_wal(self, name: str, *, tombstone: bool) -> None:
+        """Take ``name``'s journal off its executor and close it.
+
+        ``tombstone`` journals a ``detach`` record first — the table is
+        going away (or being replaced) and recovery must drop it too.
+        Without it the table comes back at the next load.  A table that is
+        unknown or not journaled is left alone.
+        """
+        if name not in self._catalog:
+            return
+        executor = self._catalog.executor(name)
+        wal = executor.wal
+        if wal is None:
+            return
+        executor.set_wal(None)
+        if tombstone:
+            wal.log_detach()
+        wal.close()
+
     # -- persistence -----------------------------------------------------------
-    def save(self, path: str | Path, include_corpus: bool = True,
-             store_bytes_cap: int | None = None) -> Path:
+    def save(self, path: str | Path) -> Path:
         """Persist the whole catalog (optimizers, scenario, tables) to disk.
 
         Pending lazy predicates are trained first — a saved database is fully
-        initialized.  Materialized representation arrays are saved per table
-        up to ``store_bytes_cap`` (hottest first), so a reload warm-starts
-        without recompute; see :mod:`repro.db.persistence` for the layout.
-        Saving a WAL-enabled database into its own WAL root is a
-        **checkpoint** (see :meth:`checkpoint`); saving anywhere else writes
-        an ordinary standalone copy.
+        initialized.  Each table's corpus and materialized labels are saved
+        in full, its representation arrays hottest first up to
+        :data:`~repro.db.persistence.DEFAULT_STORE_BYTES_CAP` across the
+        catalog, so a reload warm-starts without recompute; see
+        :mod:`repro.db.persistence` for the layout.  Saving a WAL-enabled
+        database into its own WAL root is a **checkpoint** (see
+        :meth:`checkpoint`); saving anywhere else writes an ordinary
+        standalone copy.  To ship trained predicates without pixels, use
+        :func:`~repro.core.persistence.save_optimizer` and
+        :meth:`register_optimizer`.
         """
         from repro.db.persistence import save_database
 
-        return save_database(self, path, include_corpus=include_corpus,
-                             store_bytes_cap=store_bytes_cap)
+        return save_database(self, path)
 
     @classmethod
-    def load(cls, path: str | Path,
-             corpus: ImageCorpus | None = None) -> "VisualDatabase":
+    def load(cls, path: str | Path) -> "VisualDatabase":
         """Restore a database saved with :meth:`save` (no retraining).
 
-        ``corpus`` overrides the stored corpus of a single-table save (e.g.
-        when the database was saved with ``include_corpus=False``).
+        Reads the one format :meth:`save` writes; a directory written by an
+        older format raises :class:`ValueError` (see
+        :func:`~repro.db.persistence.load_database`).  A checkpoint
+        directory additionally replays each table's write-ahead-log tail.
         """
         from repro.db.persistence import load_database
 
-        return load_database(path, corpus=corpus)
+        return load_database(path)
 
     # -- introspection ---------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

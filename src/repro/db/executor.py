@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.db.wal import TableWal
     from repro.transforms.spec import TransformSpec
 
-__all__ = ["QueryExecutor"]
+__all__ = ["QueryExecutor", "TableImage"]
 
 #: A representation missing from the store is transformed (and kept) for the
 #: *whole* snapshot only when one classify call covers at least this fraction
@@ -89,6 +89,31 @@ class _Snapshot:
     # rows in/out, rows classified, elapsed seconds — accumulated across
     # chunks and surfaced as QueryResult.node_stats (EXPLAIN ANALYZE).
     node_stats: dict = field(default_factory=dict)
+
+
+@dataclass
+class TableImage:
+    """One table's persistent state, captured in a single hold of the lock.
+
+    What :func:`repro.db.persistence.save_database` writes for a table.
+    Every array is immutable by convention (see :class:`_Snapshot`), so the
+    save serializes lock-free; because corpus, labels, id offset and
+    representation arrays come from one instant, row ``i`` of every array
+    here describes row ``i`` of ``images``.  ``store_arrays`` holds
+    ``(spec, array, recency)`` triples, hottest first — ``recency`` is the
+    store-wide rank, comparable across tables.  ``wal_generation`` is the
+    journal generation a checkpoint rotated to (``None`` for a plain save).
+    """
+
+    images: np.ndarray
+    metadata: dict[str, np.ndarray]
+    content: dict[str, np.ndarray]
+    materialized: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
+    retention: RetentionPolicy | None
+    id_offset: int
+    registered_specs: list
+    store_arrays: list
+    wal_generation: int | None
 
 
 class QueryExecutor:
@@ -519,6 +544,34 @@ class QueryExecutor:
                              materialized=dict(self._materialized),
                              id_offset=self._id_offset, epoch=self._epoch,
                              n=int(images.shape[0]), reps=reps)
+
+    def capture_image(self, *, checkpoint: bool) -> TableImage:
+        """Freeze everything a save persists for this table, in one hold.
+
+        With ``checkpoint`` the journal rotates *inside* the capture:
+        everything before this instant is in the image, everything after
+        lands in the new generation.
+        """
+        with self._lock:
+            corpus, store = self.corpus, self.store
+            return TableImage(
+                images=corpus.images,
+                metadata=dict(corpus.metadata),
+                content=dict(corpus.content),
+                materialized=dict(self._materialized),
+                retention=self.retention,
+                id_offset=self._id_offset,
+                registered_specs=store.registered_specs(),
+                store_arrays=[(spec, array, store.recency_rank(spec) or 0)
+                              for spec, array in store.arrays_by_recency()],
+                wal_generation=(self._wal.rotate()
+                                if checkpoint and self._wal is not None
+                                else None))
+
+    def restore_materialized(self, columns: dict) -> None:
+        """Install materialized columns read back from a saved image."""
+        with self._lock:
+            self._materialized.update(columns)
 
     def _merge_snapshot(self, snap: _Snapshot) -> None:
         """Fold what a snapshot query learned back into the live shard.

@@ -11,7 +11,7 @@ profile and the table catalog.  Layout (format version 4)::
         repository.json
         weights/*.npz
       tables/<table>/ckpt-<k>/ # table image version k (manifest-referenced)
-        corpus.npz             # images + metadata + content (optional)
+        corpus.npz             # images + metadata + content
         materialized.npz       # materialized virtual columns (optional)
         store.npz              # representation arrays (optional, size-capped)
       wal/<table>/             # write-ahead log (WAL-enabled databases only)
@@ -30,9 +30,10 @@ were evicted or fell over the cap are simply recomputed on demand — results
 are unaffected.
 
 Format 4 is the durability format: :func:`save_database` captures each
-table under its shard lock (a save taken under live server traffic is
-internally consistent), and a save into a WAL-enabled database's own root is
-a **checkpoint** — each table's journal is rotated to a fresh generation
+table — corpus, labels, id offset *and* representation arrays — in one hold
+of its shard lock (a save taken under live server traffic is internally
+consistent, row for row), and a save into a WAL-enabled database's own root
+is a **checkpoint** — each table's journal is rotated to a fresh generation
 *before* any file is written, the manifest records the new generation, and
 only then are the absorbed generations pruned.  :func:`load_database` of a
 WAL-enabled save restores the checkpoint image and **replays** each table's
@@ -49,8 +50,10 @@ directories and absorbed WAL generations deleted.  A crash at any point
 mid-checkpoint therefore leaves the previous manifest pointing at its own
 intact image files and at a generation floor whose logs are still on disk.
 
-Format 3 (no WAL; retention + stable-id offsets per table), format 2
-(predates retention) and format-1 single-corpus saves all still load.
+Exactly one format is read: the one written.  :func:`load_database`
+raises ``ValueError("unsupported database format …")`` for any other
+``format_version``, naming the version it found and the commit whose
+checkout still reads (and so can re-save) older directories.
 """
 
 from __future__ import annotations
@@ -64,21 +67,19 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.persistence import load_optimizer, save_optimizer
+from repro.core.persistence import (load_optimizer, save_optimizer,
+                                    transform_from_dict, transform_to_dict)
 from repro.core.selector import UserConstraints
 from repro.costs.device import DeviceProfile
 from repro.costs.scenario import Scenario
 from repro.data.corpus import ImageCorpus
-from repro.db.catalog import DEFAULT_TABLE
 from repro.db.database import VisualDatabase
 from repro.db.retention import RetentionPolicy
 from repro.storage.tiers import StorageTier
-from repro.transforms.spec import TransformSpec
 
 __all__ = ["save_database", "load_database", "DEFAULT_STORE_BYTES_CAP"]
 
 _FORMAT_VERSION = 4
-_LOADABLE_VERSIONS = (2, 3, 4)
 
 _MANIFEST_FILE = "database.json"
 _PREDICATES_DIR = "predicates"
@@ -88,8 +89,8 @@ _MATERIALIZED_FILE = "materialized.npz"
 _STORE_FILE = "store.npz"
 _IMAGE_DIR_RE = re.compile(r"^ckpt-(\d+)$")
 
-#: Default on-disk byte cap for persisted representation arrays, shared by
-#: the whole catalog.  Arrays beyond the cap (coldest first) are skipped and
+#: On-disk byte cap for persisted representation arrays, shared by the
+#: whole catalog.  Arrays beyond the cap (coldest first) are skipped and
 #: recomputed lazily after a load.
 DEFAULT_STORE_BYTES_CAP = 256 * 2 ** 20
 
@@ -129,11 +130,6 @@ def _constraints_to_dict(constraints: UserConstraints) -> dict:
             "min_throughput": constraints.min_throughput}
 
 
-def _spec_to_dict(spec: TransformSpec) -> dict:
-    return {"resolution": spec.resolution, "color_mode": spec.color_mode,
-            "resize_mode": spec.resize_mode}
-
-
 def _save_corpus_arrays(images: np.ndarray, metadata: dict, content: dict,
                         path: Path) -> None:
     arrays = {"images": images}
@@ -142,10 +138,6 @@ def _save_corpus_arrays(images: np.ndarray, metadata: dict, content: dict,
     for name, values in content.items():
         arrays[f"content/{name}"] = np.asarray(values)
     np.savez_compressed(path, **arrays)
-
-
-def _save_corpus(corpus: ImageCorpus, path: Path) -> None:
-    _save_corpus_arrays(corpus.images, corpus.metadata, corpus.content, path)
 
 
 def _load_corpus(path: Path) -> ImageCorpus:
@@ -181,43 +173,47 @@ def _save_materialized(materialized: dict, table_dir: Path) -> list[dict]:
     return entries
 
 
+def _corrupt(path: Path, rows: int, n: int) -> ValueError:
+    return ValueError(f"corrupt save: {path} holds {rows} rows for a "
+                      f"{n}-row corpus")
+
+
 def _load_materialized(executor, table_dir: Path, entries: list[dict]) -> None:
-    path = table_dir / _MATERIALIZED_FILE
-    if not entries or not path.exists():
+    if not entries:
         return
+    path = table_dir / _MATERIALIZED_FILE
     n = len(executor.corpus)
+    columns = {}
     with np.load(path, allow_pickle=False) as archive:
         for index, entry in enumerate(entries):
             mask = archive[f"mask_{index}"].astype(bool)
             labels = archive[f"labels_{index}"].astype(np.int64)
             if mask.shape[0] != n or labels.shape[0] != n:
-                continue  # saved against a different corpus; recompute lazily
-            key = (entry["category"], entry["cascade"])
-            executor._materialized[key] = (mask, labels)
+                raise _corrupt(path, mask.shape[0], n)
+            columns[entry["category"], entry["cascade"]] = (mask, labels)
+    executor.restore_materialized(columns)
 
 
-def _select_store_arrays(db: VisualDatabase,
-                         cap: int | None) -> dict[str, list]:
+def _select_store_arrays(images: dict) -> dict[str, list]:
     """Pick the representation arrays to persist, globally hottest first.
 
-    The byte cap is spent across the whole catalog by shared-store recency
-    (not per table in attachment order), so a reload warm-starts the arrays
-    queries touched most recently.  Arrays over the cap are skipped — the
-    executor recomputes them on demand after a load, so the cap trades disk
-    for warm-start coverage, never correctness.
+    ``images`` maps each table to its captured
+    :class:`~repro.db.executor.TableImage`.  :data:`DEFAULT_STORE_BYTES_CAP`
+    is spent across the whole catalog by shared-store recency (not per table
+    in attachment order), so a reload warm-starts the arrays queries touched
+    most recently.  Arrays over the cap are skipped — the executor
+    recomputes them on demand after a load, so the cap trades disk for
+    warm-start coverage, never correctness.
     """
-    candidates = []
-    for table in db.tables():
-        store = db.executor_for(table).store
-        for spec, array in store.arrays_by_recency():
-            candidates.append((store.recency_rank(spec) or 0,
-                               table, spec, array))
+    candidates = [(recency, table, spec, array)
+                  for table, image in images.items()
+                  for spec, array, recency in image.store_arrays]
     candidates.sort(key=lambda item: item[0], reverse=True)
 
-    selected: dict[str, list] = {table: [] for table in db.tables()}
+    selected: dict[str, list] = {table: [] for table in images}
     used = 0
     for _, table, spec, array in candidates:
-        if cap is not None and used + array.nbytes > cap:
+        if used + array.nbytes > DEFAULT_STORE_BYTES_CAP:
             continue
         selected[table].append((spec, array))
         used += array.nbytes
@@ -229,49 +225,26 @@ def _save_store_arrays(selected: list, table_dir: Path) -> list[dict]:
     entries, arrays = [], {}
     for spec, array in selected:
         arrays[f"rep_{len(entries)}"] = array
-        entries.append({"spec": _spec_to_dict(spec)})
+        entries.append({"spec": transform_to_dict(spec)})
     if arrays:
         np.savez_compressed(table_dir / _STORE_FILE, **arrays)
     return entries
 
 
 def _load_store_arrays(executor, table_dir: Path, entries: list[dict]) -> None:
-    path = table_dir / _STORE_FILE
-    if not entries or not path.exists():
+    if not entries:
         return
+    path = table_dir / _STORE_FILE
     n = len(executor.corpus)
     with np.load(path, allow_pickle=False) as archive:
         # Coldest first, so recency (and byte-budget eviction order) after
         # the load mirrors the order before the save.
         for index in reversed(range(len(entries))):
-            spec = TransformSpec(**entries[index]["spec"])
             array = archive[f"rep_{index}"]
-            if array.shape[0] > n:
-                continue  # saved against a different corpus; recompute lazily
-            executor.store.add(spec, array)
-
-
-def _upgrade_v1_manifest(manifest: dict) -> dict:
-    """Map a format-1 manifest (single anonymous corpus, files at the save
-    root) onto the v2 table layout, as the default ``images`` table.
-
-    Databases saved before the catalog redesign stay loadable: the corpus,
-    materialized labels, store policy and budget all come back; v1 never
-    persisted representation arrays, so those start cold as they always did.
-    """
-    store = manifest.get("store") or {}
-    upgraded = dict(manifest)
-    upgraded["format_version"] = _FORMAT_VERSION
-    upgraded["store"] = {"byte_budget": store.get("byte_budget")}
-    upgraded["tables"] = [{
-        "name": DEFAULT_TABLE,
-        "corpus_file": manifest.get("corpus_file"),
-        "materialized": manifest.get("materialized", []),
-        "store_arrays": [],
-        "registered_specs": store.get("registered_specs", []),
-        "table_dir": ".",  # v1 kept materialized.npz at the save root
-    }]
-    return upgraded
+            if array.shape[0] > n:  # shorter is a stale array: topped up lazily
+                raise _corrupt(path, array.shape[0], n)
+            executor.store.add(transform_from_dict(entries[index]["spec"]),
+                               array)
 
 
 # -- versioned table images ------------------------------------------------------
@@ -322,11 +295,11 @@ def _prune_stale_images(root: Path, tables: list[dict]) -> None:
     """Delete table images the just-written manifest no longer references.
 
     Called only *after* the new manifest is durably in place: superseded
-    ``ckpt-<k>`` directories, pre-versioning loose table files, and the
-    directories of tables absent from the manifest (detached) all go.
+    ``ckpt-<k>`` directories and the directories of tables absent from the
+    manifest (detached) all go.
     """
     referenced = {entry["name"]: Path(entry["table_dir"]).name
-                  for entry in tables if entry.get("table_dir")}
+                  for entry in tables}
     tables_dir = root / _TABLES_DIR
     if not tables_dir.is_dir():
         return
@@ -338,24 +311,21 @@ def _prune_stale_images(root: Path, tables: list[dict]) -> None:
             shutil.rmtree(table_dir, ignore_errors=True)
             continue
         for child in table_dir.iterdir():
-            if child.is_dir() and _IMAGE_DIR_RE.match(child.name):
-                if child.name != keep:
-                    shutil.rmtree(child, ignore_errors=True)
-            elif child.name in (_CORPUS_FILE, _MATERIALIZED_FILE,
-                                _STORE_FILE):
-                child.unlink()  # loose files from a pre-versioning save
+            if (child.is_dir() and _IMAGE_DIR_RE.match(child.name)
+                    and child.name != keep):
+                shutil.rmtree(child, ignore_errors=True)
 
 
 # -- database save / load --------------------------------------------------------
-def save_database(db: VisualDatabase, root: str | Path,
-                  include_corpus: bool = True,
-                  store_bytes_cap: int | None = None) -> Path:
+def save_database(db: VisualDatabase, root: str | Path) -> Path:
     """Persist ``db`` under ``root`` (created if needed).
 
-    Each table's state (corpus, materialized labels, retention window, id
-    offset) is captured under that shard's lock, so a save taken while
-    ``ingest()``/``retain()`` run on other threads is internally consistent;
-    serialization itself happens outside the locks.
+    Each table's state — corpus, materialized labels, retention window, id
+    offset and representation arrays — is captured in one hold of that
+    shard's lock (:meth:`~repro.db.executor.QueryExecutor.capture_image`),
+    so a save taken while ``ingest()``/``retain()`` run on other threads is
+    internally consistent, row for row; serialization itself happens outside
+    the locks.
 
     When ``db`` has a write-ahead log and ``root`` *is* its WAL root, the
     save is a **checkpoint**: each table's journal rotates to a fresh
@@ -367,18 +337,14 @@ def save_database(db: VisualDatabase, root: str | Path,
     save's files — a crash at any point leaves the old manifest's image and
     logs untouched, so the database stays recoverable.
 
-    ``store_bytes_cap`` bounds the on-disk bytes spent on representation
-    arrays across all tables (``None`` uses :data:`DEFAULT_STORE_BYTES_CAP`);
-    materialized labels and corpora are always saved in full.
+    :data:`DEFAULT_STORE_BYTES_CAP` bounds the on-disk bytes spent on
+    representation arrays across all tables; materialized labels and corpora
+    are always saved in full.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    if store_bytes_cap is None:
-        store_bytes_cap = DEFAULT_STORE_BYTES_CAP
-
-    wal_root = getattr(db, "_wal_root", None)
-    checkpointing = (include_corpus and wal_root is not None
-                     and Path(wal_root).resolve() == root.resolve())
+    checkpointing = (db._wal_root is not None
+                     and Path(db._wal_root).resolve() == root.resolve())
 
     names = db.predicates()
     db._ensure_trained(names)  # lazy predicates are trained before saving
@@ -386,61 +352,44 @@ def save_database(db: VisualDatabase, root: str | Path,
         save_optimizer(db._optimizers[name], root / _PREDICATES_DIR / name,
                        reference_params=db._reference_params.get(name) or {})
 
-    tables = []
-    selected_arrays = (_select_store_arrays(db, store_bytes_cap)
-                       if include_corpus else {})
-    image_version = _next_image_version(root)
-    pruned_generations: dict[str, int] = {}
+    # The arrays are immutable by convention, so everything after the
+    # captures — cap selection, serialization — happens lock-free.
+    images = {}
     for table in db.tables():
-        executor = db.executor_for(table)
-        # Capture a consistent image under the shard lock (fixing the save
-        # vs. concurrent ingest/retain race); the arrays are immutable by
-        # convention, so serialization below happens lock-free.
-        with executor._lock:
-            images = executor.corpus.images
-            metadata = dict(executor.corpus.metadata)
-            content = dict(executor.corpus.content)
-            materialized = dict(executor._materialized)
-            retention = executor.retention
-            id_offset = executor.id_offset
-            wal_generation = None
-            if checkpointing and executor.wal is not None:
-                # Rotate *inside* the capture: everything before this instant
-                # is in the image, everything after is in the new generation.
-                wal_generation = executor.wal.rotate()
-                pruned_generations[table] = wal_generation
+        images[table] = db.executor_for(table).capture_image(
+            checkpoint=checkpointing)
+    selected_arrays = _select_store_arrays(images)
+    image_version = _next_image_version(root)
+    tables = []
+    for table, image in images.items():
+        # A fresh image directory per save: the previous manifest's files
+        # stay intact until the new manifest supersedes them.
+        relative_dir = f"{_TABLES_DIR}/{table}/ckpt-{image_version}"
+        table_dir = root / relative_dir
+        table_dir.mkdir(parents=True, exist_ok=True)
+        _save_corpus_arrays(image.images, image.metadata, image.content,
+                            table_dir / _CORPUS_FILE)
         entry = {
             "name": table,
-            "corpus_file": None,
-            "materialized": [],
-            "store_arrays": [],
-            "registered_specs": [_spec_to_dict(spec) for spec
-                                 in executor.store.registered_specs()],
-            # Format 3+: the retention window and the stable-id offset (rows
-            # ever dropped), so a reloaded sliding window keeps its ids.
-            "retention": (retention.to_dict()
-                          if retention is not None else None),
-            "id_offset": id_offset,
+            "corpus_file": f"{relative_dir}/{_CORPUS_FILE}",
+            "materialized": _save_materialized(image.materialized, table_dir),
+            "store_arrays": _save_store_arrays(selected_arrays[table],
+                                               table_dir),
+            "registered_specs": [transform_to_dict(spec)
+                                 for spec in image.registered_specs],
+            # The retention window and the stable-id offset (rows ever
+            # dropped), so a reloaded sliding window keeps its ids.
+            "retention": (image.retention.to_dict()
+                          if image.retention is not None else None),
+            "id_offset": image.id_offset,
         }
-        if wal_generation is not None:
-            # Format 4: recovery replays this table's generations >= this.
-            entry["wal_generation"] = wal_generation
-        if include_corpus:
-            # A fresh image directory per save: the previous manifest's
-            # files stay intact until the new manifest supersedes them.
-            relative_dir = f"{_TABLES_DIR}/{table}/ckpt-{image_version}"
-            table_dir = root / relative_dir
-            table_dir.mkdir(parents=True, exist_ok=True)
-            _save_corpus_arrays(images, metadata, content,
-                                table_dir / _CORPUS_FILE)
-            entry["table_dir"] = relative_dir
-            entry["corpus_file"] = f"{relative_dir}/{_CORPUS_FILE}"
-            entry["materialized"] = _save_materialized(materialized,
-                                                       table_dir)
-            entry["store_arrays"] = _save_store_arrays(
-                selected_arrays.get(table, []), table_dir)
-            if checkpointing:
-                _fsync_image_dir(table_dir)
+        if image.wal_generation is not None:
+            # Recovery replays this table's generations >= this.
+            entry["wal_generation"] = image.wal_generation
+        # After the optional key: the order every format-4 writer emitted.
+        entry["table_dir"] = relative_dir
+        if checkpointing:
+            _fsync_image_dir(table_dir)
         tables.append(entry)
 
     manifest = {
@@ -476,14 +425,13 @@ def save_database(db: VisualDatabase, root: str | Path,
     # Only after the manifest is in place: drop whatever it superseded —
     # previous image versions, absorbed WAL generations, and the files of
     # tables since detached.
-    if include_corpus:
-        _prune_stale_images(root, tables)
+    _prune_stale_images(root, tables)
     if checkpointing:
-        db._checkpoints = getattr(db, "_checkpoints", 0) + 1
-        for table, generation in pruned_generations.items():
+        db._checkpoints += 1
+        for table, image in images.items():
             wal = db.executor_for(table).wal
-            if wal is not None:
-                wal.prune(generation)
+            if wal is not None and image.wal_generation is not None:
+                wal.prune(image.wal_generation)
         from repro.db.wal import wal_dir, wal_tables
 
         live = set(db.tables())
@@ -493,8 +441,7 @@ def save_database(db: VisualDatabase, root: str | Path,
     return root
 
 
-def load_database(root: str | Path,
-                  corpus: ImageCorpus | None = None) -> VisualDatabase:
+def load_database(root: str | Path) -> VisualDatabase:
     """Restore a database saved with :func:`save_database` (no retraining).
 
     For a WAL-enabled save (a checkpoint), the checkpoint image is restored
@@ -503,30 +450,24 @@ def load_database(root: str | Path,
     attached/detached since — after which journaling is re-armed, so the
     loaded database keeps appending to the same logs.
 
-    ``corpus`` replaces the stored corpus of a *single-table* save (e.g. one
-    made with ``include_corpus=False``); materialized labels, stored
-    representations and the WAL tail are only restored when the corpus comes
-    from the save itself, never onto a caller-supplied replacement (which
-    may coincide in length).
+    Only the format :func:`save_database` writes is read; any other
+    ``format_version`` raises :class:`ValueError`.  A table file whose row
+    count contradicts the corpus saved beside it is a corrupt save and
+    raises :class:`ValueError` naming the file.
     """
     root = Path(root)
     manifest_path = root / _MANIFEST_FILE
     if not manifest_path.exists():
         raise FileNotFoundError(f"no {_MANIFEST_FILE} under {root}")
     manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format_version") == 1:
-        manifest = _upgrade_v1_manifest(manifest)
-    elif manifest.get("format_version") not in _LOADABLE_VERSIONS:
-        raise ValueError(f"unsupported database format "
-                         f"{manifest.get('format_version')!r}")
-
-    table_entries = manifest.get("tables", [])
-    if corpus is not None and len(table_entries) > 1:
+    version = manifest.get("format_version")
+    if version != _FORMAT_VERSION:
         raise ValueError(
-            f"a replacement corpus fits a single-table save; this one has "
-            f"tables {[entry['name'] for entry in table_entries]}")
+            f"unsupported database format {version!r}: only format "
+            f"{_FORMAT_VERSION} is read; to keep an older directory, load "
+            f"and re-save it from a checkout of commit f60db2e, the last "
+            f"one that reads formats 1-3")
 
-    store = manifest.get("store") or {}
     db = VisualDatabase(
         device=DeviceProfile(**manifest["device"]),
         scenario=_scenario_from_dict(manifest["scenario"]),
@@ -534,7 +475,7 @@ def load_database(root: str | Path,
         source_resolution=manifest["source_resolution"],
         calibrate_target_fps=manifest["calibrate_target_fps"],
         default_constraints=UserConstraints(**manifest["default_constraints"]),
-        store_budget=store.get("byte_budget"))
+        store_budget=manifest["store"]["byte_budget"])
     # The stored device already carries any calibration that happened before
     # the save; don't re-anchor it against reloaded reference models.
     db._device_calibrated = bool(manifest["device_calibrated"])
@@ -545,37 +486,23 @@ def load_database(root: str | Path,
         db._optimizers[name] = optimizer
         db._reference_params[name] = dict(entry["reference_params"])
 
-    if not table_entries and corpus is not None:
-        db.attach(DEFAULT_TABLE, corpus)
-        return db
-
-    for entry in table_entries:
+    for entry in manifest["tables"]:
         table = entry["name"]
-        corpus_is_saved = corpus is None and entry["corpus_file"] is not None
-        table_corpus = (_load_corpus(root / entry["corpus_file"])
-                        if corpus_is_saved else corpus)
-        if table_corpus is None:
-            continue  # saved without corpus and none supplied: stays detached
-        db.attach(table, table_corpus)
+        db.attach(table, _load_corpus(root / entry["corpus_file"]))
         executor = db.executor_for(table)
-        # Format-2 saves carry neither field: unbounded table, offset 0.
-        retention = entry.get("retention")
-        if retention is not None:
+        if entry["retention"] is not None:
             # Through the setter so the shard lock is held; the WAL is not
             # armed yet, so nothing is journaled.
-            executor.set_retention(RetentionPolicy.from_dict(retention))
-        executor.id_offset = int(entry.get("id_offset", 0))
-        for spec_entry in entry.get("registered_specs", []):
-            executor.store.register(TransformSpec(**spec_entry))
-        if corpus_is_saved:
-            table_dir = root / entry.get("table_dir",
-                                         f"{_TABLES_DIR}/{table}")
-            _load_materialized(executor, table_dir,
-                               entry.get("materialized", []))
-            _load_store_arrays(executor, table_dir,
-                               entry.get("store_arrays", []))
+            executor.set_retention(
+                RetentionPolicy.from_dict(entry["retention"]))
+        executor.id_offset = int(entry["id_offset"])
+        for spec_entry in entry["registered_specs"]:
+            executor.store.register(transform_from_dict(spec_entry))
+        table_dir = root / entry["table_dir"]
+        _load_materialized(executor, table_dir, entry["materialized"])
+        _load_store_arrays(executor, table_dir, entry["store_arrays"])
 
-    if corpus is None and (manifest.get("wal") or {}).get("enabled"):
+    if manifest["wal"]["enabled"]:
         _recover_wal(db, root, manifest)
     return db
 
@@ -594,7 +521,7 @@ def _recover_wal(db: VisualDatabase, root: Path, manifest: dict) -> None:
     from repro.db.wal import TableWal, wal_tables
 
     generation_floor = {entry["name"]: int(entry.get("wal_generation", 0))
-                        for entry in manifest.get("tables", [])}
+                        for entry in manifest["tables"]}
     for table in wal_tables(root):
         wal = TableWal(root, table)  # truncates any torn tail
         floor = generation_floor.get(table, 0)

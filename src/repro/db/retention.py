@@ -113,8 +113,8 @@ class RetentionPolicy:
         """JSON-serializable form (see :mod:`repro.db.persistence`)."""
         data = {"max_rows": self.max_rows, "max_age": self.max_age,
                 "timestamp_column": self.timestamp_column}
-        # Only persisted when set, so v4 saves of default policies stay
-        # byte-compatible with what v3 readers expect.
+        # Only persisted when set, so default policies keep the manifest and
+        # the WAL's ``retention`` records byte-identical.
         if self.align_to_segments:
             data["align_to_segments"] = True
         return data

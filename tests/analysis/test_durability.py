@@ -69,11 +69,9 @@ class TestDetections:
 
     def test_write_after_prune_detected(self, scratch):
         _edit(scratch, "db/persistence.py",
-              "    if include_corpus:\n"
-              "        _prune_stale_images(root, tables)",
-              "    if include_corpus:\n"
-              "        _prune_stale_images(root, tables)\n"
-              "        (root / \"late.json\").write_text(\"{}\")")
+              "    _prune_stale_images(root, tables)\n",
+              "    _prune_stale_images(root, tables)\n"
+              "    (root / \"late.json\").write_text(\"{}\")\n")
         findings = check_durability(scratch)
         assert _rules(findings) == {"write-after-prune"}
         assert finding_path(findings) == "db/persistence.py"

@@ -8,7 +8,8 @@ import pytest
 from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
-from repro.db import FANOUT_TABLE, FanoutResultSet, VisualDatabase, connect
+from repro.db import (FANOUT_TABLE, FanoutResultSet, VisualDatabase, connect,
+                      persistence)
 from repro.db.catalog import Catalog
 from repro.query.sql import SqlParseError
 from repro.storage.store import RepresentationStore
@@ -421,10 +422,12 @@ class TestCatalogPersistence:
         result = loaded.execute(FANOUT_SQL)
         assert len(result) == len(db.execute(FANOUT_SQL))
 
-    def test_store_bytes_cap_falls_back_to_recompute(self, db, tmp_path):
+    def test_store_bytes_cap_falls_back_to_recompute(self, db, tmp_path,
+                                                     monkeypatch):
         db.use_scenario("ongoing")
         before = db.execute(FANOUT_SQL)
-        db.save(tmp_path / "vdb", store_bytes_cap=0)  # no arrays persisted
+        monkeypatch.setattr(persistence, "DEFAULT_STORE_BYTES_CAP", 0)
+        db.save(tmp_path / "vdb")  # no arrays persisted
         loaded = VisualDatabase.load(tmp_path / "vdb")
         for table in loaded.tables():
             assert loaded.executor_for(table).store.specs() == []
@@ -437,13 +440,8 @@ class TestCatalogPersistence:
                 before.per_table(table).image_ids)
             assert after.images_classified[table]["komondor"] == 0
 
-    def test_multi_table_save_rejects_replacement_corpus(self, db, tmp_path):
-        db.save(tmp_path / "vdb")
-        with pytest.raises(ValueError, match="single-table"):
-            VisualDatabase.load(tmp_path / "vdb",
-                                corpus=make_corpus(10, seed=70))
-
-    def test_store_cap_spent_on_globally_hottest_arrays(self, db, tmp_path):
+    def test_store_cap_spent_on_globally_hottest_arrays(self, db, tmp_path,
+                                                        monkeypatch):
         db.use_scenario("ongoing")
         db.execute("SELECT * FROM cam_north WHERE contains_object(komondor)")
         # cam_south queried last: its arrays are the globally hottest.
@@ -451,45 +449,10 @@ class TestCatalogPersistence:
         south_bytes = sum(array.nbytes for _, array in
                           db.executor_for("cam_south").store.arrays_by_recency())
         assert south_bytes > 0
-        db.save(tmp_path / "vdb", store_bytes_cap=south_bytes)
+        monkeypatch.setattr(persistence, "DEFAULT_STORE_BYTES_CAP",
+                            south_bytes)
+        db.save(tmp_path / "vdb")
         loaded = VisualDatabase.load(tmp_path / "vdb")
         # The cap went to the hottest shard, not the first-attached one.
         assert loaded.executor_for("cam_south").store.specs() != []
         assert loaded.executor_for("cam_north").store.specs() == []
-
-    def test_v1_single_table_save_still_loads(self, tiny_optimizer,
-                                              tiny_device, tmp_path):
-        # Reconstruct the pre-catalog on-disk layout from a fresh save:
-        # files at the root, a format-1 manifest with a top-level store
-        # entry — the loader must map it onto the 'images' table.
-        import json
-        import shutil
-
-        database = connect(make_corpus(16, seed=80), device=tiny_device,
-                           scenario="camera", calibrate_target_fps=None,
-                           default_constraints=CONSTRAINED)
-        database.register_optimizer("komondor", tiny_optimizer,
-                                    reference_params=REFERENCE_PARAMS)
-        sql = "SELECT * FROM images WHERE contains_object(komondor)"
-        before = database.execute(sql)
-        root = database.save(tmp_path / "vdb")
-
-        manifest = json.loads((root / "database.json").read_text())
-        [entry] = manifest.pop("tables")
-        table_dir = root / entry["table_dir"]
-        shutil.move(str(table_dir / "corpus.npz"), str(root / "corpus.npz"))
-        shutil.move(str(table_dir / "materialized.npz"),
-                    str(root / "materialized.npz"))
-        shutil.rmtree(root / "tables")
-        manifest["format_version"] = 1
-        manifest["corpus_file"] = "corpus.npz"
-        manifest["materialized"] = entry["materialized"]
-        manifest["store"] = {"byte_budget": None,
-                             "registered_specs": entry["registered_specs"]}
-        (root / "database.json").write_text(json.dumps(manifest))
-
-        loaded = VisualDatabase.load(root)
-        assert loaded.tables() == ["images"]
-        after = loaded.execute(sql)
-        np.testing.assert_array_equal(after.image_ids, before.image_ids)
-        assert after.images_classified["komondor"] == 0  # labels survived

@@ -437,11 +437,6 @@ class TestPersistence:
             after.to_relation()["contains_komondor"],
             before.to_relation()["contains_komondor"])
 
-    def test_save_without_corpus_requires_one_at_load(self, db, corpus, tmp_path):
-        root = db.save(tmp_path / "vdb", include_corpus=False)
-        reloaded = VisualDatabase.load(root, corpus=corpus)
-        assert len(reloaded.execute(SQL)) == len(db.execute(SQL))
-
     def test_load_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             VisualDatabase.load(tmp_path)

@@ -290,17 +290,6 @@ class TestDatabaseIngest:
         # Materialized virtual columns survived: nothing is re-classified.
         assert after.images_classified["komondor"] == 0
 
-    def test_replacement_corpus_does_not_inherit_labels(self, db, tmp_path):
-        # Regression: labels saved for corpus A must not be served for a
-        # caller-supplied corpus B that merely matches in length.
-        db.execute(SQL)
-        db.save(tmp_path / "db")
-        replacement = make_corpus(len(db.corpus), seed=123)
-        from repro.db import VisualDatabase
-        loaded = VisualDatabase.load(tmp_path / "db", corpus=replacement)
-        result = loaded.execute(SQL)
-        assert result.images_classified["komondor"] == len(replacement)
-
     def test_store_policy_round_trips(self, corpus, batch, tiny_optimizer,
                                       tiny_device, tmp_path):
         budget = 2 * len(corpus) * TINY_SIZE * TINY_SIZE * 3

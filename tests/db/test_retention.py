@@ -375,23 +375,6 @@ class TestRetentionPersistence:
         assert len(loaded.corpus) == 10
         assert loaded.executor.id_offset == 10
 
-    def test_v2_save_without_retention_fields_loads(self, db, tmp_path):
-        import json
-
-        db.execute(SQL)
-        root = db.save(tmp_path / "vdb")
-        manifest = json.loads((root / "database.json").read_text())
-        manifest["format_version"] = 2
-        for entry in manifest["tables"]:
-            del entry["retention"]
-            del entry["id_offset"]
-        (root / "database.json").write_text(json.dumps(manifest))
-
-        loaded = VisualDatabase.load(root)
-        assert loaded.retention_for("images") is None
-        assert loaded.executor.id_offset == 0
-        assert loaded.execute(SQL).images_classified["komondor"] == 0
-
 
 class TestConcurrentFanoutAndRetention:
     def test_fanout_queries_race_ingest_and_retention(self, tiny_optimizer,

@@ -4,8 +4,8 @@ Covers the TableWal journal itself (payload-before-line, torn-tail
 truncation, generations: rotate/prune), enable_wal/checkpoint/recovery on
 VisualDatabase, the crash-recovery property (kill at *every* record boundary
 between checkpoint and tail, replay, compare against an independent model of
-the log), the save-vs-ingest race fix, WAL-aware close(), segment compaction
-and storage_stats, and v2/v3 format compatibility of the v4 loader.
+the log), the save-vs-ingest race fixes, WAL-aware close(), segment compaction
+and storage_stats, and the one-format contract of the loader.
 """
 
 import json
@@ -403,6 +403,91 @@ class TestSaveVsIngestRace:
         assert errors == []
 
 
+@pytest.mark.parametrize("checkpoint", [False, True],
+                         ids=["save", "checkpoint"])
+def test_save_racing_retention_keeps_representations_row_aligned(
+        tmp_path, monkeypatch, tiny_optimizer, tiny_device, checkpoint):
+    # An ingest that drops rows lands at the moment the save reads the
+    # store's arrays.  Corpus and arrays must still come from one instant:
+    # with the arrays picked outside the shard lock, store.npz was persisted
+    # shifted by the dropped rows against corpus.npz (equal length, so it
+    # loaded) and queries classified the wrong rows' representations.
+    from repro.core.selector import UserConstraints
+    from repro.storage.store import RepresentationStore
+    from tests.db.test_retention import REFERENCE_PARAMS, make_corpus
+
+    window, fresh = 20, make_corpus(6, seed=12, positive_rate=0.5)
+    database = connect({"cam": make_corpus(window, seed=11,
+                                           positive_rate=0.5)},
+                       device=tiny_device, scenario="ongoing",
+                       calibrate_target_fps=None,
+                       default_constraints=UserConstraints(
+                           max_accuracy_loss=0.1),
+                       retention=RetentionPolicy(max_rows=window))
+    database.register_optimizer("komondor", tiny_optimizer,
+                                reference_params=REFERENCE_PARAMS)
+    sql = "SELECT image_id FROM cam WHERE contains_object(komondor)"
+    database.execute(sql)  # ONGOING: materializes + registers the specs
+    root = tmp_path / "vdb"
+    if checkpoint:
+        database.enable_wal(root)
+
+    reading_arrays = threading.Event()
+    errors = []
+
+    def ingest_when_released():
+        reading_arrays.wait(timeout=10)
+        try:
+            database.ingest(fresh.images, metadata=fresh.metadata,
+                            table="cam")
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    thread = threading.Thread(target=ingest_when_released)
+    arrays_by_recency = RepresentationStore.arrays_by_recency
+
+    def release_ingest_mid_read(store):
+        pairs = arrays_by_recency(store)
+        if not reading_arrays.is_set():
+            reading_arrays.set()
+            # Long enough for an unlocked read to lose the race; a read
+            # under the shard lock just keeps the ingest waiting.
+            thread.join(timeout=0.3)
+        return pairs
+
+    monkeypatch.setattr(RepresentationStore, "arrays_by_recency",
+                        release_ingest_mid_read)
+    thread.start()
+    try:
+        if checkpoint:
+            database.checkpoint()
+        else:
+            database.save(root)
+    finally:
+        reading_arrays.set()
+        thread.join(timeout=10)
+    monkeypatch.undo()
+    assert not thread.is_alive() and errors == []
+    assert database.executor_for("cam").id_offset == len(fresh)
+
+    loaded = VisualDatabase.load(root)
+    executor = loaded.executor_for("cam")
+    images = loaded.corpus_for("cam").images
+    stored = executor.store.arrays_by_recency()
+    assert stored
+    for spec, array in stored:
+        np.testing.assert_array_equal(
+            array, spec.apply_batch(images)[:array.shape[0]])
+    # Re-classify every row from the stored representations.
+    executor.invalidate()
+    cascade = loaded.explain(sql).content_steps[0].evaluation.cascade
+    np.testing.assert_array_equal(
+        loaded.execute(sql).image_ids,
+        np.flatnonzero(cascade.classify(images)) + executor.id_offset)
+    loaded.close()
+    database.close()
+
+
 class TestSegmentsAndCompaction:
     def test_ingest_appends_segments_and_compact_folds_them(self, tmp_path):
         database = connect({"cam": timed_corpus([0.0, 1.0])})
@@ -462,46 +547,55 @@ class TestFormatCompatibility:
     def _manifest(self, root):
         return json.loads((root / "database.json").read_text())
 
-    def test_v3_manifest_still_loads(self, tmp_path):
-        database = connect({"cam": timed_corpus([0.0, 1.0, 2.0])},
-                           retention={"cam": RetentionPolicy(max_rows=8)})
-        database.ingest(*_batch([3.0]), table="cam")
-        expected = table_state(database)
-        root = database.save(tmp_path / "vdb")
-        manifest = self._manifest(root)
-        # A v3 writer: no wal key, no wal_generation entries.
-        manifest["format_version"] = 3
-        manifest.pop("wal", None)
-        for entry in manifest["tables"]:
-            entry.pop("wal_generation", None)
-        (root / "database.json").write_text(json.dumps(manifest))
-
-        loaded = VisualDatabase.load(root)
-        assert table_state(loaded) == expected
-        assert loaded.retention_for("cam").max_rows == 8
-
-    def test_v2_manifest_still_loads(self, tmp_path):
-        database = connect({"cam": timed_corpus([0.0, 1.0, 2.0])})
-        expected = table_state(database)
-        root = database.save(tmp_path / "vdb")
-        manifest = self._manifest(root)
-        # A v2 writer predates retention and id offsets entirely.
-        manifest["format_version"] = 2
-        manifest.pop("wal", None)
-        for entry in manifest["tables"]:
-            for key in ("wal_generation", "retention", "id_offset"):
-                entry.pop(key, None)
-        (root / "database.json").write_text(json.dumps(manifest))
-
-        loaded = VisualDatabase.load(root)
-        assert table_state(loaded) == expected
-        assert loaded.retention_for("cam") is None
-
     def test_unknown_format_rejected(self, tmp_path):
+        # One format is read: the one written.  Older layouts (1: single
+        # corpus, 2: multi-table, 3: retention, no WAL) and newer ones are
+        # refused alike, and the message says which version was found.
         database = connect({"cam": timed_corpus([0.0])})
         root = database.save(tmp_path / "vdb")
         manifest = self._manifest(root)
-        manifest["format_version"] = 99
-        (root / "database.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="unsupported database format"):
-            VisualDatabase.load(root)
+        for version in (1, 2, 3, 99):
+            manifest["format_version"] = version
+            (root / "database.json").write_text(json.dumps(manifest))
+            with pytest.raises(
+                    ValueError,
+                    match=rf"unsupported database format {version}\b"):
+                VisualDatabase.load(root)
+
+    def test_written_manifest_is_the_v4_contract(self, tmp_path):
+        # The loader reads exactly what the writer writes, so the writer's
+        # key sets are the on-disk contract: a writer change shows up here
+        # as a diff, and directories written by earlier commits keep loading
+        # for as long as these lists do not move.
+        database = connect({"cam": timed_corpus([0.0, 1.0, 2.0])},
+                           retention={"cam": RetentionPolicy(max_rows=8)})
+        database.ingest(*_batch([3.0]), table="cam")
+        root = database.save(tmp_path / "vdb")
+        manifest = self._manifest(root)
+        assert manifest["format_version"] == 4
+        assert sorted(manifest) == [
+            "calibrate_target_fps", "cost_resolution", "default_constraints",
+            "device", "device_calibrated", "format_version", "predicates",
+            "scenario", "source_resolution", "store", "tables", "wal"]
+        table_keys = ["corpus_file", "id_offset", "materialized", "name",
+                      "registered_specs", "retention", "store_arrays",
+                      "table_dir"]
+        [entry] = manifest["tables"]
+        assert sorted(entry) == table_keys
+        assert manifest["wal"] == {"enabled": False}
+        assert manifest["store"] == {"byte_budget": None}
+
+        loaded = VisualDatabase.load(root)
+        assert table_state(loaded) == table_state(database)
+        assert loaded.retention_for("cam") == RetentionPolicy(max_rows=8)
+
+        # A checkpoint adds the table's replay floor and nothing else.
+        loaded.enable_wal(tmp_path / "ckpt")
+        checkpoint = self._manifest(tmp_path / "ckpt")
+        assert sorted(checkpoint) == sorted(manifest)
+        assert checkpoint["wal"] == {"enabled": True}
+        [entry] = checkpoint["tables"]
+        assert sorted(entry) == sorted(table_keys + ["wal_generation"])
+        loaded.close()
+        with VisualDatabase.load(tmp_path / "ckpt") as recovered:
+            assert table_state(recovered) == table_state(database)
