@@ -12,11 +12,12 @@ acquisition order (flagging lock-order inversions) and writes to
 runtime-checked guarded attributes assert the guarding lock is held.  An
 autouse fixture fails any test whose execution produced a violation.
 
-``--shape-check`` is the same idea for array contracts: every function in the
-:mod:`repro.analysis.shapes_spec` manifest is wrapped so its runtime argument
-and return shapes/dtypes are checked against the declared ``# shape:`` /
-``# dtype:`` contracts, and an autouse fixture fails any test whose execution
-violated one.
+``--shape-check`` is the same idea for array contracts: every function that
+carries a ``# shape:`` / ``# dtype:`` comment (discovered from the source by
+:mod:`repro.analysis.shapes_spec`) is wrapped so its runtime argument and
+return shapes/dtypes are checked against that contract, and an autouse fixture
+fails any test whose execution violated one.  The terminal summary reports how
+many of the contracts the run called and names any it never did.
 """
 
 import sys
@@ -86,3 +87,21 @@ def _shape_violations(request):
     if violations:
         pytest.fail("shape contract violations:\n" +
                     "\n".join(str(v) for v in violations))
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """Under ``--shape-check``, report which contracts the run exercised."""
+    if not config.getoption("--shape-check"):
+        return
+    from repro.analysis import shape_runtime
+    from repro.analysis.shapes_spec import discover
+    called = shape_runtime.call_counts()
+    specs = discover()
+    never = [spec for spec in specs
+             if (spec.path, spec.qualname) not in called]
+    terminalreporter.write_line(
+        f"shape-check: {len(specs) - len(never)}/{len(specs)} contracts "
+        f"called")
+    for spec in never:
+        terminalreporter.write_line(
+            f"shape-check: never called: {spec.path}: {spec.qualname}")

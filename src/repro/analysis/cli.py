@@ -17,7 +17,7 @@ from repro.analysis.durability import check_durability
 from repro.analysis.guards import CONFINED, DURABILITY_MODULES, REGISTRY
 from repro.analysis.lockcheck import check_lock_discipline
 from repro.analysis.shapes import check_shapes
-from repro.analysis.shapes_spec import SHAPES
+from repro.analysis.shapes_spec import discover
 
 __all__ = ["main"]
 
@@ -38,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        _print_coverage()
+        _print_coverage(args.root)
         return 0
 
     findings = (check_lock_discipline(args.root) + check_durability(args.root)
@@ -52,11 +52,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"analysis: clean ({len(REGISTRY)} guarded classes, "
           f"{len(CONFINED)} confined, "
           f"{len(DURABILITY_MODULES)} durability modules, "
-          f"{len(SHAPES)} shape contracts)")
+          f"{len(discover(args.root))} shape contracts discovered from "
+          f"source)")
     return 0
 
 
-def _print_coverage() -> None:
+def _print_coverage(root: Path | None) -> None:
     print(f"lock discipline: ({len(REGISTRY)} guarded classes)")
     for spec in REGISTRY:
         lock = (f"self.{spec.lock}" if spec.state is None
@@ -70,12 +71,8 @@ def _print_coverage() -> None:
     print(f"durability: ({len(DURABILITY_MODULES)} modules)")
     for rel in DURABILITY_MODULES:
         print(f"  {rel}")
-    print(f"shapes: ({len(SHAPES)} contracts)")
-    for spec in SHAPES:
-        extras = []
-        if spec.dtype != "any":
-            extras.append(spec.dtype)
-        if spec.hot:
-            extras.append("hot")
-        suffix = f" [{', '.join(extras)}]" if extras else ""
+    shapes = discover(root)
+    print(f"shapes: ({len(shapes)} contracts)")
+    for spec in shapes:
+        suffix = f" [{spec.dtype}]" if spec.dtype != "any" else ""
         print(f"  {spec.path}: {spec.qualname} '{spec.shape}'{suffix}")

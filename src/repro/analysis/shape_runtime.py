@@ -1,34 +1,40 @@
 """Dynamic shape/dtype contract checking behind ``pytest --shape-check``.
 
-:func:`enable` wraps every function in the :data:`~repro.analysis.
-shapes_spec.SHAPES` manifest so each real call verifies the concrete
-ndarray shapes and dtypes against the declared contract — symbols bind on
-first use and must unify across the inputs *and* output of one call, so a
-layer that silently drops the batch dimension fails the suite even when
-every individual assertion about ranks would pass.
+:func:`enable` wraps every function that carries a ``# shape:`` contract
+(:func:`repro.analysis.shapes_spec.discover`) so each real call verifies the
+concrete ndarray shapes and dtypes against the declared contract — symbols
+bind on first use and must unify across the inputs *and* output of one call,
+so a layer that silently drops the batch dimension fails the suite even when
+every individual assertion about ranks would pass.  This is the only check
+of the contract itself; :mod:`repro.analysis.shapes` lints the same functions
+for syntactic hazards.
 
 Checks never change behavior: the wrapped function runs first, exceptions
 propagate untouched, and non-ndarray arguments are skipped.  Violations are
 collected (thread-safely) rather than raised, and the pytest plugin in the
 root ``conftest.py`` drains them after every test via
-:func:`take_violations`, mirroring the ``--sanitize`` concurrency gate.
+:func:`take_violations`, mirroring the ``--sanitize`` concurrency gate.  The
+same plugin reports :func:`call_counts` at the end of the run, so a contract
+no test exercises is visible.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from functools import wraps
 
 import numpy as np
 
-from repro.analysis.shapes_spec import (SHAPES, ShapeSpec, parse_contract,
+from repro.analysis.shapes_spec import (ShapeSpec, discover, parse_contract,
                                         parse_dtypes)
 
 __all__ = ["enable", "disable", "is_enabled", "take_violations",
-           "ShapeViolation"]
+           "call_counts", "ShapeViolation"]
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,8 @@ class ShapeViolation:
 
 _lock = threading.Lock()
 _violations: list[ShapeViolation] = []
-_originals: list[tuple[object, str, object]] = []
+_calls: Counter[tuple[str, str]] = Counter()
+_restores: list = []
 _enabled = False
 
 
@@ -56,41 +63,65 @@ def take_violations() -> list[ShapeViolation]:
     return drained
 
 
+def call_counts() -> dict[tuple[str, str], int]:
+    """``{(path, qualname): checked calls}`` since import (counts survive
+    :func:`disable`/:func:`enable` cycles); a contract never called is
+    absent."""
+    with _lock:
+        return dict(_calls)
+
+
 def is_enabled() -> bool:
-    """Whether the runtime checker is currently wrapping the manifest."""
+    """Whether the runtime checker is currently wrapping the contracts."""
     return _enabled
 
 
 def enable(specs: tuple[ShapeSpec, ...] | None = None) -> int:
-    """Wrap every resolvable spec target; returns how many were wrapped.
+    """Wrap every resolvable contract target (the discovered contracts when
+    ``specs`` is omitted); returns how many were wrapped.
 
-    Idempotent.  Class methods are authoritative (every call goes through
-    the class attribute); wrapping module-level functions is best-effort —
-    call sites that did ``from module import fn`` at import time keep the
-    original reference.
+    Idempotent.  A method is rebound on its class; a module-level function
+    is rebound in every loaded ``repro`` module that holds it by name, so
+    ``from module import fn`` callers reach the wrapper too.
     """
     global _enabled
     if _enabled:
         return 0
     wrapped = 0
-    for spec in (SHAPES if specs is None else specs):
+    for spec in (discover() if specs is None else specs):
         owner, attr, fn = _resolve(spec)
         if fn is None:
             continue
-        setattr(owner, attr, _wrap(spec, fn))
-        _originals.append((owner, attr, fn))
+        checked = _wrap(spec, fn)
+        if inspect.ismodule(owner):
+            _rebind_globals(fn, checked)
+            _restores.append((_rebind_globals, checked, fn))
+        else:
+            setattr(owner, attr, checked)
+            _restores.append((setattr, owner, attr, fn))
         wrapped += 1
     _enabled = True
     return wrapped
 
 
 def disable() -> None:
-    """Restore every wrapped function."""
+    """Restore every wrapped function, including by-name bindings made by
+    modules first imported while the checker was enabled."""
     global _enabled
-    for owner, attr, fn in reversed(_originals):
-        setattr(owner, attr, fn)
-    _originals.clear()
+    for restore, *args in reversed(_restores):
+        restore(*args)
+    _restores.clear()
     _enabled = False
+
+
+def _rebind_globals(old, new) -> None:
+    """Point every ``repro`` module global that ``is old`` at ``new``."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "repro":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is old:
+                setattr(module, attr, new)
 
 
 def _module_name(path: str) -> str:
@@ -121,41 +152,25 @@ def _record(spec: ShapeSpec, message: str) -> None:
 def _wrap(spec: ShapeSpec, fn):
     contract = parse_contract(spec.shape)
     dtypes = parse_dtypes(spec.dtype)
-    try:
-        signature = inspect.signature(fn)
-    except (TypeError, ValueError):
-        signature = None
-    if spec.args:
-        checked_args = list(spec.args)
-    elif signature is not None:
-        names = [name for name, param in signature.parameters.items()
-                 if name not in ("self", "cls")
-                 and param.kind in (param.POSITIONAL_ONLY,
-                                    param.POSITIONAL_OR_KEYWORD)]
-        checked_args = names[:len(contract.inputs)]
-    else:
-        checked_args = []
+    signature = inspect.signature(fn)
+    positional = {name for name, param in signature.parameters.items()
+                  if param.kind in (param.POSITIONAL_ONLY,
+                                    param.POSITIONAL_OR_KEYWORD)}
 
     @wraps(fn)
     def checked(*args, **kwargs):
         out = fn(*args, **kwargs)
+        with _lock:
+            _calls[spec.path, spec.qualname] += 1
         bindings: dict[str, int] = {}
-        bound = None
-        if signature is not None:
-            try:
-                bound = signature.bind(*args, **kwargs)
-            except TypeError:
-                bound = None
-        if bound is not None:
-            for name, dims in zip(checked_args, contract.inputs):
-                value = bound.arguments.get(name)
-                if not isinstance(value, np.ndarray):
-                    continue
-                problem = _match(dims, value.shape, bindings)
-                if problem is not None:
-                    _record(spec, f"argument '{name}' with shape "
-                                  f"{value.shape} violates "
-                                  f"'{spec.shape}': {problem}")
+        bound = signature.bind(*args, **kwargs).arguments  # signature order
+        arrays = [(name, value) for name, value in bound.items()
+                  if name in positional and isinstance(value, np.ndarray)]
+        for (name, value), dims in zip(arrays, contract.inputs):
+            problem = _match(dims, value.shape, bindings)
+            if problem is not None:
+                _record(spec, f"argument '{name}' with shape {value.shape} "
+                              f"violates '{spec.shape}': {problem}")
         _check_output(spec, contract, dtypes, out, bindings)
         return out
 
@@ -163,13 +178,7 @@ def _wrap(spec: ShapeSpec, fn):
 
 
 def _check_output(spec: ShapeSpec, contract, dtypes, out, bindings) -> None:
-    value = out
-    if spec.tuple_index is not None:
-        if not isinstance(out, tuple) or len(out) <= spec.tuple_index:
-            _record(spec, f"expected a tuple with element "
-                          f"{spec.tuple_index}, got {type(out).__name__}")
-            return
-        value = out[spec.tuple_index]
+    value = out[0] if isinstance(out, tuple) and out else out
     if contract.output == ():
         if isinstance(value, np.ndarray) and value.ndim > 0:
             _record(spec, f"returned shape {value.shape} where the contract "

@@ -1,205 +1,65 @@
-"""Static shape/dtype abstract interpreter over the numpy stack.
+"""Static lints over the functions that carry a ``# shape:`` contract.
 
-For every :class:`~repro.analysis.shapes_spec.ShapeSpec` the checker parses
-the owning module and abstractly interprets the function body: parameters are
-seeded with the symbolic shapes of the declared contract, and the interpreter
-propagates shapes and dtypes through ``reshape``/``transpose``/``squeeze``/
-``concatenate``/``matmul``/broadcasting/indexing, unpacked ``.shape`` tuples,
-and calls into other contract-covered functions.  It reports:
+The contract itself — ranks, unified symbols, dtypes — is checked on concrete
+arrays by :mod:`repro.analysis.shape_runtime` (``pytest --shape-check``).
+This pass covers what a run cannot see or would see too late: it discovers
+the annotated functions (:func:`repro.analysis.shapes_spec.scan_module`) and
+walks each body's AST for
 
-* **batch-dim-loss** — a bare no-argument ``.squeeze()`` in a contract-
-  covered function: on a batch of one it silently collapses the batch
-  dimension (the exact bug class ``Sequential.predict_proba`` used to have);
+* **batch-dim-loss** — a bare no-argument ``.squeeze()``: on a batch of one
+  it silently collapses the batch dimension (the exact bug class
+  ``Sequential.predict_proba`` used to have);
 * **dtype-widening** — an explicit float64 creation (``astype(np.float64)``,
   ``dtype=np.float64``, ``np.float64(...)``) in a function whose declared
   dtype boundary is a narrower float;
-* **contract-mismatch** — a return whose abstract shape or dtype provably
-  contradicts the declared output (wrong rank, a scalar where the contract
-  declares dimensions, unequal concrete extents, a dtype outside the
-  declared set);
 * **silent-copy-in-loop** — ``np.concatenate``/``np.append``/``np.vstack``/
-  ``np.hstack`` or list-literal fancy indexing inside a loop of a ``hot``
-  function: per-row copies are exactly what batch vectorization removes;
-* **contract-drift** / **missing-contract** — the ``# shape:``/``# dtype:``
-  comments in the source and the manifest in ``shapes_spec.py`` disagree.
+  ``np.hstack`` or list-literal fancy indexing inside a loop: per-row copies
+  are exactly what batch vectorization removes;
+* **bad-contract** — an annotation that cannot be a contract: unparsable
+  text, outside any function, a second ``# shape:`` in one function, or a
+  ``# dtype:`` without a ``# shape:``.
 
-The analysis is deliberately conservative: an unknown shape or dtype produces
-*no* finding, so the real tree checks clean while the self-tests prove the
-violation classes are caught on injected mutations.  A ``# shape ok:
-<reason>`` comment suppresses findings on its line.
+A ``# shape ok: <reason>`` comment suppresses findings on its line.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.lockcheck import Finding
-from repro.analysis.shapes_spec import (SHAPES, Contract, ShapeSpec,
-                                        contracts_equal, format_dims,
-                                        parse_contract, parse_dtypes,
-                                        parse_shape_annotations,
+from repro.analysis.shapes_spec import (ShapeSpec, iter_sources,
+                                        parse_dtypes, scan_module,
                                         shape_suppressed_lines)
 
 __all__ = ["check_shapes"]
 
-#: Unknown-dimension marker ("?" is not a valid contract symbol, so it can
-#: never collide with a binding name).
-_DIM = "?"
-
-#: Sentinel for values the interpreter knows nothing about.
-_UNKNOWN = object()
-
 _FLOAT_DTYPES = frozenset({"float16", "float32", "float64"})
 
 #: numpy calls that materialize a copy of their operands; inside a per-row
-#: loop of a hot function they turn O(n) work into O(n^2).
+#: loop they turn O(n) work into O(n^2).
 _COPY_CALLS = frozenset({"concatenate", "append", "vstack", "hstack"})
 
-_REDUCTIONS = frozenset({"mean", "sum", "max", "min", "prod", "std", "var",
-                         "all", "any", "argmax", "argmin"})
-
-_ELEMENTWISE_NP = frozenset({"exp", "log", "sqrt", "abs", "round", "clip",
-                             "tanh", "negative", "log1p", "expm1", "floor",
-                             "ceil", "sign", "isnan", "logical_not"})
-
-_DTYPE_NAMES = {
-    "float16": "float16", "float32": "float32", "float64": "float64",
-    "float": "float64", "double": "float64", "single": "float32",
-    "int8": "int8", "int16": "int16", "int32": "int32", "int64": "int64",
-    "int": "int64", "intp": "int64", "uint8": "uint8",
-    "bool": "bool", "bool_": "bool",
-}
+#: Spellings of float64 in a dtype expression (``np.float64``, ``"double"``,
+#: the builtin ``float``).
+_FLOAT64_NAMES = frozenset({"float64", "float", "double"})
 
 
-@dataclass(frozen=True)
-class _Arr:
-    """Abstract array: a dim tuple (or None for unknown rank) and a dtype."""
-
-    shape: tuple | None
-    dtype: str | None = None
-
-
-@dataclass(frozen=True)
-class _ShapeTuple:
-    """The value of ``x.shape`` for an abstract array of known dims."""
-
-    dims: tuple
-
-
-@dataclass(frozen=True)
-class _Tuple:
-    """A python tuple whose elements are abstract values."""
-
-    items: tuple
-
-
-def check_shapes(root: Path | None = None,
-                 specs: tuple[ShapeSpec, ...] | None = None) -> list[Finding]:
-    """Run every registered :class:`ShapeSpec` over the tree at ``root``
-    (the installed ``repro`` package when omitted); returns findings sorted
-    by location.  ``specs`` overrides the manifest (used by the self-tests
-    to prove dtype-boundary rules the all-float64 tree cannot exercise)."""
-    specs = SHAPES if specs is None else tuple(specs)
+def check_shapes(root: Path | None = None) -> list[Finding]:
+    """Lint every contract-covered function under ``root`` (the installed
+    ``repro`` package when omitted); returns findings sorted by location."""
     findings: list[Finding] = []
-    by_path: dict[str, list[ShapeSpec]] = {}
-    for spec in specs:
-        by_path.setdefault(spec.path, []).append(spec)
-    for path, path_specs in sorted(by_path.items()):
-        source = path_specs[0].file(root).read_text(encoding="utf-8")
-        tree = ast.parse(source)
+    for path, source in iter_sources(root):
+        contracts, problems = scan_module(path, source)
+        raw = [Finding(path, line, "bad-contract", reason)
+               for line, reason in problems]
+        for spec, node in contracts:
+            raw.extend(_scan_squeeze(spec, node))
+            raw.extend(_scan_widening(spec, node))
+            raw.extend(_scan_copies_in_loops(spec, node))
         suppressed = shape_suppressed_lines(source)
-        raw: list[Finding] = []
-        raw.extend(_check_annotations(path, source, tree, path_specs))
-        functions = _index_functions(tree)
-        for spec in path_specs:
-            node = functions.get(spec.qualname)
-            if node is None:
-                continue  # already a missing-contract finding
-            raw.extend(_check_function(spec, node))
         findings.extend(f for f in raw if f.line not in suppressed)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return findings
-
-
-def _index_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
-    functions: dict[str, ast.FunctionDef] = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            functions[node.name] = node
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    functions[f"{node.name}.{item.name}"] = item
-    return functions
-
-
-# -- annotation cross-check --------------------------------------------------
-
-def _check_annotations(path: str, source: str, tree: ast.Module,
-                       specs: list[ShapeSpec]) -> list[Finding]:
-    findings: list[Finding] = []
-    annotations = parse_shape_annotations(source, tree)
-    functions = _index_functions(tree)
-    by_qualname = {spec.qualname: spec for spec in specs}
-
-    for spec in specs:
-        node = functions.get(spec.qualname)
-        if node is None:
-            findings.append(Finding(
-                path, 1, "missing-contract",
-                f"{spec.qualname} is in the shapes_spec.py manifest but was "
-                f"not found in {path}"))
-            continue
-        annotation = annotations.get(spec.qualname)
-        if annotation is None or annotation.shape is None:
-            findings.append(Finding(
-                path, node.lineno, "missing-contract",
-                f"{spec.qualname} is in the shapes_spec.py manifest but "
-                f"carries no '# shape:' annotation"))
-        elif not contracts_equal(annotation.shape, spec.shape):
-            findings.append(Finding(
-                path, annotation.shape_line, "contract-drift",
-                f"{spec.qualname} annotates '# shape: {annotation.shape}' "
-                f"but the manifest declares {spec.shape!r}"))
-        if annotation is None or annotation.dtype is None:
-            if spec.dtype != "any":
-                findings.append(Finding(
-                    path, node.lineno, "missing-contract",
-                    f"{spec.qualname} declares dtype {spec.dtype!r} in the "
-                    f"manifest but carries no '# dtype:' annotation"))
-        elif annotation.dtype != spec.dtype:
-            findings.append(Finding(
-                path, annotation.dtype_line, "contract-drift",
-                f"{spec.qualname} annotates '# dtype: {annotation.dtype}' "
-                f"but the manifest declares {spec.dtype!r}"))
-
-    for qualname, annotation in sorted(annotations.items()):
-        if qualname not in by_qualname:
-            line = annotation.shape_line or annotation.dtype_line
-            findings.append(Finding(
-                path, line, "contract-drift",
-                f"{qualname} carries a shape/dtype annotation but is "
-                f"missing from the shapes_spec.py manifest"))
-    return findings
-
-
-# -- per-function checks -----------------------------------------------------
-
-def _check_function(spec: ShapeSpec, node: ast.FunctionDef) -> list[Finding]:
-    try:
-        contract = parse_contract(spec.shape)
-        dtypes = parse_dtypes(spec.dtype)
-    except ValueError as exc:
-        return [Finding(spec.path, node.lineno, "contract-drift", str(exc))]
-    findings: list[Finding] = []
-    findings.extend(_scan_squeeze(spec, node))
-    findings.extend(_scan_widening(spec, dtypes, node))
-    if spec.hot:
-        findings.extend(_scan_copies_in_loops(spec, node))
-    interp = _Interpreter(spec, contract, dtypes, node)
-    findings.extend(interp.run())
     return findings
 
 
@@ -216,26 +76,25 @@ def _scan_squeeze(spec: ShapeSpec, node: ast.FunctionDef) -> list[Finding]:
     return findings
 
 
-def _scan_widening(spec: ShapeSpec, dtypes: frozenset[str],
-                   node: ast.FunctionDef) -> list[Finding]:
+def _scan_widening(spec: ShapeSpec, node: ast.FunctionDef) -> list[Finding]:
     # Only a declared narrow-float boundary makes float64 creation a finding.
+    dtypes = parse_dtypes(spec.dtype)
     if "any" in dtypes or "float64" in dtypes or not (dtypes & _FLOAT_DTYPES):
         return []
     findings = []
     for sub in ast.walk(node):
         if not isinstance(sub, ast.Call):
             continue
-        created = None
         if (isinstance(sub.func, ast.Attribute) and sub.func.attr == "astype"
                 and sub.args):
-            created = _dtype_from_node(sub.args[0])
+            widens = _names_float64(sub.args[0])
         elif _is_np_attr(sub.func, {"float64"}):
-            created = "float64"
+            widens = True
         else:
-            for keyword in sub.keywords:
-                if keyword.arg == "dtype":
-                    created = _dtype_from_node(keyword.value)
-        if created == "float64":
+            widens = any(keyword.arg == "dtype"
+                         and _names_float64(keyword.value)
+                         for keyword in sub.keywords)
+        if widens:
             findings.append(Finding(
                 spec.path, sub.lineno, "dtype-widening",
                 f"{spec.qualname}: explicit float64 creation crosses the "
@@ -256,15 +115,15 @@ def _scan_copies_in_loops(spec: ShapeSpec,
                     and _is_np_attr(sub.func, _COPY_CALLS)):
                 findings.append(Finding(
                     spec.path, sub.lineno, "silent-copy-in-loop",
-                    f"{spec.qualname}: np.{sub.func.attr} inside a loop of "
-                    f"a hot function copies the array every iteration"))
+                    f"{spec.qualname}: np.{sub.func.attr} inside a loop "
+                    f"copies the array every iteration"))
             elif (isinstance(sub, ast.Subscript)
                     and isinstance(sub.ctx, ast.Load)
                     and isinstance(sub.slice, ast.List)):
                 findings.append(Finding(
                     spec.path, sub.lineno, "silent-copy-in-loop",
                     f"{spec.qualname}: list-literal fancy indexing inside a "
-                    f"loop of a hot function copies the selected rows"))
+                    f"loop copies the selected rows"))
     return findings
 
 
@@ -274,875 +133,9 @@ def _is_np_attr(func: ast.expr, names: frozenset[str] | set[str]) -> bool:
             and func.value.id in ("np", "numpy"))
 
 
-def _dtype_from_node(node: ast.expr) -> str | None:
+def _names_float64(node: ast.expr) -> bool:
     if isinstance(node, ast.Attribute):
-        return _DTYPE_NAMES.get(node.attr)
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return _DTYPE_NAMES.get(node.value)
-    if isinstance(node, ast.Name):
-        return _DTYPE_NAMES.get(node.id) if node.id != "bool" else "bool"
-    return None
-
-
-# -- the abstract interpreter ------------------------------------------------
-
-class _Interpreter:
-    """Method-local abstract interpretation of one contract-covered function.
-
-    Unknown values stay unknown (``_UNKNOWN``); the only findings this class
-    emits are contract mismatches on ``return`` statements whose abstract
-    value provably contradicts the declared output.
-    """
-
-    def __init__(self, spec: ShapeSpec, contract: Contract,
-                 dtypes: frozenset[str], node: ast.FunctionDef) -> None:
-        self.spec = spec
-        self.contract = contract
-        self.dtypes = dtypes
-        self.node = node
-        self.cls = spec.qualname.split(".")[0] if "." in spec.qualname else None
-        self.findings: list[Finding] = []
-
-    # -- entry ----------------------------------------------------------
-    def run(self) -> list[Finding]:
-        env: dict[str, object] = {}
-        for name, dims in zip(self._input_params(), self.contract.inputs):
-            env[name] = _Arr(dims, self._seed_dtype())
-        self._exec_block(self.node.body, env)
-        return self.findings
-
-    def _input_params(self) -> list[str]:
-        if self.spec.args:
-            return list(self.spec.args)
-        names = [arg.arg for arg in self.node.args.args
-                 if arg.arg not in ("self", "cls")]
-        return names[:len(self.contract.inputs)]
-
-    def _seed_dtype(self) -> str | None:
-        concrete = self.dtypes - {"any"}
-        return next(iter(concrete)) if len(concrete) == 1 else None
-
-    # -- statements -----------------------------------------------------
-    def _exec_block(self, stmts: list[ast.stmt], env: dict) -> None:
-        for stmt in stmts:
-            self._exec_stmt(stmt, env)
-
-    def _exec_stmt(self, stmt: ast.stmt, env: dict) -> None:
-        if isinstance(stmt, ast.Assign):
-            value = self._eval(stmt.value, env)
-            for target in stmt.targets:
-                self._bind(target, value, env)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._bind(stmt.target, self._eval(stmt.value, env), env)
-        elif isinstance(stmt, ast.AugAssign):
-            value = self._binop(self._eval(stmt.target, env),
-                                self._eval(stmt.value, env), stmt.op)
-            if isinstance(stmt.target, ast.Name):
-                env[stmt.target.id] = value
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                value = self._eval(stmt.value, env)
-                self._check_return(value, stmt.lineno)
-        elif isinstance(stmt, ast.If):
-            then_env = dict(env)
-            self._exec_block(stmt.body, then_env)
-            else_env = dict(env)
-            self._exec_block(stmt.orelse, else_env)
-            self._merge(env, then_env, else_env)
-        elif isinstance(stmt, (ast.For, ast.While)):
-            for name in _assigned_names(stmt):
-                env[name] = _UNKNOWN
-            self._exec_block(stmt.body, env)
-            self._exec_block(stmt.orelse, env)
-        elif isinstance(stmt, ast.With):
-            self._exec_block(stmt.body, env)
-        elif isinstance(stmt, ast.Try):
-            self._exec_block(stmt.body, env)
-            for handler in stmt.handlers:
-                handler_env = dict(env)
-                self._exec_block(handler.body, handler_env)
-                self._merge(env, env, handler_env)
-            self._exec_block(stmt.finalbody, env)
-        elif isinstance(stmt, ast.Expr):
-            self._eval(stmt.value, env)
-        # raise/pass/assert/nested defs: nothing to track.
-
-    def _bind(self, target: ast.expr, value: object, env: dict) -> None:
-        if isinstance(target, ast.Name):
-            env[target.id] = value
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            items: tuple | None = None
-            if isinstance(value, _Tuple):
-                items = value.items
-            elif isinstance(value, _ShapeTuple):
-                items = tuple(_DimVal(dim) for dim in value.dims)
-                if any(dim is Ellipsis for dim in value.dims):
-                    items = None  # unknown rank: lengths cannot line up
-            if (items is not None and len(items) == len(target.elts)
-                    and not any(isinstance(t, ast.Starred)
-                                for t in target.elts)):
-                for element, item in zip(target.elts, items):
-                    self._bind(element, item, env)
-            else:
-                for element in target.elts:
-                    inner = (element.value if isinstance(element, ast.Starred)
-                             else element)
-                    self._bind(inner, _UNKNOWN, env)
-        # attribute/subscript stores mutate in place: bindings survive.
-
-    def _merge(self, env: dict, left: dict, right: dict) -> None:
-        for key in set(left) | set(right):
-            a, b = left.get(key, _UNKNOWN), right.get(key, _UNKNOWN)
-            env[key] = a if a == b else _UNKNOWN
-
-    # -- expressions ----------------------------------------------------
-    def _eval(self, node: ast.expr, env: dict) -> object:
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.Name):
-            return env.get(node.id, _UNKNOWN)
-        if isinstance(node, ast.Tuple):
-            return _Tuple(tuple(self._eval(e, env) for e in node.elts))
-        if isinstance(node, ast.Attribute):
-            return self._eval_attribute(node, env)
-        if isinstance(node, ast.Call):
-            return self._eval_call(node, env)
-        if isinstance(node, ast.BinOp):
-            return self._binop(self._eval(node.left, env),
-                               self._eval(node.right, env), node.op)
-        if isinstance(node, ast.UnaryOp):
-            operand = self._eval(node.operand, env)
-            if isinstance(node.op, ast.USub) and isinstance(operand,
-                                                            (int, float)):
-                return -operand
-            if isinstance(operand, _Arr):
-                if isinstance(node.op, ast.Invert):
-                    return operand
-                if isinstance(node.op, (ast.USub, ast.UAdd)):
-                    return operand
-                if isinstance(node.op, ast.Not):
-                    return _UNKNOWN
-            return _UNKNOWN
-        if isinstance(node, ast.Compare):
-            values = [self._eval(node.left, env)]
-            values.extend(self._eval(c, env) for c in node.comparators)
-            shape = None
-            for value in values:
-                if isinstance(value, _Arr):
-                    shape = (value.shape if shape is None
-                             else _broadcast_shapes(shape, value.shape))
-            if shape is not None:
-                return _Arr(shape, "bool")
-            return _UNKNOWN
-        if isinstance(node, ast.Subscript):
-            return self._eval_subscript(node, env)
-        if isinstance(node, ast.IfExp):
-            then = self._eval(node.body, env)
-            other = self._eval(node.orelse, env)
-            return then if then == other else _UNKNOWN
-        # BoolOp, comprehensions, lambdas, f-strings, ...: unknown.
-        return _UNKNOWN
-
-    def _eval_attribute(self, node: ast.Attribute, env: dict) -> object:
-        value = self._eval(node.value, env)
-        if isinstance(value, _Arr):
-            if node.attr == "shape":
-                return (_ShapeTuple(value.shape) if value.shape is not None
-                        else _UNKNOWN)
-            if node.attr == "T":
-                if value.shape is not None and Ellipsis not in value.shape:
-                    return _Arr(tuple(reversed(value.shape)), value.dtype)
-                return _Arr(None, value.dtype)
-            if node.attr in ("size", "ndim"):
-                return _Arr((), "int64")
-        return _UNKNOWN
-
-    # -- calls ----------------------------------------------------------
-    def _eval_call(self, node: ast.Call, env: dict) -> object:
-        func = node.func
-        args = [self._eval(a, env) for a in node.args]
-        keywords = {k.arg: self._eval(k.value, env)
-                    for k in node.keywords if k.arg is not None}
-        if isinstance(func, ast.Attribute):
-            if isinstance(func.value, ast.Name) and func.value.id in ("np",
-                                                                      "numpy"):
-                return self._numpy_call(func.attr, node, args, keywords, env)
-            if (isinstance(func.value, ast.Name) and func.value.id == "self"
-                    and self.cls is not None):
-                return self._contract_call(f"{self.cls}.{func.attr}", args)
-            receiver = self._eval(func.value, env)
-            return self._method_call(receiver, func.attr, node, args,
-                                     keywords, env)
-        if isinstance(func, ast.Name):
-            if func.id == "float":
-                return _Arr((), "float64")
-            if func.id == "int":
-                return _Arr((), "int64")
-            if func.id == "bool":
-                return _Arr((), "bool")
-            if func.id == "len":
-                return _Arr((), "int64")
-            return self._contract_call(func.id, args)
-        return _UNKNOWN
-
-    def _contract_call(self, qualname: str, args: list) -> object:
-        """Apply another covered function's contract at its call site."""
-        spec = _SPEC_BY_QUALNAME.get(qualname)
-        if spec is None:
-            return _UNKNOWN
-        try:
-            contract = parse_contract(spec.shape)
-            dtypes = parse_dtypes(spec.dtype)
-        except ValueError:
-            return _UNKNOWN
-        bindings: dict[str, object] = {}
-        if not spec.args:  # positional mapping only when it is unambiguous
-            for dims, value in zip(contract.inputs, args):
-                if isinstance(value, _Arr) and value.shape is not None:
-                    _bind_dims(dims, value.shape, bindings)
-        out = tuple(bindings.get(dim, _DIM)
-                    if isinstance(dim, str) and dim != _DIM else dim
-                    for dim in contract.output)
-        concrete = dtypes - {"any"}
-        dtype = next(iter(concrete)) if len(concrete) == 1 else None
-        result = _Arr(out, dtype)
-        if spec.tuple_index is not None:
-            width = max(2, spec.tuple_index + 1)
-            items = [_UNKNOWN] * width
-            items[spec.tuple_index] = result
-            return _Tuple(tuple(items))
-        return result
-
-    def _method_call(self, receiver: object, attr: str, node: ast.Call,
-                     args: list, keywords: dict, env: dict) -> object:
-        if attr == "reshape":
-            # The result shape comes from the arguments even when the
-            # receiver is unknown.
-            dim_args = args
-            if len(args) == 1 and isinstance(args[0], (_Tuple, _ShapeTuple)):
-                dim_args = list(args[0].items if isinstance(args[0], _Tuple)
-                                else [_DimVal(d) for d in args[0].dims])
-            dims = tuple(_as_dim(a) for a in dim_args)
-            dtype = receiver.dtype if isinstance(receiver, _Arr) else None
-            return _Arr(dims, dtype)
-        if not isinstance(receiver, _Arr):
-            return _UNKNOWN
-        if attr == "squeeze":
-            if not args and not keywords:
-                return _Arr(None, receiver.dtype)  # flagged by _scan_squeeze
-            axis = args[0] if args else keywords.get("axis")
-            return _Arr(_drop_axes(receiver.shape, axis, keepdims=False),
-                        receiver.dtype)
-        if attr == "astype":
-            target = (node.args[0] if node.args else None)
-            for keyword in node.keywords:
-                if keyword.arg == "dtype":
-                    target = keyword.value
-            dtype = _dtype_from_node(target) if target is not None else None
-            return _Arr(receiver.shape, dtype)
-        if attr == "transpose":
-            if receiver.shape is None or Ellipsis in receiver.shape:
-                return _Arr(None, receiver.dtype)
-            perm = args
-            if len(args) == 1 and isinstance(args[0], _Tuple):
-                perm = list(args[0].items)
-            if not perm:
-                return _Arr(tuple(reversed(receiver.shape)), receiver.dtype)
-            if (all(isinstance(p, int) for p in perm)
-                    and len(perm) == len(receiver.shape)):
-                return _Arr(tuple(receiver.shape[p] for p in perm),
-                            receiver.dtype)
-            return _Arr(None, receiver.dtype)
-        if attr in ("copy", "ascontiguousarray"):
-            return receiver
-        if attr in ("ravel", "flatten"):
-            return _Arr((_DIM,), receiver.dtype)
-        if attr == "item":
-            return _Arr((), receiver.dtype)
-        if attr in _REDUCTIONS:
-            axis = args[0] if args else keywords.get("axis")
-            keepdims = keywords.get("keepdims") is True
-            axis_node = (node.args[0] if node.args else
-                         next((k.value for k in node.keywords
-                               if k.arg == "axis"), None))
-            if axis_node is None and "axis" not in keywords and not args:
-                shape: tuple | None = ()
-            else:
-                shape = _drop_axes(receiver.shape, axis, keepdims=keepdims)
-            if attr in ("all", "any"):
-                dtype: str | None = "bool"
-            elif attr in ("argmax", "argmin"):
-                dtype = "int64"
-            elif attr in ("mean", "std", "var"):
-                dtype = (receiver.dtype
-                         if receiver.dtype in _FLOAT_DTYPES else None)
-            else:
-                dtype = receiver.dtype
-            return _Arr(shape, dtype)
-        return _UNKNOWN
-
-    def _numpy_call(self, name: str, node: ast.Call, args: list,
-                    keywords: dict, env: dict) -> object:
-        dtype = None
-        for keyword in node.keywords:
-            if keyword.arg == "dtype":
-                dtype = _dtype_from_node(keyword.value)
-        if name in ("asarray", "array", "ascontiguousarray", "copy"):
-            if args and isinstance(args[0], _Arr):
-                return _Arr(args[0].shape, dtype or args[0].dtype)
-            return _Arr(None, dtype)
-        if name in ("zeros", "ones", "empty", "full", "arange"):
-            shape_arg = args[0] if args else None
-            dims = _dims_from_value(shape_arg)
-            default = "int64" if name == "arange" else "float64"
-            return _Arr(dims, dtype or default)
-        if name in ("zeros_like", "ones_like", "empty_like", "full_like"):
-            if args and isinstance(args[0], _Arr):
-                return _Arr(args[0].shape, dtype or args[0].dtype)
-            return _Arr(None, dtype)
-        if name == "where":
-            if len(args) == 3:
-                shape: tuple | None = ()
-                dtype_out: str | None = None
-                for value in args:
-                    if isinstance(value, _Arr):
-                        shape = (_broadcast_shapes(shape, value.shape)
-                                 if shape is not None else None)
-                condition, x, y = args
-                if isinstance(x, _Arr):
-                    dtype_out = _promote_with(x.dtype, y)
-                return _Arr(shape, dtype_out)
-            if (len(args) == 1 and isinstance(args[0], _Arr)
-                    and args[0].shape is not None
-                    and Ellipsis not in args[0].shape):
-                item = _Arr((_DIM,), "int64")
-                return _Tuple((item,) * len(args[0].shape))
-            return _UNKNOWN
-        if name == "concatenate":
-            return self._concatenate(node, args, keywords, env)
-        if name == "broadcast_to":
-            if len(args) < 2:
-                return _UNKNOWN
-            return _Arr(_dims_from_value(args[1]),
-                        args[0].dtype if isinstance(args[0], _Arr) else None)
-        if name == "pad":
-            if args and isinstance(args[0], _Arr) and args[0].shape is not None:
-                if Ellipsis in args[0].shape:
-                    return _Arr(None, args[0].dtype)
-                return _Arr((_DIM,) * len(args[0].shape), args[0].dtype)
-            return _UNKNOWN
-        if name in _ELEMENTWISE_NP:
-            if args and isinstance(args[0], _Arr):
-                out_dtype = args[0].dtype
-                if name in ("exp", "log", "sqrt", "log1p", "expm1", "tanh"):
-                    out_dtype = (args[0].dtype
-                                 if args[0].dtype in _FLOAT_DTYPES else None)
-                if name == "isnan":
-                    out_dtype = "bool"
-                return _Arr(args[0].shape, out_dtype)
-            return _UNKNOWN
-        if name in ("matmul", "dot"):
-            if len(args) == 2:
-                return self._matmul(args[0], args[1])
-            return _UNKNOWN
-        if name == "float64":
-            return _Arr((), "float64")  # flagged by _scan_widening
-        if name in ("float32", "float16"):
-            return _Arr((), name)
-        return _UNKNOWN
-
-    def _concatenate(self, node: ast.Call, args: list, keywords: dict,
-                     env: dict) -> object:
-        if not node.args:
-            return _UNKNOWN
-        seq = node.args[0]
-        if not isinstance(seq, (ast.List, ast.Tuple)):
-            return _UNKNOWN
-        parts = [self._eval(e, env) for e in seq.elts]
-        if not parts or not all(isinstance(p, _Arr) and p.shape is not None
-                                and Ellipsis not in p.shape for p in parts):
-            return _UNKNOWN
-        rank = len(parts[0].shape)
-        if any(len(p.shape) != rank for p in parts):
-            return _UNKNOWN
-        axis = keywords.get("axis", 0)
-        if not isinstance(axis, int) or not -rank <= axis < rank:
-            return _UNKNOWN
-        axis %= rank
-        dims = []
-        for index in range(rank):
-            extents = [p.shape[index] for p in parts]
-            if index == axis:
-                dims.append(sum(extents) if all(isinstance(e, int)
-                                                for e in extents) else _DIM)
-            else:
-                dims.append(extents[0]
-                            if all(e == extents[0] for e in extents) else _DIM)
-        dtypes = {p.dtype for p in parts}
-        return _Arr(tuple(dims), dtypes.pop() if len(dtypes) == 1 else None)
-
-    # -- operators ------------------------------------------------------
-    def _binop(self, left: object, right: object, op: ast.operator) -> object:
-        if isinstance(op, ast.MatMult):
-            return self._matmul(left, right)
-        if isinstance(left, _Arr) or isinstance(right, _Arr):
-            lshape = _operand_shape(left)
-            rshape = _operand_shape(right)
-            shape = _broadcast_shapes(lshape, rshape)
-            dtype = _binop_dtype(left, right, op)
-            return _Arr(shape, dtype)
-        if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-            try:
-                return _fold_arith(left, right, op)
-            except (ZeroDivisionError, TypeError, ValueError):
-                return _UNKNOWN
-        if _is_dimlike(left) and _is_dimlike(right):
-            return _DimVal(_DIM)  # symbolic arithmetic: extent unknown
-        return _UNKNOWN
-
-    def _matmul(self, left: object, right: object) -> object:
-        if not (isinstance(left, _Arr) and isinstance(right, _Arr)):
-            return _UNKNOWN
-        ls, rs = left.shape, right.shape
-        dtype = _promote_dtypes(left.dtype, right.dtype)
-        if ls is None or rs is None or Ellipsis in ls or Ellipsis in rs:
-            if (ls is not None and rs is not None and Ellipsis in ls
-                    and Ellipsis not in rs and len(rs) == 1):
-                return _Arr(ls[:-1], dtype)  # (..., K) @ (K,) -> (...)
-            return _Arr(None, dtype)
-        if len(ls) == 2 and len(rs) == 2:
-            return _Arr((ls[0], rs[1]), dtype)
-        if len(ls) == 2 and len(rs) == 1:
-            return _Arr((ls[0],), dtype)
-        if len(ls) == 1 and len(rs) == 2:
-            return _Arr((rs[1],), dtype)
-        if len(ls) == 1 and len(rs) == 1:
-            return _Arr((), dtype)
-        if len(ls) > 2 and len(rs) == 1:
-            return _Arr(ls[:-1], dtype)
-        return _Arr(None, dtype)
-
-    # -- subscripts ------------------------------------------------------
-    def _eval_subscript(self, node: ast.Subscript, env: dict) -> object:
-        receiver = self._eval(node.value, env)
-        items = (node.slice.elts if isinstance(node.slice, ast.Tuple)
-                 else [node.slice])
-        if isinstance(receiver, _ShapeTuple):
-            if len(items) == 1:
-                index = self._eval(items[0], env)
-                if isinstance(index, int):
-                    return _shape_index(receiver.dims, index)
-            return _UNKNOWN
-        if isinstance(receiver, _Tuple):
-            if len(items) == 1:
-                index = self._eval(items[0], env)
-                if (isinstance(index, int)
-                        and -len(receiver.items) <= index
-                        < len(receiver.items)):
-                    return receiver.items[index]
-            return _UNKNOWN
-        if not isinstance(receiver, _Arr) or receiver.shape is None:
-            return _UNKNOWN
-        return self._array_subscript(receiver, items, env)
-
-    def _array_subscript(self, receiver: _Arr, items: list[ast.expr],
-                         env: dict) -> object:
-        shape = receiver.shape
-        descriptors = []
-        for item in items:
-            if isinstance(item, ast.Slice):
-                full = (item.lower is None and item.upper is None
-                        and item.step is None)
-                descriptors.append(("slice", full))
-            elif isinstance(item, ast.Constant) and item.value is None:
-                descriptors.append(("newaxis", None))
-            elif isinstance(item, ast.Constant) and item.value is Ellipsis:
-                descriptors.append(("ellipsis", None))
-            else:
-                value = self._eval(item, env)
-                if isinstance(value, int) or isinstance(value, _DimVal):
-                    descriptors.append(("int", None))
-                elif isinstance(value, _Arr) and value.shape is not None:
-                    descriptors.append(("array", value))
-                else:
-                    return _UNKNOWN
-        kinds = [d[0] for d in descriptors]
-        if "array" in kinds:
-            if len(descriptors) != 1 or Ellipsis in shape:
-                return _UNKNOWN
-            index = descriptors[0][1]
-            if index.shape is None or Ellipsis in index.shape:
-                return _UNKNOWN
-            if index.dtype == "bool":
-                if len(index.shape) > len(shape):
-                    return _UNKNOWN
-                return _Arr((_DIM,) + shape[len(index.shape):],
-                            receiver.dtype)
-            if len(index.shape) == 1 and len(shape) >= 1:
-                return _Arr((index.shape[0],) + shape[1:], receiver.dtype)
-            return _UNKNOWN
-        if Ellipsis in shape:
-            # Only trailing edits after a literal `...` are tractable.
-            if kinds and kinds[0] == "ellipsis":
-                dims = list(shape)
-                for kind, payload in descriptors[1:]:
-                    if kind == "newaxis":
-                        dims.append(1)
-                    elif kind == "int":
-                        if not dims or dims[-1] is Ellipsis:
-                            return _UNKNOWN
-                        dims.pop()
-                    elif kind == "slice":
-                        if not dims or dims[-1] is Ellipsis:
-                            return _UNKNOWN
-                        if not payload:
-                            dims[-1] = _DIM
-                    else:
-                        return _UNKNOWN
-                return _Arr(tuple(dims), receiver.dtype)
-            return _UNKNOWN
-        split = kinds.index("ellipsis") if "ellipsis" in kinds else None
-        left = descriptors if split is None else descriptors[:split]
-        right = [] if split is None else descriptors[split + 1:]
-        named = sum(1 for kind, _ in left + right if kind != "newaxis")
-        if named > len(shape):
-            return _UNKNOWN
-        out: list = []
-        position = 0
-        for kind, payload in left:
-            if kind == "newaxis":
-                out.append(1)
-            elif kind == "int":
-                position += 1
-            else:
-                out.append(shape[position] if payload else _DIM)
-                position += 1
-        tail: list = []
-        tail_position = len(shape)
-        for kind, payload in reversed(right):
-            if kind == "newaxis":
-                tail.insert(0, 1)
-            elif kind == "int":
-                tail_position -= 1
-            else:
-                tail_position -= 1
-                tail.insert(0, shape[tail_position] if payload else _DIM)
-        middle = list(shape[position:tail_position])
-        if split is None:
-            middle = list(shape[position:len(shape)
-                                - sum(1 for k, _ in right if k != "newaxis")])
-        return _Arr(tuple(out + middle + tail), receiver.dtype)
-
-    # -- the return-contract check --------------------------------------
-    def _check_return(self, value: object, lineno: int) -> None:
-        declared = self.contract.output
-        if self.spec.tuple_index is not None:
-            if not isinstance(value, _Tuple):
-                return
-            if self.spec.tuple_index >= len(value.items):
-                return
-            value = value.items[self.spec.tuple_index]
-        if isinstance(value, (int, float, bool)):
-            value = _Arr((), None)
-        if isinstance(value, _DimVal):
-            value = _Arr((), None)
-        if not isinstance(value, _Arr) or value.shape is None:
-            return
-        shape = value.shape
-        problem = _shape_contradiction(shape, declared)
-        if problem is not None:
-            self._mismatch(lineno, problem)
-        if (value.dtype is not None and "any" not in self.dtypes
-                and value.dtype not in self.dtypes):
-            self._mismatch(
-                lineno, f"returns dtype {value.dtype} outside the declared "
-                        f"{'|'.join(sorted(self.dtypes))}")
-
-    def _mismatch(self, lineno: int, problem: str) -> None:
-        self.findings.append(Finding(
-            self.spec.path, lineno, "contract-mismatch",
-            f"{self.spec.qualname}: {problem} (declared "
-            f"'{self.spec.shape}')"))
-
-
-# -- shared helpers ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class _DimVal:
-    """A single dimension extracted from an abstract shape."""
-
-    dim: object  # int | str (symbol or "?")
-
-
-def _assigned_names(loop: ast.For | ast.While) -> set[str]:
-    """Names rebound anywhere in a loop (the loop variable included).
-
-    Subscript and attribute stores mutate in place and are *not* rebindings,
-    so ``labels[idx] = v`` inside a loop keeps ``labels`` precise.
-    """
-    names: set[str] = set()
-    if isinstance(loop, ast.For):
-        for node in ast.walk(loop.target):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-    for stmt in ast.walk(loop):
-        if isinstance(stmt, ast.Assign):
-            targets: list[ast.expr] = list(stmt.targets)
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            targets = [stmt.target]
-        elif isinstance(stmt, ast.NamedExpr):
-            targets = [stmt.target]
-        else:
-            continue
-        for target in targets:
-            for node in ast.walk(target):
-                if isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                             ast.Store):
-                    names.add(node.id)
-    return names
-
-
-def _as_dim(value: object) -> object:
-    if isinstance(value, int):
-        return _DIM if value == -1 else value
-    if isinstance(value, _DimVal):
-        return value.dim
-    return _DIM
-
-
-def _is_dimlike(value: object) -> bool:
-    return isinstance(value, (int, float, _DimVal))
-
-
-def _dims_from_value(value: object) -> tuple | None:
-    """Shape-argument interpretation for np.zeros/ones/empty/full/arange."""
-    if isinstance(value, int):
-        return (value,)
-    if isinstance(value, _DimVal):
-        return (value.dim,)
-    if isinstance(value, _ShapeTuple):
-        return value.dims
-    if isinstance(value, _Tuple):
-        return tuple(_as_dim(item) if _is_dimlike(item) else _DIM
-                     for item in value.items)
-    if isinstance(value, _Arr) and value.shape == ():
-        return (_DIM,)
-    return None
-
-
-def _shape_index(dims: tuple, index: int) -> object:
-    """``x.shape[i]`` over dims that may contain an Ellipsis."""
-    if Ellipsis not in dims:
-        if -len(dims) <= index < len(dims):
-            return _DimVal(dims[index])
-        return _UNKNOWN
-    marker = dims.index(Ellipsis)
-    if 0 <= index < marker:
-        return _DimVal(dims[index])
-    if index < 0 and -index <= len(dims) - marker - 1:
-        return _DimVal(dims[index])
-    return _UNKNOWN
-
-
-def _drop_axes(shape: tuple | None, axis: object,
-               keepdims: bool) -> tuple | None:
-    if shape is None:
-        return None
-    axes: list[int] = []
-    if isinstance(axis, int):
-        axes = [axis]
-    elif isinstance(axis, _Tuple):
-        if not all(isinstance(i, int) for i in axis.items):
-            return None
-        axes = list(axis.items)
-    else:
-        return None
-    if Ellipsis in shape:
-        # Negative axes addressing the named suffix after the `...` are
-        # still resolvable: (..., K).max(axis=-1, keepdims=True) -> (..., 1).
-        suffix = len(shape) - shape.index(Ellipsis) - 1
-        if all(a < 0 and -a <= suffix for a in axes):
-            dims = list(shape)
-            for a in sorted(axes):
-                if keepdims:
-                    dims[a] = 1
-            if not keepdims:
-                for a in sorted(axes):
-                    del dims[len(dims) + a]
-            return tuple(dims)
-        return None
-    rank = len(shape)
-    normalized = sorted({a % rank for a in axes if -rank <= a < rank})
-    if len(normalized) != len(axes):
-        return None
-    if keepdims:
-        return tuple(1 if i in normalized else dim
-                     for i, dim in enumerate(shape))
-    return tuple(dim for i, dim in enumerate(shape) if i not in normalized)
-
-
-def _operand_shape(value: object) -> tuple | None:
-    if isinstance(value, _Arr):
-        return value.shape
-    if isinstance(value, (int, float, bool, _DimVal)):
-        return ()
-    return None
-
-
-def _broadcast_shapes(a: tuple | None, b: tuple | None) -> tuple | None:
-    if a is None or b is None:
-        return None
-    if a == ():
-        return b
-    if b == ():
-        return a
-    if Ellipsis in a or Ellipsis in b:
-        return a if a == b else None
-    rank = max(len(a), len(b))
-    left = (1,) * (rank - len(a)) + a
-    right = (1,) * (rank - len(b)) + b
-    dims = []
-    for x, y in zip(left, right):
-        if x == y:
-            dims.append(x)
-        elif x == 1:
-            dims.append(y)
-        elif y == 1:
-            dims.append(x)
-        else:
-            dims.append(_DIM)
-    return tuple(dims)
-
-
-def _binop_dtype(left: object, right: object, op: ast.operator) -> str | None:
-    ldt = left.dtype if isinstance(left, _Arr) else None
-    rdt = right.dtype if isinstance(right, _Arr) else None
-    if isinstance(left, _Arr) and not isinstance(right, _Arr):
-        return _promote_with(ldt, right)
-    if isinstance(right, _Arr) and not isinstance(left, _Arr):
-        return _promote_with(rdt, left)
-    if isinstance(op, ast.Div):
-        if ldt in _FLOAT_DTYPES and rdt in _FLOAT_DTYPES:
-            return _promote_dtypes(ldt, rdt)
-        return None
-    return ldt if ldt == rdt else _promote_dtypes(ldt, rdt)
-
-
-def _promote_with(dtype: str | None, scalar: object) -> str | None:
-    """Promotion of an array dtype with a python scalar operand."""
-    if dtype is None:
-        return None
-    if isinstance(scalar, bool):
-        return dtype
-    if isinstance(scalar, int):
-        return dtype if dtype != "bool" else None
-    if isinstance(scalar, float):
-        return dtype if dtype in _FLOAT_DTYPES else None
-    if isinstance(scalar, _Arr):
-        return _promote_dtypes(dtype, scalar.dtype)
-    return None
-
-
-def _promote_dtypes(a: str | None, b: str | None) -> str | None:
-    if a == b:
-        return a
-    if a in _FLOAT_DTYPES and b in _FLOAT_DTYPES:
-        return max(a, b, key=lambda d: int(d[5:]))
-    return None
-
-
-def _fold_arith(left, right, op: ast.operator):
-    if isinstance(op, ast.Add):
-        return left + right
-    if isinstance(op, ast.Sub):
-        return left - right
-    if isinstance(op, ast.Mult):
-        return left * right
-    if isinstance(op, ast.Div):
-        return left / right
-    if isinstance(op, ast.FloorDiv):
-        return left // right
-    if isinstance(op, ast.Mod):
-        return left % right
-    if isinstance(op, ast.Pow):
-        return left ** right
-    return _UNKNOWN
-
-
-def _bind_dims(declared: tuple, actual: tuple, bindings: dict) -> None:
-    """Bind contract symbols against a known actual shape (best effort)."""
-    if Ellipsis in actual:
-        return
-    if Ellipsis in declared:
-        marker = declared.index(Ellipsis)
-        prefix, suffix = declared[:marker], declared[marker + 1:]
-        if len(actual) < len(prefix) + len(suffix):
-            return
-        pairs = list(zip(prefix, actual[:len(prefix)]))
-        if suffix:
-            pairs += list(zip(suffix, actual[-len(suffix):]))
-    else:
-        if len(declared) != len(actual):
-            return
-        pairs = list(zip(declared, actual))
-    for dim, extent in pairs:
-        if isinstance(dim, str) and dim != _DIM and extent != _DIM:
-            bindings.setdefault(dim, extent)
-
-
-def _shape_contradiction(shape: tuple, declared: tuple) -> str | None:
-    """A message when ``shape`` provably cannot satisfy ``declared``.
-
-    Symbol-vs-symbol disagreements are *not* contradictions (two symbols may
-    denote equal extents at runtime); rank violations and unequal concrete
-    integers are.
-    """
-    shape_known = Ellipsis not in shape
-    if Ellipsis in declared:
-        marker = declared.index(Ellipsis)
-        prefix, suffix = declared[:marker], declared[marker + 1:]
-        if shape_known and len(shape) < len(prefix) + len(suffix):
-            return (f"returns rank {len(shape)} where the contract needs at "
-                    f"least {len(prefix) + len(suffix)} dims")
-        pairs = _aligned_pairs(prefix, shape, from_left=True)
-        pairs += _aligned_pairs(suffix, shape, from_left=False)
-    else:
-        if shape_known and len(shape) != len(declared):
-            return (f"returns rank {len(shape)} where the contract declares "
-                    f"{format_dims(declared)}")
-        if not shape_known:
-            named = sum(1 for dim in shape if dim is not Ellipsis)
-            if named > len(declared):
-                return (f"returns at least {named} dims where the contract "
-                        f"declares {format_dims(declared)}")
-        pairs = _aligned_pairs(declared, shape, from_left=True)
-        pairs += _aligned_pairs(declared, shape, from_left=False)
-    for dim, extent in pairs:
-        if (isinstance(dim, int) and isinstance(extent, int)
-                and dim != extent):
-            return (f"returns extent {extent} where the contract declares "
-                    f"{dim}")
-    return None
-
-
-def _aligned_pairs(declared: tuple, shape: tuple,
-                   from_left: bool) -> list[tuple]:
-    """(declared dim, actual dim) pairs comparable from one end."""
-    pairs = []
-    dims = declared if from_left else tuple(reversed(declared))
-    actual = shape if from_left else tuple(reversed(shape))
-    for dim, extent in zip(dims, actual):
-        if dim is Ellipsis or extent is Ellipsis:
-            break
-        pairs.append((dim, extent))
-    return pairs
-
-
-_SPEC_BY_QUALNAME: dict[str, ShapeSpec] = {}
-for _spec in SHAPES:
-    # Methods resolve as Class.method (self-calls); module functions by name.
-    _SPEC_BY_QUALNAME.setdefault(_spec.qualname, _spec)
-    if "." not in _spec.qualname:
-        _SPEC_BY_QUALNAME.setdefault(_spec.qualname.split(".")[-1], _spec)
-del _spec
+        return node.attr in _FLOAT64_NAMES
+    if isinstance(node, ast.Constant):
+        return node.value in _FLOAT64_NAMES
+    return isinstance(node, ast.Name) and node.id in _FLOAT64_NAMES

@@ -1,9 +1,10 @@
 """Single entry point for float coercions in the ``nn/`` stack.
 
 Every ``np.asarray(..., dtype=...)`` in the training/loss path goes through
-:func:`as_float` / :func:`align_targets` so the static shape checker
-(``repro.analysis.shapes``) and its runtime twin can reason about one
-audited helper instead of scattered coercions — and so a batch/target
+:func:`as_float` / :func:`align_targets` so the ``# dtype:`` contracts
+(linted by ``repro.analysis.shapes``, checked on real arrays under
+``pytest --shape-check``) cover one audited helper instead of scattered
+coercions — and so a batch/target
 size mismatch raises a :class:`ValueError` naming both shapes instead of
 numpy's opaque reshape error.
 """

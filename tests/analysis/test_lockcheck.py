@@ -14,7 +14,6 @@ from repro.analysis.cli import main
 from repro.analysis.guards import (CONFINED, DURABILITY_MODULES, REGISTRY,
                                    SOURCE_ROOT)
 from repro.analysis.lockcheck import check_lock_discipline
-from repro.analysis.shapes_spec import SHAPES
 
 # Injection anchors in db/executor.py (the scratch copy is text-edited, so
 # the anchors must match the real source — the asserts in _edit catch drift).
@@ -33,9 +32,6 @@ def scratch(tmp_path):
     needed = {spec.path for spec in REGISTRY}
     needed.update(confined.path for confined in CONFINED)
     needed.update(DURABILITY_MODULES)
-    # The CLI runs every pass over --root, so the scratch tree also needs
-    # the shape-covered modules.
-    needed.update(spec.path for spec in SHAPES)
     for rel in sorted(needed):
         (root / rel).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(SOURCE_ROOT / rel, root / rel)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import shape_runtime
-from repro.analysis.shapes_spec import SHAPES, ShapeSpec
+from repro.analysis.shapes_spec import ShapeSpec
 
 
 @pytest.fixture()
@@ -31,7 +31,7 @@ def runtime():
 
 class TestCleanContracts:
     def test_enable_wraps_every_spec(self, runtime):
-        assert runtime.enable() == len(SHAPES)
+        assert runtime.enable() == 47
 
     def test_enable_is_idempotent(self, runtime):
         runtime.enable()
@@ -56,6 +56,46 @@ class TestCleanContracts:
         assert Flatten.__dict__["forward"] is not original
         runtime.disable()
         assert Flatten.__dict__["forward"] is original
+
+
+class TestByNameBindings:
+    """``from module import fn`` callers must reach the wrapper too."""
+
+    def test_conv_forward_checks_im2col(self, runtime):
+        import repro.nn.im2col
+        import repro.nn.layers
+        original = repro.nn.im2col.im2col
+        runtime.enable()
+        assert repro.nn.layers.im2col is repro.nn.im2col.im2col
+        assert repro.nn.layers.im2col is not original
+        im2col = ("nn/im2col.py", "im2col")
+        before = runtime.call_counts().get(im2col, 0)
+        x = np.random.default_rng(0).normal(size=(3, 8, 8, 3))
+        repro.nn.layers.Conv2D(
+            3, 4, kernel_size=3, rng=np.random.default_rng(0)).forward(x)
+        assert runtime.call_counts()[im2col] == before + 1
+        assert runtime.take_violations() == []
+        runtime.disable()
+        assert repro.nn.layers.im2col is original
+        assert repro.nn.im2col.im2col is original
+
+    def test_disable_restores_modules_imported_while_enabled(self, runtime):
+        import importlib
+        import sys
+
+        import repro.nn.im2col
+        original = repro.nn.im2col.im2col
+        saved = sys.modules.pop("repro.nn.layers")
+        try:
+            runtime.enable()
+            late = importlib.import_module("repro.nn.layers")
+            assert late is not saved
+            assert late.im2col is not original  # captured the wrapper
+            runtime.disable()
+            assert late.im2col is original
+        finally:
+            sys.modules["repro.nn.layers"] = saved
+            repro.nn.layers = saved
 
 
 class TestViolations:

@@ -1,9 +1,10 @@
-"""Self-tests for the static shape/dtype abstract interpreter.
+"""Self-tests for contract discovery and the static shape lints.
 
 Same scheme as ``test_lockcheck.py``: the real tree must check clean, and
 each detection test copies the covered modules into a scratch package root,
-injects one specific violation class, and asserts the checker reports exactly
-that class at a ``path:line`` location.
+injects one specific violation class — editing the ``# shape:`` / ``# dtype:``
+comments themselves where the contract is what changes — and asserts the
+checker reports exactly that class at a ``path:line`` location.
 """
 
 import shutil
@@ -13,24 +14,26 @@ import pytest
 from repro.analysis.cli import main
 from repro.analysis.guards import CONFINED, DURABILITY_MODULES, REGISTRY
 from repro.analysis.shapes import check_shapes
-from repro.analysis.shapes_spec import (SHAPES, SOURCE_ROOT, Contract,
-                                        ShapeSpec, parse_contract,
-                                        parse_dtypes)
+from repro.analysis.shapes_spec import (SOURCE_ROOT, Contract, discover,
+                                        parse_contract, parse_dtypes)
 
 
-@pytest.fixture()
-def scratch(tmp_path):
-    """A scratch package root holding copies of every covered module.
-
-    Lock/durability modules are included too so the CLI (which runs every
-    pass over ``--root``) can analyze the scratch tree end to end.
-    """
-    root = tmp_path / "repro"
-    needed = {spec.path for spec in SHAPES}
+@pytest.fixture(scope="module")
+def covered_paths():
+    """Every module the CLI's passes read: the contract-carrying ones plus
+    the lock/durability modules (the CLI runs every pass over ``--root``)."""
+    needed = {spec.path for spec in discover()}
     needed.update(spec.path for spec in REGISTRY)
     needed.update(confined.path for confined in CONFINED)
     needed.update(DURABILITY_MODULES)
-    for rel in sorted(needed):
+    return sorted(needed)
+
+
+@pytest.fixture()
+def scratch(tmp_path, covered_paths):
+    """A scratch package root holding copies of every covered module."""
+    root = tmp_path / "repro"
+    for rel in covered_paths:
         (root / rel).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(SOURCE_ROOT / rel, root / rel)
     return root
@@ -103,32 +106,7 @@ class TestBatchDimLoss:
         assert check_shapes(scratch) == []
 
 
-class TestContractMismatch:
-    def test_full_reduction_where_contract_keeps_batch(self, scratch):
-        _edit(scratch, "nn/layers.py", "return x.mean(axis=(1, 2))",
-              "return x.mean()")
-        findings = check_shapes(scratch)
-        assert _rules(findings) == {"contract-mismatch"}
-        (finding,) = findings
-        assert "GlobalAveragePool.forward" in finding.message
-        assert "rank 0" in finding.message
-        assert "(N, C)" in finding.message
-
-    def test_wrong_axis_count_detected(self, scratch):
-        # GAP reducing only one spatial axis returns rank 3, not (N, C).
-        _edit(scratch, "nn/layers.py", "return x.mean(axis=(1, 2))",
-              "return x.mean(axis=1)")
-        findings = check_shapes(scratch)
-        assert _rules(findings) == {"contract-mismatch"}
-
-
 class TestDtypeWidening:
-    def _float32_specs(self):
-        return tuple(
-            ShapeSpec(s.path, s.qualname, s.shape, dtype="float32",
-                      args=s.args, tuple_index=s.tuple_index, hot=s.hot)
-            if s.qualname == "ReLU.forward" else s for s in SHAPES)
-
     def test_float64_creation_crosses_float32_boundary(self, scratch):
         _edit(scratch, "nn/layers.py", "        mask = x > 0",
               "        x = x.astype(np.float64)\n        mask = x > 0")
@@ -136,38 +114,92 @@ class TestDtypeWidening:
               "        # shape: (N, ...) -> (N, ...)\n        # The output",
               "        # shape: (N, ...) -> (N, ...)\n"
               "        # dtype: float32\n        # The output")
-        findings = check_shapes(scratch, specs=self._float32_specs())
-        # The widening itself is flagged, and the interpreter independently
-        # notices the widened dtype reaching the return.
-        assert _rules(findings) == {"dtype-widening", "contract-mismatch"}
-        widening = [f for f in findings if f.rule == "dtype-widening"]
-        assert "float32 boundary" in widening[0].message
+        findings = check_shapes(scratch)
+        assert _rules(findings) == {"dtype-widening"}
+        (finding,) = findings
+        assert "ReLU.forward" in finding.message
+        assert "float32 boundary" in finding.message
 
 
-class TestAnnotationCrossCheck:
-    def test_annotation_differs_from_manifest_is_drift(self, scratch):
+class TestDiscovery:
+    def test_contract_read_from_the_comment(self, scratch):
         _edit(scratch, "nn/layers.py", "# shape: (N, ...) -> (N, D)",
               "# shape: (N, ...) -> (N, E)")
-        findings = check_shapes(scratch)
-        assert _rules(findings) == {"contract-drift"}
-        assert "Flatten.forward" in findings[0].message
+        (flatten,) = [spec for spec in discover(scratch)
+                      if spec.qualname == "Flatten.forward"]
+        assert flatten.path == "nn/layers.py"
+        assert flatten.shape == "(N, ...) -> (N, E)"
+        assert flatten.dtype == "any"
+        assert check_shapes(scratch) == []
 
-    def test_annotation_without_manifest_entry_is_drift(self, scratch):
+    def test_removing_the_comment_removes_the_contract(self, scratch):
+        before = len(discover(scratch))
+        _edit(scratch, "nn/layers.py",
+              "        # shape: (N, ...) -> (N, D)\n", "")
+        assert len(discover(scratch)) == before - 1
+
+    def test_listing_order_is_stable(self, scratch):
+        specs = discover(scratch)
+        assert specs == discover(scratch)
+        paths = [spec.path for spec in specs]
+        assert paths == sorted(paths)
+
+    def test_docstring_quoting_the_grammar_is_not_a_contract(self, scratch):
         _edit(scratch, "nn/im2col.py",
               "def conv_output_size(size: int, kernel: int, stride: int, "
               "pad: int) -> int:\n",
               "def conv_output_size(size: int, kernel: int, stride: int, "
-              "pad: int) -> int:\n    # shape: (N,) -> (N,)\n")
-        findings = check_shapes(scratch)
-        assert _rules(findings) == {"contract-drift"}
-        assert "missing from the shapes_spec.py manifest" in findings[0].message
+              "pad: int) -> int:\n"
+              '    """Contracts look like\n'
+              "    # shape: (N, D) -> (N, K)\n"
+              '    """\n')
+        assert "conv_output_size" not in {spec.qualname
+                                          for spec in discover(scratch)}
+        assert check_shapes(scratch) == []
 
-    def test_manifest_entry_without_annotation_is_missing(self, scratch):
-        _edit(scratch, "nn/layers.py",
-              "        # shape: (N, ...) -> (N, D)\n", "")
+
+class TestBadContract:
+    def _only_finding(self, scratch):
         findings = check_shapes(scratch)
-        assert _rules(findings) == {"missing-contract"}
-        assert "Flatten.forward" in findings[0].message
+        assert _rules(findings) == {"bad-contract"}
+        (finding,) = findings
+        return finding
+
+    @pytest.mark.parametrize("rel, old, new, owner", [
+        ("nn/layers.py", "# shape: (N, ...) -> (N, D)",
+         "# shape: (N, ... -> (N, D)", "Flatten.forward"),
+        ("nn/dtypes.py", "    # dtype: float32|float64\n",
+         "    # dtype: float32 or float64\n", "as_float"),
+    ])
+    def test_unparsable_text(self, scratch, rel, old, new, owner):
+        _edit(scratch, rel, old, new)
+        finding = self._only_finding(scratch)
+        assert finding.path == rel
+        assert owner in finding.message
+        assert owner not in {spec.qualname for spec in discover(scratch)}
+
+    def test_outside_any_function(self, scratch):
+        _edit(scratch, "nn/im2col.py", "def conv_output_size(",
+              "# shape: (N,) -> (N,)\ndef conv_output_size(")
+        assert "outside any function" in self._only_finding(scratch).message
+
+    def test_second_shape_in_one_function(self, scratch):
+        _edit(scratch, "nn/layers.py", "        # shape: (N, ...) -> (N, D)\n",
+              "        # shape: (N, ...) -> (N, D)\n"
+              "        # shape: (N, ...) -> (N, E)\n")
+        finding = self._only_finding(scratch)
+        assert "Flatten.forward" in finding.message
+        assert "second" in finding.message
+
+    def test_dtype_without_shape(self, scratch):
+        _edit(scratch, "nn/im2col.py",
+              "def conv_output_size(size: int, kernel: int, stride: int, "
+              "pad: int) -> int:\n",
+              "def conv_output_size(size: int, kernel: int, stride: int, "
+              "pad: int) -> int:\n    # dtype: int64\n")
+        finding = self._only_finding(scratch)
+        assert "conv_output_size" in finding.message
+        assert "without '# shape:'" in finding.message
 
 
 class TestSilentCopyInLoop:
@@ -193,7 +225,7 @@ class TestCli:
         assert main([]) == 0
         out = capsys.readouterr().out
         assert "analysis: clean" in out
-        assert f"{len(SHAPES)} shape contracts" in out
+        assert "47 shape contracts discovered from source" in out
 
     def test_shape_findings_exit_nonzero_with_locations(self, scratch, capsys):
         _edit(scratch, "nn/network.py", "        return flat\n",
@@ -207,6 +239,6 @@ class TestCli:
     def test_list_shows_shape_coverage(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert f"shapes: ({len(SHAPES)} contracts)" in out
+        assert "shapes: (47 contracts)" in out
         assert "Conv2D.forward" in out
         assert "'(N, H, W, C) -> (N, H', W', K)'" in out
