@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-
-#: The repository root (benchmarks/ lives directly under it).
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_result(results_dir: Path, name: str, title: str, body: str) -> None:
@@ -15,15 +11,3 @@ def write_result(results_dir: Path, name: str, title: str, body: str) -> None:
     (results_dir / f"{name}.txt").write_text(text)
     print("\n" + text)
 
-
-def write_json(name: str, payload: dict) -> Path:
-    """Persist one benchmark's numbers machine-readably at the repo root.
-
-    Lands as ``BENCH_<name>.json`` so dashboards and regression tooling can
-    diff runs without scraping the human-oriented tables; the JSON carries
-    the same numbers the ``.txt`` table renders.
-    """
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-    return path

@@ -9,7 +9,7 @@ database over three camera shards and walks the catalog API end to end:
 2. ``SELECT * FROM cam_north`` routes to one shard's executor — other
    cameras' caches stay untouched,
 3. ``SELECT * FROM all_cameras`` fans the query out: each shard is planned
-   with its own observed selectivity, the shards run concurrently, and the
+   with its own observed selectivity, the shards run one after another, and the
    merged result carries a ``__table__`` provenance column plus per-shard
    execution statistics,
 4. a new camera comes online mid-session via ``db.attach`` and immediately

@@ -5,9 +5,9 @@ This module ties the pieces of Figure 2 together.  *System initialization*
 space, calibrates per-model decision thresholds on the configuration set,
 caches per-model predictions on the evaluation set and enumerates the cascade
 set ``C``.  *Query time* evaluates ``C`` under the current deployment
-scenario's cost profile, computes the Pareto frontier and selects the cascade
-matching the user's constraints; the selected cascade is then executed over
-the corpus.
+scenario's cost profile and computes the Pareto frontier — once per cost
+profile, then remembered — and selects the cascade matching the user's
+constraints from it; the selected cascade is then executed over the corpus.
 """
 
 from __future__ import annotations
@@ -84,6 +84,9 @@ class TahomaOptimizer:
         self.thresholds: dict[str, list[DecisionThresholds]] = {}
         self.cache: ModelPredictionCache | None = None
         self.cascades: list[Cascade] = []
+        # (evaluated cascade set, its frontier) per cost profile: ``_evaluated``.
+        self._memo: dict[tuple, tuple[EvaluatedCascadeSet,
+                                      list[CascadeEvaluation]]] = {}
         self._initialized = False
 
     # -- system initialization --------------------------------------------
@@ -174,20 +177,40 @@ class TahomaOptimizer:
             self.models,
             include_reference_tail=(self.config.include_reference_tail
                                     and self.reference_model is not None))
+        self._memo = {}
 
     # -- query time ---------------------------------------------------------
     def _require_initialized(self) -> None:
         if not self._initialized or self.cache is None:
             raise RuntimeError("optimizer not initialized; call initialize() first")
 
+    def _evaluated(self, profiler: CostProfiler
+                   ) -> tuple[EvaluatedCascadeSet, list[CascadeEvaluation]]:
+        """The evaluated cascade set and its frontier, computed once per
+        cost profile.
+
+        The key is every value a profiler prices with, so another scenario,
+        a calibrated device or a shard rendered at another resolution is
+        simply another entry; only a new cascade set (``_build_cascades``)
+        empties the memo.  Unlocked on purpose: threads that miss together
+        compute equal values and one assignment wins.
+        """
+        self._require_initialized()
+        key = (profiler.device, profiler.scenario, profiler.source_resolution,
+               profiler.source_channels, profiler.cost_resolution)
+        entry = self._memo.get(key)
+        if entry is None:
+            evaluated = evaluate_cascades(self.cascades, self.cache, profiler)
+            entry = self._memo[key] = (evaluated, evaluated.frontier())
+        return entry
+
     def evaluate(self, profiler: CostProfiler) -> EvaluatedCascadeSet:
         """Evaluate every cascade under the given deployment cost profile."""
-        self._require_initialized()
-        return evaluate_cascades(self.cascades, self.cache, profiler)
+        return self._evaluated(profiler)[0]
 
     def frontier(self, profiler: CostProfiler) -> list[CascadeEvaluation]:
         """The Pareto-optimal cascades under the given cost profile."""
-        return self.evaluate(profiler).frontier()
+        return list(self._evaluated(profiler)[1])
 
     def select(self, profiler: CostProfiler,
                constraints: UserConstraints | None = None) -> CascadeEvaluation:

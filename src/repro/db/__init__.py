@@ -18,7 +18,7 @@ with materialized virtual columns and a shared representation store
 
 A ``{name: corpus}`` mapping opens a multi-table catalog
 (:mod:`repro.db.catalog`): ``SELECT * FROM <table>`` routes to one shard and
-the virtual ``all_cameras`` table fans out across all of them concurrently::
+the virtual ``all_cameras`` table fans out across all of them::
 
     db = repro.db.connect({"cam_north": north, "cam_south": south})
     merged = db.execute("SELECT * FROM all_cameras "

@@ -35,9 +35,7 @@ columns + a per-table namespace of the shared representation store).
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -173,13 +171,15 @@ class VisualDatabase:
         ``None`` keeps every table unbounded.
     plan_cache:
         Cache physical plans keyed by normalized query shape (literals
-        stripped — see :class:`~repro.server.plan_cache.PlanCache`), so a
-        repeated dashboard query skips parse + cascade selection.  ``True``
-        enables a default-capacity cache, an ``int`` sets the capacity,
-        ``False`` (the default) plans every query from scratch.  The cache
-        is invalidated on scenario switches, attach/detach and retention
-        changes; :meth:`enable_plan_cache` turns it on after construction
-        (the network server does this for the database it serves).
+        stripped — see :class:`~repro.server.plan_cache.PlanCache`), so an
+        exactly repeated dashboard query skips parse + lowering.  (Cascade
+        selection is remembered by each predicate's optimizer whether or
+        not this cache is on.)  ``True`` enables a default-capacity cache,
+        an ``int`` sets the capacity, ``False`` (the default) parses and
+        lowers every query.  The cache is invalidated on scenario switches,
+        device calibration, attach/detach and retention changes;
+        :meth:`enable_plan_cache` turns it on after construction (the
+        network server does this for the database it serves).
     """
 
     def __init__(self,
@@ -336,13 +336,15 @@ class VisualDatabase:
     def enable_plan_cache(self, capacity: int = 128):
         """Turn on plan caching (idempotent); returns the cache.
 
-        Plans are keyed by normalized query shape — literals stripped — so a
-        dashboard query re-run with a fresh timestamp reuses its cascade
-        selections instead of repeating the Pareto analysis, and an exact
-        repeat skips parse + plan entirely.  The cache is invalidated on
-        scenario switches, attach/detach/replace and retention changes;
-        cached selectivities otherwise go stale at the pace of ingest, which
-        only affects predicate *ordering*, never correctness.
+        Plans are keyed by normalized query shape — literals stripped.  An
+        exact repeat skips parse + lowering entirely; the same shape with
+        fresh literals (a dashboard query re-run with a new timestamp) is
+        counted as a *rebind* and planned like any other query, which is
+        cheap because each predicate's optimizer remembers its Pareto
+        analysis, cache or no cache.  The cache is invalidated on scenario
+        switches, device calibration, attach/detach/replace and retention
+        changes; a cached plan's selectivities otherwise go stale at the
+        pace of ingest, which only affects *ordering*, never correctness.
         """
         if self._plan_cache is None:
             from repro.server.plan_cache import PlanCache
@@ -595,6 +597,8 @@ class VisualDatabase:
         self._device = calibrate_device(self._device, reference.flops,
                                         target_fps=self.calibrate_target_fps)
         self._device_calibrated = True
+        # Plans cached so far were priced on the uncalibrated device.
+        self._invalidate_plans()
 
     # -- deployment scenario ---------------------------------------------------
     def use_scenario(self, scenario: Scenario | str | CostProfiler) -> None:
@@ -717,40 +721,15 @@ class VisualDatabase:
                            f"attached: {self.tables()}")
         return targets
 
-    def _plan_per_table(self, query: Query, targets: list[str],
-                        cached=None) -> dict[str, QueryPlan]:
-        """Plan once per shard, with that shard's observed selectivity."""
-        return {table: self._planner_for(table).plan(
-                    query, table=table,
-                    selections=self._selections_from(cached, table))
-                for table in targets}
-
-    @staticmethod
-    def _selections_from(cached, table: str | None):
-        """Per-category cascade choices of a cached plan, for rebinding.
-
-        ``cached`` is the previous plan built for the same query shape — a
-        single :class:`QueryPlan` or a fan-out ``{table: plan}`` mapping —
-        and supplies the already-selected :class:`ContentStep` per category
-        so re-planning with new literals skips cascade selection.
-        """
-        if cached is None:
-            return None
-        plan = cached.get(table) if isinstance(cached, dict) else cached
-        if plan is None:
-            return None
-        return {step.category: step for step in plan.content_steps}
-
-    def _plan_query(self, query: Query, tables: Iterable[str] | None,
-                    cached=None) -> QueryPlan | dict[str, QueryPlan]:
-        """Lower one parsed query to its plan(s); dict means fan-out."""
+    def _plan_query(self, query: Query, tables: Iterable[str] | None
+                    ) -> QueryPlan | dict[str, QueryPlan]:
+        """Lower one parsed query to its plan(s); a dict means fan-out,
+        planned once per shard with that shard's observed selectivity."""
         if tables is not None or query.table == FANOUT_TABLE:
-            targets = self._fanout_targets(query, tables)
-            return self._plan_per_table(query, targets, cached=cached)
+            return {table: self._planner_for(table).plan(query, table=table)
+                    for table in self._fanout_targets(query, tables)}
         table = self._resolve_single_table(query)
-        return self._planner_for(table).plan(
-            query, table=table,
-            selections=self._selections_from(cached, table))
+        return self._planner_for(table).plan(query, table=table)
 
     def _plan_for(self, sql: str, constraints: UserConstraints | None,
                   tables: Iterable[str] | None
@@ -761,10 +740,8 @@ class VisualDatabase:
         bypass the cache (the list is not part of the SQL text); otherwise
         the key is the normalized query shape plus constraints and scenario.
         An exact repeat (same literals) returns the cached plan without
-        parsing; a shape hit with different literals re-parses (cheap) and
-        re-plans with the cached cascade selections seeded, skipping the
-        expensive Pareto analysis; a miss plans from scratch and populates
-        the cache.
+        parsing; anything else — new literals on a known shape, or an
+        unknown shape — parses, plans and populates the cache.
         """
         cache = self._plan_cache
         if cache is None or tables is not None:
@@ -774,9 +751,7 @@ class VisualDatabase:
         status, entry = cache.lookup(key, literals)
         if status == "hit":
             return entry.plans
-        cached = entry.plans if status == "rebind" else None
-        plans = self._plan_query(self._parse(sql, constraints), None,
-                                 cached=cached)
+        plans = self._plan_query(self._parse(sql, constraints), None)
         cache.store(key, literals, plans)
         return plans
 
@@ -797,9 +772,10 @@ class VisualDatabase:
         the virtual ``all_cameras`` table fans out — across every attached
         table, or just the shards named by ``tables=[...]`` (only valid with
         ``FROM all_cameras``): the planner plans once per shard using that
-        shard's observed selectivity, the shards execute concurrently, and
-        the merged :class:`~repro.db.results.FanoutResultSet` carries a
-        ``__table__`` provenance column plus per-shard ``cascades_used`` and
+        shard's observed selectivity, the shards run one after another on
+        the calling thread, and the merged
+        :class:`~repro.db.results.FanoutResultSet` carries a ``__table__``
+        provenance column plus per-shard ``cascades_used`` and
         ``images_classified``.  A fan-out aggregate merges per-shard
         *partial aggregates* at the coordinator instead of shipping rows.
 
@@ -857,30 +833,18 @@ class VisualDatabase:
 
     def _fanout_results(self, plans: dict[str, QueryPlan], cancel=None,
                         span=NO_SPAN) -> dict:
-        """Run per-shard plans concurrently; ``{table: QueryResult}``.
+        """Run per-shard plans one after another; ``{table: QueryResult}``.
 
-        Executors are independent (per-table state; the shared store is
-        namespace-locked, models compute outputs from locals), so shards run
-        on a thread pool — classification is NumPy matmul-bound and releases
-        the GIL.  Per-shard spans are created on the coordinator thread and
-        handed to the workers explicitly, so the trace tree stays correct
-        under fan-out.
+        Shards run on the calling thread, each under its own
+        ``table:<name>`` child span; a ``cancel`` hook that raises stops the
+        shards that have not started.
         """
-        shard_spans = {table: span.child(f"table:{table}", table=table)
-                       for table in plans}
-
-        def run_shard(table: str, plan: QueryPlan):
-            with shard_spans[table] as shard_span:
-                return self._catalog.executor(table).execute(
+        raw = {}
+        for table, plan in plans.items():
+            with span.child(f"table:{table}", table=table) as shard_span:
+                raw[table] = self._catalog.executor(table).execute(
                     plan, cancel=cancel, span=shard_span)
-
-        workers = min(len(plans), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers,
-                                thread_name_prefix="repro-fanout") as pool:
-            futures = {table: pool.submit(run_shard, table, plan)
-                       for table, plan in plans.items()}
-            return {table: future.result()
-                    for table, future in futures.items()}
+        return raw
 
     def explain_analyze(self, sql: str,
                         constraints: UserConstraints | None = None, *,

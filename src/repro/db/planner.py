@@ -326,7 +326,7 @@ class QueryPlan:
     def content_steps(self) -> tuple[ContentStep, ...]:
         """The tree's distinct cascade leaves (one per category), ascending
         selectivity x cost — the provenance listing behind ``cascades_used``
-        / ``images_classified`` and the selections a plan cache rebinds."""
+        / ``images_classified``."""
         distinct = {step.category: step
                     for step in _cascade_leaves(self.predicate_tree)}
         return tuple(sorted(distinct.values(), key=lambda step: step.rank))
@@ -530,8 +530,7 @@ class QueryPlanner:
         children.sort(key=key)
         return node_type(tuple(children))
 
-    def plan(self, query: Query, table: str | None = None,
-             selections: "dict[str, ContentStep] | None" = None) -> QueryPlan:
+    def plan(self, query: Query, table: str | None = None) -> QueryPlan:
         """Select cascades, estimate selectivities and order the predicates.
 
         The WHERE tree lowers to one ordered :data:`PlanExpr` tree, with
@@ -543,16 +542,9 @@ class QueryPlanner:
         plans once per shard, and each shard's plan names the shard it was
         priced for (its ``selectivity_hook`` observes that shard's labels),
         not the virtual fan-out table.
-
-        ``selections`` seeds the per-query cascade cache with already-made
-        :class:`ContentStep` choices, keyed by category.  A plan cache uses
-        this to *rebind* a cached plan to new literals: cascade selection
-        (the expensive Pareto analysis) is skipped for seeded categories,
-        while parsing-cheap structure (ordering, projection, limit) is
-        rebuilt from the fresh query.
         """
         started = time.perf_counter()
-        cache: dict[str, ContentStep] = dict(selections) if selections else {}
+        cache: dict[str, ContentStep] = {}
         predicate_tree = None
         if query.where is not None:
             predicate_tree = self._lower(query.where, query.constraints,

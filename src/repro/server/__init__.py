@@ -82,8 +82,9 @@ The serving pieces:
 * :mod:`repro.server.admission` — bounded query queue + worker pool with
   immediate backpressure rejection and cooperative per-query timeouts;
 * :mod:`repro.server.plan_cache` — plans keyed by normalized query shape
-  (literals stripped) with hit/miss/rebind counters on the
-  :mod:`repro.telemetry` registry;
+  (literals stripped): an exact repeat skips parse + lowering, and
+  hit/miss/rebind outcomes are counted on the :mod:`repro.telemetry`
+  registry;
 * :mod:`repro.server.server` — the TCP server and graceful shutdown;
 * :mod:`repro.server.client` — the matching ``connect()`` client.
 """

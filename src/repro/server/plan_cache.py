@@ -1,12 +1,14 @@
 """The plan cache: physical plans keyed by normalized query shape.
 
 Dashboards re-issue the same handful of queries, often with nothing but a
-literal changed (a fresh timestamp bound, a different location).  Planning
-is not free — each ``contains_object`` predicate costs a cascade selection
-(Pareto analysis over the predicate's model pool) — so
+literal changed (a fresh timestamp bound, a different location).
 :class:`~repro.db.database.VisualDatabase` can route plan resolution through
 this cache (``connect(..., plan_cache=True)`` / ``enable_plan_cache()``;
-the network server enables it for the database it serves).
+the network server enables it for the database it serves) so an exact
+repeat pays for neither parsing nor lowering.  Cascade selection (the
+Pareto analysis over a predicate's model pool) is not this cache's business:
+each :class:`~repro.core.optimizer.TahomaOptimizer` remembers its evaluated
+frontier per cost profile, whether or not a plan cache is on.
 
 The key is the query's *shape*: its token stream with every literal
 (string/number) replaced by ``?``, plus the effective constraints and the
@@ -14,14 +16,14 @@ active scenario.  Three outcomes per lookup, all counted:
 
 * **hit** — same shape, same literals: the cached plan is returned with no
   parsing and no planning at all;
-* **rebind** — same shape, different literals: the query is re-parsed
-  (cheap, recursive descent) and re-planned with the cached plan's cascade
-  selections seeded (:meth:`~repro.db.planner.QueryPlanner.plan`'s
-  ``selections=``), skipping the expensive selection step;
-* **miss** — unknown shape: planned from scratch, then cached.
+* **rebind** — same shape, different literals: parsed and planned like a
+  miss (so selectivities are the shard's current ones) and the entry is
+  replaced; counted apart from a miss because it tells an operator the
+  shape is hot and only its literals churn;
+* **miss** — unknown shape: parsed, planned, then cached.
 
-The cache is *invalidated* — cleared — on scenario switches, attach /
-detach / replace and retention changes (the database hooks call
+The cache is *invalidated* — cleared — on scenario switches, device
+calibration, attach / detach / replace and retention changes (the database hooks call
 :meth:`PlanCache.invalidate`).  Ingest does not invalidate: a cached plan
 stays *correct* under ingest, its estimated selectivities merely go stale,
 which can only affect predicate ordering.  Entries are LRU-evicted beyond

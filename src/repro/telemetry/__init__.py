@@ -8,7 +8,7 @@ A stdlib-only package (its only engine dependency is the
   engine's well-known metrics are pre-declared in
   :data:`~repro.telemetry.metrics.CATALOG`;
 * :mod:`repro.telemetry.trace` — per-query span trees via context
-  managers, safe under fan-out threads, with a ring-buffered
+  managers, safe to read from other threads, with a ring-buffered
   :class:`~repro.telemetry.trace.Tracer`;
 * :mod:`repro.telemetry.export` — JSON snapshot and Prometheus text
   exposition renderers.

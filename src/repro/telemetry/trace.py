@@ -10,13 +10,13 @@ ingest) — each a tree of :class:`Span` context managers::
         with span.child("execute", table="cam_0") as execute_span:
             execute_span.annotate(rows=42)
 
-Spans are safe under fan-out: every span of a trace shares the trace's
-reentrant lock, and child spans are handed to worker threads explicitly
-(``executor.execute(plan, span=...)``) rather than via thread-local state,
-so a ``ThreadPoolExecutor`` shard still lands its spans under the right
-parent.  Instrumented code takes ``span=NO_SPAN`` by default — the no-op
-singleton absorbs ``child``/``annotate`` calls, so hot paths never branch
-on ``None``.
+Child spans are passed explicitly (``executor.execute(plan, span=...)``)
+rather than via thread-local state, so each shard of a fan-out lands its
+spans under its own ``table:<name>`` parent.  Every span of a trace shares
+the trace's reentrant lock, because other threads read ``db.telemetry()``
+while a query is still writing spans.  Instrumented code takes
+``span=NO_SPAN`` by default — the no-op singleton absorbs
+``child``/``annotate`` calls, so hot paths never branch on ``None``.
 
 The tracer keeps the last ``keep`` traces in a ring buffer;
 ``db.telemetry()`` exposes them alongside the metrics snapshot.

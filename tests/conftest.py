@@ -86,6 +86,38 @@ def tiny_optimizer(tiny_splits, tiny_config, tiny_reference) -> TahomaOptimizer:
     return optimizer
 
 
+@pytest.fixture()
+def fresh_optimizer(tiny_optimizer, tiny_splits, tiny_config, tiny_reference):
+    """Factory for optimizers nobody has selected from yet (no training:
+    they share ``tiny_optimizer``'s model pool)."""
+    def build(with_reference: bool = True) -> TahomaOptimizer:
+        optimizer = TahomaOptimizer(tiny_config)
+        optimizer.initialize_with_models(
+            tiny_optimizer.models, tiny_splits,
+            reference_model=tiny_reference if with_reference else None)
+        return optimizer
+
+    return build
+
+
+@pytest.fixture()
+def evaluate_calls(monkeypatch) -> list:
+    """The prediction cache handed to each ``evaluate_cascades`` call an
+    optimizer makes (one per optimizer, so ``count(opt.cache)`` is the
+    number of times that optimizer evaluated its cascade set)."""
+    from repro.core import optimizer as optimizer_module
+
+    calls: list = []
+    evaluate_cascades = optimizer_module.evaluate_cascades
+
+    def counting(cascades, cache, profiler):
+        calls.append(cache)
+        return evaluate_cascades(cascades, cache, profiler)
+
+    monkeypatch.setattr(optimizer_module, "evaluate_cascades", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def tiny_device(tiny_reference):
     """A device calibrated so the tiny reference model lands near 75 fps."""

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.cascade import count_cascades
+from repro.core.evaluator import evaluate_cascades
 from repro.core.optimizer import TahomaConfig, TahomaOptimizer
-from repro.core.selector import UserConstraints
+from repro.core.persistence import load_optimizer, save_optimizer
+from repro.core.selector import UserConstraints, select_cascade
 from repro.core.spec import ArchitectureSpec
+from repro.costs.device import SERVER_GPU
+from repro.costs.profiler import CostProfiler
+from repro.costs.scenario import PAPER_SCENARIOS
 from repro.transforms.spec import TransformSpec
+from tests.conftest import TINY_SIZE
 
 
 class TestTahomaConfig:
@@ -112,3 +118,89 @@ class TestInitializeWithModels:
                                          reference_model=tiny_reference)
         assert optimizer.n_models == 3
         assert optimizer.n_cascades > 0
+
+
+class TestEvaluationMemo:
+    """``evaluate`` computes one cascade set per cost profile and keeps it."""
+
+    def test_equal_profilers_share_one_evaluation(self, fresh_optimizer,
+                                                  evaluate_calls, tiny_device):
+        optimizer = fresh_optimizer()
+        for _ in range(3):
+            # A new profiler object each time, as the database builds them.
+            profiler = CostProfiler(tiny_device, PAPER_SCENARIOS[0],
+                                    source_resolution=TINY_SIZE,
+                                    cost_resolution=224)
+            optimizer.select(profiler)
+            optimizer.frontier(profiler)
+            optimizer.evaluate(profiler)
+        assert evaluate_calls.count(optimizer.cache) == 1
+
+    @pytest.mark.parametrize("change", [
+        {"device": SERVER_GPU}, {"scenario": PAPER_SCENARIOS[1]},
+        {"source_resolution": 32}, {"source_channels": 1},
+        {"cost_resolution": 112}])
+    def test_every_pricing_value_is_part_of_the_key(
+            self, fresh_optimizer, evaluate_calls, tiny_device, change):
+        base = {"device": tiny_device, "scenario": PAPER_SCENARIOS[0],
+                "source_resolution": TINY_SIZE, "source_channels": 3,
+                "cost_resolution": 224}
+        optimizer = fresh_optimizer()
+        optimizer.select(CostProfiler(**base))
+        optimizer.select(CostProfiler(**{**base, **change}))
+        assert evaluate_calls.count(optimizer.cache) == 2
+
+    def test_frontier_copies_do_not_alias_the_memo(self, fresh_optimizer,
+                                                   infer_only_profiler):
+        optimizer = fresh_optimizer()
+        first = optimizer.frontier(infer_only_profiler)
+        expected = list(first)
+        first.clear()
+        assert optimizer.frontier(infer_only_profiler) == expected
+
+    def test_reinitialisation_starts_empty(self, fresh_optimizer,
+                                           evaluate_calls, tiny_splits,
+                                           tiny_reference,
+                                           infer_only_profiler):
+        optimizer = fresh_optimizer()
+        optimizer.select(infer_only_profiler)
+        # A smaller pool is a different cascade set: the old frontier is void.
+        optimizer.initialize_with_models(optimizer.models[:3], tiny_splits,
+                                         reference_model=tiny_reference)
+        chosen = optimizer.select(infer_only_profiler)
+        assert len(evaluate_calls) == 2
+        assert chosen.cascade in optimizer.cascades
+
+    def test_loaded_optimizer_starts_empty(self, fresh_optimizer,
+                                           evaluate_calls, tmp_path,
+                                           infer_only_profiler):
+        optimizer = fresh_optimizer(with_reference=False)
+        before = optimizer.select(infer_only_profiler)
+        loaded = load_optimizer(save_optimizer(optimizer, tmp_path / "repo"))
+        after = loaded.select(infer_only_profiler)
+        loaded.select(infer_only_profiler)
+        assert evaluate_calls.count(loaded.cache) == 1
+        assert after.name == before.name
+        assert after.cascade in loaded.cascades
+
+    def test_memoised_selection_equals_fresh_selection(self, fresh_optimizer,
+                                                       tiny_device):
+        optimizer = fresh_optimizer()
+        grid = [UserConstraints(max_accuracy_loss=loss, min_throughput=floor)
+                for loss in (None, 0.0, 0.02, 0.1, 0.3)
+                for floor in (None, 50.0, 1e6)]
+        profilers = [CostProfiler(tiny_device, scenario,
+                                  source_resolution=TINY_SIZE,
+                                  cost_resolution=224)
+                     for scenario in PAPER_SCENARIOS]
+        for _ in range(2):  # the second pass is served from the memo
+            for profiler in profilers:
+                fresh = evaluate_cascades(optimizer.cascades, optimizer.cache,
+                                          profiler).frontier()
+                for constraints in grid:
+                    chosen = optimizer.select(profiler, constraints)
+                    expected = select_cascade(fresh, constraints)
+                    assert (chosen.name, chosen.accuracy,
+                            chosen.cost.total_s) == (
+                        expected.name, expected.accuracy,
+                        expected.cost.total_s)

@@ -142,8 +142,52 @@ class TestCancellation:
             db.execute("SELECT * FROM all_cameras "
                        "WHERE contains_object(komondor)", cancel=cancel)
 
+    def test_cancel_raising_in_first_shard_stops_the_rest(self, db):
+        classified = db.metrics.counter("repro_query_rows_classified_total")
+        db.executor_for("cam_a").min_limit_chunk = 4  # several chunks
+
+        def cancel():
+            if classified.value(table="cam_a", category="komondor") >= 12:
+                raise QueryTimeoutError("aborted inside the first shard")
+
+        with pytest.raises(QueryTimeoutError):
+            db.execute("SELECT * FROM all_cameras "
+                       "WHERE contains_object(komondor)", cancel=cancel)
+        assert 0 < classified.value(table="cam_a", category="komondor") \
+            < len(db.corpus_for("cam_a"))
+        assert classified.value(table="cam_b", category="komondor") == 0
+
     def test_cancel_none_unchunked_results_identical(self, db):
         plain = db.execute(CONTENT_SQL)
         chunked = db.execute(CONTENT_SQL, cancel=lambda: None)
         assert [row["image_id"] for row in plain] == \
             [row["image_id"] for row in chunked]
+
+
+class TestColdOptimizer:
+    def test_threads_selecting_together_agree(self, fresh_optimizer,
+                                              camera_profiler):
+        """The optimizer's frontier memo is unlocked: racing first calls may
+        each evaluate, but must all see the same choice."""
+        optimizer = fresh_optimizer()
+        barrier = threading.Barrier(4)
+        chosen, errors = [], []
+
+        def select():
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(5):
+                    evaluation = optimizer.select(camera_profiler, CONSTRAINED)
+                    chosen.append((evaluation.name, evaluation.accuracy,
+                                   evaluation.cost.total_s))
+            except Exception as exc:  # noqa: BLE001 - recorded for the assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=select) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(chosen) == 20 and len(set(chosen)) == 1

@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +10,16 @@ from hypothesis import strategies as st
 from repro.core.evaluator import CascadeEvaluation
 from repro.core.selector import UserConstraints
 from repro.costs.profiler import CostBreakdown
+from repro.data.categories import get_category
+from repro.data.corpus import generate_corpus
+from repro.db import connect
 from repro.db.planner import (DEFAULT_SELECTIVITY, ContentStep, MetadataStep,
                               PlanAnd, PlanOr, QueryPlanner,
                               estimate_selectivity)
 from repro.query.ast import AndExpr, OrExpr, PredicateExpr
 from repro.query.model import Query
 from repro.query.predicates import ContainsObject, MetadataPredicate
+from tests.conftest import TINY_SIZE
 
 _STUB_PROFILER = SimpleNamespace(scenario=SimpleNamespace(name="stub"))
 
@@ -329,3 +334,37 @@ class TestSelectivityHook:
             _STUB_PROFILER, selectivity_hook=hook)
         planner.plan(Query(content_predicates=(ContainsObject("a"),)))
         assert seen == [("a", "stub-cascade-0.01")]
+
+
+class TestSelectionIsRemembered:
+    """Planning asks ``select`` per predicate per plan; the optimizer answers
+    from its remembered frontier, so only a new cost profile evaluates."""
+
+    SQL = ("SELECT image_id FROM images WHERE contains_object(komondor) "
+           "AND contains_object(komondor_b) AND location = 'detroit'")
+
+    @pytest.fixture()
+    def db(self, fresh_optimizer, tiny_device, monkeypatch):
+        monkeypatch.setattr("repro.db.planner.estimate_selectivity",
+                            estimate_selectivity)  # undo the module's stub
+        corpus = generate_corpus((get_category("komondor"),), n_images=8,
+                                 image_size=TINY_SIZE,
+                                 rng=np.random.default_rng(2))
+        database = connect(corpus, device=tiny_device, scenario="archive",
+                           calibrate_target_fps=None)  # plan cache off
+        database.register_optimizer("komondor", fresh_optimizer())
+        database.register_optimizer("komondor_b", fresh_optimizer())
+        return database
+
+    def test_ten_plans_evaluate_each_optimizer_once(self, db, evaluate_calls):
+        plans = [db.explain(self.SQL) for _ in range(10)]
+        for name in ("komondor", "komondor_b"):
+            assert evaluate_calls.count(db.optimizer(name).cache) == 1
+        assert len({plan.describe() for plan in plans}) == 1
+
+    def test_scenario_round_trip_evaluates_twice(self, db, evaluate_calls):
+        for scenario in ("archive", "camera", "archive"):
+            db.use_scenario(scenario)
+            db.explain(self.SQL)
+        for name in ("komondor", "komondor_b"):
+            assert evaluate_calls.count(db.optimizer(name).cache) == 2

@@ -172,3 +172,51 @@ class TestDatabaseIntegration:
                                  rng=np.random.default_rng(5))
         db = connect(corpus, calibrate_target_fps=None, plan_cache=7)
         assert db.plan_cache.capacity == 7
+
+
+class TestPlansStayFresh:
+    """A cached plan never outlives the facts it was priced on."""
+
+    @staticmethod
+    def _sql(location: str) -> str:
+        return ("SELECT image_id FROM cam_a WHERE contains_object(komondor) "
+                f"AND location = '{location}'")
+
+    def test_rebind_reads_current_selectivity(self, cached_db,
+                                              fresh_optimizer):
+        cached_db.register_optimizer("komondor", fresh_optimizer())
+        locations = sorted(set(cached_db.corpus_for("cam_a")
+                               .metadata["location"]))
+        # Planned before any row is classified: the evaluation-set estimate.
+        estimated = cached_db.explain(self._sql(locations[0])).content_steps[0]
+        cached_db.execute(self._sql(locations[0]))
+        observed = cached_db.executor_for("cam_a").observed_positive_rate(
+            "komondor", estimated.evaluation.cascade.name)
+        assert observed is not None and observed != estimated.selectivity
+
+        rebound = cached_db.explain(self._sql(locations[1])).content_steps[0]
+        stats = cached_db.plan_cache.stats()
+        assert (stats["misses"], stats["hits"], stats["rebinds"]) == (1, 1, 1)
+        assert rebound.evaluation.name == estimated.evaluation.name
+        assert rebound.selectivity == observed
+
+    def test_calibration_invalidates_cached_plans(self, fresh_optimizer):
+        """A predicate registered without a reference leaves the device
+        uncalibrated; the first reference that arrives re-prices everything."""
+        corpus = generate_corpus((get_category("komondor"),), n_images=8,
+                                 image_size=TINY_SIZE,
+                                 rng=np.random.default_rng(4))
+        sql = "SELECT image_id FROM images WHERE contains_object(plain)"
+
+        def plan_after_second_registration(plan_cache: bool) -> dict:
+            db = connect(corpus, plan_cache=plan_cache)
+            db.register_optimizer("plain",
+                                  fresh_optimizer(with_reference=False))
+            uncalibrated = db.device
+            db.explain(sql)
+            db.register_optimizer("anchored", fresh_optimizer())
+            assert db.device != uncalibrated
+            return db.explain(sql).to_dict()
+
+        assert plan_after_second_registration(plan_cache=True) == \
+            plan_after_second_registration(plan_cache=False)
