@@ -1,14 +1,18 @@
 """Durability lint: the fsync/rename/prune ordering crash-safety rests on.
 
 The WAL and checkpoint code (:mod:`repro.db.wal`,
-:mod:`repro.db.persistence`) keep three ordering invariants, all of them
+:mod:`repro.db.persistence`) keep four ordering invariants, all of them
 easy to silently regress because every test passes without them — they only
 matter across a power loss:
 
-* **fsync-before-rename** — an ``os.replace`` publishing a payload or
-  manifest must be preceded, in the same function, by an fsync of the bytes
-  being published (``os.fsync`` / ``_fsync_file``); otherwise the rename
-  can become durable before the content it names.
+* **fsync-after-append** — a ``.write(`` through a handle the object keeps
+  open (``self.<handle>.write`` — the WAL's log file) must be followed, in
+  the same function, by an ``os.fsync``: nothing else will ever sync those
+  bytes, and the caller acknowledges the record on return.
+* **fsync-before-rename** — an ``os.replace`` publishing a manifest must be
+  preceded, in the same function, by an fsync of the bytes being published
+  (``os.fsync`` / ``_fsync_file``); otherwise the rename can become durable
+  before the content it names.
 * **dirsync-after-rename** — after the ``os.replace``, the directory entry
   must be fsynced (``fsync_dir``) so the rename itself survives power loss.
 * **write-after-prune** — pruning (stale checkpoint images, absorbed WAL
@@ -90,6 +94,10 @@ def _call_kind(call: ast.Call) -> str | None:
         return "fsync"
     if name in ("fsync_dir", "_fsync_image_dir"):
         return "dirsync"
+    if name == "write" and isinstance(func.value, ast.Attribute) \
+            and isinstance(func.value.value, ast.Name) \
+            and func.value.value.id == "self":
+        return "append"  # self.<handle>.write: a file that outlives the call
     if name in _WRITE_NAMES:
         return "write"
     if "prune" in name:
@@ -119,16 +127,22 @@ def _check_function(rel: str, fn: ast.FunctionDef,
             if not any(other < line for other in fsyncs):
                 findings.append(Finding(
                     rel, line, "fsync-before-rename",
-                    f"os.replace in {fn.name}() has no earlier payload "
-                    f"fsync in the same function — the rename can become "
-                    f"durable before its content"))
+                    f"os.replace in {fn.name}() has no earlier fsync of the "
+                    f"published bytes in the same function — the rename "
+                    f"can become durable before its content"))
             if not any(other > line for other in dirsyncs):
                 findings.append(Finding(
                     rel, line, "dirsync-after-rename",
                     f"os.replace in {fn.name}() is not followed by a "
                     f"directory fsync (fsync_dir) — the rename itself can "
                     f"be lost on power failure"))
-        elif kind == "write" and first_prune is not None \
+        elif kind == "append" and not any(other > line for other in fsyncs):
+            findings.append(Finding(
+                rel, line, "fsync-after-append",
+                f"write to a kept-open handle in {fn.name}() is not "
+                f"followed by an os.fsync in the same function — the "
+                f"record is acknowledged while still in the page cache"))
+        if kind in ("write", "append") and first_prune is not None \
                 and line > first_prune:
             findings.append(Finding(
                 rel, line, "write-after-prune",

@@ -127,10 +127,8 @@ REGISTRY: tuple[GuardSpec, ...] = (
     GuardSpec(
         path="db/wal.py",
         cls="TableWal",
-        guarded=_fs("_generation", "_sequence", "_counts", "_handle",
-                    "_closed"),
-        lock_held=_fs("_advance", "_write_line", "_ensure_open",
-                      "_truncate_torn_tail"),
+        guarded=_fs("_generation", "_counts", "_handle", "_closed"),
+        lock_held=_fs("_ensure_open"),
         lock_free=_fs("generation", "closed"),
         mutable=_fs("_counts"),
     ),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,6 +182,31 @@ class CorpusSegment:
         content = {key: _column(key, values, n, "content")
                    for key, values in (content or {}).items()}
         return CorpusSegment(images=images, metadata=metadata, content=content)
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The segment as flat named arrays — the one on-disk naming, shared
+        by checkpoint images and WAL frames: ``images``, ``metadata/<k>``,
+        ``content/<k>``."""
+        arrays = {"images": self.images}
+        for key, values in self.metadata.items():
+            arrays[f"metadata/{key}"] = values
+        for key, values in self.content.items():
+            arrays[f"content/{key}"] = values
+        return arrays
+
+    @staticmethod
+    def from_arrays(arrays: Mapping[str, np.ndarray]) -> "CorpusSegment":
+        """Inverse of :meth:`to_arrays` (any mapping, e.g. an open ``.npz``;
+        names outside the three families are ignored)."""
+        metadata, content = {}, {}
+        for name in arrays:
+            kind, _, key = name.partition("/")
+            if kind == "metadata":
+                metadata[key] = arrays[name]
+            elif kind == "content":
+                content[key] = arrays[name]
+        return CorpusSegment(images=arrays["images"], metadata=metadata,
+                             content=content)
 
     def tail(self, start: int) -> "CorpusSegment":
         """A new segment holding rows ``start:`` (copied, never a view).

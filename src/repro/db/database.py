@@ -1061,7 +1061,9 @@ class VisualDatabase:
         Reads the one format :meth:`save` writes; a directory written by an
         older format raises :class:`ValueError` (see
         :func:`~repro.db.persistence.load_database`).  A checkpoint
-        directory additionally replays each table's write-ahead-log tail.
+        directory additionally replays each table's write-ahead-log tail up
+        to its last complete frame (the torn frame of an interrupted append
+        is truncated; damage elsewhere in the log raises :class:`ValueError`).
         """
         from repro.db.persistence import load_database
 

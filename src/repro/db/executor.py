@@ -393,9 +393,13 @@ class QueryExecutor:
                         policy = record.get("policy")
                         self.retention = (RetentionPolicy.from_dict(policy)
                                           if policy is not None else None)
-                    # attach/detach records are handled a level up (they
-                    # create or remove whole tables); unknown types from a
-                    # newer writer are ignored rather than fatal.
+                    else:
+                        # attach/detach are handled a level up; skipping any
+                        # other journaled mutation would recover a different
+                        # table than the one that crashed.
+                        raise ValueError(
+                            f"cannot replay WAL record of type {kind!r} "
+                            f"for table {self.table!r}")
             finally:
                 self._wal = wal
             self._rebuild_base_relation()

@@ -2,7 +2,7 @@
 
 Built on :mod:`repro.core.persistence` (the per-predicate model repository),
 plus a database-level manifest carrying the deployment scenario, device
-profile and the table catalog.  Layout (format version 4)::
+profile and the table catalog.  Layout (format version 5)::
 
     <root>/
       database.json            # manifest: scenario, device, predicates,
@@ -15,8 +15,8 @@ profile and the table catalog.  Layout (format version 4)::
         materialized.npz       # materialized virtual columns (optional)
         store.npz              # representation arrays (optional, size-capped)
       wal/<table>/             # write-ahead log (WAL-enabled databases only)
-        log-<g>.jsonl          # generation g of the table's journal
-        seg-<g>-<n>.npz        # segment payloads referenced by the log
+        log-<g>.wal            # generation g of the table's journal: one
+                               # checksummed frame per record, arrays inline
 
 A trained database therefore round-trips without retraining: all optimizers,
 the active scenario, every table's corpus (including rows added by
@@ -29,7 +29,7 @@ representation bytes instead of re-transforming the corpus.  Arrays that
 were evicted or fell over the cap are simply recomputed on demand — results
 are unaffected.
 
-Format 4 is the durability format: :func:`save_database` captures each
+Format 5 is the durability format: :func:`save_database` captures each
 table — corpus, labels, id offset *and* representation arrays — in one hold
 of its shard lock (a save taken under live server traffic is internally
 consistent, row for row), and a save into a WAL-enabled database's own root
@@ -39,9 +39,10 @@ only then are the absorbed generations pruned.  :func:`load_database` of a
 WAL-enabled save restores the checkpoint image and **replays** each table's
 log tail (segments ingested, retention drops, policy changes, tables
 attached or detached since the checkpoint), then re-arms journaling — so a
-process killed at an arbitrary WAL record boundary recovers to exactly the
-state the log had made durable, with stable ids and materialized labels
-intact.  Checkpoints never overwrite the previous image: each save writes
+process killed at an arbitrary byte of the log recovers to exactly the
+state its last complete frame had made durable, with stable ids and
+materialized labels intact.
+Checkpoints never overwrite the previous image: each save writes
 its table files into a fresh ``tables/<table>/ckpt-<k>/`` directory (for a
 checkpoint, fsynced before the manifest moves), the manifest — itself
 written atomically (temp file + ``os.replace``) — references that version,
@@ -52,8 +53,10 @@ intact image files and at a generation floor whose logs are still on disk.
 
 Exactly one format is read: the one written.  :func:`load_database`
 raises ``ValueError("unsupported database format …")`` for any other
-``format_version``, naming the version it found and the commit whose
-checkout still reads (and so can re-save) older directories.
+``format_version``, naming the version it found and the last commit whose
+checkout still reads it.  Format 4 differs only under ``wal/`` (a JSON-lines
+log beside one array file per record) and is refused like the rest: read as
+format 5, its log tail would be silently skipped.
 """
 
 from __future__ import annotations
@@ -72,14 +75,14 @@ from repro.core.persistence import (load_optimizer, save_optimizer,
 from repro.core.selector import UserConstraints
 from repro.costs.device import DeviceProfile
 from repro.costs.scenario import Scenario
-from repro.data.corpus import ImageCorpus
+from repro.data.corpus import CorpusSegment, ImageCorpus
 from repro.db.database import VisualDatabase
 from repro.db.retention import RetentionPolicy
 from repro.storage.tiers import StorageTier
 
 __all__ = ["save_database", "load_database", "DEFAULT_STORE_BYTES_CAP"]
 
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 _MANIFEST_FILE = "database.json"
 _PREDICATES_DIR = "predicates"
@@ -93,6 +96,11 @@ _IMAGE_DIR_RE = re.compile(r"^ckpt-(\d+)$")
 #: whole catalog.  Arrays beyond the cap (coldest first) are skipped and
 #: recomputed lazily after a load.
 DEFAULT_STORE_BYTES_CAP = 256 * 2 ** 20
+
+#: Journal records applied per ``replay_wal`` call during recovery: bounds
+#: the arrays held beside the corpus being rebuilt (each call also rebuilds
+#: the base relation once, so a larger batch is cheaper, a smaller leaner).
+_REPLAY_BATCH = 64
 
 
 # -- component (de)serialization ------------------------------------------------
@@ -130,26 +138,10 @@ def _constraints_to_dict(constraints: UserConstraints) -> dict:
             "min_throughput": constraints.min_throughput}
 
 
-def _save_corpus_arrays(images: np.ndarray, metadata: dict, content: dict,
-                        path: Path) -> None:
-    arrays = {"images": images}
-    for name, values in metadata.items():
-        arrays[f"metadata/{name}"] = np.asarray(values)
-    for name, values in content.items():
-        arrays[f"content/{name}"] = np.asarray(values)
-    np.savez_compressed(path, **arrays)
-
-
 def _load_corpus(path: Path) -> ImageCorpus:
     with np.load(path, allow_pickle=False) as archive:
-        metadata, content = {}, {}
-        for key in archive.files:
-            if key.startswith("metadata/"):
-                metadata[key.split("/", 1)[1]] = archive[key]
-            elif key.startswith("content/"):
-                content[key.split("/", 1)[1]] = archive[key]
-        return ImageCorpus(images=archive["images"], metadata=metadata,
-                           content=content)
+        segment = CorpusSegment.from_arrays(archive)
+    return ImageCorpus(segment.images, segment.metadata, segment.content)
 
 
 # -- per-table state -------------------------------------------------------------
@@ -367,8 +359,10 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
         relative_dir = f"{_TABLES_DIR}/{table}/ckpt-{image_version}"
         table_dir = root / relative_dir
         table_dir.mkdir(parents=True, exist_ok=True)
-        _save_corpus_arrays(image.images, image.metadata, image.content,
-                            table_dir / _CORPUS_FILE)
+        np.savez_compressed(
+            table_dir / _CORPUS_FILE,
+            **CorpusSegment(image.images, image.metadata,
+                            image.content).to_arrays())
         entry = {
             "name": table,
             "corpus_file": f"{relative_dir}/{_CORPUS_FILE}",
@@ -386,7 +380,7 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
         if image.wal_generation is not None:
             # Recovery replays this table's generations >= this.
             entry["wal_generation"] = image.wal_generation
-        # After the optional key: the order every format-4 writer emitted.
+        # After the optional key: the order every writer has emitted.
         entry["table_dir"] = relative_dir
         if checkpointing:
             _fsync_image_dir(table_dir)
@@ -464,9 +458,9 @@ def load_database(root: str | Path) -> VisualDatabase:
     if version != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported database format {version!r}: only format "
-            f"{_FORMAT_VERSION} is read; to keep an older directory, load "
-            f"and re-save it from a checkout of commit f60db2e, the last "
-            f"one that reads formats 1-3")
+            f"{_FORMAT_VERSION} is read; to keep an older directory, open "
+            f"it from a checkout of commit 2c4153f, the last one that reads "
+            f"format 4 (f60db2e for formats 1-3)")
 
     db = VisualDatabase(
         device=DeviceProfile(**manifest["device"]),
@@ -538,9 +532,9 @@ def _replay_table(db: VisualDatabase, table: str,
                   records: Iterable[dict]) -> None:
     """Apply one table's journal records, in log order.
 
-    ``records`` may be (and during recovery is) a lazy stream — payloads
-    load one record at a time, so replay memory tracks the batch size, not
-    the whole log tail.
+    ``records`` may be (and during recovery is) a lazy stream — arrays load
+    one record at a time and are applied every :data:`_REPLAY_BATCH`
+    records, so replay memory tracks the batch size, not the whole log tail.
     """
     batch: list[dict] = []
 
@@ -568,4 +562,6 @@ def _replay_table(db: VisualDatabase, table: str,
                 db.detach(table)
         else:
             batch.append(record)
+            if len(batch) >= _REPLAY_BATCH:
+                flush()
     flush()

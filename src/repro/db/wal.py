@@ -7,9 +7,8 @@ wrong durability unit: a crash between checkpoints would lose every
 ``ingest()`` since the last one.  The write-ahead log closes that window by
 journaling each mutation as it happens:
 
-* ``ingest()`` appends a **segment** record — the freshly appended
-  :class:`~repro.data.corpus.CorpusSegment`'s arrays land in an ``.npz``
-  payload next to the log, and one JSON line references it,
+* ``ingest()`` appends a **segment** record carrying the freshly appended
+  :class:`~repro.data.corpus.CorpusSegment`'s arrays,
 * retention appends a **drop** record (``{"type": "drop", "rows": n}``),
 * ``set_retention`` appends a **retention** record so the policy itself
   survives a crash,
@@ -19,10 +18,19 @@ journaling each mutation as it happens:
 
 Recovery = load the checkpoint, then replay each table's log tail in order.
 
-Layout (inside a format-v4 database directory)::
+Layout (inside a format-5 database directory): one file per generation,
+``wal/<table>/log-<g>.wal``, holding one **frame** per record::
 
-    wal/<table>/log-<g>.jsonl       generation g: one JSON object per line
-    wal/<table>/seg-<g>-<n>.npz     arrays for segment/attach record n of g
+    header   magic "RWAL" | body length (u64) | crc32(body) (u32)
+    body     one JSON line: the record, plus "arrays": [names] when it
+             carries a segment | each named array in raw ``.npy`` form
+
+A frame is built in memory and appended with one ``write``, one ``flush``
+and one ``os.fsync`` before ``log_*`` returns.  One validity rule: a frame
+that is short, runs past the end of the file, has the wrong magic or fails
+its checksum **is the torn tail**.  Only the active generation's final
+append can tear, so there it ends :meth:`TableWal.records` and the next open
+truncates it; in a rotated generation (complete) it is corruption and raises.
 
 **Generations** make checkpoints crash-safe: a checkpoint :meth:`rotate`\\ s
 the log (freezing the current generation, opening the next) *before* it
@@ -31,27 +39,20 @@ only once the checkpoint is complete.  A crash mid-checkpoint therefore
 leaves the old manifest pointing at the old generation — recovery replays
 the frozen generation plus the new one and loses nothing.  Generations the
 manifest has absorbed are deleted by :meth:`prune` after the manifest is
-durably in place.
-
-Two further invariants make replay safe, even across power loss (not just
-process kills):
-
-* **payload-before-line** — the ``.npz`` payload is written to a temp file,
-  fsynced, ``os.replace``-d into place, and the directory entry fsynced,
-  all *before* the JSON line referencing it is appended (itself fsynced),
-  so a durable log line implies its payload is complete and durable,
-* **torn-tail tolerance** — a crash mid-append leaves at most one partial
-  final line; :meth:`TableWal.records` stops at the first unparsable line
-  and reopening the log truncates the torn bytes, so the tail never poisons
-  a later replay.
+durably in place.  Creating a log file (at open, in :meth:`rotate`) is
+followed by a directory fsync, so the file a durable frame lives in cannot
+itself vanish on power loss; appends need none, they create no file.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
+import struct
 import time
+import zlib
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -63,8 +64,9 @@ from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["TableWal", "wal_dir", "wal_tables"]
 
-_LOG_RE = re.compile(r"^log-(\d+)\.jsonl$")
-_PAYLOAD_RE = re.compile(r"^seg-(\d+)-(\d+)\.npz$")
+_LOG_RE = re.compile(r"^log-(\d+)\.wal$")
+_MAGIC = b"RWAL"
+_HEADER = struct.Struct("<4sQI")  # magic, body length, crc32(body)
 
 
 def wal_dir(root: Path | str, table: str) -> Path:
@@ -92,25 +94,46 @@ def wal_tables(root: Path | str) -> list[str]:
     return sorted(entry.name for entry in base.iterdir() if entry.is_dir())
 
 
-def _segment_to_payload(segment: CorpusSegment) -> dict[str, np.ndarray]:
-    payload: dict[str, np.ndarray] = {"images": segment.images}
-    for key, values in segment.metadata.items():
-        payload[f"metadata/{key}"] = values
-    for key, values in segment.content.items():
-        payload[f"content/{key}"] = values
-    return payload
+def _decode_body(body: bytes) -> dict:
+    """The record dict of one frame body, arrays loaded as ``"segment"``."""
+    stream = io.BytesIO(body)
+    record = json.loads(stream.readline())
+    if "arrays" in record:
+        record["segment"] = CorpusSegment.from_arrays(
+            {name: np.lib.format.read_array(stream, allow_pickle=False)
+             for name in record["arrays"]})
+    return record
 
 
-def _segment_from_payload(path: Path) -> CorpusSegment:
-    with np.load(path, allow_pickle=False) as archive:
-        images = archive["images"]
-        metadata, content = {}, {}
-        for key in archive.files:
-            if key.startswith("metadata/"):
-                metadata[key[len("metadata/"):]] = archive[key]
-            elif key.startswith("content/"):
-                content[key[len("content/"):]] = archive[key]
-    return CorpusSegment(images=images, metadata=metadata, content=content)
+def _frames(path: Path, frozen: bool) -> Iterator[tuple[int, bytes]]:
+    """Yield ``(end offset, body)`` for each intact frame of ``path``.
+
+    The first frame that is not intact is the torn tail: it ends the stream,
+    or raises when ``frozen`` says the generation was rotated (complete).
+    One body is in memory at a time.
+    """
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        offset = 0
+        while offset < size:
+            header = handle.read(_HEADER.size)
+            body = None
+            if len(header) == _HEADER.size:
+                magic, length, checksum = _HEADER.unpack(header)
+                # Bound the read by the file: a damaged length field must
+                # not become a multi-gigabyte allocation.
+                if magic == _MAGIC and length <= size - handle.tell():
+                    body = handle.read(length)
+                    if zlib.crc32(body) != checksum:
+                        body = None
+            if body is None:
+                if frozen:
+                    raise ValueError(
+                        f"corrupt write-ahead log: {path} has an invalid "
+                        f"frame at byte {offset} of a rotated generation")
+                return
+            offset = handle.tell()
+            yield offset, body
 
 
 class TableWal:
@@ -134,26 +157,30 @@ class TableWal:
         self._lock = make_lock(f"wal:{table}")
         generations = self.generations()
         self._generation = generations[-1] if generations else 0  # guarded by: self._lock
-        # A crash can only tear the latest generation's final append; older
-        # generations were frozen by a rotate and are complete.
-        self._truncate_torn_tail(self._generation)
-        # Per-generation record counts, maintained in memory from here on
-        # (append/rotate/prune) so record_count() never re-reads the logs.
-        self._counts = {generation: self._count_records(generation)  # guarded by: self._lock
-                        for generation in generations}
-        self._counts.setdefault(self._generation, 0)
-        self._sequence = self._counts[self._generation]  # guarded by: self._lock
-        self._handle = open(self._log_path(self._generation), "a",  # guarded by: self._lock
-                            encoding="utf-8")
+        # Per-generation record counts: read from disk once, here, then
+        # maintained in memory by append/rotate/prune.
+        self._counts = {self._generation: 0}  # guarded by: self._lock
+        for generation in generations:
+            path = self._log_path(generation)
+            active = generation == self._generation
+            count = end = 0
+            for end, _ in _frames(path, frozen=not active):
+                count += 1
+            self._counts[generation] = count
+            if active and end < path.stat().st_size:
+                # The crash interrupted this generation's final append: drop
+                # the torn frame so the next append starts on a boundary.
+                os.truncate(path, end)
+        self._handle = open(self._log_path(self._generation), "ab")  # guarded by: self._lock
         # The open() above may have created the log file (and mkdir the
         # directory); make both directory entries durable before the first
-        # fsynced line can claim durability.
+        # fsynced frame can claim durability.
         fsync_dir(self.directory)
         fsync_dir(self.directory.parent)
         self._closed = False  # guarded by: self._lock
 
     def _log_path(self, generation: int) -> Path:
-        return self.directory / f"log-{generation}.jsonl"
+        return self.directory / f"log-{generation}.wal"
 
     @property
     def generation(self) -> int:
@@ -171,71 +198,50 @@ class TableWal:
 
     # -- appending ---------------------------------------------------------
     def log_segment(self, segment: CorpusSegment) -> None:
-        """Journal one freshly ingested corpus segment (durable payload)."""
-        self._append_with_payload("segment", segment)
+        """Journal one freshly ingested corpus segment."""
+        self._append({"type": "segment"}, segment)
 
     def log_attach(self, segment: CorpusSegment, *,
                    id_offset: int = 0) -> None:
         """Journal a table's baseline corpus (attach after last checkpoint)."""
-        self._append_with_payload("attach", segment,
-                                  extra={"id_offset": int(id_offset)})
+        self._append({"type": "attach", "id_offset": int(id_offset)}, segment)
 
     def log_drop(self, rows: int) -> None:
         """Journal a retention drop of the ``rows`` oldest rows."""
-        self._append_line({"type": "drop", "rows": int(rows)})
+        self._append({"type": "drop", "rows": int(rows)})
 
     def log_retention(self, policy_dict: dict | None) -> None:
         """Journal a retention-policy change (``None`` clears the policy)."""
-        self._append_line({"type": "retention", "policy": policy_dict})
+        self._append({"type": "retention", "policy": policy_dict})
 
     def log_detach(self) -> None:
         """Journal that this table was detached (replay drops it)."""
-        self._append_line({"type": "detach"})
+        self._append({"type": "detach"})
 
-    def _append_with_payload(self, record_type: str, segment: CorpusSegment,
-                             extra: dict | None = None) -> None:
+    def _append(self, record: dict,
+                segment: CorpusSegment | None = None) -> None:
+        """Append ``record`` (plus ``segment``'s arrays) as one checksummed
+        frame; durable when this returns."""
         started = time.perf_counter()
+        arrays = segment.to_arrays() if segment is not None else {}
+        if arrays:
+            record = {**record, "rows": len(segment), "arrays": list(arrays)}
+        buffer = io.BytesIO()
+        buffer.write(bytes(_HEADER.size))  # filled in once the body is known
+        buffer.write(json.dumps(record).encode("utf-8") + b"\n")
+        for array in arrays.values():
+            np.lib.format.write_array(buffer, array, allow_pickle=False)
+        frame = buffer.getbuffer()
+        body = frame[_HEADER.size:]
+        _HEADER.pack_into(frame, 0, _MAGIC, len(body), zlib.crc32(body))
         with self._lock:
             self._ensure_open()
-            payload_name = f"seg-{self._generation}-{self._sequence}.npz"
-            final = self.directory / payload_name
-            # payload-before-line: the payload bytes are fsynced, renamed
-            # into place atomically, and the rename made durable — so once
-            # the (fsynced) JSON line below exists, the payload it names is
-            # complete and durable even across power loss.
-            tmp = self.directory / f".{payload_name}.tmp"
-            with open(tmp, "wb") as handle:
-                np.savez(handle, **_segment_to_payload(segment))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, final)
-            fsync_dir(self.directory)
-            record = {"type": record_type, "payload": payload_name,
-                      "rows": len(segment)}
-            if extra:
-                record.update(extra)
-            self._write_line(record)
-            self._advance()
+            self._handle.write(frame)
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+            self._counts[self._generation] += 1
         self._append_seconds.observe(time.perf_counter() - started,
                                      table=self.table)
-
-    def _append_line(self, record: dict) -> None:
-        started = time.perf_counter()
-        with self._lock:
-            self._ensure_open()
-            self._write_line(record)
-            self._advance()
-        self._append_seconds.observe(time.perf_counter() - started,
-                                     table=self.table)
-
-    def _advance(self) -> None:
-        self._sequence += 1
-        self._counts[self._generation] = self._sequence
-
-    def _write_line(self, record: dict) -> None:
-        self._handle.write(json.dumps(record) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -246,26 +252,23 @@ class TableWal:
         """Yield parsed records of generations >= ``from_generation``, in
         order.
 
-        ``segment``/``attach`` records come back with their payload loaded
+        ``segment``/``attach`` records come back with their arrays loaded
         under the ``"segment"`` key; each record also carries its
-        ``"generation"``.  Parsing a generation stops at a torn final line.
-        Records stream lazily — payload arrays are loaded one record at a
-        time as the caller advances, so replaying a long tail never holds
+        ``"generation"``.  The stream stops at the active generation's torn
+        tail; an invalid frame in a rotated generation raises
+        :class:`ValueError`.  Records stream lazily — one frame is read and
+        decoded as the caller advances, so replaying a long tail never holds
         every segment's bytes in memory at once.
         """
-        for generation in self.generations():
+        generations = self.generations()
+        for generation in generations:
             if generation < from_generation:
                 continue
-            with open(self._log_path(generation), encoding="utf-8") as handle:
-                for line in handle:
-                    record = _parse_line(line)
-                    if record is None:
-                        break  # torn tail: the crash interrupted this append
-                    if record["type"] in ("segment", "attach"):
-                        payload = self.directory / record["payload"]
-                        record["segment"] = _segment_from_payload(payload)
-                    record["generation"] = generation
-                    yield record
+            for _, body in _frames(self._log_path(generation),
+                                   frozen=generation < generations[-1]):
+                record = _decode_body(body)
+                record["generation"] = generation
+                yield record
 
     def record_count(self) -> int:
         """Complete records across all live generations (tears excluded).
@@ -275,18 +278,6 @@ class TableWal:
         """
         with self._lock:
             return sum(self._counts.values())
-
-    def _count_records(self, generation: int) -> int:
-        path = self._log_path(generation)
-        if not path.exists():
-            return 0
-        count = 0
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                if _parse_line(line) is None:
-                    break
-                count += 1
-        return count
 
     # -- lifecycle ---------------------------------------------------------
     def rotate(self) -> int:
@@ -302,12 +293,10 @@ class TableWal:
             self._handle.flush()
             self._handle.close()
             self._generation += 1
-            self._sequence = 0
             self._counts[self._generation] = 0
-            self._handle = open(self._log_path(self._generation), "a",
-                                encoding="utf-8")
+            self._handle = open(self._log_path(self._generation), "ab")
             # Make the new generation's directory entry durable before any
-            # fsynced line lands in it.
+            # fsynced frame lands in it.
             fsync_dir(self.directory)
             return self._generation
 
@@ -315,11 +304,9 @@ class TableWal:
         """Delete generations < ``before_generation`` (absorbed by a
         checkpoint whose manifest is durably in place)."""
         with self._lock:
-            for entry in list(self.directory.iterdir()):
-                match = _LOG_RE.match(entry.name) or \
-                    _PAYLOAD_RE.match(entry.name)
-                if match and int(match.group(1)) < before_generation:
-                    entry.unlink()
+            for generation in self.generations():
+                if generation < before_generation:
+                    self._log_path(generation).unlink()
             self._counts = {generation: count
                             for generation, count in self._counts.items()
                             if generation >= before_generation}
@@ -336,33 +323,3 @@ class TableWal:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def _truncate_torn_tail(self, generation: int) -> None:
-        """Drop a partial final line left by a crash mid-append."""
-        log_path = self._log_path(generation)
-        if not log_path.exists():
-            return
-        keep = 0
-        with open(log_path, "rb") as handle:
-            for line in handle:
-                if _parse_line(line.decode("utf-8", errors="replace")) is None:
-                    break
-                keep += len(line)
-            size = handle.seek(0, os.SEEK_END)
-        if keep < size:
-            with open(log_path, "rb+") as handle:
-                handle.truncate(keep)
-
-
-def _parse_line(line: str) -> dict | None:
-    """One log line as a record dict, or ``None`` when torn/invalid."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict) or "type" not in record:
-        return None
-    return record

@@ -67,8 +67,8 @@ CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("repro_cascade_level_decided_total", "counter",
                "Images decided at each cascade level.", ("cascade", "level")),
     MetricSpec("repro_wal_append_seconds", "histogram",
-               "WAL record append latency (payload write + fsync'd log "
-               "line), per table.", ("table",)),
+               "WAL record append latency (encode the frame, one write, one "
+               "fsync), per table.", ("table",)),
     MetricSpec("repro_wal_replay_seconds", "histogram",
                "WAL replay duration on recovery, per table.", ("table",)),
     MetricSpec("repro_store_hits_total", "counter",

@@ -1,9 +1,9 @@
 """Self-tests for the durability lint.
 
 Same scratch-copy strategy as the lock-discipline self-tests: the real WAL
-and checkpoint modules must lint clean, and surgically removing one fsync,
-one directory fsync, or adding one write after a prune must each produce
-exactly the matching finding.
+and checkpoint modules must lint clean, and surgically removing the append's
+fsync, the manifest's fsync, its directory fsync, or adding one write after a
+prune must each produce exactly the matching finding.
 """
 
 import shutil
@@ -42,30 +42,45 @@ class TestCleanTree:
         assert check_durability(scratch) == []
 
 
+_MANIFEST_FSYNC = ("    if checkpointing:\n"
+                   "        _fsync_file(tmp_manifest)\n"
+                   "    os.replace(tmp_manifest, root / _MANIFEST_FILE)")
+_MANIFEST_NO_FSYNC = "    os.replace(tmp_manifest, root / _MANIFEST_FILE)"
+
+
 class TestDetections:
-    def test_removed_payload_fsync_detected(self, scratch):
-        # The WAL's payload-before-line append: dropping the payload fsync
+    def test_removed_manifest_fsync_detected(self, scratch):
+        # The checkpoint's manifest swap: dropping the temp file's fsync
         # leaves the os.replace publishing potentially-unwritten bytes.
-        _edit(scratch, "db/wal.py",
-              "                handle.flush()\n"
-              "                os.fsync(handle.fileno())\n"
-              "            os.replace(tmp, final)",
-              "                handle.flush()\n"
-              "            os.replace(tmp, final)")
+        _edit(scratch, "db/persistence.py", _MANIFEST_FSYNC,
+              _MANIFEST_NO_FSYNC)
         findings = check_durability(scratch)
         assert _rules(findings) == {"fsync-before-rename"}
         (finding,) = findings
-        assert finding.path == "db/wal.py"
-        assert "_append_with_payload" in finding.message
+        assert finding.path == "db/persistence.py"
+        assert "save_database" in finding.message
 
     def test_removed_dirsync_detected(self, scratch):
-        _edit(scratch, "db/wal.py",
-              "            os.replace(tmp, final)\n"
-              "            fsync_dir(self.directory)",
-              "            os.replace(tmp, final)")
+        _edit(scratch, "db/persistence.py",
+              "\n        fsync_dir(root)\n",
+              "\n        pass\n")
         findings = check_durability(scratch)
         assert _rules(findings) == {"dirsync-after-rename"}
         assert "directory fsync" in findings[0].message
+
+    def test_removed_append_fsync_detected(self, scratch):
+        # The WAL's whole append protocol is write, flush, fsync: without
+        # the fsync a record is acknowledged while still in the page cache,
+        # and no test notices.
+        _edit(scratch, "db/wal.py",
+              "            self._handle.flush()\n"
+              "            os.fsync(self._handle.fileno())\n",
+              "            self._handle.flush()\n")
+        findings = check_durability(scratch)
+        assert _rules(findings) == {"fsync-after-append"}
+        (finding,) = findings
+        assert finding.path == "db/wal.py"
+        assert "_append" in finding.message
 
     def test_write_after_prune_detected(self, scratch):
         _edit(scratch, "db/persistence.py",
@@ -77,13 +92,8 @@ class TestDetections:
         assert finding_path(findings) == "db/persistence.py"
 
     def test_suppression_comment_honored(self, scratch):
-        _edit(scratch, "db/wal.py",
-              "                handle.flush()\n"
-              "                os.fsync(handle.fileno())\n"
-              "            os.replace(tmp, final)",
-              "                handle.flush()\n"
-              "            os.replace(tmp, final)"
-              "  # durability ok: self-test fixture")
+        _edit(scratch, "db/persistence.py", _MANIFEST_FSYNC,
+              _MANIFEST_NO_FSYNC + "  # durability ok: self-test fixture")
         assert check_durability(scratch) == []
 
 

@@ -1,17 +1,20 @@
 """Tests for the segment-based storage engine's durability layer.
 
-Covers the TableWal journal itself (payload-before-line, torn-tail
+Covers the TableWal journal itself (one fsynced frame per record, torn-tail
 truncation, generations: rotate/prune), enable_wal/checkpoint/recovery on
-VisualDatabase, the crash-recovery property (kill at *every* record boundary
-between checkpoint and tail, replay, compare against an independent model of
-the log), the save-vs-ingest race fixes, WAL-aware close(), segment compaction
-and storage_stats, and the one-format contract of the loader.
+VisualDatabase, the crash-recovery property (cut the log at every record
+boundary *and inside every frame* between checkpoint and tail, replay,
+compare against an independent model of the log), the save-vs-ingest race
+fixes, WAL-aware close(), segment compaction and storage_stats, and the
+one-format contract of the loader.
 """
 
 import json
 import os
 import shutil
+import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -36,6 +39,31 @@ def timed_corpus(timestamps):
 def make_segment(timestamps):
     corpus = timed_corpus(timestamps)
     return CorpusSegment.build(corpus.images, corpus.metadata, corpus.content)
+
+
+# The frame layout, restated here on purpose: the tests find and build
+# frames without TableWal, so they check the format instead of mirroring it.
+_FRAME_HEADER = struct.Struct("<4sQI")  # magic, body length, crc32(body)
+
+
+def frame_spans(log_bytes):
+    """``[(start, end)]`` of every frame in a log file's bytes."""
+    spans, start = [], 0
+    while start < len(log_bytes):
+        magic, length, checksum = _FRAME_HEADER.unpack_from(log_bytes, start)
+        end = start + _FRAME_HEADER.size + length
+        assert magic == b"RWAL"
+        assert zlib.crc32(log_bytes[start + _FRAME_HEADER.size:end]) \
+            == checksum
+        spans.append((start, end))
+        start = end
+    return spans
+
+
+def flip_bit(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
 
 
 def table_state(database, table="cam"):
@@ -77,14 +105,16 @@ class TestTableWal:
         wal = TableWal(tmp_path, "cam")
         wal.log_drop(1)
         wal.log_drop(2)
+        log = wal_dir(tmp_path, "cam") / "log-0.wal"
+        intact = log.stat().st_size
+        wal.log_drop(3)
         wal.close()
-        log = wal_dir(tmp_path, "cam") / "log-0.jsonl"
-        with open(log, "a", encoding="utf-8") as handle:
-            handle.write('{"type": "drop", "ro')  # crash mid-append
+        os.truncate(log, log.stat().st_size - 3)  # crash mid-append
 
         reopened = TableWal(tmp_path, "cam")
         assert [r["rows"] for r in reopened.records()] == [1, 2]
-        # The reopen truncated the torn bytes; appending works again.
+        # The reopen truncated the torn frame; appending works again.
+        assert log.stat().st_size == intact
         reopened.log_drop(3)
         reopened.close()
         assert [r["rows"] for r in TableWal(tmp_path, "cam").records()] \
@@ -100,8 +130,25 @@ class TestTableWal:
         assert [r["type"] for r in wal.records(from_generation=1)] == ["drop"]
         wal.prune(1)
         assert wal.generations() == [1]
-        # The pruned generation's payload file went with its log.
-        assert not list(wal_dir(tmp_path, "cam").glob("seg-0-*.npz"))
+        # Nothing of the pruned generation is left: a record is part of its
+        # log file, not a file of its own.
+        assert [entry.name for entry in wal_dir(tmp_path, "cam").iterdir()] \
+            == ["log-1.wal"]
+        wal.close()
+
+    def test_one_record_is_one_fsync_and_no_new_file(self, tmp_path,
+                                                     monkeypatch):
+        wal = TableWal(tmp_path, "cam")
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: (synced.append(fd), real_fsync(fd)))
+        listing = sorted(wal_dir(tmp_path, "cam").iterdir())
+        wal.log_segment(make_segment([1.0, 2.0]))
+        assert len(synced) == 1
+        wal.log_drop(1)
+        assert len(synced) == 2
+        assert sorted(wal_dir(tmp_path, "cam").iterdir()) == listing
         wal.close()
 
     def test_records_stream_lazily(self, tmp_path):
@@ -243,6 +290,105 @@ class TestEnableWal:
         recovered = VisualDatabase.load(root)
         assert table_state(recovered) == expected
 
+    def test_damaged_rotated_generation_refuses_to_load(self, tmp_path,
+                                                        monkeypatch):
+        # Only the active generation's final append can tear; a rotate froze
+        # the others complete, so a bad frame there is corruption — not a
+        # tail to stop at quietly before carrying on with the next log.
+        root = tmp_path / "vdb"
+        database = connect({"cam": timed_corpus([0.0, 1.0])})
+        database.enable_wal(root)
+        generation = database.executor_for("cam").wal.generation
+        database.ingest(*_batch([2.0]), table="cam")
+        database.ingest(*_batch([3.0]), table="cam")
+        # A checkpoint that rotates, then dies before its manifest lands:
+        # the old manifest still replays the now-frozen generation.
+        monkeypatch.setattr(os, "replace", _raise_os_error)
+        with pytest.raises(OSError):
+            database.checkpoint()
+        monkeypatch.undo()
+        database.ingest(*_batch([4.0]), table="cam")
+        expected = table_state(database)
+        database.close()
+        with VisualDatabase.load(root) as recovered:
+            assert table_state(recovered) == expected
+
+        log = wal_dir(root, "cam") / f"log-{generation}.wal"
+        (_, second), _ = frame_spans(log.read_bytes())
+        flip_bit(log, second + _FRAME_HEADER.size + 40)
+        with pytest.raises(ValueError,
+                           match=rf"log-{generation}\.wal.* byte {second}\b"):
+            VisualDatabase.load(root)
+
+    def test_damaged_final_frame_is_a_torn_tail(self, tmp_path):
+        root = tmp_path / "vdb"
+        database = connect({"cam": timed_corpus([0.0, 1.0])})
+        database.enable_wal(root)
+        database.ingest(*_batch([2.0]), table="cam")
+        before_last = table_state(database)
+        database.ingest(*_batch([3.0, 4.0]), table="cam")
+        wal = database.executor_for("cam").wal
+        log = wal_dir(root, "cam") / f"log-{wal.generation}.wal"
+        database.close()
+        (_, last), (_, end) = frame_spans(log.read_bytes())
+        flip_bit(log, end - 9)  # inside the last frame's final array
+
+        recovered = VisualDatabase.load(root)
+        assert table_state(recovered) == before_last
+        assert log.stat().st_size == last  # truncated back to a boundary
+        recovered.ingest(*_batch([5.0]), table="cam")
+        expected = table_state(recovered)
+        recovered.close()
+        assert len(frame_spans(log.read_bytes())) == 2
+        with VisualDatabase.load(root) as again:
+            assert table_state(again) == expected
+
+    def test_unknown_record_type_refuses_to_load(self, tmp_path):
+        # Recovery never skips a journaled mutation it cannot apply.
+        root = tmp_path / "vdb"
+        database = connect({"cam": timed_corpus([0.0])})
+        database.enable_wal(root)
+        wal = database.executor_for("cam").wal
+        database.close()
+        body = b'{"type": "vacuum"}\n'
+        with open(wal_dir(root, "cam") / f"log-{wal.generation}.wal",
+                  "ab") as handle:
+            handle.write(_FRAME_HEADER.pack(b"RWAL", len(body),
+                                            zlib.crc32(body)) + body)
+        with pytest.raises(ValueError, match="'vacuum'.*'cam'"):
+            VisualDatabase.load(root)
+
+    def test_long_tail_replays_in_bounded_batches(self, tmp_path,
+                                                  monkeypatch):
+        from repro.db import persistence
+        from repro.db.executor import QueryExecutor
+
+        root = tmp_path / "vdb"
+        database = connect({"cam": timed_corpus([0.0])},
+                           retention=RetentionPolicy(max_rows=50))
+        database.enable_wal(root)
+        for step in range(2 * persistence._REPLAY_BATCH):
+            # Past the window every ingest journals a segment and a drop.
+            database.ingest(*_batch([10.0 + step]), table="cam")
+        wal = database.executor_for("cam").wal
+        assert wal.record_count() >= 3 * persistence._REPLAY_BATCH
+
+        batches = []
+        replay_wal = QueryExecutor.replay_wal
+
+        def counting_replay(executor, records):
+            assert isinstance(records, list)
+            batches.append(len(records))
+            return replay_wal(executor, records)
+
+        monkeypatch.setattr(QueryExecutor, "replay_wal", counting_replay)
+        with VisualDatabase.load(root) as recovered:
+            assert table_state(recovered) == table_state(database)
+        assert len(batches) >= 3
+        assert max(batches) <= persistence._REPLAY_BATCH
+        assert sum(batches) == wal.record_count()
+        database.close()
+
     def test_attach_detach_replace_survive_recovery(self, tmp_path):
         database = connect({"cam": timed_corpus([0.0])})
         database.enable_wal(tmp_path / "vdb")
@@ -301,14 +447,19 @@ def _batch(timestamps):
     return corpus.images, dict(corpus.metadata)
 
 
+def _raise_os_error(*args, **kwargs):
+    raise OSError("simulated crash")
+
+
 class TestCrashRecoveryProperty:
-    """Kill the database at *every* WAL record boundary and recover.
+    """Kill the database at *every* WAL record boundary — and inside every
+    frame — and recover.
 
     The reference is an independent model of the log: a plain list of
     (id, timestamp) rows that applies segment/drop/retention records by
     hand.  The model's final state is anchored against the live (uncrashed)
-    database, so the log's *content* is verified too — then every prefix of
-    the log must recover to the model's state at that prefix.
+    database, so the log's *content* is verified too — then every cut of
+    the log must recover to the model's state at its last complete record.
     """
 
     def test_every_record_boundary_recovers(self, tmp_path):
@@ -346,24 +497,34 @@ class TestCrashRecoveryProperty:
             snapshots.append(list(rows))
         assert snapshots[-1] == table_state(database)  # anchor the log
 
-        log_name = f"log-{generation}.jsonl"
-        log_lines = (wal_dir(root, "cam") / log_name).read_bytes() \
-            .splitlines(keepends=True)
-        assert len(log_lines) == len(records)
+        log_name = f"log-{generation}.wal"
+        log_bytes = (wal_dir(root, "cam") / log_name).read_bytes()
+        spans = frame_spans(log_bytes)
+        assert len(spans) == len(records)
+        database.close()
 
-        for boundary in range(len(records) + 1):
-            crashed = tmp_path / f"crash-{boundary}"
+        def recover(data, label):
+            crashed = tmp_path / f"crash-{label}"
             shutil.copytree(root, crashed)
-            # Kill at this record boundary: the log ends mid-stream.  A
-            # stray half-line beyond it simulates the torn final append.
-            with open(wal_dir(crashed, "cam") / log_name, "wb") as handle:
-                handle.write(b"".join(log_lines[:boundary]))
-                if boundary < len(records):
-                    handle.write(log_lines[boundary][:7])
-            recovered = VisualDatabase.load(crashed)
-            assert table_state(recovered) == snapshots[boundary], \
-                f"divergence at record boundary {boundary}"
-            recovered.close()
+            (wal_dir(crashed, "cam") / log_name).write_bytes(data)
+            with VisualDatabase.load(crashed) as recovered:
+                return table_state(recovered)
+
+        header = _FRAME_HEADER.size
+        for index, (start, end) in enumerate(spans):
+            # Kill before this record (a clean boundary), then inside each
+            # byte class of its frame: mid-header, one byte into the body,
+            # mid-array, one byte short of complete.
+            for cut in sorted({start, start + header // 2, start + header + 1,
+                               (start + header + end) // 2, end - 1}):
+                assert recover(log_bytes[:cut], cut) == snapshots[index], \
+                    f"divergence cutting record {index} at byte {cut}"
+        assert recover(log_bytes, "whole") == snapshots[-1]
+        # Not a short write but a damaged one: the frame is all there and
+        # one bit of it is wrong.  Only the checksum can tell.
+        damaged = bytearray(log_bytes)
+        damaged[(spans[-1][0] + header + len(damaged)) // 2] ^= 0x10
+        assert recover(bytes(damaged), "bitflip") == snapshots[-2]
 
 
 class TestSaveVsIngestRace:
@@ -549,12 +710,13 @@ class TestFormatCompatibility:
 
     def test_unknown_format_rejected(self, tmp_path):
         # One format is read: the one written.  Older layouts (1: single
-        # corpus, 2: multi-table, 3: retention, no WAL) and newer ones are
-        # refused alike, and the message says which version was found.
+        # corpus, 2: multi-table, 3: retention, no WAL, 4: WAL records as a
+        # JSON line plus an array file) and newer ones are refused alike,
+        # and the message says which version was found.
         database = connect({"cam": timed_corpus([0.0])})
         root = database.save(tmp_path / "vdb")
         manifest = self._manifest(root)
-        for version in (1, 2, 3, 99):
+        for version in (1, 2, 3, 4, 99):
             manifest["format_version"] = version
             (root / "database.json").write_text(json.dumps(manifest))
             with pytest.raises(
@@ -562,7 +724,7 @@ class TestFormatCompatibility:
                     match=rf"unsupported database format {version}\b"):
                 VisualDatabase.load(root)
 
-    def test_written_manifest_is_the_v4_contract(self, tmp_path):
+    def test_written_manifest_is_the_v5_contract(self, tmp_path):
         # The loader reads exactly what the writer writes, so the writer's
         # key sets are the on-disk contract: a writer change shows up here
         # as a diff, and directories written by earlier commits keep loading
@@ -572,7 +734,7 @@ class TestFormatCompatibility:
         database.ingest(*_batch([3.0]), table="cam")
         root = database.save(tmp_path / "vdb")
         manifest = self._manifest(root)
-        assert manifest["format_version"] == 4
+        assert manifest["format_version"] == 5
         assert sorted(manifest) == [
             "calibrate_target_fps", "cost_resolution", "default_constraints",
             "device", "device_calibrated", "format_version", "predicates",
@@ -599,3 +761,34 @@ class TestFormatCompatibility:
         loaded.close()
         with VisualDatabase.load(tmp_path / "ckpt") as recovered:
             assert table_state(recovered) == table_state(database)
+
+    def test_corpus_array_names_are_the_contract(self, tmp_path):
+        # Checkpoint images and WAL frames name a segment's arrays with one
+        # codec (CorpusSegment.to_arrays); these names and dtypes are what
+        # every corpus.npz so far holds, so they must not move.
+        corpus = ImageCorpus(
+            images=np.zeros((2, TINY_SIZE, TINY_SIZE, 3)),
+            metadata={"timestamp": np.array([0.0, 1.0]),
+                      "location": np.array(["detroit", "ann arbor"])},
+            content={"komondor": np.array([True, False])})
+        names = ["images", "metadata/timestamp", "metadata/location",
+                 "content/komondor"]
+        database = connect({"cam": corpus})
+        root = database.enable_wal(tmp_path / "vdb")
+        [entry] = self._manifest(root)["tables"]
+        with np.load(root / entry["corpus_file"]) as archive:
+            assert archive.files == names
+            saved = CorpusSegment.from_arrays(archive)
+        for kind in ("metadata", "content"):
+            for key, column in getattr(corpus, kind).items():
+                assert getattr(saved, kind)[key].dtype == column.dtype
+        assert saved.images.dtype == np.float64
+
+        database.ingest(corpus.images, metadata=dict(corpus.metadata),
+                        content=dict(corpus.content), table="cam")
+        wal = database.executor_for("cam").wal
+        log = (wal_dir(root, "cam") / f"log-{wal.generation}.wal").read_bytes()
+        [(start, _)] = frame_spans(log)
+        meta = json.loads(log[start + _FRAME_HEADER.size:].split(b"\n")[0])
+        assert meta == {"type": "segment", "rows": 2, "arrays": names}
+        database.close()
