@@ -150,7 +150,7 @@ REGISTRY: tuple[GuardSpec, ...] = (
     GuardSpec(
         path="server/admission.py",
         cls="AdmissionController",
-        guarded=_fs("_closing", "_in_flight"),
+        guarded=_fs("_closing", "_abandoned", "_running", "_waiting"),
     ),
     GuardSpec(
         path="server/plan_cache.py",

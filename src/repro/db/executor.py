@@ -174,7 +174,8 @@ class QueryExecutor:
         self._store_misses = self.metrics.counter("repro_store_misses_total")
         # One lock per table: ingest and retention on the same shard
         # serialize; queries only take it for snapshot capture and merge
-        # (fan-out stays concurrent — each shard has its own lock).  Created
+        # (queries from concurrent connections on different shards do not
+        # contend — each shard has its own lock).  Created
         # before any guarded state so even construction observes the
         # discipline the runtime sanitizer asserts.
         self._lock = make_rlock(f"executor:{table or 'default'}")
@@ -656,7 +657,7 @@ class QueryExecutor:
         from repro.db.aggregates import compute_partials
 
         if cancel is not None:
-            # A query that sat in the admission queue past its deadline (or
+            # A query that waited for an admission slot past its deadline (or
             # waited on this shard's lock) aborts before any work happens.
             cancel()
         n = snap.n

@@ -85,7 +85,7 @@ class QueryTimeoutError(QueryError):
     The executor checks a cancellation hook at chunk boundaries
     (:meth:`~repro.db.executor.QueryExecutor.execute`); a serving layer's
     hook raises this once the per-query deadline passes, so long-running
-    classification work stops between chunks instead of hanging a worker.
+    classification work stops between chunks instead of hanging a connection.
     """
 
 

@@ -3,9 +3,9 @@
 :class:`~repro.db.database.VisualDatabase` is an in-process engine; this
 package turns it into a multi-client system.  A stdlib-only
 :class:`~repro.server.server.VisualDatabaseServer` (``socketserver`` + a
-bounded worker pool) accepts TCP connections, each holding a *session* with
-server-side cursors, and speaks the :mod:`repro.query.sql` dialect over the
-wire::
+counting admission gate) accepts TCP connections, each holding a *session*
+with server-side cursors, and speaks the :mod:`repro.query.sql` dialect over
+the wire::
 
     db = repro.db.connect({"cam_north": north, "cam_south": south})
     server = repro.server.serve(db, port=7432)
@@ -69,7 +69,7 @@ docstring convention of :mod:`repro.query.sql`::
 An ``id`` key, when present, is echoed verbatim in the response so clients
 can match pipelined requests.  Error ``type`` names the Python exception
 class on the server (``SqlParseError`` carries ``offset``/``token``,
-``BackpressureError`` means the admission queue was full — resubmit later,
+``BackpressureError`` means the admission gate was full — resubmit later,
 ``QueryTimeoutError`` means the per-query deadline passed and the query was
 aborted at a chunk boundary).  Sessions survive every error: a failed query
 never tears down the connection.
@@ -79,8 +79,9 @@ The serving pieces:
 * :mod:`repro.server.protocol` — framing, serializable error payloads;
 * :mod:`repro.server.session` — per-connection sessions and cursor paging
   built on :meth:`repro.db.results.ResultSet.fetchmany`;
-* :mod:`repro.server.admission` — bounded query queue + worker pool with
-  immediate backpressure rejection and cooperative per-query timeouts;
+* :mod:`repro.server.admission` — the gate that caps running and waiting
+  queries (each runs on its connection's thread), with immediate
+  backpressure rejection and cooperative per-query timeouts;
 * :mod:`repro.server.plan_cache` — plans keyed by normalized query shape
   (literals stripped): an exact repeat skips parse + lowering, and
   hit/miss/rebind outcomes are counted on the :mod:`repro.telemetry`

@@ -74,9 +74,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7432)
     parser.add_argument("--workers", type=int, default=4,
-                        help="query worker threads (default: 4)")
+                        help="concurrent queries (default: 4)")
     parser.add_argument("--queue", type=int, default=16,
-                        help="admission queue depth (default: 16)")
+                        help="queries allowed to wait beyond them "
+                             "(default: 16)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="default per-query timeout in seconds")
     parser.add_argument("--scenario", default=None,

@@ -1,33 +1,34 @@
-"""Admission control: a bounded query queue feeding a worker pool.
+"""Admission control: a counting gate in front of query execution.
 
-The serving layer's load story: every query a session accepts is *submitted*
-here rather than run on the connection thread.  The queue is bounded — when
-``max_queue`` queries are already waiting, a new submission raises
-:class:`~repro.server.protocol.BackpressureError` *immediately* (never
-blocks), so an overloaded server answers with a structured rejection the
-client can back off on instead of hanging the connection.  ``max_workers``
-threads drain the queue; per-shard executor locks make it safe for several
-workers to race queries, ingest and retention on one database.
+The serving layer's load story: a session *runs* every query it accepts
+through :meth:`AdmissionController.run`, on the connection's own thread.
+The gate counts two things — queries running (at most ``max_workers``) and
+callers waiting for a slot (at most ``max_queue`` beyond them).  A caller
+that finds both full is refused with
+:class:`~repro.server.protocol.BackpressureError` *immediately* (it never
+waits), so an overloaded server answers with a structured rejection the
+client can back off on instead of hanging the connection.  No thread is
+started here: the thread that read the request is the thread that runs it,
+and per-shard executor locks make it safe for several of them to race
+queries, ingest and retention on one database.
 
 Per-query timeouts are cooperative: :meth:`AdmissionController.cancel_for`
-builds the cancellation hook a worker passes down to
+builds the cancellation hook a session passes down to
 :meth:`~repro.db.database.VisualDatabase.execute` — it raises
 :class:`~repro.query.ast.QueryTimeoutError` once the deadline passes, which
 the executor observes at chunk boundaries.  A timed-out query therefore
-aborts between chunks (bounded overshoot: one chunk), frees its worker, and
-the session that submitted it stays usable.
+aborts between chunks (bounded overshoot: one chunk), frees its slot, and
+the session that ran it stays usable.
 
-Shutdown drains: :meth:`shutdown` first flips the controller into a
-rejecting state (submissions get a backpressure error naming the shutdown),
-then waits for queued and in-flight queries to finish before returning —
-the server's graceful-stop path.
+Shutdown drains: :meth:`shutdown` first flips the gate into a rejecting
+state (new callers get a backpressure error naming the shutdown), then
+waits for waiting and running queries to finish before returning — the
+server's graceful-stop path.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-from concurrent.futures import Future
 from time import monotonic
 from typing import Callable
 
@@ -38,22 +39,18 @@ from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["AdmissionController"]
 
-_SENTINEL = object()
-
 
 class AdmissionController:
-    """Bounded admission queue + worker pool for one server.
+    """Bounded concurrency gate for one server's queries.
 
     Parameters
     ----------
     max_workers:
-        Worker threads executing admitted queries concurrently.
+        Queries allowed to run concurrently.
     max_queue:
-        Queries allowed to *wait* beyond the ones in flight; a submission
-        finding the queue full is rejected immediately with
-        :class:`~repro.server.protocol.BackpressureError`.
-    name:
-        Thread-name prefix (diagnostics).
+        Callers allowed to *wait* for a slot beyond the ones running; a
+        caller finding that many already waiting is rejected immediately
+        with :class:`~repro.server.protocol.BackpressureError`.
     metrics:
         The registry the lifetime counters (``repro_admission_queries_total``
         by event) and the queue-depth gauge live on; a private registry is
@@ -61,7 +58,6 @@ class AdmissionController:
     """
 
     def __init__(self, max_workers: int = 4, max_queue: int = 16,
-                 name: str = "repro-server",
                  metrics: MetricsRegistry | None = None) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
@@ -70,54 +66,72 @@ class AdmissionController:
         self.max_workers = max_workers
         self.max_queue = max_queue
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
         self._lock = make_lock("admission")
+        # Signalled whenever a counter drops or the gate is abandoned: a
+        # freed slot wakes waiters, the last one out wakes shutdown().
+        self._changed = threading.Condition(self._lock)
         self._closing = False  # guarded by: self._lock
-        self._in_flight = 0  # guarded by: self._lock
+        self._abandoned = False  # guarded by: self._lock
+        self._running = 0  # guarded by: self._lock
+        self._waiting = 0  # guarded by: self._lock
         self._events = self.metrics.counter("repro_admission_queries_total")
         self.metrics.gauge("repro_admission_queue_depth").set_function(
-            self._queue.qsize)
-        self._workers = [
-            threading.Thread(target=self._work, name=f"{name}-worker-{i}",
-                             daemon=True)
-            for i in range(max_workers)]
-        for worker in self._workers:
-            worker.start()
+            lambda: self.stats()["queue_depth"])
 
-    # -- submission -----------------------------------------------------------
-    def submit(self, fn: Callable[[], object]) -> Future:
-        """Admit one query; returns the Future its worker will resolve.
+    # -- admission ------------------------------------------------------------
+    def run(self, fn: Callable[[], object]) -> object:
+        """Admit one query and run it on the calling thread.
 
-        Raises :class:`~repro.server.protocol.BackpressureError` without
-        blocking when the queue is full or the controller is shutting down.
+        Blocks while ``max_workers`` queries are running, then returns
+        ``fn()`` (or raises what it raised).  Raises
+        :class:`~repro.server.protocol.BackpressureError` without waiting
+        when ``max_queue`` callers are already waiting or the gate is
+        shutting down, and to callers still waiting when
+        ``shutdown(drain=False)`` abandons them.  Waiters are woken in no
+        particular order.
         """
         with self._lock:
             if self._closing:
                 raise BackpressureError(
                     "server is shutting down; query rejected",
-                    queue_depth=self._queue.qsize(),
-                    max_queue=self.max_queue)
-        future: Future = Future()
+                    queue_depth=self._waiting, max_queue=self.max_queue)
+            if (self._running + self._waiting
+                    >= self.max_workers + self.max_queue):
+                self._events.inc(event="rejected")
+                raise BackpressureError(
+                    f"admission queue full ({self.max_queue} queries "
+                    "waiting); retry after a backoff",
+                    queue_depth=self._waiting, max_queue=self.max_queue)
+            self._events.inc(event="submitted")
+            self._waiting += 1
+            while self._running >= self.max_workers and not self._abandoned:
+                self._changed.wait()
+            self._waiting -= 1
+            if self._abandoned:
+                self._changed.notify_all()
+                raise BackpressureError(
+                    "server shut down before the query ran")
+            self._running += 1
+        event = "failed"
         try:
-            self._queue.put_nowait((fn, future))
-        except queue.Full:
-            self._events.inc(event="rejected")
-            raise BackpressureError(
-                f"admission queue full ({self.max_queue} queries waiting); "
-                "retry after a backoff",
-                queue_depth=self.max_queue,
-                max_queue=self.max_queue) from None
-        self._events.inc(event="submitted")
-        return future
+            result = fn()
+            event = "completed"
+            return result
+        finally:
+            with self._lock:
+                self._running -= 1
+                self._changed.notify_all()
+            self._events.inc(event=event)
 
     def cancel_for(self, timeout_s: float | None,
                    started: float | None = None) -> Callable[[], None] | None:
         """The chunk-boundary cancellation hook for one query's deadline.
 
         ``None`` timeout means no hook (the query runs to completion).  The
-        deadline clock starts at submission (``started``, default now), so
-        time spent *waiting in the queue* counts against the budget — an
-        overloaded server times out stale work instead of running it.
+        deadline clock starts when the hook is built (``started``, default
+        now) — before :meth:`run` — so time spent *waiting for a slot*
+        counts against the budget: an overloaded server times out stale
+        work instead of running it.
         """
         if timeout_s is None:
             return None
@@ -132,78 +146,36 @@ class AdmissionController:
 
         return cancel
 
-    # -- workers --------------------------------------------------------------
-    def _work(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _SENTINEL:
-                self._queue.task_done()
-                return
-            fn, future = item
-            if not future.set_running_or_notify_cancel():
-                self._queue.task_done()
-                continue
-            with self._lock:
-                self._in_flight += 1
-            try:
-                result = fn()
-            except BaseException as exc:  # noqa: BLE001 - forwarded to waiter
-                future.set_exception(exc)
-                with self._lock:
-                    self._in_flight -= 1
-                self._events.inc(event="failed")
-            else:
-                future.set_result(result)
-                with self._lock:
-                    self._in_flight -= 1
-                self._events.inc(event="completed")
-            finally:
-                self._queue.task_done()
-
     # -- lifecycle ------------------------------------------------------------
     def shutdown(self, drain: bool = True) -> None:
-        """Stop admitting queries; with ``drain``, wait for in-flight work.
+        """Stop admitting queries and wait for the admitted ones (idempotent).
 
-        New submissions are rejected from the moment this is called.  With
-        ``drain=True`` (the graceful path) every already-admitted query
-        finishes — its session gets a real answer — before the workers
-        exit; ``drain=False`` abandons the queue (queued futures resolve
-        with a backpressure error so no waiter hangs forever).
+        New callers are rejected from the moment this is called.  With
+        ``drain=True`` (the graceful path) every already-admitted query —
+        running or still waiting for a slot — finishes, so its session gets
+        a real answer; ``drain=False`` fails the waiting callers with a
+        backpressure error instead (no waiter hangs forever).  Queries
+        already running finish either way, and this returns once nothing
+        is running or waiting.
         """
         with self._lock:
-            if self._closing:
-                return
             self._closing = True
-        if not drain:
-            while True:
-                try:
-                    _, future = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                except (TypeError, ValueError):  # pragma: no cover - sentinel
-                    continue
-                future.set_exception(BackpressureError(
-                    "server shut down before the query ran"))
-                self._queue.task_done()
-        for _ in self._workers:
-            self._queue.put(_SENTINEL)
-        for worker in self._workers:
-            worker.join()
-
-    @property
-    def closing(self) -> bool:
-        with self._lock:
-            return self._closing
+            if not drain:
+                self._abandoned = True
+                self._changed.notify_all()
+            while self._running or self._waiting:
+                self._changed.wait()
 
     def stats(self) -> dict:
-        """Queue/worker occupancy and lifetime counters."""
+        """Gate occupancy and lifetime counters."""
         with self._lock:
-            in_flight = self._in_flight
+            waiting = self._waiting
+            running = self._running
             closing = self._closing
         return {"max_workers": self.max_workers,
                 "max_queue": self.max_queue,
-                "queue_depth": self._queue.qsize(),
-                "in_flight": in_flight,
+                "queue_depth": waiting,
+                "in_flight": running,
                 "submitted": int(self._events.value(event="submitted")),
                 "rejected": int(self._events.value(event="rejected")),
                 "completed": int(self._events.value(event="completed")),

@@ -27,8 +27,8 @@ calibration, attach / detach / replace and retention changes (the database hooks
 :meth:`PlanCache.invalidate`).  Ingest does not invalidate: a cached plan
 stays *correct* under ingest, its estimated selectivities merely go stale,
 which can only affect predicate ordering.  Entries are LRU-evicted beyond
-``capacity``.  All operations are thread-safe — server worker threads share
-one cache.
+``capacity``.  All operations are thread-safe — server connection threads
+share one cache.
 """
 
 from __future__ import annotations

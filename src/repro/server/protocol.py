@@ -46,11 +46,12 @@ class ServerError(RuntimeError):
 
 
 class BackpressureError(RuntimeError):
-    """The admission queue is full (or draining): query rejected, not run.
+    """The admission gate is full (or shutting down): query rejected, not run.
 
-    Raised *immediately* at submission — a full server never hangs new
-    queries.  ``queue_depth``/``max_queue`` tell the client how loaded the
-    server was; resubmitting after a backoff is the expected reaction.
+    Raised *immediately* on arrival — a full server never hangs new
+    queries.  ``queue_depth``/``max_queue`` (callers waiting for a slot, and
+    how many may) tell the client how loaded the server was; resubmitting
+    after a backoff is the expected reaction.
     """
 
     def __init__(self, message: str, *, queue_depth: int | None = None,

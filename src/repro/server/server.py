@@ -3,13 +3,15 @@
 :class:`VisualDatabaseServer` wraps one
 :class:`~repro.db.database.VisualDatabase` in a ``socketserver``-based
 threading TCP server speaking the NDJSON protocol (grammar in the
-:mod:`repro.server` package docstring).  Connection threads only parse and
-page — every query body runs on the
-:class:`~repro.server.admission.AdmissionController` worker pool, so client
-count and query concurrency are decoupled and a full queue answers with an
+:mod:`repro.server` package docstring).  A connection's thread
+(``repro-server-conn-<port>-<n>``) does everything for its requests — parse,
+run the query, page, encode — so a served query is one stack on one thread;
+the :class:`~repro.server.admission.AdmissionController` gate it runs
+through caps how many run at once and how many may wait, so client count
+and query concurrency stay decoupled and a full gate answers with an
 immediate backpressure error.  The served database gets its plan cache
 enabled (unless ``plan_cache=False``), so repeated dashboard shapes skip
-cascade selection; per-shard executor locks (not the server) provide the
+parsing and lowering; per-shard executor locks (not the server) provide the
 correctness under concurrency.
 
 Shutdown is graceful by default: :meth:`VisualDatabaseServer.close` stops
@@ -24,6 +26,7 @@ same::
 
 from __future__ import annotations
 
+import itertools
 import socketserver
 import threading
 
@@ -44,6 +47,13 @@ class _Handler(socketserver.StreamRequestHandler):
     ``quit`` ends the loop.  The session — and its cursors — lives exactly
     as long as the loop.
     """
+
+    def setup(self) -> None:  # pragma: no cover - exercised over sockets
+        super().setup()
+        owner: "VisualDatabaseServer" = self.server.owner
+        threading.current_thread().name = (
+            f"repro-server-conn-{owner.address[1]}-"
+            f"{next(owner._connection_ids)}")
 
     def handle(self) -> None:  # pragma: no cover - exercised over sockets
         owner: "VisualDatabaseServer" = self.server.owner
@@ -94,8 +104,8 @@ class VisualDatabaseServer:
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`address`).
     max_workers, max_queue:
-        Admission control: worker threads running queries, and how many
-        queries may wait beyond them before submissions are rejected with a
+        Admission control: how many queries may run at once, and how many
+        may wait beyond them before further ones are rejected with a
         backpressure error.
     default_timeout:
         Per-query timeout (seconds) for requests that carry none; ``None``
@@ -134,6 +144,7 @@ class VisualDatabaseServer:
         self._sessions = 0  # guarded by: self._lock
         self._closed = False  # guarded by: self._lock
         self._thread: threading.Thread | None = None  # guarded by: self._lock
+        self._connection_ids = itertools.count(1)
         self._tcp = _TCPServer((host, port), _Handler)
         self._tcp.owner = self
 
@@ -180,12 +191,12 @@ class VisualDatabaseServer:
         Stops accepting connections, then — with ``drain`` — waits for
         every admitted query to finish (connection threads deliver those
         answers before their sockets go away), and finally releases the
-        port.  ``drain=False`` abandons queued queries instead (their
-        sessions receive backpressure errors).
+        port.  ``drain=False`` abandons queries still waiting for a slot
+        instead (their sessions receive backpressure errors).
         """
         # Flip the closed flag atomically so a concurrent close() (or a
         # start() racing it) sees a consistent state; release the lock
-        # before the shutdown calls below, which join worker threads.
+        # before the shutdown calls below, which wait on running queries.
         with self._lock:
             if self._closed:
                 return
@@ -207,10 +218,7 @@ class VisualDatabaseServer:
     def stats(self) -> dict:
         """The ``stats`` command's view, server side (for tests/benchmarks)."""
         cache = self.database.plan_cache
-        with self._lock:
-            sessions = self._sessions
-        return {"sessions": sessions,
-                "address": list(self.address),
+        return {**self._stats_extra(),
                 "admission": self.admission.stats(),
                 "plan_cache": cache.stats() if cache is not None else None,
                 "queries": self.counters.snapshot()}

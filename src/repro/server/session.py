@@ -1,10 +1,10 @@
 """Per-connection sessions: command dispatch and server-side cursors.
 
 One :class:`Session` lives for the duration of one client connection.  It
-owns the connection's *cursors*: ``execute`` runs the query (through the
-server's admission controller) and parks the resulting
-:class:`~repro.db.results.ResultSet` under a session-local cursor id;
-``fetch`` then pages rows off it with
+owns the connection's *cursors*: ``execute`` runs the query on the
+connection's own thread (once the server's admission gate lets it in) and
+parks the resulting :class:`~repro.db.results.ResultSet` under a
+session-local cursor id; ``fetch`` then pages rows off it with
 :meth:`~repro.db.results.ResultSet.fetchmany` — the query is never re-run,
 and each ``fetch`` reports how many rows remain so clients stop paging
 without a final empty round trip.  Cursors are bounded per session
@@ -69,7 +69,7 @@ class Session:
         The shared :class:`~repro.db.database.VisualDatabase` being served.
     admission:
         The server's :class:`~repro.server.admission.AdmissionController`;
-        every ``execute`` is submitted through it.
+        every ``execute`` runs through it, on the calling thread.
     default_timeout:
         Per-query timeout (seconds) applied when a request carries none;
         ``None`` lets queries run to completion.
@@ -133,7 +133,9 @@ class Session:
         sql = self._require_str(request, "sql")
         constraints = self._constraints_from(request.get("constraints"))
         tables = self._tables_from(request.get("tables"))
-        timeout = request.get("timeout", self.default_timeout)
+        timeout = request.get("timeout")
+        if timeout is None:  # absent or JSON null: the operator's default
+            timeout = self.default_timeout
         if timeout is not None and (not isinstance(timeout, (int, float))
                                     or isinstance(timeout, bool)
                                     or timeout <= 0):
@@ -143,14 +145,14 @@ class Session:
             raise ProtocolError(
                 f"session has {self.max_cursors} open cursors; "
                 "close_cursor one before executing again")
-        # The deadline clock starts now — queueing time counts, so an
-        # overloaded server aborts stale queries instead of running them.
+        # The deadline clock starts now — time spent waiting for a slot
+        # counts, so an overloaded server aborts stale queries instead of
+        # running them.
         cancel = self.admission.cancel_for(timeout)
         try:
-            future = self.admission.submit(
+            result_set = self.admission.run(
                 lambda: self.database.execute(sql, constraints,
                                               tables=tables, cancel=cancel))
-            result_set = future.result()
         except BackpressureError:
             self.counters.record("rejected")
             raise
@@ -183,7 +185,7 @@ class Session:
         return {"rows": rows, "remaining": result_set.remaining}
 
     def _cmd_close_cursor(self, request: dict) -> dict:
-        cursor = request.get("cursor")
+        cursor = self._cursor_id(request)
         return {"closed": self._cursors.pop(cursor, None) is not None}
 
     def _cmd_explain(self, request: dict) -> dict:
@@ -253,11 +255,19 @@ class Session:
                                 f'"{key}" key')
         return value
 
-    def _cursor_for(self, request: dict):
+    @staticmethod
+    def _cursor_id(request: dict) -> int:
         cursor = request.get("cursor")
+        if not isinstance(cursor, int) or isinstance(cursor, bool):
+            raise ProtocolError(f'"cursor" must be an integer cursor id, '
+                                f"got {cursor!r}")
+        return cursor
+
+    def _cursor_for(self, request: dict):
+        cursor = self._cursor_id(request)
         try:
             return self._cursors[cursor]
-        except (KeyError, TypeError):
+        except KeyError:
             raise ProtocolError(
                 f"unknown cursor {cursor!r}; "
                 f"open: {sorted(self._cursors)}") from None

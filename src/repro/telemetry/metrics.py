@@ -89,7 +89,7 @@ CATALOG: tuple[MetricSpec, ...] = (
                "Admission-controller events (submitted | rejected | "
                "completed | failed).", ("event",)),
     MetricSpec("repro_admission_queue_depth", "gauge",
-               "Queries waiting in the admission queue right now."),
+               "Queries waiting for an admission slot right now."),
     MetricSpec("repro_queries_total", "counter",
                "Served query outcomes (completed | failed | timeouts | "
                "rejected).", ("outcome",)),

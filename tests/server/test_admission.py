@@ -1,5 +1,6 @@
-"""Admission control: bounded queue, immediate backpressure, drain, timeouts."""
+"""Admission control: counting gate, instant backpressure, drain, timeouts."""
 
+import sys
 import threading
 import time
 
@@ -19,6 +20,30 @@ def wait_until(condition, timeout=5.0):
     return False
 
 
+class Caller(threading.Thread):
+    """One connection thread's worth of ``admission.run(fn)``: keeps what
+    came back (or what was raised) for the test to read after ``join``."""
+
+    def __init__(self, admission, fn):
+        super().__init__(daemon=True)
+        self.admission, self.fn = admission, fn
+        self.result = self.error = None
+        self.start()
+
+    def run(self):
+        try:
+            self.result = self.admission.run(self.fn)
+        except BaseException as exc:  # noqa: BLE001 - recorded for the assert
+            self.error = exc
+
+    def outcome(self, timeout=5.0):
+        self.join(timeout)
+        assert not self.is_alive()
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
 @pytest.fixture()
 def controller():
     admission = AdmissionController(max_workers=2, max_queue=4)
@@ -27,25 +52,65 @@ def controller():
 
 
 class TestSubmit:
+    """``run`` admits (counted ``submitted``) and runs on the caller."""
+
     def test_result_round_trip(self, controller):
-        assert controller.submit(lambda: 21 * 2).result(timeout=5) == 42
+        assert controller.run(lambda: 21 * 2) == 42
+
+    def test_runs_on_the_calling_thread_and_starts_none(self):
+        before = threading.active_count()
+        admission = AdmissionController(max_workers=3, max_queue=1)
+        assert threading.active_count() == before
+        assert admission.run(threading.current_thread) is \
+            threading.current_thread()
+        admission.shutdown()
 
     def test_exceptions_forwarded(self, controller):
-        future = controller.submit(lambda: 1 / 0)
         with pytest.raises(ZeroDivisionError):
-            future.result(timeout=5)
-        assert wait_until(lambda: controller.stats()["failed"] == 1)
+            controller.run(lambda: 1 / 0)
+        stats = controller.stats()
+        assert stats["failed"] == 1 and stats["completed"] == 0
+
+    def test_raising_fn_frees_its_slot(self):
+        admission = AdmissionController(max_workers=1, max_queue=1)
+        with pytest.raises(ZeroDivisionError):
+            admission.run(lambda: 1 / 0)
+        assert admission.stats()["in_flight"] == 0
+        # With one slot, the next call only runs if the failed one let go.
+        assert Caller(admission, lambda: "next").outcome() == "next"
+        admission.shutdown()
 
     def test_many_tasks_all_complete(self):
+        """More callers than cores, fast switching: never more than
+        ``max_workers`` inside, and every counter adds up afterwards."""
         admission = AdmissionController(max_workers=2, max_queue=32)
+        state_lock = threading.Lock()
+        inside = peak = 0
+
+        def task(i):
+            nonlocal inside, peak
+            with state_lock:
+                inside += 1
+                peak = max(peak, inside)
+            time.sleep(0.001)
+            with state_lock:
+                inside -= 1
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            futures = [admission.submit(lambda i=i: i * i)
+            callers = [Caller(admission, lambda i=i: task(i))
                        for i in range(20)]
-            assert [f.result(timeout=5) for f in futures] == \
+            assert [c.outcome() for c in callers] == \
                 [i * i for i in range(20)]
-            assert admission.stats()["submitted"] == 20
         finally:
+            sys.setswitchinterval(interval)
             admission.shutdown()
+        assert peak <= 2
+        stats = admission.stats()
+        assert stats["submitted"] == stats["completed"] == 20
+        assert stats["in_flight"] == stats["queue_depth"] == 0
 
 
 class TestBackpressure:
@@ -53,20 +118,22 @@ class TestBackpressure:
         admission = AdmissionController(max_workers=1, max_queue=1)
         release = threading.Event()
         try:
-            blocker = admission.submit(release.wait)
+            blocker = Caller(admission, release.wait)
             assert wait_until(
                 lambda: admission.stats()["in_flight"] == 1)
-            queued = admission.submit(lambda: "queued")
+            queued = Caller(admission, lambda: "queued")
+            assert wait_until(
+                lambda: admission.stats()["queue_depth"] == 1)
             started = time.monotonic()
             with pytest.raises(BackpressureError) as info:
-                admission.submit(lambda: "rejected")
+                admission.run(lambda: "rejected")
             # The rejection must not have waited on the running query.
             assert time.monotonic() - started < 1.0
             assert info.value.max_queue == 1
             assert info.value.to_dict()["type"] == "BackpressureError"
             release.set()
-            assert queued.result(timeout=5) == "queued"
-            assert blocker.result(timeout=5) is True
+            assert queued.outcome() == "queued"
+            assert blocker.outcome() is True
             assert admission.stats()["rejected"] == 1
         finally:
             release.set()
@@ -75,39 +142,44 @@ class TestBackpressure:
     def test_rejected_after_shutdown(self, controller):
         controller.shutdown()
         with pytest.raises(BackpressureError):
-            controller.submit(lambda: None)
+            controller.run(lambda: None)
 
 
 class TestShutdown:
     def test_drain_completes_queued_work(self):
         admission = AdmissionController(max_workers=1, max_queue=8)
         gate = threading.Event()
-        first = admission.submit(gate.wait)
-        others = [admission.submit(lambda i=i: i) for i in range(4)]
+        first = Caller(admission, gate.wait)
+        assert wait_until(lambda: admission.stats()["in_flight"] == 1)
+        others = [Caller(admission, lambda i=i: i) for i in range(4)]
+        assert wait_until(lambda: admission.stats()["queue_depth"] == 4)
         closer = threading.Thread(target=admission.shutdown)
         closer.start()
-        assert wait_until(lambda: admission.closing)
+        assert wait_until(lambda: admission.stats()["closing"])
         gate.set()
         closer.join(timeout=5)
         assert not closer.is_alive()
-        assert first.result(timeout=1) is True
-        assert [f.result(timeout=1) for f in others] == list(range(4))
+        assert first.outcome(timeout=1) is True
+        assert [c.outcome(timeout=1) for c in others] == list(range(4))
 
-    def test_no_drain_fails_queued_futures(self):
+    def test_no_drain_fails_waiting_callers(self):
         admission = AdmissionController(max_workers=1, max_queue=8)
         gate = threading.Event()
-        admission.submit(gate.wait)
+        running = Caller(admission, gate.wait)
         assert wait_until(lambda: admission.stats()["in_flight"] == 1)
-        queued = admission.submit(lambda: "never")
+        queued = Caller(admission, lambda: "never")
+        assert wait_until(lambda: admission.stats()["queue_depth"] == 1)
         closer = threading.Thread(
             target=lambda: admission.shutdown(drain=False))
         closer.start()
-        # The queued future fails during the drain, before workers join.
+        # The waiting caller fails at once, while the running one still runs.
         with pytest.raises(BackpressureError):
-            queued.result(timeout=5)
+            queued.outcome()
+        assert closer.is_alive() and running.is_alive()
         gate.set()
         closer.join(timeout=5)
         assert not closer.is_alive()
+        assert running.outcome() is True
 
     def test_idempotent(self, controller):
         controller.shutdown()

@@ -2,7 +2,7 @@
 
 One server (module scope — training is shared) serves a two-camera catalog
 with a trained ``komondor`` predicate; each test opens its own client
-connection(s).  Dedicated single-worker servers exercise backpressure and
+connection(s).  Dedicated single-slot servers exercise backpressure and
 shutdown without perturbing the shared one.
 """
 
@@ -21,8 +21,8 @@ from repro.data.corpus import generate_corpus
 from repro.db import connect as db_connect
 from repro.db.retention import RetentionPolicy
 from repro.query.ast import QueryError, QueryTimeoutError, SqlParseError
-from repro.server import (BackpressureError, ProtocolError, ServerError,
-                          VisualDatabaseServer, connect, serve)
+from repro.server import (AdmissionController, BackpressureError,
+                          ProtocolError, ServerError, Session, connect, serve)
 from tests.conftest import TINY_SIZE
 
 CONSTRAINED = UserConstraints(max_accuracy_loss=0.1)
@@ -129,13 +129,30 @@ class TestThreadNames:
     """Every long-lived thread carries a descriptive name, so thread dumps
     of a wedged server read as a story instead of ``Thread-7``."""
 
-    def test_server_threads_are_named(self, server, conn):
-        conn.execute(CONTENT_SQL).fetchall()  # ensure workers have run
-        names = [thread.name for thread in threading.enumerate()]
-        workers = [name for name in names
-                   if name.startswith("repro-server-worker-")]
-        assert len(workers) == server.admission.max_workers
-        assert f"repro-server-{server.address[1]}" in names
+    def test_server_threads_are_named(self, db, monkeypatch):
+        # Connection threads of earlier tests exit on their own schedule;
+        # let them, so the count below only sees this server.
+        wait_until(lambda: not any(
+            thread.name.startswith("repro-server-conn-")
+            for thread in threading.enumerate()))
+        before = threading.active_count()
+        with serve(db, port=0, max_workers=7) as dedicated:
+            # The acceptor is the only thread a server starts by itself.
+            assert threading.active_count() == before + 1
+            port = dedicated.address[1]
+            seen = set()
+            monkeypatch.setattr(
+                dedicated.admission, "cancel_for",
+                lambda timeout: lambda: seen.add(
+                    threading.current_thread().name))
+            with connect(*dedicated.address, timeout=30) as connection:
+                connection.execute(CONTENT_SQL).fetchall()
+                names = [thread.name for thread in threading.enumerate()]
+        assert f"repro-server-{port}" in names
+        assert not any(name.startswith("repro-server-worker-")
+                       for name in names)
+        # The query ran on the thread that read it off the socket.
+        assert seen == {f"repro-server-conn-{port}-1"}
 
     def test_fanout_runs_on_the_calling_thread(self, db):
         seen = set()
@@ -241,12 +258,54 @@ class TestRawProtocol:
             # The session survived all of it.
             assert self.request(f, b'{"cmd": "ping"}\n')["ok"] is True
 
+    def test_close_cursor_with_unhashable_id(self, server):
+        with socket.create_connection(server.address, timeout=30) as sock:
+            f = sock.makefile("rwb")
+            cursor = self.request(
+                f, b'{"cmd": "execute", "sql": "SELECT image_id FROM cam_a"}'
+                b"\n")["result"]["cursor"]
+            response = self.request(
+                f, b'{"cmd": "close_cursor", "cursor": [1]}\n')
+            assert response["ok"] is False
+            assert response["error"]["type"] == "ProtocolError"
+            response = self.request(
+                f, b'{"cmd": "close_cursor", "cursor": 99999}\n')
+            assert response["result"] == {"closed": False}
+            # The session and its open cursor survived both.
+            response = self.request(
+                f, b'{"cmd": "fetch", "cursor": %d, "n": 1}\n' % cursor)
+            assert len(response["result"]["rows"]) == 1
+
     def test_quit_closes_connection(self, server):
         with socket.create_connection(server.address, timeout=30) as sock:
             f = sock.makefile("rwb")
             response = self.request(f, b'{"cmd": "quit"}\n')
             assert response["result"] == {"bye": True}
             assert f.readline() == b""  # server hung up
+
+
+class TestSessionValidation:
+    """Request validation at :class:`Session` level (no socket)."""
+
+    def test_cursor_ids_validated_once_for_fetch_and_close(self, db):
+        session = Session(db, AdmissionController())
+        cursor = session.handle(
+            {"cmd": "execute", "sql": "SELECT image_id FROM cam_a"})["cursor"]
+        for bad in ([1], {"id": 1}, "1", 1.5, True, None):
+            for cmd in ("fetch", "close_cursor"):
+                with pytest.raises(ProtocolError):
+                    session.handle({"cmd": cmd, "cursor": bad})
+        assert session.handle(
+            {"cmd": "close_cursor", "cursor": 99999}) == {"closed": False}
+        assert session.open_cursors == [cursor]
+        assert session.handle(
+            {"cmd": "close_cursor", "cursor": cursor}) == {"closed": True}
+
+    def test_null_timeout_falls_back_to_default(self, db):
+        session = Session(db, AdmissionController(), default_timeout=1e-6)
+        with pytest.raises(QueryTimeoutError):
+            session.handle(
+                {"cmd": "execute", "sql": CONTENT_SQL, "timeout": None})
 
 
 class TestPlanCacheOverTheWire:
@@ -293,7 +352,7 @@ class TestBackpressure:
             with connect(*small.address, timeout=30) as c1, \
                     connect(*small.address, timeout=30) as c2, \
                     connect(*small.address, timeout=30) as c3:
-                with executor._lock:  # the worker blocks inside execute
+                with executor._lock:  # the query blocks inside execute
                     t1 = threading.Thread(target=run, args=("first", c1))
                     t1.start()
                     assert wait_until(
@@ -315,6 +374,26 @@ class TestBackpressure:
             assert results["first"] == expected
             assert results["queued"] == expected
             assert small.counters.snapshot()["rejected"] == 1
+
+    def test_disconnect_mid_query_frees_slot_and_session(self, db):
+        sql = "SELECT count(*) FROM cam_a"
+        with serve(db, port=0, max_workers=1, max_queue=1) as small:
+            sessions = small.stats()["sessions"]
+            with db.executor_for("cam_a")._lock:
+                sock = socket.create_connection(small.address, timeout=30)
+                sock.sendall(json.dumps({"cmd": "execute",
+                                         "sql": sql}).encode() + b"\n")
+                assert wait_until(
+                    lambda: small.admission.stats()["in_flight"] == 1)
+                assert small.stats()["sessions"] == sessions + 1
+                sock.close()  # gone before the answer exists
+            assert wait_until(
+                lambda: small.admission.stats()["in_flight"] == 0)
+            assert wait_until(lambda: small.stats()["sessions"] == sessions)
+            # The one slot is free again: the next client's query runs.
+            with connect(*small.address, timeout=30) as c:
+                assert c.execute(sql).fetchall() == [
+                    {"count(*)": len(db.corpus_for("cam_a"))}]
 
 
 class TestShutdown:
