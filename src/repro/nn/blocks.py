@@ -64,10 +64,19 @@ class ResidualBlock(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         # shape: (N, H, W, C) -> (N, H, W, K)
         # dtype: float64
-        hidden = self.relu1.forward(self.conv1.forward(x, training), training)
-        main = self.conv2.forward(hidden, training)
-        skip = x if self.project is None else self.project.forward(x, training)
-        return self.relu_out.forward(main + skip, training)
+        if training:
+            hidden = self.relu1.forward(self.conv1.forward(x, training), training)
+            main = self.conv2.forward(hidden, training)
+            skip = x if self.project is None else self.project.forward(x, training)
+            return self.relu_out.forward(main + skip, training)
+        # Inference: the same values, with the sum and both ReLUs written in
+        # place into arrays the convolutions just allocated; nothing is kept
+        # on self and x is only read.
+        hidden = self.conv1.forward(x)
+        np.maximum(hidden, 0.0, out=hidden)
+        main = self.conv2.forward(hidden)
+        main += x if self.project is None else self.project.forward(x)
+        return np.maximum(main, 0.0, out=main)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad_sum = self.relu_out.backward(grad_output)

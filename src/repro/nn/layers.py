@@ -11,6 +11,24 @@ Every layer implements:
   pass on a single example, used by the analytic cost model.
 
 Image tensors use the NHWC layout (batch, height, width, channels).
+
+**One method, two modes.**  ``forward(x, training=True)`` also records what
+``backward`` will need (``_cache`` / ``_mask`` / ``_out``).
+``forward(x, training=False)`` -- inference, the default -- writes nothing to
+``self``: queries on several threads can share one network, and no
+batch-sized array (a convolution's im2col matrix is megabytes) stays pinned
+between calls.  ``backward`` therefore needs a preceding
+``forward(x, training=True)`` and raises ``RuntimeError("backward called
+before forward")`` without one.  Neither mode writes to its input, and both
+return the same bits (BatchNorm and Dropout excepted: their modes differ by
+definition), which ``tests/nn/test_inference_path.py`` pins.
+
+That equality covers the one place inference reorders work:
+``Sequential.forward`` runs ``Conv2D -> ReLU -> MaxPool2D`` as
+``cols @ W`` -> pool -> ``+= bias`` -> ReLU.  The order is exact, not
+approximate: floating-point addition of one bias is monotone, so
+``max(fl(a + b), fl(c + b)) == fl(max(a, c) + b)``, and max commutes with
+ReLU.
 """
 
 from __future__ import annotations
@@ -110,9 +128,10 @@ class Conv2D(Layer):
                        "bias": initializers.zeros((out_channels,))}
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # shape: (N, H, W, C) -> (N, H', W', K)
-        # dtype: float64
+    def _convolve(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The im2col matrix of ``x`` and its product with the weights, shaped
+        ``(N, H', W', K)``: the layer's output before the bias is added, for a
+        caller that adds it after pooling (``Sequential.forward``)."""
         if x.ndim != 4:
             raise ValueError(f"Conv2D expects NHWC input, got shape {x.shape}")
         if x.shape[3] != self.in_channels:
@@ -123,9 +142,16 @@ class Conv2D(Layer):
         out_h = conv_output_size(height, self.kernel_size, self.stride, self.pad)
         out_w = conv_output_size(width, self.kernel_size, self.stride, self.pad)
         cols = im2col(x, self.kernel_size, self.kernel_size, self.stride, self.pad)
-        out = cols @ self.params["weight"] + self.params["bias"]
-        out = out.reshape(batch, out_h, out_w, self.out_channels)
-        self._cache = (x.shape, cols)
+        out = cols @ self.params["weight"]
+        return cols, out.reshape(batch, out_h, out_w, self.out_channels)
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        # shape: (N, H, W, C) -> (N, H', W', K)
+        # dtype: float64
+        cols, out = self._convolve(x)
+        out += self.params["bias"]
+        if training:
+            self._cache = (x.shape, cols)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -157,6 +183,20 @@ class Conv2D(Layer):
                 f"k={self.kernel_size}, s={self.stride}, p={self.pad})")
 
 
+def _window_max(x: np.ndarray, axis: int, pool: int, stride: int,
+                out_size: int) -> np.ndarray:
+    """Maximum over ``pool`` consecutive positions along ``axis``, taken every
+    ``stride``: ``pool - 1`` calls of ``np.maximum`` on strided slices."""
+    span = (out_size - 1) * stride + 1
+    lead = (slice(None),) * axis
+    out = x[lead + (slice(0, span, stride),)]
+    for offset in range(1, pool):
+        window = x[lead + (slice(offset, offset + span, stride),)]
+        # The first maximum allocates the result; later ones reuse it.
+        out = np.maximum(out, window, out=out if offset > 1 else None)
+    return out
+
+
 class MaxPool2D(Layer):
     """Max pooling over NHWC inputs."""
 
@@ -170,26 +210,35 @@ class MaxPool2D(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         # shape: (N, H, W, C) -> (N, H', W', C)
+        if x.ndim != 4:
+            raise ValueError(
+                f"MaxPool2D expects NHWC input, got shape {x.shape}")
         batch, height, width, channels = x.shape
         pool, stride = self.pool_size, self.stride
         out_h = conv_output_size(height, pool, stride, 0)
         out_w = conv_output_size(width, pool, stride, 0)
-        if out_h == 0 or out_w == 0:
+        if out_h <= 0 or out_w <= 0:
             raise ValueError(
                 f"input spatial size {(height, width)} too small for pool "
                 f"size {pool}")
 
-        s0, s1, s2, s3 = x.strides
-        windows = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(batch, out_h, out_w, pool, pool, channels),
-            strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
-            writeable=False,
-        )
-        flat = windows.reshape(batch, out_h, out_w, pool * pool, channels)
-        argmax = flat.argmax(axis=3)
-        out = np.take_along_axis(flat, argmax[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-        self._cache = (x.shape, argmax, out_h, out_w)
+        # Pairwise maxima over the pool x pool strided slices, rows first
+        # (long contiguous runs), then columns of the already-halved result.
+        out = _window_max(_window_max(x, 1, pool, stride, out_h),
+                          2, pool, stride, out_w)
+        if pool == 1:
+            out = out.copy()  # a lone slice is still a view of the input
+        if training:
+            # Only backward() needs to know *where* each maximum sits.
+            s0, s1, s2, s3 = x.strides
+            windows = np.lib.stride_tricks.as_strided(
+                x,
+                shape=(batch, out_h, out_w, pool, pool, channels),
+                strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
+                writeable=False,
+            )
+            flat = windows.reshape(batch, out_h, out_w, pool * pool, channels)
+            self._cache = (x.shape, flat.argmax(axis=3), out_h, out_w)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -231,7 +280,8 @@ class GlobalAveragePool(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         # shape: (N, H, W, C) -> (N, C)
-        self._cache = x.shape
+        if training:
+            self._cache = x.shape
         return x.mean(axis=(1, 2))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -262,8 +312,10 @@ class Flatten(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         # shape: (N, ...) -> (N, D)
-        self._cache = x.shape
-        return x.reshape(x.shape[0], -1)
+        if training:
+            self._cache = x.shape
+        # The explicit product (not -1) keeps a batch of zero rows reshapable.
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -300,8 +352,11 @@ class Dense(Layer):
             raise ValueError(
                 f"Dense configured for {self.in_features} features, got "
                 f"{x.shape[1]}")
-        self._cache = x
-        return x @ self.params["weight"] + self.params["bias"]
+        out = x @ self.params["weight"]
+        out += self.params["bias"]
+        if training:
+            self._cache = x
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -330,12 +385,12 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         # shape: (N, ...) -> (N, ...)
-        # The output is computed from a local so concurrent inference on a
-        # shared model (fan-out queries) never reads another thread's mask;
-        # the attribute only feeds backward(), which is single-threaded.
-        mask = x > 0
-        self._mask = mask
-        return np.where(mask, x, 0.0)
+        # np.maximum, not np.where(x > 0, x, 0.0): a NaN stays a NaN instead
+        # of becoming a confident 0.0.  Inference writes nothing to self, so
+        # threads sharing a model share no state.
+        if training:
+            self._mask = x > 0
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -361,7 +416,8 @@ class Sigmoid(Layer):
         out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         exp_x = np.exp(x[~pos])
         out[~pos] = exp_x / (1.0 + exp_x)
-        self._out = out
+        if training:
+            self._out = out
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -385,7 +441,8 @@ class Softmax(Layer):
         shifted = x - x.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
         out = exp / exp.sum(axis=-1, keepdims=True)
-        self._out = out
+        if training:
+            self._out = out
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -413,7 +470,9 @@ class Dropout(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         # shape: (N, ...) -> (N, ...)
-        if not training or self.rate == 0.0:
+        if not training:
+            return x
+        if self.rate == 0.0:
             self._mask = None
             return x
         keep = 1.0 - self.rate
@@ -460,7 +519,8 @@ class BatchNorm(Layer):
             mean = self.running_mean
             var = self.running_var
         x_hat = (x - mean) / np.sqrt(var + self.epsilon)
-        self._cache = (x_hat, var, axes)
+        if training:
+            self._cache = (x_hat, var, axes)
         return self.params["gamma"] * x_hat + self.params["beta"]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Layer
+from repro.nn.layers import Conv2D, Dense, Layer, MaxPool2D, ReLU
 
 __all__ = ["Sequential"]
 
@@ -31,9 +31,35 @@ class Sequential:
     # -- execution -------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         # shape: (N, ...) -> (N, ...)
-        out = x
-        for layer in self.layers:
-            out = layer.forward(out, training=training)
+        """Apply the layers in order.
+
+        Inference (``training=False``) returns the bits the training-mode
+        pass returns, but runs a ``ReLU`` that follows a ``Conv2D`` or
+        ``Dense`` in place on the array that layer just allocated, and a
+        ``Conv2D -> ReLU -> MaxPool2D`` block as ``cols @ W`` -> pool ->
+        ``+= bias`` -> ReLU, so bias and ReLU touch ``pool**2`` times fewer
+        elements (exact: see :mod:`repro.nn.layers`).
+        """
+        layers = self.layers
+        # Exact types: a subclass may override the forward() this bypasses.
+        kinds = [type(layer) for layer in layers]
+        out, index = x, 0
+        while index < len(layers):
+            layer = layers[index]
+            if not training and kinds[index:index + 3] == [Conv2D, ReLU,
+                                                           MaxPool2D]:
+                out = layers[index + 2].forward(layer._convolve(out)[1])
+                out += layer.params["bias"]
+                np.maximum(out, 0.0, out=out)
+                index += 3
+            elif not training and kinds[index:index + 2] in ([Conv2D, ReLU],
+                                                             [Dense, ReLU]):
+                out = layer.forward(out)
+                np.maximum(out, 0.0, out=out)
+                index += 2
+            else:
+                out = layer.forward(out, training=training)
+                index += 1
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -44,10 +70,13 @@ class Sequential:
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         # shape: (N, ...) -> (N, ...)
-        """Run inference in batches and concatenate the outputs."""
+        """Run inference in batches; zero rows give an empty array of the
+        output's trailing shape."""
         outputs = []
-        for start in range(0, x.shape[0], batch_size):
+        for start in range(0, max(x.shape[0], 1), batch_size):
             outputs.append(self.forward(x[start:start + batch_size], training=False))
+        if len(outputs) == 1:
+            return outputs[0]
         return np.concatenate(outputs, axis=0)
 
     def predict_proba(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:

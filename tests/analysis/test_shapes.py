@@ -108,12 +108,13 @@ class TestBatchDimLoss:
 
 class TestDtypeWidening:
     def test_float64_creation_crosses_float32_boundary(self, scratch):
-        _edit(scratch, "nn/layers.py", "        mask = x > 0",
-              "        x = x.astype(np.float64)\n        mask = x > 0")
+        _edit(scratch, "nn/layers.py", "        return np.maximum(x, 0.0)",
+              "        x = x.astype(np.float64)\n"
+              "        return np.maximum(x, 0.0)")
         _edit(scratch, "nn/layers.py",
-              "        # shape: (N, ...) -> (N, ...)\n        # The output",
+              "        # shape: (N, ...) -> (N, ...)\n        # np.maximum, not",
               "        # shape: (N, ...) -> (N, ...)\n"
-              "        # dtype: float32\n        # The output")
+              "        # dtype: float32\n        # np.maximum, not")
         findings = check_shapes(scratch)
         assert _rules(findings) == {"dtype-widening"}
         (finding,) = findings
@@ -206,11 +207,13 @@ class TestSilentCopyInLoop:
     def test_concatenate_in_hot_loop_detected(self, scratch):
         _edit(scratch, "nn/network.py",
               """        outputs = []
-        for start in range(0, x.shape[0], batch_size):
+        for start in range(0, max(x.shape[0], 1), batch_size):
             outputs.append(self.forward(x[start:start + batch_size], training=False))
+        if len(outputs) == 1:
+            return outputs[0]
         return np.concatenate(outputs, axis=0)""",
               """        out = None
-        for start in range(0, x.shape[0], batch_size):
+        for start in range(0, max(x.shape[0], 1), batch_size):
             chunk = self.forward(x[start:start + batch_size], training=False)
             out = chunk if out is None else np.concatenate([out, chunk], axis=0)
         return out""")

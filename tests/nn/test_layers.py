@@ -110,7 +110,7 @@ class TestMaxPool2D:
         x = np.zeros((1, 2, 2, 1))
         x[0, 1, 1, 0] = 3.0
         layer = MaxPool2D(2)
-        layer.forward(x)
+        layer.forward(x, training=True)
         grad = layer.backward(np.ones((1, 1, 1, 1)))
         assert grad[0, 1, 1, 0] == 1.0
         assert grad.sum() == 1.0
@@ -124,6 +124,11 @@ class TestMaxPool2D:
     def test_too_small_input_raises(self):
         with pytest.raises(ValueError):
             MaxPool2D(4).forward(np.zeros((1, 2, 2, 1)))
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_rejects_non_nhwc_input_naming_the_shape(self, training):
+        with pytest.raises(ValueError, match=r"NHWC.*\(3, 8, 8\)"):
+            MaxPool2D(2).forward(np.zeros((3, 8, 8)), training=training)
 
 
 class TestDense:
@@ -155,8 +160,18 @@ class TestActivations:
 
     def test_relu_backward_masks(self):
         layer = ReLU()
-        layer.forward(np.array([-1.0, 2.0]))
+        layer.forward(np.array([-1.0, 2.0]), training=True)
         np.testing.assert_allclose(layer.backward(np.array([5.0, 5.0])), [0.0, 5.0])
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_relu_propagates_nan(self, training):
+        """A corrupted representation must surface, not turn into 0.0."""
+        layer = ReLU()
+        out = layer.forward(np.array([-0.0, np.nan, 1.0]), training=training)
+        np.testing.assert_array_equal(out, [0.0, np.nan, 1.0])
+        if training:  # the mask is still a mask: no gradient through a NaN
+            np.testing.assert_array_equal(
+                layer.backward(np.array([5.0, 5.0, 5.0])), [0.0, 0.0, 5.0])
 
     def test_sigmoid_range_and_symmetry(self):
         layer = Sigmoid()
@@ -188,7 +203,7 @@ class TestFlattenAndPooling:
     def test_flatten_round_trip(self):
         layer = Flatten()
         x = np.random.default_rng(0).random((2, 3, 3, 2))
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         assert out.shape == (2, 18)
         np.testing.assert_allclose(layer.backward(out), x)
 

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.baselines.reference import (build_reference_network,
+                                       reference_transform)
+from repro.core.model import TrainedModel
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sigmoid
 from repro.nn.network import Sequential
+from repro.transforms.spec import TransformSpec
 
 
 def make_net(rng=None):
@@ -39,6 +43,13 @@ class TestSequential:
         net = make_net()
         x = np.random.default_rng(1).random((7, 8, 8, 3))
         np.testing.assert_allclose(net.predict(x, batch_size=3), net.forward(x))
+
+    def test_predict_single_chunk_is_returned_without_a_copy(self, monkeypatch):
+        net = make_net()
+        x = np.random.default_rng(1).random((7, 8, 8, 3))
+        expected = net.forward(x)
+        monkeypatch.setattr(np, "concatenate", None)  # calling it would raise
+        np.testing.assert_array_equal(net.predict(x, batch_size=7), expected)
 
     def test_predict_proba_squeezes_single_output(self):
         net = make_net()
@@ -83,3 +94,34 @@ class TestSequential:
         out = net.forward(x, training=True)
         grad = net.backward(np.ones_like(out))
         assert grad.shape == x.shape
+
+
+class TestEmptyBatch:
+    """Zero rows in, zero rows out, with the output's trailing shape --
+    not numpy's 'need at least one array to concatenate'."""
+
+    NETWORKS = [
+        pytest.param(make_net, TransformSpec(8, "rgb"), "specialized",
+                     id="conv-net"),
+        pytest.param(lambda: build_reference_network((8, 8, 3), base_width=4,
+                                                     n_stages=2,
+                                                     blocks_per_stage=1),
+                     reference_transform(8), "reference", id="reference-net"),
+    ]
+
+    @pytest.mark.parametrize("build, transform, kind", NETWORKS)
+    def test_predict_and_predict_proba(self, build, transform, kind):
+        net = build()
+        empty = np.zeros((0, *transform.shape))
+        assert net.forward(empty).shape == (0, 1)
+        assert net.predict(empty).shape == (0, 1)
+        assert net.predict(empty).dtype == np.float64
+        assert net.predict_proba(empty).shape == (0,)
+
+    @pytest.mark.parametrize("build, transform, kind", NETWORKS)
+    def test_trained_model_predict(self, build, transform, kind):
+        model = TrainedModel(name="m", network=build(), transform=transform,
+                             kind=kind)
+        labels = model.predict(np.zeros((0, 16, 16, 3)))
+        assert labels.shape == (0,)
+        assert labels.dtype == np.int64
