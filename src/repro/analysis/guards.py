@@ -143,9 +143,9 @@ REGISTRY: tuple[GuardSpec, ...] = (
         cls="RepresentationStore",
         state="_state",
         lock="lock",
-        guarded=_fs("arrays", "specs", "registered"),
-        lock_held=_fs("_entry_bytes", "_evict", "_enforce_budget"),
-        mutable=_fs("arrays", "specs", "registered"),
+        guarded=_fs("entries", "registered"),
+        lock_held=_fs("_own_keys", "_evict", "_enforce_budget"),
+        mutable=_fs("entries", "registered"),
     ),
     GuardSpec(
         path="server/admission.py",

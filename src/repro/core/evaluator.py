@@ -16,7 +16,6 @@ from repro.core.cascade import Cascade
 from repro.core.model import TrainedModel
 from repro.core.pareto import pareto_frontier_indices
 from repro.costs.profiler import CostBreakdown, CostProfiler
-from repro.storage.store import RepresentationStore
 
 __all__ = ["ModelPredictionCache", "CascadeEvaluation", "EvaluatedCascadeSet",
            "evaluate_cascade", "evaluate_cascades"]
@@ -40,19 +39,20 @@ class ModelPredictionCache:
     @classmethod
     def from_models(cls, models: list[TrainedModel], images: np.ndarray,
                     labels: np.ndarray,
-                    store: RepresentationStore | None = None,
                     batch_size: int = 256) -> "ModelPredictionCache":
         """Run every model once over ``images`` and cache its probabilities.
 
-        A shared :class:`~repro.storage.store.RepresentationStore` avoids
-        re-transforming the images for models that share a representation.
+        ``images`` are transformed once per representation, however many
+        models share it.
         """
-        store = store if store is not None else RepresentationStore()
+        transformed: dict[str, np.ndarray] = {}
         probabilities = {}
         for model in models:
-            representation = store.get_or_transform(model.transform, images)
+            name = model.transform.name
+            if name not in transformed:
+                transformed[name] = model.transform.apply_batch(images)
             probabilities[model.name] = model.predict_proba_transformed(
-                representation, batch_size=batch_size)
+                transformed[name], batch_size=batch_size)
         return cls(probabilities, labels)
 
     def get(self, model: TrainedModel) -> np.ndarray:

@@ -39,7 +39,6 @@ from repro.core.thresholds import (
 from repro.core.trainer import ModelTrainer, TrainingConfig
 from repro.costs.profiler import CostProfiler
 from repro.data.corpus import PredicateDataSplits
-from repro.storage.store import RepresentationStore
 from repro.transforms.spec import TransformSpec, standard_transform_grid
 
 __all__ = ["TahomaConfig", "TahomaOptimizer"]
@@ -143,13 +142,15 @@ class TahomaOptimizer:
 
     def _calibrate_thresholds(self, splits: PredicateDataSplits) -> None:
         """Calibrate (p_low, p_high) per model per precision target."""
-        store = RepresentationStore()
+        transformed: dict[str, np.ndarray] = {}
         config_images = splits.config.images
         config_labels = splits.config.labels
         self.thresholds = {}
         for model in self._threshold_models():
-            representation = store.get_or_transform(model.transform, config_images)
-            probabilities = model.predict_proba_transformed(representation)
+            name = model.transform.name
+            if name not in transformed:
+                transformed[name] = model.transform.apply_batch(config_images)
+            probabilities = model.predict_proba_transformed(transformed[name])
             calibrated = []
             for target in self.config.precision_targets:
                 calibration = calibrate_thresholds(

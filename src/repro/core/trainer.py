@@ -12,7 +12,6 @@ from repro.data.augment import augment_with_flips
 from repro.data.corpus import LabeledDataset
 from repro.nn.optimizers import Adam
 from repro.nn.train import EarlyStopping, evaluate_accuracy, fit
-from repro.storage.store import RepresentationStore
 
 __all__ = ["TrainingConfig", "ModelTrainer"]
 
@@ -42,8 +41,8 @@ class TrainingConfig:
 class ModelTrainer:
     """Trains the set ``M`` of basic models for one binary predicate.
 
-    A shared :class:`~repro.storage.store.RepresentationStore` caches each
-    physical representation of the training set, so models that share a
+    Each physical representation of the training set is transformed once and
+    kept in a ``{spec.name: array}`` dict for the run, so models that share a
     representation do not re-transform the images.
     """
 
@@ -51,14 +50,21 @@ class ModelTrainer:
         self.config = config or TrainingConfig()
 
     def train_model(self, spec: ModelSpec, train_set: LabeledDataset,
-                    store: RepresentationStore,
+                    transformed: dict[str, np.ndarray],
                     validation_set: LabeledDataset | None = None,
                     rng: np.random.Generator | None = None) -> TrainedModel:
-        """Train one model spec and wrap it as a :class:`TrainedModel`."""
+        """Train one model spec and wrap it as a :class:`TrainedModel`.
+
+        ``transformed`` memoises ``train_set`` per representation name; the
+        caller shares one dict across the specs it trains on one data set.
+        """
         rng = rng or np.random.default_rng(self.config.seed)
         network = spec.build(rng=rng)
 
-        train_images = store.get_or_transform(spec.transform, train_set.images)
+        name = spec.transform.name
+        if name not in transformed:
+            transformed[name] = spec.transform.apply_batch(train_set.images)
+        train_images = transformed[name]
         train_labels = train_set.labels
         x_val = y_val = None
         early_stopping = None
@@ -97,10 +103,10 @@ class ModelTrainer:
         if self.config.augment:
             dataset = augment_with_flips(train_set, rng=rng)
 
-        store = RepresentationStore()
+        transformed: dict[str, np.ndarray] = {}
         models = []
         for spec in specs:
-            models.append(self.train_model(spec, dataset, store,
+            models.append(self.train_model(spec, dataset, transformed,
                                            validation_set=validation_set,
                                            rng=rng))
         return models

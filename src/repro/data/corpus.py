@@ -257,8 +257,7 @@ class ImageCorpus:
     ingest and retention never copy the surviving history.  The monolithic
     ``images`` / ``metadata`` / ``content`` views the query engine consumes
     are built lazily on first read (and the segment list collapses to the
-    consolidated form, so memory is never held twice); :meth:`compact` folds
-    segments explicitly.
+    consolidated form, so memory is never held twice).
     """
 
     def __init__(self, images: np.ndarray,
@@ -317,10 +316,6 @@ class ImageCorpus:
     def segments(self) -> tuple[CorpusSegment, ...]:
         """The current segment list (newest last).  Segments are immutable."""
         return tuple(self._segments)
-
-    def segment_rows(self) -> list[int]:
-        """Row count per segment, oldest first."""
-        return [len(segment) for segment in self._segments]
 
     @property
     def segment_count(self) -> int:
@@ -437,33 +432,6 @@ class ImageCorpus:
                 self._segments[0] = head.tail(remaining)
                 remaining = 0
         return n
-
-    def compact(self, min_rows: int | None = None) -> int:
-        """Fold small adjacent segments together; returns segments folded away.
-
-        With ``min_rows=None`` the whole corpus collapses to one segment.
-        Otherwise only runs of adjacent segments smaller than ``min_rows``
-        are merged, so a large old segment is never rewritten just to absorb
-        a trickle of small ingest batches behind it.
-        """
-        before = len(self._segments)
-        if min_rows is None:
-            self._consolidated()
-            return before - len(self._segments)
-        merged: list[CorpusSegment] = []
-        run: list[CorpusSegment] = []
-        for segment in self._segments:
-            if len(segment) < min_rows:
-                run.append(segment)
-                continue
-            if run:
-                merged.append(CorpusSegment.merge(run))
-                run = []
-            merged.append(segment)
-        if run:
-            merged.append(CorpusSegment.merge(run))
-        self._segments = merged
-        return before - len(self._segments)
 
 
 def generate_corpus(categories: tuple[CategoryDef, ...], n_images: int,

@@ -28,7 +28,6 @@ the virtual ``all_cameras`` table fans out across all of them::
 from repro.db.catalog import DEFAULT_TABLE, FANOUT_TABLE, Catalog
 
 from repro.db.database import (
-    PredicateDefinition,
     VisualDatabase,
     connect,
     initialize_predicate,
@@ -54,7 +53,6 @@ __all__ = [
     "Catalog",
     "DEFAULT_TABLE",
     "FANOUT_TABLE",
-    "PredicateDefinition",
     "initialize_predicate",
     "QueryPlanner",
     "QueryPlan",

@@ -46,9 +46,10 @@ class Catalog:
         on one budget; accounting is namespace-aware (see
         :mod:`repro.storage.store`).
     metrics:
-        The registry the store's hit/miss/eviction counters and every
-        attached executor's query histograms land on; a private registry is
-        created when omitted so a standalone catalog still meters itself.
+        The registry the store's eviction counter and every attached
+        executor's query histograms and store hit/miss counters land on; a
+        private registry is created when omitted so a standalone catalog
+        still meters itself.
     """
 
     def __init__(self, store_budget: int | None = None,

@@ -36,7 +36,6 @@ columns + a per-table namespace of the shared representation store).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -61,8 +60,7 @@ from repro.query.sql import parse_query, split_explain_analyze
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import NO_SPAN, Tracer
 
-__all__ = ["VisualDatabase", "connect", "PredicateDefinition",
-           "initialize_predicate"]
+__all__ = ["VisualDatabase", "connect", "initialize_predicate"]
 
 #: ``reference_params`` keys consumed by the network *builder* (and therefore
 #: needed again at load time); the rest parameterize training only.
@@ -114,19 +112,6 @@ def initialize_predicate(splits: PredicateDataSplits,
     return optimizer, reference
 
 
-@dataclass
-class PredicateDefinition:
-    """A registered-but-untrained predicate (``register_predicate(lazy=True)``)."""
-
-    name: str
-    splits: PredicateDataSplits
-    config: TahomaConfig | None
-    reference_params: dict | None
-    train_reference: bool
-    reference_model: TrainedModel | None
-    seed: int
-
-
 class VisualDatabase:
     """A queryable visual analytics database over a catalog of image corpora.
 
@@ -155,11 +140,11 @@ class VisualDatabase:
         Byte budget for the representation store (see
         :class:`~repro.storage.store.RepresentationStore`): a long-lived
         database over growing corpora holds representation memory constant
-        by evicting least-recently-used representations; evicted ones are
-        recomputed on demand, so results are unaffected.  The budget is
-        shared by *all* tables (namespace-aware accounting keeps one hot
-        camera from evicting every other shard's representations).  ``None``
-        keeps the store unbounded.
+        by evicting the representations written longest ago; evicted ones
+        are recomputed on demand, so results are unaffected.  The budget is
+        shared by *all* tables (the inserting table's own entries go first,
+        which keeps one hot camera from evicting every other shard's
+        representations).  ``None`` keeps the store unbounded.
     retention:
         Retention window(s) for the attached tables: a single
         :class:`~repro.db.retention.RetentionPolicy` applied to every table
@@ -218,7 +203,6 @@ class VisualDatabase:
         self._catalog = Catalog(store_budget=store_budget,
                                 metrics=self._metrics)
         self._optimizers: dict[str, TahomaOptimizer] = {}
-        self._pending: dict[str, PredicateDefinition] = {}
         self._reference_params: dict[str, dict] = {}
 
         if retention is not None and not isinstance(retention,
@@ -268,15 +252,15 @@ class VisualDatabase:
         """Release the database's state deterministically (idempotent).
 
         Detaches every table — dropping executors, materialized virtual
-        columns and each shard's store namespace — clears the shared
-        representation store and the plan cache, and marks the database
-        closed: queries, ingest and catalog changes afterwards raise
-        :class:`RuntimeError`.  For a WAL-enabled database every journal
-        handle is flushed and closed *first* (without writing detach
-        tombstones — closing is not detaching; the tables come back on the
-        next load), so no buffered log bytes are lost and the log files are
-        released.  The server closes the database it serves on shutdown;
-        tests use the context-manager form::
+        columns and each shard's store namespace — clears the plan cache,
+        and marks the database closed: queries, ingest, saves, retention and
+        catalog changes afterwards raise :class:`RuntimeError`.  For a
+        WAL-enabled database every journal handle is flushed and closed
+        *first* (without writing detach tombstones — closing is not
+        detaching; the tables come back on the next load), so no buffered
+        log bytes are lost and the log files are released.  The server
+        closes the database it serves on shutdown; tests use the
+        context-manager form::
 
             with repro.db.connect(corpus) as db:
                 db.execute("SELECT * FROM images LIMIT 5")
@@ -288,7 +272,6 @@ class VisualDatabase:
             # No tombstone: the catalog teardown below is not a detach().
             self._release_wal(name, tombstone=False)
             self._catalog.detach(name)
-        self._catalog.store.clear()
         if self._plan_cache is not None:
             self._plan_cache.invalidate()
 
@@ -399,6 +382,7 @@ class VisualDatabase:
         On a WAL-enabled database a ``detach`` tombstone is journaled, so
         recovery from an older checkpoint drops the table again.
         """
+        self._check_open()
         self._release_wal(name, tombstone=True)
         self._catalog.detach(name)
         self._invalidate_plans()
@@ -415,6 +399,7 @@ class VisualDatabase:
         Takes effect at the end of the next :meth:`ingest` into that table,
         or immediately via :meth:`retain`.
         """
+        self._check_open()
         self._catalog.set_retention(table, policy)
         self._invalidate_plans()
 
@@ -430,6 +415,7 @@ class VisualDatabase:
         drop 0 rows).  Image ids stay stable — see
         :class:`~repro.db.retention.RetentionPolicy`.
         """
+        self._check_open()
         targets = [table] if table is not None else self.tables()
         return {name: self._catalog.executor(name).retain()
                 for name in targets}
@@ -506,26 +492,22 @@ class VisualDatabase:
                            reference_params: dict | None = None,
                            train_reference: bool = True,
                            reference_model: TrainedModel | None = None,
-                           lazy: bool = False, seed: int = 0) -> None:
+                           seed: int = 0) -> None:
         """Register ``contains_object(name)``: train its cascade machinery.
 
         Predicates are catalog-wide: trained once, evaluated against any
-        table (each shard keeps its own materialized labels).  With
-        ``lazy=True`` training is deferred until the predicate is first used
-        by :meth:`execute` / :meth:`explain` (or :meth:`save`), so a
-        database over many predicates only pays for the ones queries touch.
+        table (each shard keeps its own materialized labels).
         """
-        if name in self._optimizers or name in self._pending:
+        if name in self._optimizers:
             raise ValueError(f"predicate {name!r} already registered")
-        definition = PredicateDefinition(
-            name=name, splits=splits, config=config,
-            reference_params=reference_params,
+        optimizer, _ = initialize_predicate(
+            splits, config, reference_params=reference_params,
+            reference_name=f"reference-{name}",
             train_reference=train_reference,
-            reference_model=reference_model, seed=seed)
-        if lazy:
-            self._pending[name] = definition
-        else:
-            self._train(definition)
+            reference_model=reference_model,
+            rng=np.random.default_rng(seed))
+        self.register_optimizer(name, optimizer,
+                                reference_params=reference_params)
 
     def register_optimizer(self, name: str, optimizer: TahomaOptimizer,
                            reference_params: dict | None = None) -> None:
@@ -535,52 +517,23 @@ class VisualDatabase:
         arguments when it was built with non-default parameters, so the
         database can be saved and reloaded.
         """
-        if name in self._optimizers or name in self._pending:
+        if name in self._optimizers:
             raise ValueError(f"predicate {name!r} already registered")
         self._optimizers[name] = optimizer
         self._reference_params[name] = self._build_params(reference_params)
         self._maybe_calibrate(optimizer.reference_model)
 
     def predicates(self) -> list[str]:
-        """All registered predicate names (trained and pending)."""
-        return sorted(set(self._optimizers) | set(self._pending))
-
-    def is_trained(self, name: str) -> bool:
-        """Whether ``name``'s optimizer is initialized (False while pending)."""
-        if name in self._optimizers:
-            return True
-        if name in self._pending:
-            return False
-        raise KeyError(f"unknown predicate {name!r}; "
-                       f"registered: {self.predicates()}")
+        """All registered predicate names."""
+        return sorted(self._optimizers)
 
     def optimizer(self, name: str) -> TahomaOptimizer:
-        """The (initialized) optimizer for one predicate, training if pending."""
-        self._ensure_trained([name])
+        """The (initialized) optimizer for one predicate."""
         try:
             return self._optimizers[name]
         except KeyError:
             raise KeyError(f"unknown predicate {name!r}; "
                            f"registered: {self.predicates()}") from None
-
-    def _train(self, definition: PredicateDefinition) -> None:
-        optimizer, _ = initialize_predicate(
-            definition.splits, definition.config,
-            reference_params=definition.reference_params,
-            reference_name=f"reference-{definition.name}",
-            train_reference=definition.train_reference,
-            reference_model=definition.reference_model,
-            rng=np.random.default_rng(definition.seed))
-        self._optimizers[definition.name] = optimizer
-        self._reference_params[definition.name] = self._build_params(
-            definition.reference_params)
-        self._maybe_calibrate(optimizer.reference_model)
-
-    def _ensure_trained(self, names) -> None:
-        for name in names:
-            definition = self._pending.pop(name, None)
-            if definition is not None:
-                self._train(definition)
 
     @staticmethod
     def _build_params(reference_params: dict | None) -> dict:
@@ -654,13 +607,10 @@ class VisualDatabase:
         # empty catalog skips validation so the "no corpus registered" error
         # (not a parse error) surfaces, as in the single-corpus API.
         known = self.tables()
-        query = parse_query(sql, constraints=constraints
-                            or self.default_constraints,
-                            known_tables=known + [FANOUT_TABLE]
-                            if known else None)
-        self._ensure_trained(predicate.category
-                             for predicate in query.content_predicates)
-        return query
+        return parse_query(sql, constraints=constraints
+                           or self.default_constraints,
+                           known_tables=known + [FANOUT_TABLE]
+                           if known else None)
 
     def _profiler_for(self, table: str | None) -> CostProfiler:
         """The cost profiler pricing one shard's plan.
@@ -922,9 +872,7 @@ class VisualDatabase:
         :meth:`checkpoint` periodically to fold the log back into the
         checkpoint image and keep replay short.
 
-        Enabling trains pending lazy predicates (via the initial checkpoint)
-        — recovery must not depend on training state.  Raises
-        :class:`RuntimeError` when a WAL is already enabled.
+        Raises :class:`RuntimeError` when a WAL is already enabled.
         """
         self._check_open()
         if self._wal_root is not None:
@@ -959,27 +907,12 @@ class VisualDatabase:
                                "before checkpoint()")
         return self.save(self._wal_root)
 
-    def compact(self, table: str | None = None,
-                min_rows: int | None = None) -> dict[str, int]:
-        """Fold small corpus segments together; ``{table: segments_folded}``.
-
-        Streaming ingest leaves each table's corpus as many small immutable
-        segments; compaction merges adjacent runs smaller than ``min_rows``
-        (``None`` collapses each table to a single segment).  Purely an
-        in-memory reorganization: ids, query results and the WAL are
-        untouched.  ``table`` restricts the pass to one shard.
-        """
-        self._check_open()
-        targets = [table] if table is not None else self.tables()
-        return {name: self._catalog.executor(name).compact(min_rows)
-                for name in targets}
-
     def storage_stats(self) -> dict:
         """Storage-engine counters: per-table segments/WAL depth, store bytes.
 
         The server's ``stats`` command ships this, so operators can watch
-        segment fragmentation (is a ``compact()`` due?) and WAL length (is a
-        ``checkpoint()`` due?) per shard.
+        the segments ingest has appended since the last read consolidated
+        them and WAL length (is a ``checkpoint()`` due?) per shard.
         """
         return {
             "wal_enabled": self._wal_root is not None,
@@ -1038,9 +971,8 @@ class VisualDatabase:
     def save(self, path: str | Path) -> Path:
         """Persist the whole catalog (optimizers, scenario, tables) to disk.
 
-        Pending lazy predicates are trained first — a saved database is fully
-        initialized.  Each table's corpus and materialized labels are saved
-        in full, its representation arrays hottest first up to
+        Each table's corpus and materialized labels are saved in full, its
+        representation arrays most recently written first up to
         :data:`~repro.db.persistence.DEFAULT_STORE_BYTES_CAP` across the
         catalog, so a reload warm-starts without recompute; see
         :mod:`repro.db.persistence` for the layout.  Saving a WAL-enabled
@@ -1052,6 +984,7 @@ class VisualDatabase:
         """
         from repro.db.persistence import save_database
 
+        self._check_open()
         return save_database(self, path)
 
     @classmethod

@@ -100,9 +100,9 @@ class TableImage:
     save serializes lock-free; because corpus, labels, id offset and
     representation arrays come from one instant, row ``i`` of every array
     here describes row ``i`` of ``images``.  ``store_arrays`` holds
-    ``(spec, array, recency)`` triples, hottest first — ``recency`` is the
-    store-wide rank, comparable across tables.  ``wal_generation`` is the
-    journal generation a checkpoint rotated to (``None`` for a plain save).
+    ``(spec, array, rank)`` triples, newest write first — ``rank`` is the
+    store-wide write order, comparable across tables.  ``wal_generation`` is
+    the journal generation a checkpoint rotated to (``None`` for a plain save).
     """
 
     images: np.ndarray
@@ -357,16 +357,6 @@ class QueryExecutor:
         self.store.drop_oldest_rows(n)
         return n
 
-    def compact(self, min_rows: int | None = None) -> int:
-        """Fold small corpus segments together; returns segments folded away.
-
-        Purely an in-memory reorganization — row order, ids, materialized
-        labels and the WAL are untouched (the log already holds the segment
-        history; replay consolidates through the same lazy collapse).
-        """
-        with self._lock:
-            return self.corpus.compact(min_rows)
-
     def replay_wal(self, records: list[dict]) -> None:
         """Re-apply journaled mutations after a checkpoint restore.
 
@@ -544,7 +534,7 @@ class QueryExecutor:
         with self._lock:
             images = self.corpus.images  # consolidates segments under the lock
             reps = {spec.name: array
-                    for spec, array in self.store.arrays_by_recency()}
+                    for spec, array, _ in self.store.arrays_by_recency()}
             return _Snapshot(images=images, relation=self._base_relation,
                              materialized=dict(self._materialized),
                              id_offset=self._id_offset, epoch=self._epoch,
@@ -567,8 +557,7 @@ class QueryExecutor:
                 retention=self.retention,
                 id_offset=self._id_offset,
                 registered_specs=store.registered_specs(),
-                store_arrays=[(spec, array, store.recency_rank(spec) or 0)
-                              for spec, array in store.arrays_by_recency()],
+                store_arrays=store.arrays_by_recency(),
                 wal_generation=(self._wal.rotate()
                                 if checkpoint and self._wal is not None
                                 else None))

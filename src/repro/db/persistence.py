@@ -24,7 +24,7 @@ the active scenario, every table's corpus (including rows added by
 materialized virtual columns come back — a reloaded database answers the
 same queries with identical results and without re-classifying rows
 classified before the save.  Representation arrays are persisted per table
-(hottest first, up to a byte cap), so a reload *warm-starts*: queries load
+(newest write first, up to a byte cap), so a reload *warm-starts*: queries load
 representation bytes instead of re-transforming the corpus.  Arrays that
 were evicted or fell over the cap are simply recomputed on demand — results
 are unaffected.
@@ -93,7 +93,7 @@ _STORE_FILE = "store.npz"
 _IMAGE_DIR_RE = re.compile(r"^ckpt-(\d+)$")
 
 #: On-disk byte cap for persisted representation arrays, shared by the
-#: whole catalog.  Arrays beyond the cap (coldest first) are skipped and
+#: whole catalog.  Arrays beyond the cap (oldest writes first) are skipped and
 #: recomputed lazily after a load.
 DEFAULT_STORE_BYTES_CAP = 256 * 2 ** 20
 
@@ -187,19 +187,19 @@ def _load_materialized(executor, table_dir: Path, entries: list[dict]) -> None:
 
 
 def _select_store_arrays(images: dict) -> dict[str, list]:
-    """Pick the representation arrays to persist, globally hottest first.
+    """Pick the representation arrays to persist, globally newest write first.
 
     ``images`` maps each table to its captured
     :class:`~repro.db.executor.TableImage`.  :data:`DEFAULT_STORE_BYTES_CAP`
-    is spent across the whole catalog by shared-store recency (not per table
-    in attachment order), so a reload warm-starts the arrays queries touched
+    is spent across the whole catalog in shared-store write order (not per
+    table in attachment order), so a reload warm-starts the arrays written
     most recently.  Arrays over the cap are skipped — the executor
     recomputes them on demand after a load, so the cap trades disk for
     warm-start coverage, never correctness.
     """
-    candidates = [(recency, table, spec, array)
+    candidates = [(rank, table, spec, array)
                   for table, image in images.items()
-                  for spec, array, recency in image.store_arrays]
+                  for spec, array, rank in image.store_arrays]
     candidates.sort(key=lambda item: item[0], reverse=True)
 
     selected: dict[str, list] = {table: [] for table in images}
@@ -229,8 +229,8 @@ def _load_store_arrays(executor, table_dir: Path, entries: list[dict]) -> None:
     path = table_dir / _STORE_FILE
     n = len(executor.corpus)
     with np.load(path, allow_pickle=False) as archive:
-        # Coldest first, so recency (and byte-budget eviction order) after
-        # the load mirrors the order before the save.
+        # Oldest write first, so the store's write order (and with it the
+        # byte-budget eviction order) after the load mirrors the save's.
         for index in reversed(range(len(entries))):
             array = archive[f"rep_{index}"]
             if array.shape[0] > n:  # shorter is a stale array: topped up lazily
@@ -339,7 +339,6 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
                      and Path(db._wal_root).resolve() == root.resolve())
 
     names = db.predicates()
-    db._ensure_trained(names)  # lazy predicates are trained before saving
     for name in names:
         save_optimizer(db._optimizers[name], root / _PREDICATES_DIR / name,
                        reference_params=db._reference_params.get(name) or {})

@@ -41,20 +41,16 @@ class RetentionPolicy:
         The metadata column ``max_age`` is measured against.  Rows are
         assumed to arrive in timestamp order (a feed); only the contiguous
         oldest prefix is ever dropped.
-    align_to_segments:
-        Round the drop *down* to a corpus segment boundary, so retention
-        only ever pops whole immutable segments (O(1) each, no survivor
-        copies) and never splits one.  The window may then temporarily hold
-        up to one segment of extra history; the default (``False``) keeps
-        the exact row semantics.
 
-    At least one of ``max_rows`` / ``max_age`` must be set.
+    At least one of ``max_rows`` / ``max_age`` must be set.  The window is
+    exact to the row.  (A policy saved by an earlier version with its
+    segment-alignment flag set loads with these exact-row semantics:
+    :meth:`from_dict` ignores keys it does not know.)
     """
 
     max_rows: int | None = None
     max_age: float | None = None
     timestamp_column: str = "timestamp"
-    align_to_segments: bool = False
 
     def __post_init__(self) -> None:
         if self.max_rows is None and self.max_age is None:
@@ -76,9 +72,7 @@ class RetentionPolicy:
         if self.max_age is not None:
             # metadata_arrays() skips the image consolidation a .metadata
             # read would force on a freshly ingested segmented corpus.
-            columns = (corpus.metadata_arrays()
-                       if hasattr(corpus, "metadata_arrays")
-                       else corpus.metadata)
+            columns = corpus.metadata_arrays()
             try:
                 timestamps = columns[self.timestamp_column]
             except KeyError:
@@ -92,40 +86,18 @@ class RetentionPolicy:
             # always finds a True: the leading run of False is the stale
             # prefix to drop.
             drop = max(drop, int(np.argmax(fresh)))
-        if drop and self.align_to_segments:
-            drop = self._align_down(corpus, drop)
         return drop
-
-    @staticmethod
-    def _align_down(corpus, drop: int) -> int:
-        """The largest segment-boundary drop count not exceeding ``drop``."""
-        rows = getattr(corpus, "segment_rows", None)
-        if rows is None:  # a corpus without segments: exact semantics
-            return drop
-        boundary = 0
-        for segment_rows in rows():
-            if boundary + segment_rows > drop:
-                break
-            boundary += segment_rows
-        return boundary
 
     def to_dict(self) -> dict:
         """JSON-serializable form (see :mod:`repro.db.persistence`)."""
-        data = {"max_rows": self.max_rows, "max_age": self.max_age,
+        return {"max_rows": self.max_rows, "max_age": self.max_age,
                 "timestamp_column": self.timestamp_column}
-        # Only persisted when set, so default policies keep the manifest and
-        # the WAL's ``retention`` records byte-identical.
-        if self.align_to_segments:
-            data["align_to_segments"] = True
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RetentionPolicy":
         return cls(max_rows=data.get("max_rows"),
                    max_age=data.get("max_age"),
-                   timestamp_column=data.get("timestamp_column", "timestamp"),
-                   align_to_segments=bool(data.get("align_to_segments",
-                                                   False)))
+                   timestamp_column=data.get("timestamp_column", "timestamp"))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = []
@@ -134,6 +106,4 @@ class RetentionPolicy:
         if self.max_age is not None:
             parts.append(f"max_age={self.max_age}")
             parts.append(f"timestamp_column={self.timestamp_column!r}")
-        if self.align_to_segments:
-            parts.append("align_to_segments=True")
         return f"RetentionPolicy({', '.join(parts)})"

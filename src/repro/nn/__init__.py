@@ -4,7 +4,6 @@ This package stands in for the Keras/TensorFlow stack the TAHOMA paper used
 to train and execute its convolutional classifiers.  It provides:
 
 * layers (:mod:`repro.nn.layers`): convolution, pooling, dense, activations,
-  dropout and a light batch-normalization layer,
 * losses (:mod:`repro.nn.losses`) and optimizers (:mod:`repro.nn.optimizers`),
 * a :class:`~repro.nn.network.Sequential` container with forward/backward
   passes and parameter management,
@@ -20,21 +19,18 @@ use the NHWC layout (batch, height, width, channels).
 """
 
 from repro.nn.layers import (
-    BatchNorm,
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     GlobalAveragePool,
     Layer,
     MaxPool2D,
     ReLU,
     Sigmoid,
-    Softmax,
 )
-from repro.nn.losses import BinaryCrossEntropy, Loss, MeanSquaredError
+from repro.nn.losses import BinaryCrossEntropy, Loss
 from repro.nn.network import Sequential
-from repro.nn.optimizers import SGD, Adam, Momentum, Optimizer
+from repro.nn.optimizers import Adam, Optimizer
 from repro.nn.train import EarlyStopping, TrainingHistory, evaluate_accuracy, fit
 from repro.nn.flops import count_network_flops, count_layer_flops
 
@@ -45,17 +41,11 @@ __all__ = [
     "Dense",
     "ReLU",
     "Sigmoid",
-    "Softmax",
     "Flatten",
-    "Dropout",
-    "BatchNorm",
     "GlobalAveragePool",
     "Loss",
     "BinaryCrossEntropy",
-    "MeanSquaredError",
     "Optimizer",
-    "SGD",
-    "Momentum",
     "Adam",
     "Sequential",
     "fit",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["glorot_uniform", "he_normal", "zeros", "constant"]
+__all__ = ["glorot_uniform", "he_normal", "zeros"]
 
 
 def glorot_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int,
@@ -28,8 +28,3 @@ def he_normal(shape: tuple[int, ...], fan_in: int,
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zero initialization (biases)."""
     return np.zeros(shape, dtype=np.float64)
-
-
-def constant(shape: tuple[int, ...], value: float) -> np.ndarray:
-    """Constant-value initialization."""
-    return np.full(shape, value, dtype=np.float64)

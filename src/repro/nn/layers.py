@@ -20,8 +20,7 @@ batch-sized array (a convolution's im2col matrix is megabytes) stays pinned
 between calls.  ``backward`` therefore needs a preceding
 ``forward(x, training=True)`` and raises ``RuntimeError("backward called
 before forward")`` without one.  Neither mode writes to its input, and both
-return the same bits (BatchNorm and Dropout excepted: their modes differ by
-definition), which ``tests/nn/test_inference_path.py`` pins.
+return the same bits, which ``tests/nn/test_inference_path.py`` pins.
 
 That equality covers the one place inference reorders work:
 ``Sequential.forward`` runs ``Conv2D -> ReLU -> MaxPool2D`` as
@@ -45,10 +44,7 @@ __all__ = [
     "Dense",
     "ReLU",
     "Sigmoid",
-    "Softmax",
     "Flatten",
-    "Dropout",
-    "BatchNorm",
     "GlobalAveragePool",
 ]
 
@@ -424,120 +420,6 @@ class Sigmoid(Layer):
         if self._out is None:
             raise RuntimeError("backward called before forward")
         return grad_output * self._out * (1.0 - self._out)
-
-    def flops(self, input_shape: tuple[int, ...]) -> int:
-        return int(np.prod(input_shape)) * 4
-
-
-class Softmax(Layer):
-    """Softmax over the last dimension (used by multi-class heads)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # shape: (..., K) -> (..., K)
-        shifted = x - x.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        out = exp / exp.sum(axis=-1, keepdims=True)
-        if training:
-            self._out = out
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        out = self._out
-        dot = (grad_output * out).sum(axis=-1, keepdims=True)
-        return out * (grad_output - dot)
-
-    def flops(self, input_shape: tuple[int, ...]) -> int:
-        return int(np.prod(input_shape)) * 5
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity when not training."""
-
-    def __init__(self, rate: float = 0.5,
-                 rng: np.random.Generator | None = None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.rate = rate
-        self._rng = rng or np.random.default_rng(0)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # shape: (N, ...) -> (N, ...)
-        if not training:
-            return x
-        if self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-
-class BatchNorm(Layer):
-    """Batch normalization over the last (channel/feature) dimension."""
-
-    def __init__(self, num_features: int, momentum: float = 0.9,
-                 epsilon: float = 1e-5) -> None:
-        super().__init__()
-        if num_features <= 0:
-            raise ValueError("num_features must be positive")
-        self.num_features = num_features
-        self.momentum = momentum
-        self.epsilon = epsilon
-        self.params = {
-            "gamma": initializers.constant((num_features,), 1.0),
-            "beta": initializers.zeros((num_features,)),
-        }
-        self.running_mean = np.zeros(num_features, dtype=np.float64)
-        self.running_var = np.ones(num_features, dtype=np.float64)
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # shape: (N, ...) -> (N, ...)
-        # dtype: float64
-        axes = tuple(range(x.ndim - 1))
-        if training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.running_mean = (self.momentum * self.running_mean
-                                 + (1 - self.momentum) * mean)
-            self.running_var = (self.momentum * self.running_var
-                                + (1 - self.momentum) * var)
-        else:
-            mean = self.running_mean
-            var = self.running_var
-        x_hat = (x - mean) / np.sqrt(var + self.epsilon)
-        if training:
-            self._cache = (x_hat, var, axes)
-        return self.params["gamma"] * x_hat + self.params["beta"]
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x_hat, var, axes = self._cache
-        count = int(np.prod([grad_output.shape[a] for a in axes]))
-        gamma = self.params["gamma"]
-        self.grads["gamma"] = (grad_output * x_hat).sum(axis=axes)
-        self.grads["beta"] = grad_output.sum(axis=axes)
-        std_inv = 1.0 / np.sqrt(var + self.epsilon)
-        dx_hat = grad_output * gamma
-        grad_input = (std_inv / count) * (
-            count * dx_hat
-            - dx_hat.sum(axis=axes)
-            - x_hat * (dx_hat * x_hat).sum(axis=axes))
-        return grad_input
 
     def flops(self, input_shape: tuple[int, ...]) -> int:
         return int(np.prod(input_shape)) * 4

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.dtypes import align_targets
 
-__all__ = ["Loss", "BinaryCrossEntropy", "MeanSquaredError"]
+__all__ = ["Loss", "BinaryCrossEntropy"]
 
 _EPS = 1e-12
 
@@ -43,19 +43,3 @@ class BinaryCrossEntropy(Loss):
         clipped = np.clip(predictions, _EPS, 1.0 - _EPS)
         grad = (clipped - targets) / (clipped * (1.0 - clipped))
         return grad / predictions.size
-
-
-class MeanSquaredError(Loss):
-    """Mean squared error."""
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        # shape: (N, ...), (...) -> ()
-        # dtype: float64
-        predictions, targets = align_targets(predictions, targets)
-        return float(((predictions - targets) ** 2).mean())
-
-    def backward(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        # shape: (N, ...), (...) -> (N, ...)
-        # dtype: float64
-        predictions, targets = align_targets(predictions, targets)
-        return 2.0 * (predictions - targets) / predictions.size

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Momentum", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -29,34 +29,6 @@ class Optimizer:
                 if grad is None:
                     continue
                 yield (layer_index, name), param, grad
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent."""
-
-    def step(self, layers) -> None:
-        for _, param, grad in self._iter_params(layers):
-            param -= self.learning_rate * grad
-
-
-class Momentum(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.9) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity: dict = {}
-
-    def step(self, layers) -> None:
-        for key, param, grad in self._iter_params(layers):
-            velocity = self._velocity.get(key)
-            if velocity is None:
-                velocity = np.zeros_like(param)
-            velocity = self.momentum * velocity - self.learning_rate * grad
-            self._velocity[key] = velocity
-            param += velocity
 
 
 class Adam(Optimizer):

@@ -3,8 +3,10 @@
 In the paper's ONGOING scenario, video is transformed into the required input
 representations as it is ingested and those representations are stored on SSD,
 so only the (much smaller) representation bytes are loaded at query time.
-:class:`RepresentationStore` models that behaviour and is also a convenient
-cache when evaluating many models that share a representation.
+:class:`RepresentationStore` models that behaviour.  It has one reader — the
+query executor, which takes every array of its table once per snapshot through
+:meth:`arrays_by_recency` (persistence captures a save through the same
+call) — and reading never reorders anything.
 
 Three pieces make the store safe to keep alive for the lifetime of a growing,
 multi-camera database:
@@ -12,17 +14,17 @@ multi-camera database:
 * a **registration set** — representations a deployment has committed to
   materializing at ingest time (the ONGOING policy); registration survives
   :meth:`clear` and persistence, while the arrays themselves may come and go,
-* an optional **byte budget** with least-recently-used eviction — whenever
-  stored bytes exceed the budget the coldest representations are dropped.
-  Evicted representations are recomputed on demand by the consumers
-  (:meth:`get_or_transform`, the query executor), so a budget bounds memory
-  without affecting query results,
+* an optional **byte budget** with least-recently-*written* eviction — every
+  :meth:`add` / :meth:`append_rows` makes its entry the newest, and whenever
+  stored bytes exceed the budget the entries written longest ago are
+  dropped.  The query executor recomputes an evicted representation on
+  demand, so a budget bounds memory without affecting query results,
 * **namespaces** — a multi-table catalog gives each table a :meth:`scoped`
   view of one shared store, so the byte budget is global while arrays, specs
   and registrations stay per-table.  Budget accounting is namespace-aware:
-  eviction drains the inserting namespace's own cold entries before touching
-  any other namespace, so one hot camera cannot evict every other shard's
-  representations.
+  eviction drains the inserting namespace's own oldest entries before
+  touching any other namespace, so one hot camera cannot evict every other
+  shard's representations.
 
 Internally each entry is a list of row-aligned **chunks** mirroring the
 corpus's segment list: :meth:`append_rows` adds a chunk in O(batch) on the
@@ -50,29 +52,43 @@ _Key = tuple[str, str]
 
 
 @dataclass
+class _Entry:
+    """One stored representation: its spec and its row-aligned chunks."""
+
+    spec: TransformSpec
+    chunks: list[np.ndarray]
+
+    @property
+    def rows(self) -> int:
+        return sum(int(chunk.shape[0]) for chunk in self.chunks)
+
+    @property
+    def nbytes(self) -> int:
+        """Simulated bytes (what the budget counts), not array memory."""
+        return representation_bytes(self.spec) * self.rows
+
+
+@dataclass
 class _StoreState:
     """State shared by every namespaced view of one store.
 
-    ``arrays`` insertion order doubles as recency order across *all*
-    namespaces: get()/add() move the touched key to the end, so eviction pops
-    from the front.  Each value is a list of row-aligned chunks; readers
-    collapse the list to one array in place.
+    ``entries`` insertion order is the write order across *all* namespaces:
+    add()/append_rows() move the written key to the end, so eviction pops
+    from the front.  Readers collapse an entry's chunk list to one array in
+    place, which leaves the order alone.
     """
 
     byte_budget: int | None
-    arrays: dict[_Key, list[np.ndarray]] = field(default_factory=dict)  # guarded by: lock
-    specs: dict[_Key, TransformSpec] = field(default_factory=dict)  # guarded by: lock
+    entries: dict[_Key, _Entry] = field(default_factory=dict)  # guarded by: lock
     registered: dict[_Key, TransformSpec] = field(default_factory=dict)  # guarded by: lock
-    # Hit/miss/eviction counts live on the metrics registry (thread-safe on
-    # its own lock), so `stats` and `metrics` views can never disagree.
+    # The eviction count lives on the metrics registry (thread-safe on its
+    # own lock), so `stats` and `metrics` views can never disagree.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     # Reentrant: public entry points hold it while calling each other
-    # (purge -> clear, specs -> _names) and the _enforce_budget/_evict helpers.
+    # (purge -> clear, add -> _enforce_budget -> total_bytes_stored).
     lock: threading.RLock = field(default_factory=lambda: make_rlock("store"))
 
     def __post_init__(self) -> None:
-        self.hit_counter = self.metrics.counter("repro_store_hits_total")
-        self.miss_counter = self.metrics.counter("repro_store_misses_total")
         self.eviction_counter = self.metrics.counter(
             "repro_store_evictions_total")
 
@@ -85,10 +101,10 @@ class RepresentationStore:
     byte_budget:
         Maximum simulated bytes the store may hold *across all namespaces*.
         ``None`` (the default) means unbounded.  When an insertion pushes the
-        total over the budget, least-recently-used representations are
+        total over the budget, the representations written longest ago are
         evicted until the total fits — the inserting namespace's own entries
         first, then (only if that namespace is drained) other namespaces'
-        coldest entries, and including, if necessary, the representation just
+        oldest entries, and including, if necessary, the representation just
         inserted (a single representation larger than the whole budget is
         never kept).
     """
@@ -125,23 +141,14 @@ class RepresentationStore:
     def _key(self, name: str) -> _Key:
         return (self.namespace, name)
 
+    def _own_keys(self) -> list[_Key]:
+        """This namespace's keys, oldest write first (lock held)."""
+        return [key for key in self._state.entries
+                if key[0] == self.namespace]
+
     # -- ingest ------------------------------------------------------------
-    def materialize(self, images: np.ndarray,
-                    specs: list[TransformSpec] | tuple[TransformSpec, ...]) -> None:
-        """Transform ``images`` into every representation in ``specs`` and keep them.
-
-        This is the ingest-time entry point, so the specs are also
-        :meth:`register`-ed: later :meth:`append_rows` calls (new frames
-        arriving) extend these representations.
-        """
-        if images.ndim != 4:
-            raise ValueError(f"expected NHWC batch, got shape {images.shape}")
-        for spec in specs:
-            self.register(spec)
-            self.add(spec, spec.apply_batch(images))
-
     def add(self, spec: TransformSpec, array: np.ndarray) -> None:
-        """Store an already-transformed array under ``spec`` (marks it hot)."""
+        """Store an already-transformed array under ``spec`` (newest write)."""
         expected = spec.shape
         if array.shape[1:] != expected:
             raise ValueError(
@@ -149,9 +156,8 @@ class RepresentationStore:
         state = self._state
         key = self._key(spec.name)
         with state.lock:
-            state.arrays.pop(key, None)
-            state.arrays[key] = [array]
-            state.specs[key] = spec
+            state.entries.pop(key, None)
+            state.entries[key] = _Entry(spec, [array])
             self._enforce_budget(newest=key)
 
     def append_rows(self, spec: TransformSpec, array: np.ndarray) -> None:
@@ -159,24 +165,23 @@ class RepresentationStore:
 
         The streaming-ingest path: the new rows land as one more chunk
         (mirroring the corpus segment they describe) and nothing is
-        concatenated until a reader asks for the full array.
-        Marks the entry hot and enforces the byte budget like any insertion.
+        concatenated until a reader asks for the full array.  Makes the
+        entry the newest write and enforces the byte budget like any
+        insertion.
         """
         state = self._state
         key = self._key(spec.name)
         with state.lock:
-            try:
-                chunks = state.arrays.pop(key)
-            except KeyError:
+            entry = state.entries.get(key)
+            if entry is None:
                 raise KeyError(f"representation {spec.name!r} not materialized; "
-                               f"cannot extend it") from None
-            if array.shape[1:] != chunks[0].shape[1:]:
-                state.arrays[key] = chunks
+                               f"cannot extend it")
+            if array.shape[1:] != entry.chunks[0].shape[1:]:
                 raise ValueError(
                     f"array shape {array.shape[1:]} does not match stored "
-                    f"shape {chunks[0].shape[1:]}")
-            chunks.append(array)
-            state.arrays[key] = chunks
+                    f"shape {entry.chunks[0].shape[1:]}")
+            entry.chunks.append(array)
+            state.entries[key] = state.entries.pop(key)
             self._enforce_budget(newest=key)
 
     def register(self, spec: TransformSpec) -> None:
@@ -199,106 +204,41 @@ class RepresentationStore:
     # -- access --------------------------------------------------------------
     def __contains__(self, spec: TransformSpec) -> bool:
         with self._state.lock:
-            return self._key(spec.name) in self._state.arrays
-
-    def get(self, spec: TransformSpec) -> np.ndarray:
-        """The stored representation array for ``spec`` (marks it hot)."""
-        array = self.try_get(spec)
-        if array is None:
-            raise KeyError(f"representation {spec.name!r} not materialized; "
-                           f"available: {sorted(self._names())}")
-        return array
-
-    def try_get(self, spec: TransformSpec) -> np.ndarray | None:
-        """Like :meth:`get` but ``None`` on a miss, atomically.
-
-        Concurrent shards sharing a byte budget can evict each other's
-        entries between a caller's ``in`` check and its ``get`` — consumers
-        that fall back to recomputing (:meth:`get_or_transform`) use this
-        instead of the non-atomic check-then-get pair.  The query executor
-        does not come through here: it reads :meth:`arrays_by_recency` once
-        per snapshot and counts its own hits and misses.
-        """
-        state = self._state
-        key = self._key(spec.name)
-        with state.lock:
-            try:
-                chunks = state.arrays.pop(key)
-            except KeyError:
-                state.miss_counter.inc()
-                return None
-            array = _consolidate(chunks)
-            state.arrays[key] = [array]
-            state.hit_counter.inc()
-            return array
-
-    def get_or_transform(self, spec: TransformSpec,
-                         source_images: np.ndarray) -> np.ndarray:
-        """Return the stored representation, transforming and caching on miss.
-
-        Under a byte budget the freshly transformed array may be evicted
-        immediately (when it alone exceeds the budget); the computed array is
-        returned to the caller either way.
-        """
-        stored = self.try_get(spec)
-        if stored is not None:
-            return stored
-        array = spec.apply_batch(source_images)
-        self.add(spec, array)
-        return array
-
-    def _names(self) -> list[str]:
-        # Reentrant lock: callers already inside the critical section
-        # (specs, error paths in get) re-acquire harmlessly.
-        with self._state.lock:
-            return [key[1] for key in self._state.arrays
-                    if key[0] == self.namespace]
+            return self._key(spec.name) in self._state.entries
 
     def specs(self) -> list[TransformSpec]:
         """The representation specs currently materialized (this namespace)."""
         state = self._state
         with state.lock:
-            return [state.specs[(self.namespace, name)]
-                    for name in sorted(self._names())]
+            return [state.entries[key].spec
+                    for key in sorted(self._own_keys())]
 
-    def arrays_by_recency(self) -> list[tuple[TransformSpec, np.ndarray]]:
-        """This namespace's (spec, array) pairs, hottest first.
+    def arrays_by_recency(self) -> list[tuple[TransformSpec, np.ndarray, int]]:
+        """This namespace's ``(spec, array, rank)`` triples, newest write first.
 
-        Used by persistence to save the most valuable arrays under a size
-        cap; reading through this method does not change recency (chunk
-        lists are consolidated in place, which preserves insertion order).
+        The one read path: the executor takes a query snapshot's arrays from
+        here and persistence the arrays of a save.  ``rank`` is the entry's
+        position in the write order of *all* namespaces sharing this store
+        (higher = written later), so a save can spend its byte cap on the
+        catalog's globally newest arrays.  Reading does not change the order
+        (chunk lists are consolidated in place).
         """
         state = self._state
         with state.lock:
-            keys = [key for key in state.arrays if key[0] == self.namespace]
-            pairs = []
-            for key in reversed(keys):
-                state.arrays[key] = [_consolidate(state.arrays[key])]
-                pairs.append((state.specs[key], state.arrays[key][0]))
-            return pairs
-
-    def recency_rank(self, spec: TransformSpec) -> int | None:
-        """Global recency of ``spec``'s entry (higher = hotter), or ``None``.
-
-        The rank orders entries across *all* namespaces sharing this store,
-        so persistence can spend a byte cap on the catalog's globally
-        hottest arrays; reading it does not change recency.
-        """
-        state = self._state
-        key = self._key(spec.name)
-        with state.lock:
-            for rank, stored_key in enumerate(state.arrays):
-                if stored_key == key:
-                    return rank
-            return None
+            triples = []
+            for rank, (key, entry) in enumerate(state.entries.items()):
+                if key[0] != self.namespace:
+                    continue
+                entry.chunks = [_consolidate(entry.chunks)]
+                triples.append((entry.spec, entry.chunks[0], rank))
+            triples.reverse()
+            return triples
 
     def rows(self, spec: TransformSpec) -> int:
         """Number of rows stored for ``spec`` (0 when not materialized)."""
         with self._state.lock:
-            chunks = self._state.arrays.get(self._key(spec.name))
-            if chunks is None:
-                return 0
-            return sum(int(chunk.shape[0]) for chunk in chunks)
+            entry = self._state.entries.get(self._key(spec.name))
+            return entry.rows if entry is not None else 0
 
     def drop_oldest_rows(self, n: int) -> None:
         """Trim the first ``n`` rows from every array in this namespace.
@@ -310,7 +250,7 @@ class RepresentationStore:
         survivors; only a chunk straddling the boundary is copied (never
         sliced — a view would pin the dropped rows' memory).  The freed
         bytes are credited against the global byte budget automatically —
-        accounting reads current chunk lengths.  Recency, specs and
+        accounting reads current chunk lengths.  Write order, specs and
         registrations are unchanged; entries shorter than ``n`` become empty
         (and are topped back up lazily like any stale array).
         """
@@ -320,19 +260,17 @@ class RepresentationStore:
             return
         state = self._state
         with state.lock:
-            for key in [key for key in state.arrays
-                        if key[0] == self.namespace]:
-                state.arrays[key] = _drop_chunk_rows(state.arrays[key], n)
+            for key in self._own_keys():
+                entry = state.entries[key]
+                entry.chunks = _drop_chunk_rows(entry.chunks, n)
 
     def clear(self) -> None:
         """Drop this namespace's stored arrays, keeping budget and
         registrations (other namespaces are untouched)."""
         state = self._state
         with state.lock:
-            for key in [key for key in state.arrays
-                        if key[0] == self.namespace]:
-                del state.arrays[key]
-                del state.specs[key]
+            for key in self._own_keys():
+                del state.entries[key]
 
     def purge(self) -> None:
         """Drop this namespace entirely: arrays *and* registrations.
@@ -348,24 +286,17 @@ class RepresentationStore:
                 del state.registered[key]
 
     # -- accounting -------------------------------------------------------------
-    def bytes_stored(self, per_image: bool = False) -> int:
+    def bytes_stored(self) -> int:
         """Simulated bytes occupied by this namespace's representations."""
         state = self._state
         with state.lock:
-            total = 0
-            for key, chunks in state.arrays.items():
-                if key[0] != self.namespace:
-                    continue
-                count = 1 if per_image else \
-                    sum(int(chunk.shape[0]) for chunk in chunks)
-                total += representation_bytes(state.specs[key]) * count
-            return int(total)
+            return sum(state.entries[key].nbytes for key in self._own_keys())
 
     def total_bytes_stored(self) -> int:
         """Simulated bytes stored across *all* namespaces (what the budget caps)."""
         state = self._state
         with state.lock:
-            return int(sum(self._entry_bytes(key) for key in state.arrays))
+            return sum(entry.nbytes for entry in state.entries.values())
 
     @property
     def evictions(self) -> int:
@@ -374,51 +305,41 @@ class RepresentationStore:
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """The registry this store's hit/miss/eviction counters live on."""
+        """The registry this store's eviction counter lives on."""
         return self._state.metrics
 
     def __len__(self) -> int:
-        return len(self._names())
+        with self._state.lock:
+            return len(self._own_keys())
 
     # -- internals ---------------------------------------------------------
-    def _entry_bytes(self, key: _Key) -> int:
+    def _evict(self, key: _Key) -> int:
+        """Drop one entry, returning the simulated bytes it held."""
         state = self._state
-        rows = sum(int(chunk.shape[0]) for chunk in state.arrays[key])
-        return representation_bytes(state.specs[key]) * rows
-
-    def _evict(self, key: _Key) -> None:
-        state = self._state
-        del state.arrays[key]
-        del state.specs[key]
+        freed = state.entries.pop(key).nbytes
         state.eviction_counter.inc()
+        return freed
 
-    def _enforce_budget(self, newest: _Key | None = None) -> None:
+    def _enforce_budget(self, newest: _Key) -> None:
         state = self._state
         budget = state.byte_budget
         if budget is None:
             return
         # A newcomer that alone exceeds the budget can never be kept: evict
-        # just it, not the warm entries that did fit.
-        if (newest in state.arrays
-                and self._entry_bytes(newest) > budget):
+        # just it, not the older entries that did fit.
+        if state.entries[newest].nbytes > budget:
             self._evict(newest)
 
         total = self.total_bytes_stored()
         # Namespace-aware fairness: the inserting namespace pays with its own
-        # coldest entries first, so one hot camera cannot evict every other
+        # oldest entries first, so one hot camera cannot evict every other
         # shard's representations.
-        if newest is not None:
-            own = [key for key in state.arrays
-                   if key[0] == newest[0] and key != newest]
-            for key in own:
-                if total <= budget:
-                    return
-                total -= self._entry_bytes(key)
-                self._evict(key)
-        while state.arrays and total > budget:
-            key = next(iter(state.arrays))
-            total -= self._entry_bytes(key)
-            self._evict(key)
+        for key in [key for key in self._own_keys() if key != newest]:
+            if total <= budget:
+                return
+            total -= self._evict(key)
+        while state.entries and total > budget:
+            total -= self._evict(next(iter(state.entries)))
 
 
 def _consolidate(chunks: list[np.ndarray]) -> np.ndarray:
@@ -444,6 +365,6 @@ def _drop_chunk_rows(chunks: list[np.ndarray], n: int) -> list[np.ndarray]:
         else:
             out.append(chunk)
     if not out:
-        # Keep the entry alive (schema and recency) with an empty chunk.
+        # Keep the entry alive (schema and write order) with an empty chunk.
         out.append(chunks[-1][:0].copy())
     return out

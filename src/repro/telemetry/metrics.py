@@ -72,11 +72,13 @@ CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("repro_wal_replay_seconds", "histogram",
                "WAL replay duration on recovery, per table.", ("table",)),
     MetricSpec("repro_store_hits_total", "counter",
-               "Representation-store lookups served from a cached array."),
+               "Representations a query needed and found stored."),
     MetricSpec("repro_store_misses_total", "counter",
-               "Representation-store lookups that had to run the transform."),
+               "Representations a query needed and did not find stored (the "
+               "transform runs at query time)."),
     MetricSpec("repro_store_evictions_total", "counter",
-               "Representations evicted by the byte-budget LRU."),
+               "Representations evicted by the byte budget: least recently "
+               "written first, the inserting table's own before any other's."),
     MetricSpec("repro_plan_cache_lookups_total", "counter",
                "Plan-cache lookups by outcome (hit | rebind | miss).",
                ("outcome",)),

@@ -23,8 +23,7 @@ from repro.transforms.color import (
     to_color_mode,
     to_grayscale,
 )
-from repro.transforms.compose import Compose
-from repro.transforms.ops import horizontal_flip, normalize
+from repro.transforms.ops import horizontal_flip
 from repro.transforms.resize import resize, resize_area, resize_bilinear, resize_nearest
 from repro.transforms.spec import (
     PAPER_COLOR_MODES,
@@ -45,9 +44,7 @@ __all__ = [
     "quantize_color_depth",
     "channels_for_mode",
     "COLOR_MODES",
-    "normalize",
     "horizontal_flip",
-    "Compose",
     "TransformSpec",
     "standard_transform_grid",
     "transform_subsets",

@@ -1,20 +1,10 @@
-"""Miscellaneous image operations: normalization and augmentation flips."""
+"""Miscellaneous image operations: augmentation flips."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["normalize", "horizontal_flip"]
-
-
-def normalize(image: np.ndarray, mean: float | np.ndarray = 0.5,
-              std: float | np.ndarray = 0.5) -> np.ndarray:
-    # shape: (...) -> (...)
-    """Standardize pixel values: ``(image - mean) / std``."""
-    std_arr = np.asarray(std, dtype=np.float64)
-    if np.any(std_arr == 0):
-        raise ValueError("std must be non-zero")
-    return (image - mean) / std_arr
+__all__ = ["horizontal_flip"]
 
 
 def horizontal_flip(image: np.ndarray) -> np.ndarray:

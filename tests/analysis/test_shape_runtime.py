@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import shape_runtime
-from repro.analysis.shapes_spec import ShapeSpec
+from repro.analysis.shapes_spec import ShapeSpec, discover
 
 
 @pytest.fixture()
@@ -31,7 +31,7 @@ def runtime():
 
 class TestCleanContracts:
     def test_enable_wraps_every_spec(self, runtime):
-        assert runtime.enable() == 47
+        assert runtime.enable() == len(discover())
 
     def test_enable_is_idempotent(self, runtime):
         runtime.enable()

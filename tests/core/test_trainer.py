@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.evaluator import ModelPredictionCache
+from repro.core.optimizer import TahomaConfig, TahomaOptimizer
 from repro.core.spec import ArchitectureSpec, ModelSpec
 from repro.core.trainer import ModelTrainer, TrainingConfig
 from repro.data.corpus import LabeledDataset
-from repro.storage.store import RepresentationStore
 from repro.transforms.spec import TransformSpec
 
 
@@ -52,10 +53,42 @@ def test_empty_specs_or_data_raise(tiny_splits):
 def test_train_model_uses_shared_store(tiny_splits):
     spec = ModelSpec(ArchitectureSpec(1, 4, 8), TransformSpec(8, "gray"))
     trainer = ModelTrainer(TrainingConfig(epochs=1, augment=False))
-    store = RepresentationStore()
-    trainer.train_model(spec, tiny_splits.train, store,
+    transformed = {}
+    trainer.train_model(spec, tiny_splits.train, transformed,
                         rng=np.random.default_rng(2))
-    assert spec.transform in store
+    np.testing.assert_array_equal(
+        transformed[spec.transform.name],
+        spec.transform.apply_batch(tiny_splits.train.images))
+
+
+def test_training_transforms_each_representation_once_per_data_set(
+        tiny_splits, transformed_rows):
+    # Three models over two representations: every data set (train, config,
+    # eval) goes through each representation's transform exactly once.
+    gray, rgb = TransformSpec(8, "gray"), TransformSpec(8, "rgb")
+    specs = [ModelSpec(ArchitectureSpec(1, 4, 8), gray),
+             ModelSpec(ArchitectureSpec(1, 8, 8), gray),
+             ModelSpec(ArchitectureSpec(1, 4, 8), rgb)]
+    n_train, n_config, n_eval = tiny_splits.sizes()
+
+    trainer = ModelTrainer(TrainingConfig(epochs=1, augment=False))
+    models = trainer.train_models(specs, tiny_splits.train,
+                                  rng=np.random.default_rng(4))
+    assert transformed_rows == {gray.name: n_train, rgb.name: n_train}
+
+    transformed_rows.clear()
+    ModelPredictionCache.from_models(models, tiny_splits.eval.images,
+                                     tiny_splits.eval.labels)
+    assert transformed_rows == {gray.name: n_eval, rgb.name: n_eval}
+
+    # initialize_with_models = _calibrate_thresholds (config split) +
+    # from_models (eval split).
+    transformed_rows.clear()
+    optimizer = TahomaOptimizer(TahomaConfig(precision_targets=(0.9,),
+                                             max_depth=1))
+    optimizer.initialize_with_models(models, tiny_splits)
+    assert transformed_rows == {gray.name: n_config + n_eval,
+                                rgb.name: n_config + n_eval}
 
 
 def test_augmentation_doubles_training_data(tiny_splits):

@@ -348,14 +348,6 @@ class TestSharedStoreBudget:
         assert small in hot
         assert root.evictions == 1
 
-    def test_try_get_returns_none_on_miss(self):
-        from repro.transforms.spec import TransformSpec
-        store = RepresentationStore()
-        spec = TransformSpec(8, "gray")
-        assert store.try_get(spec) is None
-        store.add(spec, np.zeros((2, 8, 8, 1)))
-        assert store.try_get(spec) is not None
-
     def test_scoped_views_are_isolated(self):
         from repro.transforms.spec import TransformSpec
         root = RepresentationStore()
@@ -446,7 +438,7 @@ class TestCatalogPersistence:
         db.execute("SELECT * FROM cam_north WHERE contains_object(komondor)")
         # cam_south queried last: its arrays are the globally hottest.
         db.execute("SELECT * FROM cam_south WHERE contains_object(komondor)")
-        south_bytes = sum(array.nbytes for _, array in
+        south_bytes = sum(array.nbytes for _, array, _ in
                           db.executor_for("cam_south").store.arrays_by_recency())
         assert south_bytes > 0
         monkeypatch.setattr(persistence, "DEFAULT_STORE_BYTES_CAP",

@@ -1,8 +1,8 @@
 """End-to-end tests for the VisualDatabase facade.
 
 Covers the acceptance path: connect -> register_predicate -> execute ->
-save -> load -> execute, plus explain() plan ordering, lazy registration and
-scenario switching.
+save -> load -> execute, plus explain() plan ordering and scenario
+switching.
 """
 
 import numpy as np
@@ -200,24 +200,23 @@ class TestRegisterPredicate:
                                     config=self._tiny_config(),
                                     reference_params={"epochs": 1,
                                                       **REFERENCE_PARAMS})
-        assert database.is_trained("komondor")
+        assert database.predicates() == ["komondor"]
         results = database.execute(SQL)
         assert "contains_komondor" in results.columns
         assert results.images_classified["komondor"] > 0
 
-    def test_lazy_registration_defers_training(self, corpus, tiny_splits,
-                                               tiny_device):
+    def test_registration_without_reference_answers(self, corpus,
+                                                    tiny_splits, tiny_device):
         database = connect(corpus, device=tiny_device, scenario=CAMERA,
                            calibrate_target_fps=None,
                            default_constraints=CONSTRAINED)
         database.register_predicate("komondor", tiny_splits,
                                     config=self._tiny_config(),
-                                    train_reference=False, lazy=True)
+                                    train_reference=False)
         assert database.predicates() == ["komondor"]
-        assert not database.is_trained("komondor")
+        assert database.optimizer("komondor").reference_model is None
         results = database.execute(
             "SELECT * FROM images WHERE contains_object(komondor)")
-        assert database.is_trained("komondor")
         assert results.images_classified["komondor"] == len(corpus)
 
 

@@ -73,8 +73,8 @@ class TestSharedRepresentationStore:
             constraints=CONSTRAINED))
         executor.execute(plan)
         assert len(executor.store) > 0
-        for spec in executor.store.specs():
-            assert executor.store.get(spec).shape[0] == len(corpus)
+        for spec, array, _ in executor.store.arrays_by_recency():
+            assert array.shape[0] == executor.store.rows(spec) == len(corpus)
 
     def test_narrow_queries_do_not_bloat_the_store(self, corpus, planner,
                                                    transformed_rows):

@@ -5,8 +5,8 @@ truncation, generations: rotate/prune), enable_wal/checkpoint/recovery on
 VisualDatabase, the crash-recovery property (cut the log at every record
 boundary *and inside every frame* between checkpoint and tail, replay,
 compare against an independent model of the log), the save-vs-ingest race
-fixes, WAL-aware close(), segment compaction and storage_stats, and the
-one-format contract of the loader.
+fixes, WAL-aware close(), lazy segment consolidation and storage_stats, and
+the one-format contract of the loader.
 """
 
 import json
@@ -419,6 +419,26 @@ class TestEnableWal:
         # close() is not detach(): no tombstone was journaled.
         assert recovered.tables() == ["cam"]
 
+    def test_closed_database_cannot_wipe_its_wal_root(self, tmp_path):
+        # A save after close() used to checkpoint the emptied catalog into
+        # the WAL root and prune every table image and journal under it.
+        database = connect({"cam": timed_corpus([0.0])},
+                           retention={"cam": RetentionPolicy(max_rows=8)})
+        root = database.enable_wal(tmp_path / "vdb")
+        database.ingest(*_batch([1.0, 2.0]), table="cam")
+        expected = table_state(database)
+        database.close()
+        for call in (lambda: database.save(root),
+                     lambda: database.detach("cam"),
+                     lambda: database.set_retention("cam", None),
+                     lambda: database.retain()):
+            with pytest.raises(RuntimeError, match="closed"):
+                call()
+        recovered = VisualDatabase.load(root)
+        assert recovered.tables() == ["cam"]
+        assert table_state(recovered) == expected
+        assert recovered.retention_for("cam") == RetentionPolicy(max_rows=8)
+
     def test_materialized_labels_survive_checkpoint(self, tmp_path,
                                                     tiny_optimizer,
                                                     tiny_device):
@@ -636,7 +656,7 @@ def test_save_racing_retention_keeps_representations_row_aligned(
     images = loaded.corpus_for("cam").images
     stored = executor.store.arrays_by_recency()
     assert stored
-    for spec, array in stored:
+    for spec, array, _ in stored:
         np.testing.assert_array_equal(
             array, spec.apply_batch(images)[:array.shape[0]])
     # Re-classify every row from the stored representations.
@@ -650,45 +670,30 @@ def test_save_racing_retention_keeps_representations_row_aligned(
 
 
 class TestSegmentsAndCompaction:
-    def test_ingest_appends_segments_and_compact_folds_them(self, tmp_path):
+    def test_ingest_appends_segments_and_a_read_folds_them(self):
         database = connect({"cam": timed_corpus([0.0, 1.0])})
         for start in (10.0, 20.0, 30.0):
             database.ingest(*_batch([start]), table="cam")
         stats = database.storage_stats()
         assert stats["tables"]["cam"]["segments"] == 4
-        folded = database.compact()
-        assert folded == {"cam": 3}
-        assert database.storage_stats()["tables"]["cam"]["segments"] == 1
-        # Row order, ids and values are untouched by compaction.
+        # The first read of the images (any query's snapshot capture)
+        # consolidates; row order, ids and values are untouched.
         assert table_state(database) == [(0, 0.0), (1, 1.0), (2, 10.0),
                                          (3, 20.0), (4, 30.0)]
+        assert database.storage_stats()["tables"]["cam"]["segments"] == 1
 
-    def test_compact_min_rows_leaves_large_segments_alone(self):
-        corpus = ImageCorpus(
-            images=np.zeros((8, TINY_SIZE, TINY_SIZE, 3)),
-            metadata={"timestamp": np.arange(8.0)})
-        for start in (10.0, 11.0, 12.0):
-            corpus.append(np.zeros((1, TINY_SIZE, TINY_SIZE, 3)),
-                          metadata={"timestamp": np.array([start])})
-        assert corpus.segment_count == 4
-        corpus.compact(min_rows=4)  # folds only the run of 1-row segments
-        assert corpus.segment_rows() == [8, 3]
-
-    def test_retention_aligned_to_segments_drops_whole_segments(self):
-        policy = RetentionPolicy(max_rows=4, align_to_segments=True)
+    def test_saved_segment_alignment_flag_loads_as_exact_rows(self):
+        # Policies saved before the flag was deleted may carry its key.
+        policy = RetentionPolicy.from_dict(
+            {"max_rows": 4, "max_age": None, "timestamp_column": "timestamp",
+             "align_to_segments": True})
+        assert policy == RetentionPolicy(max_rows=4)
         corpus = ImageCorpus(
             images=np.zeros((3, TINY_SIZE, TINY_SIZE, 3)),
             metadata={"timestamp": np.arange(3.0)})
         corpus.append(np.zeros((3, TINY_SIZE, TINY_SIZE, 3)),
                       metadata={"timestamp": np.arange(3.0, 6.0)})
-        # Exact semantics would drop 2 rows; alignment rounds down to 0
-        # (mid-segment) so no segment is split.
-        assert policy.rows_to_drop(corpus) == 0
-        corpus.append(np.zeros((2, TINY_SIZE, TINY_SIZE, 3)),
-                      metadata={"timestamp": np.arange(6.0, 8.0)})
-        # Now the first whole segment (3 rows <= 4 excess) can go.
-        assert policy.rows_to_drop(corpus) == 3
-        assert RetentionPolicy.from_dict(policy.to_dict()) == policy
+        assert policy.rows_to_drop(corpus) == 2  # mid-segment: exact rows
 
     def test_storage_stats_shape(self, tmp_path):
         database = connect({"cam": timed_corpus([0.0])})

@@ -4,8 +4,7 @@ Inference keeps no backward state, pools by pairwise maxima, runs ReLU in
 place on arrays it allocated and, for ``Conv2D -> ReLU -> MaxPool2D``, adds
 bias and ReLU *after* the pool.  None of that may change a single bit of the
 output: the training-mode forward is the reference every test here compares
-against.  (BatchNorm and Dropout are left out -- their two modes differ by
-definition.)
+against.
 """
 
 import sys

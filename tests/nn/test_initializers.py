@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.initializers import constant, glorot_uniform, he_normal, zeros
+from repro.nn.initializers import glorot_uniform, he_normal, zeros
 
 
 def test_glorot_uniform_bounds():
@@ -23,9 +23,8 @@ def test_he_normal_scale():
     assert weights.std() == pytest.approx(expected_std, rel=0.1)
 
 
-def test_zeros_and_constant():
+def test_zeros():
     assert np.all(zeros((3, 4)) == 0.0)
-    assert np.all(constant((2, 2), 0.5) == 0.5)
 
 
 def test_initializers_are_deterministic_given_rng():

@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import (
-    BatchNorm,
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     GlobalAveragePool,
     MaxPool2D,
     ReLU,
     Sigmoid,
-    Softmax,
 )
 
 
@@ -186,14 +183,6 @@ class TestActivations:
         rng = np.random.default_rng(5)
         check_input_gradient(Sigmoid(), rng.standard_normal((4, 3)))
 
-    def test_softmax_rows_sum_to_one(self):
-        out = Softmax().forward(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(out.sum(axis=1), [1.0, 1.0])
-
-    def test_softmax_gradient_matches_numerical(self):
-        rng = np.random.default_rng(6)
-        check_input_gradient(Softmax(), rng.standard_normal((3, 4)))
-
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
             ReLU().backward(np.zeros(3))
@@ -216,50 +205,3 @@ class TestFlattenAndPooling:
     def test_global_average_pool_gradient(self):
         rng = np.random.default_rng(7)
         check_input_gradient(GlobalAveragePool(), rng.standard_normal((2, 3, 3, 2)))
-
-
-class TestDropout:
-    def test_identity_at_inference(self):
-        x = np.random.default_rng(0).random((4, 4))
-        np.testing.assert_allclose(Dropout(0.5).forward(x, training=False), x)
-
-    def test_zeroes_some_values_in_training(self):
-        rng = np.random.default_rng(0)
-        layer = Dropout(0.5, rng=rng)
-        out = layer.forward(np.ones((100, 100)), training=True)
-        assert (out == 0).mean() == pytest.approx(0.5, abs=0.05)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-
-class TestBatchNorm:
-    def test_normalizes_training_batch(self):
-        rng = np.random.default_rng(8)
-        layer = BatchNorm(3)
-        x = rng.standard_normal((64, 3)) * 5 + 2
-        out = layer.forward(x, training=True)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-7)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-2)
-
-    def test_running_stats_used_at_inference(self):
-        layer = BatchNorm(2, momentum=0.0)
-        x = np.array([[2.0, 4.0], [4.0, 8.0]])
-        layer.forward(x, training=True)
-        out = layer.forward(x, training=False)
-        assert out.shape == x.shape
-
-    def test_gradient_matches_numerical(self):
-        rng = np.random.default_rng(9)
-        layer = BatchNorm(3)
-        x = rng.standard_normal((6, 3))
-        out = layer.forward(x, training=True)
-        upstream = rng.standard_normal(out.shape)
-        analytic = layer.backward(upstream)
-
-        def loss():
-            return float((layer.forward(x, training=True) * upstream).sum())
-
-        numeric = numerical_gradient(loss, x)
-        np.testing.assert_allclose(analytic, numeric, atol=1e-5, rtol=1e-3)

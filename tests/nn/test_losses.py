@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.losses import BinaryCrossEntropy, MeanSquaredError
+from repro.nn.losses import BinaryCrossEntropy
 
 
 class TestBinaryCrossEntropy:
@@ -54,21 +54,6 @@ class TestBinaryCrossEntropy:
             minus = loss.forward(p, targets)
             numeric.ravel()[i] = (plus - minus) / (2 * eps)
         np.testing.assert_allclose(analytic, numeric, atol=1e-5)
-
-
-class TestMeanSquaredError:
-    def test_zero_for_exact_match(self):
-        loss = MeanSquaredError()
-        assert loss.forward(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-
-    def test_known_value(self):
-        loss = MeanSquaredError()
-        assert loss.forward(np.array([0.0, 2.0]), np.array([1.0, 0.0])) == pytest.approx(2.5)
-
-    def test_gradient(self):
-        loss = MeanSquaredError()
-        grad = loss.backward(np.array([2.0]), np.array([1.0]))
-        np.testing.assert_allclose(grad, [2.0])
 
 
 @settings(max_examples=30, deadline=None)

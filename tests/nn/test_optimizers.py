@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Dense
-from repro.nn.optimizers import SGD, Adam, Momentum
+from repro.nn.optimizers import Adam
 
 
 def make_layer_with_grad(grad_value=1.0):
@@ -16,40 +16,17 @@ def make_layer_with_grad(grad_value=1.0):
     return layer
 
 
-class TestSGD:
-    def test_single_step(self):
-        layer = make_layer_with_grad(2.0)
-        SGD(learning_rate=0.5).step([layer])
-        np.testing.assert_allclose(layer.params["weight"], -1.0)
-
+class TestAdam:
     def test_invalid_learning_rate(self):
         with pytest.raises(ValueError):
-            SGD(learning_rate=0.0)
+            Adam(learning_rate=0.0)
 
     def test_skips_layers_without_grads(self):
         layer = Dense(2, 2)
         before = layer.params["weight"].copy()
-        SGD(0.1).step([layer])
+        Adam(0.1).step([layer])
         np.testing.assert_allclose(layer.params["weight"], before)
 
-
-class TestMomentum:
-    def test_accumulates_velocity(self):
-        layer = make_layer_with_grad(1.0)
-        optimizer = Momentum(learning_rate=0.1, momentum=0.9)
-        optimizer.step([layer])
-        first = layer.params["weight"].copy()
-        optimizer.step([layer])
-        second_step = layer.params["weight"] - first
-        # Second step is larger in magnitude because velocity accumulates.
-        assert np.all(np.abs(second_step) > 0.1)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            Momentum(momentum=1.0)
-
-
-class TestAdam:
     def test_step_magnitude_bounded_by_learning_rate(self):
         layer = make_layer_with_grad(100.0)
         Adam(learning_rate=0.01).step([layer])

@@ -1,27 +1,9 @@
-"""Tests for normalization, flips and composition."""
+"""Tests for the augmentation flip."""
 
 import numpy as np
 import pytest
 
-from repro.transforms.compose import Compose
-from repro.transforms.ops import horizontal_flip, normalize
-from repro.transforms.resize import resize
-from repro.transforms.color import to_grayscale
-
-
-class TestNormalize:
-    def test_standardizes(self):
-        out = normalize(np.array([0.0, 0.5, 1.0]), mean=0.5, std=0.5)
-        np.testing.assert_allclose(out, [-1.0, 0.0, 1.0])
-
-    def test_zero_std_raises(self):
-        with pytest.raises(ValueError):
-            normalize(np.zeros(3), std=0.0)
-
-    def test_per_channel_std(self):
-        image = np.ones((2, 2, 3))
-        out = normalize(image, mean=0.0, std=np.array([1.0, 2.0, 4.0]))
-        np.testing.assert_allclose(out[0, 0], [1.0, 0.5, 0.25])
+from repro.transforms.ops import horizontal_flip
 
 
 class TestHorizontalFlip:
@@ -45,23 +27,3 @@ class TestHorizontalFlip:
     def test_bad_rank_raises(self):
         with pytest.raises(ValueError):
             horizontal_flip(np.zeros((4, 4)))
-
-
-class TestCompose:
-    def test_applies_in_order(self):
-        pipeline = Compose([lambda img: resize(img, 8), to_grayscale])
-        out = pipeline(np.random.default_rng(0).random((16, 16, 3)))
-        assert out.shape == (8, 8, 1)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            Compose([])
-
-    def test_len(self):
-        assert len(Compose([to_grayscale])) == 1
-
-    def test_nested_compose(self):
-        inner = Compose([lambda img: resize(img, 8)])
-        outer = Compose([inner, to_grayscale])
-        out = outer(np.random.default_rng(1).random((16, 16, 3)))
-        assert out.shape == (8, 8, 1)
