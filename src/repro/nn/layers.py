@@ -103,6 +103,8 @@ class Conv2D(Layer):
         super().__init__()
         if in_channels <= 0 or out_channels <= 0 or kernel_size <= 0:
             raise ValueError("Conv2D dimensions must be positive")
+        if stride < 1:
+            raise ValueError(f"Conv2D stride must be >= 1, got {stride}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -112,6 +114,8 @@ class Conv2D(Layer):
         elif padding == "valid":
             self.pad = 0
         elif isinstance(padding, int):
+            if padding < 0:
+                raise ValueError(f"Conv2D padding must be >= 0, got {padding}")
             self.pad = padding
         else:
             raise ValueError(f"unknown padding {padding!r}")
@@ -200,6 +204,8 @@ class MaxPool2D(Layer):
         super().__init__()
         if pool_size <= 0:
             raise ValueError("pool_size must be positive")
+        if stride is not None and stride < 1:
+            raise ValueError(f"MaxPool2D stride must be >= 1, got {stride}")
         self.pool_size = pool_size
         self.stride = stride if stride is not None else pool_size
         self._cache: tuple | None = None

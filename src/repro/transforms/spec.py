@@ -78,9 +78,14 @@ class TransformSpec:
     # -- application ---------------------------------------------------------
     def apply(self, image: np.ndarray) -> np.ndarray:
         # shape: (..., H, W, C) -> (..., R, R, C')
-        """Transform one HWC image (or an NHWC batch) into this representation."""
-        resized = resize(image, self.resolution, mode=self.resize_mode)
-        return to_color_mode(resized, self.color_mode)
+        """Transform one HWC image (or an NHWC batch) into this representation.
+
+        Always a fresh array: at native resolution ``to_color_mode`` makes
+        the one copy.
+        """
+        if image.shape[-3:-1] != (self.resolution, self.resolution):
+            image = resize(image, self.resolution, mode=self.resize_mode)
+        return to_color_mode(image, self.color_mode)
 
     def apply_batch(self, images: np.ndarray) -> np.ndarray:
         # shape: (N, H, W, C) -> (N, R, R, C')

@@ -66,6 +66,17 @@ class TestConv2D:
         with pytest.raises(ValueError):
             Conv2D(0, 4)
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_rejects_stride_below_one_at_construction(self, stride):
+        with pytest.raises(ValueError, match=f"stride must be >= 1, got {stride}"):
+            Conv2D(1, 2, 3, stride=stride)
+
+    def test_rejects_negative_padding_at_construction(self):
+        # It used to build a layer that returned the top-left crop of a
+        # "valid" convolution (4x4 from an 8x8 input).
+        with pytest.raises(ValueError, match="padding must be >= 0, got -1"):
+            Conv2D(1, 2, 3, padding=-1)
+
     def test_flops_scale_with_resolution(self):
         layer = Conv2D(3, 8, kernel_size=3)
         assert layer.flops((20, 20, 3)) == 4 * layer.flops((10, 10, 3))
@@ -121,6 +132,11 @@ class TestMaxPool2D:
     def test_too_small_input_raises(self):
         with pytest.raises(ValueError):
             MaxPool2D(4).forward(np.zeros((1, 2, 2, 1)))
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_rejects_stride_below_one_at_construction(self, stride):
+        with pytest.raises(ValueError, match=f"stride must be >= 1, got {stride}"):
+            MaxPool2D(2, stride=stride)
 
     @pytest.mark.parametrize("training", [False, True])
     def test_rejects_non_nhwc_input_naming_the_shape(self, training):

@@ -14,6 +14,21 @@ def gradient_image(size=16, channels=3):
     return np.array(image)
 
 
+#: Integer downscaling factors (source -> target px) the area resize must
+#: reproduce bit for bit.
+AREA_FACTORS = [(16, 8), (32, 16), (32, 8), (24, 8), (64, 8), (60, 30),
+                (120, 30), (224, 56), (224, 28)]
+
+
+def window_mean(image, size):
+    """Block averaging as NumPy's ``mean`` over the window axes."""
+    batch = image if image.ndim == 4 else image[None]
+    n, height, width, channels = batch.shape
+    out = batch.reshape(n, size, height // size, size, width // size,
+                        channels).mean(axis=(2, 4))
+    return out if image.ndim == 4 else out[0]
+
+
 class TestResizeModes:
     @pytest.mark.parametrize("fn", [resize_nearest, resize_bilinear, resize_area])
     def test_output_shape(self, fn):
@@ -36,6 +51,25 @@ class TestResizeModes:
         image[:2, :2, 0] = 1.0
         out = resize_area(image, 2)
         np.testing.assert_allclose(out[:, :, 0], [[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("source, target", AREA_FACTORS)
+    @pytest.mark.parametrize("batch", [None, 1, 5])
+    def test_area_equals_numpy_window_mean_bit_for_bit_on_rgb(
+            self, source, target, batch):
+        rng = np.random.default_rng(source * target)
+        shape = (source, source, 3) if batch is None else (batch, source, source, 3)
+        image = rng.random(shape)
+        out = resize_area(image, target)
+        np.testing.assert_array_equal(out, window_mean(image, target))
+        assert out.shape == shape[:-3] + (target, target, 3)
+
+    @pytest.mark.parametrize("source, target", AREA_FACTORS)
+    def test_area_on_one_channel_matches_to_rounding(self, source, target):
+        # NumPy sums one-channel window rows pairwise, the window sum
+        # row-major; no engine path resizes a single channel.
+        image = np.random.default_rng(source).random((5, source, source, 1))
+        np.testing.assert_allclose(resize_area(image, target),
+                                   window_mean(image, target), rtol=2e-15)
 
     def test_area_falls_back_for_non_integer_ratio(self):
         out = resize_area(gradient_image(10), 4)

@@ -36,6 +36,21 @@ class TestTransformSpec:
         batch = np.random.default_rng(1).random((5, 16, 16, 3))
         assert spec.apply_batch(batch).shape == (5, 8, 8, 1)
 
+    @pytest.mark.parametrize("mode", PAPER_COLOR_MODES)
+    @pytest.mark.parametrize("resolution", [16, 8])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_apply_never_shares_memory_with_its_input(self, mode, resolution,
+                                                      batched):
+        # 16 is the native resolution: no resize, the color step's copy is
+        # the only one.
+        shape = (3, 16, 16, 3) if batched else (16, 16, 3)
+        image = np.random.default_rng(resolution).random(shape)
+        before = image.copy()
+        out = TransformSpec(resolution, mode).apply(image)
+        assert not np.shares_memory(out, image)
+        out[...] = -1.0
+        np.testing.assert_array_equal(image, before)
+
     def test_apply_batch_rejects_single_image(self):
         with pytest.raises(ValueError):
             TransformSpec(8).apply_batch(np.zeros((16, 16, 3)))
