@@ -4,27 +4,30 @@ This package is the repository's race detector and invariant linter.  The
 engine built up in PRs 4–7 relies on conventions — per-shard locks with
 snapshot reads, an fsync/rename durability protocol, a fixed lock order —
 that the test suite can pass while still being wrong.  Everything here
-exists to turn those conventions into enforced contracts:
+exists to turn those conventions into enforced contracts, each declared
+once, in the source:
 
 ``guards.py``
-    The machine-readable manifest of guarded state, cross-checked against
-    ``# guarded by:`` annotations in the source so it cannot drift.
+    Discovery of the ``# guarded by:`` comments: guarded attributes and
+    called-with-lock helpers.  The comment is the whole declaration.
 
 ``lockcheck.py``
     AST pass flagging reads/writes of guarded attributes outside a
     ``with <lock>:`` region (plus escape analysis for guarded mutable
-    containers returned by reference).
+    containers returned by reference, and declarations that cannot bind).
 
 ``durability.py``
-    AST pass over ``db/wal.py`` and ``db/persistence.py`` enforcing the
-    fsync-before-rename / dirsync-after-rename / write-before-prune
-    ordering that crash-safety rests on.
+    AST pass over the modules that call ``os.fsync`` (``db/wal.py`` and
+    ``db/persistence.py``) enforcing the fsync-before-rename /
+    dirsync-after-rename / write-before-prune ordering that crash-safety
+    rests on.
 
 ``sanitizer.py``
     Runtime side: instrumented locks (installed through
-    :mod:`repro.locking`) that record per-thread acquisition order,
-    detect lock-order inversions and assert guarded-by on attribute
-    writes.  Activated over the whole test suite with ``pytest
+    :mod:`repro.locking`) that record per-thread acquisition order and
+    detect lock-order inversions, plus assertions that every guarded
+    attribute is rebound, and every called-with-lock helper entered, with
+    its lock held.  Activated over the whole test suite with ``pytest
     --sanitize``.
 
 Run the static passes from the repo root::
@@ -41,15 +44,12 @@ test pass run as the ``analysis`` job in CI.
 from __future__ import annotations
 
 from repro.analysis.durability import check_durability
-from repro.analysis.guards import CONFINED, REGISTRY, ConfinedSpec, GuardSpec
+from repro.analysis.guards import Guard
 from repro.analysis.lockcheck import Finding, check_lock_discipline
 
 __all__ = [
-    "CONFINED",
-    "REGISTRY",
-    "ConfinedSpec",
     "Finding",
-    "GuardSpec",
+    "Guard",
     "check_durability",
     "check_lock_discipline",
 ]

@@ -5,19 +5,21 @@ Findings print one per line as ``path:line: [rule] message`` (paths relative
 to the ``repro`` package root), so editors and CI logs link straight to the
 offending line.  ``--list`` shows what is covered without checking anything;
 ``--root`` points the passes at a different package tree (used by the
-self-tests, which lint deliberately broken scratch copies).
+self-tests, which lint deliberately broken scratch copies).  A reader that
+stops early (``--list | head -1``) ends the output quietly.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 from pathlib import Path
 
-from repro.analysis.durability import check_durability
-from repro.analysis.guards import CONFINED, DURABILITY_MODULES, REGISTRY
+from repro.analysis import guards, shapes_spec
+from repro.analysis.durability import check_durability, durability_modules
 from repro.analysis.lockcheck import check_lock_discipline
 from repro.analysis.shapes import check_shapes
-from repro.analysis.shapes_spec import discover
 
 __all__ = ["main"]
 
@@ -33,46 +35,63 @@ def main(argv: list[str] | None = None) -> int:
              "package)")
     parser.add_argument(
         "--list", action="store_true",
-        help="show the guarded classes, durability modules and shape "
+        help="show the lock contracts, durability modules and shape "
              "contracts, then exit")
     args = parser.parse_args(argv)
 
     if args.list:
-        _print_coverage(args.root)
-        return 0
+        status, lines = 0, _coverage(args.root)
+    else:
+        status, lines = _check(args.root)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away: point stdout at devnull so the interpreter's
+        # final flush does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
 
-    findings = (check_lock_discipline(args.root) + check_durability(args.root)
-                + check_shapes(args.root))
+
+def _check(root: Path | None) -> tuple[int, list[str]]:
+    findings = (check_lock_discipline(root) + check_durability(root)
+                + check_shapes(root))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    for finding in findings:
-        print(finding)
+    lines = [str(finding) for finding in findings]
     if findings:
-        print(f"analysis: {len(findings)} finding(s)")
-        return 1
-    print(f"analysis: clean ({len(REGISTRY)} guarded classes, "
-          f"{len(CONFINED)} confined, "
-          f"{len(DURABILITY_MODULES)} durability modules, "
-          f"{len(discover(args.root))} shape contracts discovered from "
-          f"source)")
-    return 0
+        return 1, lines + [f"analysis: {len(findings)} finding(s)"]
+    declared = guards.discover(root)
+    helpers = sum(guard.helper for guard in declared)
+    return 0, [f"analysis: clean ({len(declared) - helpers} guarded "
+               f"attributes, {helpers} called-with-lock helpers, "
+               f"{len(durability_modules(root))} durability modules, "
+               f"{len(shapes_spec.discover(root))} shape contracts "
+               f"discovered from source)"]
 
 
-def _print_coverage(root: Path | None) -> None:
-    print(f"lock discipline: ({len(REGISTRY)} guarded classes)")
-    for spec in REGISTRY:
-        lock = (f"self.{spec.lock}" if spec.state is None
-                else f"self.{spec.state}.{spec.lock}")
-        print(f"  {spec.path}: {spec.cls} "
-              f"[{', '.join(sorted(spec.guarded))}] guarded by {lock}")
-    print(f"thread-confined: ({len(CONFINED)} classes)")
-    for confined in CONFINED:
-        print(f"  {confined.path}: {confined.cls} "
-              f"[{', '.join(sorted(confined.attrs))}]")
-    print(f"durability: ({len(DURABILITY_MODULES)} modules)")
-    for rel in DURABILITY_MODULES:
-        print(f"  {rel}")
-    shapes = discover(root)
-    print(f"shapes: ({len(shapes)} contracts)")
+def _coverage(root: Path | None) -> list[str]:
+    declared = guards.discover(root)
+    rows: dict[tuple[str, str, str], list[str]] = {}
+    for guard in declared:
+        if not guard.helper:
+            rows.setdefault((guard.path, guard.cls, guard.lock),
+                            []).append(guard.name)
+    lines = [f"lock discipline: ({len(rows)} guarded classes)"]
+    lines += [f"  {path}: {cls} [{', '.join(sorted(names))}] guarded by "
+              f"{lock}" for (path, cls, lock), names in rows.items()]
+    helpers = [guard for guard in declared if guard.helper]
+    lines.append(f"called with lock held: ({len(helpers)} helpers)")
+    lines += [f"  {guard.path}: {guard.cls}.{guard.name} holds {guard.lock}"
+              for guard in helpers]
+    modules = durability_modules(root)
+    lines.append(f"durability: ({len(modules)} modules)")
+    lines += [f"  {rel}" for rel in modules]
+    shapes = shapes_spec.discover(root)
+    lines.append(f"shapes: ({len(shapes)} contracts)")
     for spec in shapes:
         suffix = f" [{spec.dtype}]" if spec.dtype != "any" else ""
-        print(f"  {spec.path}: {spec.qualname} '{spec.shape}'{suffix}")
+        lines.append(f"  {spec.path}: {spec.qualname} '{spec.shape}'{suffix}")
+    return lines

@@ -1,9 +1,10 @@
 """Durability lint: the fsync/rename/prune ordering crash-safety rests on.
 
-The WAL and checkpoint code (:mod:`repro.db.wal`,
-:mod:`repro.db.persistence`) keep four ordering invariants, all of them
-easy to silently regress because every test passes without them — they only
-matter across a power loss:
+The lint covers every module whose code calls ``os.fsync``
+(:func:`durability_modules`; today the WAL and checkpoint code,
+:mod:`repro.db.wal` and :mod:`repro.db.persistence`).  They keep four
+ordering invariants, all of them easy to silently regress because every
+test passes without them — they only matter across a power loss:
 
 * **fsync-after-append** — a ``.write(`` through a handle the object keeps
   open (``self.<handle>.write`` — the WAL's log file) must be followed, in
@@ -32,27 +33,44 @@ import ast
 from collections.abc import Iterator
 from pathlib import Path
 
-from repro.analysis.guards import (DURABILITY_MODULES, SOURCE_ROOT,
-                                   suppressed_lines)
 from repro.analysis.lockcheck import Finding
+from repro.analysis.shapes_spec import iter_sources, suppressed_lines
 
-__all__ = ["check_durability"]
+__all__ = ["check_durability", "durability_modules"]
 
 #: Calls that make bytes reach a file: forbidden after a prune.
 _WRITE_NAMES = frozenset({"savez", "savez_compressed", "save", "dump",
                           "write", "write_text", "write_bytes"})
 
 
+def _durable_trees(root: Path | None) -> Iterator[tuple[str, str, ast.Module]]:
+    """``(path, source, tree)`` for every module under ``root`` that calls
+    ``os.fsync``."""
+    for path, source in iter_sources(root):
+        if "fsync" not in source:
+            continue
+        tree = ast.parse(source)
+        if any(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "fsync"
+               and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "os"
+               for node in ast.walk(tree)):
+            yield path, source, tree
+
+
+def durability_modules(root: Path | None = None) -> list[str]:
+    """The modules the lint covers: those whose code calls ``os.fsync``."""
+    return [path for path, _, _ in _durable_trees(root)]
+
+
 def check_durability(root: Path | None = None) -> list[Finding]:
-    """Lint every module in :data:`DURABILITY_MODULES` under ``root`` (the
-    installed ``repro`` package when omitted); returns findings sorted by
-    location."""
-    base = root if root is not None else SOURCE_ROOT
+    """Lint every durability module under ``root`` (the installed ``repro``
+    package when omitted); returns findings sorted by location."""
     findings: list[Finding] = []
-    for rel in DURABILITY_MODULES:
-        source = (base / rel).read_text(encoding="utf-8")
-        suppressed = suppressed_lines(source, durability=True)
-        for fn in _functions(ast.parse(source)):
+    for rel, source, tree in _durable_trees(root):
+        suppressed = suppressed_lines(source, "durability")
+        for fn in _functions(tree):
             findings.extend(_check_function(rel, fn, suppressed))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings

@@ -1,238 +1,216 @@
-"""The guard registry: which attributes are protected by which locks.
+"""Lock contracts: the ``# guarded by:`` comment grammar and its discovery.
 
-The lock discipline the engine relies on is declared twice, on purpose:
+A lock contract is declared once, as a ``# guarded by: <lock>`` comment in
+the source.  :func:`discover` walks the package, takes the declarations from
+real comment tokens (a docstring that quotes the grammar is not a
+declaration) and yields one :class:`Guard` per declaration — the listing
+``python -m repro.analysis --list`` prints, the contracts
+:mod:`repro.analysis.lockcheck` checks statically and the ones
+:mod:`repro.analysis.sanitizer` asserts under ``pytest --sanitize``.
 
-* **in the source**, as a ``# guarded by: <lock expr>`` comment on the line
-  that introduces each guarded attribute (``self._materialized = {} #
-  guarded by: self._lock``), so a reader at the definition site sees the
-  contract, and
-* **here**, as a machine-readable :class:`GuardSpec` per class, so the
-  static checker (:mod:`repro.analysis.lockcheck`) and the runtime
-  sanitizer (:mod:`repro.analysis.sanitizer`) share one source of truth.
+The comment has two positions:
 
-The checker cross-verifies the two: an attribute annotated in the source
-but missing from the manifest (or vice versa) is itself a finding, so the
-registry can never silently drift from the code.
+* **Guarded attribute** — it ends the line that binds the attribute:
+  ``self._epoch = 0  # guarded by: self._lock`` in a method, or a class-body
+  field.  The owner is the enclosing class, and same-module subclasses
+  inherit the contract.  The attribute is *mutable* (returning it by bare
+  reference is an escape) when the bound value is a dict, list or set
+  display, a ``dict`` / ``list`` / ``set`` / ``deque`` / ``OrderedDict``
+  call, or ``field(default_factory=dict|list|set)``.
+* **Called-with-lock helper** — a standalone comment directly under a
+  ``def`` line (the ``# shape:`` position) declares that every caller holds
+  the lock, so the helper's body counts as inside the lock region.
 
-Escape hatches, both deliberate and auditable:
+The lock is ``self.<attr>[.<attr>...]``, or a bare name for a **state
+object**: ``# guarded by: lock`` means the lock is a sibling field of the
+guarded one, and the module's other classes reach both through the same
+``self.<x>`` or a local alias of it (``with state.lock:`` guards
+``state.entries``).
 
-* ``lock_held`` methods are internal helpers *always called with the lock
-  already held* — the checker trusts the list instead of doing
-  interprocedural analysis, and the list is part of the reviewed manifest;
-* ``lock_free`` methods may **read** guarded state without the lock
-  (snapshot-style reads of references that mutators replace, never write in
-  place); writes inside them are still flagged;
-* a ``# unguarded ok: <reason>`` comment suppresses findings on one line —
-  the reason is mandatory, so every suppression documents itself.
-
-:data:`CONFINED` lists state that is safe *without* any lock because it is
-confined to a single thread by construction (a :class:`~repro.server
-.session.Session` lives entirely on its connection's handler thread); the
-checker verifies those attributes exist so the inventory stays honest.
+A read that deliberately takes no lock — a snapshot of a reference that
+mutators replace, never mutate in place — carries ``# unguarded ok:
+<reason>`` on its line; the reason is mandatory, so every suppression
+documents itself.  State confined to one thread needs no declaration:
+what is not declared is not checked.
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import re
-from dataclasses import dataclass, field
+import tokenize
+from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["GuardSpec", "ConfinedSpec", "REGISTRY", "CONFINED",
-           "SOURCE_ROOT", "parse_annotations", "suppressed_lines"]
+from repro.analysis.shapes_spec import iter_sources
 
-#: The package root the registry's relative paths resolve against.
-SOURCE_ROOT = Path(__file__).resolve().parent.parent
+__all__ = ["Guard", "discover", "lineage", "scan_module"]
 
-_ANNOTATION_RE = re.compile(
-    r"^\s*(?:self\.)?(?P<attr>\w+)\s*[:=].*#\s*guarded by:\s*(?P<lock>\S+)")
-_SUPPRESS_RE = re.compile(r"#\s*unguarded ok:\s*\S")
-_DURABILITY_SUPPRESS_RE = re.compile(r"#\s*durability ok:\s*\S")
+#: Anchored at the ``#`` of a comment token, so prose that mentions the
+#: phrase mid-comment is not a declaration.
+_ANNOTATION_RE = re.compile(r"#\s*guarded by:\s*(?P<lock>.*?)\s*$")
+_LOCK_RE = re.compile(r"self(?:\.[A-Za-z_]\w*)+|[A-Za-z_]\w*")
+
+#: Constructors of a mutable container (``collections.`` prefix or not).
+_MUTABLE_CALLS = frozenset({"dict", "list", "set", "deque", "OrderedDict"})
 
 
 @dataclass(frozen=True)
-class GuardSpec:
-    """Lock discipline for one class.
+class Guard:
+    """One ``# guarded by:`` declaration.
 
-    Parameters
-    ----------
-    path:
-        Module file, relative to the ``repro`` package root.
-    cls:
-        The class owning the guarded state.
-    lock:
-        Attribute name of the guarding lock on the receiver object.
-    guarded:
-        Attribute names that must only be touched with the lock held.
-    state:
-        When set, the guarded attributes live on ``self.<state>`` (and the
-        lock is ``self.<state>.<lock>``) rather than on ``self`` — the
-        representation store keeps its shared state on a ``_StoreState``
-        object every namespaced view aliases.
-    lock_held:
-        Internal helpers whose *callers* always hold the lock.
-    lock_free:
-        Methods allowed to read guarded references without the lock
-        (snapshot reads); writes in them are still findings.
-    mutable:
-        The subset of ``guarded`` that is a mutable container — returning
-        one of these by bare reference (instead of a copy or a frozen
-        snapshot) is an escape finding even with the lock held.
-    runtime:
-        The subset of ``guarded`` whose *rebinding writes* the runtime
-        sanitizer asserts happen with the lock held (attribute assignment
-        is hookable; item mutation is the static checker's job).
+    ``name`` is the guarded attribute of ``cls`` or, when ``helper`` is set,
+    the method of ``cls`` every caller invokes with the lock held.  ``lock``
+    is the lock expression as written: ``self._lock``, or a bare sibling
+    field name for a state object.
     """
 
     path: str
     cls: str
-    lock: str = "_lock"
-    guarded: frozenset = frozenset()
-    state: str | None = None
-    lock_held: frozenset = frozenset()
-    lock_free: frozenset = frozenset()
-    mutable: frozenset = frozenset()
-    runtime: frozenset = frozenset()
+    name: str
+    lock: str
+    line: int
+    helper: bool = False
+    mutable: bool = False
 
-    def file(self, root: Path | None = None) -> Path:
-        return (root if root is not None else SOURCE_ROOT) / self.path
+    @property
+    def lock_path(self) -> tuple[str, ...]:
+        """The lock's attribute chain from the instance (``('_lock',)``)."""
+        return tuple(self.lock.removeprefix("self.").split("."))
 
-
-@dataclass(frozen=True)
-class ConfinedSpec:
-    """State declared safe by thread confinement rather than a lock."""
-
-    path: str
-    cls: str
-    attrs: frozenset
-    note: str = ""
+    @property
+    def state_object(self) -> bool:
+        """Whether the lock is a bare sibling field (see the module doc)."""
+        return not self.lock.startswith("self.")
 
 
-def _fs(*names: str) -> frozenset:
-    return frozenset(names)
+def scan_module(path: str, source: str
+                ) -> tuple[list[Guard], list[tuple[int, str]]]:
+    """The declarations one module makes, in line order, and the comments
+    that cannot bind as ``(line, reason)``: no enclosing class, a lock the
+    class never assigns, or a line that binds nothing."""
+    if "guarded by:" not in source:
+        return [], []
+    tree = ast.parse(source)
+    classes = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    by_name = {cls.name: cls for cls in classes}
+    guards: list[Guard] = []
+    problems: list[tuple[int, str]] = []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        match = (_ANNOTATION_RE.match(token.string)
+                 if token.type == tokenize.COMMENT else None)
+        if match is None:
+            continue
+        line, lock = token.start[0], match["lock"]
+        cls = max((cls for cls in classes
+                   if cls.lineno <= line <= cls.end_lineno),
+                  key=lambda cls: cls.lineno, default=None)
+        if cls is None:
+            problems.append((line, "'# guarded by:' outside any class"))
+            continue
+        if not _LOCK_RE.fullmatch(lock):
+            problems.append((line, f"{cls.name}: {lock!r} is not a lock "
+                                   f"expression"))
+            continue
+        standalone = not token.line[:token.start[1]].strip()
+        guard = (_helper(path, cls, lock, line) if standalone
+                 else _binding(path, cls, lock, line))
+        if guard is None:
+            problems.append((line, f"{cls.name}: '# guarded by: {lock}' "
+                                   f"binds nothing (put it on an attribute's "
+                                   f"binding or directly under a def)"))
+        elif not any(guard.lock_path[0] in _assigned(owner)
+                     for owner in lineage(cls, by_name)):
+            problems.append((line, f"{cls.name} never assigns the lock "
+                                   f"{lock!r} guarding {guard.name!r}"))
+        else:
+            guards.append(guard)
+    return guards, problems
 
 
-REGISTRY: tuple[GuardSpec, ...] = (
-    GuardSpec(
-        path="db/executor.py",
-        cls="QueryExecutor",
-        guarded=_fs("_id_offset", "_epoch", "_wal", "_materialized",
-                    "_base_relation", "retention"),
-        lock_held=_fs("_rebuild_base_relation", "_pad_materialized",
-                      "_drop_rows", "_materialize_tail"),
-        lock_free=_fs("relation", "id_offset", "wal"),
-        mutable=_fs("_materialized"),
-        runtime=_fs("_id_offset", "_epoch", "_wal", "_materialized",
-                    "_base_relation", "retention"),
-    ),
-    GuardSpec(
-        path="db/wal.py",
-        cls="TableWal",
-        guarded=_fs("_generation", "_counts", "_handle", "_closed"),
-        lock_held=_fs("_ensure_open"),
-        lock_free=_fs("generation", "closed"),
-        mutable=_fs("_counts"),
-    ),
-    GuardSpec(
-        path="db/catalog.py",
-        cls="Catalog",
-        guarded=_fs("_executors"),
-        mutable=_fs("_executors"),
-    ),
-    GuardSpec(
-        path="storage/store.py",
-        cls="RepresentationStore",
-        state="_state",
-        lock="lock",
-        guarded=_fs("entries", "registered"),
-        lock_held=_fs("_own_keys", "_evict", "_enforce_budget"),
-        mutable=_fs("entries", "registered"),
-    ),
-    GuardSpec(
-        path="server/admission.py",
-        cls="AdmissionController",
-        guarded=_fs("_closing", "_abandoned", "_running", "_waiting"),
-    ),
-    GuardSpec(
-        path="server/plan_cache.py",
-        cls="PlanCache",
-        guarded=_fs("_entries"),
-        mutable=_fs("_entries"),
-    ),
-    GuardSpec(
-        path="server/server.py",
-        cls="VisualDatabaseServer",
-        guarded=_fs("_sessions", "_closed", "_thread"),
-        lock_free=_fs("__repr__"),
-    ),
-    GuardSpec(
-        path="telemetry/metrics.py",
-        cls="MetricsRegistry",
-        guarded=_fs("_metrics"),
-        mutable=_fs("_metrics"),
-    ),
-    GuardSpec(
-        path="telemetry/metrics.py",
-        cls="Counter",
-        guarded=_fs("_series"),
-        mutable=_fs("_series"),
-    ),
-    GuardSpec(
-        path="telemetry/metrics.py",
-        cls="Gauge",
-        guarded=_fs("_series", "_functions"),
-        mutable=_fs("_series", "_functions"),
-    ),
-    GuardSpec(
-        path="telemetry/metrics.py",
-        cls="Histogram",
-        guarded=_fs("_series"),
-        mutable=_fs("_series"),
-    ),
-    GuardSpec(
-        path="telemetry/trace.py",
-        cls="Span",
-        guarded=_fs("_children", "_attrs", "_elapsed_s", "_error"),
-        lock_held=_fs("_as_dict"),
-        mutable=_fs("_children", "_attrs"),
-        runtime=_fs("_elapsed_s", "_error"),
-    ),
-    GuardSpec(
-        path="telemetry/trace.py",
-        cls="Tracer",
-        guarded=_fs("_next_id", "_recent"),
-        mutable=_fs("_recent"),
-        runtime=_fs("_next_id"),
-    ),
-)
-
-CONFINED: tuple[ConfinedSpec, ...] = (
-    ConfinedSpec(
-        path="server/session.py",
-        cls="Session",
-        attrs=_fs("_cursors", "_next_cursor", "closed"),
-        note="a Session is owned by one connection handler thread; cursors "
-             "are never shared across connections",
-    ),
-)
-
-#: Modules the durability lint (:mod:`repro.analysis.durability`) covers.
-DURABILITY_MODULES: tuple[str, ...] = ("db/wal.py", "db/persistence.py")
+def _helper(path: str, cls: ast.ClassDef, lock: str,
+            line: int) -> Guard | None:
+    for fn in cls.body:
+        if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and fn.lineno < line < fn.body[0].lineno):
+            return Guard(path, cls.name, fn.name, lock, line, helper=True)
+    return None
 
 
-def parse_annotations(source: str) -> dict[str, list[tuple[str, int]]]:
-    """``{attr: [(lock expr, line)]}`` for every ``# guarded by:`` line in
-    ``source``."""
-    found: dict[str, list[tuple[str, int]]] = {}
-    for number, line in enumerate(source.splitlines(), 1):
-        match = _ANNOTATION_RE.match(line)
-        if match:
-            found.setdefault(match.group("attr"), []).append(
-                (match.group("lock"), number))
+def _binding(path: str, cls: ast.ClassDef, lock: str,
+             line: int) -> Guard | None:
+    """The attribute the assignment spanning ``line`` binds, if any."""
+    stmt = max((node for node in ast.walk(cls)
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                and node.lineno <= line <= node.end_lineno),
+               key=lambda node: node.lineno, default=None)
+    if stmt is None:
+        return None
+    target = _targets(stmt)[0]
+    if (isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"):
+        name = target.attr
+    elif isinstance(target, ast.Name) and stmt in cls.body:
+        name = target.id  # a class-body (dataclass) field
+    else:
+        return None
+    return Guard(path, cls.name, name, lock, line,
+                 mutable=_is_mutable(stmt.value))
+
+
+def _callee(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _is_mutable(value: ast.expr | None) -> bool:
+    if isinstance(value, (ast.Dict, ast.List, ast.Set)):
+        return True
+    if not isinstance(value, ast.Call):
+        return False
+    if _callee(value.func) == "field":
+        return any(keyword.arg == "default_factory"
+                   and _callee(keyword.value) in ("dict", "list", "set")
+                   for keyword in value.keywords)
+    return _callee(value.func) in _MUTABLE_CALLS
+
+
+def lineage(cls: ast.ClassDef,
+            classes: dict[str, ast.ClassDef]) -> list[ast.ClassDef]:
+    """``cls`` and its same-module bases, transitively: the classes whose
+    contracts ``cls`` inherits."""
+    found = [cls]
+    for base in cls.bases:
+        if isinstance(base, ast.Name) and base.id in classes:
+            found += lineage(classes[base.id], classes)
     return found
 
 
-def suppressed_lines(source: str, *, durability: bool = False) -> set[int]:
-    """1-based line numbers carrying a suppression comment (with a reason)."""
-    pattern = _DURABILITY_SUPPRESS_RE if durability else _SUPPRESS_RE
-    return {number for number, line in enumerate(source.splitlines(), 1)
-            if pattern.search(line)}
+def _assigned(cls: ast.ClassDef) -> set[str]:
+    """Names ``cls`` binds: class-body fields and ``self.<name>``
+    assignments."""
+    names = {node.attr for node in ast.walk(cls)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Store)
+             and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            names.update(target.id for target in _targets(stmt)
+                         if isinstance(target, ast.Name))
+    return names
+
+
+def _targets(stmt: ast.Assign | ast.AnnAssign) -> list[ast.expr]:
+    return stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+
+
+def discover(root: Path | None = None) -> tuple[Guard, ...]:
+    """Every lock declaration under ``root`` (the installed ``repro``
+    package when omitted), in (path, line) order."""
+    return tuple(guard
+                 for path, source in iter_sources(root)
+                 for guard in scan_module(path, source)[0])

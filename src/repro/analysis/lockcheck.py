@@ -1,28 +1,29 @@
 """Static lock-discipline checker: guarded state vs. ``with <lock>:`` regions.
 
-For every :class:`~repro.analysis.guards.GuardSpec` the checker parses the
-owning module and walks each method of the owning class, tracking which
-statements execute inside a ``with <lock>:`` region (including aliased state
-objects: ``state = self._state`` followed by ``with state.lock:``).  It
-reports:
+The checker consumes what :func:`repro.analysis.guards.scan_module`
+discovers from the ``# guarded by:`` comments.  For every class with guarded
+state in reach — its own or a same-module base's attributes, or a state
+object's fields declared in the same module — it walks each method,
+tracking which statements execute inside a ``with <lock>:`` region
+(including aliased state objects: ``state = self._state`` followed by
+``with state.lock:``).  It reports:
 
-* **unguarded-write** — a guarded attribute is rebound, item-assigned or
-  deleted outside the lock;
-* **unguarded-read** — a guarded attribute is read outside the lock, in a
-  method not whitelisted as snapshot-only (``lock_free``);
+* **unguarded-write** — a guarded attribute is rebound, item-assigned,
+  deleted or mutated in place outside the lock;
+* **unguarded-read** — a guarded attribute is read outside the lock;
 * **escape** — a guarded *mutable* container is returned by bare reference
   (``return self._materialized``): the caller would then hold shared
   mutable state with no lock;
-* **annotation-drift** / **missing-annotation** — the ``# guarded by:``
-  comments in the source and the manifest in ``guards.py`` disagree;
-* **confined-missing** — a :class:`~repro.analysis.guards.ConfinedSpec`
-  names an attribute the class no longer assigns.
+* **bad-guard** — a declaration that cannot bind: no enclosing class, a
+  lock the class never assigns, or a line that binds nothing.
 
-The analysis is deliberately method-local and trusting of the manifest's
-``lock_held`` list (no interprocedural analysis); ``__init__`` is treated
-as lock-held because the object is unpublished while it runs.  Nested
+The analysis is deliberately method-local: a called-with-lock helper's body
+counts as inside its lock region, and its callers are trusted (the runtime
+sanitizer asserts the lock on entry).  ``__init__`` is treated as holding
+every lock because the object is unpublished while it runs.  Nested
 functions (closures handed to other threads) do **not** inherit the
-enclosing lock region.
+enclosing lock region.  A ``# unguarded ok: <reason>`` comment suppresses
+the findings on its line.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ import ast
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.guards import (CONFINED, REGISTRY, SOURCE_ROOT,
-                                   ConfinedSpec, GuardSpec, parse_annotations,
-                                   suppressed_lines)
+from repro.analysis.guards import Guard, lineage, scan_module
+from repro.analysis.shapes_spec import iter_sources, suppressed_lines
 
 __all__ = ["Finding", "check_lock_discipline"]
 
@@ -59,187 +59,121 @@ class Finding:
 
 
 def check_lock_discipline(root: Path | None = None) -> list[Finding]:
-    """Run every registered :class:`GuardSpec` over the tree at ``root``
-    (the installed ``repro`` package when omitted); returns findings sorted
-    by location."""
+    """Check every declared lock contract under ``root`` (the installed
+    ``repro`` package when omitted); returns findings sorted by location."""
     findings: list[Finding] = []
-    by_path: dict[str, list[GuardSpec]] = {}
-    for spec in REGISTRY:
-        by_path.setdefault(spec.path, []).append(spec)
-    for path, specs in by_path.items():
-        source = _read(specs[0].file(root))
-        tree = ast.parse(source)
-        suppressed = suppressed_lines(source)
-        findings.extend(_check_annotations(path, source, tree, specs))
-        for spec in specs:
-            cls = _find_class(tree, spec.cls)
-            if cls is None:
-                findings.append(Finding(path, 1, "missing-class",
-                                        f"class {spec.cls} not found"))
-                continue
-            checker = _ClassChecker(spec, path, suppressed)
-            findings.extend(checker.check(cls))
-    for confined in CONFINED:
-        findings.extend(_check_confined(confined, root))
+    for path, source in iter_sources(root):
+        guards, problems = scan_module(path, source)
+        raw = [Finding(path, line, "bad-guard", reason)
+               for line, reason in problems]
+        if guards:
+            raw.extend(_check_module(path, ast.parse(source), guards))
+        suppressed = suppressed_lines(source, "unguarded")
+        findings.extend(f for f in raw if f.line not in suppressed)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 
 
-def _read(path: Path) -> str:
-    return path.read_text(encoding="utf-8")
-
-
-def _find_class(tree: ast.Module, name: str) -> ast.ClassDef | None:
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-# -- annotation <-> manifest cross-check ---------------------------------------
-def _check_annotations(path: str, source: str, tree: ast.Module,
-                       specs: list[GuardSpec]) -> list[Finding]:
-    """The ``# guarded by:`` comments and the manifest must agree exactly."""
+def _check_module(path: str, tree: ast.Module,
+                  guards: list[Guard]) -> list[Finding]:
+    classes = {node.name: node for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
     findings: list[Finding] = []
-    annotations = parse_annotations(source)
-    manifest_attrs: dict[str, set[str]] = {}
-    for spec in specs:
-        accepted = _accepted_lock_exprs(spec)
-        for attr in spec.guarded:
-            manifest_attrs.setdefault(attr, set()).update(accepted)
-    for attr, entries in annotations.items():
-        accepted = manifest_attrs.get(attr)
-        for lock_expr, line in entries:
-            if accepted is None:
-                findings.append(Finding(
-                    path, line, "annotation-drift",
-                    f"{attr!r} is annotated 'guarded by: {lock_expr}' but "
-                    f"missing from the guards.py manifest"))
-            elif lock_expr not in accepted:
-                findings.append(Finding(
-                    path, line, "annotation-drift",
-                    f"{attr!r} is annotated 'guarded by: {lock_expr}' but "
-                    f"the manifest guards it with {sorted(accepted)}"))
-    for spec in specs:
-        cls = _find_class(tree, spec.cls)
-        for attr in sorted(spec.guarded):
-            if attr not in annotations:
-                findings.append(Finding(
-                    path, _attr_line(cls, spec, attr), "missing-annotation",
-                    f"{spec.cls}.{attr} is in the guards.py manifest but "
-                    f"carries no '# guarded by:' annotation in the source"))
+    for cls in classes.values():
+        owners = {owner.name for owner in lineage(cls, classes)}
+        own = {g.name: g for g in guards
+               if not g.helper and g.cls in owners}
+        state = {g.name: g for g in guards
+                 if g.state_object and g.cls != cls.name}
+        if not own and not state:
+            continue
+        helpers = {g.name: g for g in guards
+                   if g.helper and g.cls == cls.name}
+        findings.extend(
+            _ClassChecker(path, cls.name, own, state, helpers).check(cls))
     return findings
 
 
-def _accepted_lock_exprs(spec: GuardSpec) -> set[str]:
-    if spec.state is None:
-        return {f"self.{spec.lock}"}
-    # State-object specs annotate inside the state class body, where the
-    # lock is a bare sibling field; accesses through self also qualify.
-    return {spec.lock, f"self.{spec.state}.{spec.lock}"}
-
-
-def _attr_line(cls: ast.ClassDef | None, spec: GuardSpec, attr: str) -> int:
-    """Best line to point a missing-annotation finding at: the attribute's
-    first binding, else the class statement."""
-    if cls is None:
-        return 1
-    for node in ast.walk(cls):
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target])
-            for target in targets:
-                if isinstance(target, ast.Attribute) and target.attr == attr:
-                    return target.lineno
-                if isinstance(target, ast.Name) and target.id == attr:
-                    return target.lineno
-    return cls.lineno
-
-
-# -- per-class method analysis -------------------------------------------------
 class _ClassChecker:
-    """Walks one class's methods, flagging unguarded access and escapes."""
+    """Walks one class's methods, flagging unguarded access and escapes.
 
-    def __init__(self, spec: GuardSpec, path: str,
-                 suppressed: set[int]) -> None:
-        self.spec = spec
+    Locks are attribute chains from ``self`` (``('_lock',)``,
+    ``('_state', 'lock')``); a region holds the set of chains its enclosing
+    ``with`` statements (or the helper declaration) took.
+    """
+
+    def __init__(self, path: str, cls: str, own: dict[str, Guard],
+                 state: dict[str, Guard], helpers: dict[str, Guard]) -> None:
         self.path = path
-        self.suppressed = suppressed
+        self.cls = cls
+        self.own = own
+        self.state = state
+        self.helpers = helpers
+        self.aliases: dict[str, tuple[str, ...]] = {}
         self.findings: list[Finding] = []
 
     def check(self, cls: ast.ClassDef) -> list[Finding]:
         for node in cls.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name != "__init__"):
+                # __init__ runs on an unpublished object: lock held by
+                # convention.
                 self._check_method(node)
         return self.findings
 
     def _check_method(self, fn: ast.FunctionDef) -> None:
-        spec = self.spec
-        if fn.name == "__init__" or fn.name in spec.lock_held:
-            # Lock held by convention: __init__ runs on an unpublished
-            # object; lock_held helpers are called with the lock taken.
-            return
-        aliases = self._state_aliases(fn)
-        held_default = False
+        helper = self.helpers.get(fn.name)
+        held = frozenset({helper.lock_path}) if helper else frozenset()
+        self.aliases = self._state_aliases(fn)
         for stmt in fn.body:
-            self._scan(stmt, held_default, aliases, fn)
+            self._scan(stmt, held, fn)
 
     # Aliasing: ``state = self._state`` makes ``state.lock`` the lock and
-    # ``state.arrays`` a guarded access for the rest of the method.
-    def _state_aliases(self, fn: ast.FunctionDef) -> set[str]:
-        spec = self.spec
-        if spec.state is None:
-            return set()
-        aliases: set[str] = set()
+    # ``state.entries`` a guarded access for the rest of the method.
+    def _state_aliases(self, fn: ast.FunctionDef) -> dict[str, tuple[str, ...]]:
+        aliases: dict[str, tuple[str, ...]] = {}
         for node in ast.walk(fn):
             if (isinstance(node, ast.Assign)
                     and len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Name)
-                    and self._is_state_object(node.value, set())):
-                aliases.add(node.targets[0].id)
+                    and isinstance(node.value, ast.Attribute)
+                    and isinstance(node.value.value, ast.Name)
+                    and node.value.value.id == "self"):
+                aliases[node.targets[0].id] = (node.value.attr,)
         return aliases
 
-    def _is_state_object(self, node: ast.expr, aliases: set[str]) -> bool:
-        """``self.<state>`` (or an alias of it)."""
-        spec = self.spec
-        if (isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self" and node.attr == spec.state):
-            return True
-        return isinstance(node, ast.Name) and node.id in aliases
-
-    def _is_lock_expr(self, node: ast.expr, aliases: set[str]) -> bool:
-        spec = self.spec
-        if not isinstance(node, ast.Attribute) or node.attr != spec.lock:
-            return False
-        if spec.state is None:
-            return (isinstance(node.value, ast.Name)
-                    and node.value.id == "self")
-        return self._is_state_object(node.value, aliases)
-
-    def _guarded_attr(self, node: ast.expr,
-                      aliases: set[str]) -> str | None:
-        """The guarded attribute name ``node`` accesses, or ``None``."""
-        spec = self.spec
-        if not isinstance(node, ast.Attribute) or node.attr not in spec.guarded:
-            return None
-        if spec.state is None:
-            if isinstance(node.value, ast.Name) and node.value.id == "self":
-                return node.attr
-            return None
-        if self._is_state_object(node.value, aliases):
-            return node.attr
+    def _chain(self, node: ast.expr) -> tuple[str, ...] | None:
+        """The attribute chain from ``self`` that ``node`` names (``()`` for
+        ``self``), or ``None``."""
+        if isinstance(node, ast.Name):
+            return () if node.id == "self" else self.aliases.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = self._chain(node.value)
+            return None if base is None else base + (node.attr,)
         return None
 
-    def _scan(self, node: ast.AST, held: bool, aliases: set[str],
-              fn: ast.FunctionDef) -> None:
+    def _guard_of(self, node: ast.expr
+                  ) -> tuple[Guard, tuple[str, ...]] | None:
+        """The guard ``node`` accesses and the lock chain it needs."""
+        if not isinstance(node, ast.Attribute):
+            return None
+        base = self._chain(node.value)
+        if base == () and node.attr in self.own:
+            guard = self.own[node.attr]
+            return guard, guard.lock_path
+        if base is not None and len(base) == 1 and node.attr in self.state:
+            guard = self.state[node.attr]
+            return guard, base + guard.lock_path
+        return None
+
+    def _scan(self, node: ast.AST, held: frozenset, fn: ast.FunctionDef
+              ) -> None:
         if isinstance(node, ast.With):
-            takes_lock = any(self._is_lock_expr(item.context_expr, aliases)
-                             for item in node.items)
+            taken = {self._chain(item.context_expr) for item in node.items}
             for item in node.items:
-                self._scan(item.context_expr, held, aliases, fn)
+                self._scan(item.context_expr, held, fn)
             for stmt in node.body:
-                self._scan(stmt, held or takes_lock, aliases, fn)
+                self._scan(stmt, held | taken, fn)
             return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
@@ -247,40 +181,36 @@ class _ClassChecker:
             # it never inherits the enclosing lock.
             body = node.body if isinstance(node.body, list) else [node.body]
             for stmt in body:
-                self._scan(stmt, False, aliases, fn)
+                self._scan(stmt, frozenset(), fn)
             return
         if isinstance(node, ast.Return) and node.value is not None:
-            attr = self._guarded_attr(node.value, aliases)
-            if attr is not None and attr in self.spec.mutable:
+            found = self._guard_of(node.value)
+            if found is not None and found[0].mutable:
                 self._report(node.lineno, "escape",
-                             f"{self.spec.cls}.{fn.name} returns guarded "
-                             f"mutable {attr!r} by reference; return a copy "
-                             f"or a frozen snapshot")
+                             f"{self.cls}.{fn.name} returns guarded "
+                             f"mutable {found[0].name!r} by reference; "
+                             f"return a copy or a frozen snapshot")
         if isinstance(node, ast.Attribute):
-            attr = self._guarded_attr(node, aliases)
-            if attr is not None:
-                self._check_access(node, attr, held, fn)
+            found = self._guard_of(node)
+            if found is not None and found[1] not in held:
+                self._report_access(node, found[0].name, found[1], fn)
             node.value._lockcheck_parent = node  # type: ignore[attr-defined]
-            self._scan(node.value, held, aliases, fn)
+            self._scan(node.value, held, fn)
             return
         for child in ast.iter_child_nodes(node):
             # Parent pointers for write classification (subscript stores,
             # in-place mutator calls) are attached on the way down.
             child._lockcheck_parent = node  # type: ignore[attr-defined]
-            self._scan(child, held, aliases, fn)
+            self._scan(child, held, fn)
 
-    def _check_access(self, node: ast.Attribute, attr: str, held: bool,
-                      fn: ast.FunctionDef) -> None:
-        if held:
-            return
+    def _report_access(self, node: ast.Attribute, attr: str,
+                       lock: tuple[str, ...], fn: ast.FunctionDef) -> None:
         is_write = self._is_write(node)
-        if not is_write and fn.name in self.spec.lock_free:
-            return  # whitelisted snapshot read
         rule = "unguarded-write" if is_write else "unguarded-read"
         verb = "written" if is_write else "read"
         self._report(node.lineno, rule,
-                     f"{self.spec.cls}.{attr} {verb} in {fn.name}() without "
-                     f"holding {self._lock_name()}")
+                     f"{self.cls}.{attr} {verb} in {fn.name}() without "
+                     f"holding self.{'.'.join(lock)}")
 
     def _is_write(self, node: ast.Attribute) -> bool:
         if isinstance(node.ctx, (ast.Store, ast.Del)):
@@ -297,34 +227,5 @@ class _ClassChecker:
             return isinstance(grand, ast.Call) and grand.func is parent
         return False
 
-    def _lock_name(self) -> str:
-        spec = self.spec
-        if spec.state is None:
-            return f"self.{spec.lock}"
-        return f"self.{spec.state}.{spec.lock}"
-
     def _report(self, line: int, rule: str, message: str) -> None:
-        if line in self.suppressed:
-            return
         self.findings.append(Finding(self.path, line, rule, message))
-
-
-# -- thread-confined inventory -------------------------------------------------
-def _check_confined(confined: ConfinedSpec,
-                    root: Path | None) -> list[Finding]:
-    """Confined attributes must still exist, so the inventory stays honest."""
-    path = (root if root is not None else SOURCE_ROOT) / confined.path
-    tree = ast.parse(_read(path))
-    cls = _find_class(tree, confined.cls)
-    if cls is None:
-        return [Finding(confined.path, 1, "missing-class",
-                        f"class {confined.cls} not found")]
-    assigned = {node.attr for node in ast.walk(cls)
-                if isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Store)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"}
-    return [Finding(confined.path, cls.lineno, "confined-missing",
-                    f"{confined.cls}.{attr} is declared thread-confined but "
-                    f"never assigned")
-            for attr in sorted(confined.attrs) if attr not in assigned]

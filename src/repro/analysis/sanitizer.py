@@ -11,11 +11,15 @@ about code *shape*, the sanitizer watches actual executions.  Enabled (via
   B somewhere, B taken under A elsewhere — a potential deadlock even if this
   run happened not to interleave fatally), a :class:`Violation` records both
   acquisition stacks.  Reentrant re-acquisition of an RLock adds no edge.
-* **guarded-write assertion** — for specs with ``runtime`` attributes, the
-  owning class's ``__setattr__`` is patched to assert the instance's lock is
-  held by the current thread whenever one of those attributes is rebound
-  (writes before the lock exists — mid ``__init__`` — and to objects built
-  with plain locks are skipped).
+* **guarded-write assertion** — for every attribute a ``# guarded by:``
+  comment declares (:func:`repro.analysis.guards.discover`), the owning
+  class's ``__setattr__`` is patched to assert the instance's lock is held
+  by the current thread whenever the attribute is rebound.  Writes from the
+  instance's own ``__init__`` (the object is unpublished), writes before
+  the lock exists and writes to objects built with plain locks are skipped.
+* **lock-held assertion** — every helper declared called-with-lock is
+  wrapped to assert, on entry, that its lock is held by the current thread
+  (again skipping plain locks).
 
 Violations are *recorded*, never raised, so the offending test still runs
 to completion; the ``--sanitize`` conftest hook fails any test that left
@@ -30,13 +34,15 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import sys
 import threading
 import traceback
 from collections import deque
 from dataclasses import dataclass
+from functools import wraps
 
 from repro import locking
-from repro.analysis.guards import REGISTRY, GuardSpec
+from repro.analysis.guards import Guard, discover
 
 __all__ = ["SanitizedLock", "Violation", "enable", "disable", "enabled",
            "take_violations", "reset"]
@@ -47,7 +53,7 @@ class Violation:
     """One recorded sanitizer finding.
 
     ``kind`` is ``"lock-order"`` (``other_stack`` holds the acquisition that
-    established the opposite edge) or ``"guarded-write"``.
+    established the opposite edge), ``"guarded-write"`` or ``"lock-held"``.
     """
 
     kind: str
@@ -74,7 +80,7 @@ _uid_counter = itertools.count(1)
 
 _tls = threading.local()
 _enabled = False
-_patched: list[tuple[type, object]] = []
+_patched: list[tuple[type, str, object]] = []  # (class, attr, own value)
 
 
 def _held_locks() -> list["SanitizedLock"]:
@@ -95,7 +101,7 @@ class SanitizedLock:
 
     Context-manager and ``acquire``/``release`` compatible with the plain
     primitives it wraps; ``held_by_current_thread()`` is the extra hook the
-    guarded-write assertion uses.
+    guarded-write and lock-held assertions use.
     """
 
     __slots__ = ("_inner", "name", "reentrant", "uid", "_holds")
@@ -201,7 +207,8 @@ def _find_path(src: int, dst: int) -> list[int] | None:
 
 
 def record_violation(kind: str, message: str) -> None:
-    """Record a violation with the caller's stack (guarded-write path)."""
+    """Record a violation with the caller's stack (guarded-write and
+    lock-held paths)."""
     stack = "".join(traceback.format_stack()[:-2])
     with _state_lock:
         _violations.append(Violation(kind=kind, message=message,
@@ -236,31 +243,64 @@ class _Factory:
         return SanitizedLock(threading.RLock(), name, reentrant=True)
 
 
-def _resolve_class(spec: GuardSpec) -> type:
-    module_name = "repro." + spec.path[:-len(".py")].replace("/", ".")
-    return getattr(importlib.import_module(module_name), spec.cls)
+def _unheld(obj, lock_path: tuple[str, ...]) -> SanitizedLock | None:
+    """The sanitized lock at ``lock_path`` from ``obj`` when the current
+    thread does not hold it; ``None`` when held, plain or not built yet."""
+    lock = obj
+    for name in lock_path:
+        lock = getattr(lock, name, None)
+    if isinstance(lock, SanitizedLock) and not lock.held_by_current_thread():
+        return lock
+    return None
 
 
-def _make_setattr(spec: GuardSpec, original):
-    runtime = spec.runtime
-    lock_attr = spec.lock
+def _in_own_init(obj) -> bool:
+    """Whether the nearest caller outside this module is ``obj``'s own
+    ``__init__`` (a base's, reached through ``super()``, counts)."""
+    frame = sys._getframe(1)
+    while frame.f_code.co_filename == __file__:
+        frame = frame.f_back
+    return (frame.f_code.co_name == "__init__"
+            and frame.f_locals.get("self") is obj)
 
+
+def _make_setattr(attrs: dict[str, tuple[str, ...]], original):
     def guarded_setattr(self, name, value):
-        if name in runtime:
-            lock = self.__dict__.get(lock_attr)
-            if (isinstance(lock, SanitizedLock)
-                    and not lock.held_by_current_thread()):
+        lock_path = attrs.get(name)
+        if lock_path is not None:
+            lock = _unheld(self, lock_path)
+            if lock is not None and not _in_own_init(self):
                 record_violation(
                     "guarded-write",
-                    f"{spec.cls}.{name} rebound without holding "
+                    f"{type(self).__name__}.{name} rebound without holding "
                     f"{lock.name!r}")
         original(self, name, value)
 
     return guarded_setattr
 
 
+def _make_held_check(guard: Guard, fn):
+    @wraps(fn)
+    def checked(self, *args, **kwargs):
+        lock = _unheld(self, guard.lock_path)
+        if lock is not None:
+            record_violation(
+                "lock-held",
+                f"{type(self).__name__}.{guard.name} called without holding "
+                f"{lock.name!r}")
+        return fn(self, *args, **kwargs)
+
+    return checked
+
+
+def _patch(cls: type, name: str, value) -> None:
+    _patched.append((cls, name, cls.__dict__.get(name)))
+    setattr(cls, name, value)
+
+
 def enable() -> None:
-    """Install instrumented locks and guarded-write assertions (idempotent).
+    """Install instrumented locks and the guarded-write and lock-held
+    assertions for every discovered declaration (idempotent).
 
     Only locks created *after* this call are instrumented — enable the
     sanitizer before building the objects under test."""
@@ -268,24 +308,36 @@ def enable() -> None:
     if _enabled:
         return
     locking.set_lock_factory(_Factory())
-    for spec in REGISTRY:
-        if not spec.runtime:
-            continue
-        cls = _resolve_class(spec)
-        original = cls.__setattr__
-        cls.__setattr__ = _make_setattr(spec, original)
-        _patched.append((cls, original))
+    by_class: dict[tuple[str, str], list[Guard]] = {}
+    for guard in discover():
+        by_class.setdefault((guard.path, guard.cls), []).append(guard)
+    for (path, name), guards in by_class.items():
+        module = "repro." + path[:-len(".py")].replace("/", ".")
+        cls = getattr(importlib.import_module(module), name)
+        # Each class checks only its own declarations.  A base's come first
+        # in discovery order, so a subclass's wrapper wraps the base's and
+        # an inherited attribute is still checked, once.
+        attrs = {g.name: g.lock_path for g in guards if not g.helper}
+        if attrs:
+            _patch(cls, "__setattr__", _make_setattr(attrs, cls.__setattr__))
+        for guard in guards:
+            if guard.helper:
+                _patch(cls, guard.name,
+                       _make_held_check(guard, cls.__dict__[guard.name]))
     _enabled = True
 
 
 def disable() -> None:
-    """Restore plain locks and original ``__setattr__`` (idempotent)."""
+    """Restore plain locks and the patched class attributes (idempotent)."""
     global _enabled
     if not _enabled:
         return
     locking.set_lock_factory(None)
-    for cls, original in _patched:
-        cls.__setattr__ = original
+    for cls, name, original in reversed(_patched):
+        if original is None:
+            delattr(cls, name)
+        else:
+            setattr(cls, name, original)
     _patched.clear()
     _enabled = False
 

@@ -30,7 +30,7 @@ from pathlib import Path
 from repro.analysis.lockcheck import Finding
 from repro.analysis.shapes_spec import (ShapeSpec, iter_sources,
                                         parse_dtypes, scan_module,
-                                        shape_suppressed_lines)
+                                        suppressed_lines)
 
 __all__ = ["check_shapes"]
 
@@ -57,7 +57,7 @@ def check_shapes(root: Path | None = None) -> list[Finding]:
             raw.extend(_scan_squeeze(spec, node))
             raw.extend(_scan_widening(spec, node))
             raw.extend(_scan_copies_in_loops(spec, node))
-        suppressed = shape_suppressed_lines(source)
+        suppressed = suppressed_lines(source, "shape")
         findings.extend(f for f in raw if f.line not in suppressed)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings

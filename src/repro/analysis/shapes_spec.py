@@ -48,7 +48,7 @@ from pathlib import Path
 
 __all__ = ["ShapeSpec", "Contract", "SOURCE_ROOT", "discover",
            "iter_sources", "scan_module", "parse_contract",
-           "parse_dtypes", "shape_suppressed_lines"]
+           "parse_dtypes", "suppressed_lines"]
 
 #: The package root discovery walks when no other root is given.
 SOURCE_ROOT = Path(__file__).resolve().parent.parent
@@ -56,7 +56,6 @@ SOURCE_ROOT = Path(__file__).resolve().parent.parent
 #: Anchored at the ``#`` of a comment token, so prose that mentions the
 #: keyword mid-comment is not an annotation.
 _ANNOTATION_RE = re.compile(r"#\s*(?P<kind>shape|dtype):\s*(?P<text>.*?)\s*$")
-_SUPPRESS_RE = re.compile(r"#\s*shape ok:\s*\S")
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*$")
 
 #: Dtype names the ``# dtype:`` grammar accepts.
@@ -157,10 +156,12 @@ def _normalize(text: str) -> str:
     return "".join(text.split())
 
 
-def shape_suppressed_lines(source: str) -> set[int]:
-    """1-based line numbers carrying ``# shape ok: <reason>``."""
+def suppressed_lines(source: str, tag: str) -> set[int]:
+    """1-based line numbers carrying ``# <tag> ok: <reason>`` (``shape``,
+    ``unguarded`` or ``durability``); the reason is mandatory."""
+    pattern = re.compile(rf"#\s*{tag} ok:\s*\S")
     return {number for number, line in enumerate(source.splitlines(), 1)
-            if _SUPPRESS_RE.search(line)}
+            if pattern.search(line)}
 
 
 def _functions(tree: ast.Module) -> Iterator[tuple[str, ast.FunctionDef]]:

@@ -498,6 +498,7 @@ class VisualDatabase:
         Predicates are catalog-wide: trained once, evaluated against any
         table (each shard keeps its own materialized labels).
         """
+        self._check_open()
         if name in self._optimizers:
             raise ValueError(f"predicate {name!r} already registered")
         optimizer, _ = initialize_predicate(
@@ -517,6 +518,7 @@ class VisualDatabase:
         arguments when it was built with non-default parameters, so the
         database can be saved and reloaded.
         """
+        self._check_open()
         if name in self._optimizers:
             raise ValueError(f"predicate {name!r} already registered")
         self._optimizers[name] = optimizer
@@ -566,6 +568,7 @@ class VisualDatabase:
         serves another cascade's labels, while switching back to a previous
         scenario reuses its materialized columns.
         """
+        self._check_open()
         self._invalidate_plans()
         if isinstance(scenario, CostProfiler):
             self._profiler_override = scenario

@@ -203,6 +203,7 @@ class QueryExecutor:
                 tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
 
     def _rebuild_base_relation(self) -> None:
+        # guarded by: self._lock
         # metadata_arrays() concatenates the scalar columns without touching
         # the image segments, so the per-ingest rebuild stays O(rows), not
         # O(corpus bytes).
@@ -215,12 +216,12 @@ class QueryExecutor:
     @property
     def relation(self) -> Relation:
         """The metadata relation (without content columns)."""
-        return self._base_relation
+        return self._base_relation  # unguarded ok: snapshot read
 
     @property
     def id_offset(self) -> int:
         """Image ids ever retired by retention: id = offset + row position."""
-        return self._id_offset
+        return self._id_offset  # unguarded ok: snapshot read
 
     @id_offset.setter
     def id_offset(self, offset: int) -> None:
@@ -234,7 +235,7 @@ class QueryExecutor:
     @property
     def wal(self) -> "TableWal | None":
         """The write-ahead log journaling this shard, if durability is on."""
-        return self._wal
+        return self._wal  # unguarded ok: snapshot read
 
     def set_wal(self, wal: "TableWal | None") -> None:
         """Attach (or detach, with ``None``) the shard's write-ahead log.
@@ -299,6 +300,7 @@ class QueryExecutor:
             return new_ids
 
     def _pad_materialized(self, n_new: int) -> None:
+        # guarded by: self._lock
         """Extend every materialized column with unevaluated new rows."""
         for key, (evaluated, labels) in self._materialized.items():
             self._materialized[key] = (
@@ -343,6 +345,7 @@ class QueryExecutor:
             return n
 
     def _drop_rows(self, n: int) -> int:
+        # guarded by: self._lock
         """Apply a drop to corpus/materialized/store without the relation
         rebuild (callers batch the rebuild; WAL replay applies many drops)."""
         n = self.corpus.drop_oldest(n)
@@ -926,6 +929,7 @@ class QueryExecutor:
         return labels, n_classified
 
     def _materialize_tail(self, spec) -> None:
+        # guarded by: self._lock
         """Bring one registered representation up to corpus length at ingest.
 
         The hot path transforms only the new frames and appends them as a

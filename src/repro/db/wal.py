@@ -185,7 +185,7 @@ class TableWal:
     @property
     def generation(self) -> int:
         """The generation currently receiving appends."""
-        return self._generation
+        return self._generation  # unguarded ok: snapshot read
 
     def generations(self) -> list[int]:
         """Generations present on disk, oldest first."""
@@ -244,6 +244,7 @@ class TableWal:
                                      table=self.table)
 
     def _ensure_open(self) -> None:
+        # guarded by: self._lock
         if self._closed:
             raise RuntimeError(f"WAL for table {self.table!r} is closed")
 
@@ -322,4 +323,4 @@ class TableWal:
 
     @property
     def closed(self) -> bool:
-        return self._closed
+        return self._closed  # unguarded ok: snapshot read

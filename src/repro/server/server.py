@@ -226,7 +226,7 @@ class VisualDatabaseServer:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         host, port = self.address
         return (f"VisualDatabaseServer({host}:{port}, "
-                f"sessions={self._sessions}, closed={self._closed})")
+                f"sessions={self._sessions}, closed={self._closed})")  # unguarded ok: cosmetic
 
 
 def serve(database, host: str = "127.0.0.1", port: int = 0,

@@ -63,6 +63,10 @@ class QueryCounters:
 class Session:
     """One client's command dispatcher and cursor table.
 
+    A session is confined to one thread: it is owned by its connection's
+    handler thread, and its cursors are never shared across connections,
+    so its state needs no lock.
+
     Parameters
     ----------
     database:

@@ -142,7 +142,8 @@ class RepresentationStore:
         return (self.namespace, name)
 
     def _own_keys(self) -> list[_Key]:
-        """This namespace's keys, oldest write first (lock held)."""
+        # guarded by: self._state.lock
+        """This namespace's keys, oldest write first."""
         return [key for key in self._state.entries
                 if key[0] == self.namespace]
 
@@ -314,6 +315,7 @@ class RepresentationStore:
 
     # -- internals ---------------------------------------------------------
     def _evict(self, key: _Key) -> int:
+        # guarded by: self._state.lock
         """Drop one entry, returning the simulated bytes it held."""
         state = self._state
         freed = state.entries.pop(key).nbytes
@@ -321,6 +323,7 @@ class RepresentationStore:
         return freed
 
     def _enforce_budget(self, newest: _Key) -> None:
+        # guarded by: self._state.lock
         state = self._state
         budget = state.byte_budget
         if budget is None:

@@ -10,8 +10,9 @@ or not (dashboards and the CI smoke check key off the declared names).
 
 Everything here is lock-disciplined the same way as the engine proper: the
 registry and its metrics share one reentrant lock from
-:func:`repro.locking.make_rlock`, the guarded attributes are annotated and
-manifest-checked (:mod:`repro.analysis.guards`), and snapshot methods return
+:func:`repro.locking.make_rlock`, the guarded attributes are declared by
+their ``# guarded by:`` comments (:mod:`repro.analysis.guards`; the
+subclasses inherit ``_Metric._series``), and snapshot methods return
 copies, never live references.  Gauge callbacks (e.g. a queue depth read)
 are invoked *outside* the lock, keeping it a leaf in the lock-order graph.
 """

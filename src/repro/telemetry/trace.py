@@ -81,6 +81,7 @@ class Span:
             return self._as_dict()
 
     def _as_dict(self) -> dict:
+        # guarded by: self._lock
         node: dict = {"name": self.name, "elapsed_s": self._elapsed_s,
                       "attrs": dict(self._attrs),
                       "children": [child._as_dict()

@@ -6,21 +6,7 @@ fsync, the manifest's fsync, its directory fsync, or adding one write after a
 prune must each produce exactly the matching finding.
 """
 
-import shutil
-
-import pytest
-
-from repro.analysis.durability import check_durability
-from repro.analysis.guards import DURABILITY_MODULES, SOURCE_ROOT
-
-
-@pytest.fixture()
-def scratch(tmp_path):
-    root = tmp_path / "repro"
-    for rel in DURABILITY_MODULES:
-        (root / rel).parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(SOURCE_ROOT / rel, root / rel)
-    return root
+from repro.analysis.durability import check_durability, durability_modules
 
 
 def _edit(root, rel, old, new):
@@ -32,6 +18,17 @@ def _edit(root, rel, old, new):
 
 def _rules(findings):
     return {finding.rule for finding in findings}
+
+
+class TestCoverage:
+    def test_modules_are_the_ones_calling_os_fsync(self):
+        assert durability_modules() == ["db/persistence.py", "db/wal.py"]
+
+    def test_a_new_fsync_caller_is_covered(self, scratch):
+        _edit(scratch, "db/catalog.py", "from __future__ import annotations\n",
+              "from __future__ import annotations\n\nimport os\n\n\n"
+              "def _sync(fd):\n    os.fsync(fd)\n")
+        assert "db/catalog.py" in durability_modules(scratch)
 
 
 class TestCleanTree:

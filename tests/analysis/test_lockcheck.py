@@ -1,18 +1,18 @@
 """Self-tests for the static lock-discipline checker.
 
-The real tree must be clean; each detection test copies the analyzed
-modules into a scratch package root, injects one specific violation, and
-asserts the checker (pointed at the scratch root with ``--root``) reports
-exactly that violation class.
+The real tree must be clean; each detection test copies the package tree
+into a scratch root (the ``scratch`` fixture), injects one specific
+violation, and asserts the checker (pointed at the scratch root with
+``--root``) reports exactly that violation class.
 """
 
-import shutil
+import os
+import sys
 
 import pytest
 
 from repro.analysis.cli import main
-from repro.analysis.guards import (CONFINED, DURABILITY_MODULES, REGISTRY,
-                                   SOURCE_ROOT)
+from repro.analysis.guards import discover
 from repro.analysis.lockcheck import check_lock_discipline
 
 # Injection anchors in db/executor.py (the scratch copy is text-edited, so
@@ -23,19 +23,6 @@ _LOCKED_REGION = ("with self._lock:\n"
 _UNLOCKED_REGION = ("if True:\n"
                     "            return sorted({category for category, _ in "
                     "self._materialized})")
-
-
-@pytest.fixture()
-def scratch(tmp_path):
-    """A scratch package root holding copies of every analyzed module."""
-    root = tmp_path / "repro"
-    needed = {spec.path for spec in REGISTRY}
-    needed.update(confined.path for confined in CONFINED)
-    needed.update(DURABILITY_MODULES)
-    for rel in sorted(needed):
-        (root / rel).parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(SOURCE_ROOT / rel, root / rel)
-    return root
 
 
 def _edit(root, rel, old, new):
@@ -115,30 +102,70 @@ class TestDetections:
         assert check_lock_discipline(scratch) == []
 
 
-class TestAnnotationCrossCheck:
-    def test_wrong_lock_in_annotation_is_drift(self, scratch):
-        _edit(scratch, "db/executor.py",
-              "self._epoch = 0  # guarded by: self._lock",
-              "self._epoch = 0  # guarded by: self._other_lock")
-        findings = check_lock_discipline(scratch)
-        assert _rules(findings) == {"annotation-drift"}
-        assert "_epoch" in findings[0].message
+class TestDeclaration:
+    """The ``# guarded by:`` comment is the whole contract."""
 
-    def test_annotation_without_manifest_entry_is_drift(self, scratch):
+    def test_comment_on_a_binding_guards_it(self, scratch):
         _edit(scratch, "db/executor.py",
               "self.corpus = corpus",
               "self.corpus = corpus  # guarded by: self._lock")
         findings = check_lock_discipline(scratch)
-        assert _rules(findings) == {"annotation-drift"}
-        assert "missing from the guards.py manifest" in findings[0].message
+        assert _rules(findings) == {"unguarded-read"}
+        assert all(finding.message.startswith("QueryExecutor.corpus read")
+                   for finding in findings)
 
-    def test_manifest_entry_without_annotation_is_missing(self, scratch):
+    def test_lock_the_class_never_assigns_is_bad_guard(self, scratch):
+        _edit(scratch, "db/executor.py",
+              "self._epoch = 0  # guarded by: self._lock",
+              "self._epoch = 0  # guarded by: self._other_lock")
+        findings = check_lock_discipline(scratch)
+        assert _rules(findings) == {"bad-guard"}
+        (finding,) = findings
+        assert "'self._other_lock'" in finding.message
+        assert "'_epoch'" in finding.message
+
+    @pytest.mark.parametrize("old, new, reason", [
+        ("    def materialized_categories",
+         "    # guarded by: self._lock\n    def materialized_categories",
+         "binds nothing"),
+        ("self._epoch = 0  # guarded by: self._lock",
+         "self._epoch = 0  # guarded by: self._lock + 1",
+         "not a lock expression"),
+        ("class QueryExecutor:",
+         "_SCRATCH = {}  # guarded by: self._lock\n\n\nclass QueryExecutor:",
+         "outside any class"),
+    ], ids=["binds-nothing", "not-a-lock", "outside-any-class"])
+    def test_declaration_that_cannot_bind_is_bad_guard(self, scratch, old,
+                                                       new, reason):
+        _edit(scratch, "db/executor.py", old, new)
+        findings = check_lock_discipline(scratch)
+        assert _rules(findings) == {"bad-guard"}
+        assert reason in findings[0].message
+
+    def test_removing_the_comment_removes_the_check(self, scratch):
+        before = len(discover(scratch))
         _edit(scratch, "db/executor.py",
               "self._epoch = 0  # guarded by: self._lock",
               "self._epoch = 0")
-        findings = check_lock_discipline(scratch)
-        assert _rules(findings) == {"missing-annotation"}
-        assert "QueryExecutor._epoch" in findings[0].message
+        _edit(scratch, "db/executor.py",
+              "    def materialized_categories",
+              "    def _poke(self):\n"
+              "        self._epoch += 1\n\n"
+              "    def materialized_categories")
+        assert len(discover(scratch)) == before - 1
+        assert check_lock_discipline(scratch) == []
+
+    def test_docstring_quoting_the_grammar_is_not_a_declaration(self,
+                                                                scratch):
+        _edit(scratch, "db/executor.py",
+              "    def materialized_categories",
+              "    def _documented(self):\n"
+              '        """Declarations look like\n\n'
+              "        self._scratch = {}  # guarded by: self._lock\n"
+              '        """\n\n'
+              "    def materialized_categories")
+        assert check_lock_discipline(scratch) == []
+        assert "_scratch" not in {guard.name for guard in discover(scratch)}
 
 
 class TestCli:
@@ -159,3 +186,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "QueryExecutor" in out
         assert "db/wal.py" in out
+        assert "_Metric [_series] guarded by self._lock" in out
+        assert "RepresentationStore._own_keys holds self._state.lock" in out
+
+    def test_list_into_a_closed_pipe_ends_quietly(self, monkeypatch):
+        # ``--list | head -1``: the reader is gone before the listing ends.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["--list"]) == 0

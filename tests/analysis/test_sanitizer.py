@@ -17,6 +17,9 @@ from repro.analysis import sanitizer
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
 from repro.db.executor import QueryExecutor
+from repro.db.wal import TableWal
+from repro.storage.store import RepresentationStore
+from repro.telemetry.metrics import Gauge, MetricsRegistry
 from tests.conftest import TINY_SIZE
 
 
@@ -149,3 +152,61 @@ class TestGuardedWrite:
         sanitizer.enable()
         executor._epoch = 99
         assert sanitizer.take_violations() == []
+
+    def test_every_guarded_attribute_is_checked(self, sanitized, tmp_path):
+        # TableWal binds its guarded state in __init__ without the lock
+        # (exempt: the object is unpublished); a later unlocked rebind is not.
+        wal = TableWal(tmp_path, "t")
+        assert sanitizer.take_violations() == []
+        wal._closed = False  # the deliberate violation
+        wal.close()
+        violations = sanitizer.take_violations()
+        assert [v.kind for v in violations] == ["guarded-write"]
+        assert "TableWal._closed" in violations[0].message
+
+    def test_inherited_attribute_is_checked_once(self, sanitized):
+        counter = MetricsRegistry().counter("repro_store_hits_total")
+        counter._series = {}  # declared on _Metric, rebound on a Counter
+        violations = sanitizer.take_violations()
+        assert [v.kind for v in violations] == ["guarded-write"]
+        assert "Counter._series" in violations[0].message
+
+
+class TestLockHeld:
+    def test_helper_called_without_its_lock(self, sanitized):
+        executor = QueryExecutor(make_corpus())
+        executor._rebuild_base_relation()  # the deliberate violation
+        violations = sanitizer.take_violations()
+        # One lock-held on entry; the helper's unlocked rebind of
+        # _base_relation then trips the guarded-write check as well.
+        assert [v.kind for v in violations] == ["lock-held", "guarded-write"]
+        assert ("QueryExecutor._rebuild_base_relation"
+                in violations[0].message)
+        assert "test_sanitizer" in violations[0].stack
+        assert "QueryExecutor._base_relation" in violations[1].message
+
+    def test_state_object_helper_called_without_its_lock(self, sanitized):
+        store = RepresentationStore()
+        store._own_keys()  # the deliberate violation
+        violations = sanitizer.take_violations()
+        assert [v.kind for v in violations] == ["lock-held"]
+        assert "RepresentationStore._own_keys" in violations[0].message
+        assert "'store'" in violations[0].message
+
+    def test_helper_called_with_its_lock_is_clean(self, sanitized):
+        executor = QueryExecutor(make_corpus())
+        with executor._lock:
+            executor._rebuild_base_relation()
+        executor.drop_oldest(1)
+        assert sanitizer.take_violations() == []
+
+    def test_disable_restores_the_helpers(self, sanitized):
+        wrapped = QueryExecutor.__dict__["_rebuild_base_relation"]
+        sanitizer.disable()
+        try:
+            assert (QueryExecutor.__dict__["_rebuild_base_relation"]
+                    is not wrapped)
+            assert "__setattr__" not in QueryExecutor.__dict__
+            assert "__setattr__" not in Gauge.__dict__
+        finally:
+            sanitizer.enable()

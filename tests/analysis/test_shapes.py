@@ -1,42 +1,19 @@
 """Self-tests for contract discovery and the static shape lints.
 
 Same scheme as ``test_lockcheck.py``: the real tree must check clean, and
-each detection test copies the covered modules into a scratch package root,
-injects one specific violation class — editing the ``# shape:`` / ``# dtype:``
-comments themselves where the contract is what changes — and asserts the
-checker reports exactly that class at a ``path:line`` location.
+each detection test copies the package tree into a scratch root (the
+``scratch`` fixture), injects one specific violation class — editing the
+``# shape:`` / ``# dtype:`` comments themselves where the contract is what
+changes — and asserts the checker reports exactly that class at a
+``path:line`` location.
 """
-
-import shutil
 
 import pytest
 
 from repro.analysis.cli import main
-from repro.analysis.guards import CONFINED, DURABILITY_MODULES, REGISTRY
 from repro.analysis.shapes import check_shapes
-from repro.analysis.shapes_spec import (SOURCE_ROOT, Contract, discover,
-                                        parse_contract, parse_dtypes)
-
-
-@pytest.fixture(scope="module")
-def covered_paths():
-    """Every module the CLI's passes read: the contract-carrying ones plus
-    the lock/durability modules (the CLI runs every pass over ``--root``)."""
-    needed = {spec.path for spec in discover()}
-    needed.update(spec.path for spec in REGISTRY)
-    needed.update(confined.path for confined in CONFINED)
-    needed.update(DURABILITY_MODULES)
-    return sorted(needed)
-
-
-@pytest.fixture()
-def scratch(tmp_path, covered_paths):
-    """A scratch package root holding copies of every covered module."""
-    root = tmp_path / "repro"
-    for rel in covered_paths:
-        (root / rel).parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(SOURCE_ROOT / rel, root / rel)
-    return root
+from repro.analysis.shapes_spec import (Contract, discover, parse_contract,
+                                        parse_dtypes)
 
 
 def _edit(root, rel, old, new):

@@ -462,7 +462,7 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             db.explain(SQL)
 
-    def test_mutations_after_close_raise(self, db, corpus):
+    def test_mutations_after_close_raise(self, db, corpus, tiny_optimizer):
         db.close()
         with pytest.raises(RuntimeError, match="closed"):
             db.ingest(corpus.images[:2], metadata={
@@ -470,6 +470,14 @@ class TestLifecycle:
                 for name, column in corpus.metadata.items()})
         with pytest.raises(RuntimeError, match="closed"):
             db.attach("late", corpus)
+        # Refused before any training: no splits are even looked at.
+        with pytest.raises(RuntimeError, match="closed"):
+            db.register_predicate("late", splits=None)
+        with pytest.raises(RuntimeError, match="closed"):
+            db.register_optimizer("late", tiny_optimizer)
+        with pytest.raises(RuntimeError, match="closed"):
+            db.use_scenario("archive")
+        assert db.predicates() == ["komondor"]
 
     def test_close_detaches_tables_and_clears_store(self, db):
         db.execute(SQL)  # materialize some state first
