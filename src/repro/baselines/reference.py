@@ -74,7 +74,8 @@ def train_reference_model(splits: PredicateDataSplits, *, resolution: int,
                           epochs: int = 8, batch_size: int = 16,
                           learning_rate: float = 0.004,
                           base_width: int = 24, n_stages: int = 3,
-                          blocks_per_stage: int = 2, augment: bool = True,
+                          blocks_per_stage: int = 2, dense_units: int = 64,
+                          augment: bool = True,
                           name: str = "reference",
                           rng: np.random.Generator | None = None) -> TrainedModel:
     """Train the reference classifier for one predicate.
@@ -88,7 +89,7 @@ def train_reference_model(splits: PredicateDataSplits, *, resolution: int,
     network = build_reference_network(transform.shape, base_width=base_width,
                                       n_stages=n_stages,
                                       blocks_per_stage=blocks_per_stage,
-                                      rng=rng)
+                                      dense_units=dense_units, rng=rng)
 
     dataset = splits.train
     if augment:

@@ -92,20 +92,6 @@ class Catalog:
                 self.detach(name)
             return self.attach(name, corpus, retention=retention)
 
-    def set_retention(self, name: str,
-                      policy: RetentionPolicy | None) -> None:
-        """Set (or clear, with ``None``) table ``name``'s retention policy.
-
-        The policy takes effect at the next ingest or ``retain()`` call; it
-        never drops rows by itself.  Routed through the executor so the
-        change is journaled when the shard has a write-ahead log.
-        """
-        self.executor(name).set_retention(policy)
-
-    def retention(self, name: str) -> RetentionPolicy | None:
-        """Table ``name``'s retention policy (``None`` when unbounded)."""
-        return self.executor(name).retention
-
     def detach(self, name: str) -> None:
         """Drop table ``name``: executor state and its store namespace."""
         with self._lock:

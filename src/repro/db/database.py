@@ -45,13 +45,15 @@ from repro.baselines.reference import train_reference_model
 from repro.core.model import TrainedModel
 from repro.core.optimizer import TahomaConfig, TahomaOptimizer
 from repro.core.selector import UserConstraints
-from repro.costs.device import DEFAULT_DEVICE, DeviceProfile, calibrate_device
+from repro.costs.device import DEFAULT_DEVICE, DeviceProfile
 from repro.costs.profiler import CostProfiler
-from repro.costs.scenario import INFER_ONLY, Scenario, get_scenario
+from repro.costs.scenario import INFER_ONLY, Scenario
 from repro.data.corpus import ImageCorpus, PredicateDataSplits
+from repro.db import persistence
 from repro.db.catalog import DEFAULT_TABLE, FANOUT_TABLE, Catalog
 from repro.db.executor import QueryExecutor
-from repro.db.planner import QueryPlan, QueryPlanner, annotate_plan_dict
+from repro.db.planner import QueryPlan, annotate_plan_dict
+from repro.db.registry import PredicateRegistry
 from repro.db.results import (AggregateResultSet, FanoutResultSet, ResultSet,
                               build_result_set)
 from repro.db.retention import RetentionPolicy
@@ -61,11 +63,6 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import NO_SPAN, Tracer
 
 __all__ = ["VisualDatabase", "connect", "initialize_predicate"]
-
-#: ``reference_params`` keys consumed by the network *builder* (and therefore
-#: needed again at load time); the rest parameterize training only.
-_REFERENCE_BUILD_KEYS = ("base_width", "n_stages", "blocks_per_stage",
-                         "dense_units")
 
 
 def initialize_predicate(splits: PredicateDataSplits,
@@ -125,8 +122,8 @@ class VisualDatabase:
     device:
         Base compute-device profile for the analytic cost model.
     scenario:
-        Initial deployment scenario (a :class:`Scenario`, one of the paper's
-        scenario names, or a fully built :class:`CostProfiler`).
+        Initial deployment scenario (a :class:`Scenario` or one of the
+        paper's scenario names).
     cost_resolution:
         Resolution at which data-handling costs are priced (the paper's
         224 px camera frames), independent of the corpus rendering size.
@@ -171,7 +168,7 @@ class VisualDatabase:
                  corpus: ImageCorpus | Mapping[str, ImageCorpus] | None = None,
                  *,
                  device: DeviceProfile = DEFAULT_DEVICE,
-                 scenario: Scenario | str | CostProfiler = INFER_ONLY,
+                 scenario: Scenario | str = INFER_ONLY,
                  cost_resolution: int = 224,
                  source_resolution: int | None = None,
                  calibrate_target_fps: float | None = 75.0,
@@ -180,17 +177,8 @@ class VisualDatabase:
                  retention: RetentionPolicy
                  | Mapping[str, RetentionPolicy] | None = None,
                  plan_cache: bool | int = False) -> None:
-        self._device = device
         self._closed = False
         self._plan_cache = None
-        self._wal_root: Path | None = None
-        self._checkpoints = 0
-        self._device_calibrated = False
-        self._scenario: Scenario = INFER_ONLY
-        self._profiler_override: CostProfiler | None = None
-        self.cost_resolution = cost_resolution
-        self._source_resolution = source_resolution
-        self.calibrate_target_fps = calibrate_target_fps
         self.default_constraints = default_constraints or UserConstraints()
         self.store_budget = store_budget
 
@@ -202,8 +190,7 @@ class VisualDatabase:
         self._tracer = Tracer()
         self._catalog = Catalog(store_budget=store_budget,
                                 metrics=self._metrics)
-        self._optimizers: dict[str, TahomaOptimizer] = {}
-        self._reference_params: dict[str, dict] = {}
+        self._durability = persistence.Durability(self._catalog)
 
         if retention is not None and not isinstance(retention,
                                                     (RetentionPolicy, Mapping)):
@@ -223,7 +210,11 @@ class VisualDatabase:
             if unknown:
                 raise ValueError(f"retention names unknown tables {unknown}; "
                                  f"attached: {self.tables()}")
-        self.use_scenario(scenario)
+        self._registry = PredicateRegistry(
+            self._catalog, device=device, scenario=scenario,
+            cost_resolution=cost_resolution,
+            source_resolution=source_resolution,
+            calibrate_target_fps=calibrate_target_fps)
         if plan_cache:
             self.enable_plan_cache(plan_cache if isinstance(plan_cache, int)
                                    and not isinstance(plan_cache, bool)
@@ -270,7 +261,7 @@ class VisualDatabase:
         self._closed = True
         for name in self.tables():
             # No tombstone: the catalog teardown below is not a detach().
-            self._release_wal(name, tombstone=False)
+            self._durability.release(name, tombstone=False)
             self._catalog.detach(name)
         if self._plan_cache is not None:
             self._plan_cache.invalidate()
@@ -354,10 +345,9 @@ class VisualDatabase:
         # The replaced table's journal ends with a tombstone; the new
         # incarnation's baseline is journaled right after, in the same log,
         # so replay reproduces the replace.
-        self._release_wal(name, tombstone=True)
+        self._durability.release(name, tombstone=True)
         self._catalog.replace(name, corpus, retention=retention)
-        if self._wal_root is not None:
-            self._arm_wal(name, baseline=True)
+        self._durability.arm(name, baseline=True)
         self._invalidate_plans()
 
     def attach(self, name: str, corpus: ImageCorpus,
@@ -372,8 +362,7 @@ class VisualDatabase:
         """
         self._check_open()
         self._catalog.attach(name, corpus, retention=retention)
-        if self._wal_root is not None:
-            self._arm_wal(name, baseline=True)
+        self._durability.arm(name, baseline=True)
         self._invalidate_plans()
 
     def detach(self, name: str) -> None:
@@ -383,7 +372,7 @@ class VisualDatabase:
         recovery from an older checkpoint drops the table again.
         """
         self._check_open()
-        self._release_wal(name, tombstone=True)
+        self._durability.release(name, tombstone=True)
         self._catalog.detach(name)
         self._invalidate_plans()
 
@@ -400,12 +389,12 @@ class VisualDatabase:
         or immediately via :meth:`retain`.
         """
         self._check_open()
-        self._catalog.set_retention(table, policy)
+        self._catalog.executor(table).set_retention(policy)
         self._invalidate_plans()
 
     def retention_for(self, table: str) -> RetentionPolicy | None:
         """One table's retention policy (``None`` when unbounded)."""
-        return self._catalog.retention(table)
+        return self._catalog.executor(table).retention
 
     def retain(self, table: str | None = None) -> dict[str, int]:
         """Enforce retention windows now, without waiting for an ingest.
@@ -446,7 +435,7 @@ class VisualDatabase:
         """
         self._check_open()
         if materialize is None:
-            materialize = self._scenario.materializes_on_ingest
+            materialize = self.scenario.materializes_on_ingest
         executor = (self.executor if table is None
                     else self.executor_for(table))
         trace = self._tracer.trace("ingest", table=executor.table or "-",
@@ -499,7 +488,7 @@ class VisualDatabase:
         table (each shard keeps its own materialized labels).
         """
         self._check_open()
-        if name in self._optimizers:
+        if name in self._registry.optimizers:
             raise ValueError(f"predicate {name!r} already registered")
         optimizer, _ = initialize_predicate(
             splits, config, reference_params=reference_params,
@@ -519,49 +508,33 @@ class VisualDatabase:
         database can be saved and reloaded.
         """
         self._check_open()
-        if name in self._optimizers:
-            raise ValueError(f"predicate {name!r} already registered")
-        self._optimizers[name] = optimizer
-        self._reference_params[name] = self._build_params(reference_params)
-        self._maybe_calibrate(optimizer.reference_model)
+        if self._registry.register(name, optimizer, reference_params):
+            # Plans cached so far were priced on the uncalibrated device.
+            self._invalidate_plans()
 
     def predicates(self) -> list[str]:
         """All registered predicate names."""
-        return sorted(self._optimizers)
+        return sorted(self._registry.optimizers)
 
     def optimizer(self, name: str) -> TahomaOptimizer:
         """The (initialized) optimizer for one predicate."""
         try:
-            return self._optimizers[name]
+            return self._registry.optimizers[name]
         except KeyError:
             raise KeyError(f"unknown predicate {name!r}; "
                            f"registered: {self.predicates()}") from None
 
-    @staticmethod
-    def _build_params(reference_params: dict | None) -> dict:
-        """The subset of reference params the network *builder* needs."""
-        params = reference_params or {}
-        return {key: params[key] for key in _REFERENCE_BUILD_KEYS
-                if key in params}
-
-    def _maybe_calibrate(self, reference: TrainedModel | None) -> None:
-        """Anchor the device rate to the first reference classifier."""
-        if (reference is None or self._device_calibrated
-                or self.calibrate_target_fps is None):
-            return
-        self._device = calibrate_device(self._device, reference.flops,
-                                        target_fps=self.calibrate_target_fps)
-        self._device_calibrated = True
-        # Plans cached so far were priced on the uncalibrated device.
-        self._invalidate_plans()
-
     # -- deployment scenario ---------------------------------------------------
-    def use_scenario(self, scenario: Scenario | str | CostProfiler) -> None:
+    @property
+    def registry(self) -> PredicateRegistry:
+        """Registered predicates and the device/scenario pricing them."""
+        return self._registry
+
+    def use_scenario(self, scenario: Scenario | str) -> None:
         """Switch the deployment scenario all following queries are priced for.
 
-        Accepts one of the paper's scenario names (``"archive"``, ...), a
-        :class:`Scenario`, or a fully built :class:`CostProfiler` for complete
-        control over device and resolutions.
+        Accepts one of the paper's scenario names (``"archive"``, ...) or a
+        :class:`Scenario`; anything else raises :class:`TypeError`.
 
         Switching is safe at any time: executors key materialized labels
         by the cascade that produced them, so a newly selected cascade never
@@ -570,38 +543,28 @@ class VisualDatabase:
         """
         self._check_open()
         self._invalidate_plans()
-        if isinstance(scenario, CostProfiler):
-            self._profiler_override = scenario
-            self._scenario = scenario.scenario
-            return
-        if isinstance(scenario, str):
-            scenario = get_scenario(scenario)
-        self._profiler_override = None
-        self._scenario = scenario
+        self._registry.use_scenario(scenario)
 
     @property
     def scenario(self) -> Scenario:
-        return self._scenario
+        return self._registry.scenario
 
     @property
     def device(self) -> DeviceProfile:
-        return self._device
+        return self._registry.device
+
+    @property
+    def cost_resolution(self) -> int:
+        return self._registry.cost_resolution
+
+    @property
+    def calibrate_target_fps(self) -> float | None:
+        return self._registry.calibrate_target_fps
 
     @property
     def profiler(self) -> CostProfiler:
         """The cost profiler for the active scenario (rebuilt on demand)."""
-        if self._profiler_override is not None:
-            return self._profiler_override
-        source = self._source_resolution
-        if source is None and len(self._catalog) > 0:
-            first = self._catalog.default_table() or self.tables()[0]
-            source = self._catalog.executor(first).corpus.image_size
-        if source is None:
-            raise RuntimeError("cannot price costs without a corpus; register "
-                               "one or pass source_resolution=")
-        return CostProfiler(self._device, self._scenario,
-                            source_resolution=source,
-                            cost_resolution=self.cost_resolution)
+        return self._registry.profiler_for()
 
     # -- queries ---------------------------------------------------------------
     def _parse(self, sql: str,
@@ -614,33 +577,6 @@ class VisualDatabase:
                            or self.default_constraints,
                            known_tables=known + [FANOUT_TABLE]
                            if known else None)
-
-    def _profiler_for(self, table: str | None) -> CostProfiler:
-        """The cost profiler pricing one shard's plan.
-
-        Shards may render at different resolutions; unless the database was
-        given an explicit profiler or ``source_resolution``, each table's
-        data-handling costs are priced at *its own* corpus resolution.
-        """
-        if (self._profiler_override is not None
-                or self._source_resolution is not None
-                or table is None or table not in self._catalog):
-            return self.profiler
-        return CostProfiler(
-            self._device, self._scenario,
-            source_resolution=self._catalog.executor(table).corpus.image_size,
-            cost_resolution=self.cost_resolution)
-
-    def _planner_for(self, table: str | None) -> QueryPlanner:
-        # Selectivity is refreshed from that shard's materialized virtual
-        # columns (when a cascade has classified rows already — including
-        # rows just ingested) so predicate ordering tracks each shard's
-        # corpus, not the balanced eval set.
-        hook = None
-        if table is not None and table in self._catalog:
-            hook = self._catalog.executor(table).observed_positive_rate
-        return QueryPlanner(self._optimizers, self._profiler_for(table),
-                            selectivity_hook=hook, metrics=self._metrics)
 
     def _resolve_single_table(self, query: Query) -> str:
         if query.table in self._catalog:
@@ -679,10 +615,9 @@ class VisualDatabase:
         """Lower one parsed query to its plan(s); a dict means fan-out,
         planned once per shard with that shard's observed selectivity."""
         if tables is not None or query.table == FANOUT_TABLE:
-            return {table: self._planner_for(table).plan(query, table=table)
+            return {table: self._registry.plan(query, table)
                     for table in self._fanout_targets(query, tables)}
-        table = self._resolve_single_table(query)
-        return self._planner_for(table).plan(query, table=table)
+        return self._registry.plan(query, self._resolve_single_table(query))
 
     def _plan_for(self, sql: str, constraints: UserConstraints | None,
                   tables: Iterable[str] | None
@@ -700,7 +635,7 @@ class VisualDatabase:
         if cache is None or tables is not None:
             return self._plan_query(self._parse(sql, constraints), tables)
         effective = constraints or self.default_constraints
-        key, literals = cache.key_for(sql, effective, self._scenario.name)
+        key, literals = cache.key_for(sql, effective, self.scenario.name)
         status, entry = cache.lookup(key, literals)
         if status == "hit":
             return entry.plans
@@ -861,7 +796,12 @@ class VisualDatabase:
     @property
     def wal_root(self) -> Path | None:
         """The write-ahead-log root directory (``None`` = durability off)."""
-        return self._wal_root
+        return self._durability.root
+
+    @property
+    def durability(self) -> persistence.Durability:
+        """The write-ahead-log lifecycle (root, checkpoints, journals)."""
+        return self._durability
 
     def enable_wal(self, root: str | Path) -> Path:
         """Turn on write-ahead logging under ``root`` and take the first
@@ -878,21 +818,7 @@ class VisualDatabase:
         Raises :class:`RuntimeError` when a WAL is already enabled.
         """
         self._check_open()
-        if self._wal_root is not None:
-            raise RuntimeError(f"write-ahead log already enabled under "
-                               f"{self._wal_root}")
-        self._wal_root = Path(root)
-        try:
-            for name in self.tables():
-                # No baseline records: the initial checkpoint below captures
-                # the current corpora; the log only carries what follows.
-                self._arm_wal(name, baseline=False)
-            return self.save(self._wal_root)
-        except BaseException:
-            for name in self.tables():
-                self._release_wal(name, tombstone=False)
-            self._wal_root = None
-            raise
+        return self._durability.enable(self, root)
 
     def checkpoint(self) -> Path:
         """Fold the write-ahead log into a fresh checkpoint image.
@@ -905,10 +831,7 @@ class VisualDatabase:
         :meth:`enable_wal` first.
         """
         self._check_open()
-        if self._wal_root is None:
-            raise RuntimeError("no write-ahead log; call enable_wal(root) "
-                               "before checkpoint()")
-        return self.save(self._wal_root)
+        return self._durability.checkpoint(self)
 
     def storage_stats(self) -> dict:
         """Storage-engine counters: per-table segments/WAL depth, store bytes.
@@ -918,57 +841,11 @@ class VisualDatabase:
         them and WAL length (is a ``checkpoint()`` due?) per shard.
         """
         return {
-            "wal_enabled": self._wal_root is not None,
-            "wal_root": (str(self._wal_root)
-                         if self._wal_root is not None else None),
-            "checkpoints": self._checkpoints,
+            **self._durability.stats(),
             "store_bytes": self._catalog.store.total_bytes_stored(),
             "tables": {name: self._catalog.executor(name).stats()
                        for name in self.tables()},
         }
-
-    def _arm_wal(self, name: str, *, baseline: bool) -> None:
-        """Open ``name``'s journal and attach it to the executor.
-
-        ``baseline=True`` journals the table's current corpus as an
-        ``attach`` record first (a table attached *between* checkpoints
-        exists only in the log); ``baseline=False`` is for
-        :meth:`enable_wal`, where the initial checkpoint carries the
-        corpora.
-        """
-        from repro.data.corpus import CorpusSegment
-        from repro.db.wal import TableWal
-
-        executor = self._catalog.executor(name)
-        wal = TableWal(self._wal_root, name, metrics=self._metrics)
-        if baseline:
-            corpus = executor.corpus
-            wal.log_attach(
-                CorpusSegment.build(corpus.images, corpus.metadata,
-                                    corpus.content),
-                id_offset=executor.id_offset)
-            if executor.retention is not None:
-                wal.log_retention(executor.retention.to_dict())
-        executor.set_wal(wal)
-
-    def _release_wal(self, name: str, *, tombstone: bool) -> None:
-        """Take ``name``'s journal off its executor and close it.
-
-        ``tombstone`` journals a ``detach`` record first — the table is
-        going away (or being replaced) and recovery must drop it too.
-        Without it the table comes back at the next load.  A table that is
-        unknown or not journaled is left alone.
-        """
-        if name not in self._catalog:
-            return
-        executor = self._catalog.executor(name)
-        wal = executor.wal
-        if wal is None:
-            return
-        executor.set_wal(None)
-        if tombstone:
-            wal.log_detach()
-        wal.close()
 
     # -- persistence -----------------------------------------------------------
     def save(self, path: str | Path) -> Path:
@@ -985,10 +862,8 @@ class VisualDatabase:
         :func:`~repro.core.persistence.save_optimizer` and
         :meth:`register_optimizer`.
         """
-        from repro.db.persistence import save_database
-
         self._check_open()
-        return save_database(self, path)
+        return persistence.save_database(self, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "VisualDatabase":
@@ -1001,9 +876,7 @@ class VisualDatabase:
         to its last complete frame (the torn frame of an interrupted append
         is truncated; damage elsewhere in the log raises :class:`ValueError`).
         """
-        from repro.db.persistence import load_database
-
-        return load_database(path)
+        return persistence.load_database(path)
 
     # -- introspection ---------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -1011,7 +884,7 @@ class VisualDatabase:
                 for name in self.tables()}
         return (f"VisualDatabase(tables={rows}, "
                 f"predicates={self.predicates()}, "
-                f"scenario={self._scenario.name!r})")
+                f"scenario={self.scenario.name!r})")
 
 
 def connect(corpus: ImageCorpus | Mapping[str, ImageCorpus] | None = None,

@@ -66,7 +66,9 @@ import os
 import re
 import shutil
 from collections.abc import Iterable
+from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -76,11 +78,16 @@ from repro.core.selector import UserConstraints
 from repro.costs.device import DeviceProfile
 from repro.costs.scenario import Scenario
 from repro.data.corpus import CorpusSegment, ImageCorpus
-from repro.db.database import VisualDatabase
+from repro.db.catalog import Catalog
 from repro.db.retention import RetentionPolicy
+from repro.db.wal import TableWal, fsync_dir, wal_dir, wal_tables
 from repro.storage.tiers import StorageTier
 
-__all__ = ["save_database", "load_database", "DEFAULT_STORE_BYTES_CAP"]
+if TYPE_CHECKING:
+    from repro.db.database import VisualDatabase
+
+__all__ = ["save_database", "load_database", "Durability",
+           "DEFAULT_STORE_BYTES_CAP"]
 
 _FORMAT_VERSION = 5
 
@@ -104,38 +111,10 @@ _REPLAY_BATCH = 64
 
 
 # -- component (de)serialization ------------------------------------------------
-def _tier_to_dict(tier: StorageTier) -> dict:
-    return {"name": tier.name,
-            "bandwidth_bytes_per_s": tier.bandwidth_bytes_per_s,
-            "latency_s": tier.latency_s}
-
-
-def _scenario_to_dict(scenario: Scenario) -> dict:
-    return {"name": scenario.name,
-            "include_load": scenario.include_load,
-            "include_transform": scenario.include_transform,
-            "load_full_image": scenario.load_full_image,
-            "load_tier": _tier_to_dict(scenario.load_tier),
-            "compressed": scenario.compressed,
-            "description": scenario.description}
-
-
 def _scenario_from_dict(data: dict) -> Scenario:
     data = dict(data)
     data["load_tier"] = StorageTier(**data["load_tier"])
     return Scenario(**data)
-
-
-def _device_to_dict(device: DeviceProfile) -> dict:
-    return {"name": device.name,
-            "flops_per_second": device.flops_per_second,
-            "transform_seconds_per_value": device.transform_seconds_per_value,
-            "inference_overhead_s": device.inference_overhead_s}
-
-
-def _constraints_to_dict(constraints: UserConstraints) -> dict:
-    return {"max_accuracy_loss": constraints.max_accuracy_loss,
-            "min_throughput": constraints.min_throughput}
 
 
 def _load_corpus(path: Path) -> ImageCorpus:
@@ -274,8 +253,6 @@ def _fsync_image_dir(directory: Path) -> None:
     """Make one table's freshly written image files durable (checkpoints
     only): a checkpoint manifest must never reference files the page cache
     could still lose."""
-    from repro.db.wal import fsync_dir
-
     for child in directory.iterdir():
         if child.is_file():
             _fsync_file(child)
@@ -335,13 +312,14 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    checkpointing = (db._wal_root is not None
-                     and Path(db._wal_root).resolve() == root.resolve())
+    durability, registry = db.durability, db.registry
+    checkpointing = (durability.root is not None
+                     and durability.root.resolve() == root.resolve())
 
     names = db.predicates()
     for name in names:
-        save_optimizer(db._optimizers[name], root / _PREDICATES_DIR / name,
-                       reference_params=db._reference_params.get(name) or {})
+        save_optimizer(registry.optimizers[name], root / _PREDICATES_DIR / name,
+                       reference_params=registry.reference_params[name])
 
     # The arrays are immutable by convention, so everything after the
     # captures — cap selection, serialization — happens lock-free.
@@ -387,15 +365,15 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
 
     manifest = {
         "format_version": _FORMAT_VERSION,
-        "scenario": _scenario_to_dict(db.scenario),
-        "device": _device_to_dict(db.device),
-        "device_calibrated": db._device_calibrated,
-        "cost_resolution": db.cost_resolution,
-        "source_resolution": db._source_resolution,
-        "calibrate_target_fps": db.calibrate_target_fps,
-        "default_constraints": _constraints_to_dict(db.default_constraints),
+        "scenario": asdict(registry.scenario),
+        "device": asdict(registry.device),
+        "device_calibrated": registry.device_calibrated,
+        "cost_resolution": registry.cost_resolution,
+        "source_resolution": registry.source_resolution,
+        "calibrate_target_fps": registry.calibrate_target_fps,
+        "default_constraints": asdict(db.default_constraints),
         "predicates": [{"name": name,
-                        "reference_params": db._reference_params.get(name) or {}}
+                        "reference_params": registry.reference_params[name]}
                        for name in names],
         "store": {"byte_budget": db.store_budget},
         "tables": tables,
@@ -411,8 +389,6 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
         _fsync_file(tmp_manifest)
     os.replace(tmp_manifest, root / _MANIFEST_FILE)
     if checkpointing:
-        from repro.db.wal import fsync_dir
-
         fsync_dir(root)
 
     # Only after the manifest is in place: drop whatever it superseded —
@@ -420,13 +396,11 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
     # tables since detached.
     _prune_stale_images(root, tables)
     if checkpointing:
-        db._checkpoints += 1
+        durability.checkpoints += 1
         for table, image in images.items():
             wal = db.executor_for(table).wal
             if wal is not None and image.wal_generation is not None:
                 wal.prune(image.wal_generation)
-        from repro.db.wal import wal_dir, wal_tables
-
         live = set(db.tables())
         for name in wal_tables(root):
             if name not in live:
@@ -461,6 +435,8 @@ def load_database(root: str | Path) -> VisualDatabase:
             f"it from a checkout of commit 2c4153f, the last one that reads "
             f"format 4 (f60db2e for formats 1-3)")
 
+    from repro.db.database import VisualDatabase
+
     db = VisualDatabase(
         device=DeviceProfile(**manifest["device"]),
         scenario=_scenario_from_dict(manifest["scenario"]),
@@ -471,13 +447,12 @@ def load_database(root: str | Path) -> VisualDatabase:
         store_budget=manifest["store"]["byte_budget"])
     # The stored device already carries any calibration that happened before
     # the save; don't re-anchor it against reloaded reference models.
-    db._device_calibrated = bool(manifest["device_calibrated"])
+    db.registry.device_calibrated = bool(manifest["device_calibrated"])
 
     for entry in manifest["predicates"]:
-        name = entry["name"]
-        optimizer = load_optimizer(root / _PREDICATES_DIR / name)
-        db._optimizers[name] = optimizer
-        db._reference_params[name] = dict(entry["reference_params"])
+        db.register_optimizer(
+            entry["name"], load_optimizer(root / _PREDICATES_DIR / entry["name"]),
+            reference_params=entry["reference_params"])
 
     for entry in manifest["tables"]:
         table = entry["name"]
@@ -496,35 +471,103 @@ def load_database(root: str | Path) -> VisualDatabase:
         _load_store_arrays(executor, table_dir, entry["store_arrays"])
 
     if manifest["wal"]["enabled"]:
-        _recover_wal(db, root, manifest)
+        db.durability.recover(db, root, manifest)
     return db
 
 
-# -- WAL recovery ----------------------------------------------------------------
-def _recover_wal(db: VisualDatabase, root: Path, manifest: dict) -> None:
-    """Replay every table's journal tail over the checkpoint image.
+# -- WAL lifecycle ----------------------------------------------------------------
+class Durability:
+    """One database's write-ahead-log lifecycle: ``root`` holds the journals
+    and checkpoints (``None`` = durability off), ``checkpoints`` counts those
+    taken, and each table's :class:`~repro.db.wal.TableWal` is armed and
+    released here as tables come and go."""
 
-    Each table replays independently (journals are per shard, and a shard's
-    log is self-contained), from its manifest generation floor onward.
-    Tables attached after the checkpoint exist only in the WAL (an
-    ``attach`` record carries their baseline corpus); tables detached after
-    it are removed again by their ``detach`` tombstone.  Journaling is
-    armed only after replay, so replay itself never re-journals.
-    """
-    from repro.db.wal import TableWal, wal_tables
+    def __init__(self, catalog: Catalog) -> None:
+        self.catalog = catalog
+        self.root: Path | None = None
+        self.checkpoints = 0
 
-    generation_floor = {entry["name"]: int(entry.get("wal_generation", 0))
-                        for entry in manifest["tables"]}
-    for table in wal_tables(root):
-        wal = TableWal(root, table)  # truncates any torn tail
-        floor = generation_floor.get(table, 0)
-        _replay_table(db, table, wal.records(from_generation=floor))
-        if table in db.catalog:
-            wal.prune(floor)
-            db.executor_for(table).set_wal(wal)
-        else:
-            wal.close()
-    db._wal_root = root
+    def stats(self) -> dict:
+        return {"wal_enabled": self.root is not None,
+                "wal_root": str(self.root) if self.root is not None else None,
+                "checkpoints": self.checkpoints}
+
+    def enable(self, db: VisualDatabase, root: str | Path) -> Path:
+        """Journal every table under ``root`` and take the first checkpoint."""
+        if self.root is not None:
+            raise RuntimeError(f"write-ahead log already enabled under "
+                               f"{self.root}")
+        self.root = Path(root)
+        try:
+            for name in self.catalog.tables():
+                # No baseline records: the initial checkpoint below captures
+                # the current corpora; the log only carries what follows.
+                self.arm(name, baseline=False)
+            return save_database(db, self.root)
+        except BaseException:
+            for name in self.catalog.tables():
+                self.release(name, tombstone=False)
+            self.root = None
+            raise
+
+    def checkpoint(self, db: VisualDatabase) -> Path:
+        if self.root is None:
+            raise RuntimeError("no write-ahead log; call enable_wal(root) "
+                               "before checkpoint()")
+        return save_database(db, self.root)
+
+    def arm(self, name: str, *, baseline: bool) -> None:
+        """Open ``name``'s journal on its executor (no-op while off);
+        ``baseline`` first journals the current corpus as an ``attach``
+        record — a table attached between checkpoints exists only in the
+        log — while :meth:`enable`'s initial checkpoint carries the corpora."""
+        if self.root is None:
+            return
+        executor = self.catalog.executor(name)
+        wal = TableWal(self.root, name, metrics=self.catalog.metrics)
+        if baseline:
+            corpus = executor.corpus
+            wal.log_attach(
+                CorpusSegment.build(corpus.images, corpus.metadata,
+                                    corpus.content),
+                id_offset=executor.id_offset)
+            if executor.retention is not None:
+                wal.log_retention(executor.retention.to_dict())
+        executor.set_wal(wal)
+
+    def release(self, name: str, *, tombstone: bool) -> None:
+        """Take ``name``'s journal (if any) off its executor and close it;
+        ``tombstone`` journals a ``detach`` record first so recovery drops
+        the table too — without it the table comes back at the next load."""
+        if name not in self.catalog:
+            return
+        executor = self.catalog.executor(name)
+        wal = executor.wal
+        if wal is None:
+            return
+        executor.set_wal(None)
+        if tombstone:
+            wal.log_detach()
+        wal.close()
+
+    def recover(self, db: VisualDatabase, root: Path, manifest: dict) -> None:
+        """Replay every table's journal tail over the checkpoint image, each
+        from its manifest generation floor (journals are per shard and
+        self-contained).  An ``attach`` record brings back a table attached
+        after the checkpoint, a ``detach`` tombstone drops one again; the
+        journals are armed only after replay, so replay never re-journals."""
+        generation_floor = {entry["name"]: int(entry.get("wal_generation", 0))
+                            for entry in manifest["tables"]}
+        for table in wal_tables(root):
+            wal = TableWal(root, table)  # truncates any torn tail
+            floor = generation_floor.get(table, 0)
+            _replay_table(db, table, wal.records(from_generation=floor))
+            if table in self.catalog:
+                wal.prune(floor)
+                self.catalog.executor(table).set_wal(wal)
+            else:
+                wal.close()
+        self.root = root
 
 
 def _replay_table(db: VisualDatabase, table: str,

@@ -49,9 +49,7 @@ class Query:
     ``limit`` caps the number of returned rows (result *groups* for an
     aggregate query).  ``table`` is the ``FROM`` target — a catalog table
     name, or the virtual ``all_cameras`` table that fans the query out
-    across every shard.  ``explain_analyze`` marks a query prefixed with
-    ``EXPLAIN ANALYZE``: it executes normally, but the caller returns the
-    annotated plan (estimated vs. actual per node) instead of the rows.
+    across every shard.
     """
 
     metadata_predicates: tuple[MetadataPredicate, ...] = ()
@@ -63,7 +61,6 @@ class Query:
     select: tuple[SelectItem, ...] | None = None
     group_by: tuple[str, ...] = ()
     order_by: tuple[OrderItem, ...] = ()
-    explain_analyze: bool = False
 
     def __post_init__(self) -> None:
         if self.where is None:

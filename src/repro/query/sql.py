@@ -8,7 +8,7 @@ This module parses the dialect into a :class:`~repro.query.model.Query`
 via the AST node types of :mod:`repro.query.ast`.  Supported grammar
 (case-insensitive keywords)::
 
-    query      := [EXPLAIN ANALYZE] SELECT select_list FROM <table>
+    query      := SELECT select_list FROM <table>
                   [WHERE expr]
                   [GROUP BY column [, column]*]
                   [ORDER BY order_key [ASC|DESC] [, order_key [ASC|DESC]]*]
@@ -36,10 +36,10 @@ optional — ``SELECT * FROM images LIMIT 5`` is a plain scan/preview.  In an
 aggregate query every non-aggregate SELECT item must appear in GROUP BY, and
 ORDER BY keys must be group columns or aggregates from the SELECT list.
 
-An ``EXPLAIN ANALYZE`` prefix marks the query for profiled execution: it
-runs normally, but ``db.execute`` returns the plan tree annotated with
-estimated vs. actual selectivity, rows classified and elapsed time per node
-instead of a result set (``db.explain_analyze`` is the direct API).
+Only :func:`split_explain_analyze` recognises an ``EXPLAIN ANALYZE`` prefix
+(:func:`parse_query` rejects it): ``db.execute`` strips it, runs the query
+and returns the plan annotated with estimated vs. actual selectivity, rows
+classified and time per node (``db.explain_analyze`` is the direct API).
 """
 
 from __future__ import annotations
@@ -390,10 +390,7 @@ def parse_query(sql: str,
     """
     if not sql or not sql.strip():
         raise SqlParseError("empty query")
-    explain_analyze, body = split_explain_analyze(sql)
-    if explain_analyze and not body.strip():
-        raise SqlParseError("EXPLAIN ANALYZE needs a SELECT statement")
-    parsed = _Parser(body).parse()
+    parsed = _Parser(sql).parse()
 
     table = parsed["table"]
     if known_tables is not None:
@@ -408,5 +405,4 @@ def parse_query(sql: str,
                  where=parsed["where"],
                  select=parsed["select"],
                  group_by=parsed["group_by"],
-                 order_by=parsed["order_by"],
-                 explain_analyze=explain_analyze)
+                 order_by=parsed["order_by"])

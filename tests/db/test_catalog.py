@@ -212,8 +212,9 @@ class TestFanout:
         # CAMERA pays per-pixel transform cost: the hi-res shard's selected
         # cascade must be priced at least as high as the lo-res shard's for
         # the same cascade choice, and the profilers must differ.
-        assert db._profiler_for("cam_hires").source_resolution == 2 * TINY_SIZE
-        assert db._profiler_for("cam_north").source_resolution == TINY_SIZE
+        profiler_for = db.registry.profiler_for
+        assert profiler_for("cam_hires").source_resolution == 2 * TINY_SIZE
+        assert profiler_for("cam_north").source_resolution == TINY_SIZE
         for plan in plans.values():
             assert plan.content_steps[0].cost_per_image_s > 0
 

@@ -139,9 +139,9 @@ class TestScenarios:
         assert (camera_plan.content_steps[0].cost_per_image_s
                 >= infer_plan.content_steps[0].cost_per_image_s)
 
-    def test_use_scenario_accepts_profiler(self, db, camera_profiler):
-        db.use_scenario(camera_profiler)
-        assert db.profiler is camera_profiler
+    def test_use_scenario_rejects_a_profiler(self, db, camera_profiler):
+        with pytest.raises(TypeError, match="Scenario or a scenario name"):
+            db.use_scenario(camera_profiler)
         assert db.scenario.name == "camera"
 
     def test_unknown_scenario_name(self, db):
@@ -204,6 +204,26 @@ class TestRegisterPredicate:
         results = database.execute(SQL)
         assert "contains_komondor" in results.columns
         assert results.images_classified["komondor"] > 0
+
+    def test_reference_built_with_dense_units_round_trips(
+            self, corpus, tiny_splits, tiny_device, tmp_path):
+        database = connect(corpus, device=tiny_device, scenario=CAMERA,
+                           calibrate_target_fps=None,
+                           default_constraints=CONSTRAINED)
+        database.register_predicate(
+            "komondor", tiny_splits, config=self._tiny_config(),
+            reference_params={"epochs": 1, "base_width": 4, "n_stages": 1,
+                              "blocks_per_stage": 1, "dense_units": 8})
+        before = database.execute(SQL)
+        reloaded = VisualDatabase.load(database.save(tmp_path / "vdb"))
+        after = reloaded.execute(SQL)
+        np.testing.assert_array_equal(after.image_ids, before.image_ids)
+        images = corpus.images[:6]
+        np.testing.assert_array_equal(
+            reloaded.optimizer("komondor").reference_model
+            .predict_proba(images),
+            database.optimizer("komondor").reference_model
+            .predict_proba(images))
 
     def test_registration_without_reference_answers(self, corpus,
                                                     tiny_splits, tiny_device):

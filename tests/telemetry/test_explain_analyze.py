@@ -14,7 +14,8 @@ from repro.costs.scenario import CAMERA
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
 from repro.db import connect as db_connect
-from repro.query.ast import SqlParseError
+import repro.query.sql as sql_module
+from repro.query.ast import SqlParseError, tokenize
 from repro.query.sql import parse_query, split_explain_analyze
 from repro.server import connect, serve
 from repro.telemetry.metrics import CATALOG
@@ -67,10 +68,21 @@ class TestSplitExplainAnalyze:
         analyze, _ = split_explain_analyze("EXPLAIN SELECT * FROM images")
         assert analyze is False
 
-    def test_parse_query_sets_the_flag(self):
-        query = parse_query("EXPLAIN ANALYZE SELECT * FROM images")
-        assert query.explain_analyze is True
-        assert parse_query("SELECT * FROM images").explain_analyze is False
+    def test_parse_query_rejects_the_prefix(self):
+        # The facade strips the prefix; the parser never sees it.
+        with pytest.raises(SqlParseError):
+            parse_query("EXPLAIN ANALYZE SELECT * FROM images")
+
+    def test_parse_query_tokenizes_once(self, monkeypatch):
+        calls = []
+
+        def counting(sql):
+            calls.append(sql)
+            return tokenize(sql)
+
+        monkeypatch.setattr(sql_module, "tokenize", counting)
+        parse_query("SELECT * FROM images WHERE contains_object(komondor)")
+        assert len(calls) == 1
 
     def test_analyze_without_select_rejected(self):
         with pytest.raises(SqlParseError):
