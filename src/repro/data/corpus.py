@@ -1,9 +1,16 @@
-"""Labeled datasets, per-predicate splits and a queryable image corpus."""
+"""Labeled datasets, per-predicate splits and a queryable image corpus.
+
+The corpus is a streaming window: one set of column buffers with a live row
+range, appended batches waiting beside it until a read folds them in, and
+retention moving the range's start.  Arrays it hands out are read-only views
+whose bytes are never written again.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -155,17 +162,17 @@ def build_predicate_splits(category: CategoryDef, *, n_train: int = 240,
 class CorpusSegment:
     """One immutable run of corpus rows: images plus aligned columns.
 
-    Segments are the storage unit of the streaming engine: every
-    :meth:`ImageCorpus.append` creates one, retention drops whole ones from
-    the front (splitting only the boundary segment), and the write-ahead log
-    journals them as durable records.  A segment is never mutated after
-    construction — readers holding a reference (a query snapshot, a pending
-    WAL write) keep a consistent view while the corpus moves on.
+    Segments are the exchange unit of the streaming engine: every
+    :meth:`ImageCorpus.append` batch waits as one until a read folds it into
+    the corpus's window buffer, the write-ahead log journals them as durable
+    records, and a checkpoint image is one.  A segment is never mutated after
+    construction — readers holding a reference (a pending WAL write, a
+    replay) keep a consistent view while the corpus moves on.
     """
 
     images: np.ndarray
-    metadata: dict[str, np.ndarray]
-    content: dict[str, np.ndarray]
+    metadata: Mapping[str, np.ndarray]
+    content: Mapping[str, np.ndarray]
 
     def __len__(self) -> int:
         return int(self.images.shape[0])
@@ -208,39 +215,18 @@ class CorpusSegment:
         return CorpusSegment(images=arrays["images"], metadata=metadata,
                              content=content)
 
-    def tail(self, start: int) -> "CorpusSegment":
-        """A new segment holding rows ``start:`` (copied, never a view).
-
-        Copies so the dropped front rows' memory is actually released —
-        retention splitting a boundary segment must free bytes.
-        """
-        return CorpusSegment(
-            images=self.images[start:].copy(),
-            metadata={key: values[start:].copy()
-                      for key, values in self.metadata.items()},
-            content={key: values[start:].copy()
-                     for key, values in self.content.items()})
-
-    @staticmethod
-    def merge(segments: list["CorpusSegment"]) -> "CorpusSegment":
-        """Fold several adjacent segments into one (row order preserved)."""
-        if len(segments) == 1:
-            return segments[0]
-        return CorpusSegment(
-            images=np.concatenate([seg.images for seg in segments], axis=0),
-            metadata={key: np.concatenate([seg.metadata[key]
-                                           for seg in segments])
-                      for key in segments[0].metadata},
-            content={key: np.concatenate([seg.content[key]
-                                          for seg in segments])
-                     for key in segments[0].content})
-
 
 def _column(key: str, values, n: int, kind: str) -> np.ndarray:
     array = np.asarray(values)
     if array.shape[0] != n:
         raise ValueError(f"{kind} column {key!r} has wrong length")
     return array
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 class ImageCorpus:
@@ -251,123 +237,134 @@ class ImageCorpus:
     engine never reads it (it exists to check query results in tests and
     experiments).
 
-    Internally the corpus is an ordered list of immutable
-    :class:`CorpusSegment` objects — every :meth:`append` adds one in O(batch)
-    and :meth:`drop_oldest` pops whole segments from the front, so streaming
-    ingest and retention never copy the surviving history.  The monolithic
-    ``images`` / ``metadata`` / ``content`` views the query engine consumes
-    are built lazily on first read (and the segment list collapses to the
-    consolidated form, so memory is never held twice).
+    Internally the corpus is a streaming window: one column buffer per
+    :meth:`CorpusSegment.to_arrays` name, of which rows ``[start, stop)`` are
+    live.  :meth:`append` only queues its batch as a :class:`CorpusSegment`
+    (nothing is copied).  A read or a :meth:`drop_oldest` first folds the
+    queued rows into the spare capacity past ``stop``; when they do not fit,
+    or a column's dtype widens (a longer string), fresh buffers of twice the
+    live rows are allocated and the dropped rows' memory goes with the old
+    ones.  :meth:`drop_oldest` then just advances ``start``.
+
+    Memory contract: ``images``, ``metadata``, ``content``,
+    :meth:`images_from` and :meth:`metadata_arrays` return read-only views
+    (and read-only mappings), and the bytes inside any view ever returned
+    are never written again — folding writes only past ``stop`` — so a query
+    snapshot or a pending WAL write holds a consistent corpus without a
+    copy.  Dropped rows stay allocated until the next reallocation, which
+    sizes the buffer at twice the rows it then holds.
     """
 
     def __init__(self, images: np.ndarray,
                  metadata: dict[str, np.ndarray] | None = None,
-                 content: dict[str, np.ndarray] | None = None, *,
-                 _segments: list[CorpusSegment] | None = None) -> None:
-        if _segments is not None:
-            if not _segments:
-                raise ValueError("corpus needs at least one segment")
-            self._segments = list(_segments)
-        else:
-            self._segments = [CorpusSegment.build(images, metadata or {},
-                                                  content or {})]
+                 content: dict[str, np.ndarray] | None = None) -> None:
+        # The caller's arrays become the first buffer as they are: it has no
+        # spare capacity, so the first fold reallocates and they are never
+        # written.
+        self._buffer = CorpusSegment.build(images, metadata or {},
+                                           content or {}).to_arrays()
+        self._start = 0
+        self._stop = int(self._buffer["images"].shape[0])
+        self._pending: list[CorpusSegment] = []
+        # Live plus pending rows; a fold leaves it alone, so len() never
+        # reads a half-folded state.
+        self._rows = self._stop
+        # Read-only views of [start, stop), rebuilt after a fold or a drop.
+        self._view: CorpusSegment | None = None
 
-    # -- consolidated views --------------------------------------------------
-    def _consolidated(self) -> CorpusSegment:
-        """The whole corpus as one segment (collapses the segment list).
+    # -- views ---------------------------------------------------------------
+    def _window(self) -> CorpusSegment:
+        """The folded rows ``[start, stop)`` as read-only views (pending
+        batches are not folded)."""
+        if self._view is None:
+            live = CorpusSegment.from_arrays(
+                {name: _read_only(column[self._start:self._stop])
+                 for name, column in self._buffer.items()})
+            self._view = CorpusSegment(live.images,
+                                       MappingProxyType(live.metadata),
+                                       MappingProxyType(live.content))
+        return self._view
 
-        Collapsing (instead of caching alongside) keeps peak memory at one
-        copy of the corpus; the segment structure only needs to survive
-        between mutations and the next read, which is exactly when it saves
-        the O(corpus) concatenations the old grow-in-place arrays paid on
-        every append.
-        """
-        if len(self._segments) > 1:
-            self._segments = [CorpusSegment.merge(self._segments)]
-        return self._segments[0]
+    def _live(self) -> CorpusSegment:
+        self._fold()
+        return self._window()
 
     @property
     def images(self) -> np.ndarray:
-        return self._consolidated().images
+        return self._live().images
 
     @property
-    def metadata(self) -> dict[str, np.ndarray]:
-        return self._consolidated().metadata
+    def metadata(self) -> Mapping[str, np.ndarray]:
+        return self._live().metadata
 
     @property
-    def content(self) -> dict[str, np.ndarray]:
-        return self._consolidated().content
+    def content(self) -> Mapping[str, np.ndarray]:
+        return self._live().content
 
-    def metadata_arrays(self) -> dict[str, np.ndarray]:
-        """Concatenated metadata columns *without* consolidating images.
+    def metadata_arrays(self) -> Mapping[str, np.ndarray]:
+        """The metadata columns *without* folding pending batches.
 
         The executor rebuilds its base relation after every ingest; going
         through this method keeps that rebuild O(rows × metadata columns)
-        instead of forcing the (much larger) image arrays to collapse —
-        images consolidate lazily when a query actually reads them.
+        instead of folding the (much larger) image batches — images fold
+        when a query or a retention pass actually needs them.
         """
-        if len(self._segments) == 1:
-            return self._segments[0].metadata
-        return {key: np.concatenate([segment.metadata[key]
-                                     for segment in self._segments])
-                for key in self._segments[0].metadata}
+        window = self._window().metadata
+        if not self._pending:
+            return window
+        return MappingProxyType({
+            key: _read_only(np.concatenate(
+                [values, *(segment.metadata[key]
+                           for segment in self._pending)]))
+            for key, values in window.items()})
 
     @property
     def segments(self) -> tuple[CorpusSegment, ...]:
-        """The current segment list (newest last).  Segments are immutable."""
-        return tuple(self._segments)
+        """The folded window as one segment, then the pending batches
+        (newest last).  Segments are immutable."""
+        return (self._window(), *self._pending)
 
     @property
     def segment_count(self) -> int:
-        return len(self._segments)
+        return 1 + len(self._pending)
 
     def __len__(self) -> int:
-        return sum(len(segment) for segment in self._segments)
+        return self._rows
 
     @property
     def image_size(self) -> int:
-        return int(self._segments[0].images.shape[1])
+        return int(self._buffer["images"].shape[1])
 
     def images_from(self, start: int) -> np.ndarray:
-        """The image rows ``start:`` without consolidating the corpus.
+        """The image rows ``start:`` — a read-only view, never a copy.
 
         The ingest hot path extends stored representations with just the new
-        frames; reading the tail through this method touches only the
-        segments that cover it, so a long history is never concatenated to
-        transform one fresh batch.
+        frames; after the fold those are a slice of the window buffer, so a
+        long history is never concatenated to transform one fresh batch.
         """
         if start < 0:
             raise ValueError(f"start must be non-negative, got {start}")
-        parts, offset = [], 0
-        for segment in self._segments:
-            end = offset + len(segment)
-            if end > start:
-                parts.append(segment.images[max(0, start - offset):])
-            offset = end
-        if not parts:
-            return self._segments[-1].images[:0]
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts, axis=0)
+        return self.images[start:]
 
     # -- mutation -------------------------------------------------------------
     def append(self, images: np.ndarray,
                metadata: dict[str, np.ndarray] | None = None,
                content: dict[str, np.ndarray] | None = None) -> np.ndarray:
-        """Append new rows as a fresh segment, returning the new rows' ids.
+        """Queue new rows as a pending segment, returning the new rows' ids.
 
         This is the corpus half of streaming ingest: ``images`` is an NHWC
         batch with the same frame shape as the corpus, ``metadata`` must
         provide exactly the existing metadata columns, and ``content``
         (ground truth, optional) may provide any subset of the existing
         content columns — missing ones are padded with ``False`` for the new
-        rows, mirroring frames whose ground truth is unknown.  The appended
-        batch becomes one immutable :class:`CorpusSegment`, so the cost is
-        O(batch), not O(corpus).
+        rows, mirroring frames whose ground truth is unknown.  The batch is
+        not copied: it waits as one immutable :class:`CorpusSegment` until
+        the next read folds it into the window buffer.
         """
         segment = self._build_appended(images, metadata, content)
         n_old = len(self)
-        self._segments.append(segment)
+        self._pending.append(segment)
+        self._rows += len(segment)
         return np.arange(n_old, n_old + len(segment))
 
     def _build_appended(self, images, metadata, content) -> CorpusSegment:
@@ -375,14 +372,14 @@ class ImageCorpus:
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 4:
             raise ValueError(f"images must be NHWC, got shape {images.shape}")
-        frame_shape = self._segments[0].images.shape[1:]
+        schema = self._window()
+        frame_shape = schema.images.shape[1:]
         if images.shape[1:] != frame_shape:
             raise ValueError(
                 f"appended frame shape {images.shape[1:]} does not match "
                 f"corpus frame shape {frame_shape}")
         n_new = images.shape[0]
 
-        schema = self._segments[0]
         metadata = metadata or {}
         if set(metadata) != set(schema.metadata):
             raise ValueError(
@@ -405,32 +402,58 @@ class ImageCorpus:
         return CorpusSegment(images=images, metadata=new_metadata,
                              content=new_content)
 
+    def _fold(self) -> None:
+        """Copy the pending batches into the buffer, past ``stop``.
+
+        Reallocates (at twice the rows) only when they do not fit or a
+        column's dtype widens; either way no byte of ``[start, stop)`` — the
+        rows earlier views cover — is written.
+        """
+        if not self._pending:
+            return
+        batches = [segment.to_arrays() for segment in self._pending]
+        start, stop = self._start, self._stop
+        dtypes = {name: np.result_type(column,
+                                       *(batch[name] for batch in batches))
+                  for name, column in self._buffer.items()}
+        buffer = self._buffer
+        if (start + self._rows > int(buffer["images"].shape[0])
+                or any(dtypes[name] != column.dtype
+                       for name, column in buffer.items())):
+            fresh = {}
+            for name, column in buffer.items():
+                fresh[name] = np.empty((2 * self._rows, *column.shape[1:]),
+                                       dtype=dtypes[name])
+                fresh[name][:stop - start] = column[start:stop]
+            buffer, start, stop = fresh, 0, stop - start
+        for batch in batches:
+            end = stop + int(batch["images"].shape[0])
+            for name, column in buffer.items():
+                column[stop:end] = batch[name]
+            stop = end
+        self._buffer, self._start, self._stop = buffer, start, stop
+        self._pending = []
+        self._view = None
+
     def drop_oldest(self, n: int) -> int:
         """Drop the ``n`` oldest (front) rows; returns rows dropped.
 
         This is the corpus half of retention windows: a streaming table is a
         sliding window over its feed, so eviction always takes the front.
-        Whole leading segments are dropped in O(1) each — their memory is
-        released without touching the survivors — and only a segment
-        straddling the boundary is split (the surviving tail is copied, not
-        sliced, so a view never pins the dropped rows' memory).
+        Pending batches fold first, then the live range's start moves by
+        ``n`` — nothing is copied, and views handed out earlier keep their
+        rows.  The dropped rows' memory is released at the next
+        reallocation.
         """
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
         n = min(int(n), len(self))
         if n == 0:
             return 0
-        remaining = n
-        while remaining > 0:
-            head = self._segments[0]
-            if remaining >= len(head) and len(self._segments) > 1:
-                self._segments.pop(0)
-                remaining -= len(head)
-            else:
-                # Boundary split — also the "corpus emptied" case, where the
-                # zero-row tail keeps the column schema alive.
-                self._segments[0] = head.tail(remaining)
-                remaining = 0
+        self._fold()
+        self._start += n
+        self._rows -= n
+        self._view = None
         return n
 
 

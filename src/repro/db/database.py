@@ -837,8 +837,9 @@ class VisualDatabase:
         """Storage-engine counters: per-table segments/WAL depth, store bytes.
 
         The server's ``stats`` command ships this, so operators can watch
-        the segments ingest has appended since the last read consolidated
-        them and WAL length (is a ``checkpoint()`` due?) per shard.
+        each shard's ``segments`` (its folded window buffer plus the batches
+        ingest has appended since the last read folded them) and WAL length
+        (is a ``checkpoint()`` due?).
         """
         return {
             **self._durability.stats(),

@@ -16,11 +16,11 @@ Plans come from :class:`~repro.db.planner.QueryPlanner`; the executor never
 chooses cascades or orders predicates itself.
 
 Queries run against a **snapshot**: :meth:`execute` captures a frozen view of
-the shard (consolidated corpus arrays, base relation, materialized columns,
-stored representations, id offset) under the per-shard lock, then evaluates
-the plan entirely lock-free, and finally merges what it learned (new
-materialized labels, topped-up representations) back under the lock.  Reads
-therefore no longer serialize against ``ingest()``/``retain()`` for the
+the shard (read-only views of the corpus window, base relation, materialized
+columns, stored representations, id offset) under the per-shard lock, then
+evaluates the plan entirely lock-free, and finally merges what it learned
+(new materialized labels, topped-up representations) back under the lock.
+Reads therefore no longer serialize against ``ingest()``/``retain()`` for the
 duration of classification — only for the capture and merge instants — and a
 query always sees one consistent corpus even while the shard churns.  Merge
 maps snapshot rows to current rows through the id-offset shift, so labels
@@ -66,13 +66,14 @@ FULL_MATERIALIZE_FRACTION = 0.5
 class _Snapshot:
     """A frozen view of one shard, captured under the lock.
 
-    Every array here is immutable by convention (mutators replace arrays,
-    they never write in place), so holding references is safe while the live
-    shard moves on.  ``materialized`` / ``reps`` start as shallow copies of
-    the live state; execution replaces entries it touches and records the
-    keys in ``dirty_materialized`` / ``dirty_reps`` so the merge step knows
-    what it learned.  ``reps`` maps ``TransformSpec.name`` to a row-aligned
-    array and is handed to the cascades as is.
+    Every array here is immutable: the corpus hands out read-only views
+    whose bytes it never writes again, and the other mutators replace arrays
+    instead of writing in place, so holding references is safe while the
+    live shard moves on.  ``materialized`` / ``reps`` start as shallow
+    copies of the live state; execution replaces entries it touches and
+    records the keys in ``dirty_materialized`` / ``dirty_reps`` so the merge
+    step knows what it learned.  ``reps`` maps ``TransformSpec.name`` to a
+    row-aligned array and is handed to the cascades as is.
     """
 
     images: np.ndarray
@@ -204,9 +205,9 @@ class QueryExecutor:
 
     def _rebuild_base_relation(self) -> None:
         # guarded by: self._lock
-        # metadata_arrays() concatenates the scalar columns without touching
-        # the image segments, so the per-ingest rebuild stays O(rows), not
-        # O(corpus bytes).
+        # metadata_arrays() reads the scalar columns without folding the
+        # pending image batches, so the per-ingest rebuild stays O(rows),
+        # not O(corpus bytes).
         n = len(self.corpus)
         self._base_relation = Relation(  # guarded by: self._lock
             {**self.corpus.metadata_arrays(),
@@ -252,25 +253,28 @@ class QueryExecutor:
                materialize: bool = False, span=NO_SPAN) -> np.ndarray:
         """Append new frames and grow query-time state incrementally.
 
-        The batch lands as one immutable corpus segment, the base relation
-        gains the new rows, and every materialized virtual column is padded
-        with *unevaluated* new rows — existing rows are never re-classified,
-        so a repeated query after ingest classifies only the new frames.
-        With a write-ahead log attached, the segment is journaled durably
-        before the call returns.
+        The batch joins the corpus as one pending segment (nothing is
+        copied until a read folds it into the window buffer), the base
+        relation gains the new rows, and every materialized virtual column
+        is padded with *unevaluated* new rows — existing rows are never
+        re-classified, so a repeated query after ingest classifies only the
+        new frames.  With a write-ahead log attached, the segment is
+        journaled durably before the call returns.
 
-        With ``materialize=True`` (the ONGOING scenario) every representation
-        the store has registered is brought up to full corpus length by
-        transforming just the new frames — queries then load representation
-        bytes without transforming.  Otherwise (ARCHIVE and friends) stored
-        representations go stale and are topped up lazily the next time a
-        query needs them.
+        The new rows get their stable ids first; then a :attr:`retention`
+        policy enforces the window (the returned ids are the ones the new
+        rows were assigned, whether or not they immediately fall out of
+        it); then, with ``materialize=True`` (the ONGOING scenario), every
+        registered representation still in the store is extended by
+        transforming just the rows past its stored prefix — queries then
+        load representation bytes without transforming.  Retention runs
+        first so no dropped row is transformed, and an entry the budget
+        evicted is not rebuilt here (see :meth:`_materialize_tail`).
+        Otherwise (ARCHIVE and friends) stored representations go stale and
+        are topped up lazily the next time a query needs them.
 
         A zero-row batch is a cheap no-op: nothing is rebuilt, the store is
-        untouched, and an empty id array comes back.  With a
-        :attr:`retention` policy the window is enforced after the append —
-        the returned ids are the ones the new rows were assigned, whether or
-        not they immediately fall out of the window.
+        untouched, and an empty id array comes back.
 
         Returns the new rows' (stable) image ids.
         """
@@ -279,7 +283,7 @@ class QueryExecutor:
             return np.array([], dtype=np.int64)
         with self._lock:
             new_ids = self.corpus.append(images, metadata=metadata,
-                                         content=content)
+                                         content=content) + self._id_offset
             # Journal after the in-memory apply succeeds (validation raised
             # before any state changed), still under the lock so log order
             # is apply order.
@@ -288,14 +292,14 @@ class QueryExecutor:
                                 rows=int(new_ids.size)):
                     self._wal.log_segment(self.corpus.segments[-1])
             self._pad_materialized(new_ids.size)
-            if materialize:
-                for spec in self.store.registered_specs():
-                    self._materialize_tail(spec)
-            new_ids = new_ids + self._id_offset
             # A retention drop rebuilds the base relation itself; only
             # rebuild here when nothing was dropped, so the hot streaming
             # path pays the O(window) relation construction exactly once.
-            if self.retain() == 0:
+            dropped = self.retain()
+            if materialize:
+                for spec in self.store.registered_specs():
+                    self._materialize_tail(spec)
+            if dropped == 0:
                 self._rebuild_base_relation()
             return new_ids
 
@@ -328,9 +332,9 @@ class QueryExecutor:
     def drop_oldest(self, n: int) -> int:
         """Drop the ``n`` oldest rows from *all* per-table state coherently.
 
-        The corpus pops whole leading segments (splitting only the boundary
-        one), the base relation is rebuilt, every materialized
-        ``(evaluated, labels)`` column is truncated, and the store namespace
+        The corpus advances its window's start (nothing is copied), the
+        base relation is rebuilt, every materialized ``(evaluated,
+        labels)`` column is truncated, and the store namespace
         trims its representation chunks in step (crediting the freed bytes
         against the global budget).  Image ids stay stable: the id offset
         advances by the rows dropped, so surviving rows keep their ids (a
@@ -535,7 +539,7 @@ class QueryExecutor:
     def _capture_snapshot(self) -> _Snapshot:
         """Freeze the shard's current state for lock-free execution."""
         with self._lock:
-            images = self.corpus.images  # consolidates segments under the lock
+            images = self.corpus.images  # folds pending batches under the lock
             reps = {spec.name: array
                     for spec, array, _ in self.store.arrays_by_recency()}
             return _Snapshot(images=images, relation=self._base_relation,
@@ -930,25 +934,26 @@ class QueryExecutor:
 
     def _materialize_tail(self, spec) -> None:
         # guarded by: self._lock
-        """Bring one registered representation up to corpus length at ingest.
+        """Extend one stored representation to corpus length at ingest.
 
-        The hot path transforms only the new frames and appends them as a
-        chunk (O(batch)); the full array is rebuilt only when the entry was
-        evicted — and on that path the spec is (re-)registered.
+        Only the rows past the stored prefix are transformed, and they land
+        as one more chunk (O(batch)) — also for an entry retention just
+        emptied to 0 rows, which is extended from row 0.  An entry that is
+        absent (the budget evicted it) is left absent: the next query that
+        needs it rebuilds it through :meth:`_full_representation` and the
+        merge, so ingest never transforms a whole window the store would
+        evict again.
         """
-        n = len(self.corpus)
+        if spec not in self.store:
+            return
         stored = self.store.rows(spec)
-        if 0 < stored <= n:
-            if stored == n:
-                return
-            tail = spec.apply_batch(self.corpus.images_from(stored))
-            try:
-                self.store.append_rows(spec, tail)
-                return
-            except KeyError:
-                pass  # evicted between the check and the append — rebuild
-        self.store.add(spec, spec.apply_batch(self.corpus.images))
-        self.store.register(spec)
+        if stored >= len(self.corpus):
+            return
+        tail = spec.apply_batch(self.corpus.images_from(stored))
+        try:
+            self.store.append_rows(spec, tail)
+        except KeyError:
+            pass  # another shard's write evicted it since the check
 
     def _full_representation(self, snap: _Snapshot, spec, *,
                              materialize: bool) -> None:

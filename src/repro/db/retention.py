@@ -70,8 +70,8 @@ class RetentionPolicy:
         if self.max_rows is not None and n > self.max_rows:
             drop = n - self.max_rows
         if self.max_age is not None:
-            # metadata_arrays() skips the image consolidation a .metadata
-            # read would force on a freshly ingested segmented corpus.
+            # metadata_arrays() skips the image fold a .metadata read
+            # would force on a corpus with freshly ingested batches.
             columns = corpus.metadata_arrays()
             try:
                 timestamps = columns[self.timestamp_column]

@@ -18,7 +18,9 @@ multi-camera database:
   :meth:`add` / :meth:`append_rows` makes its entry the newest, and whenever
   stored bytes exceed the budget the entries written longest ago are
   dropped.  The query executor recomputes an evicted representation on
-  demand, so a budget bounds memory without affecting query results,
+  demand, so a budget bounds memory without affecting query results;
+  ingest does not — it only extends entries still present, so it never
+  rebuilds a window the budget just evicted,
 * **namespaces** — a multi-table catalog gives each table a :meth:`scoped`
   view of one shared store, so the byte budget is global while arrays, specs
   and registrations stay per-table.  Budget accounting is namespace-aware:
@@ -26,8 +28,8 @@ multi-camera database:
   touching any other namespace, so one hot camera cannot evict every other
   shard's representations.
 
-Internally each entry is a list of row-aligned **chunks** mirroring the
-corpus's segment list: :meth:`append_rows` adds a chunk in O(batch) on the
+Internally each entry is a list of row-aligned **chunks**, one per
+ingested batch: :meth:`append_rows` adds a chunk in O(batch) on the
 ingest hot path, retention drops whole leading chunks without copying the
 survivors, and readers see one consolidated array (the chunk list collapses
 on first read, so memory is never held twice).
@@ -165,7 +167,7 @@ class RepresentationStore:
         """Append already-transformed rows as a new chunk, in O(batch).
 
         The streaming-ingest path: the new rows land as one more chunk
-        (mirroring the corpus segment they describe) and nothing is
+        (the ingested batch they describe) and nothing is
         concatenated until a reader asks for the full array.  Makes the
         entry the newest write and enforces the byte budget like any
         insertion.

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
-from repro.data.corpus import generate_corpus
+from repro.data.corpus import ImageCorpus, generate_corpus
 from repro.db import (FANOUT_TABLE, FanoutResultSet, VisualDatabase, connect,
                       persistence)
 from repro.db.catalog import Catalog
@@ -275,8 +275,11 @@ class TestFanout:
             self, db, cameras):
         # Regression: the merge used to keep only the intersection of the
         # shard columns, silently dropping any camera-specific metadata.
-        hires = make_corpus(8, seed=91)
-        hires.metadata["weather"] = np.array(["sunny", "rain"] * 4)
+        base = make_corpus(8, seed=91)
+        hires = ImageCorpus(
+            base.images,
+            {**base.metadata, "weather": np.array(["sunny", "rain"] * 4)},
+            base.content)
         db.attach("cam_weather", hires)
         merged = db.execute(FANOUT_SQL)
         relation = merged.to_relation()

@@ -7,12 +7,13 @@ import pytest
 from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
-from repro.db import connect
+from repro.db import FANOUT_TABLE, RetentionPolicy, connect
 from repro.db.executor import QueryExecutor
 from repro.db.planner import QueryPlanner
 from repro.query.predicates import ContainsObject, MetadataPredicate
 from repro.query.model import Query
 from repro.storage.store import RepresentationStore
+from repro.transforms.spec import TransformSpec
 from tests.conftest import TINY_SIZE
 
 CONSTRAINED = UserConstraints(max_accuracy_loss=0.1)
@@ -309,3 +310,106 @@ class TestDatabaseIngest:
         store = loaded.executor.store
         assert store.byte_budget == budget
         assert {spec.name for spec in store.registered_specs()} == registered
+
+
+@pytest.fixture()
+def transformed_rows(monkeypatch):
+    """A running count of the rows every ``TransformSpec.apply_batch`` call
+    receives."""
+    count = [0]
+    apply_batch = TransformSpec.apply_batch
+
+    def counting(spec, images):
+        count[0] += int(images.shape[0])
+        return apply_batch(spec, images)
+
+    monkeypatch.setattr(TransformSpec, "apply_batch", counting)
+    return count
+
+
+class TestOngoingWindowIngest:
+    """A toy twin of the ONGOING streaming benchmark: two tables, a
+    retention window of ``WINDOW`` rows each, and a store budget that holds
+    one window's representations, so the two full windows cannot both fit."""
+
+    WINDOW = 16
+    BATCH = 4
+    FANOUT_SQL = (f"SELECT * FROM {FANOUT_TABLE} "
+                  f"WHERE contains_object(komondor)")
+
+    def open(self, tiny_optimizer, tiny_device, budget, root=None):
+        corpora = {f"cam_{index}": make_corpus(self.WINDOW // 2,
+                                               seed=80 + index)
+                   for index in range(2)}
+        database = connect(corpora, device=tiny_device, scenario="ongoing",
+                           calibrate_target_fps=None,
+                           default_constraints=CONSTRAINED,
+                           store_budget=budget,
+                           retention=RetentionPolicy(max_rows=self.WINDOW))
+        database.register_optimizer("komondor", tiny_optimizer,
+                                    reference_params=REFERENCE_PARAMS)
+        if root is not None:
+            database.enable_wal(root)
+        database.execute(self.FANOUT_SQL)  # registers the representations
+        return database
+
+    def test_ingest_transforms_only_new_rows_and_queries_rebuild(
+            self, tiny_optimizer, tiny_device, transformed_rows):
+        unbudgeted = self.open(tiny_optimizer, tiny_device, None)
+        # Half a window per table is seeded: one window's bytes in total.
+        budget = unbudgeted.catalog.store.total_bytes_stored()
+        budgeted = self.open(tiny_optimizer, tiny_device, budget)
+        feed = make_corpus(12 * self.BATCH, seed=90)
+        at_ingest, bound, rebuilt = 0, 0, 0
+        for index in range(12):
+            table = f"cam_{index % 2}"
+            rows = slice(index * self.BATCH, (index + 1) * self.BATCH)
+            metadata = {key: values[rows]
+                        for key, values in feed.metadata.items()}
+            store = budgeted.executor_for(table).store
+            specs = store.registered_specs()
+            before = transformed_rows[0]
+            budgeted.ingest(feed.images[rows], metadata=metadata, table=table)
+            at_ingest += transformed_rows[0] - before
+            bound += self.BATCH * len(specs)
+            unbudgeted.ingest(feed.images[rows], metadata=metadata,
+                              table=table)
+            if index % 4 == 3:
+                absent = [spec for spec in specs if spec not in store]
+                result = budgeted.execute(self.FANOUT_SQL)
+                rebuilt += sum(spec in store for spec in absent)
+                np.testing.assert_array_equal(
+                    result.image_ids,
+                    unbudgeted.execute(self.FANOUT_SQL).image_ids)
+        # Ingest transforms each new row once per registered spec and never
+        # rebuilds what the budget evicted: the next query does that.
+        assert at_ingest <= bound
+        assert budgeted.catalog.store.evictions > 0
+        assert rebuilt > 0
+        assert budgeted.catalog.store.total_bytes_stored() <= budget
+
+    def test_batch_larger_than_the_window(self, tiny_optimizer, tiny_device,
+                                          tmp_path):
+        database = self.open(tiny_optimizer, tiny_device, None,
+                             root=tmp_path / "vdb")
+        executor = database.executor_for("cam_0")
+        wal = executor.wal
+        generation = wal.generation
+        batch = make_corpus(self.WINDOW + 5, seed=91)
+        new_ids = database.ingest(batch.images, metadata=batch.metadata,
+                                  materialize=True, table="cam_0")
+        # The ids assigned before the drop, though 5 fell out at once.
+        first = self.WINDOW // 2
+        np.testing.assert_array_equal(
+            new_ids, np.arange(first, first + self.WINDOW + 5))
+        assert executor.id_offset == first + 5
+        assert len(executor.corpus) == self.WINDOW
+        np.testing.assert_array_equal(executor.corpus.images,
+                                      batch.images[5:])
+        for spec in executor.store.registered_specs():
+            assert executor.store.rows(spec) == self.WINDOW
+        records = list(wal.records(from_generation=generation))
+        assert [record["type"] for record in records] == ["segment", "drop"]
+        assert len(records[0]["segment"]) == self.WINDOW + 5
+        assert records[1]["rows"] == first + 5
+        database.close()

@@ -7,7 +7,9 @@ restricted to the surviving rows), persistence of policy + id offset, and
 fan-out queries racing an ingest + retention pass.
 """
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -114,13 +116,22 @@ class TestCorpusDropOldest:
                                       kept_location)
         np.testing.assert_array_equal(corpus.content["komondor"], kept_content)
 
-    def test_survivors_are_copies_not_views(self):
-        # A view would pin the dropped rows' memory, defeating retention.
+    def test_dropped_rows_are_released_at_the_next_reallocation(self):
+        # A drop only moves the window's start; the dropped rows' bytes go
+        # when a fold next reallocates, at twice the rows it then holds.
         corpus = make_corpus(6, seed=2)
-        corpus.drop_oldest(2)
-        assert corpus.images.base is None
-        for values in corpus.metadata.values():
-            assert values.base is None
+        first = weakref.ref(corpus.images.base)
+        kept = corpus.images[2:].copy()
+        assert corpus.drop_oldest(2) == 2
+        assert corpus.images.base is first()  # nothing copied
+        batch = make_corpus(3, seed=4)
+        corpus.append(batch.images, batch.metadata, batch.content)
+        images = corpus.images  # the batch does not fit: reallocate
+        gc.collect()
+        assert first() is None
+        assert images.base.shape[0] == 2 * len(corpus) == 14
+        np.testing.assert_array_equal(images[:4], kept)
+        np.testing.assert_array_equal(images[4:], batch.images)
 
     def test_clamps_and_validates(self):
         corpus = make_corpus(4, seed=3)
