@@ -67,10 +67,6 @@ class ModelPredictionCache:
     def __len__(self) -> int:
         return len(self.probabilities)
 
-    @property
-    def n_examples(self) -> int:
-        return int(self.labels.size)
-
 
 @dataclass(frozen=True, eq=False)
 class CascadeEvaluation:

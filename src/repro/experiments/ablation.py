@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.core.alc import average_throughput
@@ -93,7 +92,6 @@ class DepthRow:
     max_depth: int
     with_reference_tail: bool
     n_cascades: int
-    evaluation_seconds: float
     average_throughput: float
     frontier: list[tuple[float, float]]
 
@@ -128,17 +126,15 @@ def depth_analysis(workspace: ExperimentWorkspace, category: str,
             builder = CascadeBuilder(
                 predicate.optimizer.thresholds, max_depth=depth,
                 reference_model=predicate.reference_model if with_tail else None)
-            start = time.perf_counter()
             cascades = builder.build(pool, include_reference_tail=with_tail)
             evaluation = evaluate_cascades(cascades, predicate.optimizer.cache,
                                            profiler)
-            elapsed = time.perf_counter() - start
             if accuracy_range is None:
                 accuracy_range = evaluation.accuracy_range()
             label = f"{depth} level" + (" + reference" if with_tail else "")
             rows.append(DepthRow(
                 label=label, max_depth=depth, with_reference_tail=with_tail,
-                n_cascades=len(cascades), evaluation_seconds=elapsed,
+                n_cascades=len(cascades),
                 average_throughput=average_throughput(
                     evaluation.frontier_points(), accuracy_range),
                 frontier=evaluation.frontier_points()))

@@ -6,7 +6,8 @@ pipeline at a reduced scale so everything fits in CPU minutes.  Every knob is
 collected in :class:`ExperimentScale`; three presets are provided:
 
 * ``SMOKE_SCALE`` — minutes-of-seconds scale used by the test suite,
-* ``DEFAULT_SCALE`` — the scale the committed benchmarks run at,
+* ``DEFAULT_SCALE`` — the scale of the committed ``PAPER_RESULTS.json``
+  (``python -m benchmarks.paper``),
 * ``PAPER_SCALE`` — the paper's own grid sizes, for users with the time (and
   ideally a vectorizing BLAS) to run the full thing.
 """
@@ -114,7 +115,7 @@ SMOKE_SCALE = ExperimentScale(
     seed=0,
 )
 
-#: The scale the committed benchmarks run at (CPU minutes for all figures).
+#: The scale of the committed ``PAPER_RESULTS.json`` (CPU minutes for all figures).
 DEFAULT_SCALE = ExperimentScale(
     name="default",
     categories=tuple(list_category_names()),

@@ -27,9 +27,6 @@ class TrainingHistory:
     def epochs_run(self) -> int:
         return len(self.train_loss)
 
-    def best_val_accuracy(self) -> float:
-        return max(self.val_accuracy) if self.val_accuracy else float("nan")
-
 
 @dataclass
 class EarlyStopping:

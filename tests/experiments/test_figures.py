@@ -1,39 +1,82 @@
-"""Tests that every figure/table regeneration function produces sound output.
+"""The paper's evidence, gated at both scales.
 
-These run at smoke scale against the session-cached workspace; the committed
-benchmarks run the same functions at the default scale.
+``benchmarks.paper`` runs every figure/table artifact at SMOKE_SCALE on the
+session-cached workspace, and the committed DEFAULT_SCALE results in
+``PAPER_RESULTS.json`` are read back; every named check must hold in both.
+The remaining tests cover the experiment functions' error paths and the
+baseline helpers.
 """
 
-import numpy as np
+import json
+
 import pytest
 
-from repro.experiments.ablation import TRANSFORM_SUBSETS, depth_analysis, transform_ablation
+from benchmarks import paper
+from repro.experiments.ablation import depth_analysis
+from repro.experiments.presets import DEFAULT_SCALE, SMOKE_SCALE
 from repro.experiments.scenarios import (
     frontier_example,
     reference_only_evaluation,
-    scenario_awareness_table,
     scenario_frontiers,
 )
-from repro.experiments.speedups import (
-    average_speedups,
-    baseline_evaluation,
-    design_space_comparison,
-    fastest_throughput,
-)
-
+from repro.experiments.speedups import baseline_evaluation
 
 CATEGORY = "komondor"
 
+#: Checks that are false at SMOKE_SCALE for a reason of the scale itself.
+#: SMOKE renders at 16 px with resolutions (8, 16), so "resizing" has a
+#: single reduced size and averages 2,073 fps against color variations'
+#: 2,141 under INFER ONLY.
+FALSE_AT_SMOKE = {"fig10.resize_dominates"}
+
+#: The committed DEFAULT_SCALE document.  Its check names parametrize the
+#: per-check tests; the runner must produce the same names
+#: (``test_committed_results_carry_every_check``).
+COMMITTED = json.loads(paper.RESULTS_PATH.read_text())
+CHECKS = [(key, name) for key, artifact in COMMITTED["artifacts"].items()
+          for name in artifact["checks"]]
+CHECK_IDS = [name for _, name in CHECKS]
+
+
+@pytest.fixture(scope="module")
+def smoke_results(smoke_workspace):
+    return paper.run(SMOKE_SCALE)
+
+
+@pytest.fixture(scope="module")
+def committed_results():
+    return COMMITTED
+
+
+class TestPaperEvidence:
+    def test_every_check_holds_at_smoke(self, smoke_results):
+        assert smoke_results["scale"] == SMOKE_SCALE.name
+        assert set(smoke_results["artifacts"]) == set(paper.ARTIFACTS)
+        assert set(paper.failed_checks(smoke_results)) == FALSE_AT_SMOKE
+
+    @pytest.mark.parametrize("key,name", CHECKS, ids=CHECK_IDS)
+    def test_check_at_smoke(self, smoke_results, key, name):
+        holds = smoke_results["artifacts"][key]["checks"][name]
+        assert holds is (name not in FALSE_AT_SMOKE)
+
+    def test_committed_results_hold_at_default(self, committed_results):
+        assert set(committed_results["artifacts"]) == set(paper.ARTIFACTS)
+        assert committed_results["scale"] == DEFAULT_SCALE.name
+        assert paper.failed_checks(committed_results) == []
+
+    @pytest.mark.parametrize("key,name", CHECKS, ids=CHECK_IDS)
+    def test_check_at_default(self, committed_results, key, name):
+        assert committed_results["artifacts"][key]["checks"][name] is True
+
+    def test_committed_results_carry_every_check(self, smoke_results,
+                                                 committed_results):
+        """A check added to the runner must be regenerated into the file."""
+        for key, artifact in smoke_results["artifacts"].items():
+            assert (set(committed_results["artifacts"][key]["checks"])
+                    == set(artifact["checks"])), key
+
 
 class TestFigure4And9:
-    def test_frontier_example_structure(self, smoke_workspace):
-        comparison = frontier_example(smoke_workspace, CATEGORY)
-        assert comparison.all_points
-        assert comparison.aware_frontier
-        assert comparison.oblivious_frontier
-        # The aware frontier is at least as good as the re-priced oblivious one.
-        assert comparison.awareness_gain() >= 1.0 - 1e-9
-
     def test_scenario_frontiers_cover_requested_categories(self, smoke_workspace):
         comparisons = scenario_frontiers(smoke_workspace,
                                          categories=[CATEGORY, "scorpion"])
@@ -44,89 +87,7 @@ class TestFigure4And9:
             frontier_example(smoke_workspace, "zebra")
 
 
-class TestFigure5:
-    def test_design_space_comparison(self, smoke_workspace):
-        comparison = design_space_comparison(smoke_workspace, CATEGORY)
-        # TAHOMA's space strictly contains more cascade options.
-        assert len(comparison.tahoma_points) > len(comparison.baseline_points)
-        # And its frontier is no slower anywhere (ALC speedup >= 1).
-        assert comparison.tahoma_speedup() >= 1.0 - 1e-9
-
-
-class TestFigure6:
-    def test_speedups_positive_and_largest_for_infer_only(self, smoke_workspace):
-        rows = average_speedups(smoke_workspace)
-        by_name = {row.scenario_name: row for row in rows}
-        assert set(by_name) == {"infer_only", "ongoing", "camera", "archive"}
-        for row in rows:
-            assert row.vs_reference > 0
-            assert row.vs_baseline_average > 0
-        # Data handling shrinks the advantage: INFER ONLY shows the largest
-        # speedup over the reference classifier, ARCHIVE the smallest.
-        assert by_name["infer_only"].vs_reference >= by_name["archive"].vs_reference
-
-    def test_tahoma_beats_reference_under_infer_only(self, smoke_workspace):
-        rows = average_speedups(smoke_workspace, ("infer_only",))
-        assert rows[0].vs_reference > 1.0
-
-
-class TestFigure7:
-    def test_fastest_cascade_beats_reference_everywhere(self, smoke_workspace):
-        rows = fastest_throughput(smoke_workspace)
-        for row in rows:
-            assert row.tahoma_fastest_fps > row.reference_fps
-            assert row.speedup > 1.0
-
-    def test_reference_near_calibrated_anchor_under_infer_only(self, smoke_workspace):
-        rows = fastest_throughput(smoke_workspace, ("infer_only",))
-        assert rows[0].reference_fps == pytest.approx(75.0, rel=0.05)
-
-
-class TestTable3:
-    def test_awareness_rows_structure(self, smoke_workspace):
-        rows = scenario_awareness_table(smoke_workspace, loss_levels=(0.0, 0.05),
-                                        scenario_names=("archive", "camera"))
-        assert len(rows) == 4
-        for row in rows:
-            assert row.oblivious_fps > 0
-            assert row.aware_fps > 0
-            # Scenario awareness can only help (both pick from the same space).
-            assert row.aware_fps >= row.oblivious_fps - 1e-9
-
-    def test_zero_loss_budget_gains_nothing_or_little(self, smoke_workspace):
-        rows = scenario_awareness_table(smoke_workspace, loss_levels=(0.0,),
-                                        scenario_names=("camera",))
-        assert rows[0].gain_percent >= 0.0
-
-
-class TestFigure10:
-    def test_transform_ablation_structure(self, smoke_workspace):
-        rows = transform_ablation(smoke_workspace)
-        assert {row.category for row in rows} == set(smoke_workspace.category_names())
-        for row in rows:
-            assert set(row.subset_throughputs) == set(TRANSFORM_SUBSETS)
-            # The full transformation set is never worse than using none.
-            assert (row.subset_throughputs["full"]
-                    >= row.subset_throughputs["none"] - 1e-9)
-            assert row.ordered()[-1] == row.subset_throughputs["full"]
-
-
 class TestFigure11:
-    def test_depth_analysis_rows(self, smoke_workspace):
-        rows = depth_analysis(smoke_workspace, CATEGORY, max_depth=2, pool_size=4)
-        assert len(rows) == 4  # depths 1 and 2, each with and without reference
-        n_cascades = [row.n_cascades for row in rows]
-        assert n_cascades == sorted(n_cascades)
-        for row in rows:
-            assert row.average_throughput > 0
-            assert row.frontier
-
-    def test_deeper_cascades_never_lose_throughput(self, smoke_workspace):
-        rows = depth_analysis(smoke_workspace, CATEGORY, max_depth=2, pool_size=4)
-        without_reference = [row for row in rows if not row.with_reference_tail]
-        assert (without_reference[-1].average_throughput
-                >= without_reference[0].average_throughput - 1e-9)
-
     def test_invalid_depth(self, smoke_workspace):
         with pytest.raises(ValueError):
             depth_analysis(smoke_workspace, CATEGORY, max_depth=0)
