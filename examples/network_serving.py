@@ -8,8 +8,9 @@ newline-delimited JSON.  This example walks the serving layer end to end:
 1. a two-camera catalog with one trained predicate goes behind
    ``repro.server.serve`` (ephemeral port, in-process — the same server
    works across processes and hosts),
-2. a client ``connect()``s and pages a content query through a server-side
-   cursor — the query runs once, ``fetch`` never re-runs it,
+2. a client ``connect()``s and pages a content query — the first page rides
+   on the ``execute`` answer, and only a longer result parks a server-side
+   cursor that ``fetch`` pages without re-running the query,
 3. a repeated dashboard query is served from the plan cache (exact repeat:
    *hit*; same shape with a new literal: *rebind* — cascade selection is
    never repeated),
@@ -83,10 +84,13 @@ def main() -> None:
           f"(wire protocol: one JSON object per line)")
 
     with repro.server.connect(host, port) as conn:
-        print("[2/5] paging a fan-out query through a server-side cursor ...")
+        print("[2/5] paging a fan-out query ...")
         cursor = conn.execute(CONTENT_SQL)
-        print(f"      cursor {cursor.cursor_id}: {cursor.rowcount} rows, "
-              f"columns include __table__ provenance")
+        parked = ("no server-side cursor parked" if cursor.cursor_id is None
+                  else f"cursor {cursor.cursor_id} parked for the rest")
+        print(f"      {cursor.rowcount} rows, the first page came with the "
+              f"execute answer ({parked}); columns include __table__ "
+              "provenance")
         while True:
             page = cursor.fetchmany(3)
             if not page:

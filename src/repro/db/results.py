@@ -4,8 +4,10 @@
 so callers can consume results the way they would from a database driver:
 ``len()``, row iteration, ``fetchone()`` / ``fetchmany(n)`` / ``fetchall()``
 with a cursor that advances, and ``to_relation()`` for columnar access.  Rows
-are built lazily, one dictionary at a time, so batched consumers never
-materialize a million dictionaries at once.
+are built lazily, one page at a time: each column is sliced once and
+converted with ``tolist()``, and the slices are zipped into dictionaries, so
+batched consumers never materialize a million dictionaries at once and no
+cell pays a NumPy scalar conversion of its own.
 
 This module is also where the tail of the logical pipeline
 (... -> Aggregate -> OrderBy -> Project -> Limit) is applied to executor
@@ -42,6 +44,9 @@ __all__ = ["ResultSet", "FanoutResultSet", "AggregateResultSet",
 #: Provenance column added to merged fan-out results: the shard each row
 #: came from.
 TABLE_COLUMN = "__table__"
+
+#: Rows built per column slice while iterating a result set.
+_ITER_PAGE_ROWS = 1024
 
 
 class ResultSet:
@@ -117,18 +122,33 @@ class ResultSet:
                    if key not in ("wall_time_s", "trace_id")}}
 
     # -- row access -----------------------------------------------------------
+    def _rows(self, start: int, stop: int) -> list[dict]:
+        """Rows ``start:stop`` as plain dictionaries, built from column slices.
+
+        Values and types equal :func:`~repro.query.relation.to_python` per
+        cell: ``tolist()`` converts a typed slice the same way, and object
+        columns (the ``None`` fill of :func:`_fill_column`, or NumPy scalars)
+        are converted cell by cell.
+        """
+        relation = self._result.relation
+        names = relation.column_names()
+        columns = []
+        for name in names:
+            values = relation.column(name)[start:stop]
+            columns.append([_to_python(value) for value in values]
+                           if values.dtype == object else values.tolist())
+        return [dict(zip(names, row)) for row in zip(*columns)]
+
     def row(self, index: int) -> dict:
         """The ``index``-th selected row as a plain dictionary."""
-        relation = self._result.relation
         if not 0 <= index < len(self):
             raise IndexError(f"row {index} out of range for {len(self)} rows")
-        return {name: _to_python(relation.column(name)[index])
-                for name in relation.column_names()}
+        return self._rows(index, index + 1)[0]
 
     def __iter__(self) -> Iterator[dict]:
         """Iterate over all rows lazily (independent of the fetch cursor)."""
-        for index in range(len(self)):
-            yield self.row(index)
+        for start in range(0, len(self), _ITER_PAGE_ROWS):
+            yield from self._rows(start, start + _ITER_PAGE_ROWS)
 
     def fetchone(self) -> dict | None:
         """The next row, or ``None`` when the cursor is exhausted."""
@@ -146,7 +166,7 @@ class ResultSet:
         if size == 0:
             return []
         stop = min(self._cursor + size, len(self))
-        rows = [self.row(index) for index in range(self._cursor, stop)]
+        rows = self._rows(self._cursor, stop)
         self._cursor = stop
         return rows
 

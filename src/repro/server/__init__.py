@@ -39,19 +39,25 @@ docstring convention of :mod:`repro.query.sql`::
     execute    keys: "sql" (required), "timeout" (seconds, optional),
                      "tables" (shard list, optional), "constraints"
                      (optional: {"max_accuracy_loss", "min_throughput"})
-               result: {"cursor", "rowcount", "columns", "remaining"}
+               result: {"cursor", "rowcount", "columns", "values",
+                        "remaining"} — the first page (up to 64 rows);
+                       "cursor" is null when it held every row, else the
+                       id of the cursor parked for the rest
                        | {"explain_analyze": report} for an
                        ``EXPLAIN ANALYZE`` query — the annotated-plan
                        report of
                        :meth:`repro.db.database.VisualDatabase.explain_analyze`,
                        whole, with no cursor to page
     fetch      keys: "cursor" (required), "n" (optional, default 64)
-               result: {"rows": [row...], "remaining": int}
+               result: {"columns": [name...], "values": [column...],
+                        "remaining": int}; a fetch that leaves
+                       "remaining" at 0 frees the cursor
     close_cursor keys: "cursor"           result: {"closed": bool}
     explain    keys: "sql", "tables", "constraints" (as execute)
                result: {"plan": plan} | {"plans": {table: plan}}
                        (plan is :meth:`repro.db.planner.QueryPlan.to_dict`)
-    stats      result: {"scenario", "tables", "predicates", "sessions",
+    stats      result: {"protocol", "scenario", "tables", "predicates",
+                        "sessions", "open_cursors",
                         "admission": {...}, "plan_cache": {...},
                         "queries": {"completed", "failed", "timeouts",
                                     "rejected"}}
@@ -66,9 +72,11 @@ docstring convention of :mod:`repro.query.sql`::
     ping       result: {"pong": true}
     quit       result: {"bye": true}; the server then closes the connection
 
-An ``id`` key, when present, is echoed verbatim in the response so clients
-can match pipelined requests.  Error ``type`` names the Python exception
-class on the server (``SqlParseError`` carries ``offset``/``token``,
+A page is columnar: "values" holds one list per name in "columns", in
+that order, each as long as the page (an empty page sends ``[]``).  An
+``id`` key, when present, is echoed verbatim in the response so clients can
+match pipelined requests.  Error ``type`` names the Python exception class
+on the server (``SqlParseError`` carries ``offset``/``token``,
 ``BackpressureError`` means the admission gate was full — resubmit later,
 ``QueryTimeoutError`` means the per-query deadline passed and the query was
 aborted at a chunk boundary).  Sessions survive every error: a failed query

@@ -2,8 +2,12 @@
 
 A thin, dependency-free driver for the NDJSON protocol.  One
 :class:`Connection` holds one socket/session; :meth:`Connection.execute`
-returns a :class:`RemoteCursor` that pages rows with server-side
-``fetch`` — iteration streams batches, the query never re-runs.  Server
+returns a :class:`RemoteCursor` holding the first page of rows, which the
+``execute`` answer carries; further rows page in with server-side ``fetch``
+— iteration streams batches, the query never re-runs.  Pages arrive as
+columns and are zipped back into one dictionary per row.  A connection whose
+socket fails, or whose reply does not answer the request, is closed: every
+later call raises "connection is closed".  Server
 errors come back as the exceptions the server raised where a local
 counterpart exists (:class:`~repro.query.ast.SqlParseError` with its
 ``offset``/``token``, :class:`~repro.query.ast.QueryTimeoutError`,
@@ -19,6 +23,7 @@ shape.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 
@@ -75,7 +80,12 @@ class Connection:
 
     # -- wire ------------------------------------------------------------------
     def _call(self, cmd: str, **params) -> dict:
-        """One request-response round trip, returning the ``result`` object."""
+        """One request-response round trip, returning the ``result`` object.
+
+        A socket error (a receive timeout included), a hang-up, or a reply
+        that is not the answer to this request leaves the stream unusable:
+        the connection closes before the error propagates.
+        """
         request = {"cmd": cmd}
         request.update((key, value) for key, value in params.items()
                        if value is not None)
@@ -84,15 +94,30 @@ class Connection:
                 raise RuntimeError("connection is closed")
             request["id"] = self._next_id
             self._next_id += 1
-            self._file.write(encode(request))
-            self._file.flush()
-            line = self._file.readline(MAX_LINE_BYTES + 2)
-        if not line:
-            raise ConnectionError("server closed the connection")
-        response = decode(line)
+            try:
+                self._file.write(encode(request))
+                self._file.flush()
+                line = self._file.readline(MAX_LINE_BYTES + 2)
+                if not line:
+                    raise ConnectionError("server closed the connection")
+                response = decode(line)
+                if response.get("id") != request["id"]:
+                    raise ProtocolError(
+                        f"response id {response.get('id')!r} does not "
+                        f"answer request id {request['id']!r}")
+            except (OSError, ProtocolError):
+                self._drop()
+                raise
         if response.get("ok"):
             return response.get("result", {})
         raise _rebuild_error(response.get("error") or {})
+
+    def _drop(self) -> None:
+        """Close the socket without a goodbye (idempotent)."""
+        self.closed = True
+        with contextlib.suppress(OSError):
+            self._file.close()
+        self._sock.close()
 
     # -- commands --------------------------------------------------------------
     def execute(self, sql: str, *, timeout: float | None = None,
@@ -118,7 +143,7 @@ class Connection:
         return RemoteCursor(self, result)
 
     def fetch(self, cursor: int, n: int = DEFAULT_FETCH_SIZE) -> dict:
-        """Raw ``fetch``: ``{"rows": [...], "remaining": int}``."""
+        """Raw ``fetch``: ``{"columns", "values", "remaining"}``."""
         return self._call("fetch", cursor=cursor, n=n)
 
     def close_cursor(self, cursor: int) -> bool:
@@ -162,11 +187,7 @@ class Connection:
             self._call("quit")
         except (OSError, ValueError, RuntimeError):
             pass
-        self.closed = True
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
+        self._drop()
 
     def __enter__(self) -> "Connection":
         return self
@@ -179,45 +200,70 @@ class Connection:
         return f"Connection({peer})"
 
 
+def _rows(page: dict) -> list[dict]:
+    """A columnar page (``columns`` + one ``values`` list per column) as
+    one dictionary per row."""
+    return [dict(zip(page["columns"], row)) for row in zip(*page["values"])]
+
+
 class RemoteCursor:
     """A server-side cursor: rows page over the wire, the query never re-runs.
 
     Mirrors the :class:`~repro.db.results.ResultSet` cursor API —
     ``fetchone`` / ``fetchmany`` / ``fetchall``, iteration in ``batch_size``
-    pages, ``len()`` — against a result set parked in the server session.
-    :meth:`close` frees the server-side slot (sessions cap open cursors).
+    pages, ``len()`` — against a result set whose first page came with the
+    ``execute`` answer.  Rows past it are parked in the server session under
+    :attr:`cursor_id` (``None`` when the first page held every row); the
+    server frees that slot once a ``fetch`` drains it, and :meth:`close`
+    frees it early (sessions cap open cursors).
     """
 
     def __init__(self, connection: Connection, result: dict,
                  batch_size: int = DEFAULT_FETCH_SIZE) -> None:
         self._connection = connection
-        self.cursor_id: int = result["cursor"]
+        self.cursor_id: int | None = result["cursor"]
         self.rowcount: int = result["rowcount"]
         self.columns: list[str] = list(result["columns"])
-        self.remaining: int = result["remaining"]
+        self._buffer = _rows(result)       # received, not yet returned
+        self._unsent: int = result["remaining"]  # still on the server
         self.batch_size = batch_size
         self.closed = False
 
     def __len__(self) -> int:
         return self.rowcount
 
+    @property
+    def remaining(self) -> int:
+        """Rows not yet returned by this cursor."""
+        return len(self._buffer) + self._unsent
+
     def fetchmany(self, size: int = DEFAULT_FETCH_SIZE) -> list[dict]:
-        """The next ``size`` rows (shorter at the end, ``[]`` when done)."""
-        if self.closed or (self.remaining == 0 and size > 0):
+        """The next ``size`` rows (shorter at the end, ``[]`` when done).
+
+        ``fetchmany(0)`` returns ``[]`` and a negative size raises
+        :class:`ValueError`, as on :meth:`ResultSet.fetchmany
+        <repro.db.results.ResultSet.fetchmany>` — neither reaches the
+        server.  Rows already received are served first; only the shortfall
+        is fetched.
+        """
+        if size < 0:
+            raise ValueError(f"size must be non-negative, got {size}")
+        if self.closed:
             return []
-        result = self._connection.fetch(self.cursor_id, n=size)
-        self.remaining = result["remaining"]
-        return result["rows"]
+        if len(self._buffer) < size and self._unsent:
+            page = self._connection.fetch(self.cursor_id,
+                                          n=size - len(self._buffer))
+            self._buffer += _rows(page)
+            self._unsent = page["remaining"]
+        rows, self._buffer = self._buffer[:size], self._buffer[size:]
+        return rows
 
     def fetchone(self) -> dict | None:
         rows = self.fetchmany(1)
         return rows[0] if rows else None
 
     def fetchall(self) -> list[dict]:
-        rows: list[dict] = []
-        while self.remaining and not self.closed:
-            rows.extend(self.fetchmany(self.remaining))
-        return rows
+        return self.fetchmany(self.remaining)
 
     def __iter__(self):
         while True:
@@ -227,11 +273,15 @@ class RemoteCursor:
             yield from rows
 
     def close(self) -> None:
-        """Free the server-side cursor (idempotent, best effort)."""
+        """Free the server-side cursor (idempotent, best effort).
+
+        Sends nothing when the server holds no rows for it any more — it
+        parked none, or a ``fetch`` drained and freed them.
+        """
         if self.closed:
             return
         self.closed = True
-        if not self._connection.closed:
+        if self._unsent and not self._connection.closed:
             try:
                 self._connection.close_cursor(self.cursor_id)
             except (OSError, ValueError, RuntimeError):

@@ -22,8 +22,11 @@ __all__ = ["PROTOCOL_VERSION", "MAX_LINE_BYTES",
            "encode", "decode", "ok_response", "error_response",
            "error_payload"]
 
-#: Bumped when the wire protocol changes incompatibly.
-PROTOCOL_VERSION = 1
+#: Bumped when the wire protocol changes incompatibly; the server speaks
+#: only this version.  2: pages are columnar, ``execute`` carries the first
+#: page, and a drained cursor is freed (1 sent one object per row and parked
+#: every result).
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one encoded line; a request beyond this is a protocol
 #: error (keeps a misbehaving client from ballooning server memory).

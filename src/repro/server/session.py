@@ -3,13 +3,17 @@
 One :class:`Session` lives for the duration of one client connection.  It
 owns the connection's *cursors*: ``execute`` runs the query on the
 connection's own thread (once the server's admission gate lets it in) and
-parks the resulting :class:`~repro.db.results.ResultSet` under a
-session-local cursor id; ``fetch`` then pages rows off it with
-:meth:`~repro.db.results.ResultSet.fetchmany` — the query is never re-run,
-and each ``fetch`` reports how many rows remain so clients stop paging
-without a final empty round trip.  Cursors are bounded per session
-(``max_cursors``); ``close_cursor`` (or cursor exhaustion handled client
-side) frees them, and closing the session frees them all.
+answers with the first page of rows; only when rows remain does it park the
+resulting :class:`~repro.db.results.ResultSet` under a session-local cursor
+id, so a short result is one round trip and holds no cursor.  ``fetch``
+pages further rows off the parked result set with
+:meth:`~repro.db.results.ResultSet.fetchmany` — the query is never re-run —
+and reports how many rows remain so clients stop paging without a final
+empty round trip.  Every page travels as columns (``"values"``: one list per
+column, in ``"columns"`` order), not as one object per row.  Cursors are
+bounded per session (``max_cursors``); a ``fetch`` that drains a cursor
+frees it, ``close_cursor`` frees one early, and closing the session frees
+them all.
 
 Sessions survive errors: a failed command — parse error, timeout,
 backpressure rejection — produces an error payload for that request and
@@ -30,7 +34,8 @@ from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["Session", "QueryCounters"]
 
-#: Default page size for ``fetch`` requests that do not name one.
+#: Rows of the page ``execute`` answers with, and the page size of a
+#: ``fetch`` request that names none.
 DEFAULT_FETCH_SIZE = 64
 
 _CONSTRAINT_KEYS = ("max_accuracy_loss", "min_throughput")
@@ -171,13 +176,13 @@ class Session:
             # EXPLAIN ANALYZE: the result is a JSON report, not row data —
             # return it whole, no cursor to page.
             return {"explain_analyze": result_set}
-        cursor_id = self._next_cursor
-        self._next_cursor += 1
-        self._cursors[cursor_id] = result_set
-        return {"cursor": cursor_id,
-                "rowcount": len(result_set),
-                "columns": result_set.columns,
-                "remaining": result_set.remaining}
+        page = self._page(result_set, DEFAULT_FETCH_SIZE)
+        cursor_id = None
+        if result_set.remaining:
+            cursor_id = self._next_cursor
+            self._next_cursor += 1
+            self._cursors[cursor_id] = result_set
+        return {"cursor": cursor_id, "rowcount": len(result_set), **page}
 
     def _cmd_fetch(self, request: dict) -> dict:
         result_set = self._cursor_for(request)
@@ -185,8 +190,22 @@ class Session:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ProtocolError(f'"n" must be a non-negative integer, '
                                 f"got {n!r}")
+        page = self._page(result_set, n)
+        if not result_set.remaining:
+            del self._cursors[request["cursor"]]
+        return page
+
+    @staticmethod
+    def _page(result_set, n: int) -> dict:
+        """The next ``n`` rows of ``result_set`` as one columnar page.
+
+        Rows come from :meth:`~repro.db.results.ResultSet.fetchmany`, the
+        result set's one paging entry point, and are transposed here.
+        """
         rows = result_set.fetchmany(n)
-        return {"rows": rows, "remaining": result_set.remaining}
+        return {"columns": result_set.columns,
+                "values": list(zip(*(row.values() for row in rows))),
+                "remaining": result_set.remaining}
 
     def _cmd_close_cursor(self, request: dict) -> dict:
         cursor = self._cursor_id(request)

@@ -1,12 +1,16 @@
 """Tests for ResultSet: cursor semantics, streaming, columnar access."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.planner import QueryPlan
 from repro.db.results import ResultSet
 from repro.query.model import QueryResult
-from repro.query.relation import Relation
+from repro.query.relation import Relation, to_python
 
 
 def _result_set(n_rows: int = 5) -> ResultSet:
@@ -365,3 +369,117 @@ class TestFanoutLimit:
         merged = self._fanout(limit=0)
         assert len(merged) == 0
         assert merged.tables == ("cam_a", "cam_b")
+
+
+# -- column-built pages equal the per-cell reference ---------------------------
+
+#: Column name -> (value strategy, dtype).  A name always has one dtype, so
+#: shards that share a column merge it, and a shard lacking one gets the
+#: typed fill (uint64 max, NaN, False, "", -1, None).
+_KINDS = {
+    "i64": (st.integers(-2 ** 63, 2 ** 63 - 1), np.int64),
+    "u64": (st.integers(0, 2 ** 64 - 1), np.uint64),
+    "f64": (st.floats(allow_nan=True, allow_infinity=True), np.float64),
+    "flag": (st.booleans(), np.bool_),
+    "text": (st.text(max_size=4), str),
+    "obj": (st.one_of(st.none(), st.integers(-9, 9), st.text(max_size=2),
+                      st.integers(-9, 9).map(np.int64),
+                      st.floats(allow_nan=True).map(np.float64)), object),
+}
+
+
+@st.composite
+def _columns(draw, max_rows: int = 20) -> dict[str, np.ndarray]:
+    n = draw(st.integers(0, max_rows))
+    names = draw(st.lists(st.sampled_from(sorted(_KINDS)), min_size=1,
+                          unique=True))
+    columns = {}
+    for name in names:
+        values, dtype = _KINDS[name]
+        columns[name] = np.array(draw(st.lists(values, min_size=n,
+                                               max_size=n)), dtype=dtype)
+    return columns
+
+
+def _same_cell(got, want) -> bool:
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, float) and math.isnan(want):
+        return math.isnan(got)
+    return got == want
+
+
+def _assert_rows_match(rows: list[dict], relation: Relation,
+                       start: int) -> None:
+    """``rows`` equal ``relation``'s rows from ``start``, built per cell."""
+    names = relation.column_names()
+    expected = [{name: to_python(relation.column(name)[index])
+                 for name in names}
+                for index in range(start, start + len(rows))]
+    assert [list(row) for row in rows] == [names] * len(rows)
+    for row, reference in zip(rows, expected):
+        assert all(_same_cell(row[name], reference[name]) for name in names), \
+            (row, reference)
+
+
+def _assert_pages_match(results: ResultSet, sizes: list[int]) -> None:
+    relation = results.to_relation()
+    for size in sizes:
+        start = len(results) - results.remaining
+        page = results.fetchmany(size)
+        assert len(page) == min(size, len(relation) - start)
+        _assert_rows_match(page, relation, start)
+    _assert_rows_match(list(results), relation, 0)
+    assert len(list(results)) == len(relation)
+    if len(relation):
+        _assert_rows_match([results.row(len(relation) - 1)], relation,
+                           len(relation) - 1)
+
+
+_SIZES = st.lists(st.integers(0, 12), max_size=8)
+
+
+class TestColumnBuiltPages:
+    @settings(max_examples=60, deadline=None)
+    @given(columns=_columns(), sizes=_SIZES)
+    def test_pages_equal_per_cell_rows(self, columns, sizes):
+        n = len(next(iter(columns.values())))
+        results = ResultSet(_shard_result(np.arange(n), columns), plan=None)
+        _assert_pages_match(results, sizes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shards=st.lists(_columns(max_rows=10), min_size=1, max_size=3),
+           sizes=_SIZES)
+    def test_fanout_pages_over_mixed_schemas(self, shards, sizes):
+        from repro.db.results import FanoutResultSet
+
+        results = {f"cam_{index}": _shard_result(
+                       np.arange(len(next(iter(columns.values())))), columns)
+                   for index, columns in enumerate(shards)}
+        merged = FanoutResultSet(results, {table: QueryPlan(table=table)
+                                           for table in results})
+        _assert_pages_match(merged, sizes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(locations=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
+                              max_size=15),
+           data=st.data(), sizes=_SIZES)
+    def test_aggregate_pages(self, locations, data, sizes):
+        from repro.db.aggregates import compute_partials
+        from repro.db.results import build_result_set
+        from repro.query.ast import Aggregate
+
+        speeds = data.draw(st.lists(st.floats(-1e6, 1e6),
+                                    min_size=len(locations),
+                                    max_size=len(locations)))
+        relation = Relation({"location": np.array(locations),
+                             "speed": np.array(speeds)})
+        select = ("location", Aggregate("count", None),
+                  Aggregate("avg", "speed"), Aggregate("max", "speed"))
+        plan = QueryPlan(select=select, group_by=("location",))
+        result = QueryResult(relation=relation,
+                             selected_indices=np.arange(len(locations)),
+                             cascades_used={}, images_classified={})
+        result.partials = compute_partials(relation, plan.aggregates,
+                                           plan.group_by)
+        _assert_pages_match(build_result_set(result, plan), sizes)

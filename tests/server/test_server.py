@@ -23,6 +23,7 @@ from repro.db.retention import RetentionPolicy
 from repro.query.ast import QueryError, QueryTimeoutError, SqlParseError
 from repro.server import (AdmissionController, BackpressureError,
                           ProtocolError, ServerError, Session, connect, serve)
+from repro.server.session import DEFAULT_FETCH_SIZE
 from tests.conftest import TINY_SIZE
 
 CONSTRAINED = UserConstraints(max_accuracy_loss=0.1)
@@ -60,6 +61,20 @@ def db(tiny_optimizer, tiny_device):
 @pytest.fixture(scope="module")
 def server(db):
     with serve(db, port=0, max_workers=2, max_queue=8) as running:
+        yield running
+
+
+@pytest.fixture(scope="module")
+def paged_db(tiny_device):
+    """One metadata-only table longer than two pages."""
+    return db_connect({"cam_wide": make_corpus(150, seed=11)},
+                      device=tiny_device, scenario=CAMERA,
+                      calibrate_target_fps=None)
+
+
+@pytest.fixture(scope="module")
+def paged_server(paged_db):
+    with serve(paged_db, port=0, max_workers=2) as running:
         yield running
 
 
@@ -207,6 +222,140 @@ class TestCursorPaging:
         assert len(b.fetchall()) == 2
 
 
+def count_requests(monkeypatch, connection) -> list[str]:
+    """Record the command of every request ``connection`` sends."""
+    sent: list[str] = []
+    real = connection._call
+
+    def counting(cmd, **params):
+        sent.append(cmd)
+        return real(cmd, **params)
+
+    monkeypatch.setattr(connection, "_call", counting)
+    return sent
+
+
+class TestColumnarWire:
+    """Pages travel as columns, the first rides on ``execute``, and a
+    drained cursor frees its slot."""
+
+    @pytest.fixture()
+    def wide(self, paged_server):
+        with connect(*paged_server.address, timeout=30) as connection:
+            yield connection
+
+    @pytest.mark.parametrize("n", [0, 1, DEFAULT_FETCH_SIZE,
+                                   DEFAULT_FETCH_SIZE + 1, 150])
+    def test_fetchall_matches_local_rows_and_types(self, wide, paged_db,
+                                                   monkeypatch, n):
+        sql = f"SELECT * FROM cam_wide LIMIT {n}"
+        sent = count_requests(monkeypatch, wide)
+        with wide.execute(sql) as cursor:
+            remote = cursor.fetchall()
+        local = paged_db.execute(sql).fetchall()
+        assert len(remote) == n
+        assert remote == local
+        assert [{key: type(value) for key, value in row.items()}
+                for row in remote] == \
+            [{key: type(value) for key, value in row.items()}
+             for row in local]
+        # One round trip while the result fits in the first page, one
+        # fetch for the rest otherwise; closing a drained cursor sends
+        # nothing.
+        expected = (["execute"] if n <= DEFAULT_FETCH_SIZE
+                    else ["execute", "fetch"])
+        assert sent == expected
+        assert wide.stats()["open_cursors"] == 0
+
+    def test_closing_an_undrained_cursor_frees_its_slot(self, wide,
+                                                        monkeypatch):
+        cursor = wide.execute(
+            f"SELECT * FROM cam_wide LIMIT {DEFAULT_FETCH_SIZE + 1}")
+        assert len(cursor.fetchmany(DEFAULT_FETCH_SIZE)) == \
+            DEFAULT_FETCH_SIZE
+        assert cursor.remaining == 1
+        assert wide.stats()["open_cursors"] == 1
+        sent = count_requests(monkeypatch, wide)
+        cursor.close()
+        cursor.close()
+        assert sent == ["close_cursor"]
+        assert wide.stats()["open_cursors"] == 0
+
+    def test_fetchmany_zero_and_negative_stay_local(self, wide, monkeypatch):
+        cursor = wide.execute("SELECT image_id FROM cam_wide")
+        cursor.fetchmany(DEFAULT_FETCH_SIZE)  # the inline page: local
+        sent = count_requests(monkeypatch, wide)
+        assert cursor.fetchmany(0) == []
+        with pytest.raises(ValueError):
+            cursor.fetchmany(-1)
+        assert sent == []
+        assert cursor.remaining == 150 - DEFAULT_FETCH_SIZE
+        assert [row["image_id"] for row in cursor.fetchmany(2)] == \
+            [DEFAULT_FETCH_SIZE, DEFAULT_FETCH_SIZE + 1]
+        assert sent == ["fetch"]
+        cursor.close()
+
+    def test_pages_across_the_inline_boundary(self, wide):
+        cursor = wide.execute("SELECT image_id FROM cam_wide")
+        seen = []
+        while True:
+            page = cursor.fetchmany(27)
+            if not page:
+                break
+            seen.extend(row["image_id"] for row in page)
+        assert seen == list(range(150))
+        assert wide.stats()["open_cursors"] == 0
+
+    def test_session_frees_a_drained_cursor(self, paged_db):
+        session = Session(paged_db, AdmissionController())
+        result = session.handle({"cmd": "execute",
+                                 "sql": "SELECT image_id FROM cam_wide"})
+        assert result["values"] == [tuple(range(DEFAULT_FETCH_SIZE))]
+        assert session.open_cursors == [result["cursor"]]
+        page = session.handle({"cmd": "fetch", "cursor": result["cursor"],
+                               "n": 1000})
+        assert page == {"columns": ["image_id"],
+                        "values": [tuple(range(DEFAULT_FETCH_SIZE, 150))],
+                        "remaining": 0}
+        assert session.open_cursors == []
+
+
+class TestBrokenConnection:
+    """A connection whose stream cannot be trusted closes itself."""
+
+    def test_receive_timeout_closes_the_connection(self, paged_db,
+                                                   monkeypatch):
+        def slow_ping(session, request):
+            time.sleep(0.5)
+            return {"pong": True}
+
+        monkeypatch.setitem(Session._COMMANDS, "ping", slow_ping)
+        with serve(paged_db, port=0) as dedicated:
+            connection = connect(*dedicated.address, timeout=0.1)
+            with pytest.raises(TimeoutError):
+                connection.ping()
+            assert connection.closed
+            with pytest.raises(RuntimeError, match="connection is closed"):
+                connection.tables()
+            connection.close()  # still idempotent
+
+    def test_mismatched_response_id_closes_the_connection(self, paged_db,
+                                                          monkeypatch):
+        import repro.server.server as server_module
+
+        monkeypatch.setattr(
+            server_module, "ok_response",
+            lambda request, result: {"ok": True, "id": "someone-else",
+                                     "result": result})
+        with serve(paged_db, port=0) as dedicated:
+            connection = connect(*dedicated.address, timeout=30)
+            with pytest.raises(ProtocolError, match="does not answer"):
+                connection.ping()
+            assert connection.closed
+            with pytest.raises(RuntimeError, match="connection is closed"):
+                connection.ping()
+
+
 class TestErrorsKeepSessionAlive:
     def test_parse_error_with_location(self, conn):
         with pytest.raises(SqlParseError) as info:
@@ -258,12 +407,15 @@ class TestRawProtocol:
             # The session survived all of it.
             assert self.request(f, b'{"cmd": "ping"}\n')["ok"] is True
 
-    def test_close_cursor_with_unhashable_id(self, server):
-        with socket.create_connection(server.address, timeout=30) as sock:
+    def test_close_cursor_with_unhashable_id(self, paged_server):
+        with socket.create_connection(paged_server.address,
+                                      timeout=30) as sock:
             f = sock.makefile("rwb")
-            cursor = self.request(
-                f, b'{"cmd": "execute", "sql": "SELECT image_id FROM cam_a"}'
-                b"\n")["result"]["cursor"]
+            # Longer than the first page, so a cursor is parked.
+            response = self.request(
+                f, b'{"cmd": "execute", '
+                b'"sql": "SELECT image_id FROM cam_wide"}\n')
+            cursor = response["result"]["cursor"]
             response = self.request(
                 f, b'{"cmd": "close_cursor", "cursor": [1]}\n')
             assert response["ok"] is False
@@ -274,7 +426,7 @@ class TestRawProtocol:
             # The session and its open cursor survived both.
             response = self.request(
                 f, b'{"cmd": "fetch", "cursor": %d, "n": 1}\n' % cursor)
-            assert len(response["result"]["rows"]) == 1
+            assert response["result"]["values"] == [[DEFAULT_FETCH_SIZE]]
 
     def test_quit_closes_connection(self, server):
         with socket.create_connection(server.address, timeout=30) as sock:
@@ -287,10 +439,12 @@ class TestRawProtocol:
 class TestSessionValidation:
     """Request validation at :class:`Session` level (no socket)."""
 
-    def test_cursor_ids_validated_once_for_fetch_and_close(self, db):
-        session = Session(db, AdmissionController())
+    def test_cursor_ids_validated_once_for_fetch_and_close(self, paged_db):
+        session = Session(paged_db, AdmissionController())
+        # Longer than the first page, so a cursor is parked.
         cursor = session.handle(
-            {"cmd": "execute", "sql": "SELECT image_id FROM cam_a"})["cursor"]
+            {"cmd": "execute",
+             "sql": "SELECT image_id FROM cam_wide"})["cursor"]
         for bad in ([1], {"id": 1}, "1", 1.5, True, None):
             for cmd in ("fetch", "close_cursor"):
                 with pytest.raises(ProtocolError):
