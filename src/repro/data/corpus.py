@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from repro.data.categories import TABLE2_CATEGORIES, CategoryDef
-from repro.data.synthesis import render_image
+from repro.data.synthesis import FramePlan
 
 __all__ = [
     "LabeledDataset",
@@ -26,6 +26,11 @@ __all__ = [
     "build_predicate_splits",
     "generate_corpus",
 ]
+
+#: Pixels per :class:`~repro.data.synthesis.FramePlan` when a builder
+#: renders many frames (256 frames at 16 px): bounds the painter's working
+#: memory, a few arrays of this many pixels, whatever the dataset size.
+PAINT_PIXELS = 1 << 16
 
 
 @dataclass
@@ -111,6 +116,14 @@ class PredicateDataSplits:
         return (len(self.train), len(self.config), len(self.eval))
 
 
+def _frame_plans(n: int, image_size: int):
+    """``(start, plan)`` for consecutive runs of ``n`` frames, each plan
+    :data:`PAINT_PIXELS` pixels or one frame."""
+    step = max(1, PAINT_PIXELS // image_size ** 2)
+    for start in range(0, n, step):
+        yield start, FramePlan(min(step, n - start), image_size)
+
+
 def build_predicate_dataset(category: CategoryDef, n_positive: int,
                             n_negative: int, image_size: int,
                             rng: np.random.Generator,
@@ -120,18 +133,15 @@ def build_predicate_dataset(category: CategoryDef, n_positive: int,
     if n_positive < 0 or n_negative < 0:
         raise ValueError("example counts must be non-negative")
     distractors = distractors if distractors is not None else TABLE2_CATEGORIES
-    images, labels = [], []
-    for _ in range(n_positive):
-        images.append(render_image(category, image_size, True, rng, distractors))
-        labels.append(1)
-    for _ in range(n_negative):
-        images.append(render_image(category, image_size, False, rng, distractors))
-        labels.append(0)
-    if not images:
-        return LabeledDataset(np.zeros((0, image_size, image_size, 3)),
-                              np.zeros((0,), dtype=np.int64))
-    dataset = LabeledDataset(np.stack(images), np.asarray(labels))
-    return dataset.shuffled(rng)
+    n = n_positive + n_negative
+    labels = np.repeat([1, 0], [n_positive, n_negative])
+    images = np.empty((n, image_size, image_size, 3))
+    for start, plan in _frame_plans(n, image_size):
+        for index in range(len(plan)):
+            plan.draw_image(index, category, bool(labels[start + index]), rng,
+                            distractors)
+        images[start:start + len(plan)] = plan.paint()
+    return LabeledDataset(images, labels).shuffled(rng)
 
 
 def build_predicate_splits(category: CategoryDef, *, n_train: int = 240,
@@ -466,32 +476,37 @@ def generate_corpus(categories: tuple[CategoryDef, ...], n_images: int,
     Each image independently contains each category with probability
     ``positive_rate / len(categories)`` scaled so the expected number of
     object-bearing images stays moderate; metadata columns ``location`` and
-    ``timestamp`` are attached for metadata-predicate queries.
+    ``timestamp`` are attached for metadata-predicate queries.  Frames are
+    painted :data:`PAINT_PIXELS` at a time.  ``image_size`` must be at least
+    8 and ``positive_rate`` in [0, 1].
     """
     if n_images <= 0:
         raise ValueError("n_images must be positive")
     if not categories:
         raise ValueError("categories must be non-empty")
+    if image_size < 8:
+        raise ValueError("size must be at least 8 pixels")
+    if not 0.0 <= positive_rate <= 1.0:
+        raise ValueError(f"positive_rate must be in [0, 1], got {positive_rate}")
     rng = rng or np.random.default_rng(0)
 
-    images = np.zeros((n_images, image_size, image_size, 3), dtype=np.float64)
+    images = np.empty((n_images, image_size, image_size, 3))
     content = {category.name: np.zeros(n_images, dtype=bool)
                for category in categories}
-    per_category_rate = min(1.0, positive_rate)
-
-    from repro.data.synthesis import render_background, render_object
-
-    for index in range(n_images):
-        image = render_background(image_size, rng)
-        for category in categories:
-            if rng.random() < per_category_rate / len(categories):
-                image = render_object(image, category, rng)
-                content[category.name][index] = True
-        images[index] = image
+    threshold = positive_rate / len(categories)
+    for start, plan in _frame_plans(n_images, image_size):
+        for index in range(len(plan)):
+            plan.draw_background(index, rng)
+            for category in categories:
+                if rng.random() < threshold:
+                    plan.draw_object(index, category, rng)
+                    content[category.name][start + index] = True
+        images[start:start + len(plan)] = plan.paint()
 
     metadata = {
-        "location": np.array([locations[rng.integers(0, len(locations))]
-                              for _ in range(n_images)]),
+        # One call draws the same values as one scalar draw per row.
+        "location": np.array([locations[index] for index in
+                              rng.integers(0, len(locations), size=n_images)]),
         "timestamp": np.sort(rng.uniform(0, 86_400, size=n_images)),
         "camera_id": rng.integers(0, 8, size=n_images),
     }

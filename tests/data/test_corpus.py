@@ -119,6 +119,20 @@ class TestImageCorpus:
         with pytest.raises(ValueError):
             generate_corpus(TABLE2_CATEGORIES[:1], n_images=0, image_size=16)
 
+    def test_generate_corpus_rejects_small_frames(self):
+        with pytest.raises(ValueError, match="at least 8 pixels"):
+            generate_corpus(TABLE2_CATEGORIES[:1], n_images=4, image_size=4)
+
+    def test_generate_corpus_rejects_positive_rate_above_one(self):
+        with pytest.raises(ValueError, match="positive_rate"):
+            generate_corpus(TABLE2_CATEGORIES[:1], n_images=4, image_size=16,
+                            positive_rate=1.5)
+
+    def test_generate_corpus_rejects_negative_positive_rate(self):
+        with pytest.raises(ValueError, match="positive_rate"):
+            generate_corpus(TABLE2_CATEGORIES[:1], n_images=4, image_size=16,
+                            positive_rate=-0.1)
+
     def test_timestamps_sorted(self):
         corpus = generate_corpus(TABLE2_CATEGORIES[:2], n_images=10,
                                  image_size=16, rng=np.random.default_rng(6))

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.categories import TABLE2_CATEGORIES, get_category
-from repro.data.synthesis import render_background, render_image, render_object, shape_mask
+from repro.data.categories import TABLE2_CATEGORIES, CategoryDef, get_category
+from repro.data.synthesis import (
+    FramePlan,
+    render_background,
+    render_image,
+    render_object,
+    shape_mask,
+)
 
 
 class TestShapeMask:
@@ -94,3 +100,66 @@ def test_render_image_always_in_unit_range(size, positive, index):
                          TABLE2_CATEGORIES)
     assert image.shape == (size, size, 3)
     assert image.min() >= 0.0 and image.max() <= 1.0
+
+
+#: No Table II category is drawn as a checkerboard.
+CHECKER = CategoryDef("checkerboard", "n00000000", "checker", (0.4, 0.6, 0.2), 5.0)
+#: Blob, stripes, checker and star: the shapes with their own draw or
+#: their own periodic cells; every subset below includes them.
+FOCUS = (get_category("amphibian"), get_category("fence"), CHECKER,
+         get_category("pinwheel"))
+OTHERS = tuple(c for c in TABLE2_CATEGORIES if c not in FOCUS)
+subsets = st.lists(st.sampled_from(OTHERS), unique=True, max_size=3).map(
+    lambda extra: FOCUS + tuple(extra))
+
+
+def same_bytes(batch, frames):
+    return batch.tobytes() == np.stack(frames).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(8, 40), seed=st.integers(0, 2 ** 32 - 1),
+       categories=subsets, data=st.data())
+def test_painted_batch_rows_are_the_per_frame_objects(size, seed, categories,
+                                                      data):
+    """render_background + render_object per frame == one painted batch."""
+    objects = data.draw(st.lists(
+        st.lists(st.sampled_from(categories), max_size=3),
+        min_size=1, max_size=5))
+    rng = np.random.default_rng(seed)
+    frames = []
+    for frame_objects in objects:
+        image = render_background(size, rng)
+        for category in frame_objects:
+            image = render_object(image, category, rng)
+        frames.append(image)
+
+    batch_rng = np.random.default_rng(seed)
+    plan = FramePlan(len(objects), size)
+    for index, frame_objects in enumerate(objects):
+        plan.draw_background(index, batch_rng)
+        for category in frame_objects:
+            plan.draw_object(index, category, batch_rng)
+    assert same_bytes(plan.paint(), frames)
+    assert batch_rng.bit_generator.state == rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(8, 40), seed=st.integers(0, 2 ** 32 - 1),
+       categories=subsets, data=st.data())
+def test_painted_batch_rows_are_the_per_frame_images(size, seed, categories,
+                                                     data):
+    """render_image per frame == the same examples drawn into one batch."""
+    examples = data.draw(st.lists(
+        st.tuples(st.sampled_from(categories), st.booleans()),
+        min_size=1, max_size=5))
+    rng = np.random.default_rng(seed)
+    frames = [render_image(target, size, positive, rng, categories)
+              for target, positive in examples]
+
+    batch_rng = np.random.default_rng(seed)
+    plan = FramePlan(len(examples), size)
+    for index, (target, positive) in enumerate(examples):
+        plan.draw_image(index, target, positive, batch_rng, categories)
+    assert same_bytes(plan.paint(), frames)
+    assert batch_rng.bit_generator.state == rng.bit_generator.state

@@ -1,0 +1,143 @@
+"""A numerical fingerprint of the rendered data and the trained SMOKE pool.
+
+``tests/fingerprint.json`` records sha256 digests of facts grouped by layer:
+
+* ``data`` — ``generate_corpus`` images, metadata and content for seeds 0-2
+  at 16 and 32 px, the SMOKE ``build_predicate_splits`` of both categories,
+  one ``generate_video_stream`` config, and the generator's
+  ``bit_generator.state`` after each call;
+* ``nn`` — every trained weight of the shared SMOKE workspace's model pools
+  (the grid models and the reference classifier of each predicate).
+
+Floats are hashed byte for byte: a change that moves any number by one ulp
+changes its digest.  ``tests/test_fingerprint.py`` compares the suite's
+SMOKE workspace against the file and names the group and the first key that
+differs.  A change that alters numbers on purpose regenerates the file with::
+
+    python -m tests.fingerprint
+
+and the file's diff is the audit trail of what moved.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+if str(_SRC) not in sys.path:
+    sys.path.insert(0, str(_SRC))
+
+from repro.data.categories import get_category  # noqa: E402
+from repro.data.corpus import build_predicate_splits, generate_corpus  # noqa: E402
+from repro.data.video import VideoStreamConfig, generate_video_stream  # noqa: E402
+
+__all__ = ["FINGERPRINT_PATH", "collect", "first_difference"]
+
+FINGERPRINT_PATH = Path(__file__).resolve().parent / "fingerprint.json"
+
+#: Corpus categories: blob, stripes, star and cross shapes between them.
+CORPUS_CATEGORIES = ("amphibian", "fence", "pinwheel", "scorpion")
+CORPUS_SEEDS = (0, 1, 2)
+CORPUS_SIZES = (16, 32)
+CORPUS_IMAGES = 48
+
+VIDEO_CONFIG = VideoStreamConfig(
+    name="fingerprint", category_name="scorpion", n_frames=24, frame_size=16,
+    positive_rate=0.4, mean_dwell=3.0, sensor_noise=0.02, difficulty=2)
+
+
+def _digest(array) -> str:
+    array = np.ascontiguousarray(array)
+    hasher = hashlib.sha256(f"{array.dtype.str}{array.shape}".encode())
+    hasher.update(array.tobytes())
+    return hasher.hexdigest()
+
+
+def _state_digest(rng: np.random.Generator) -> str:
+    state = json.dumps(rng.bit_generator.state, sort_keys=True)
+    return hashlib.sha256(state.encode()).hexdigest()
+
+
+def _data_facts(scale) -> dict[str, str]:
+    facts: dict[str, str] = {}
+    categories = tuple(get_category(name) for name in CORPUS_CATEGORIES)
+    for seed in CORPUS_SEEDS:
+        for size in CORPUS_SIZES:
+            rng = np.random.default_rng(seed)
+            corpus = generate_corpus(categories, CORPUS_IMAGES, size, rng=rng,
+                                     positive_rate=0.9)
+            prefix = f"corpus/seed={seed}/size={size}"
+            facts[f"{prefix}/images"] = _digest(corpus.images)
+            for key, values in corpus.metadata.items():
+                facts[f"{prefix}/metadata/{key}"] = _digest(values)
+            for key, values in corpus.content.items():
+                facts[f"{prefix}/content/{key}"] = _digest(values)
+            facts[f"{prefix}/rng_state"] = _state_digest(rng)
+
+    # The SMOKE splits exactly as build_workspace renders them.
+    for index, name in enumerate(scale.categories):
+        rng = np.random.default_rng(scale.seed + index)
+        splits = build_predicate_splits(
+            get_category(name), n_train=scale.n_train, n_config=scale.n_config,
+            n_eval=scale.n_eval, image_size=scale.image_size, rng=rng)
+        for split in ("train", "config", "eval"):
+            dataset = getattr(splits, split)
+            facts[f"splits/{name}/{split}/images"] = _digest(dataset.images)
+            facts[f"splits/{name}/{split}/labels"] = _digest(dataset.labels)
+        facts[f"splits/{name}/rng_state"] = _state_digest(rng)
+
+    rng = np.random.default_rng(5)
+    stream = generate_video_stream(VIDEO_CONFIG, rng=rng)
+    facts["video/frames"] = _digest(stream.frames)
+    facts["video/labels"] = _digest(stream.labels)
+    facts["video/rng_state"] = _state_digest(rng)
+    return facts
+
+
+def _nn_facts(workspace) -> dict[str, str]:
+    facts: dict[str, str] = {}
+    for name, predicate in workspace.predicates.items():
+        for model in [*predicate.models, predicate.reference_model]:
+            for key, value in model.network.parameters().items():
+                facts[f"{name}/{model.name}/{key}"] = _digest(value)
+    return facts
+
+
+def collect(workspace) -> dict[str, dict[str, str]]:
+    """Every fact group for ``workspace`` (the SMOKE_SCALE workspace)."""
+    return {"data": _data_facts(workspace.scale), "nn": _nn_facts(workspace)}
+
+
+def first_difference(expected: dict[str, dict[str, str]],
+                     actual: dict[str, dict[str, str]]
+                     ) -> tuple[str, str] | None:
+    """``(group, key)`` of the first fact that differs, or ``None``.
+
+    A key present on one side only counts as a difference.
+    """
+    for group in sorted(set(expected) | set(actual)):
+        want, got = expected.get(group, {}), actual.get(group, {})
+        for key in sorted(set(want) | set(got)):
+            if want.get(key) != got.get(key):
+                return group, key
+    return None
+
+
+def main() -> None:
+    from repro.experiments.presets import SMOKE_SCALE
+    from repro.experiments.workspace import get_workspace
+
+    facts = collect(get_workspace(SMOKE_SCALE))
+    FINGERPRINT_PATH.write_text(json.dumps(facts, indent=1, sort_keys=True)
+                                + "\n")
+    print(f"wrote {FINGERPRINT_PATH} "
+          f"({', '.join(f'{g}: {len(k)} facts' for g, k in facts.items())})")
+
+
+if __name__ == "__main__":
+    main()
