@@ -1,4 +1,5 @@
-"""A numerical fingerprint of the rendered data and the trained SMOKE pool.
+"""A numerical fingerprint of the rendered data, the trained SMOKE pool and
+the cascades the optimizer evaluates and selects from it.
 
 ``tests/fingerprint.json`` records sha256 digests of facts grouped by layer:
 
@@ -7,7 +8,13 @@
   one ``generate_video_stream`` config, and the generator's
   ``bit_generator.state`` after each call;
 * ``nn`` — every trained weight of the shared SMOKE workspace's model pools
-  (the grid models and the reference classifier of each predicate).
+  (the grid models and the reference classifier of each predicate);
+* ``core`` — per predicate, the calibrated thresholds and the cached
+  eval-split probabilities; per predicate x scenario, every cascade's
+  accuracy, load / transform / infer cost, ``level_fractions`` and
+  ``positive_rate`` as ``optimizer.evaluate`` reports them, the frontier's
+  members in order, and the cascade ``optimizer.select`` picks (by name)
+  for each ``max_accuracy_loss`` in ``SELECT_LOSSES``.
 
 Floats are hashed byte for byte: a change that moves any number by one ulp
 changes its digest.  ``tests/test_fingerprint.py`` compares the suite's
@@ -45,6 +52,9 @@ CORPUS_CATEGORIES = ("amphibian", "fence", "pinwheel", "scorpion")
 CORPUS_SEEDS = (0, 1, 2)
 CORPUS_SIZES = (16, 32)
 CORPUS_IMAGES = 48
+
+#: ``max_accuracy_loss`` values whose selected cascade the core group names.
+SELECT_LOSSES = (None, 0.02, 0.05, 0.10)
 
 VIDEO_CONFIG = VideoStreamConfig(
     name="fingerprint", category_name="scorpion", n_frames=24, frame_size=16,
@@ -108,9 +118,52 @@ def _nn_facts(workspace) -> dict[str, str]:
     return facts
 
 
+def _names_digest(names) -> str:
+    return hashlib.sha256("\n".join(names).encode()).hexdigest()
+
+
+def _core_facts(workspace) -> dict[str, str]:
+    from repro.core.selector import UserConstraints
+
+    facts: dict[str, str] = {}
+    profilers = workspace.profilers()
+    for name, predicate in workspace.predicates.items():
+        optimizer = predicate.optimizer
+        facts[f"{name}/thresholds"] = _digest(
+            [(t.p_low, t.p_high, t.precision_target)
+             for model in sorted(optimizer.thresholds)
+             for t in optimizer.thresholds[model]])
+        facts[f"{name}/eval_probabilities"] = _digest(
+            [optimizer.cache.probabilities[model]
+             for model in sorted(optimizer.cache.probabilities)])
+        for scenario, profiler in profilers.items():
+            prefix = f"{name}/{scenario}"
+            evaluations = optimizer.evaluate(profiler).evaluations
+            facts[f"{prefix}/cascades"] = _names_digest(
+                e.name for e in evaluations)
+            facts[f"{prefix}/accuracy"] = _digest(
+                [e.accuracy for e in evaluations])
+            for term in ("load_s", "transform_s", "infer_s"):
+                facts[f"{prefix}/{term}"] = _digest(
+                    [getattr(e.cost, term) for e in evaluations])
+            facts[f"{prefix}/level_fractions"] = _digest(
+                [f for e in evaluations for f in e.level_fractions])
+            facts[f"{prefix}/positive_rate"] = _digest(
+                [e.positive_rate for e in evaluations])
+            facts[f"{prefix}/frontier"] = _names_digest(
+                e.name for e in optimizer.frontier(profiler))
+            for loss in SELECT_LOSSES:
+                selected = optimizer.select(
+                    profiler, UserConstraints(max_accuracy_loss=loss))
+                facts[f"{prefix}/select/max_accuracy_loss={loss}"] = (
+                    selected.name)
+    return facts
+
+
 def collect(workspace) -> dict[str, dict[str, str]]:
     """Every fact group for ``workspace`` (the SMOKE_SCALE workspace)."""
-    return {"data": _data_facts(workspace.scale), "nn": _nn_facts(workspace)}
+    return {"data": _data_facts(workspace.scale), "nn": _nn_facts(workspace),
+            "core": _core_facts(workspace)}
 
 
 def first_difference(expected: dict[str, dict[str, str]],
