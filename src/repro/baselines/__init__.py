@@ -7,17 +7,18 @@
   NoScope-style two-level cascades whose models all consume the full-size,
   full-color representation and that terminate in the reference classifier,
 * :mod:`repro.baselines.difference` — the frame-difference detector, and
-* :mod:`repro.baselines.noscope` — the NoScope-style video pipeline plus
-  TAHOMA+DD (a TAHOMA cascade combined with the same difference detector),
-  used for the Figure 8 comparison.
+* :mod:`repro.baselines.noscope` — NoScope as a cascade
+  (:func:`noscope_cascade`: specialized CNN, then the oracle) and the one
+  pipeline that runs a cascade behind the difference detector, used for
+  NoScope and TAHOMA+DD in the Figure 8 comparison.
 """
 
 from repro.baselines.baseline_cascades import build_baseline_cascades, baseline_model_specs
 from repro.baselines.difference import DifferenceDetector, FramePlan
 from repro.baselines.noscope import (
-    NoScopePipeline,
     PipelineResult,
     TahomaWithDifferenceDetector,
+    noscope_cascade,
 )
 from repro.baselines.reference import (
     build_reference_network,
@@ -33,7 +34,7 @@ __all__ = [
     "baseline_model_specs",
     "DifferenceDetector",
     "FramePlan",
-    "NoScopePipeline",
     "TahomaWithDifferenceDetector",
+    "noscope_cascade",
     "PipelineResult",
 ]

@@ -1,9 +1,17 @@
-"""Classifier cascades and cascade enumeration (paper Sections V-B to V-D)."""
+"""Classifier cascades and cascade enumeration (paper Sections V-B to V-D).
+
+:meth:`Cascade.decide` is the one place the cascade's decision rule lives:
+a thresholded level decides the inputs it is confident about and passes the
+rest on, and the final level decides what is left at 0.5.  Execution
+(:meth:`Cascade.classify_with_stats`) feeds it inference over raw rows; the
+evaluator (:func:`~repro.core.evaluator.evaluate_cascade`) feeds it cached
+eval-split probabilities.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -114,18 +122,11 @@ class Cascade:
             rows = np.arange(raw_images.shape[0])
         if representations is None:
             representations = {}
-        labels = np.zeros(rows.size, dtype=np.int64)
-        # Positions into ``rows`` / ``labels`` still undecided; stays sorted,
-        # so a later level finds its rows in an earlier level's transform.
-        pending = np.arange(rows.size)
+        # spec name -> (the pending positions it was transformed for, result).
         transformed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        evaluated = np.zeros(self.depth, dtype=np.int64)
-        decided = np.zeros(self.depth, dtype=np.int64)
 
-        for index, level in enumerate(self.levels):
-            if pending.size == 0:
-                break
-            evaluated[index] = pending.size
+        def probabilities_for(level: CascadeLevel,
+                              pending: np.ndarray) -> np.ndarray:
             spec = level.model.transform
             if spec.name in representations:
                 representation = representations[spec.name][rows[pending]]
@@ -135,21 +136,12 @@ class Cascade:
             else:
                 representation = spec.apply_batch(raw_images[rows[pending]])
                 transformed[spec.name] = (pending, representation)
-            probabilities = level.model.predict_proba_transformed(
+            return level.model.predict_proba_transformed(
                 representation, batch_size=batch_size)
-            if level.is_final:
-                labels[pending] = (probabilities >= 0.5).astype(np.int64)
-                decided[index] = pending.size
-                pending = np.array([], dtype=np.int64)
-            else:
-                confident = level.thresholds.confident_mask(probabilities)
-                decided_idx = pending[confident]
-                labels[decided_idx] = level.thresholds.decide(
-                    probabilities[confident])
-                decided[index] = decided_idx.size
-                pending = pending[~confident]
 
+        labels, stats = self.decide(rows.size, probabilities_for)
         if metrics is not None:
+            evaluated, decided = stats["evaluated"], stats["decided"]
             evaluated_total = metrics.counter(
                 "repro_cascade_level_evaluated_total")
             decided_total = metrics.counter(
@@ -161,7 +153,44 @@ class Cascade:
                 if decided[index]:
                     decided_total.inc(int(decided[index]),
                                       cascade=self.name, level=str(index))
+        return labels, stats
 
+    def decide(self, n: int,
+               probabilities_for: Callable[[CascadeLevel, np.ndarray],
+                                           np.ndarray]
+               ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The cascade's decision rule over ``n`` inputs: labels plus counts.
+
+        ``probabilities_for(level, pending)`` returns the level's
+        probabilities for the input positions ``pending`` (sorted, a subset
+        of ``range(n)``, the inputs no earlier level was confident about).
+        A thresholded level decides the inputs it is confident about; the
+        final level decides the rest at 0.5.
+
+        Returns ``(labels, {"evaluated": ..., "decided": ...})`` with the
+        per-level input counts as in :meth:`classify_with_stats`.
+        """
+        labels = np.zeros(n, dtype=np.int64)
+        # Positions still undecided; stays sorted, so a later level finds its
+        # inputs in whatever an earlier level computed for a superset.
+        pending = np.arange(n)
+        evaluated = np.zeros(self.depth, dtype=np.int64)
+        decided = np.zeros(self.depth, dtype=np.int64)
+        for index, level in enumerate(self.levels):
+            if pending.size == 0:
+                break
+            evaluated[index] = pending.size
+            probabilities = probabilities_for(level, pending)
+            if level.is_final:
+                labels[pending] = (probabilities >= 0.5).astype(np.int64)
+                decided[index] = pending.size
+                break
+            confident = level.thresholds.confident_mask(probabilities)
+            decided_idx = pending[confident]
+            labels[decided_idx] = level.thresholds.decide(
+                probabilities[confident])
+            decided[index] = decided_idx.size
+            pending = pending[~confident]
         return labels, {"evaluated": evaluated, "decided": decided}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

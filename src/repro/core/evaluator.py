@@ -2,12 +2,18 @@
 
 The key trick that makes evaluating millions of cascades cheap is that every
 cascade is a combination of the same basic models: each model is run over the
-held-out evaluation set exactly once, and every cascade's accuracy and
-expected cost are then *simulated* from those cached probabilities.
+held-out evaluation set exactly once (:meth:`ModelPredictionCache.from_models`,
+the one per-model probability pass), and every cascade's accuracy and
+expected cost are then *simulated* from those cached probabilities.  The
+replay runs the cascade's own decision rule (:meth:`Cascade.decide`, the
+same loop execution uses), and :func:`expected_cost` is the one pricing
+rule: the difference-detector pipeline of :mod:`repro.baselines.noscope`
+prices NoScope's and TAHOMA+DD's cascades with it too.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +24,7 @@ from repro.core.pareto import pareto_frontier_indices
 from repro.costs.profiler import CostBreakdown, CostProfiler
 
 __all__ = ["ModelPredictionCache", "CascadeEvaluation", "EvaluatedCascadeSet",
-           "evaluate_cascade", "evaluate_cascades"]
+           "evaluate_cascade", "evaluate_cascades", "expected_cost"]
 
 
 class ModelPredictionCache:
@@ -101,58 +107,48 @@ class CascadeEvaluation:
         return (self.accuracy, self.throughput)
 
 
+def expected_cost(cascade: Cascade, level_fractions: Iterable[float],
+                  profiler: CostProfiler) -> CostBreakdown:
+    """Expected per-input cost of ``cascade`` given the fraction reaching
+    each level.
+
+    The paper's accounting, and the only place it is written: a level's
+    inference is weighted by the fraction of inputs that reach it, and a
+    representation's load/transform cost is paid once, at the first level
+    that reads it (costs "occur once for a given input").
+    """
+    cost = CostBreakdown()
+    seen_representations: set[str] = set()
+    for level, fraction in zip(cascade.levels, level_fractions):
+        cost = cost + CostBreakdown(
+            infer_s=profiler.infer_time(level.model.flops)).scaled(fraction)
+        spec = level.model.transform
+        if spec.name not in seen_representations:
+            cost = cost + profiler.data_handling_cost(spec).scaled(fraction)
+            seen_representations.add(spec.name)
+    return cost
+
+
 def evaluate_cascade(cascade: Cascade, cache: ModelPredictionCache,
                      profiler: CostProfiler) -> CascadeEvaluation:
     """Simulate one cascade over the evaluation set and price it.
 
-    Accuracy comes from replaying the cascade's decision logic on the cached
-    probabilities.  Expected cost follows the paper's accounting: a level's
-    inference cost is weighted by the fraction of images that reach it, and a
-    representation's load/transform cost is incurred at the first level that
-    uses it (costs "occur once for a given input").
+    Accuracy comes from replaying the cascade's decision rule
+    (:meth:`Cascade.decide`) on the cached probabilities; the fraction of
+    the set reaching each level prices it through :func:`expected_cost`.
     """
     labels = cache.labels
     n = labels.size
     if n == 0:
         raise ValueError("evaluation set is empty")
-
-    predictions = np.zeros(n, dtype=np.int64)
-    reach_mask = np.ones(n, dtype=bool)
-    level_fractions = []
-    cost = CostBreakdown()
-    seen_representations: set[str] = set()
-
-    for level in cascade.levels:
-        fraction_reaching = float(reach_mask.mean())
-        level_fractions.append(fraction_reaching)
-        probabilities = cache.get(level.model)
-
-        # Expected inference cost: pay only for images that reach this level.
-        cost = cost + CostBreakdown(
-            infer_s=profiler.infer_time(level.model.flops)).scaled(fraction_reaching)
-
-        # Data handling: first level to use a representation pays for it.
-        representation_name = level.model.transform.name
-        if representation_name not in seen_representations:
-            handling = profiler.data_handling_cost(level.model.transform)
-            cost = cost + handling.scaled(fraction_reaching)
-            seen_representations.add(representation_name)
-
-        if level.is_final:
-            predictions[reach_mask] = (probabilities[reach_mask] >= 0.5)
-            reach_mask = np.zeros(n, dtype=bool)
-            break
-        confident = level.thresholds.confident_mask(probabilities)
-        decided_here = reach_mask & confident
-        predictions[decided_here] = level.thresholds.decide(
-            probabilities[decided_here])
-        reach_mask = reach_mask & ~confident
-
-    # Images never decided (possible only for malformed cascades) count as 0.
-    accuracy = float((predictions == labels).mean())
-    return CascadeEvaluation(cascade=cascade, accuracy=accuracy, cost=cost,
-                             level_fractions=tuple(level_fractions),
-                             positive_rate=float(predictions.mean()))
+    predictions, stats = cascade.decide(
+        n, lambda level, pending: cache.get(level.model)[pending])
+    level_fractions = tuple(float(count / n) for count in stats["evaluated"])
+    return CascadeEvaluation(
+        cascade=cascade, accuracy=float((predictions == labels).mean()),
+        cost=expected_cost(cascade, level_fractions, profiler),
+        level_fractions=level_fractions,
+        positive_rate=float(predictions.mean()))
 
 
 def evaluate_cascades(cascades: list[Cascade], cache: ModelPredictionCache,
@@ -199,11 +195,3 @@ class EvaluatedCascadeSet:
         """The (min, max) accuracy spanned by the full cascade set."""
         accuracies = [e.accuracy for e in self.evaluations]
         return (min(accuracies), max(accuracies))
-
-    def best_accuracy(self) -> CascadeEvaluation:
-        """The most accurate cascade (ties broken by throughput)."""
-        return max(self.evaluations, key=lambda e: (e.accuracy, e.throughput))
-
-    def fastest(self) -> CascadeEvaluation:
-        """The highest-throughput cascade (ties broken by accuracy)."""
-        return max(self.evaluations, key=lambda e: (e.throughput, e.accuracy))

@@ -109,25 +109,19 @@ class TahomaOptimizer:
             experiments to share models across optimizer variants).
         """
         rng = rng or np.random.default_rng(self.config.training.seed)
-
         trainer = ModelTrainer(self.config.training)
-        self.models = trainer.train_models(self.config.model_specs(),
-                                           splits.train, rng=rng)
-        if extra_models:
-            self.models = list(self.models) + list(extra_models)
-        self.reference_model = reference_model
-
-        self._calibrate_thresholds(splits)
-        self._build_cache(splits)
-        self._build_cascades()
-        self._initialized = True
+        models = trainer.train_models(self.config.model_specs(),
+                                      splits.train, rng=rng)
+        self.initialize_with_models(models + list(extra_models or []),
+                                    splits, reference_model=reference_model)
 
     def initialize_with_models(self, models: list[TrainedModel],
                                splits: PredicateDataSplits,
                                reference_model: TrainedModel | None = None) -> None:
         """Initialize from an existing model pool (skipping training).
 
-        Used by the experiment harness to evaluate several cascade-set
+        :meth:`initialize` ends here once the pool is trained; the
+        experiment harness calls it directly to evaluate several cascade-set
         variants (e.g. the Figure 10 transformation subsets) without
         retraining shared models.
         """
@@ -136,25 +130,23 @@ class TahomaOptimizer:
         self.models = list(models)
         self.reference_model = reference_model
         self._calibrate_thresholds(splits)
-        self._build_cache(splits)
+        self.cache = ModelPredictionCache.from_models(
+            self._threshold_models(), splits.eval.images, splits.eval.labels)
         self._build_cascades()
         self._initialized = True
 
     def _calibrate_thresholds(self, splits: PredicateDataSplits) -> None:
-        """Calibrate (p_low, p_high) per model per precision target."""
-        transformed: dict[str, np.ndarray] = {}
-        config_images = splits.config.images
-        config_labels = splits.config.labels
+        """Calibrate (p_low, p_high) per model per precision target on the
+        configuration split."""
+        config = ModelPredictionCache.from_models(
+            self._threshold_models(), splits.config.images,
+            splits.config.labels)
         self.thresholds = {}
         for model in self._threshold_models():
-            name = model.transform.name
-            if name not in transformed:
-                transformed[name] = model.transform.apply_batch(config_images)
-            probabilities = model.predict_proba_transformed(transformed[name])
             calibrated = []
             for target in self.config.precision_targets:
                 calibration = calibrate_thresholds(
-                    probabilities, config_labels, precision_target=target,
+                    config.get(model), config.labels, precision_target=target,
                     grid_size=self.config.threshold_grid_size)
                 calibrated.append(calibration.thresholds)
             self.thresholds[model.name] = calibrated
@@ -164,11 +156,6 @@ class TahomaOptimizer:
         if self.reference_model is not None:
             models.append(self.reference_model)
         return models
-
-    def _build_cache(self, splits: PredicateDataSplits) -> None:
-        """Cache per-model predictions on the held-out evaluation set."""
-        self.cache = ModelPredictionCache.from_models(
-            self._threshold_models(), splits.eval.images, splits.eval.labels)
 
     def _build_cascades(self) -> None:
         builder = CascadeBuilder(self.thresholds,

@@ -8,9 +8,9 @@ import numpy as np
 
 from repro.baselines.difference import DifferenceDetector
 from repro.baselines.noscope import (
-    NoScopePipeline,
     PipelineResult,
     TahomaWithDifferenceDetector,
+    noscope_cascade,
 )
 from repro.baselines.reference import train_reference_model
 from repro.core.optimizer import TahomaConfig, TahomaOptimizer
@@ -76,7 +76,7 @@ def split_stream(stream: VideoStream, train_fraction: float = 0.4,
 
 def _build_noscope(scale: ExperimentScale, splits: PredicateDataSplits,
                    oracle, detector: DifferenceDetector,
-                   rng: np.random.Generator) -> NoScopePipeline:
+                   rng: np.random.Generator) -> TahomaWithDifferenceDetector:
     """Train NoScope's single specialized full-input CNN and calibrate it."""
     architectures = scale.architectures()
     # NoScope's specialized model: the largest architecture, full-size input.
@@ -90,9 +90,9 @@ def _build_noscope(scale: ExperimentScale, splits: PredicateDataSplits,
     config_probs = specialized.predict_proba(splits.config.images)
     calibration = calibrate_thresholds(config_probs, splits.config.labels,
                                        precision_target=COMPARISON_PRECISION)
-    return NoScopePipeline(specialized=specialized,
-                           thresholds=calibration.thresholds, oracle=oracle,
-                           detector=detector)
+    return TahomaWithDifferenceDetector(
+        noscope_cascade(specialized, calibration.thresholds, oracle),
+        detector=detector, name="noscope")
 
 
 def _build_tahoma_dd(scale: ExperimentScale, splits: PredicateDataSplits,

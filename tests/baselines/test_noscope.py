@@ -4,20 +4,28 @@ import numpy as np
 import pytest
 
 from repro.baselines.difference import DifferenceDetector
-from repro.baselines.noscope import NoScopePipeline, TahomaWithDifferenceDetector
+from repro.baselines.noscope import TahomaWithDifferenceDetector, noscope_cascade
 from repro.core.cascade import Cascade, CascadeLevel
+from repro.core.evaluator import expected_cost
 from repro.core.model import TrainedModel
 from repro.core.spec import ArchitectureSpec, ModelSpec
 from repro.core.thresholds import DecisionThresholds
 from repro.costs.device import DeviceProfile
-from repro.costs.profiler import CostProfiler
-from repro.costs.scenario import INFER_ONLY
+from repro.costs.profiler import CostBreakdown, CostProfiler
+from repro.costs.scenario import ARCHIVE, INFER_ONLY
 from repro.transforms.spec import TransformSpec
 
 DEVICE = DeviceProfile("test", flops_per_second=1e9,
                        transform_seconds_per_value=1e-8,
                        inference_overhead_s=1e-5)
 PROFILER = CostProfiler(DEVICE, INFER_ONLY, source_resolution=16)
+
+
+def noscope_pipeline(specialized, thresholds, oracle, detector=None):
+    """NoScope: its cascade behind the difference detector."""
+    return TahomaWithDifferenceDetector(
+        noscope_cascade(specialized, thresholds, oracle), detector=detector,
+        name="noscope")
 
 
 def make_model(name, resolution=16, mode="rgb", kind="specialized", seed=0):
@@ -49,19 +57,19 @@ def oracle():
     return make_model("oracle", kind="reference", seed=2)
 
 
-class TestNoScopePipeline:
+class TestNoScope:
     def test_rejects_reference_as_specialized(self, oracle):
         with pytest.raises(ValueError):
-            NoScopePipeline(specialized=oracle,
+            noscope_cascade(specialized=oracle,
                             thresholds=DecisionThresholds(0.3, 0.7, 0.95),
                             oracle=oracle)
 
     def test_run_produces_labels_and_counts(self, frames_and_labels, specialized,
                                             oracle):
         frames, labels = frames_and_labels
-        pipeline = NoScopePipeline(specialized,
-                                   DecisionThresholds(0.3, 0.7, 0.95), oracle,
-                                   detector=DifferenceDetector(threshold=1e-5))
+        pipeline = noscope_pipeline(specialized,
+                                    DecisionThresholds(0.3, 0.7, 0.95), oracle,
+                                    detector=DifferenceDetector(threshold=1e-5))
         result = pipeline.run(frames, labels, PROFILER)
         assert result.labels.shape == labels.shape
         assert result.n_frames == 30
@@ -72,17 +80,17 @@ class TestNoScopePipeline:
 
     def test_mismatched_lengths_raise(self, frames_and_labels, specialized, oracle):
         frames, labels = frames_and_labels
-        pipeline = NoScopePipeline(specialized,
-                                   DecisionThresholds(0.3, 0.7, 0.95), oracle)
+        pipeline = noscope_pipeline(specialized,
+                                    DecisionThresholds(0.3, 0.7, 0.95), oracle)
         with pytest.raises(ValueError):
             pipeline.run(frames, labels[:-1], PROFILER)
 
     def test_tight_thresholds_send_everything_to_oracle(self, frames_and_labels,
                                                         specialized, oracle):
         frames, labels = frames_and_labels
-        pipeline = NoScopePipeline(specialized,
-                                   DecisionThresholds(0.0, 1.0, 0.95), oracle,
-                                   detector=DifferenceDetector(threshold=0.0))
+        pipeline = noscope_pipeline(specialized,
+                                    DecisionThresholds(0.0, 1.0, 0.95), oracle,
+                                    detector=DifferenceDetector(threshold=0.0))
         result = pipeline.run(frames, labels, PROFILER)
         assert result.oracle_fraction > 0.9
 
@@ -90,12 +98,35 @@ class TestNoScopePipeline:
                                          oracle):
         frames, labels = frames_and_labels
         detector = DifferenceDetector(threshold=0.0)
-        cheap = NoScopePipeline(specialized, DecisionThresholds(0.5, 0.5, 0.95),
-                                oracle, detector=detector)
-        expensive = NoScopePipeline(specialized, DecisionThresholds(0.0, 1.0, 0.95),
-                                    oracle, detector=detector)
+        cheap = noscope_pipeline(specialized, DecisionThresholds(0.5, 0.5, 0.95),
+                                 oracle, detector=detector)
+        expensive = noscope_pipeline(specialized, DecisionThresholds(0.0, 1.0, 0.95),
+                                     oracle, detector=detector)
         assert (expensive.run(frames, labels, PROFILER).cost.total_s
                 > cheap.run(frames, labels, PROFILER).cost.total_s)
+
+    def test_cost_is_the_cascade_rule_plus_the_detector(self, frames_and_labels,
+                                                        specialized, oracle):
+        """Under ARCHIVE the oracle reads the representation the specialized
+        model already loaded, so the full frame is loaded once per frame."""
+        frames, labels = frames_and_labels
+        profiler = CostProfiler(DEVICE, ARCHIVE, source_resolution=16,
+                                cost_resolution=224)
+        detector = DifferenceDetector(threshold=0.0)
+        # Thresholds that leave the middle half of the frames to the oracle.
+        p_low, p_high = np.quantile(specialized.predict_proba(frames),
+                                    [0.25, 0.75])
+        pipeline = noscope_pipeline(specialized,
+                                    DecisionThresholds(p_low, p_high, 0.95),
+                                    oracle, detector=detector)
+        result = pipeline.run(frames, labels, profiler)
+        assert 0 < result.n_oracle < result.n_specialized
+        detector_cost = CostBreakdown(transform_s=DEVICE.transform_time(
+            detector.values_touched(frames.shape[1:])))
+        fractions = (1.0, result.n_oracle / result.n_specialized)
+        assert result.cost == detector_cost + expected_cost(
+            pipeline.cascade, fractions, profiler)
+        assert result.cost.load_s == profiler.load_time(specialized.transform)
 
 
 class TestTahomaWithDifferenceDetector:
@@ -134,8 +165,8 @@ class TestTahomaWithDifferenceDetector:
         detector = DifferenceDetector(threshold=0.0)
         tahoma = TahomaWithDifferenceDetector(
             Cascade((CascadeLevel(small, None),)), detector=detector)
-        noscope = NoScopePipeline(full, DecisionThresholds(0.5, 0.5, 0.95),
-                                  oracle, detector=detector)
+        noscope = noscope_pipeline(full, DecisionThresholds(0.5, 0.5, 0.95),
+                                   oracle, detector=detector)
         tahoma_result = tahoma.run(frames, labels, PROFILER)
         noscope_result = noscope.run(frames, labels, PROFILER)
         assert tahoma_result.throughput > noscope_result.throughput

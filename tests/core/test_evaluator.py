@@ -11,6 +11,7 @@ from repro.core.evaluator import (
 )
 from repro.core.model import TrainedModel
 from repro.core.pareto import is_dominated
+from repro.core.selector import select_fastest, select_most_accurate
 from repro.core.spec import ArchitectureSpec, ModelSpec
 from repro.core.thresholds import DecisionThresholds
 from repro.costs.device import DeviceProfile
@@ -133,8 +134,8 @@ class TestEvaluatedCascadeSet:
         models, _, _, cache, thresholds, profiler = setup
         builder = CascadeBuilder(thresholds, max_depth=2)
         evaluated = evaluate_cascades(builder.build(models, False), cache, profiler)
-        best = evaluated.best_accuracy()
-        fastest = evaluated.fastest()
+        best = select_most_accurate(evaluated.evaluations)
+        fastest = select_fastest(evaluated.evaluations)
         assert best.accuracy == max(e.accuracy for e in evaluated.evaluations)
         assert fastest.throughput == max(e.throughput for e in evaluated.evaluations)
 
