@@ -35,7 +35,10 @@ columns + a per-table namespace of the shared representation store).
 
 from __future__ import annotations
 
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -57,12 +60,37 @@ from repro.db.registry import PredicateRegistry
 from repro.db.results import (AggregateResultSet, FanoutResultSet, ResultSet,
                               build_result_set)
 from repro.db.retention import RetentionPolicy
+from repro.nn import blas
 from repro.query.model import Query
 from repro.query.sql import parse_query, split_explain_analyze
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import NO_SPAN, Tracer
 
 __all__ = ["VisualDatabase", "connect", "initialize_predicate"]
+
+
+class _ShardStopped(Exception):
+    """Raised at a shard's chunk boundary once a sibling shard failed."""
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask), or the host's
+    count where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_CPUS = _usable_cpus()
+#: Cold fan-out shards of every database run here.  A pool starts a thread
+#: only when no idle one can take a task, so it never holds more threads
+#: than the most shards that ran at once, and at most one per usable CPU;
+#: they live for the process.  A pool built per fan-out starts and joins its
+#: threads every query (0.5-0.8 ms on a 2-vCPU host), which cost x0.88 of
+#: the end-to-end benchmark's ``ongoing_ingest`` query throughput.
+_SHARD_POOL = ThreadPoolExecutor(max_workers=_CPUS,
+                                 thread_name_prefix="repro-shard")
 
 
 def initialize_predicate(splits: PredicateDataSplits,
@@ -660,8 +688,10 @@ class VisualDatabase:
         the virtual ``all_cameras`` table fans out — across every attached
         table, or just the shards named by ``tables=[...]`` (only valid with
         ``FROM all_cameras``): the planner plans once per shard using that
-        shard's observed selectivity, the shards run one after another on
-        the calling thread, and the merged
+        shard's observed selectivity; a cold fan-out (at least two shards
+        with rows their cascades have not labelled) runs its shards in
+        parallel, one per core, a warm one runs them one after another on
+        the calling thread (see :meth:`_fanout_results`); and the merged
         :class:`~repro.db.results.FanoutResultSet` carries a ``__table__``
         provenance column plus per-shard ``cascades_used`` and
         ``images_classified``.  A fan-out aggregate merges per-shard
@@ -669,8 +699,10 @@ class VisualDatabase:
 
         ``cancel`` is an optional zero-argument callable checked at chunk
         boundaries during execution; raising from it aborts the query (see
-        :meth:`~repro.db.executor.QueryExecutor.execute`).  The network
-        server's per-query timeouts are built on it.
+        :meth:`~repro.db.executor.QueryExecutor.execute`).  In a fan-out
+        the first exception stops the shards that have not started and the
+        running ones at their next chunk boundary, then propagates with its
+        own type.  The network server's per-query timeouts are built on it.
 
         A query prefixed ``EXPLAIN ANALYZE`` executes normally but returns
         the :meth:`explain_analyze` report (a JSON-safe dict) instead of a
@@ -721,18 +753,73 @@ class VisualDatabase:
 
     def _fanout_results(self, plans: dict[str, QueryPlan], cancel=None,
                         span=NO_SPAN) -> dict:
-        """Run per-shard plans one after another; ``{table: QueryResult}``.
+        """Run per-shard plans; ``{table: QueryResult}`` in plan order.
 
-        Shards run on the calling thread, each under its own
-        ``table:<name>`` child span; a ``cancel`` hook that raises stops the
-        shards that have not started.
+        Each shard runs under its own ``table:<name>`` child span.  A warm
+        fan-out runs the shards one after another on the calling thread.
+        When at least two shards have rows their plan's cascades have not
+        labelled, and the process may run on more than one CPU, the shards
+        run on the process's shard pool — at most one thread per usable
+        CPU — with OpenBLAS held at one thread
+        (:func:`repro.nn.blas.serial`), so each core classifies a shard;
+        their spans are created here, in plan order, and each starts its
+        clock when a worker enters it.
+
+        The first exception stops the shards that have not started and,
+        when ``cancel`` is given, the running ones at their next chunk
+        boundary; once every running shard has stopped it propagates with
+        its own type.  Without a ``cancel`` hook a running shard is not
+        chunked, so it runs to its end first.
         """
-        raw = {}
-        for table, plan in plans.items():
-            with span.child(f"table:{table}", table=table) as shard_span:
-                raw[table] = self._catalog.executor(table).execute(
-                    plan, cancel=cancel, span=shard_span)
-        return raw
+        executors = {table: self._catalog.executor(table) for table in plans}
+        cold = sum(executors[table].needs_classification(plan)
+                   for table, plan in plans.items())
+        if cold < 2 or _CPUS < 2:
+            raw = {}
+            for table, plan in plans.items():
+                with span.child(f"table:{table}", table=table) as shard_span:
+                    raw[table] = executors[table].execute(
+                        plan, cancel=cancel, span=shard_span)
+            return raw
+
+        spans = {table: span.child(f"table:{table}", table=table)
+                 for table in plans}
+        # Set by the first shard to fail, as its exception leaves the hook
+        # or the shard: a shard that starts afterwards returns at once, and
+        # a running one stops at its next chunk boundary.
+        stopped = threading.Event()
+
+        def shard_cancel() -> None:
+            try:
+                cancel()
+            except BaseException:
+                stopped.set()
+                raise
+            if stopped.is_set():
+                raise _ShardStopped
+
+        def run(table: str):
+            if stopped.is_set():
+                return None
+            try:
+                with spans[table] as shard_span:
+                    return executors[table].execute(
+                        plans[table],
+                        cancel=shard_cancel if cancel is not None else None,
+                        span=shard_span)
+            except BaseException:
+                stopped.set()
+                raise
+
+        with blas.serial():
+            futures = {table: _SHARD_POOL.submit(run, table)
+                       for table in plans}
+            wait(futures.values())
+        for future in futures.values():
+            error = future.exception()
+            if error is not None and not isinstance(error, _ShardStopped):
+                raise error
+        return {table: future.result() for table, future in futures.items()}
 
     def explain_analyze(self, sql: str,
                         constraints: UserConstraints | None = None, *,

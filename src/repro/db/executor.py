@@ -432,6 +432,18 @@ class QueryExecutor:
             return None
         return positive_total / evaluated_total
 
+    def needs_classification(self, plan: QueryPlan) -> bool:
+        """Whether a content step of ``plan`` has rows its cascade has not
+        labelled: its ``(category, cascade)`` column is missing or only
+        partly evaluated (a cold shard)."""
+        with self._lock:
+            for step in plan.content_steps:
+                entry = self._materialized.get(
+                    (step.category, step.evaluation.cascade.name))
+                if entry is None or not entry[0].all():
+                    return True
+            return False
+
     def invalidate(self, category: str | None = None) -> None:
         """Drop materialized virtual columns, keeping stored representations.
 

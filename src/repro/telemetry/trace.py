@@ -47,7 +47,11 @@ class Span:
         self._lock = lock
 
     def child(self, name: str, **attrs) -> "Span":
-        """A new child span (sharing this trace's lock), started now."""
+        """A new child span (sharing this trace's lock), started now.
+
+        Entering it restarts its clock, so a span created ahead of its work
+        (a fan-out shard waiting for a pool thread) times only the work.
+        """
         span = Span(name, self._lock, **attrs)
         with self._lock:
             self._children.append(span)
@@ -65,6 +69,7 @@ class Span:
             return self._elapsed_s
 
     def __enter__(self) -> "Span":
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:

@@ -2,6 +2,7 @@
 retention, plus the chunk-boundary cancellation hook the serving layer's
 per-query timeouts are built on."""
 
+import sys
 import threading
 import time
 
@@ -13,8 +14,10 @@ from repro.costs.scenario import CAMERA
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
 from repro.db import connect
+from repro.db.executor import QueryExecutor
 from repro.db.retention import RetentionPolicy
 from repro.query.ast import QueryTimeoutError
+from repro.telemetry.trace import NO_SPAN
 from tests.conftest import TINY_SIZE
 
 CONSTRAINED = UserConstraints(max_accuracy_loss=0.1)
@@ -83,6 +86,48 @@ class TestConcurrentExecute:
         assert errors == []
         assert len(db.corpus_for("cam_a")) <= 50 + len(batch)
 
+    def test_cold_fanouts_while_ingest_and_retention_run(self, db):
+        """Ingest into two shards keeps the fan-outs cold, so they run their
+        shards on the pool while the churn thread appends and drops rows."""
+        db.attach("cam_c", make_corpus(16, seed=25))
+        for table in ("cam_a", "cam_c"):
+            db.set_retention(table, RetentionPolicy(max_rows=40))
+        expected_b = db.execute("SELECT * FROM cam_b "
+                                "WHERE contains_object(komondor)").image_ids
+        batch = make_corpus(5, seed=23)
+        stop = threading.Event()
+        errors = []
+
+        def churn():
+            try:
+                while not stop.is_set():
+                    for table in ("cam_a", "cam_c"):
+                        db.ingest(batch.images, metadata=batch.metadata,
+                                  content=batch.content, table=table)
+                        db.retain(table)
+            except Exception as exc:  # noqa: BLE001 - recorded for the assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        churner = threading.Thread(target=churn)
+        churner.start()
+        try:
+            for _ in range(6):
+                merged = db.execute("SELECT * FROM all_cameras "
+                                    "WHERE contains_object(komondor)")
+                assert all(row["contains_komondor"] == 1 for row in merged)
+                np.testing.assert_array_equal(
+                    merged.per_table("cam_b").image_ids, expected_b)
+        finally:
+            stop.set()
+            churner.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not churner.is_alive()
+        assert errors == []
+        for table in ("cam_a", "cam_c"):
+            assert len(db.corpus_for(table)) <= 40 + len(batch)
+
     def test_concurrent_queries_agree_with_serial(self, db):
         expected = [row["image_id"] for row in db.execute(CONTENT_SQL)]
         outcomes = [None] * 4
@@ -142,20 +187,47 @@ class TestCancellation:
             db.execute("SELECT * FROM all_cameras "
                        "WHERE contains_object(komondor)", cancel=cancel)
 
-    def test_cancel_raising_in_first_shard_stops_the_rest(self, db):
+    def test_cancel_raising_in_first_shard_stops_the_rest(self, db,
+                                                          monkeypatch):
+        """Cold shards run in parallel, so the contract is: once one shard
+        raises, a running shard stops at its next chunk boundary and a
+        shard that has not started never starts.  The other shards' hooks
+        block until ``cam_a`` has failed, which makes the order fixed: every
+        other shard is stopped before it classifies a row, whether it was
+        running (``cam_b``) or, on a host with fewer cores than shards,
+        still queued (``cam_c``)."""
+        db.attach("cam_c", make_corpus(10, seed=24))
         classified = db.metrics.counter("repro_query_rows_classified_total")
         db.executor_for("cam_a").min_limit_chunk = 4  # several chunks
+        shard = threading.local()
+        cam_a_failed = threading.Event()
+        execute = QueryExecutor.execute
+
+        def tracking_execute(self, plan, cancel=None, span=NO_SPAN):
+            shard.table = self.table
+            try:
+                return execute(self, plan, cancel=cancel, span=span)
+            except QueryTimeoutError:
+                if self.table == "cam_a":
+                    cam_a_failed.set()
+                raise
+
+        monkeypatch.setattr(QueryExecutor, "execute", tracking_execute)
 
         def cancel():
-            if classified.value(table="cam_a", category="komondor") >= 12:
+            if shard.table != "cam_a":
+                assert cam_a_failed.wait(timeout=30)
+            elif classified.value(table="cam_a", category="komondor") >= 12:
                 raise QueryTimeoutError("aborted inside the first shard")
 
-        with pytest.raises(QueryTimeoutError):
+        with pytest.raises(QueryTimeoutError,
+                           match="aborted inside the first shard"):
             db.execute("SELECT * FROM all_cameras "
                        "WHERE contains_object(komondor)", cancel=cancel)
         assert 0 < classified.value(table="cam_a", category="komondor") \
             < len(db.corpus_for("cam_a"))
         assert classified.value(table="cam_b", category="komondor") == 0
+        assert classified.value(table="cam_c", category="komondor") == 0
 
     def test_cancel_none_unchunked_results_identical(self, db):
         plain = db.execute(CONTENT_SQL)

@@ -485,6 +485,28 @@ class TestTimeouts:
         # Same session, same query, no timeout: runs fine.
         assert conn.execute(CONTENT_SQL).rowcount >= 0
 
+    def test_cold_fanout_timeout_frees_its_slot(self, tiny_optimizer,
+                                                tiny_device):
+        """A fresh catalog's fan-out is cold, so its shards run on the shard
+        pool; a timeout stops them all, releases the admission slot and
+        leaves the session usable."""
+        cold = db_connect(
+            {"cam_a": make_corpus(30, seed=12),
+             "cam_b": make_corpus(24, seed=13)},
+            device=tiny_device, scenario=CAMERA, calibrate_target_fps=None,
+            default_constraints=CONSTRAINED)
+        cold.register_optimizer("komondor", tiny_optimizer,
+                                reference_params=REFERENCE_PARAMS)
+        fanout = "SELECT * FROM all_cameras WHERE contains_object(komondor)"
+        with cold, serve(cold, port=0, max_workers=1) as dedicated, \
+                connect(*dedicated.address, timeout=30) as connection:
+            with pytest.raises(QueryTimeoutError):
+                connection.execute(fanout, timeout=1e-6)
+            assert wait_until(lambda: connection.stats()["admission"][
+                "in_flight"] == 0)
+            rows = connection.execute(fanout).fetchall()
+            assert len(rows) == len(cold.execute(fanout)) > 0
+
     def test_invalid_timeout_rejected(self, conn):
         with pytest.raises(ProtocolError):
             conn.execute(CONTENT_SQL, timeout=-1)

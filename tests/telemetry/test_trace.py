@@ -1,6 +1,7 @@
 """Unit tests for per-query trace spans and the tracer ring buffer."""
 
 import threading
+import time
 
 import pytest
 
@@ -26,6 +27,17 @@ class TestSpan:
         shard_node = tree["children"][1]
         assert shard_node["attrs"] == {"table": "cam_a", "rows": 3}
         assert shard_node["elapsed_s"] is not None
+
+    def test_clock_starts_when_a_span_is_entered(self):
+        """A span made ahead of its work (a fan-out shard queued for a pool
+        thread) does not count the wait."""
+        trace = Tracer().trace("query")
+        with trace.root as root:
+            queued = root.child("table", table="cam_a")
+            time.sleep(0.05)
+            with queued:
+                pass
+        assert trace.to_dict()["children"][0]["elapsed_s"] < 0.05
 
     def test_error_recorded_on_exit(self):
         trace = Tracer().trace("query")
