@@ -1,5 +1,6 @@
-"""A numerical fingerprint of the rendered data, the trained SMOKE pool and
-the cascades the optimizer evaluates and selects from it.
+"""A numerical fingerprint of the rendered data, the trained SMOKE pool, the
+cascades the optimizer evaluates and selects from it, and the answers the
+database returns with them.
 
 ``tests/fingerprint.json`` records sha256 digests of facts grouped by layer:
 
@@ -14,7 +15,14 @@ the cascades the optimizer evaluates and selects from it.
   accuracy, load / transform / infer cost, ``level_fractions`` and
   ``positive_rate`` as ``optimizer.evaluate`` reports them, the frontier's
   members in order, and the cascade ``optimizer.select`` picks (by name)
-  for each ``max_accuracy_loss`` in ``SELECT_LOSSES``.
+  for each ``max_accuracy_loss`` in ``SELECT_LOSSES``;
+* ``db`` — every query of ``DB_QUERIES`` run cold, each on a fresh
+  :meth:`~repro.experiments.workspace.ExperimentWorkspace.database` under
+  ARCHIVE and under ONGOING, over the tables ``cam_a`` and ``cam_b`` (256
+  fresh frames each, from one fixed seed): the selected image ids with their
+  ``__table__`` and ``contains_*`` columns (every column of an aggregate's
+  groups), ``images_classified`` and the ``cascades_used`` names, all as
+  plain text.
 
 Floats are hashed byte for byte: a change that moves any number by one ulp
 changes its digest.  ``tests/test_fingerprint.py`` compares the suite's
@@ -55,6 +63,29 @@ CORPUS_IMAGES = 48
 
 #: ``max_accuracy_loss`` values whose selected cascade the core group names.
 SELECT_LOSSES = (None, 0.02, 0.05, 0.10)
+
+#: The db group's query set: AND / OR / NOT trees over one table, a LIMIT
+#: that classifies several 64-row chunks, ORDER BY ... LIMIT, a GROUP BY
+#: aggregate and a cold two-shard fan-out.
+DB_QUERIES = {
+    "and": "SELECT * FROM cam_a WHERE contains_object('komondor') "
+           "AND location = 'detroit'",
+    "or": "SELECT * FROM cam_a WHERE contains_object('komondor') "
+          "OR contains_object('scorpion')",
+    "not": "SELECT * FROM cam_b WHERE NOT contains_object('scorpion') "
+           "AND timestamp < 43200",
+    "limit": "SELECT * FROM cam_a WHERE contains_object('komondor') "
+             "AND contains_object('scorpion') LIMIT 11",
+    "order_limit": "SELECT * FROM cam_b WHERE contains_object('scorpion') "
+                   "ORDER BY timestamp DESC LIMIT 7",
+    "group_by": "SELECT location, COUNT(*) FROM cam_b "
+                "WHERE contains_object('komondor') GROUP BY location",
+    "fanout": "SELECT * FROM all_cameras WHERE contains_object('komondor') "
+              "AND NOT contains_object('scorpion')",
+}
+DB_SCENARIOS = ("archive", "ongoing")
+DB_FRAMES_PER_TABLE = 256
+DB_SEED = 2024
 
 VIDEO_CONFIG = VideoStreamConfig(
     name="fingerprint", category_name="scorpion", n_frames=24, frame_size=16,
@@ -160,10 +191,44 @@ def _core_facts(workspace) -> dict[str, str]:
     return facts
 
 
+def _text(values) -> str:
+    return " ".join(str(int(v)) if isinstance(v, (bool, np.bool_)) else str(v)
+                    for v in values)
+
+
+def _db_facts(workspace) -> dict[str, str]:
+    from repro.db.results import AggregateResultSet
+
+    scale = workspace.scale
+    categories = tuple(get_category(name) for name in scale.categories)
+    rng = np.random.default_rng(DB_SEED)
+    corpora = {table: generate_corpus(categories, DB_FRAMES_PER_TABLE,
+                                      scale.image_size, rng=rng)
+               for table in ("cam_a", "cam_b")}
+    facts: dict[str, str] = {}
+    for scenario in DB_SCENARIOS:
+        for name, sql in DB_QUERIES.items():
+            prefix = f"{scenario}/{name}"
+            with workspace.database(scenario, dict(corpora)) as db:
+                result = db.execute(sql)
+                stats = result.stats()
+                relation = result.to_relation()
+                aggregate = isinstance(result, AggregateResultSet)
+                for column in relation.column_names():
+                    if aggregate or column in ("image_id", "__table__") \
+                            or column.startswith("contains_"):
+                        facts[f"{prefix}/{column}"] = _text(
+                            relation.column(column).tolist())
+            for key in ("images_classified", "cascades_used"):
+                facts[f"{prefix}/{key}"] = json.dumps(stats[key],
+                                                      sort_keys=True)
+    return facts
+
+
 def collect(workspace) -> dict[str, dict[str, str]]:
     """Every fact group for ``workspace`` (the SMOKE_SCALE workspace)."""
     return {"data": _data_facts(workspace.scale), "nn": _nn_facts(workspace),
-            "core": _core_facts(workspace)}
+            "core": _core_facts(workspace), "db": _db_facts(workspace)}
 
 
 def first_difference(expected: dict[str, dict[str, str]],
