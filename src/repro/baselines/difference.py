@@ -106,16 +106,13 @@ class DifferenceDetector:
         processed: list[int] = [0]
         reuse_from = np.full(n, -1, dtype=np.int64)
         last_index = 0
-        last_signature = self._signature(frames[0])
         for index in range(1, n):
-            signature = self._signature(frames[index])
-            distance = float(np.mean((signature - last_signature) ** 2))
+            distance = self.frame_distance(frames[index], frames[last_index])
             if distance <= self.threshold:
                 reuse_from[index] = last_index
             else:
                 processed.append(index)
                 last_index = index
-                last_signature = signature
         return FramePlan(processed=np.asarray(processed, dtype=np.int64),
                          reuse_from=reuse_from)
 

@@ -36,7 +36,8 @@ class UserConstraints:
     def __post_init__(self) -> None:
         if self.max_accuracy_loss is not None and not 0.0 <= self.max_accuracy_loss < 1.0:
             raise ValueError("max_accuracy_loss must be in [0, 1)")
-        if self.min_throughput is not None and self.min_throughput < 0:
+        # ``not x >= 0`` also rejects NaN, which every comparison fails.
+        if self.min_throughput is not None and not self.min_throughput >= 0:
             raise ValueError("min_throughput must be non-negative")
 
 

@@ -73,10 +73,6 @@ class ArchitectureSpec:
         """Stable identifier, e.g. ``c2f16d32``."""
         return f"c{self.conv_layers}f{self.conv_filters}d{self.dense_units}"
 
-    def min_input_resolution(self) -> int:
-        """Smallest square input for which every pooling stage is non-empty."""
-        return self.pool_size ** self.conv_layers
-
     def fits_input(self, resolution: int) -> bool:
         """Whether an input of the given resolution survives all pooling stages."""
         size = resolution

@@ -150,20 +150,6 @@ class CostProfiler:
         return CostBreakdown(load_s=self.load_time(spec),
                              transform_s=self.transform_time(spec))
 
-    def model_cost(self, flops: int | float, spec: TransformSpec) -> CostBreakdown:
-        """Full per-image cost of one model: load + transform + infer."""
-        handling = self.data_handling_cost(spec)
-        return CostBreakdown(load_s=handling.load_s,
-                             transform_s=handling.transform_s,
-                             infer_s=self.infer_time(flops))
-
-    def with_scenario(self, scenario: Scenario) -> "CostProfiler":
-        """A profiler identical to this one but under a different scenario."""
-        return CostProfiler(device=self.device, scenario=scenario,
-                            source_resolution=self.source_resolution,
-                            source_channels=self.source_channels,
-                            cost_resolution=self.cost_resolution)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CostProfiler(device={self.device.name!r}, "
                 f"scenario={self.scenario.name!r}, "

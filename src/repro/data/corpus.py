@@ -60,12 +60,6 @@ class LabeledDataset:
     def image_size(self) -> int:
         return int(self.images.shape[1])
 
-    @property
-    def positive_fraction(self) -> float:
-        if len(self) == 0:
-            return float("nan")
-        return float(self.labels.mean())
-
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         """A new dataset containing only the given indices."""
         indices = np.asarray(indices)

@@ -184,10 +184,9 @@ class VisualDatabase:
         stripped — see :class:`~repro.server.plan_cache.PlanCache`), so an
         exactly repeated dashboard query skips parse + lowering.  (Cascade
         selection is remembered by each predicate's optimizer whether or
-        not this cache is on.)  ``True`` enables a default-capacity cache,
-        an ``int`` sets the capacity, ``False`` (the default) parses and
-        lowers every query.  The cache is invalidated on scenario switches,
-        device calibration, attach/detach and retention changes;
+        not this cache is on.)  ``False`` (the default) parses and lowers
+        every query.  The cache is invalidated on scenario switches, device
+        calibration, attach/detach and retention changes;
         :meth:`enable_plan_cache` turns it on after construction (the
         network server does this for the database it serves).
     """
@@ -204,7 +203,7 @@ class VisualDatabase:
                  store_budget: int | None = None,
                  retention: RetentionPolicy
                  | Mapping[str, RetentionPolicy] | None = None,
-                 plan_cache: bool | int = False) -> None:
+                 plan_cache: bool = False) -> None:
         self._closed = False
         self._plan_cache = None
         self.default_constraints = default_constraints or UserConstraints()
@@ -244,9 +243,7 @@ class VisualDatabase:
             source_resolution=source_resolution,
             calibrate_target_fps=calibrate_target_fps)
         if plan_cache:
-            self.enable_plan_cache(plan_cache if isinstance(plan_cache, int)
-                                   and not isinstance(plan_cache, bool)
-                                   else 128)
+            self.enable_plan_cache()
 
     @staticmethod
     def _policy_for(retention, name: str) -> RetentionPolicy | None:
@@ -335,7 +332,7 @@ class VisualDatabase:
         """The :class:`~repro.server.plan_cache.PlanCache` (``None`` = off)."""
         return self._plan_cache
 
-    def enable_plan_cache(self, capacity: int = 128):
+    def enable_plan_cache(self):
         """Turn on plan caching (idempotent); returns the cache.
 
         Plans are keyed by normalized query shape — literals stripped.  An
@@ -351,8 +348,7 @@ class VisualDatabase:
         if self._plan_cache is None:
             from repro.server.plan_cache import PlanCache
 
-            self._plan_cache = PlanCache(capacity=capacity,
-                                         metrics=self._metrics)
+            self._plan_cache = PlanCache(metrics=self._metrics)
         return self._plan_cache
 
     def _invalidate_plans(self) -> None:
@@ -419,10 +415,6 @@ class VisualDatabase:
         self._check_open()
         self._catalog.executor(table).set_retention(policy)
         self._invalidate_plans()
-
-    def retention_for(self, table: str) -> RetentionPolicy | None:
-        """One table's retention policy (``None`` when unbounded)."""
-        return self._catalog.executor(table).retention
 
     def retain(self, table: str | None = None) -> dict[str, int]:
         """Enforce retention windows now, without waiting for an ingest.
@@ -880,11 +872,6 @@ class VisualDatabase:
         return self._plan_for(sql, constraints, tables)
 
     # -- durability ------------------------------------------------------------
-    @property
-    def wal_root(self) -> Path | None:
-        """The write-ahead-log root directory (``None`` = durability off)."""
-        return self._durability.root
-
     @property
     def durability(self) -> persistence.Durability:
         """The write-ahead-log lifecycle (root, checkpoints, journals)."""

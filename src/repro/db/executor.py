@@ -61,6 +61,13 @@ __all__ = ["QueryExecutor", "TableImage"]
 #: pays O(corpus) transform work.
 FULL_MATERIALIZE_FRACTION = 0.5
 
+#: Chunk size floor for ``LIMIT`` queries: candidate rows are classified in
+#: chunks of ``max(MIN_LIMIT_CHUNK, 4 * limit)`` and execution stops as soon
+#: as the limit is satisfied, so a selective LIMIT query never classifies the
+#: whole candidate set.  A cancellable query without a LIMIT is chunked at
+#: this size too, so it reaches a cancellation point between chunks.
+MIN_LIMIT_CHUNK = 64
+
 
 @dataclass
 class _Snapshot:
@@ -130,11 +137,6 @@ class QueryExecutor:
         store is created when omitted; either way it persists across queries.
         Queries add a missing representation to it only when they classify
         at least :data:`FULL_MATERIALIZE_FRACTION` of the corpus at once.
-    min_limit_chunk:
-        Chunk size floor for ``LIMIT`` queries: candidate rows are classified
-        in chunks of ``max(min_limit_chunk, 4 * limit)`` and execution stops
-        as soon as the limit is satisfied, so a selective LIMIT query never
-        classifies the whole candidate set.
     table:
         The catalog table this executor backs (purely informational; a
         catalog passes the table name so diagnostics can name the shard).
@@ -148,17 +150,13 @@ class QueryExecutor:
 
     def __init__(self, corpus: ImageCorpus,
                  store: RepresentationStore | None = None,
-                 min_limit_chunk: int = 64,
                  table: str = "",
                  retention: RetentionPolicy | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
         if len(corpus) == 0:
             raise ValueError("corpus is empty")
-        if min_limit_chunk < 1:
-            raise ValueError("min_limit_chunk must be positive")
         self.corpus = corpus
         self.store = store if store is not None else RepresentationStore()
-        self.min_limit_chunk = min_limit_chunk
         self.table = table
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._execute_seconds = self.metrics.histogram(
@@ -703,8 +701,8 @@ class QueryExecutor:
         else:
             # A cancellable query chunks even without a LIMIT, so unbounded
             # scans reach cancellation points between chunks.
-            size = (max(self.min_limit_chunk, 4 * limit)
-                    if limit is not None else self.min_limit_chunk)
+            size = (max(MIN_LIMIT_CHUNK, 4 * limit)
+                    if limit is not None else MIN_LIMIT_CHUNK)
             chunks = [candidates[start:start + size]
                       for start in range(0, candidates.size, size)]
 

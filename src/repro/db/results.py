@@ -184,10 +184,6 @@ class ResultSet:
         """
         return len(self) - self._cursor
 
-    def rewind(self) -> None:
-        """Reset the fetch cursor to the first row."""
-        self._cursor = 0
-
     # -- columnar access -----------------------------------------------------
     def to_relation(self) -> Relation:
         """The selected rows as a columnar :class:`Relation`."""

@@ -55,7 +55,6 @@ from repro.experiments.workspace import (
     ExperimentWorkspace,
     PredicateWorkspace,
     build_workspace,
-    clear_workspace_cache,
     get_workspace,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "PredicateWorkspace",
     "build_workspace",
     "get_workspace",
-    "clear_workspace_cache",
     "FrontierComparison",
     "frontier_example",
     "scenario_frontiers",

@@ -24,9 +24,6 @@ class TransformAblationRow:
     category: str
     subset_throughputs: dict[str, float]
 
-    def ordered(self) -> list[float]:
-        return [self.subset_throughputs[name] for name in TRANSFORM_SUBSETS]
-
 
 def _models_for_subset(predicate: PredicateWorkspace,
                        allowed_names: set[str]) -> list[TrainedModel]:

@@ -89,12 +89,6 @@ class ExperimentScale:
         """The transformation grid (``F``) at this scale."""
         return standard_transform_grid(self.resolutions, self.color_modes)
 
-    def n_model_specs(self) -> int:
-        """Number of valid (architecture, transform) points at this scale."""
-        from repro.core.spec import build_model_grid
-
-        return len(build_model_grid(self.architectures(), self.transforms()))
-
 
 #: Tiny scale for the test suite: two predicates, seconds per predicate.
 SMOKE_SCALE = ExperimentScale(

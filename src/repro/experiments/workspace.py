@@ -25,7 +25,7 @@ from repro.db.database import VisualDatabase, initialize_predicate
 from repro.experiments.presets import ExperimentScale, simulation_scenarios
 
 __all__ = ["PredicateWorkspace", "ExperimentWorkspace", "build_workspace",
-           "get_workspace", "clear_workspace_cache"]
+           "get_workspace"]
 
 
 @dataclass
@@ -162,8 +162,3 @@ def get_workspace(scale: ExperimentScale,
     if key not in _WORKSPACE_CACHE:
         _WORKSPACE_CACHE[key] = build_workspace(scale, categories, seed)
     return _WORKSPACE_CACHE[key]
-
-
-def clear_workspace_cache() -> None:
-    """Drop all cached workspaces (used by tests)."""
-    _WORKSPACE_CACHE.clear()

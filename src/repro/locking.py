@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 
-__all__ = ["make_lock", "make_rlock", "set_lock_factory", "get_lock_factory"]
+__all__ = ["make_lock", "make_rlock", "set_lock_factory"]
 
 #: The active factory, or ``None`` for plain threading primitives.  A factory
 #: is any object with ``lock(name)`` and ``rlock(name)`` methods; the
@@ -54,8 +54,3 @@ def set_lock_factory(factory):
     previous = _factory
     _factory = factory
     return previous
-
-
-def get_lock_factory():
-    """The active factory (``None`` = plain threading primitives)."""
-    return _factory

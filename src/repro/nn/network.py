@@ -110,17 +110,6 @@ class Sequential:
             shape = layer.output_shape(shape)
         return shape
 
-    def shape_trace(self, input_shape: tuple[int, ...] | None = None) -> list[tuple[int, ...]]:
-        """Per-layer output shapes, useful for debugging architectures."""
-        shape = input_shape if input_shape is not None else self.input_shape
-        if shape is None:
-            raise ValueError("input_shape not provided")
-        trace = []
-        for layer in self.layers:
-            shape = layer.output_shape(shape)
-            trace.append(shape)
-        return trace
-
     def num_parameters(self) -> int:
         return int(sum(layer.num_parameters() for layer in self.layers))
 

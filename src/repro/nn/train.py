@@ -23,10 +23,6 @@ class TrainingHistory:
     val_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
 
-    @property
-    def epochs_run(self) -> int:
-        return len(self.train_loss)
-
 
 @dataclass
 class EarlyStopping:

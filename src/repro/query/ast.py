@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.query.predicates import ContainsObject, MetadataPredicate
@@ -30,7 +30,6 @@ __all__ = [
     "SqlParseError", "QueryError", "QueryTimeoutError",
     "Token", "tokenize",
     "BooleanExpr", "PredicateExpr", "AndExpr", "OrExpr", "NotExpr",
-    "iter_predicates",
     "Aggregate", "OrderItem", "AGGREGATE_FUNCTIONS", "select_label",
 ]
 
@@ -215,19 +214,6 @@ class NotExpr(BooleanExpr):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"NOT {self.child}"
-
-
-def iter_predicates(expr: BooleanExpr) -> Iterator:
-    """Yield every leaf predicate of ``expr`` in syntactic (left-right) order."""
-    if isinstance(expr, PredicateExpr):
-        yield expr.predicate
-    elif isinstance(expr, (AndExpr, OrExpr)):
-        for child in expr.children:
-            yield from iter_predicates(child)
-    elif isinstance(expr, NotExpr):
-        yield from iter_predicates(expr.child)
-    else:
-        raise TypeError(f"not a BooleanExpr node: {expr!r}")
 
 
 # -- SELECT-list items and ORDER BY keys --------------------------------------

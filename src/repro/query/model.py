@@ -1,4 +1,4 @@
-"""The query model: SELECT ... FROM <table> WHERE <predicates>.
+"""The query model: SELECT ... FROM <table> WHERE <boolean predicate tree>.
 
 :class:`Query` is what the SQL front end (:mod:`repro.query.sql`) parses
 into and :class:`~repro.db.planner.QueryPlanner` plans from;
@@ -15,9 +15,7 @@ import numpy as np
 
 from repro.core.evaluator import CascadeEvaluation
 from repro.core.selector import UserConstraints
-from repro.query.ast import (Aggregate, AndExpr, BooleanExpr, OrderItem,
-                             PredicateExpr, SelectItem, iter_predicates)
-from repro.query.predicates import ContainsObject, MetadataPredicate
+from repro.query.ast import BooleanExpr, OrderItem, SelectItem
 from repro.query.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -36,24 +34,15 @@ class Query:
     """One SELECT query over one table of the catalog.
 
     The WHERE clause is the :class:`~repro.query.ast.BooleanExpr` tree in
-    ``where`` (``None`` for a bare scan).  The flat ``metadata_predicates``
-    / ``content_predicates`` tuples are the paper's conjunctive
-    decomposition and are kept in sync with the tree: constructing a query
-    from the flat tuples (the original API) synthesizes a conjunction, and
-    constructing one from a ``where`` tree derives the tuples from its
-    leaves (syntactic order) so cascade selection and training hooks keep
-    working unchanged.
-
-    ``select`` lists the projected columns and aggregates (``None`` means
-    ``*``), ``group_by``/``order_by`` carry the grouping and sort keys, and
-    ``limit`` caps the number of returned rows (result *groups* for an
-    aggregate query).  ``table`` is the ``FROM`` target — a catalog table
-    name, or the virtual ``all_cameras`` table that fans the query out
-    across every shard.
+    ``where`` (``None`` for a bare scan); the planner lowers it into one
+    cost-ordered plan tree.  ``select`` lists the projected columns and
+    aggregates (``None`` means ``*``), ``group_by``/``order_by`` carry the
+    grouping and sort keys, and ``limit`` caps the number of returned rows
+    (result *groups* for an aggregate query).  ``table`` is the ``FROM``
+    target — a catalog table name, or the virtual ``all_cameras`` table
+    that fans the query out across every shard.
     """
 
-    metadata_predicates: tuple[MetadataPredicate, ...] = ()
-    content_predicates: tuple[ContainsObject, ...] = ()
     constraints: UserConstraints = field(default_factory=UserConstraints)
     limit: int | None = None
     table: str = DEFAULT_TABLE
@@ -63,35 +52,11 @@ class Query:
     order_by: tuple[OrderItem, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.where is None:
-            leaves = tuple(PredicateExpr(predicate) for predicate in
-                           self.metadata_predicates + self.content_predicates)
-            if len(leaves) == 1:
-                object.__setattr__(self, "where", leaves[0])
-            elif leaves:
-                object.__setattr__(self, "where", AndExpr(leaves))
-        elif not self.metadata_predicates and not self.content_predicates:
-            predicates = list(iter_predicates(self.where))
-            object.__setattr__(self, "metadata_predicates", tuple(
-                p for p in predicates if isinstance(p, MetadataPredicate)))
-            object.__setattr__(self, "content_predicates", tuple(
-                p for p in predicates if isinstance(p, ContainsObject)))
         if self.limit is not None and self.limit < 0:
             raise ValueError("limit must be non-negative")
         if self.select is not None and not self.select:
             raise ValueError("select must name at least one item (or be None "
                              "for SELECT *)")
-
-    @property
-    def aggregates(self) -> tuple[Aggregate, ...]:
-        """The aggregate items of the SELECT list, in SELECT order."""
-        return tuple(item for item in (self.select or ())
-                     if isinstance(item, Aggregate))
-
-    @property
-    def is_aggregate(self) -> bool:
-        """Whether results are groups (aggregates / GROUP BY), not rows."""
-        return bool(self.aggregates) or bool(self.group_by)
 
 
 @dataclass

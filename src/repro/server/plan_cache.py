@@ -27,8 +27,8 @@ calibration, attach / detach / replace and retention changes (the database hooks
 :meth:`PlanCache.invalidate`).  Ingest does not invalidate: a cached plan
 stays *correct* under ingest, its estimated selectivities merely go stale,
 which can only affect predicate ordering.  Entries are LRU-evicted beyond
-``capacity``.  All operations are thread-safe — server connection threads
-share one cache.
+:data:`CAPACITY`.  All operations are thread-safe — server connection
+threads share one cache.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.planner import QueryPlan
 
 __all__ = ["PlanCache", "CacheEntry", "normalize"]
+
+#: Cached shapes kept before the least recently used one is evicted.
+CAPACITY = 128
 
 
 def normalize(sql: str) -> tuple[str, tuple]:
@@ -93,11 +96,7 @@ class PlanCache:
     construction; a standalone cache gets a private one.
     """
 
-    def __init__(self, capacity: int = 128,
-                 metrics: MetricsRegistry | None = None) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = make_lock("plan-cache")
         self._entries: OrderedDict[Any, CacheEntry] = OrderedDict()  # guarded by: self._lock
@@ -142,7 +141,7 @@ class PlanCache:
         with self._lock:
             self._entries[key] = CacheEntry(literals=literals, plans=plans)
             self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
+            while len(self._entries) > CAPACITY:
                 self._entries.popitem(last=False)
                 evicted += 1
         if evicted:
@@ -172,7 +171,7 @@ class PlanCache:
                 "invalidations": int(self._invalidations.value()),
                 "evictions": int(self._evictions.value()),
                 "entries": len(self),
-                "capacity": self.capacity,
+                "capacity": CAPACITY,
                 "hit_rate": ((hits + rebinds) / lookups if lookups else 0.0)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -10,9 +10,8 @@ the :class:`~repro.server.admission.AdmissionController` gate it runs
 through caps how many run at once and how many may wait, so client count
 and query concurrency stay decoupled and a full gate answers with an
 immediate backpressure error.  The served database gets its plan cache
-enabled (unless ``plan_cache=False``), so repeated dashboard shapes skip
-parsing and lowering; per-shard executor locks (not the server) provide the
-correctness under concurrency.
+enabled, so repeated dashboard shapes skip parsing and lowering; per-shard
+executor locks (not the server) provide the correctness under concurrency.
 
 Shutdown is graceful by default: :meth:`VisualDatabaseServer.close` stops
 accepting connections, lets every admitted query finish (their sessions get
@@ -112,9 +111,6 @@ class VisualDatabaseServer:
         lets queries run to completion.
     max_cursors:
         Open-cursor cap per session.
-    plan_cache:
-        Enable the served database's plan cache (``True``, the default — an
-        ``int`` sets its capacity; ``False`` leaves the database as is).
     close_database:
         Also :meth:`~repro.db.database.VisualDatabase.close` the database
         when the server closes (for servers that own their database, like
@@ -125,16 +121,12 @@ class VisualDatabaseServer:
                  max_workers: int = 4, max_queue: int = 16,
                  default_timeout: float | None = None,
                  max_cursors: int = 32,
-                 plan_cache: bool | int = True,
                  close_database: bool = False) -> None:
         self.database = database
         self.default_timeout = default_timeout
         self.max_cursors = max_cursors
         self._close_database = close_database
-        if plan_cache:
-            database.enable_plan_cache(
-                plan_cache if isinstance(plan_cache, int)
-                and not isinstance(plan_cache, bool) else 128)
+        database.enable_plan_cache()
         registry = getattr(database, "metrics", None)
         self.admission = AdmissionController(max_workers=max_workers,
                                              max_queue=max_queue,

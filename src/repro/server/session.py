@@ -22,6 +22,7 @@ nothing else; the connection and its other cursors stay usable.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable
 
@@ -145,11 +146,12 @@ class Session:
         timeout = request.get("timeout")
         if timeout is None:  # absent or JSON null: the operator's default
             timeout = self.default_timeout
+        # json.loads accepts NaN and Infinity; a NaN deadline never fires.
         if timeout is not None and (not isinstance(timeout, (int, float))
                                     or isinstance(timeout, bool)
-                                    or timeout <= 0):
-            raise ProtocolError(f'"timeout" must be positive seconds, '
-                                f"got {timeout!r}")
+                                    or not 0 < timeout < math.inf):
+            raise ProtocolError(f'"timeout" must be positive, finite '
+                                f"seconds, got {timeout!r}")
         if len(self._cursors) >= self.max_cursors:
             raise ProtocolError(
                 f"session has {self.max_cursors} open cursors; "
@@ -327,11 +329,6 @@ class Session:
         return spec
 
     # -- lifecycle -------------------------------------------------------------
-    @property
-    def open_cursors(self) -> list[int]:
-        """Open cursor ids, in creation order."""
-        return sorted(self._cursors)
-
     def close(self) -> None:
         """Drop every cursor (idempotent); the session stops serving."""
         self._cursors.clear()

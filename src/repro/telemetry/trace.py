@@ -150,15 +150,16 @@ class _NoopSpan:
 NO_SPAN = _NoopSpan()
 
 
-class Tracer:
-    """Hands out traces and remembers the most recent ``keep`` of them."""
+#: How many of the most recently started traces a :class:`Tracer` keeps.
+KEEP = 32
 
-    def __init__(self, keep: int = 32) -> None:
-        if keep < 1:
-            raise ValueError("keep must be positive")
-        self.keep = keep
+
+class Tracer:
+    """Hands out traces and remembers the most recent :data:`KEEP` of them."""
+
+    def __init__(self) -> None:
         self._next_id = 1  # guarded by: self._lock
-        self._recent: deque = deque(maxlen=keep)  # guarded by: self._lock
+        self._recent: deque = deque(maxlen=KEEP)  # guarded by: self._lock
         # Attached last, so the guarded-write sanitizer reads the two
         # assignments above as construction.
         self._lock = make_lock("telemetry-tracer")
@@ -180,4 +181,4 @@ class Tracer:
         return [trace.to_dict() for trace in traces]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Tracer(keep={self.keep})"
+        return f"Tracer(keep={KEEP})"

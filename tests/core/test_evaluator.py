@@ -8,6 +8,7 @@ from repro.core.evaluator import (
     ModelPredictionCache,
     evaluate_cascade,
     evaluate_cascades,
+    expected_cost,
 )
 from repro.core.model import TrainedModel
 from repro.core.pareto import is_dominated
@@ -92,8 +93,10 @@ class TestEvaluateCascade:
         cascade = Cascade((CascadeLevel(models[0], thresholds["a"][0]),
                            CascadeLevel(models[2], None)))
         evaluation = evaluate_cascade(cascade, cache, profiler)
-        full_cost = (profiler.model_cost(models[0].flops, models[0].transform).total_s
-                     + profiler.model_cost(models[2].flops, models[2].transform).total_s)
+        full_cost = sum(
+            expected_cost(Cascade((CascadeLevel(model, None),)), (1.0,),
+                          profiler).total_s
+            for model in (models[0], models[2]))
         assert evaluation.cost.total_s <= full_cost + 1e-12
 
     def test_shared_representation_charged_once(self, setup):

@@ -46,6 +46,13 @@ class TestUserConstraints:
     def test_defaults_allow_no_loss(self):
         assert UserConstraints().max_accuracy_loss is None
 
+    def test_nan_bounds_rejected(self):
+        # NaN fails every comparison, so a `< 0` check alone lets it through.
+        with pytest.raises(ValueError):
+            UserConstraints(min_throughput=float("nan"))
+        with pytest.raises(ValueError):
+            UserConstraints(max_accuracy_loss=float("nan"))
+
 
 class TestSelectors:
     def test_most_accurate(self, evaluations):

@@ -26,7 +26,8 @@ class TestArchitectureSpec:
         spec = ArchitectureSpec(4, 16, 32)
         assert spec.fits_input(30)
         assert not spec.fits_input(8)
-        assert spec.min_input_resolution() == 16
+        # 16 px is the smallest input that survives four 2x poolings.
+        assert spec.fits_input(16) and not spec.fits_input(15)
 
     def test_build_network_shape(self):
         spec = ArchitectureSpec(2, 8, 16)

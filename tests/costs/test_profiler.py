@@ -43,9 +43,9 @@ class TestCostBreakdown:
 class TestCostProfiler:
     def test_infer_only_has_no_data_handling(self):
         profiler = CostProfiler(DEVICE, INFER_ONLY, source_resolution=32)
-        cost = profiler.model_cost(1e6, TransformSpec(8, "gray"))
+        cost = profiler.data_handling_cost(TransformSpec(8, "gray"))
         assert cost.load_s == 0.0 and cost.transform_s == 0.0
-        assert cost.infer_s > 0.0
+        assert profiler.infer_time(1e6) > 0.0
 
     def test_archive_loads_full_image_regardless_of_spec(self):
         profiler = CostProfiler(DEVICE, ARCHIVE, source_resolution=32)
@@ -81,13 +81,6 @@ class TestCostProfiler:
             base.transform_time(spec) * ratio)
         assert scaled.infer_time(1e6) == pytest.approx(base.infer_time(1e6))
 
-    def test_with_scenario_preserves_settings(self):
-        profiler = CostProfiler(DEVICE, INFER_ONLY, source_resolution=32,
-                                cost_resolution=224)
-        other = profiler.with_scenario(ARCHIVE)
-        assert other.scenario is ARCHIVE
-        assert other.cost_resolution == 224
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             CostProfiler(DEVICE, INFER_ONLY, source_resolution=0)
@@ -102,7 +95,8 @@ class TestCostProfiler:
         for scenario in (INFER_ONLY, CAMERA, ONGOING, ARCHIVE):
             profiler = CostProfiler(DEVICE, scenario, source_resolution=32,
                                     cost_resolution=224)
-            totals[scenario.name] = profiler.model_cost(flops, spec).total_s
+            totals[scenario.name] = (profiler.data_handling_cost(spec).total_s
+                                     + profiler.infer_time(flops))
         assert totals["infer_only"] <= totals["camera"]
         assert totals["infer_only"] <= totals["ongoing"]
         assert totals["archive"] >= totals["ongoing"]
@@ -126,6 +120,7 @@ class TestMeasuredMode:
        mode=st.sampled_from(["rgb", "gray", "red"]))
 def test_model_cost_components_nonnegative(flops, resolution, mode):
     profiler = CostProfiler(DEVICE, ARCHIVE, source_resolution=64)
-    cost = profiler.model_cost(flops, TransformSpec(resolution, mode))
+    cost = (profiler.data_handling_cost(TransformSpec(resolution, mode))
+            + CostBreakdown(infer_s=profiler.infer_time(flops)))
     assert cost.load_s >= 0 and cost.transform_s >= 0 and cost.infer_s >= 0
     assert cost.total_s >= cost.infer_s

@@ -65,10 +65,6 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             make_dataset(10).split((0.5, 0.2), np.random.default_rng(0))
 
-    def test_positive_fraction(self):
-        dataset = LabeledDataset(np.zeros((4, 4, 4, 3)), np.array([1, 1, 0, 0]))
-        assert dataset.positive_fraction == 0.5
-
 
 class TestPredicateDatasets:
     def test_build_predicate_dataset_balanced(self):
@@ -98,7 +94,7 @@ class TestPredicateDatasets:
         splits = build_predicate_splits(get_category("wallet"), n_train=20,
                                         n_config=10, n_eval=10, image_size=16,
                                         rng=np.random.default_rng(4))
-        assert splits.train.positive_fraction == 0.5
+        assert splits.train.labels.mean() == 0.5
 
 
 class TestImageCorpus:

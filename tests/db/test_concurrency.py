@@ -14,6 +14,7 @@ from repro.costs.scenario import CAMERA
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
 from repro.db import connect
+from repro.db import executor as executor_module
 from repro.db.executor import QueryExecutor
 from repro.db.retention import RetentionPolicy
 from repro.query.ast import QueryTimeoutError
@@ -198,7 +199,8 @@ class TestCancellation:
         still queued (``cam_c``)."""
         db.attach("cam_c", make_corpus(10, seed=24))
         classified = db.metrics.counter("repro_query_rows_classified_total")
-        db.executor_for("cam_a").min_limit_chunk = 4  # several chunks
+        # Several chunks in cam_a; the other shards stop before their first.
+        monkeypatch.setattr(executor_module, "MIN_LIMIT_CHUNK", 4)
         shard = threading.local()
         cam_a_failed = threading.Event()
         execute = QueryExecutor.execute

@@ -6,12 +6,14 @@ import pytest
 from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
+from repro.db import executor as executor_module
 from repro.db.executor import QueryExecutor
 from repro.db.planner import MetadataStep, PlanAnd, QueryPlanner
 from repro.query.ast import AndExpr, NotExpr, OrExpr, PredicateExpr
 from repro.query.model import Query
 from repro.query.predicates import ContainsObject, MetadataPredicate
 from tests.conftest import TINY_SIZE
+from tests.where import conjunction
 
 
 @pytest.fixture(scope="module")
@@ -32,12 +34,18 @@ def planner(tiny_optimizer, camera_profiler):
 CONSTRAINED = UserConstraints(max_accuracy_loss=0.1)
 
 
+@pytest.fixture()
+def small_chunks(monkeypatch):
+    """LIMIT and cancellable queries classify 4-row chunks, not 64-row ones."""
+    monkeypatch.setattr(executor_module, "MIN_LIMIT_CHUNK", 4)
+
+
 class TestSharedRepresentationStore:
     def test_store_persists_across_queries(self, corpus, planner):
         executor = QueryExecutor(corpus)
         assert len(executor.store) == 0
         plan = planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED))
         executor.execute(plan)
         n_after_first = len(executor.store)
@@ -51,8 +59,8 @@ class TestSharedRepresentationStore:
     def test_representations_shared_across_predicates(self, corpus, planner):
         executor = QueryExecutor(corpus)
         plan = planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),
-                                ContainsObject("komondor2")),
+            where=conjunction(ContainsObject("komondor"),
+                              ContainsObject("komondor2")),
             constraints=CONSTRAINED))
         result = executor.execute(plan)
         # Both predicates use the same cascade, hence the same representations;
@@ -69,7 +77,7 @@ class TestSharedRepresentationStore:
     def test_broad_queries_materialize_full_corpus(self, corpus, planner):
         executor = QueryExecutor(corpus)
         plan = planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED))
         executor.execute(plan)
         assert len(executor.store) > 0
@@ -83,8 +91,8 @@ class TestSharedRepresentationStore:
         # rows reaching it and no corpus-wide representation is cached.
         executor = QueryExecutor(corpus)
         plan = planner.plan(Query(
-            metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(MetadataPredicate("location", "==", "detroit"),
+                              ContainsObject("komondor")),
             constraints=CONSTRAINED))
         transformed_rows.clear()
         result = executor.execute(plan)
@@ -109,15 +117,15 @@ class TestSharedRepresentationStore:
             self, corpus, planner, transformed_rows):
         executor = QueryExecutor(corpus)
         broad = planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED))
         executor.execute(broad)
         n_stored = len(executor.store)
         assert executor.metrics.value("repro_store_misses_total") == n_stored
         executor.invalidate()
         narrow = planner.plan(Query(
-            metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(MetadataPredicate("location", "==", "detroit"),
+                              ContainsObject("komondor")),
             constraints=CONSTRAINED))
         transformed_rows.clear()
         executor.execute(narrow)
@@ -132,7 +140,7 @@ class TestMaterializedColumns:
     def test_rows_never_reclassified(self, corpus, planner):
         executor = QueryExecutor(corpus)
         plan = planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED))
         first = executor.execute(plan)
         second = executor.execute(plan)
@@ -144,7 +152,7 @@ class TestMaterializedColumns:
     def test_invalidate_single_category(self, corpus, planner):
         executor = QueryExecutor(corpus)
         plan = planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED))
         executor.execute(plan)
         executor.invalidate("komondor")
@@ -154,8 +162,8 @@ class TestMaterializedColumns:
     def test_second_predicate_sees_shrunken_candidate_set(self, corpus, planner):
         executor = QueryExecutor(corpus)
         plan = planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),
-                                ContainsObject("komondor2")),
+            where=conjunction(ContainsObject("komondor"),
+                              ContainsObject("komondor2")),
             constraints=CONSTRAINED))
         result = executor.execute(plan)
         first_cat, second_cat = plan.categories
@@ -169,13 +177,13 @@ class TestLimit:
     def test_limit_truncates_selected_rows(self, corpus, planner):
         executor = QueryExecutor(corpus)
         unlimited = executor.execute(planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED)))
         if len(unlimited) < 2:
             pytest.skip("corpus produced too few positives to exercise LIMIT")
         limit = len(unlimited) - 1
         limited = executor.execute(planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED, limit=limit)))
         assert len(limited) == limit
         np.testing.assert_array_equal(limited.selected_indices,
@@ -185,35 +193,36 @@ class TestLimit:
     def test_limit_larger_than_result_is_noop(self, corpus, planner):
         executor = QueryExecutor(corpus)
         plan = planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED, limit=10_000))
         assert len(executor.execute(plan)) <= 10_000
 
     def test_limit_zero_returns_nothing(self, corpus, planner):
         executor = QueryExecutor(corpus)
         plan = planner.plan(Query(
-            metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
+            where=conjunction(MetadataPredicate("location", "==", "detroit")),
             limit=0))
         assert len(executor.execute(plan)) == 0
 
     def test_limit_zero_classifies_nothing(self, corpus, planner):
         executor = QueryExecutor(corpus)
         plan = planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED, limit=0))
         result = executor.execute(plan)
         assert len(result) == 0
         assert result.images_classified["komondor"] == 0
 
+    @pytest.mark.usefixtures("small_chunks")
     def test_limit_early_stop_with_two_content_predicates(self, corpus,
                                                           planner):
         # Regression: chunked early-stop must apply per chunk across *all*
         # content steps — the second predicate only sees survivors of the
         # first, and neither sweeps the corpus once the limit is satisfied.
-        executor = QueryExecutor(corpus, min_limit_chunk=4)
+        executor = QueryExecutor(corpus)
         plan = planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),
-                                ContainsObject("komondor2")),
+            where=conjunction(ContainsObject("komondor"),
+                              ContainsObject("komondor2")),
             constraints=CONSTRAINED, limit=1))
         result = executor.execute(plan)
         first_cat, second_cat = plan.categories
@@ -222,8 +231,8 @@ class TestLimit:
         if len(result) == 1:
             assert result.images_classified[first_cat] < len(corpus)
             unlimited = QueryExecutor(corpus).execute(planner.plan(Query(
-                content_predicates=(ContainsObject("komondor"),
-                                    ContainsObject("komondor2")),
+                where=conjunction(ContainsObject("komondor"),
+                                  ContainsObject("komondor2")),
                 constraints=CONSTRAINED)))
             np.testing.assert_array_equal(result.selected_indices,
                                           unlimited.selected_indices[:1])
@@ -231,19 +240,20 @@ class TestLimit:
     def test_limit_zero_with_two_content_predicates(self, corpus, planner):
         executor = QueryExecutor(corpus)
         plan = planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),
-                                ContainsObject("komondor2")),
+            where=conjunction(ContainsObject("komondor"),
+                              ContainsObject("komondor2")),
             constraints=CONSTRAINED, limit=0))
         result = executor.execute(plan)
         assert len(result) == 0
         assert all(count == 0 for count in result.images_classified.values())
 
+    @pytest.mark.usefixtures("small_chunks")
     def test_limit_stops_classifying_early(self, corpus, planner):
         # Small chunks so the 30-image corpus spans several of them: once a
         # chunk yields enough survivors, later chunks are never classified.
-        executor = QueryExecutor(corpus, min_limit_chunk=4)
+        executor = QueryExecutor(corpus)
         plan = planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED, limit=1))
         result = executor.execute(plan)
         if len(result) == 1:
@@ -251,7 +261,7 @@ class TestLimit:
         # And the rows returned are the first survivors in corpus order.
         executor_full = QueryExecutor(corpus)
         unlimited = executor_full.execute(planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED)))
         np.testing.assert_array_equal(result.selected_indices,
                                       unlimited.selected_indices[:1])
@@ -268,9 +278,9 @@ class TestScenarioSwitchKeying:
         planner_a = QueryPlanner({"komondor": tiny_optimizer}, camera_profiler)
         planner_b = QueryPlanner({"komondor": tiny_optimizer},
                                  infer_only_profiler)
-        query = Query(content_predicates=(ContainsObject("komondor"),),
+        query = Query(where=conjunction(ContainsObject("komondor")),
                       constraints=CONSTRAINED)
-        loose = Query(content_predicates=(ContainsObject("komondor"),),
+        loose = Query(where=conjunction(ContainsObject("komondor")),
                       constraints=UserConstraints())
         plan_a = planner_a.plan(query)
         plan_b = next((plan for plan in (planner_b.plan(query),
@@ -326,7 +336,7 @@ class TestBooleanTrees:
     def test_or_result_matches_row_wise_reference(self, corpus, planner):
         executor = QueryExecutor(corpus)
         conjunctive = planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED))
         positive = set(executor.execute(conjunctive).selected_indices)
         where = OrExpr((
@@ -343,7 +353,7 @@ class TestBooleanTrees:
     def test_not_complements_selection(self, corpus, planner):
         executor = QueryExecutor(corpus)
         selected = executor.execute(planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED))).selected_indices
         inverted = executor.execute(planner.plan(self._tree_query(
             where=NotExpr(PredicateExpr(ContainsObject("komondor")))))
@@ -365,13 +375,14 @@ class TestBooleanTrees:
         n_detroit = int((corpus.metadata["location"] == "detroit").sum())
         assert result.images_classified["komondor"] <= n_detroit
 
+    @pytest.mark.usefixtures("small_chunks")
     def test_tree_limit_early_stop_matches_prefix(self, corpus, planner):
         where = OrExpr((
             PredicateExpr(MetadataPredicate("location", "==", "detroit")),
             PredicateExpr(ContainsObject("komondor"))))
         unlimited = QueryExecutor(corpus).execute(
             planner.plan(self._tree_query(where=where)))
-        limited = QueryExecutor(corpus, min_limit_chunk=4).execute(
+        limited = QueryExecutor(corpus).execute(
             planner.plan(self._tree_query(where=where, limit=2)))
         np.testing.assert_array_equal(limited.selected_indices,
                                       unlimited.selected_indices[:2])
@@ -421,7 +432,7 @@ class TestBooleanTrees:
         # Reference: the true summed labels over the selected rows, from a
         # full classification on a fresh executor.
         full = QueryExecutor(corpus).execute(planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED)))
         reference_labels = np.zeros(len(corpus), dtype=np.int64)
         reference_labels[full.selected_indices] = 1
@@ -437,7 +448,7 @@ class TestBooleanTrees:
         from repro.query.ast import OrderItem
 
         result = QueryExecutor(corpus).execute(planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED, limit=0,
             order_by=(OrderItem("timestamp"),))))
         assert len(result) == 0
@@ -447,8 +458,8 @@ class TestBooleanTrees:
         from repro.query.ast import QueryError
 
         executor = QueryExecutor(corpus)
-        plan = planner.plan(Query(metadata_predicates=(
-            MetadataPredicate("location", "==", 5),)))
+        plan = planner.plan(Query(where=conjunction(
+            MetadataPredicate("location", "==", 5))))
         with pytest.raises(QueryError, match="location"):
             executor.execute(plan)
 
@@ -456,23 +467,24 @@ class TestBooleanTrees:
         from repro.query.ast import QueryError
 
         executor = QueryExecutor(corpus)
-        plan = planner.plan(Query(metadata_predicates=(
-            MetadataPredicate("camera_id", "in", ("one", "two")),)))
+        plan = planner.plan(Query(where=conjunction(
+            MetadataPredicate("camera_id", "in", ("one", "two")))))
         with pytest.raises(QueryError, match="camera_id"):
             executor.execute(plan)
 
 
 class TestPrefilterStats:
+    @pytest.mark.usefixtures("small_chunks")
     def test_prefilter_measured_once_over_the_whole_snapshot(self, corpus,
                                                              planner):
         # Chunked execution (cancel forces chunking) must not re-count the
         # free metadata conjunct per chunk: it is measured once, over every
         # snapshot row, and the AND root accounts for the same rows.
         plan = planner.plan(Query(
-            metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(MetadataPredicate("location", "==", "detroit"),
+                              ContainsObject("komondor")),
             constraints=CONSTRAINED))
-        result = QueryExecutor(corpus, min_limit_chunk=4).execute(
+        result = QueryExecutor(corpus).execute(
             plan, cancel=lambda: None)
         n_detroit = int((corpus.metadata["location"] == "detroit").sum())
         assert n_detroit > 4, "fixture must span several chunks"
@@ -529,13 +541,14 @@ class TestRandomTreesMatchBruteForce:
         # komondor and komondor2 share one optimizer, hence one label column.
         planner = QueryPlanner({"komondor": tiny_optimizer}, camera_profiler)
         full = QueryExecutor(corpus).execute(planner.plan(Query(
-            content_predicates=(ContainsObject("komondor"),),
+            where=conjunction(ContainsObject("komondor")),
             constraints=CONSTRAINED)))
         labels = np.zeros(len(corpus), dtype=bool)
         labels[full.selected_indices] = True
         return labels
 
     @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.usefixtures("small_chunks")
     def test_selected_ids_equal_brute_force(self, corpus, planner, labels,
                                             seed):
         where = _random_tree(np.random.default_rng(seed))
@@ -549,10 +562,10 @@ class TestRandomTreesMatchBruteForce:
 
         np.testing.assert_array_equal(run(QueryExecutor(corpus)), expected)
         np.testing.assert_array_equal(
-            run(QueryExecutor(corpus, min_limit_chunk=4), limit=2),
+            run(QueryExecutor(corpus), limit=2),
             expected[:2])
         np.testing.assert_array_equal(
-            run(QueryExecutor(corpus, min_limit_chunk=4),
+            run(QueryExecutor(corpus),
                 cancel=lambda: None),
             expected)
 

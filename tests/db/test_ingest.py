@@ -15,6 +15,7 @@ from repro.query.model import Query
 from repro.storage.store import RepresentationStore
 from repro.transforms.spec import TransformSpec
 from tests.conftest import TINY_SIZE
+from tests.where import conjunction
 
 CONSTRAINED = UserConstraints(max_accuracy_loss=0.1)
 REFERENCE_PARAMS = {"base_width": 8, "n_stages": 2, "blocks_per_stage": 1}
@@ -44,9 +45,10 @@ def planner(tiny_optimizer, camera_profiler):
     return QueryPlanner({"komondor": tiny_optimizer}, camera_profiler)
 
 
-def content_plan(planner, **kwargs):
-    return planner.plan(Query(content_predicates=(ContainsObject("komondor"),),
-                              constraints=CONSTRAINED, **kwargs))
+def content_plan(planner, metadata=(), **kwargs):
+    return planner.plan(Query(
+        where=conjunction(*metadata, ContainsObject("komondor")),
+        constraints=CONSTRAINED, **kwargs))
 
 
 class TestExecutorIngest:
@@ -80,8 +82,8 @@ class TestExecutorIngest:
         metadata = dict(frames.metadata)
         metadata["location"] = np.array(["atlantis"] * 4)
         new_ids = executor.ingest(frames.images, metadata=metadata)
-        plan = planner.plan(Query(metadata_predicates=(
-            MetadataPredicate("location", "==", "atlantis"),)))
+        plan = planner.plan(Query(where=conjunction(
+            MetadataPredicate("location", "==", "atlantis"))))
         result = executor.execute(plan)
         np.testing.assert_array_equal(result.selected_indices, new_ids)
 
@@ -115,7 +117,7 @@ class TestExecutorIngest:
         wide = content_plan(planner)
         plan = wide
         if shape == "narrow":
-            plan = content_plan(planner, metadata_predicates=(
+            plan = content_plan(planner, metadata=(
                 MetadataPredicate("location", "==", "detroit"),))
         if shape in ("stale", "retained"):
             executor.execute(wide)

@@ -20,6 +20,7 @@ from repro.query.ast import AndExpr, OrExpr, PredicateExpr
 from repro.query.model import Query
 from repro.query.predicates import ContainsObject, MetadataPredicate
 from tests.conftest import TINY_SIZE
+from tests.where import conjunction
 
 _STUB_PROFILER = SimpleNamespace(scenario=SimpleNamespace(name="stub"))
 
@@ -55,9 +56,9 @@ class TestOrdering:
              "expensive": _StubOptimizer(cost_s=0.1, selectivity=0.5),
              "middling": _StubOptimizer(cost_s=0.01, selectivity=0.5)},
             _STUB_PROFILER)
-        query = Query(content_predicates=(ContainsObject("expensive"),
-                                          ContainsObject("cheap_selective"),
-                                          ContainsObject("middling")))
+        query = Query(where=conjunction(ContainsObject("expensive"),
+                                        ContainsObject("cheap_selective"),
+                                        ContainsObject("middling")))
         plan = planner.plan(query)
         assert plan.categories == ("cheap_selective", "middling", "expensive")
         ranks = [step.rank for step in plan.content_steps]
@@ -70,15 +71,15 @@ class TestOrdering:
             {"cheap_broad": _StubOptimizer(cost_s=0.01, selectivity=0.9),
              "pricier_narrow": _StubOptimizer(cost_s=0.02, selectivity=0.1)},
             _STUB_PROFILER)
-        plan = planner.plan(Query(content_predicates=(
+        plan = planner.plan(Query(where=conjunction(
             ContainsObject("cheap_broad"), ContainsObject("pricier_narrow"))))
         assert plan.categories == ("pricier_narrow", "cheap_broad")
 
     def test_metadata_steps_preserved_and_first_in_describe(self):
         planner = QueryPlanner({"a": _StubOptimizer(0.01, 0.5)}, _STUB_PROFILER)
         query = Query(
-            metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
-            content_predicates=(ContainsObject("a"),),
+            where=conjunction(MetadataPredicate("location", "==", "detroit"),
+                              ContainsObject("a")),
             limit=7)
         plan = planner.plan(query)
         text = plan.describe()
@@ -90,7 +91,7 @@ class TestOrdering:
     def test_unknown_category_raises(self):
         planner = QueryPlanner({}, _STUB_PROFILER)
         with pytest.raises(KeyError):
-            planner.plan(Query(content_predicates=(ContainsObject("zebra"),)))
+            planner.plan(Query(where=conjunction(ContainsObject("zebra"))))
 
     def test_free_filter_wins_an_and_rank_tie(self):
         # A cascade observed to reject everything ranks 0.0 x cost = 0, the
@@ -181,8 +182,8 @@ class TestExpectedCost:
             {"first": _StubOptimizer(cost_s=0.001, selectivity=0.25),
              "second": _StubOptimizer(cost_s=0.1, selectivity=0.5)},
             _STUB_PROFILER)
-        plan = planner.plan(Query(content_predicates=(
-            ContainsObject("first"), ContainsObject("second"))))
+        plan = planner.plan(Query(where=conjunction(ContainsObject("first"),
+                                                    ContainsObject("second"))))
         # first runs on everything; second only on the 25% that survive.
         assert plan.expected_cost_per_candidate_s() == pytest.approx(
             0.001 + 0.25 * 0.1)
@@ -221,8 +222,8 @@ class TestTreeLowering:
 
     def test_conjunctive_query_lowers_to_and_root(self):
         plan = self._planner().plan(Query(
-            metadata_predicates=(MetadataPredicate("a", "==", 1),),
-            content_predicates=(ContainsObject("cheap"),)))
+            where=conjunction(MetadataPredicate("a", "==", 1),
+                              ContainsObject("cheap"))))
         assert isinstance(plan.predicate_tree, PlanAnd)
         assert plan.conjuncts == plan.predicate_tree.children
         assert [type(step) for step in plan.conjuncts] == [MetadataStep,
@@ -231,7 +232,7 @@ class TestTreeLowering:
 
     def test_single_predicate_is_its_own_conjunct(self):
         plan = self._planner().plan(Query(
-            content_predicates=(ContainsObject("cheap"),)))
+            where=conjunction(ContainsObject("cheap"))))
         assert plan.conjuncts == (plan.predicate_tree,)
         assert plan.content_steps == (plan.predicate_tree,)
 
@@ -281,7 +282,7 @@ class TestEarlyStopGating:
         planner = QueryPlanner({"a": _StubOptimizer(0.01, 0.5)},
                                _STUB_PROFILER)
         return planner.plan(Query(
-            content_predicates=(ContainsObject("a"),), **kwargs))
+            where=conjunction(ContainsObject("a")), **kwargs))
 
     def test_plain_limit_allows_early_stop(self):
         assert self._plan(limit=5).allow_early_stop
@@ -311,7 +312,7 @@ class TestSelectivityHook:
             {"a": _StubOptimizer(cost_s=0.01, selectivity=0.5)},
             _STUB_PROFILER,
             selectivity_hook=lambda category, cascade: observed.get(category))
-        plan = planner.plan(Query(content_predicates=(ContainsObject("a"),)))
+        plan = planner.plan(Query(where=conjunction(ContainsObject("a"))))
         assert plan.content_steps[0].selectivity == 0.125
 
     def test_hook_none_falls_back_to_estimate(self):
@@ -319,7 +320,7 @@ class TestSelectivityHook:
             {"a": _StubOptimizer(cost_s=0.01, selectivity=0.5)},
             _STUB_PROFILER,
             selectivity_hook=lambda category, cascade: None)
-        plan = planner.plan(Query(content_predicates=(ContainsObject("a"),)))
+        plan = planner.plan(Query(where=conjunction(ContainsObject("a"))))
         assert plan.content_steps[0].selectivity == 0.5
 
     def test_hook_receives_selected_cascade_name(self):
@@ -332,7 +333,7 @@ class TestSelectivityHook:
         planner = QueryPlanner(
             {"a": _StubOptimizer(cost_s=0.01, selectivity=0.5)},
             _STUB_PROFILER, selectivity_hook=hook)
-        planner.plan(Query(content_predicates=(ContainsObject("a"),)))
+        planner.plan(Query(where=conjunction(ContainsObject("a"))))
         assert seen == [("a", "stub-cascade-0.01")]
 
 

@@ -78,12 +78,6 @@ class TestFetchCursor:
         assert [row["image_id"] for row in results.fetchall()] == [3]
         assert results.fetchall() == []
 
-    def test_rewind(self):
-        results = _result_set(2)
-        results.fetchall()
-        results.rewind()
-        assert results.fetchone()["image_id"] == 0
-
     def test_fetchmany_zero_returns_empty_without_moving_cursor(self):
         results = _result_set(3)
         assert results.fetchmany(0) == []

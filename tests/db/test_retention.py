@@ -25,6 +25,7 @@ from repro.query.model import Query
 from repro.storage.store import RepresentationStore
 from repro.transforms.spec import TransformSpec
 from tests.conftest import TINY_SIZE
+from tests.where import conjunction
 
 CONSTRAINED = UserConstraints(max_accuracy_loss=0.1)
 REFERENCE_PARAMS = {"base_width": 8, "n_stages": 2, "blocks_per_stage": 1}
@@ -54,7 +55,7 @@ def planner(tiny_optimizer, camera_profiler):
 
 
 def content_plan(planner, **kwargs):
-    return planner.plan(Query(content_predicates=(ContainsObject("komondor"),),
+    return planner.plan(Query(where=conjunction(ContainsObject("komondor")),
                               constraints=CONSTRAINED, **kwargs))
 
 
@@ -244,7 +245,8 @@ class TestDatabaseRetention:
         return database
 
     def test_connect_applies_policy_to_single_table(self, db):
-        assert db.retention_for("images") == RetentionPolicy(max_rows=12)
+        assert (db.executor_for("images").retention
+                == RetentionPolicy(max_rows=12))
         batch = make_corpus(5, seed=31)
         db.ingest(batch.images, metadata=batch.metadata)
         assert len(db.corpus) == 12
@@ -255,8 +257,8 @@ class TestDatabaseRetention:
                             "cam_b": make_corpus(6, seed=33)},
                            device=tiny_device, calibrate_target_fps=None,
                            retention=policies)
-        assert database.retention_for("cam_a") == policies["cam_a"]
-        assert database.retention_for("cam_b") is None
+        assert database.executor_for("cam_a").retention == policies["cam_a"]
+        assert database.executor_for("cam_b").retention is None
 
     def test_connect_rejects_unknown_retention_tables(self, tiny_device):
         with pytest.raises(ValueError, match="cam_typo"):
@@ -271,7 +273,7 @@ class TestDatabaseRetention:
                            default_constraints=CONSTRAINED)
         database.register_optimizer("komondor", tiny_optimizer,
                                     reference_params=REFERENCE_PARAMS)
-        assert database.retention_for("images") is None
+        assert database.executor_for("images").retention is None
         assert database.retain() == {"images": 0}
 
         database.set_retention("images", RetentionPolicy(max_rows=15))
@@ -280,7 +282,7 @@ class TestDatabaseRetention:
         np.testing.assert_array_equal(database.executor.relation["image_id"],
                                       np.arange(5, 20))
         database.set_retention("images", None)
-        assert database.retention_for("images") is None
+        assert database.executor_for("images").retention is None
 
     def test_max_age_window(self, tiny_device):
         corpus = timed_corpus(np.arange(10.0))
@@ -372,7 +374,8 @@ class TestRetentionPersistence:
         db.save(tmp_path / "vdb")
 
         loaded = VisualDatabase.load(tmp_path / "vdb")
-        assert loaded.retention_for("images") == RetentionPolicy(max_rows=10)
+        assert (loaded.executor_for("images").retention
+                == RetentionPolicy(max_rows=10))
         assert loaded.executor.id_offset == 6
         after = loaded.execute(SQL)
         np.testing.assert_array_equal(after.image_ids, before.image_ids)

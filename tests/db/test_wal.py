@@ -211,7 +211,7 @@ class TestEnableWal:
         # Simulate a crash: no close(), no checkpoint — load from disk.
         recovered = VisualDatabase.load(tmp_path / "vdb")
         assert table_state(recovered) == expected
-        assert recovered.retention_for("cam").max_rows == 6
+        assert recovered.executor_for("cam").retention.max_rows == 6
         # Recovery re-arms the journal: further mutations stay durable.
         recovered.ingest(*_batch([15.0]), table="cam")
         again = VisualDatabase.load(tmp_path / "vdb")
@@ -437,7 +437,8 @@ class TestEnableWal:
         recovered = VisualDatabase.load(root)
         assert recovered.tables() == ["cam"]
         assert table_state(recovered) == expected
-        assert recovered.retention_for("cam") == RetentionPolicy(max_rows=8)
+        assert (recovered.executor_for("cam").retention
+                == RetentionPolicy(max_rows=8))
 
     def test_materialized_labels_survive_checkpoint(self, tmp_path,
                                                     tiny_optimizer,
@@ -754,7 +755,8 @@ class TestFormatCompatibility:
 
         loaded = VisualDatabase.load(root)
         assert table_state(loaded) == table_state(database)
-        assert loaded.retention_for("cam") == RetentionPolicy(max_rows=8)
+        assert (loaded.executor_for("cam").retention
+                == RetentionPolicy(max_rows=8))
 
         # A checkpoint adds the table's replay floor and nothing else.
         loaded.enable_wal(tmp_path / "ckpt")

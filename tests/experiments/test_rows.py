@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines.noscope import PipelineResult
 from repro.costs.profiler import CostBreakdown
-from repro.experiments.ablation import TransformAblationRow
 from repro.experiments.noscope_exp import StreamComparison
 from repro.experiments.scenarios import AwarenessRow
 from repro.experiments.speedups import FastestRow
@@ -32,13 +31,6 @@ class TestFastestRow:
     def test_zero_reference_fps(self):
         row = FastestRow("x", 0.0, 10.0, 0.9, 0.9)
         assert row.speedup == float("inf")
-
-
-class TestTransformAblationRow:
-    def test_ordered_follows_canonical_subset_order(self):
-        row = TransformAblationRow("acorn", {"none": 1.0, "color": 2.0,
-                                             "resize": 3.0, "full": 4.0})
-        assert row.ordered() == [1.0, 2.0, 3.0, 4.0]
 
 
 def make_pipeline_result(name, fps, n_frames=100, n_reused=20, n_oracle=5):

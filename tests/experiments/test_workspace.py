@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.spec import build_model_grid
 from repro.experiments.presets import SMOKE_SCALE
 from repro.experiments.workspace import get_workspace
 
@@ -12,7 +13,8 @@ def test_workspace_contains_all_scale_categories(smoke_workspace):
 
 def test_each_predicate_is_initialized(smoke_workspace):
     for predicate in smoke_workspace.predicates.values():
-        assert predicate.optimizer.n_models == SMOKE_SCALE.n_model_specs()
+        assert predicate.optimizer.n_models == len(build_model_grid(
+            SMOKE_SCALE.architectures(), SMOKE_SCALE.transforms()))
         assert predicate.optimizer.n_cascades > 0
         assert predicate.reference_model.is_reference
 

@@ -192,7 +192,8 @@ def _core_facts(workspace) -> dict[str, str]:
 
 
 def _text(values) -> str:
-    return " ".join(str(int(v)) if isinstance(v, (bool, np.bool_)) else str(v)
+    """Space-separated values, booleans as 0 / 1."""
+    return " ".join(str(int(v)) if isinstance(v, bool) else str(v)
                     for v in values)
 
 
@@ -215,8 +216,8 @@ def _db_facts(workspace) -> dict[str, str]:
                 relation = result.to_relation()
                 aggregate = isinstance(result, AggregateResultSet)
                 for column in relation.column_names():
-                    if aggregate or column in ("image_id", "__table__") \
-                            or column.startswith("contains_"):
+                    if (aggregate or column in ("image_id", "__table__")
+                            or column.startswith("contains_")):
                         facts[f"{prefix}/{column}"] = _text(
                             relation.column(column).tolist())
             for key in ("images_classified", "cascades_used"):

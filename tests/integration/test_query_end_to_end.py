@@ -18,6 +18,7 @@ from repro.db.planner import QueryPlanner
 from repro.query.model import Query
 from repro.query.predicates import ContainsObject, MetadataPredicate
 from tests.conftest import TINY_SIZE
+from tests.where import conjunction
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +32,8 @@ def test_detroit_komondor_query(corpus, tiny_optimizer, camera_profiler):
     planner = QueryPlanner({"komondor": tiny_optimizer}, camera_profiler)
     executor = QueryExecutor(corpus)
     query = Query(
-        metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
-        content_predicates=(ContainsObject("komondor"),),
+        where=conjunction(MetadataPredicate("location", "==", "detroit"),
+                          ContainsObject("komondor")),
         constraints=UserConstraints(max_accuracy_loss=0.05))
     result = executor.execute(planner.plan(query))
 
@@ -54,11 +55,11 @@ def test_follow_up_query_reuses_materialized_column(corpus, tiny_optimizer,
                                                     camera_profiler):
     planner = QueryPlanner({"komondor": tiny_optimizer}, camera_profiler)
     executor = QueryExecutor(corpus)
-    broad = Query(content_predicates=(ContainsObject("komondor"),))
+    broad = Query(where=conjunction(ContainsObject("komondor")))
     executor.execute(planner.plan(broad))
     narrow = Query(
-        metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
-        content_predicates=(ContainsObject("komondor"),))
+        where=conjunction(MetadataPredicate("location", "==", "detroit"),
+                          ContainsObject("komondor")))
     result = executor.execute(planner.plan(narrow))
     # Everything needed was already materialized by the broad query.
     assert result.images_classified["komondor"] == 0

@@ -33,12 +33,6 @@ class TestSequential:
     def test_output_shape_inference(self):
         assert make_net().output_shape() == (1,)
 
-    def test_shape_trace_lengths(self):
-        net = make_net()
-        trace = net.shape_trace()
-        assert len(trace) == len(net.layers)
-        assert trace[-1] == (1,)
-
     def test_predict_matches_forward(self):
         net = make_net()
         x = np.random.default_rng(1).random((7, 8, 8, 3))

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.query.ast import (Aggregate, AndExpr, NotExpr, OrderItem, OrExpr,
-                             PredicateExpr, SqlParseError, iter_predicates,
-                             select_label, tokenize)
-from repro.query.predicates import ContainsObject, MetadataPredicate
+from repro.query.ast import (Aggregate, AndExpr, OrderItem, OrExpr,
+                             PredicateExpr, SqlParseError, select_label,
+                             tokenize)
+from repro.query.predicates import MetadataPredicate
 
 
 class TestTokenizer:
@@ -70,12 +70,6 @@ class TestBooleanNodes:
             AndExpr((self._leaf(),))
         with pytest.raises(ValueError):
             OrExpr((self._leaf(),))
-
-    def test_iter_predicates_left_to_right(self):
-        tree = OrExpr((AndExpr((self._leaf("a"), self._leaf("b"))),
-                       NotExpr(PredicateExpr(ContainsObject("dog")))))
-        assert [getattr(p, "column", getattr(p, "category", None))
-                for p in iter_predicates(tree)] == ["a", "b", "dog"]
 
 
 class TestAggregateSpec:

@@ -16,6 +16,7 @@ from repro.db.planner import QueryPlanner
 from repro.query.model import Query
 from repro.query.predicates import ContainsObject, MetadataPredicate
 from tests.conftest import TINY_SIZE
+from tests.where import conjunction, metadata_leaves
 
 
 @pytest.fixture(scope="module")
@@ -45,30 +46,11 @@ class TestQueryValidation:
     def test_bare_query_is_a_scan(self):
         query = Query()
         assert query.where is None
-        assert query.metadata_predicates == ()
+        assert metadata_leaves(query) == ()
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
             Query(limit=-1)
-
-    def test_predicates_synthesize_conjunctive_where(self):
-        from repro.query.ast import AndExpr, iter_predicates
-
-        query = Query(
-            metadata_predicates=(MetadataPredicate("location", "==", "x"),),
-            content_predicates=(ContainsObject("dog"),))
-        assert isinstance(query.where, AndExpr)
-        assert list(iter_predicates(query.where)) == [
-            MetadataPredicate("location", "==", "x"), ContainsObject("dog")]
-
-    def test_where_tree_derives_flat_predicates(self):
-        from repro.query.ast import OrExpr, PredicateExpr
-
-        tree = OrExpr((PredicateExpr(MetadataPredicate("a", "==", 1)),
-                       PredicateExpr(ContainsObject("dog"))))
-        query = Query(where=tree)
-        assert query.metadata_predicates == (MetadataPredicate("a", "==", 1),)
-        assert query.content_predicates == (ContainsObject("dog"),)
 
 
 class TestBareScanExecution:
@@ -84,22 +66,22 @@ class TestBareScanExecution:
 
 class TestMetadataOnlyQueries:
     def test_metadata_filter(self, processor, corpus):
-        query = Query(metadata_predicates=(
-            MetadataPredicate("location", "==", "detroit"),))
+        query = Query(where=conjunction(
+            MetadataPredicate("location", "==", "detroit")))
         result = processor.execute(query)
         expected = int((corpus.metadata["location"] == "detroit").sum())
         assert len(result) == expected
         assert result.cascades_used == {}
 
     def test_empty_result(self, processor):
-        query = Query(metadata_predicates=(
-            MetadataPredicate("location", "==", "nowhere"),))
+        query = Query(where=conjunction(
+            MetadataPredicate("location", "==", "nowhere")))
         assert len(processor.execute(query)) == 0
 
 
 class TestContentQueries:
     def test_contains_object_populates_virtual_column(self, processor):
-        query = Query(content_predicates=(ContainsObject("komondor"),),
+        query = Query(where=conjunction(ContainsObject("komondor")),
                       constraints=UserConstraints(max_accuracy_loss=0.1))
         result = processor.execute(query)
         assert "contains_komondor" in result.relation
@@ -107,7 +89,7 @@ class TestContentQueries:
         assert result.images_classified["komondor"] > 0
 
     def test_unknown_category_raises(self, processor):
-        query = Query(content_predicates=(ContainsObject("zebra"),))
+        query = Query(where=conjunction(ContainsObject("zebra")))
         with pytest.raises(KeyError):
             processor.execute(query)
 
@@ -117,8 +99,8 @@ class TestContentQueries:
         processor = _Pipeline(corpus, {"komondor": tiny_optimizer},
                               camera_profiler)
         narrow = Query(
-            metadata_predicates=(MetadataPredicate("location", "==", "detroit"),),
-            content_predicates=(ContainsObject("komondor"),))
+            where=conjunction(MetadataPredicate("location", "==", "detroit"),
+                              ContainsObject("komondor")))
         result = processor.execute(narrow)
         n_detroit = int((corpus.metadata["location"] == "detroit").sum())
         assert result.images_classified["komondor"] == n_detroit
@@ -128,7 +110,7 @@ class TestContentQueries:
                                                        camera_profiler):
         processor = _Pipeline(corpus, {"komondor": tiny_optimizer},
                               camera_profiler)
-        query = Query(content_predicates=(ContainsObject("komondor"),))
+        query = Query(where=conjunction(ContainsObject("komondor")))
         first = processor.execute(query)
         second = processor.execute(query)
         assert first.images_classified["komondor"] == len(corpus)
@@ -143,7 +125,7 @@ class TestContentQueries:
         processor = _Pipeline(corpus, {"komondor": tiny_optimizer},
                               camera_profiler)
         result = processor.execute(
-            Query(content_predicates=(ContainsObject("komondor"),)))
+            Query(where=conjunction(ContainsObject("komondor"))))
         truth = corpus.content["komondor"]
         base_rate = truth.mean()
         if len(result) > 0:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.selector import UserConstraints
 from repro.query.predicates import ContainsObject, MetadataPredicate
 from repro.query.sql import SqlParseError, parse_query
+from tests.where import content_leaves, metadata_leaves
 
 
 class TestBasicParsing:
@@ -12,36 +13,36 @@ class TestBasicParsing:
         query = parse_query(
             "SELECT * FROM images WHERE location = 'detroit' "
             "AND contains_object(bicycle)")
-        assert query.metadata_predicates == (
+        assert metadata_leaves(query) == (
             MetadataPredicate("location", "==", "detroit"),)
-        assert query.content_predicates == (ContainsObject("bicycle"),)
+        assert content_leaves(query) == (ContainsObject("bicycle"),)
 
     def test_contains_object_only(self):
         query = parse_query("SELECT * FROM images WHERE contains_object(komondor)")
-        assert query.metadata_predicates == ()
-        assert query.content_predicates == (ContainsObject("komondor"),)
+        assert metadata_leaves(query) == ()
+        assert content_leaves(query) == (ContainsObject("komondor"),)
 
     def test_case_insensitive_keywords(self):
         query = parse_query("select * from images where Contains_Object(acorn)")
-        assert query.content_predicates == (ContainsObject("acorn"),)
+        assert content_leaves(query) == (ContainsObject("acorn"),)
 
     def test_trailing_semicolon(self):
         query = parse_query("SELECT * FROM images WHERE camera_id = 3;")
-        assert query.metadata_predicates[0].value == 3
+        assert metadata_leaves(query)[0].value == 3
 
     def test_quoted_category(self):
         query = parse_query("SELECT * FROM images WHERE contains_object('fence')")
-        assert query.content_predicates == (ContainsObject("fence"),)
+        assert content_leaves(query) == (ContainsObject("fence"),)
 
     def test_hyphenated_category(self):
         query = parse_query(
             "SELECT * FROM images WHERE contains_object(traffic-light)")
-        assert query.content_predicates == (ContainsObject("traffic-light"),)
+        assert content_leaves(query) == (ContainsObject("traffic-light"),)
 
     def test_category_with_surrounding_spaces(self):
         query = parse_query(
             "SELECT * FROM images WHERE contains_object( fence )")
-        assert query.content_predicates == (ContainsObject("fence"),)
+        assert content_leaves(query) == (ContainsObject("fence"),)
 
     def test_category_with_internal_whitespace_rejected(self):
         # 'traffic light' is a typo, not a longer category: the old regex
@@ -61,15 +62,15 @@ class TestLiteralsAndOperators:
     ])
     def test_operators(self, sql_op, expected):
         query = parse_query(f"SELECT * FROM images WHERE timestamp {sql_op} 100")
-        assert query.metadata_predicates[0].operator == expected
+        assert metadata_leaves(query)[0].operator == expected
 
     def test_numeric_literals(self):
         query = parse_query("SELECT * FROM images WHERE timestamp >= 12.5")
-        assert query.metadata_predicates[0].value == pytest.approx(12.5)
+        assert metadata_leaves(query)[0].value == pytest.approx(12.5)
 
     def test_string_literals_double_quotes(self):
         query = parse_query('SELECT * FROM images WHERE location = "austin"')
-        assert query.metadata_predicates[0].value == "austin"
+        assert metadata_leaves(query)[0].value == "austin"
 
     def test_unquoted_string_rejected(self):
         with pytest.raises(SqlParseError):
@@ -78,20 +79,20 @@ class TestLiteralsAndOperators:
     def test_doubled_quote_escape_collapsed(self):
         query = parse_query(
             "SELECT * FROM images WHERE location = 'rock ''n'' roll'")
-        assert query.metadata_predicates[0].value == "rock 'n' roll"
+        assert metadata_leaves(query)[0].value == "rock 'n' roll"
 
     def test_doubled_quote_escape_in_double_quotes(self):
         query = parse_query(
             'SELECT * FROM images WHERE location = "say ""hi"" twice"')
-        assert query.metadata_predicates[0].value == 'say "hi" twice'
+        assert metadata_leaves(query)[0].value == 'say "hi" twice'
 
     def test_single_quote_inside_double_quotes_untouched(self):
         query = parse_query('SELECT * FROM images WHERE location = "it\'s"')
-        assert query.metadata_predicates[0].value == "it's"
+        assert metadata_leaves(query)[0].value == "it's"
 
     def test_literal_that_is_one_escaped_quote(self):
         query = parse_query("SELECT * FROM images WHERE location = ''''")
-        assert query.metadata_predicates[0].value == "'"
+        assert metadata_leaves(query)[0].value == "'"
 
     def test_escaped_quote_does_not_terminate_literal(self):
         # The doubled quote must not close the literal: the AND inside the
@@ -99,13 +100,13 @@ class TestLiteralsAndOperators:
         query = parse_query("SELECT * FROM images "
                             "WHERE location = 'rock ''n'' roll and blues' "
                             "AND camera_id = 3")
-        assert query.metadata_predicates[0].value == "rock 'n' roll and blues"
-        assert query.metadata_predicates[1].value == 3
+        assert metadata_leaves(query)[0].value == "rock 'n' roll and blues"
+        assert metadata_leaves(query)[1].value == 3
 
     def test_doubled_quote_escape_in_in_list(self):
         query = parse_query(
             "SELECT * FROM images WHERE location IN ('it''s', 'plain')")
-        assert query.metadata_predicates[0].value == ("it's", "plain")
+        assert metadata_leaves(query)[0].value == ("it's", "plain")
 
 
 class TestConjunctions:
@@ -113,27 +114,27 @@ class TestConjunctions:
         query = parse_query(
             "SELECT * FROM images WHERE location = 'detroit' AND timestamp < 500 "
             "AND contains_object(wallet) AND contains_object(fence)")
-        assert len(query.metadata_predicates) == 2
-        assert len(query.content_predicates) == 2
+        assert len(metadata_leaves(query)) == 2
+        assert len(content_leaves(query)) == 2
 
     def test_and_is_case_insensitive(self):
         query = parse_query(
             "SELECT * FROM images WHERE camera_id = 1 and contains_object(coho)")
-        assert len(query.metadata_predicates) == 1
-        assert len(query.content_predicates) == 1
+        assert len(metadata_leaves(query)) == 1
+        assert len(content_leaves(query)) == 1
 
     def test_and_inside_string_literal_is_not_a_conjunction(self):
         query = parse_query(
             "SELECT * FROM images WHERE genre = 'rock and roll' "
             "AND contains_object(coho)")
-        assert query.metadata_predicates == (
+        assert metadata_leaves(query) == (
             MetadataPredicate("genre", "==", "rock and roll"),)
-        assert query.content_predicates == (ContainsObject("coho"),)
+        assert content_leaves(query) == (ContainsObject("coho"),)
 
     def test_and_inside_in_list_literal(self):
         query = parse_query(
             "SELECT * FROM images WHERE genre IN ('rock and roll', 'jazz')")
-        assert query.metadata_predicates[0].value == ("rock and roll", "jazz")
+        assert metadata_leaves(query)[0].value == ("rock and roll", "jazz")
 
 
 class TestLimit:
@@ -172,45 +173,45 @@ class TestLimit:
         query = parse_query(
             "SELECT * FROM images WHERE note = 'speed limit 55'")
         assert query.limit is None
-        assert query.metadata_predicates[0].value == "speed limit 55"
+        assert metadata_leaves(query)[0].value == "speed limit 55"
 
     def test_limit_after_string_literal_containing_limit(self):
         query = parse_query(
             "SELECT * FROM images WHERE note = 'speed limit 55' LIMIT 3")
         assert query.limit == 3
-        assert query.metadata_predicates[0].value == "speed limit 55"
+        assert metadata_leaves(query)[0].value == "speed limit 55"
 
 
 class TestInPredicate:
     def test_string_membership(self):
         query = parse_query(
             "SELECT * FROM images WHERE location IN ('detroit', 'austin')")
-        assert query.metadata_predicates == (
+        assert metadata_leaves(query) == (
             MetadataPredicate("location", "in", ("detroit", "austin")),)
 
     def test_numeric_membership(self):
         query = parse_query("SELECT * FROM images WHERE camera_id IN (1, 2, 3)")
-        assert query.metadata_predicates[0].value == (1, 2, 3)
+        assert metadata_leaves(query)[0].value == (1, 2, 3)
 
     def test_single_value(self):
         query = parse_query("SELECT * FROM images WHERE camera_id IN (7)")
-        assert query.metadata_predicates[0].value == (7,)
+        assert metadata_leaves(query)[0].value == (7,)
 
     def test_in_is_case_insensitive(self):
         query = parse_query("SELECT * FROM images WHERE location in ('austin')")
-        assert query.metadata_predicates[0].operator == "in"
+        assert metadata_leaves(query)[0].operator == "in"
 
     def test_quoted_value_may_contain_comma(self):
         query = parse_query(
             "SELECT * FROM images WHERE location IN ('Detroit, MI', 'austin')")
-        assert query.metadata_predicates[0].value == ("Detroit, MI", "austin")
+        assert metadata_leaves(query)[0].value == ("Detroit, MI", "austin")
 
     def test_combines_with_other_predicates(self):
         query = parse_query(
             "SELECT * FROM images WHERE location IN ('detroit') "
             "AND contains_object(fence) LIMIT 4")
-        assert len(query.metadata_predicates) == 1
-        assert len(query.content_predicates) == 1
+        assert len(metadata_leaves(query)) == 1
+        assert len(content_leaves(query)) == 1
         assert query.limit == 4
 
     @pytest.mark.parametrize("bad", [
@@ -227,8 +228,8 @@ class TestInPredicate:
 class TestBareScan:
     def test_no_where_clause_is_a_scan(self):
         query = parse_query("SELECT * FROM images")
-        assert query.metadata_predicates == ()
-        assert query.content_predicates == ()
+        assert metadata_leaves(query) == ()
+        assert content_leaves(query) == ()
         assert query.where is None
 
     def test_scan_with_limit(self):
@@ -300,7 +301,7 @@ class TestBooleanOperators:
         assert all(isinstance(child, PredicateExpr)
                    for child in query.where.children)
         # The flat conjunctive decomposition still lists every leaf.
-        assert len(query.metadata_predicates) == 2
+        assert len(metadata_leaves(query)) == 2
 
     def test_and_binds_tighter_than_or(self):
         from repro.query.ast import AndExpr, OrExpr
@@ -327,7 +328,7 @@ class TestBooleanOperators:
             "SELECT * FROM images WHERE NOT contains_object(bicycle)")
         assert isinstance(query.where, NotExpr)
         assert isinstance(query.where.child, PredicateExpr)
-        assert query.content_predicates == (ContainsObject("bicycle"),)
+        assert content_leaves(query) == (ContainsObject("bicycle"),)
 
     def test_not_in_membership(self):
         from repro.query.ast import NotExpr
@@ -335,7 +336,7 @@ class TestBooleanOperators:
         query = parse_query(
             "SELECT * FROM images WHERE camera_id NOT IN (1, 2)")
         assert isinstance(query.where, NotExpr)
-        assert query.metadata_predicates[0].operator == "in"
+        assert metadata_leaves(query)[0].operator == "in"
 
     def test_nested_ands_flattened(self):
         from repro.query.ast import AndExpr
@@ -346,22 +347,22 @@ class TestBooleanOperators:
         assert isinstance(query.where, AndExpr)
         assert len(query.where.children) == 3
         # A flattened all-leaf AND is still the paper's conjunctive shape.
-        assert len(query.metadata_predicates) == 3
+        assert len(metadata_leaves(query)) == 3
 
     def test_mixed_metadata_and_content_disjunction(self):
         query = parse_query(
             "SELECT * FROM images WHERE location = 'detroit' "
             "OR contains_object(bicycle)")
-        assert query.metadata_predicates == (
+        assert metadata_leaves(query) == (
             MetadataPredicate("location", "==", "detroit"),)
-        assert query.content_predicates == (ContainsObject("bicycle"),)
+        assert content_leaves(query) == (ContainsObject("bicycle"),)
 
 
 class TestProjection:
     def test_column_projection(self):
         query = parse_query("SELECT image_id, location FROM images")
         assert query.select == ("image_id", "location")
-        assert query.aggregates == ()
+        assert query.group_by == ()
 
     def test_star_is_no_projection(self):
         query = parse_query("SELECT * FROM images")
@@ -371,7 +372,7 @@ class TestProjection:
         query = parse_query(
             "SELECT location FROM images WHERE contains_object(dog)")
         assert query.select == ("location",)
-        assert query.content_predicates == (ContainsObject("dog"),)
+        assert content_leaves(query) == (ContainsObject("dog"),)
 
 
 class TestAggregates:
@@ -380,7 +381,6 @@ class TestAggregates:
 
         query = parse_query("SELECT COUNT(*) FROM images")
         assert query.select == (Aggregate("count", None),)
-        assert query.is_aggregate
 
     def test_count_column(self):
         from repro.query.ast import Aggregate
@@ -391,8 +391,9 @@ class TestAggregates:
     @pytest.mark.parametrize("func", ["SUM", "AVG", "MIN", "MAX"])
     def test_column_aggregates(self, func):
         query = parse_query(f"SELECT {func}(timestamp) FROM images")
-        assert query.aggregates[0].func == func.lower()
-        assert query.aggregates[0].argument == "timestamp"
+        (aggregate,) = query.select
+        assert aggregate.func == func.lower()
+        assert aggregate.argument == "timestamp"
 
     def test_sum_star_rejected(self):
         with pytest.raises(SqlParseError, match="only COUNT"):
@@ -406,8 +407,8 @@ class TestAggregates:
 
     def test_group_by_without_aggregate_is_distinct(self):
         query = parse_query("SELECT location FROM images GROUP BY location")
-        assert query.is_aggregate
-        assert query.aggregates == ()
+        assert query.group_by == ("location",)
+        assert query.select == ("location",)
 
     def test_ungrouped_column_beside_aggregate_rejected(self):
         with pytest.raises(SqlParseError, match="GROUP BY"):
@@ -421,7 +422,7 @@ class TestAggregates:
         # Only a call — IDENT followed by ( — is an aggregate.
         query = parse_query("SELECT count FROM images")
         assert query.select == ("count",)
-        assert not query.is_aggregate
+        assert query.group_by == ()
 
 
 class TestOrderBy:
@@ -468,41 +469,41 @@ class TestQuotedLiteralEdgeCases:
     def test_keywords_inside_literals_are_opaque(self, keyword):
         query = parse_query(
             f"SELECT * FROM images WHERE note = 'a {keyword} b'")
-        assert query.metadata_predicates[0].value == f"a {keyword} b"
+        assert metadata_leaves(query)[0].value == f"a {keyword} b"
         assert query.limit is None
 
     def test_parentheses_inside_literal(self):
         query = parse_query(
             "SELECT * FROM images WHERE note = '(not a group)' "
             "AND camera_id = 1")
-        assert query.metadata_predicates[0].value == "(not a group)"
-        assert query.metadata_predicates[1].value == 1
+        assert metadata_leaves(query)[0].value == "(not a group)"
+        assert metadata_leaves(query)[1].value == 1
 
     def test_group_keyword_in_literal_before_real_group_by(self):
         query = parse_query(
             "SELECT note FROM images WHERE note != 'group by nothing' "
             "GROUP BY note")
         assert query.group_by == ("note",)
-        assert query.metadata_predicates[0].value == "group by nothing"
+        assert metadata_leaves(query)[0].value == "group by nothing"
 
     def test_order_keyword_in_literal_before_real_order_by(self):
         query = parse_query(
             "SELECT * FROM images WHERE note = 'order by chaos' "
             "ORDER BY timestamp DESC LIMIT 2")
-        assert query.metadata_predicates[0].value == "order by chaos"
+        assert metadata_leaves(query)[0].value == "order by chaos"
         assert query.order_by[0].label == "timestamp"
         assert query.limit == 2
 
     def test_semicolon_inside_literal(self):
         query = parse_query("SELECT * FROM images WHERE note = 'a;b';")
-        assert query.metadata_predicates[0].value == "a;b"
+        assert metadata_leaves(query)[0].value == "a;b"
 
     def test_doubled_quote_escape_with_keyword(self):
         query = parse_query(
             "SELECT * FROM images "
             "WHERE note = 'it''s rock and roll' AND camera_id = 3")
-        assert query.metadata_predicates[0].value == "it's rock and roll"
-        assert query.metadata_predicates[1].value == 3
+        assert metadata_leaves(query)[0].value == "it's rock and roll"
+        assert metadata_leaves(query)[1].value == 3
 
     def test_trailing_semicolon_after_limit(self):
         query = parse_query(
@@ -512,7 +513,7 @@ class TestQuotedLiteralEdgeCases:
     def test_quote_inside_in_list_with_parens(self):
         query = parse_query(
             "SELECT * FROM images WHERE note IN ('a (weird) one', 'b''s')")
-        assert query.metadata_predicates[0].value == ("a (weird) one", "b's")
+        assert metadata_leaves(query)[0].value == ("a (weird) one", "b's")
 
 
 class TestConstraints:

@@ -9,6 +9,7 @@ from repro.data.corpus import generate_corpus
 from repro.db import connect
 from repro.db.retention import RetentionPolicy
 from repro.query.ast import SqlParseError
+from repro.server import plan_cache as plan_cache_module
 from repro.server.plan_cache import PlanCache, normalize
 from tests.conftest import TINY_SIZE
 
@@ -60,8 +61,9 @@ class TestPlanCache:
         assert status == "rebind" and entry.plans == "plan"
         assert cache.stats()["rebinds"] == 1
 
-    def test_lru_eviction(self):
-        cache = PlanCache(capacity=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(plan_cache_module, "CAPACITY", 2)
+        cache = PlanCache()
         cache.store("k1", (), "p1")
         cache.store("k2", (), "p2")
         cache.lookup("k1", ())          # k1 becomes most recent
@@ -94,10 +96,6 @@ class TestPlanCache:
         cache.lookup("k", ("x",))        # rebind
         stats = cache.stats()
         assert stats["hit_rate"] == pytest.approx(2 / 3)
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            PlanCache(capacity=0)
 
 
 @pytest.fixture()
@@ -165,13 +163,6 @@ class TestDatabaseIntegration:
     def test_enable_is_idempotent(self, cached_db):
         cache = cached_db.plan_cache
         assert cached_db.enable_plan_cache() is cache
-
-    def test_constructor_capacity(self):
-        corpus = generate_corpus((get_category("komondor"),), n_images=8,
-                                 image_size=TINY_SIZE,
-                                 rng=np.random.default_rng(5))
-        db = connect(corpus, calibrate_target_fps=None, plan_cache=7)
-        assert db.plan_cache.capacity == 7
 
 
 class TestPlansStayFresh:

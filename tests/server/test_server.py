@@ -311,13 +311,13 @@ class TestColumnarWire:
         result = session.handle({"cmd": "execute",
                                  "sql": "SELECT image_id FROM cam_wide"})
         assert result["values"] == [tuple(range(DEFAULT_FETCH_SIZE))]
-        assert session.open_cursors == [result["cursor"]]
+        assert session.handle({"cmd": "stats"})["open_cursors"] == 1
         page = session.handle({"cmd": "fetch", "cursor": result["cursor"],
                                "n": 1000})
         assert page == {"columns": ["image_id"],
                         "values": [tuple(range(DEFAULT_FETCH_SIZE, 150))],
                         "remaining": 0}
-        assert session.open_cursors == []
+        assert session.handle({"cmd": "stats"})["open_cursors"] == 0
 
 
 class TestBrokenConnection:
@@ -428,6 +428,19 @@ class TestRawProtocol:
                 f, b'{"cmd": "fetch", "cursor": %d, "n": 1}\n' % cursor)
             assert response["result"]["values"] == [[DEFAULT_FETCH_SIZE]]
 
+    @pytest.mark.parametrize("timeout", [b"NaN", b"Infinity"])
+    def test_non_finite_timeout_rejected(self, server, timeout):
+        # json.loads accepts these tokens; a NaN deadline would never fire.
+        with socket.create_connection(server.address, timeout=30) as sock:
+            f = sock.makefile("rwb")
+            response = self.request(
+                f, b'{"cmd": "execute", "sql": "%s", "timeout": %s}\n'
+                % (CONTENT_SQL.encode(), timeout))
+            assert response["ok"] is False
+            assert response["error"]["type"] == "ProtocolError"
+            assert "timeout" in response["error"]["message"]
+            assert self.request(f, b'{"cmd": "ping"}\n')["ok"] is True
+
     def test_quit_closes_connection(self, server):
         with socket.create_connection(server.address, timeout=30) as sock:
             f = sock.makefile("rwb")
@@ -451,7 +464,7 @@ class TestSessionValidation:
                     session.handle({"cmd": cmd, "cursor": bad})
         assert session.handle(
             {"cmd": "close_cursor", "cursor": 99999}) == {"closed": False}
-        assert session.open_cursors == [cursor]
+        assert session.handle({"cmd": "stats"})["open_cursors"] == 1
         assert session.handle(
             {"cmd": "close_cursor", "cursor": cursor}) == {"closed": True}
 

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.telemetry import trace as trace_module
 from repro.telemetry.trace import NO_SPAN, Tracer
 
 
@@ -89,8 +90,9 @@ class TestTracer:
         assert [tracer.trace("q").trace_id for _ in range(3)] == \
             ["t000001", "t000002", "t000003"]
 
-    def test_ring_buffer_keeps_last_n(self):
-        tracer = Tracer(keep=2)
+    def test_ring_buffer_keeps_last_n(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "KEEP", 2)
+        tracer = Tracer()
         for _ in range(5):
             with tracer.trace("q").root:
                 pass
@@ -98,12 +100,8 @@ class TestTracer:
         assert [trace["trace_id"] for trace in recent] == \
             ["t000004", "t000005"]
 
-    def test_keep_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Tracer(keep=0)
-
     def test_concurrent_traces(self):
-        tracer = Tracer(keep=64)
+        tracer = Tracer()
 
         def query(index: int) -> None:
             trace = tracer.trace("q", index=index)
