@@ -70,6 +70,23 @@ class TestDifferenceDetector:
         with pytest.raises(ValueError):
             DifferenceDetector().plan(np.zeros((8, 8, 3)))
 
+    def test_plan_decides_by_frame_distance(self):
+        frames = make_static_stream(30, noise=0.02,
+                                    rng=np.random.default_rng(3))
+        detector = DifferenceDetector()
+        detector.calibrate(frames, target_reuse=0.5)
+        plan = detector.plan(frames)
+        assert 0 < plan.n_reused < plan.n_frames - 1
+        last = 0
+        for index in range(1, plan.n_frames):
+            distance = detector.frame_distance(frames[index], frames[last])
+            if plan.reuse_from[index] >= 0:
+                assert plan.reuse_from[index] == last
+                assert distance <= detector.threshold
+            else:
+                assert distance > detector.threshold
+                last = index
+
     def test_calibrate_hits_target_reuse(self):
         rng = np.random.default_rng(2)
         frames = make_static_stream(60, noise=0.02, rng=rng)

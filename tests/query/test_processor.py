@@ -12,11 +12,14 @@ from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
 from repro.db.executor import QueryExecutor
-from repro.db.planner import QueryPlanner
+from repro.db.planner import (ContentStep, MetadataStep, PlanOr,
+                               QueryPlanner)
+from repro.query.ast import AndExpr, OrExpr, PredicateExpr
 from repro.query.model import Query
 from repro.query.predicates import ContainsObject, MetadataPredicate
+from repro.query.sql import parse_query
 from tests.conftest import TINY_SIZE
-from tests.where import conjunction, metadata_leaves
+from tests.where import conjunction, content_leaves, metadata_leaves
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,40 @@ class TestQueryValidation:
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
             Query(limit=-1)
+
+    def test_predicates_synthesize_conjunctive_where(self, processor):
+        # A conjunctive WHERE parses to one AND tree in syntactic order; the
+        # plan runs its metadata leaves before its cascades.
+        query = parse_query("SELECT * FROM images WHERE contains_object("
+                            "komondor) AND location = 'detroit'")
+        assert isinstance(query.where, AndExpr)
+        assert [child.predicate for child in query.where.children] == [
+            ContainsObject("komondor"),
+            MetadataPredicate("location", "==", "detroit")]
+        conjuncts = processor.planner.plan(query).conjuncts
+        assert [type(step) for step in conjuncts] == [MetadataStep,
+                                                      ContentStep]
+
+    def test_where_tree_derives_flat_predicates(self, processor):
+        # The tree is the only copy of the WHERE clause: the plan's cascade
+        # leaves are derived from it.
+        tree = OrExpr((
+            PredicateExpr(MetadataPredicate("location", "==", "detroit")),
+            PredicateExpr(ContainsObject("komondor"))))
+        query = Query(where=tree)
+        assert metadata_leaves(query) == (
+            MetadataPredicate("location", "==", "detroit"),)
+        assert content_leaves(query) == (ContainsObject("komondor"),)
+        plan = processor.planner.plan(query)
+        assert isinstance(plan.predicate_tree, PlanOr)
+        assert plan.categories == ("komondor",)
+
+    def test_second_predicate_copy_rejected(self):
+        # A query holds one WHERE clause; a flat tuple beside it could
+        # disagree with the tree, so the constructor refuses it.
+        with pytest.raises(TypeError):
+            Query(where=PredicateExpr(ContainsObject("komondor")),
+                  content_predicates=(ContainsObject("scorpion"),))
 
 
 class TestBareScanExecution:

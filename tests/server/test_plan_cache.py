@@ -72,6 +72,17 @@ class TestPlanCache:
         assert cache.lookup("k1", ())[0] == "hit"
         assert cache.stats()["evictions"] == 1
 
+    def test_capacity_validated(self):
+        # The bound the cache enforces is the module constant.
+        cache = PlanCache()
+        for index in range(plan_cache_module.CAPACITY + 1):
+            cache.store(f"k{index}", (), index)
+        stats = cache.stats()
+        assert stats["entries"] == stats["capacity"] == 128
+        assert stats["evictions"] == 1
+        assert cache.lookup("k0", ())[0] == "miss"
+        assert cache.lookup("k1", ())[0] == "hit"
+
     def test_invalidate_clears(self):
         cache = PlanCache()
         cache.store(self.KEY, (), "plan")
@@ -163,6 +174,14 @@ class TestDatabaseIntegration:
     def test_enable_is_idempotent(self, cached_db):
         cache = cached_db.plan_cache
         assert cached_db.enable_plan_cache() is cache
+
+    def test_constructor_capacity(self):
+        corpus = generate_corpus((get_category("komondor"),), n_images=8,
+                                 image_size=TINY_SIZE,
+                                 rng=np.random.default_rng(5))
+        db = connect(corpus, calibrate_target_fps=None, plan_cache=True)
+        assert db.plan_cache.stats()["capacity"] == plan_cache_module.CAPACITY
+        assert connect(corpus, calibrate_target_fps=None).plan_cache is None
 
 
 class TestPlansStayFresh:

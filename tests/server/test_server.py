@@ -428,7 +428,7 @@ class TestRawProtocol:
                 f, b'{"cmd": "fetch", "cursor": %d, "n": 1}\n' % cursor)
             assert response["result"]["values"] == [[DEFAULT_FETCH_SIZE]]
 
-    @pytest.mark.parametrize("timeout", [b"NaN", b"Infinity"])
+    @pytest.mark.parametrize("timeout", [b"NaN", b"Infinity", b"-Infinity"])
     def test_non_finite_timeout_rejected(self, server, timeout):
         # json.loads accepts these tokens; a NaN deadline would never fire.
         with socket.create_connection(server.address, timeout=30) as sock:

@@ -100,6 +100,14 @@ class TestTracer:
         assert [trace["trace_id"] for trace in recent] == \
             ["t000004", "t000005"]
 
+    def test_default_keeps_last_keep_traces(self):
+        tracer = Tracer()
+        for _ in range(trace_module.KEEP + 1):
+            tracer.trace("q")
+        recent = tracer.recent()
+        assert len(recent) == trace_module.KEEP == 32
+        assert recent[0]["trace_id"] == "t000002"
+
     def test_concurrent_traces(self):
         tracer = Tracer()
 
