@@ -11,7 +11,7 @@ from repro.core.spec import ModelSpec
 from repro.data.augment import augment_with_flips
 from repro.data.corpus import LabeledDataset
 from repro.nn.optimizers import Adam
-from repro.nn.train import EarlyStopping, evaluate_accuracy, fit
+from repro.nn.train import evaluate_accuracy, fit
 
 __all__ = ["TrainingConfig", "ModelTrainer"]
 
@@ -28,14 +28,15 @@ class TrainingConfig:
     batch_size: int = 32
     learning_rate: float = 0.002
     augment: bool = True
-    early_stopping_patience: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ValueError(
+                "learning_rate must be positive and finite, got "
+                f"{self.learning_rate}")
 
 
 class ModelTrainer:
@@ -51,7 +52,6 @@ class ModelTrainer:
 
     def train_model(self, spec: ModelSpec, train_set: LabeledDataset,
                     transformed: dict[str, np.ndarray],
-                    validation_set: LabeledDataset | None = None,
                     rng: np.random.Generator | None = None) -> TrainedModel:
         """Train one model spec and wrap it as a :class:`TrainedModel`.
 
@@ -66,20 +66,9 @@ class ModelTrainer:
             transformed[name] = spec.transform.apply_batch(train_set.images)
         train_images = transformed[name]
         train_labels = train_set.labels
-        x_val = y_val = None
-        early_stopping = None
-        if validation_set is not None and len(validation_set) > 0:
-            x_val = spec.transform.apply_batch(validation_set.images)
-            y_val = validation_set.labels
-            if self.config.early_stopping_patience is not None:
-                early_stopping = EarlyStopping(
-                    patience=self.config.early_stopping_patience)
-
         fit(network, train_images, train_labels,
-            x_val=x_val, y_val=y_val,
             epochs=self.config.epochs, batch_size=self.config.batch_size,
-            optimizer=Adam(learning_rate=self.config.learning_rate),
-            early_stopping=early_stopping, rng=rng)
+            optimizer=Adam(learning_rate=self.config.learning_rate), rng=rng)
 
         train_accuracy = evaluate_accuracy(network, train_images, train_labels)
         return TrainedModel(name=spec.name, network=network,
@@ -89,7 +78,6 @@ class ModelTrainer:
                             train_accuracy=train_accuracy)
 
     def train_models(self, specs: list[ModelSpec], train_set: LabeledDataset,
-                     validation_set: LabeledDataset | None = None,
                      rng: np.random.Generator | None = None
                      ) -> list[TrainedModel]:
         """Train every model spec on (an optionally augmented copy of) ``train_set``."""
@@ -106,7 +94,5 @@ class ModelTrainer:
         transformed: dict[str, np.ndarray] = {}
         models = []
         for spec in specs:
-            models.append(self.train_model(spec, dataset, transformed,
-                                           validation_set=validation_set,
-                                           rng=rng))
+            models.append(self.train_model(spec, dataset, transformed, rng=rng))
         return models

@@ -7,8 +7,7 @@ to train and execute its convolutional classifiers.  It provides:
 * losses (:mod:`repro.nn.losses`) and optimizers (:mod:`repro.nn.optimizers`),
 * a :class:`~repro.nn.network.Sequential` container with forward/backward
   passes and parameter management,
-* a training loop (:mod:`repro.nn.train`) with mini-batching, shuffling and
-  early stopping,
+* a training loop (:mod:`repro.nn.train`) with mini-batching and shuffling,
 * per-layer FLOP accounting (:mod:`repro.nn.flops`) used by the analytic cost
   model, and
 * weight (de)serialization (:mod:`repro.nn.serialize`).
@@ -31,7 +30,7 @@ from repro.nn.layers import (
 from repro.nn.losses import BinaryCrossEntropy, Loss
 from repro.nn.network import Sequential
 from repro.nn.optimizers import Adam, Optimizer
-from repro.nn.train import EarlyStopping, TrainingHistory, evaluate_accuracy, fit
+from repro.nn.train import evaluate_accuracy, fit
 from repro.nn.flops import count_network_flops, count_layer_flops
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "Sequential",
     "fit",
     "evaluate_accuracy",
-    "EarlyStopping",
-    "TrainingHistory",
     "count_network_flops",
     "count_layer_flops",
 ]

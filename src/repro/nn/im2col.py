@@ -13,6 +13,16 @@ are 3 values of a 3x3 window, so a single-channel input is gathered with
 index is rebuilt per call, about 15 us, so nothing is cached).  From 4
 channels up the view's runs are long enough that the index gather loses.
 
+``col2im`` sums every kernel offset's slab into a zeroed buffer laid out
+``(height, width, batch, channels)``, after one copy of the columns into
+``(kernel_h, kernel_w, out_h, out_w, batch, channels)`` order.  Each of the
+``kernel_h * kernel_w`` adds then covers whole ``batch * channels`` runs
+(``out_w`` of them back to back at stride 1) instead of ``channels`` values
+at a time, which is 1.3-1.7x faster on the training shapes.  Every element still receives its
+terms in the same order -- zero, then offset ``(0, 0)``, ``(0, 1)``, ... row
+by row -- so the sum is bit-identical to folding in NHWC order, signed zeros
+included.  The result is an NHWC view of that buffer.
+
 Both functions are pure: they allocate what they return and keep nothing.
 The column matrix is the largest array of a forward pass (4.7-14 MB for a
 256-row batch of the served models), so ``Conv2D`` holds on to it only under
@@ -106,21 +116,25 @@ def col2im(cols: np.ndarray, image_shape: tuple[int, int, int, int],
 
     This is the adjoint of :func:`im2col` and is used in the convolution
     backward pass to accumulate gradients with respect to the input.
+    The result is a view of a spatial-major buffer (see the module
+    docstring).
     """
     batch, height, width, channels = image_shape
     out_h = conv_output_size(height, kernel_h, stride, pad)
     out_w = conv_output_size(width, kernel_w, stride, pad)
 
-    padded = np.zeros((batch, height + 2 * pad, width + 2 * pad, channels),
+    # The one copy: kernel offsets first, then the spatial position, so each
+    # offset's slab is contiguous and lands on the buffer in runs of at least
+    # batch * channels values.
+    slabs = np.ascontiguousarray(
+        cols.reshape(batch, out_h, out_w, kernel_h, kernel_w, channels)
+        .transpose(3, 4, 1, 2, 0, 5))
+    padded = np.zeros((height + 2 * pad, width + 2 * pad, batch, channels),
                       dtype=cols.dtype)
-    cols_6d = cols.reshape(batch, out_h, out_w, kernel_h, kernel_w, channels)
-
     for i in range(kernel_h):
         i_max = i + stride * out_h
         for j in range(kernel_w):
             j_max = j + stride * out_w
-            padded[:, i:i_max:stride, j:j_max:stride, :] += cols_6d[:, :, :, i, j, :]
+            padded[i:i_max:stride, j:j_max:stride] += slabs[i, j]
 
-    if pad > 0:
-        return padded[:, pad:-pad, pad:-pad, :]
-    return padded
+    return padded.transpose(2, 0, 1, 3)[:, pad:pad + height, pad:pad + width]

@@ -5,6 +5,10 @@ Every layer implements:
 * ``forward(x, training=False)`` returning the layer output,
 * ``backward(grad_output)`` returning the gradient with respect to the input
   and populating ``self.grads`` for parameters,
+* ``backward_params(grad_output)`` populating ``self.grads`` alone:
+  ``Sequential`` never asks its first layer for an input gradient, since no
+  caller reads one, so a first ``Conv2D`` skips ``grad @ W.T`` and
+  ``col2im``,
 * ``params`` / ``grads`` dictionaries keyed by parameter name,
 * ``output_shape(input_shape)`` for static shape inference (batch dim omitted),
 * ``flops(input_shape)`` giving the multiply-accumulate count of one forward
@@ -62,6 +66,12 @@ class Layer:
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        """Populate ``self.grads`` only, for a caller that never reads the
+        gradient with respect to the input; ``backward`` minus its result
+        unless a layer can skip that work."""
+        self.backward(grad_output)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         """Shape of a single example's output given a single example's input."""
@@ -154,18 +164,20 @@ class Conv2D(Layer):
             self._cache = (x.shape, cols)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward_params(self, grad_output: np.ndarray) -> None:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x_shape, cols = self._cache
-        batch = x_shape[0]
+        cols = self._cache[1]
         grad_flat = grad_output.reshape(-1, self.out_channels)
         self.grads["weight"] = cols.T @ grad_flat
         self.grads["bias"] = grad_flat.sum(axis=0)
-        grad_cols = grad_flat @ self.params["weight"].T
-        grad_input = col2im(grad_cols, x_shape, self.kernel_size,
-                            self.kernel_size, self.stride, self.pad)
-        return grad_input
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_output)
+        grad_cols = (grad_output.reshape(-1, self.out_channels)
+                     @ self.params["weight"].T)
+        return col2im(grad_cols, self._cache[0], self.kernel_size,
+                      self.kernel_size, self.stride, self.pad)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         height, width, _ = input_shape
@@ -195,6 +207,33 @@ def _window_max(x: np.ndarray, axis: int, pool: int, stride: int,
         # The first maximum allocates the result; later ones reuse it.
         out = np.maximum(out, window, out=out if offset > 1 else None)
     return out
+
+
+def _window_argmax(x: np.ndarray, out: np.ndarray, pool: int,
+                   stride: int) -> np.ndarray:
+    # shape: (N, H, W, C), (N, H', W', C) -> (N, H', W', C)
+    """Flat in-window index (``row * pool + col``) of each window's maximum
+    ``out``, as ``argmax`` over a copy of every window would give it: the
+    first maximum, or the first NaN where ``out`` is NaN.
+
+    Each of the ``pool**2`` strided slices is compared with ``out``, last
+    offset first, so an earlier offset overwrites a later tie.  The last
+    offset needs no comparison: a window whose earlier offsets all differ
+    from its maximum has it there."""
+    out_h, out_w = out.shape[1:3]
+    span_h = (out_h - 1) * stride + 1
+    span_w = (out_w - 1) * stride + 1
+    offsets = [x[:, row:row + span_h:stride, col:col + span_w:stride]
+               for row in range(pool) for col in range(pool)]
+    argmax = np.full(out.shape, len(offsets) - 1, dtype=np.intp)
+    for k in range(len(offsets) - 2, -1, -1):
+        argmax[offsets[k] == out] = k
+    if np.isnan(out).any():
+        # NaN equals nothing, so those windows still point at the last
+        # offset; a NaN in a window makes its maximum NaN.
+        for k in range(len(offsets) - 1, -1, -1):
+            argmax[np.isnan(offsets[k])] = k
+    return argmax
 
 
 class MaxPool2D(Layer):
@@ -232,34 +271,31 @@ class MaxPool2D(Layer):
             out = out.copy()  # a lone slice is still a view of the input
         if training:
             # Only backward() needs to know *where* each maximum sits.
-            s0, s1, s2, s3 = x.strides
-            windows = np.lib.stride_tricks.as_strided(
-                x,
-                shape=(batch, out_h, out_w, pool, pool, channels),
-                strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
-                writeable=False,
-            )
-            flat = windows.reshape(batch, out_h, out_w, pool * pool, channels)
-            self._cache = (x.shape, flat.argmax(axis=3), out_h, out_w)
+            self._cache = (x.shape, _window_argmax(x, out, pool, stride))
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x_shape, argmax, out_h, out_w = self._cache
-        batch, height, width, channels = x_shape
+        x_shape, argmax = self._cache
+        batch, _, _, channels = x_shape
+        out_h, out_w = argmax.shape[1:3]
         pool, stride = self.pool_size, self.stride
         grad_input = np.zeros(x_shape, dtype=grad_output.dtype)
 
-        # Scatter each output gradient back to the argmax location.
-        rows = argmax // pool
-        cols = argmax % pool
-        b_idx, i_idx, j_idx, c_idx = np.meshgrid(
-            np.arange(batch), np.arange(out_h), np.arange(out_w),
-            np.arange(channels), indexing="ij")
-        h_idx = i_idx * stride + rows
-        w_idx = j_idx * stride + cols
-        np.add.at(grad_input, (b_idx, h_idx, w_idx, c_idx), grad_output)
+        # Scatter each output gradient back to its argmax location; the index
+        # vectors broadcast against the (N, H', W', C) argmax.
+        rows = np.arange(out_h)[:, None, None] * stride + argmax // pool
+        cols = np.arange(out_w)[:, None] * stride + argmax % pool
+        index = (np.arange(batch)[:, None, None, None], rows, cols,
+                 np.arange(channels))
+        if stride >= pool:
+            # Disjoint windows: each input position receives at most one
+            # gradient, so an assignment is the sum.  ``+ 0.0`` turns -0.0
+            # into 0.0, as adding it to the zeros would.
+            grad_input[index] = grad_output + 0.0
+        else:
+            np.add.at(grad_input, index, grad_output)
         return grad_input
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:

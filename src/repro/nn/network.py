@@ -62,11 +62,14 @@ class Sequential:
                 index += 1
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
+        """Populate every layer's ``grads``.  Nothing reads the gradient with
+        respect to the network's input, so the first layer is asked only
+        for its parameter gradients (:meth:`Layer.backward_params`)."""
         grad = grad_output
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        self.layers[0].backward_params(grad)
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         # shape: (N, ...) -> (N, ...)

@@ -15,8 +15,9 @@ class Optimizer:
     """
 
     def __init__(self, learning_rate: float = 0.01) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {learning_rate}")
         self.learning_rate = learning_rate
 
     def step(self, layers) -> None:
@@ -39,6 +40,9 @@ class Adam(Optimizer):
         super().__init__(learning_rate)
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
+        if not 0.0 < epsilon < np.inf:
+            raise ValueError(
+                f"epsilon must be positive and finite, got {epsilon}")
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.nn.dtypes import as_float
@@ -11,43 +9,7 @@ from repro.nn.losses import BinaryCrossEntropy, Loss
 from repro.nn.network import Sequential
 from repro.nn.optimizers import Adam, Optimizer
 
-__all__ = ["TrainingHistory", "EarlyStopping", "fit", "evaluate_accuracy", "iterate_minibatches"]
-
-
-@dataclass
-class TrainingHistory:
-    """Loss/accuracy recorded per epoch during :func:`fit`."""
-
-    train_loss: list[float] = field(default_factory=list)
-    train_accuracy: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
-    val_accuracy: list[float] = field(default_factory=list)
-
-
-@dataclass
-class EarlyStopping:
-    """Stop training when validation loss stops improving.
-
-    Parameters
-    ----------
-    patience:
-        Number of epochs without improvement tolerated before stopping.
-    min_delta:
-        Minimum decrease in validation loss that counts as an improvement.
-    """
-
-    patience: int = 3
-    min_delta: float = 1e-4
-    _best: float = field(default=float("inf"), init=False)
-    _bad_epochs: int = field(default=0, init=False)
-
-    def should_stop(self, val_loss: float) -> bool:
-        if val_loss < self._best - self.min_delta:
-            self._best = val_loss
-            self._bad_epochs = 0
-            return False
-        self._bad_epochs += 1
-        return self._bad_epochs >= self.patience
+__all__ = ["fit", "evaluate_accuracy", "iterate_minibatches"]
 
 
 def iterate_minibatches(x: np.ndarray, y: np.ndarray, batch_size: int,
@@ -73,60 +35,37 @@ def evaluate_accuracy(network: Sequential, x: np.ndarray, y: np.ndarray,
 
 
 def fit(network: Sequential, x_train: np.ndarray, y_train: np.ndarray,
-        *, x_val: np.ndarray | None = None, y_val: np.ndarray | None = None,
-        epochs: int = 10, batch_size: int = 32,
+        *, epochs: int = 10, batch_size: int = 32,
         loss: Loss | None = None, optimizer: Optimizer | None = None,
-        early_stopping: EarlyStopping | None = None,
-        rng: np.random.Generator | None = None,
-        verbose: bool = False) -> TrainingHistory:
+        rng: np.random.Generator | None = None) -> list[float]:
     """Train ``network`` with mini-batch gradient descent.
 
-    Returns the per-epoch :class:`TrainingHistory`.  Validation metrics are
-    recorded only when a validation set is provided; early stopping requires
-    a validation set.
+    Returns the mean training loss of each epoch.  The loop scores nothing
+    else: a caller that wants an accuracy asks :func:`evaluate_accuracy`
+    once, after training.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if x_train.shape[0] == 0:
         raise ValueError("training set is empty")
     if x_train.shape[0] != np.asarray(y_train).shape[0]:
         raise ValueError("x_train and y_train have different lengths")
-    if early_stopping is not None and (x_val is None or y_val is None):
-        raise ValueError("early stopping requires a validation set")
 
     loss = loss or BinaryCrossEntropy()
     optimizer = optimizer or Adam(learning_rate=0.002)
     rng = rng or np.random.default_rng(0)
     y_train = as_float(y_train)
 
-    history = TrainingHistory()
-    for epoch in range(epochs):
-        epoch_losses = []
+    epoch_losses = []
+    for _ in range(epochs):
+        batch_losses = []
         for x_batch, y_batch in iterate_minibatches(x_train, y_train,
                                                     batch_size, rng):
             predictions = network.forward(x_batch, training=True)
-            batch_loss = loss.forward(predictions, y_batch)
-            grad = loss.backward(predictions, y_batch)
-            network.backward(grad)
+            batch_losses.append(loss.forward(predictions, y_batch))
+            network.backward(loss.backward(predictions, y_batch))
             optimizer.step(network.layers)
-            epoch_losses.append(batch_loss)
-
-        history.train_loss.append(float(np.mean(epoch_losses)))
-        history.train_accuracy.append(
-            evaluate_accuracy(network, x_train, y_train))
-
-        if x_val is not None and y_val is not None:
-            val_pred = network.predict(x_val)
-            val_loss = loss.forward(val_pred, as_float(y_val))
-            history.val_loss.append(float(val_loss))
-            history.val_accuracy.append(
-                evaluate_accuracy(network, x_val, y_val))
-            if verbose:  # pragma: no cover - logging only
-                print(f"epoch {epoch + 1}/{epochs} "
-                      f"loss={history.train_loss[-1]:.4f} "
-                      f"val_loss={val_loss:.4f} "
-                      f"val_acc={history.val_accuracy[-1]:.3f}")
-            if early_stopping is not None and early_stopping.should_stop(val_loss):
-                break
-        elif verbose:  # pragma: no cover - logging only
-            print(f"epoch {epoch + 1}/{epochs} loss={history.train_loss[-1]:.4f}")
-
-    return history
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return epoch_losses

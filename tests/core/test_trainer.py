@@ -18,6 +18,13 @@ def test_training_config_validation():
         TrainingConfig(learning_rate=-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_training_config_rejects_non_finite_learning_rate(value):
+    # NaN passed the old `learning_rate <= 0` check and trained NaN weights.
+    with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+        TrainingConfig(learning_rate=value)
+
+
 def test_train_models_returns_one_per_spec(tiny_splits):
     specs = [ModelSpec(ArchitectureSpec(1, 4, 8), TransformSpec(8, "gray")),
              ModelSpec(ArchitectureSpec(1, 4, 8), TransformSpec(8, "rgb"))]

@@ -7,7 +7,7 @@ from repro.nn.blocks import ResidualBlock
 from repro.nn.layers import Dense, Flatten, GlobalAveragePool, ReLU, Sigmoid
 from repro.nn.network import Sequential
 from repro.nn.optimizers import Adam
-from repro.nn.train import fit
+from repro.nn.train import evaluate_accuracy, fit
 
 
 def test_forward_shape_same_channels():
@@ -61,9 +61,8 @@ def test_residual_network_trains():
         Dense(6, 8, rng=rng), ReLU(),
         Dense(8, 1, rng=rng), Sigmoid(),
     ], input_shape=(8, 8, 3))
-    history = fit(net, x, y, epochs=10, batch_size=16,
-                  optimizer=Adam(0.03), rng=rng)
-    assert history.train_accuracy[-1] >= 0.75
+    fit(net, x, y, epochs=10, batch_size=16, optimizer=Adam(0.03), rng=rng)
+    assert evaluate_accuracy(net, x, y) >= 0.75
 
 
 def test_output_shape_inference():

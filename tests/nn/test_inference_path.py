@@ -199,10 +199,18 @@ class TestInferenceKeepsNothing:
         rng = np.random.default_rng(4)
         x, other = (rng.random((3, *net.input_shape)) for _ in range(2))
         out = net.forward(x, training=True)
-        expected = net.backward(np.ones_like(out))
+        net.backward(np.ones_like(out))
+        expected = [{name: grad.copy() for name, grad in layer.grads.items()}
+                    for layer in net.layers]
+        for layer in net.layers:
+            layer.grads.clear()  # the second backward must refill them
         net.forward(x, training=True)
         net.predict(other)
-        np.testing.assert_array_equal(net.backward(np.ones_like(out)), expected)
+        net.backward(np.ones_like(out))
+        for layer, grads in zip(net.layers, expected):
+            assert grads.keys() == layer.grads.keys() == layer.params.keys()
+            for name, value in grads.items():
+                np.testing.assert_array_equal(layer.grads[name], value)
 
 
 def _first_layer_cases():

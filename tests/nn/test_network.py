@@ -83,10 +83,20 @@ class TestSequential:
         assert "Conv2D" in summary and "Dense" in summary
 
     def test_backward_returns_input_shaped_gradient(self):
+        """``Sequential.backward`` fills every parameter gradient and returns
+        nothing; each layer's own ``backward`` still returns a gradient
+        shaped like that layer's input, the first layer's included."""
         net = make_net()
         x = np.random.default_rng(6).random((2, 8, 8, 3))
         out = net.forward(x, training=True)
-        grad = net.backward(np.ones_like(out))
+        assert net.backward(np.ones_like(out)) is None
+        for layer in net.layers:
+            assert layer.grads.keys() == layer.params.keys()
+            for name, grad in layer.grads.items():
+                assert grad.shape == layer.params[name].shape
+        grad = np.ones_like(out)
+        for layer in reversed(net.layers):
+            grad = layer.backward(grad)
         assert grad.shape == x.shape
 
 

@@ -21,6 +21,17 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam(learning_rate=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_learning_rate(self, value):
+        # NaN passed the old `learning_rate <= 0` check and trained NaN weights.
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            Adam(learning_rate=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_rejects_bad_epsilon(self, value):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            Adam(epsilon=value)
+
     def test_skips_layers_without_grads(self):
         layer = Dense(2, 2)
         before = layer.params["weight"].copy()
