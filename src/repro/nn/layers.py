@@ -68,9 +68,9 @@ class Layer:
         raise NotImplementedError
 
     def backward_params(self, grad_output: np.ndarray) -> None:
-        """Populate ``self.grads`` only, for a caller that never reads the
-        gradient with respect to the input; ``backward`` minus its result
-        unless a layer can skip that work."""
+        """Populate ``self.grads`` for a caller that never reads the input
+        gradient.  This default runs ``backward`` and drops the result;
+        ``Conv2D`` skips computing it."""
         self.backward(grad_output)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
