@@ -18,14 +18,13 @@ out_w, batch, channels)`` order and sums each kernel offset's slab into a
 zeroed ``(height, width, batch, channels)`` buffer.  Each of the
 ``kernel_h * kernel_w`` adds then runs over whole ``batch * channels``
 blocks (``out_w`` of them back to back at stride 1), not over ``channels``
-values at a time.  On the 3x3 training shapes a call is 1.2-1.7x faster,
-and about even on the largest (16 x 32 x 32 x 16); a 1x1 kernel's single
-add gains nothing from the copy, so the reference's projection pays 10-45 us
-more per call.
-Every element still receives its terms in the same order -- zero first,
-then offset ``(0, 0)``, ``(0, 1)``, ... row by row -- so the sums are
-bit-identical to folding in NHWC order, signed zeros included.  The result
-is an NHWC view of that buffer.
+values at a time.  Every element still receives its terms in the same
+order -- zero first, then offset ``(0, 0)``, ``(0, 1)``, ... row by row --
+so the sums are bit-identical to folding in NHWC order, signed zeros
+included.  The result is an NHWC view of that buffer.  On the 3x3 training
+shapes a call is 1.2-1.7x faster, and about even on the largest
+(16 x 32 x 32 x 16); a 1x1 kernel's single add gains nothing from the copy,
+so the reference's projection pays 10-45 us more per call.
 
 Both functions are pure: they allocate what they return and keep nothing.
 The column matrix is the largest array of a forward pass (4.7-14 MB for a

@@ -254,7 +254,7 @@ class MaxPool2D(Layer):
         if x.ndim != 4:
             raise ValueError(
                 f"MaxPool2D expects NHWC input, got shape {x.shape}")
-        batch, height, width, channels = x.shape
+        _, height, width, _ = x.shape
         pool, stride = self.pool_size, self.stride
         out_h = conv_output_size(height, pool, stride, 0)
         out_w = conv_output_size(width, pool, stride, 0)
