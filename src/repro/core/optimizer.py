@@ -56,9 +56,7 @@ class TahomaConfig:
     transforms: tuple[TransformSpec, ...] = tuple(standard_transform_grid())
     precision_targets: tuple[float, ...] = PAPER_PRECISION_TARGETS
     max_depth: int = 2
-    include_reference_tail: bool = True
     training: TrainingConfig = field(default_factory=TrainingConfig)
-    threshold_grid_size: int = 25
 
     def __post_init__(self) -> None:
         if not self.architectures or not self.transforms:
@@ -91,8 +89,7 @@ class TahomaOptimizer:
     # -- system initialization --------------------------------------------
     def initialize(self, splits: PredicateDataSplits,
                    reference_model: TrainedModel | None = None,
-                   rng: np.random.Generator | None = None,
-                   extra_models: list[TrainedModel] | None = None) -> None:
+                   rng: np.random.Generator | None = None) -> None:
         """Run the full initialization pipeline for one predicate.
 
         Parameters
@@ -104,16 +101,13 @@ class TahomaOptimizer:
             cascades' final level and as a baseline.
         rng:
             Random generator controlling training.
-        extra_models:
-            Additional pre-trained models to include in the pool (used by the
-            experiments to share models across optimizer variants).
         """
         rng = rng or np.random.default_rng(self.config.training.seed)
         trainer = ModelTrainer(self.config.training)
         models = trainer.train_models(self.config.model_specs(),
                                       splits.train, rng=rng)
-        self.initialize_with_models(models + list(extra_models or []),
-                                    splits, reference_model=reference_model)
+        self.initialize_with_models(models, splits,
+                                    reference_model=reference_model)
 
     def initialize_with_models(self, models: list[TrainedModel],
                                splits: PredicateDataSplits,
@@ -146,8 +140,7 @@ class TahomaOptimizer:
             calibrated = []
             for target in self.config.precision_targets:
                 calibration = calibrate_thresholds(
-                    config.get(model), config.labels, precision_target=target,
-                    grid_size=self.config.threshold_grid_size)
+                    config.get(model), config.labels, precision_target=target)
                 calibrated.append(calibration.thresholds)
             self.thresholds[model.name] = calibrated
 
@@ -163,8 +156,7 @@ class TahomaOptimizer:
                                  reference_model=self.reference_model)
         self.cascades = builder.build(
             self.models,
-            include_reference_tail=(self.config.include_reference_tail
-                                    and self.reference_model is not None))
+            include_reference_tail=self.reference_model is not None)
         self._memo = {}
 
     # -- query time ---------------------------------------------------------
@@ -185,7 +177,7 @@ class TahomaOptimizer:
         """
         self._require_initialized()
         key = (profiler.device, profiler.scenario, profiler.source_resolution,
-               profiler.source_channels, profiler.cost_resolution)
+               profiler.cost_resolution)
         entry = self._memo.get(key)
         if entry is None:
             evaluated = evaluate_cascades(self.cascades, self.cache, profiler)

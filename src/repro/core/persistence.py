@@ -20,6 +20,7 @@ from the saved model pool and thresholds on load, which takes milliseconds.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +29,17 @@ from repro.core.model import TrainedModel
 from repro.core.optimizer import TahomaConfig, TahomaOptimizer
 from repro.core.spec import ArchitectureSpec
 from repro.core.thresholds import DecisionThresholds
+from repro.core.trainer import TrainingConfig
 from repro.nn.serialize import load_weights, save_weights
 from repro.transforms.spec import TransformSpec
 
 __all__ = ["save_optimizer", "load_optimizer", "transform_to_dict",
            "transform_from_dict"]
 
-_FORMAT_VERSION = 1
+#: Format 2 dropped every transform's interpolation mode and the config's
+#: reference-tail switch and threshold grid size (each held one value), and
+#: added the config's ``training``; commit 9334799 is the last to read format 1.
+_FORMAT_VERSION = 2
 
 
 def _architecture_to_dict(architecture: ArchitectureSpec | None) -> dict | None:
@@ -56,8 +61,7 @@ def _architecture_from_dict(data: dict | None) -> ArchitectureSpec | None:
 def transform_to_dict(transform: TransformSpec) -> dict:
     """JSON form of a representation spec (also used by the database manifest)."""
     return {"resolution": transform.resolution,
-            "color_mode": transform.color_mode,
-            "resize_mode": transform.resize_mode}
+            "color_mode": transform.color_mode}
 
 
 def transform_from_dict(data: dict) -> TransformSpec:
@@ -90,8 +94,7 @@ def _config_to_dict(config: TahomaConfig) -> dict:
         "transforms": [transform_to_dict(t) for t in config.transforms],
         "precision_targets": list(config.precision_targets),
         "max_depth": config.max_depth,
-        "include_reference_tail": config.include_reference_tail,
-        "threshold_grid_size": config.threshold_grid_size,
+        "training": asdict(config.training),
     }
 
 
@@ -101,8 +104,7 @@ def _config_from_dict(data: dict) -> TahomaConfig:
         transforms=tuple(transform_from_dict(t) for t in data["transforms"]),
         precision_targets=tuple(data["precision_targets"]),
         max_depth=data["max_depth"],
-        include_reference_tail=data["include_reference_tail"],
-        threshold_grid_size=data["threshold_grid_size"],
+        training=TrainingConfig(**data["training"]),
     )
 
 
@@ -179,9 +181,13 @@ def load_optimizer(root: str | Path) -> TahomaOptimizer:
     if not manifest_path.exists():
         raise FileNotFoundError(f"no repository.json under {root}")
     payload = json.loads(manifest_path.read_text())
-    if payload.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported repository format "
-                         f"{payload.get('format_version')!r}")
+    version = payload.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported repository format {version!r}: only format "
+            f"{_FORMAT_VERSION} is read; to keep an older directory, open it "
+            f"from a checkout of commit 9334799, the last one that reads "
+            f"format 1")
 
     weights_dir = root / "weights"
     config = _config_from_dict(payload["config"])

@@ -20,6 +20,10 @@ __all__ = ["DecisionThresholds", "ThresholdCalibration", "calibrate_thresholds",
 #: The five precision settings used in the paper's experiments.
 PAPER_PRECISION_TARGETS = (0.91, 0.93, 0.95, 0.97, 0.99)
 
+#: Candidate values per threshold: quantiles of the observed probabilities
+#: (plus the 0/0.5/1 anchors).
+GRID_SIZE = 25
+
 
 @dataclass(frozen=True)
 class DecisionThresholds:
@@ -65,9 +69,9 @@ def _precision(predicted_positive: np.ndarray, labels: np.ndarray) -> float:
 
 
 def calibrate_thresholds(probabilities: np.ndarray, labels: np.ndarray,
-                         precision_target: float = 0.95,
-                         grid_size: int = 25) -> ThresholdCalibration:
-    """Grid-search ``(p_low, p_high)`` for one model.
+                         precision_target: float = 0.95) -> ThresholdCalibration:
+    """Grid-search ``(p_low, p_high)`` for one model over :data:`GRID_SIZE`
+    quantile candidates per threshold.
 
     Parameters
     ----------
@@ -78,9 +82,6 @@ def calibrate_thresholds(probabilities: np.ndarray, labels: np.ndarray,
     precision_target:
         Required precision of confident decisions, applied to both the
         confident-positive side and the confident-negative side.
-    grid_size:
-        Number of candidate values per threshold, taken from the quantiles of
-        the observed probabilities (plus the 0/0.5/1 anchors).
 
     Returns
     -------
@@ -98,10 +99,8 @@ def calibrate_thresholds(probabilities: np.ndarray, labels: np.ndarray,
         raise ValueError("cannot calibrate thresholds on an empty set")
     if not 0.0 < precision_target <= 1.0:
         raise ValueError("precision_target must be in (0, 1]")
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
 
-    quantiles = np.quantile(probabilities, np.linspace(0.0, 1.0, grid_size))
+    quantiles = np.quantile(probabilities, np.linspace(0.0, 1.0, GRID_SIZE))
     candidates = np.unique(np.concatenate([quantiles, [0.0, 0.5, 1.0]]))
     low_candidates = candidates[candidates <= 0.5]
     high_candidates = candidates[candidates >= 0.5]

@@ -10,8 +10,9 @@ package provides:
 * :class:`~repro.costs.device.DeviceProfile` — the compute device (effective
   FLOP rate, per-pixel transform cost, fixed per-inference overhead),
 * :class:`~repro.costs.scenario.Scenario` — which cost terms a deployment
-  scenario pays and from which storage tier bytes are loaded, with the paper's
-  four scenarios as presets (INFER_ONLY, ARCHIVE, ONGOING, CAMERA), and
+  scenario pays and from which storage tier (memory or SSD) the raw,
+  uncompressed bytes are loaded, with the paper's four scenarios as presets
+  (INFER_ONLY, ARCHIVE, ONGOING, CAMERA), and
 * :class:`~repro.costs.profiler.CostProfiler` — turns a model (or a cascade's
   expected execution) into a :class:`~repro.costs.profiler.CostBreakdown`,
   analytically from FLOPs/bytes or measured with wall-clock timing.
@@ -19,7 +20,6 @@ package provides:
 
 from repro.costs.device import (
     DEFAULT_DEVICE,
-    SERVER_CPU,
     SERVER_GPU,
     DeviceProfile,
     calibrate_device,
@@ -38,7 +38,6 @@ from repro.costs.scenario import (
 __all__ = [
     "DeviceProfile",
     "SERVER_GPU",
-    "SERVER_CPU",
     "DEFAULT_DEVICE",
     "calibrate_device",
     "Scenario",

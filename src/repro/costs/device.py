@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["DeviceProfile", "SERVER_GPU", "SERVER_CPU", "DEFAULT_DEVICE",
-           "calibrate_device"]
+__all__ = ["DeviceProfile", "SERVER_GPU", "DEFAULT_DEVICE", "calibrate_device"]
 
 
 @dataclass(frozen=True)
@@ -61,14 +60,6 @@ SERVER_GPU = DeviceProfile(
     flops_per_second=3.0e11,
     transform_seconds_per_value=1.5e-9,
     inference_overhead_s=3.0e-5,
-)
-
-#: A server CPU profile, roughly 30x slower at dense inference.
-SERVER_CPU = DeviceProfile(
-    name="server-cpu",
-    flops_per_second=1.0e10,
-    transform_seconds_per_value=1.0e-9,
-    inference_overhead_s=5.0e-6,
 )
 
 DEFAULT_DEVICE = SERVER_GPU

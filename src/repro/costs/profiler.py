@@ -20,10 +20,13 @@ import numpy as np
 
 from repro.costs.device import DEFAULT_DEVICE, DeviceProfile
 from repro.costs.scenario import INFER_ONLY, Scenario
-from repro.storage.encoding import encoded_bytes, raw_bytes
+from repro.storage.encoding import raw_bytes
 from repro.transforms.spec import TransformSpec
 
 __all__ = ["CostBreakdown", "CostProfiler", "measure_inference_time"]
+
+#: Channels of every source image: the corpora are RGB.
+SOURCE_CHANNELS = 3
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,8 @@ class CostProfiler:
     scenario:
         Deployment scenario (which cost terms apply and from where bytes load).
     source_resolution:
-        Side length of the full-size source images in the corpus.
-    source_channels:
-        Channels of the source images (3 for the RGB corpora used here).
+        Side length of the full-size RGB source images in the corpus
+        (:data:`SOURCE_CHANNELS` channels, stored uncompressed).
     cost_resolution:
         Optional resolution at which data-handling costs are priced.  The
         reproduction renders corpora at a reduced size (e.g. 32 px) to keep
@@ -89,16 +91,14 @@ class CostProfiler:
     def __init__(self, device: DeviceProfile = DEFAULT_DEVICE,
                  scenario: Scenario = INFER_ONLY,
                  source_resolution: int = 224,
-                 source_channels: int = 3,
                  cost_resolution: int | None = None) -> None:
-        if source_resolution <= 0 or source_channels <= 0:
-            raise ValueError("source dimensions must be positive")
+        if source_resolution <= 0:
+            raise ValueError("source_resolution must be positive")
         if cost_resolution is not None and cost_resolution <= 0:
             raise ValueError("cost_resolution must be positive")
         self.device = device
         self.scenario = scenario
         self.source_resolution = source_resolution
-        self.source_channels = source_channels
         self.cost_resolution = (cost_resolution if cost_resolution is not None
                                 else source_resolution)
 
@@ -111,7 +111,7 @@ class CostProfiler:
 
     def source_values(self) -> int:
         """Number of scalar values in one full-size source image."""
-        return self.source_resolution * self.source_resolution * self.source_channels
+        return self.source_resolution * self.source_resolution * SOURCE_CHANNELS
 
     def load_time(self, spec: TransformSpec) -> float:
         """Seconds to load the bytes a classifier with input ``spec`` needs."""
@@ -119,13 +119,10 @@ class CostProfiler:
             return 0.0
         if self.scenario.load_full_image:
             height = width = self.source_resolution
-            channels = self.source_channels
+            channels = SOURCE_CHANNELS
         else:
             height, width, channels = spec.shape
-        if self.scenario.compressed:
-            num_bytes = encoded_bytes(height, width, channels)
-        else:
-            num_bytes = raw_bytes(height, width, channels)
+        num_bytes = raw_bytes(height, width, channels)
         return self.scenario.load_tier.read_time(
             int(round(num_bytes * self._area_scale)))
 

@@ -27,11 +27,9 @@ class Scenario:
         transformed; if False and ``include_load`` (ONGOING), only the bytes
         of the already-materialized target representation are loaded.
     load_tier:
-        Storage tier the bytes come from.
-    compressed:
-        Whether stored images are in a compressed encoding (affects bytes
-        loaded, plus a decode pass counted as a transform touching every
-        source value).
+        Storage tier the bytes come from.  Images are stored uncompressed,
+        one byte per channel value
+        (:func:`~repro.storage.encoding.raw_bytes`).
     description:
         One-line description used in reports.
     """
@@ -41,7 +39,6 @@ class Scenario:
     include_transform: bool
     load_full_image: bool = True
     load_tier: StorageTier = SSD
-    compressed: bool = False
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -71,7 +68,7 @@ INFER_ONLY = Scenario(
 #: Full-size archived images on SSD: load full image, then transform.
 ARCHIVE = Scenario(
     name="archive", include_load=True, include_transform=True,
-    load_full_image=True, load_tier=SSD, compressed=False,
+    load_full_image=True, load_tier=SSD,
     description="Archived full-size images on SSD; load and transform at query time.")
 
 #: Representations materialized on ingest; load only the representation bytes.

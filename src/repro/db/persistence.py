@@ -2,7 +2,7 @@
 
 Built on :mod:`repro.core.persistence` (the per-predicate model repository),
 plus a database-level manifest carrying the deployment scenario, device
-profile and the table catalog.  Layout (format version 5)::
+profile and the table catalog.  Layout (format version 6)::
 
     <root>/
       database.json            # manifest: scenario, device, predicates,
@@ -29,7 +29,7 @@ representation bytes instead of re-transforming the corpus.  Arrays that
 were evicted or fell over the cap are simply recomputed on demand — results
 are unaffected.
 
-Format 5 is the durability format: :func:`save_database` captures each
+Format 6 is the durability format: :func:`save_database` captures each
 table — corpus, labels, id offset *and* representation arrays — in one hold
 of its shard lock (a save taken under live server traffic is internally
 consistent, row for row), and a save into a WAL-enabled database's own root
@@ -54,9 +54,13 @@ intact image files and at a generation floor whose logs are still on disk.
 Exactly one format is read: the one written.  :func:`load_database`
 raises ``ValueError("unsupported database format …")`` for any other
 ``format_version``, naming the version it found and the last commit whose
-checkout still reads it.  Format 4 differs only under ``wal/`` (a JSON-lines
-log beside one array file per record) and is refused like the rest: read as
-format 5, its log tail would be silently skipped.
+checkout still reads it.  Format 5 differs from 6 only in keys that always
+held one value: the scenario's compression flag and every representation
+spec's interpolation mode (in ``registered_specs``, ``store_arrays`` and the
+predicate repositories, whose own format went 1 → 2, gaining the training
+settings).  Format 4 differs only under ``wal/`` (a JSON-lines log beside
+one array file per record) and is refused like the rest: read as a later
+format, its log tail would be silently skipped.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ if TYPE_CHECKING:
 __all__ = ["save_database", "load_database", "Durability",
            "DEFAULT_STORE_BYTES_CAP"]
 
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 
 _MANIFEST_FILE = "database.json"
 _PREDICATES_DIR = "predicates"
@@ -432,8 +436,8 @@ def load_database(root: str | Path) -> VisualDatabase:
         raise ValueError(
             f"unsupported database format {version!r}: only format "
             f"{_FORMAT_VERSION} is read; to keep an older directory, open "
-            f"it from a checkout of commit 2c4153f, the last one that reads "
-            f"format 4 (f60db2e for formats 1-3)")
+            f"it from a checkout of commit 9334799, the last one that reads "
+            f"format 5 (2c4153f for format 4, f60db2e for formats 1-3)")
 
     from repro.db.database import VisualDatabase
 

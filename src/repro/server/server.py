@@ -109,8 +109,6 @@ class VisualDatabaseServer:
     default_timeout:
         Per-query timeout (seconds) for requests that carry none; ``None``
         lets queries run to completion.
-    max_cursors:
-        Open-cursor cap per session.
     close_database:
         Also :meth:`~repro.db.database.VisualDatabase.close` the database
         when the server closes (for servers that own their database, like
@@ -120,11 +118,9 @@ class VisualDatabaseServer:
     def __init__(self, database, host: str = "127.0.0.1", port: int = 0, *,
                  max_workers: int = 4, max_queue: int = 16,
                  default_timeout: float | None = None,
-                 max_cursors: int = 32,
                  close_database: bool = False) -> None:
         self.database = database
         self.default_timeout = default_timeout
-        self.max_cursors = max_cursors
         self._close_database = close_database
         database.enable_plan_cache()
         registry = getattr(database, "metrics", None)
@@ -146,7 +142,6 @@ class VisualDatabaseServer:
             self._sessions += 1
         return Session(self.database, self.admission,
                        default_timeout=self.default_timeout,
-                       max_cursors=self.max_cursors,
                        counters=self.counters,
                        stats_extra=self._stats_extra)
 

@@ -11,7 +11,7 @@ pages further rows off the parked result set with
 and reports how many rows remain so clients stop paging without a final
 empty round trip.  Every page travels as columns (``"values"``: one list per
 column, in ``"columns"`` order), not as one object per row.  Cursors are
-bounded per session (``max_cursors``); a ``fetch`` that drains a cursor
+bounded per session (:data:`MAX_CURSORS`); a ``fetch`` that drains a cursor
 frees it, ``close_cursor`` frees one early, and closing the session frees
 them all.
 
@@ -38,6 +38,10 @@ __all__ = ["Session", "QueryCounters"]
 #: Rows of the page ``execute`` answers with, and the page size of a
 #: ``fetch`` request that names none.
 DEFAULT_FETCH_SIZE = 64
+
+#: Open-cursor cap per session: an ``execute`` that would park one more is
+#: rejected until the client closes one.
+MAX_CURSORS = 32
 
 _CONSTRAINT_KEYS = ("max_accuracy_loss", "min_throughput")
 
@@ -83,9 +87,6 @@ class Session:
     default_timeout:
         Per-query timeout (seconds) applied when a request carries none;
         ``None`` lets queries run to completion.
-    max_cursors:
-        Open-cursor cap per session — an ``execute`` beyond it is rejected
-        until the client closes one.
     counters:
         Shared :class:`QueryCounters` (the server's); a private one is made
         when absent so sessions work standalone in tests.
@@ -96,13 +97,11 @@ class Session:
 
     def __init__(self, database, admission, *,
                  default_timeout: float | None = None,
-                 max_cursors: int = 32,
                  counters: QueryCounters | None = None,
                  stats_extra: Callable[[], dict] | None = None) -> None:
         self.database = database
         self.admission = admission
         self.default_timeout = default_timeout
-        self.max_cursors = max_cursors
         registry = getattr(database, "metrics", None)
         self.metrics = (registry if isinstance(registry, MetricsRegistry)
                         else MetricsRegistry())
@@ -152,9 +151,9 @@ class Session:
                                     or not 0 < timeout < math.inf):
             raise ProtocolError(f'"timeout" must be positive, finite '
                                 f"seconds, got {timeout!r}")
-        if len(self._cursors) >= self.max_cursors:
+        if len(self._cursors) >= MAX_CURSORS:
             raise ProtocolError(
-                f"session has {self.max_cursors} open cursors; "
+                f"session has {MAX_CURSORS} open cursors; "
                 "close_cursor one before executing again")
         # The deadline clock starts now — time spent waiting for a slot
         # counts, so an overloaded server aborts stale queries instead of

@@ -5,34 +5,22 @@ query runs (SSD archive, pre-resized representations on SSD, camera memory).
 This package models those placements:
 
 * :mod:`repro.storage.encoding` — how many bytes each physical representation
-  occupies, raw or compressed,
-* :mod:`repro.storage.tiers` — storage tiers with bandwidth/latency, and
+  occupies (8-bit, uncompressed),
+* :mod:`repro.storage.tiers` — the memory and SSD tiers with
+  bandwidth/latency, and
 * :mod:`repro.storage.store` — a representation store that pre-materializes
   resized representations on ingest (the ONGOING scenario).
 """
 
-from repro.storage.encoding import encoded_bytes, raw_bytes, representation_bytes
+from repro.storage.encoding import raw_bytes, representation_bytes
 from repro.storage.store import RepresentationStore
-from repro.storage.tiers import (
-    CAMERA_LINK,
-    HDD,
-    MEMORY,
-    NETWORK,
-    SSD,
-    StorageTier,
-    get_tier,
-)
+from repro.storage.tiers import MEMORY, SSD, StorageTier
 
 __all__ = [
     "raw_bytes",
-    "encoded_bytes",
     "representation_bytes",
     "StorageTier",
     "MEMORY",
     "SSD",
-    "HDD",
-    "CAMERA_LINK",
-    "NETWORK",
-    "get_tier",
     "RepresentationStore",
 ]

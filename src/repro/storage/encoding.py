@@ -4,13 +4,10 @@ from __future__ import annotations
 
 from repro.transforms.spec import TransformSpec
 
-__all__ = ["raw_bytes", "encoded_bytes", "representation_bytes"]
+__all__ = ["raw_bytes", "representation_bytes"]
 
 #: Stored images use one byte per channel value (8-bit).
 BYTES_PER_VALUE = 1
-
-#: Default compression ratio for an encoded (JPEG-like) full-color image.
-DEFAULT_COMPRESSION_RATIO = 0.12
 
 
 def raw_bytes(height: int, width: int, channels: int) -> int:
@@ -20,18 +17,6 @@ def raw_bytes(height: int, width: int, channels: int) -> int:
     return int(height * width * channels * BYTES_PER_VALUE)
 
 
-def encoded_bytes(height: int, width: int, channels: int,
-                  compression_ratio: float = DEFAULT_COMPRESSION_RATIO) -> int:
-    """Bytes of a lossily encoded image (raw size times the compression ratio)."""
-    if not 0 < compression_ratio <= 1:
-        raise ValueError("compression_ratio must be in (0, 1]")
-    return max(1, int(round(raw_bytes(height, width, channels) * compression_ratio)))
-
-
-def representation_bytes(spec: TransformSpec, compressed: bool = False,
-                         compression_ratio: float = DEFAULT_COMPRESSION_RATIO) -> int:
+def representation_bytes(spec: TransformSpec) -> int:
     """Bytes occupied by one stored image in the representation ``spec``."""
-    height, width, channels = spec.shape
-    if compressed:
-        return encoded_bytes(height, width, channels, compression_ratio)
-    return raw_bytes(height, width, channels)
+    return raw_bytes(*spec.shape)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["StorageTier", "MEMORY", "SSD", "HDD", "CAMERA_LINK", "NETWORK",
-           "get_tier"]
+__all__ = ["StorageTier", "MEMORY", "SSD"]
 
 
 @dataclass(frozen=True)
@@ -46,23 +45,3 @@ MEMORY = StorageTier("memory", bandwidth_bytes_per_s=50e9, latency_s=0.0)
 
 #: A local SSD, the paper's ARCHIVE and ONGOING storage device.
 SSD = StorageTier("ssd", bandwidth_bytes_per_s=500e6, latency_s=60e-6)
-
-#: A spinning disk, for custom scenarios.
-HDD = StorageTier("hdd", bandwidth_bytes_per_s=120e6, latency_s=6e-3)
-
-#: A camera-to-host link; the paper treats this transfer as negligible.
-CAMERA_LINK = StorageTier("camera", bandwidth_bytes_per_s=10e9, latency_s=0.0)
-
-#: A datacenter network hop, for custom scenarios.
-NETWORK = StorageTier("network", bandwidth_bytes_per_s=100e6, latency_s=200e-6)
-
-_TIERS = {tier.name: tier for tier in (MEMORY, SSD, HDD, CAMERA_LINK, NETWORK)}
-
-
-def get_tier(name: str) -> StorageTier:
-    """Look up a built-in tier by name."""
-    try:
-        return _TIERS[name]
-    except KeyError:
-        raise KeyError(f"unknown storage tier {name!r}; "
-                       f"available: {sorted(_TIERS)}") from None

@@ -24,7 +24,7 @@ from repro.transforms.color import (
     to_grayscale,
 )
 from repro.transforms.ops import horizontal_flip
-from repro.transforms.resize import resize, resize_area, resize_bilinear, resize_nearest
+from repro.transforms.resize import resize, resize_area, resize_bilinear
 from repro.transforms.spec import (
     PAPER_COLOR_MODES,
     PAPER_RESOLUTIONS,
@@ -37,7 +37,6 @@ __all__ = [
     "resize",
     "resize_area",
     "resize_bilinear",
-    "resize_nearest",
     "to_grayscale",
     "extract_channel",
     "to_color_mode",

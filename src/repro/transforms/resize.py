@@ -1,9 +1,10 @@
 """Resolution-scaling transformations.
 
 All functions accept a single HWC image (float array in [0, 1]) or a batch of
-NHWC images and return the same rank.  Three interpolation modes are provided;
-``area`` (block averaging) is the default because it is the natural choice
-when downscaling camera frames for small classifiers.  Its definition is a
+NHWC images and return the same rank.  :func:`resize` is area interpolation
+(block averaging), the natural choice when downscaling camera frames for
+small classifiers; it falls back to bilinear interpolation when the input
+size is not an integer multiple of the output size.  The block average is a
 window sum (see :func:`resize_area`), which matches NumPy's ``mean`` over
 the window axes bit for bit on RGB frames at a quarter of its cost.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["resize", "resize_nearest", "resize_bilinear", "resize_area"]
+__all__ = ["resize", "resize_bilinear", "resize_area"]
 
 
 def _as_batch(image: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -26,18 +27,6 @@ def _as_batch(image: np.ndarray) -> tuple[np.ndarray, bool]:
 def _validate_size(size: int) -> None:
     if size <= 0:
         raise ValueError("target size must be positive")
-
-
-def resize_nearest(image: np.ndarray, size: int) -> np.ndarray:
-    # shape: (..., H, W, C) -> (..., R, R, C)
-    """Nearest-neighbour resize to ``size`` x ``size``."""
-    _validate_size(size)
-    batch, squeeze = _as_batch(image)
-    _, height, width, _ = batch.shape
-    rows = np.clip((np.arange(size) + 0.5) * height / size, 0, height - 1).astype(int)
-    cols = np.clip((np.arange(size) + 0.5) * width / size, 0, width - 1).astype(int)
-    out = batch[:, rows][:, :, cols]
-    return out[0] if squeeze else out
 
 
 def resize_bilinear(image: np.ndarray, size: int) -> np.ndarray:
@@ -99,23 +88,10 @@ def resize_area(image: np.ndarray, size: int) -> np.ndarray:
     return resize_bilinear(image, size)
 
 
-_MODES = {
-    "nearest": resize_nearest,
-    "bilinear": resize_bilinear,
-    "area": resize_area,
-}
-
-
-def resize(image: np.ndarray, size: int, mode: str = "area") -> np.ndarray:
+def resize(image: np.ndarray, size: int) -> np.ndarray:
     # shape: (..., H, W, C) -> (..., R, R, C)
-    """Resize ``image`` to ``size`` x ``size`` using the given interpolation mode."""
-    try:
-        fn = _MODES[mode]
-    except KeyError:
-        raise ValueError(f"unknown resize mode {mode!r}; "
-                         f"choose from {sorted(_MODES)}") from None
-    # No-op shortcut when the image is already the requested size.
+    """Area-resize ``image`` to ``size`` x ``size`` (a copy when already that size)."""
     spatial = image.shape[:2] if image.ndim == 3 else image.shape[1:3]
     if spatial == (size, size):
         return image.copy()
-    return fn(image, size)
+    return resize_area(image, size)

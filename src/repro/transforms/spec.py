@@ -40,13 +40,14 @@ class TransformSpec:
         Target square size in pixels.
     color_mode:
         One of ``rgb``, ``red``, ``green``, ``blue``, ``gray``.
-    resize_mode:
-        Interpolation used when resizing (``area``, ``bilinear``, ``nearest``).
+
+    Resizing is area interpolation, bilinear for non-integer ratios
+    (:func:`~repro.transforms.resize.resize`): the paper's design space
+    varies resolution and colour only.
     """
 
     resolution: int
     color_mode: str = "rgb"
-    resize_mode: str = "area"
 
     def __post_init__(self) -> None:
         if self.resolution <= 0:
@@ -84,7 +85,7 @@ class TransformSpec:
         the one copy.
         """
         if image.shape[-3:-1] != (self.resolution, self.resolution):
-            image = resize(image, self.resolution, mode=self.resize_mode)
+            image = resize(image, self.resolution)
         return to_color_mode(image, self.color_mode)
 
     def apply_batch(self, images: np.ndarray) -> np.ndarray:
@@ -100,19 +101,18 @@ class TransformSpec:
 
 def standard_transform_grid(
         resolutions: tuple[int, ...] = PAPER_RESOLUTIONS,
-        color_modes: tuple[str, ...] = PAPER_COLOR_MODES,
-        resize_mode: str = "area") -> list[TransformSpec]:
+        color_modes: tuple[str, ...] = PAPER_COLOR_MODES) -> list[TransformSpec]:
     """The paper's grid: every resolution crossed with every color variant."""
     if not resolutions or not color_modes:
         raise ValueError("resolutions and color_modes must be non-empty")
-    return [TransformSpec(resolution=r, color_mode=c, resize_mode=resize_mode)
+    return [TransformSpec(resolution=r, color_mode=c)
             for r in resolutions for c in color_modes]
 
 
 def transform_subsets(
         resolutions: tuple[int, ...] = PAPER_RESOLUTIONS,
-        color_modes: tuple[str, ...] = PAPER_COLOR_MODES,
-        resize_mode: str = "area") -> dict[str, list[TransformSpec]]:
+        color_modes: tuple[str, ...] = PAPER_COLOR_MODES
+        ) -> dict[str, list[TransformSpec]]:
     """The four transformation subsets of Figure 10.
 
     * ``none`` — only the full-resolution, full-color representation,
@@ -122,10 +122,8 @@ def transform_subsets(
     """
     full_resolution = max(resolutions)
     return {
-        "none": [TransformSpec(full_resolution, "rgb", resize_mode)],
-        "color": [TransformSpec(full_resolution, mode, resize_mode)
-                  for mode in color_modes],
-        "resize": [TransformSpec(resolution, "rgb", resize_mode)
-                   for resolution in resolutions],
-        "full": standard_transform_grid(resolutions, color_modes, resize_mode),
+        "none": [TransformSpec(full_resolution, "rgb")],
+        "color": [TransformSpec(full_resolution, mode) for mode in color_modes],
+        "resize": [TransformSpec(resolution, "rgb") for resolution in resolutions],
+        "full": standard_transform_grid(resolutions, color_modes),
     }

@@ -138,13 +138,11 @@ class TestEvaluationMemo:
 
     @pytest.mark.parametrize("change", [
         {"device": SERVER_GPU}, {"scenario": PAPER_SCENARIOS[1]},
-        {"source_resolution": 32}, {"source_channels": 1},
-        {"cost_resolution": 112}])
+        {"source_resolution": 32}, {"cost_resolution": 112}])
     def test_every_pricing_value_is_part_of_the_key(
             self, fresh_optimizer, evaluate_calls, tiny_device, change):
         base = {"device": tiny_device, "scenario": PAPER_SCENARIOS[0],
-                "source_resolution": TINY_SIZE, "source_channels": 3,
-                "cost_resolution": 224}
+                "source_resolution": TINY_SIZE, "cost_resolution": 224}
         optimizer = fresh_optimizer()
         optimizer.select(CostProfiler(**base))
         optimizer.select(CostProfiler(**{**base, **change}))

@@ -1,9 +1,14 @@
 """Tests for the model-repository persistence layer."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.optimizer import TahomaOptimizer
 from repro.core.persistence import load_optimizer, save_optimizer
+from repro.core.trainer import TrainingConfig
 from repro.costs.profiler import CostProfiler
 from repro.costs.scenario import CAMERA
 
@@ -81,3 +86,31 @@ def test_restored_optimizer_selects_equivalent_cascade(saved_root, tiny_optimize
     assert restored_choice.accuracy == pytest.approx(original_choice.accuracy)
     assert restored_choice.throughput == pytest.approx(original_choice.throughput,
                                                        rel=1e-6)
+
+
+def test_round_trip_preserves_config_with_training(tmp_path, tiny_optimizer,
+                                                   tiny_config, tiny_splits,
+                                                   tiny_reference):
+    training = TrainingConfig(epochs=3, batch_size=8, learning_rate=0.0015,
+                              augment=False, seed=7)
+    optimizer = TahomaOptimizer(replace(tiny_config, training=training))
+    optimizer.initialize_with_models(tiny_optimizer.models, tiny_splits,
+                                     reference_model=tiny_reference)
+    root = save_optimizer(optimizer, tmp_path / "repository",
+                          reference_params=REFERENCE_PARAMS)
+    restored = load_optimizer(root)
+    assert restored.config == optimizer.config
+    assert restored.config.training == training
+
+
+def test_other_format_version_rejected(tmp_path, saved_root):
+    # One format is read: the one written.  Format 1 carried one-value
+    # settings and no training config; its message names the last commit
+    # that reads it.
+    payload = json.loads((saved_root / "repository.json").read_text())
+    assert payload["format_version"] == 2
+    payload["format_version"] = 1
+    (tmp_path / "repository.json").write_text(json.dumps(payload))
+    with pytest.raises(ValueError,
+                       match=r"unsupported repository format 1\b.*9334799"):
+        load_optimizer(tmp_path)

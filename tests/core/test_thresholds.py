@@ -91,8 +91,6 @@ class TestCalibration:
             calibrate_thresholds(np.array([0.5]), np.array([1, 0]))
         with pytest.raises(ValueError):
             calibrate_thresholds(np.array([0.5]), np.array([1]), precision_target=0.0)
-        with pytest.raises(ValueError):
-            calibrate_thresholds(np.array([0.5]), np.array([1]), grid_size=1)
 
     def test_paper_targets_constant(self):
         assert PAPER_PRECISION_TARGETS == (0.91, 0.93, 0.95, 0.97, 0.99)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.costs.device import SERVER_CPU, SERVER_GPU, DeviceProfile, calibrate_device
+from repro.costs.device import SERVER_GPU, DeviceProfile, calibrate_device
 
 
 def test_inference_time_includes_overhead():
@@ -31,11 +31,6 @@ def test_invalid_profiles():
         DeviceProfile("bad", flops_per_second=0)
     with pytest.raises(ValueError):
         DeviceProfile("bad", flops_per_second=1.0, transform_seconds_per_value=-1)
-
-
-def test_gpu_faster_than_cpu_at_inference():
-    flops = 1e9
-    assert SERVER_GPU.inference_time(flops) < SERVER_CPU.inference_time(flops)
 
 
 class TestCalibration:

@@ -22,6 +22,7 @@ import pytest
 from repro.data.corpus import CorpusSegment, ImageCorpus
 from repro.db import RetentionPolicy, TableWal, VisualDatabase, connect
 from repro.db.wal import wal_dir, wal_tables
+from repro.transforms.spec import TransformSpec
 from tests.conftest import TINY_SIZE
 
 
@@ -717,12 +718,13 @@ class TestFormatCompatibility:
     def test_unknown_format_rejected(self, tmp_path):
         # One format is read: the one written.  Older layouts (1: single
         # corpus, 2: multi-table, 3: retention, no WAL, 4: WAL records as a
-        # JSON line plus an array file) and newer ones are refused alike,
-        # and the message says which version was found.
+        # JSON line plus an array file, 5: one-value scenario and spec keys)
+        # and newer ones are refused alike, and the message says which
+        # version was found.
         database = connect({"cam": timed_corpus([0.0])})
         root = database.save(tmp_path / "vdb")
         manifest = self._manifest(root)
-        for version in (1, 2, 3, 4, 99):
+        for version in (1, 2, 3, 4, 5, 99):
             manifest["format_version"] = version
             (root / "database.json").write_text(json.dumps(manifest))
             with pytest.raises(
@@ -730,7 +732,7 @@ class TestFormatCompatibility:
                     match=rf"unsupported database format {version}\b"):
                 VisualDatabase.load(root)
 
-    def test_written_manifest_is_the_v5_contract(self, tmp_path):
+    def test_written_manifest_is_the_v6_contract(self, tmp_path):
         # The loader reads exactly what the writer writes, so the writer's
         # key sets are the on-disk contract: a writer change shows up here
         # as a diff, and directories written by earlier commits keep loading
@@ -738,23 +740,31 @@ class TestFormatCompatibility:
         database = connect({"cam": timed_corpus([0.0, 1.0, 2.0])},
                            retention={"cam": RetentionPolicy(max_rows=8)})
         database.ingest(*_batch([3.0]), table="cam")
+        database.executor_for("cam").store.register(TransformSpec(8, "gray"))
         root = database.save(tmp_path / "vdb")
         manifest = self._manifest(root)
-        assert manifest["format_version"] == 5
+        assert manifest["format_version"] == 6
         assert sorted(manifest) == [
             "calibrate_target_fps", "cost_resolution", "default_constraints",
             "device", "device_calibrated", "format_version", "predicates",
             "scenario", "source_resolution", "store", "tables", "wal"]
+        assert sorted(manifest["scenario"]) == [
+            "description", "include_load", "include_transform",
+            "load_full_image", "load_tier", "name"]
         table_keys = ["corpus_file", "id_offset", "materialized", "name",
                       "registered_specs", "retention", "store_arrays",
                       "table_dir"]
         [entry] = manifest["tables"]
         assert sorted(entry) == table_keys
+        assert entry["registered_specs"] == [
+            {"resolution": 8, "color_mode": "gray"}]
         assert manifest["wal"] == {"enabled": False}
         assert manifest["store"] == {"byte_budget": None}
 
         loaded = VisualDatabase.load(root)
         assert table_state(loaded) == table_state(database)
+        assert (loaded.executor_for("cam").store.registered_specs()
+                == [TransformSpec(8, "gray")])
         assert (loaded.executor_for("cam").retention
                 == RetentionPolicy(max_rows=8))
 

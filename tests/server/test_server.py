@@ -23,7 +23,7 @@ from repro.db.retention import RetentionPolicy
 from repro.query.ast import QueryError, QueryTimeoutError, SqlParseError
 from repro.server import (AdmissionController, BackpressureError,
                           ProtocolError, ServerError, Session, connect, serve)
-from repro.server.session import DEFAULT_FETCH_SIZE
+from repro.server.session import DEFAULT_FETCH_SIZE, MAX_CURSORS
 from tests.conftest import TINY_SIZE
 
 CONSTRAINED = UserConstraints(max_accuracy_loss=0.1)
@@ -427,6 +427,28 @@ class TestRawProtocol:
             response = self.request(
                 f, b'{"cmd": "fetch", "cursor": %d, "n": 1}\n' % cursor)
             assert response["result"]["values"] == [[DEFAULT_FETCH_SIZE]]
+
+    def test_cursor_cap(self, paged_server):
+        execute = (b'{"cmd": "execute", '
+                   b'"sql": "SELECT image_id FROM cam_wide"}\n')
+        with socket.create_connection(paged_server.address,
+                                      timeout=30) as sock:
+            f = sock.makefile("rwb")
+            # Each result is longer than the first page, so each parks.
+            cursors = [self.request(f, execute)["result"]["cursor"]
+                       for _ in range(MAX_CURSORS)]
+            assert len(set(cursors)) == MAX_CURSORS
+            response = self.request(f, execute)
+            assert response["ok"] is False
+            assert response["error"]["type"] == "ProtocolError"
+            assert (f"{MAX_CURSORS} open cursors"
+                    in response["error"]["message"])
+            response = self.request(
+                f, b'{"cmd": "close_cursor", "cursor": %d}\n' % cursors[0])
+            assert response["result"] == {"closed": True}
+            response = self.request(f, execute)
+            assert response["ok"] is True
+            assert response["result"]["cursor"] not in cursors
 
     @pytest.mark.parametrize("timeout", [b"NaN", b"Infinity", b"-Infinity"])
     def test_non_finite_timeout_rejected(self, server, timeout):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage.encoding import encoded_bytes, raw_bytes, representation_bytes
+from repro.storage.encoding import raw_bytes, representation_bytes
 from repro.transforms.spec import TransformSpec
 
 
@@ -16,26 +16,8 @@ def test_raw_bytes_rejects_nonpositive():
         raw_bytes(0, 10, 3)
 
 
-def test_encoded_bytes_smaller_than_raw():
-    assert encoded_bytes(224, 224, 3) < raw_bytes(224, 224, 3)
-
-
-def test_encoded_bytes_at_ratio_one_equals_raw():
-    assert encoded_bytes(10, 10, 3, compression_ratio=1.0) == raw_bytes(10, 10, 3)
-
-
-def test_encoded_bytes_never_zero():
-    assert encoded_bytes(2, 2, 1, compression_ratio=0.01) >= 1
-
-
-def test_encoded_bytes_rejects_bad_ratio():
-    with pytest.raises(ValueError):
-        encoded_bytes(10, 10, 3, compression_ratio=0.0)
-
-
 def test_representation_bytes_tracks_spec():
     small = representation_bytes(TransformSpec(30, "gray"))
     large = representation_bytes(TransformSpec(224, "rgb"))
     assert small == 900
     assert large == 150528
-    assert representation_bytes(TransformSpec(224, "rgb"), compressed=True) < large
