@@ -45,6 +45,18 @@ class TestInitializedOptimizer:
             with_reference_tail=True)
         assert tiny_optimizer.n_cascades == expected
 
+    @pytest.mark.parametrize("with_reference", [True, False])
+    def test_reference_tail_follows_the_reference_model(
+            self, fresh_optimizer, tiny_config, with_reference):
+        optimizer = fresh_optimizer(with_reference=with_reference)
+        assert (any(c.ends_in_reference() for c in optimizer.cascades)
+                is with_reference)
+        assert optimizer.n_cascades == count_cascades(
+            n_models=optimizer.n_models,
+            n_precision_targets=len(tiny_config.precision_targets),
+            max_depth=tiny_config.max_depth,
+            with_reference_tail=with_reference)
+
     def test_thresholds_calibrated_for_every_model(self, tiny_optimizer, tiny_config):
         for model in tiny_optimizer.models:
             calibrations = tiny_optimizer.thresholds[model.name]

@@ -1,7 +1,7 @@
 """Tests for the model-repository persistence layer."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -114,3 +114,15 @@ def test_other_format_version_rejected(tmp_path, saved_root):
     with pytest.raises(ValueError,
                        match=r"unsupported repository format 1\b.*9334799"):
         load_optimizer(tmp_path)
+
+
+def test_written_repository_is_the_v2_contract(saved_root, tiny_optimizer):
+    # The loader reads exactly what the writer writes, so the config's key
+    # sets are the on-disk contract.
+    payload = json.loads((saved_root / "repository.json").read_text())
+    config = payload["config"]
+    assert sorted(config) == ["architectures", "max_depth",
+                              "precision_targets", "training", "transforms"]
+    assert all(sorted(t) == ["color_mode", "resolution"]
+               for t in config["transforms"])
+    assert config["training"] == asdict(tiny_optimizer.config.training)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.thresholds import (
+    GRID_SIZE,
     PAPER_PRECISION_TARGETS,
     DecisionThresholds,
     calibrate_thresholds,
@@ -91,6 +92,19 @@ class TestCalibration:
             calibrate_thresholds(np.array([0.5]), np.array([1, 0]))
         with pytest.raises(ValueError):
             calibrate_thresholds(np.array([0.5]), np.array([1]), precision_target=0.0)
+
+    def test_thresholds_are_grid_candidates(self):
+        # Each threshold is one of GRID_SIZE quantiles of the observed
+        # probabilities or one of the 0 / 0.5 / 1 anchors.
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 2, 200)
+        probabilities = np.clip(0.6 * labels + 0.4 * rng.random(200), 0, 1)
+        chosen = calibrate_thresholds(probabilities, labels).thresholds
+        candidates = np.concatenate([
+            np.quantile(probabilities, np.linspace(0.0, 1.0, GRID_SIZE)),
+            [0.0, 0.5, 1.0]])
+        assert chosen.p_low in candidates
+        assert chosen.p_high in candidates
 
     def test_paper_targets_constant(self):
         assert PAPER_PRECISION_TARGETS == (0.91, 0.93, 0.95, 0.97, 0.99)

@@ -33,6 +33,11 @@ def test_invalid_profiles():
         DeviceProfile("bad", flops_per_second=1.0, transform_seconds_per_value=-1)
 
 
+def test_server_gpu_runs_a_resnet50_class_model_near_75_fps():
+    # ResNet50 is about 4.1 GFLOPs per 224 px frame.
+    assert 60.0 < 1.0 / SERVER_GPU.inference_time(4.1e9) < 90.0
+
+
 class TestCalibration:
     def test_reference_lands_at_target(self):
         reference_flops = 5e6

@@ -54,6 +54,16 @@ class TestCostProfiler:
         assert small == pytest.approx(large)
         assert small > 0
 
+    def test_archive_load_is_the_rgb_source_image(self):
+        # ARCHIVE reads the stored 3-channel source frame whatever the
+        # classifier's input; ONGOING reads that frame's bytes only when the
+        # representation is the source itself.
+        archive = CostProfiler(DEVICE, ARCHIVE, source_resolution=32)
+        ongoing = CostProfiler(DEVICE, ONGOING, source_resolution=32)
+        assert ARCHIVE.load_tier == ONGOING.load_tier
+        assert (archive.load_time(TransformSpec(8, "gray"))
+                == ongoing.load_time(TransformSpec(32, "rgb")))
+
     def test_ongoing_load_scales_with_representation(self):
         profiler = CostProfiler(DEVICE, ONGOING, source_resolution=32)
         small = profiler.load_time(TransformSpec(8, "gray"))

@@ -450,6 +450,23 @@ class TestRawProtocol:
             assert response["ok"] is True
             assert response["result"]["cursor"] not in cursors
 
+    def test_cursor_cap_is_per_session(self, paged_server):
+        # A session at the cap does not stop another session from parking.
+        execute = (b'{"cmd": "execute", '
+                   b'"sql": "SELECT image_id FROM cam_wide"}\n')
+        with socket.create_connection(paged_server.address,
+                                      timeout=30) as full, \
+                socket.create_connection(paged_server.address,
+                                         timeout=30) as other:
+            f = full.makefile("rwb")
+            for _ in range(MAX_CURSORS):
+                assert self.request(f, execute)["ok"] is True
+            assert self.request(f, execute)["ok"] is False
+            g = other.makefile("rwb")
+            response = self.request(g, execute)
+            assert response["ok"] is True
+            assert "cursor" in response["result"]
+
     @pytest.mark.parametrize("timeout", [b"NaN", b"Infinity", b"-Infinity"])
     def test_non_finite_timeout_rejected(self, server, timeout):
         # json.loads accepts these tokens; a NaN deadline would never fire.

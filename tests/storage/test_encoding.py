@@ -3,7 +3,7 @@
 import pytest
 
 from repro.storage.encoding import raw_bytes, representation_bytes
-from repro.transforms.spec import TransformSpec
+from repro.transforms.spec import TransformSpec, standard_transform_grid
 
 
 def test_raw_bytes_formula():
@@ -21,3 +21,8 @@ def test_representation_bytes_tracks_spec():
     large = representation_bytes(TransformSpec(224, "rgb"))
     assert small == 900
     assert large == 150528
+
+
+def test_representation_bytes_is_one_byte_per_value_on_the_grid():
+    for spec in standard_transform_grid():
+        assert representation_bytes(spec) == spec.num_values

@@ -86,6 +86,15 @@ class TestResizeModes:
 
 
 class TestResizeDispatch:
+    def test_integer_ratio_is_area(self):
+        image = gradient_image(16)
+        np.testing.assert_array_equal(resize(image, 4), resize_area(image, 4))
+
+    def test_non_integer_ratio_is_bilinear(self):
+        image = gradient_image(16)
+        np.testing.assert_array_equal(resize(image, 6),
+                                      resize_bilinear(image, 6))
+
     def test_invalid_size_raises(self):
         with pytest.raises(ValueError):
             resize(gradient_image(), 0)

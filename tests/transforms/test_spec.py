@@ -1,5 +1,7 @@
 """Tests for TransformSpec and the transformation grids."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,12 @@ class TestTransformSpec:
             TransformSpec(0)
         with pytest.raises(ValueError):
             TransformSpec(8, "hsv")
+
+    def test_fields_are_the_two_axes(self):
+        # A representation is a resolution and a colour mode; nothing else
+        # (interpolation, compression) is part of the design space.
+        assert [f.name for f in fields(TransformSpec)] == ["resolution",
+                                                          "color_mode"]
 
     def test_specs_are_hashable_and_comparable(self):
         assert TransformSpec(8, "rgb") == TransformSpec(8, "rgb")
