@@ -6,10 +6,12 @@ The lint covers every module whose code calls ``os.fsync``
 ordering invariants, all of them easy to silently regress because every
 test passes without them — they only matter across a power loss:
 
-* **fsync-after-append** — a ``.write(`` through a handle the object keeps
-  open (``self.<handle>.write`` — the WAL's log file) must be followed, in
-  the same function, by an ``os.fsync``: nothing else will ever sync those
-  bytes, and the caller acknowledges the record on return.
+* **fsync-after-append** — a write to a file that outlives the call — a
+  ``.write(`` through a handle the object keeps open (``self.<handle>.write``)
+  or an ``os.write`` / ``os.writev`` on a descriptor (the WAL's log file) —
+  must be followed, in the same function, by an ``os.fsync``: nothing else
+  will ever sync those bytes, and the caller acknowledges the record on
+  return.
 * **fsync-before-rename** — an ``os.replace`` publishing a manifest must be
   preceded, in the same function, by an fsync of the bytes being published
   (``os.fsync`` / ``_fsync_file``); otherwise the rename can become durable
@@ -116,6 +118,8 @@ def _call_kind(call: ast.Call) -> str | None:
             and isinstance(func.value.value, ast.Name) \
             and func.value.value.id == "self":
         return "append"  # self.<handle>.write: a file that outlives the call
+    if name in ("write", "writev") and is_os:
+        return "append"  # a descriptor: only an fsync makes its bytes durable
     if name in _WRITE_NAMES:
         return "write"
     if "prune" in name:

@@ -18,19 +18,26 @@ journaling each mutation as it happens:
 
 Recovery = load the checkpoint, then replay each table's log tail in order.
 
-Layout (inside a format-5 database directory): one file per generation,
+Layout (inside a format-6 database directory): one file per generation,
 ``wal/<table>/log-<g>.wal``, holding one **frame** per record::
 
     header   magic "RWAL" | body length (u64) | crc32(body) (u32)
     body     one JSON line: the record, plus "arrays": [names] when it
              carries a segment | each named array in raw ``.npy`` form
 
-A frame is built in memory and appended with one ``write``, one ``flush``
-and one ``os.fsync`` before ``log_*`` returns.  One validity rule: a frame
-that is short, runs past the end of the file, has the wrong magic or fails
-its checksum **is the torn tail**.  Only the active generation's final
-append can tear, so there it ends :meth:`TableWal.records` and the next open
-truncates it; in a rotated generation (complete) it is corruption and raises.
+A frame is never joined in memory: its header, JSON line, ``.npy`` headers
+and the arrays' own buffers go to the log in one ``os.writev`` on an
+unbuffered handle, and one ``os.fsync`` follows before ``log_*`` returns.
+A failed append truncates the file back to where the frame began and
+leaves the handle refusing further appends until the table is reopened,
+so a torn frame is never followed by a later one.  Replay decodes each
+array as a read-only view of the frame body it was read in, with no copy.
+
+One validity rule: a frame that is short, runs past the end of the file,
+has the wrong magic or fails its checksum **is the torn tail**.  Only the
+active generation's final append can tear, so there it ends
+:meth:`TableWal.records` and the next open truncates it; in a rotated
+generation (complete) it is corruption and raises.
 
 **Generations** make checkpoints crash-safe: a checkpoint :meth:`rotate`\\ s
 the log (freezing the current generation, opening the next) *before* it
@@ -46,8 +53,10 @@ itself vanish on power loss; appends need none, they create no file.
 
 from __future__ import annotations
 
+import errno
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -67,6 +76,7 @@ __all__ = ["TableWal", "wal_dir", "wal_tables"]
 _LOG_RE = re.compile(r"^log-(\d+)\.wal$")
 _MAGIC = b"RWAL"
 _HEADER = struct.Struct("<4sQI")  # magic, body length, crc32(body)
+_IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one os.writev may take
 
 
 def wal_dir(root: Path | str, table: str) -> Path:
@@ -94,15 +104,61 @@ def wal_tables(root: Path | str) -> list[str]:
     return sorted(entry.name for entry in base.iterdir() if entry.is_dir())
 
 
+class _Parts(list):
+    """A frame's buffers, in file order; numpy's header writer appends to it
+    as it would write to a file."""
+
+    write = list.append
+
+
+def _frame_parts(record: dict, arrays: dict[str, np.ndarray]) -> _Parts:
+    """The body of ``record``'s frame as buffers that are never joined: the
+    JSON line, then per array its ``.npy`` 1.0 header and its own bytes.
+
+    The bytes are exactly what ``np.lib.format.write_array`` writes; only a
+    non-contiguous array is copied (into C order, as ``write_array`` does).
+    """
+    parts = _Parts([json.dumps(record).encode("utf-8") + b"\n"])
+    for array in arrays.values():
+        if array.dtype.hasobject:
+            raise ValueError("Object arrays cannot be saved when "
+                             "allow_pickle=False")
+        header = np.lib.format.header_data_from_array_1_0(array)
+        np.lib.format.write_array_header_1_0(parts, header)
+        data = np.ascontiguousarray(
+            array.T if header["fortran_order"] else array)
+        if data.nbytes:
+            parts.append(memoryview(data.reshape(-1).view(np.uint8)))
+    return parts
+
+
 def _decode_body(body: bytes) -> dict:
-    """The record dict of one frame body, arrays loaded as ``"segment"``."""
-    stream = io.BytesIO(body)
+    """The record dict of one frame body; its arrays, as ``"segment"``, are
+    read-only views of ``body``."""
+    stream = io.BytesIO(body)  # shares ``body``'s bytes until written
     record = json.loads(stream.readline())
     if "arrays" in record:
         record["segment"] = CorpusSegment.from_arrays(
-            {name: np.lib.format.read_array(stream, allow_pickle=False)
-             for name in record["arrays"]})
+            {name: _array_view(body, stream) for name in record["arrays"]})
     return record
+
+
+def _array_view(body: bytes, stream: io.BytesIO) -> np.ndarray:
+    """The ``.npy`` array at ``stream``'s position, as a view of ``body``;
+    leaves ``stream`` just past its bytes."""
+    if np.lib.format.read_magic(stream) != (1, 0):
+        raise ValueError("write-ahead log arrays are .npy format 1.0")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+    if dtype.hasobject:
+        raise ValueError("Object arrays cannot be loaded when "
+                         "allow_pickle=False")
+    offset = stream.tell()
+    flat = np.frombuffer(body, dtype=dtype, count=math.prod(shape),
+                         offset=offset)
+    stream.seek(offset + flat.nbytes)
+    if fortran_order:
+        return flat.reshape(shape[::-1]).T
+    return flat.reshape(shape)
 
 
 def _frames(path: Path, frozen: bool) -> Iterator[tuple[int, bytes]]:
@@ -142,8 +198,8 @@ class TableWal:
     The executor calls the ``log_*`` methods *while holding its shard lock*,
     immediately after applying the mutation in memory — so the log order is
     exactly the apply order and replaying it reproduces the in-memory state.
-    The handle keeps the active generation's log file open for append;
-    :meth:`close` flushes and releases it (idempotent).
+    The handle keeps the active generation's log file open for append,
+    unbuffered; :meth:`close` releases it (idempotent).
     """
 
     def __init__(self, root: Path | str, table: str,
@@ -171,13 +227,16 @@ class TableWal:
                 # The crash interrupted this generation's final append: drop
                 # the torn frame so the next append starts on a boundary.
                 os.truncate(path, end)
-        self._handle = open(self._log_path(self._generation), "ab")  # guarded by: self._lock
+        self._handle = open(self._log_path(self._generation), "ab",  # guarded by: self._lock
+                            buffering=0)
         # The open() above may have created the log file (and mkdir the
         # directory); make both directory entries durable before the first
         # fsynced frame can claim durability.
         fsync_dir(self.directory)
         fsync_dir(self.directory.parent)
         self._closed = False  # guarded by: self._lock
+        # Set by an append that failed; cleared only by reopening.
+        self._poisoned = False  # guarded by: self._lock
 
     def _log_path(self, generation: int) -> Path:
         return self.directory / f"log-{generation}.wal"
@@ -226,19 +285,35 @@ class TableWal:
         arrays = segment.to_arrays() if segment is not None else {}
         if arrays:
             record = {**record, "rows": len(segment), "arrays": list(arrays)}
-        buffer = io.BytesIO()
-        buffer.write(bytes(_HEADER.size))  # filled in once the body is known
-        buffer.write(json.dumps(record).encode("utf-8") + b"\n")
-        for array in arrays.values():
-            np.lib.format.write_array(buffer, array, allow_pickle=False)
-        frame = buffer.getbuffer()
-        body = frame[_HEADER.size:]
-        _HEADER.pack_into(frame, 0, _MAGIC, len(body), zlib.crc32(body))
+        parts = _frame_parts(record, arrays)
+        checksum = 0
+        for part in parts:
+            checksum = zlib.crc32(part, checksum)
+        pending = [_HEADER.pack(_MAGIC, sum(map(len, parts)), checksum),
+                   *parts]
         with self._lock:
             self._ensure_open()
-            self._handle.write(frame)
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            fd = self._handle.fileno()
+            size = os.fstat(fd).st_size
+            try:
+                while pending:
+                    written = os.writev(fd, pending[:_IOV_MAX])
+                    if not written:
+                        raise OSError(errno.EIO, "write-ahead log append "
+                                      "made no progress")
+                    # Drop the buffers written whole; a short write leaves
+                    # the rest of one for the next call.
+                    while pending and written >= len(pending[0]):
+                        written -= len(pending.pop(0))
+                    if written:
+                        pending[0] = memoryview(pending[0])[written:]
+                os.fsync(fd)
+            except BaseException:
+                # A frame later appends would sit behind could never be
+                # replayed past: cut it off and take no further append.
+                self._poisoned = True
+                os.ftruncate(fd, size)
+                raise
             self._counts[self._generation] += 1
         self._append_seconds.observe(time.perf_counter() - started,
                                      table=self.table)
@@ -247,6 +322,10 @@ class TableWal:
         # guarded by: self._lock
         if self._closed:
             raise RuntimeError(f"WAL for table {self.table!r} is closed")
+        if self._poisoned:
+            raise RuntimeError(
+                f"WAL for table {self.table!r} failed an append; reopen the "
+                f"table to journal again")
 
     # -- reading -----------------------------------------------------------
     def records(self, from_generation: int = 0) -> Iterator[dict]:
@@ -291,11 +370,11 @@ class TableWal:
         """
         with self._lock:
             self._ensure_open()
-            self._handle.flush()
             self._handle.close()
             self._generation += 1
             self._counts[self._generation] = 0
-            self._handle = open(self._log_path(self._generation), "ab")
+            self._handle = open(self._log_path(self._generation), "ab",
+                                buffering=0)
             # Make the new generation's directory entry durable before any
             # fsynced frame lands in it.
             fsync_dir(self.directory)
@@ -313,11 +392,10 @@ class TableWal:
                             if generation >= before_generation}
 
     def close(self) -> None:
-        """Flush and release the log handle; safe to call twice."""
+        """Release the log handle; safe to call twice."""
         with self._lock:
             if self._closed:
                 return
-            self._handle.flush()
             self._handle.close()
             self._closed = True
 

@@ -39,8 +39,9 @@ __all__ = ["Session", "QueryCounters"]
 #: ``fetch`` request that names none.
 DEFAULT_FETCH_SIZE = 64
 
-#: Open-cursor cap per session: an ``execute`` that would park one more is
-#: rejected until the client closes one.
+#: Open-cursor cap per session: an ``execute`` whose result would park one
+#: more is rejected (after it ran) until the client closes one; a result
+#: that fits in the first page is served regardless.
 MAX_CURSORS = 32
 
 _CONSTRAINT_KEYS = ("max_accuracy_loss", "min_throughput")
@@ -151,10 +152,6 @@ class Session:
                                     or not 0 < timeout < math.inf):
             raise ProtocolError(f'"timeout" must be positive, finite '
                                 f"seconds, got {timeout!r}")
-        if len(self._cursors) >= MAX_CURSORS:
-            raise ProtocolError(
-                f"session has {MAX_CURSORS} open cursors; "
-                "close_cursor one before executing again")
         # The deadline clock starts now — time spent waiting for a slot
         # counts, so an overloaded server aborts stale queries instead of
         # running them.
@@ -177,6 +174,13 @@ class Session:
             # EXPLAIN ANALYZE: the result is a JSON report, not row data —
             # return it whole, no cursor to page.
             return {"explain_analyze": result_set}
+        # Only a result longer than its first page needs a cursor, and only
+        # the result can say whether it is.
+        if (result_set.remaining > DEFAULT_FETCH_SIZE
+                and len(self._cursors) >= MAX_CURSORS):
+            raise ProtocolError(
+                f"session has {MAX_CURSORS} open cursors; "
+                "close_cursor one before executing again")
         page = self._page(result_set, DEFAULT_FETCH_SIZE)
         cursor_id = None
         if result_set.remaining:

@@ -66,13 +66,15 @@ class TestDetections:
         assert "directory fsync" in findings[0].message
 
     def test_removed_append_fsync_detected(self, scratch):
-        # The WAL's whole append protocol is write, flush, fsync: without
+        # The WAL's whole append protocol is one writev, one fsync: without
         # the fsync a record is acknowledged while still in the page cache,
         # and no test notices.
         _edit(scratch, "db/wal.py",
-              "            self._handle.flush()\n"
-              "            os.fsync(self._handle.fileno())\n",
-              "            self._handle.flush()\n")
+              "                        pending[0] = memoryview(pending[0])"
+              "[written:]\n"
+              "                os.fsync(fd)\n",
+              "                        pending[0] = memoryview(pending[0])"
+              "[written:]\n")
         findings = check_durability(scratch)
         assert _rules(findings) == {"fsync-after-append"}
         (finding,) = findings

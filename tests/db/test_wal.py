@@ -1,14 +1,17 @@
 """Tests for the segment-based storage engine's durability layer.
 
-Covers the TableWal journal itself (one fsynced frame per record, torn-tail
-truncation, generations: rotate/prune), enable_wal/checkpoint/recovery on
-VisualDatabase, the crash-recovery property (cut the log at every record
-boundary *and inside every frame* between checkpoint and tail, replay,
-compare against an independent model of the log), the save-vs-ingest race
-fixes, WAL-aware close(), lazy segment consolidation and storage_stats, and
-the one-format contract of the loader.
+Covers the TableWal journal itself (one fsynced frame per record, its bytes
+against the ``write_array`` writer it replaced, torn-tail truncation, a
+failed append cut back off the log, generations: rotate/prune),
+enable_wal/checkpoint/recovery on VisualDatabase, the crash-recovery
+property (cut the log at every record boundary *and inside every frame*
+between checkpoint and tail, replay, compare against an independent model
+of the log), the save-vs-ingest race fixes, WAL-aware close(), lazy segment
+consolidation and storage_stats, and the one-format contract of the loader.
 """
 
+import errno
+import io
 import json
 import os
 import shutil
@@ -196,6 +199,170 @@ class TestTableWal:
         TableWal(tmp_path, "cam_b").close()
         TableWal(tmp_path, "cam_a").close()
         assert wal_tables(tmp_path) == ["cam_a", "cam_b"]
+
+
+def oracle_frame(record, arrays):
+    """The frame writer the format was defined by: the whole frame built in
+    a ``BytesIO``, each array through ``np.lib.format.write_array``."""
+    buffer = io.BytesIO()
+    buffer.write(json.dumps(record).encode("utf-8") + b"\n")
+    for array in arrays.values():
+        np.lib.format.write_array(buffer, array, allow_pickle=False)
+    body = buffer.getvalue()
+    return _FRAME_HEADER.pack(b"RWAL", len(body), zlib.crc32(body)) + body
+
+
+def segment_frame(segment):
+    arrays = segment.to_arrays()
+    return oracle_frame({"type": "segment", "rows": len(segment),
+                         "arrays": list(arrays)}, arrays)
+
+
+def _oracle_segments():
+    rng = np.random.default_rng(3)
+    images = rng.random((4, TINY_SIZE, TINY_SIZE, 3))
+    wide = rng.random((4, 2 * TINY_SIZE, TINY_SIZE, 3))
+    return {
+        "images_unicode_bool": CorpusSegment.build(
+            images,
+            {"timestamp": np.arange(4.0),
+             "location": np.array(["détroit", "москва", "東京", ""])},
+            {"contains_car": np.array([True, False, False, True])}),
+        "non_contiguous": CorpusSegment(
+            images=wide[:, ::2], metadata={"timestamp": np.arange(8.0)[::2]},
+            content={}),
+        "fortran_order": CorpusSegment(
+            images=np.asfortranarray(images), metadata={},
+            content={"count": np.arange(4, dtype=np.int32)}),
+    }
+
+
+ORACLE_SEGMENTS = _oracle_segments()
+
+
+def assert_segments_equal(left, right):
+    left, right = left.to_arrays(), right.to_arrays()
+    assert left.keys() == right.keys()
+    for name, array in left.items():
+        assert array.dtype == right[name].dtype
+        np.testing.assert_array_equal(array, right[name])
+
+
+class TestFrameBytes:
+    """Frames are the bytes the ``BytesIO`` + ``write_array`` writer made,
+    whether the kernel takes a frame in one ``writev`` or in many."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SEGMENTS))
+    def test_segment_frame_matches_oracle(self, tmp_path, name):
+        segment = ORACLE_SEGMENTS[name]
+        wal = TableWal(tmp_path, "cam")
+        wal.log_segment(segment)
+        wal.close()
+        log = wal_dir(tmp_path, "cam") / "log-0.wal"
+        assert log.read_bytes() == segment_frame(segment)
+        (record,) = TableWal(tmp_path, "cam").records()
+        assert_segments_equal(record["segment"], segment)
+
+    def test_marker_frames_match_oracle(self, tmp_path):
+        wal = TableWal(tmp_path, "cam")
+        wal.log_drop(2)
+        wal.log_retention({"max_rows": 5, "max_age": None,
+                           "timestamp_column": "horodatage"})
+        wal.log_detach()
+        wal.close()
+        assert (wal_dir(tmp_path, "cam") / "log-0.wal").read_bytes() == (
+            oracle_frame({"type": "drop", "rows": 2}, {})
+            + oracle_frame({"type": "retention",
+                            "policy": {"max_rows": 5, "max_age": None,
+                                       "timestamp_column": "horodatage"}},
+                           {})
+            + oracle_frame({"type": "detach"}, {}))
+
+    def test_short_writes_complete_the_frame(self, tmp_path, monkeypatch):
+        calls = []
+
+        def short_writev(fd, buffers):
+            chunk = b"".join(bytes(buffer) for buffer in buffers)[:1000]
+            calls.append(len(chunk))
+            return os.write(fd, chunk)
+
+        wal = TableWal(tmp_path, "cam")
+        monkeypatch.setattr(os, "writev", short_writev)
+        segments = [ORACLE_SEGMENTS[name] for name in sorted(ORACLE_SEGMENTS)]
+        for segment in segments:
+            wal.log_segment(segment)
+        wal.close()
+        assert len(calls) > 2 * len(segments)
+        assert max(calls) <= 1000
+        log = wal_dir(tmp_path, "cam") / "log-0.wal"
+        assert log.read_bytes() == b"".join(map(segment_frame, segments))
+        records = list(TableWal(tmp_path, "cam").records())
+        for record, segment in zip(records, segments, strict=True):
+            assert_segments_equal(record["segment"], segment)
+
+    def test_decoded_arrays_are_read_only(self, tmp_path):
+        wal = TableWal(tmp_path, "cam")
+        wal.log_segment(ORACLE_SEGMENTS["images_unicode_bool"])
+        wal.close()
+        (record,) = TableWal(tmp_path, "cam").records()
+        for name, array in record["segment"].to_arrays().items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+
+class TestFailedAppend:
+    """An append that fails leaves the log as it was before the frame and
+    refuses later appends until the table is reopened."""
+
+    @pytest.mark.parametrize("failure", ["torn_writev", "fsync"])
+    def test_failed_append_is_cut_off_and_poisons(self, tmp_path,
+                                                   monkeypatch, failure):
+        wal = TableWal(tmp_path, "cam")
+        wal.log_segment(make_segment([1.0, 2.0]))
+        wal.log_drop(1)
+        log = wal_dir(tmp_path, "cam") / "log-0.wal"
+        intact = log.read_bytes()
+        sizes = []  # the log's size when the fault strikes
+
+        def torn_writev(fd, buffers):
+            # Half the frame reaches the file, then the device is full.
+            frame = b"".join(bytes(buffer) for buffer in buffers)
+            os.write(fd, frame[:len(frame) // 2])
+            sizes.append(os.fstat(fd).st_size)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def failing_fsync(fd):
+            sizes.append(os.fstat(fd).st_size)
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        with monkeypatch.context() as patch:
+            if failure == "torn_writev":
+                patch.setattr(os, "writev", torn_writev)
+            else:
+                patch.setattr(os, "fsync", failing_fsync)
+            with pytest.raises(OSError):
+                wal.log_segment(make_segment([3.0]))
+        # The failed frame reached the file, and was cut back off it.
+        assert sizes and sizes[0] > len(intact)
+        assert log.read_bytes() == intact
+        with pytest.raises(RuntimeError, match="failed an append"):
+            wal.log_drop(1)
+        with pytest.raises(RuntimeError, match="failed an append"):
+            wal.log_retention(None)
+        assert log.read_bytes() == intact
+        assert wal.record_count() == 2
+        wal.close()
+
+        reopened = TableWal(tmp_path, "cam")
+        records = list(reopened.records())
+        assert [r["type"] for r in records] == ["segment", "drop"]
+        np.testing.assert_array_equal(
+            records[0]["segment"].metadata["timestamp"], [1.0, 2.0])
+        reopened.log_drop(2)
+        reopened.close()
+        assert [r.get("rows") for r in TableWal(tmp_path, "cam").records()] \
+            == [2, 1, 2]
 
 
 class TestEnableWal:

@@ -507,6 +507,29 @@ class TestSessionValidation:
         assert session.handle(
             {"cmd": "close_cursor", "cursor": cursor}) == {"closed": True}
 
+    def test_cursor_cap_refuses_only_a_result_that_would_park(self,
+                                                               paged_db):
+        session = Session(paged_db, AdmissionController())
+        wide = {"cmd": "execute", "sql": "SELECT image_id FROM cam_wide"}
+        for _ in range(MAX_CURSORS):
+            assert session.handle(wide)["cursor"] is not None
+        # Results that fit in the first page park nothing, so the cap does
+        # not stand in their way.
+        short = session.handle(
+            {"cmd": "execute", "sql": "SELECT image_id FROM cam_wide LIMIT 1"})
+        assert short["cursor"] is None
+        assert short["values"] == [(0,)]
+        one_page = session.handle(
+            {"cmd": "execute", "sql": "SELECT image_id FROM cam_wide "
+                                      f"LIMIT {DEFAULT_FETCH_SIZE}"})
+        assert one_page["cursor"] is None
+        assert one_page["rowcount"] == DEFAULT_FETCH_SIZE
+        with pytest.raises(ProtocolError,
+                           match=f"{MAX_CURSORS} open cursors"):
+            session.handle(wide)
+        assert session.handle({"cmd": "stats"})["open_cursors"] \
+            == MAX_CURSORS
+
     def test_null_timeout_falls_back_to_default(self, db):
         session = Session(db, AdmissionController(), default_timeout=1e-6)
         with pytest.raises(QueryTimeoutError):
