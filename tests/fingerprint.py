@@ -22,7 +22,11 @@ database returns with them.
   fresh frames each, from one fixed seed): the selected image ids with their
   ``__table__`` and ``contains_*`` columns (every column of an aggregate's
   groups), ``images_classified`` and the ``cascades_used`` names, all as
-  plain text.
+  plain text;
+* ``transforms`` — ``apply_batch`` over one fixed generated batch for every
+  spec of the SMOKE and DEFAULT transform grids, the batch rendered at the
+  scale's ``image_size`` (so each grid has native specs and area
+  downsamples).
 
 Floats are hashed byte for byte: a change that moves any number by one ulp
 changes its digest.  ``tests/test_fingerprint.py`` compares the suite's
@@ -86,6 +90,10 @@ DB_QUERIES = {
 DB_SCENARIOS = ("archive", "ongoing")
 DB_FRAMES_PER_TABLE = 256
 DB_SEED = 2024
+
+#: The transforms group's batch: frames per scale and the seed they render from.
+TRANSFORM_FRAMES = 12
+TRANSFORM_SEED = 7
 
 VIDEO_CONFIG = VideoStreamConfig(
     name="fingerprint", category_name="scorpion", n_frames=24, frame_size=16,
@@ -226,10 +234,24 @@ def _db_facts(workspace) -> dict[str, str]:
     return facts
 
 
+def _transform_facts() -> dict[str, str]:
+    from repro.experiments.presets import DEFAULT_SCALE, SMOKE_SCALE
+
+    facts: dict[str, str] = {}
+    categories = tuple(get_category(name) for name in CORPUS_CATEGORIES)
+    for scale in (SMOKE_SCALE, DEFAULT_SCALE):
+        batch = generate_corpus(categories, TRANSFORM_FRAMES, scale.image_size,
+                                rng=np.random.default_rng(TRANSFORM_SEED)).images
+        for spec in scale.transforms():
+            facts[f"{scale.name}/{spec.name}"] = _digest(spec.apply_batch(batch))
+    return facts
+
+
 def collect(workspace) -> dict[str, dict[str, str]]:
     """Every fact group for ``workspace`` (the SMOKE_SCALE workspace)."""
     return {"data": _data_facts(workspace.scale), "nn": _nn_facts(workspace),
-            "core": _core_facts(workspace), "db": _db_facts(workspace)}
+            "core": _core_facts(workspace), "db": _db_facts(workspace),
+            "transforms": _transform_facts()}
 
 
 def first_difference(expected: dict[str, dict[str, str]],
