@@ -2,7 +2,9 @@
 
 The lint covers every module whose code calls ``os.fsync``
 (:func:`durability_modules`; today the WAL and checkpoint code,
-:mod:`repro.db.wal` and :mod:`repro.db.persistence`).  They keep four
+:mod:`repro.db.wal` and :mod:`repro.db.persistence`, and the predicate
+repository writer a checkpoint calls, :mod:`repro.core.persistence`).
+They keep four
 ordering invariants, all of them easy to silently regress because every
 test passes without them — they only matter across a power loss:
 

@@ -13,6 +13,7 @@ from repro.core.cascade import Cascade, CascadeBuilder
 from repro.core.model import TrainedModel
 from repro.core.spec import ArchitectureSpec, ModelSpec
 from repro.core.thresholds import DecisionThresholds
+from repro.costs.profiler import SOURCE_CHANNELS
 from repro.transforms.spec import TransformSpec
 
 __all__ = ["baseline_model_specs", "build_baseline_cascades", "is_full_representation"]
@@ -20,8 +21,8 @@ __all__ = ["baseline_model_specs", "build_baseline_cascades", "is_full_represent
 
 def is_full_representation(transform: TransformSpec, source_resolution: int) -> bool:
     """Whether ``transform`` is the untransformed full-size, full-color input."""
-    return (transform.resolution == source_resolution
-            and transform.color_mode == "rgb")
+    return transform.is_native((source_resolution, source_resolution,
+                                SOURCE_CHANNELS))
 
 
 def baseline_model_specs(architectures: list[ArchitectureSpec],

@@ -20,6 +20,7 @@ from the saved model pool and thresholds on load, which takes milliseconds.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -123,8 +124,18 @@ def _rebuild_network(model_meta: dict):
     return network, None, transform
 
 
+def _fsync(path: Path) -> None:
+    """Flush one file's bytes, or one directory's entries, to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def save_optimizer(optimizer: TahomaOptimizer, root: str | Path,
-                   reference_params: dict | None = None) -> Path:
+                   reference_params: dict | None = None, *,
+                   durable: bool = False) -> Path:
     """Persist an initialized optimizer to ``root``.
 
     Parameters
@@ -138,6 +149,14 @@ def save_optimizer(optimizer: TahomaOptimizer, root: str | Path,
         ``blocks_per_stage``, ``dense_units``) used to build the reference
         network, needed to re-instantiate it on load.  Required when the
         optimizer has a reference model built with non-default parameters.
+    durable:
+        Flush every file written, and the directory entries naming them
+        (``root``'s own entry in its parent too), to disk before returning —
+        so a database checkpoint can name ``root`` in a manifest that must
+        never reference bytes the page cache could still lose.
+
+    Files are written in place: a caller that must not tear a repository
+    a manifest already names writes into a fresh ``root``.
     """
     if optimizer.cache is None:
         raise ValueError("optimizer is not initialized; nothing to save")
@@ -171,6 +190,11 @@ def save_optimizer(optimizer: TahomaOptimizer, root: str | Path,
         },
     }
     (root / "repository.json").write_text(json.dumps(payload))
+    if durable:
+        for path in weights_dir.iterdir():
+            _fsync(path)
+        for path in (root / "repository.json", weights_dir, root, root.parent):
+            _fsync(path)
     return root
 
 

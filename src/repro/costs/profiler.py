@@ -130,9 +130,8 @@ class CostProfiler:
         """Seconds to produce the representation ``spec`` from the source image."""
         if not self.scenario.include_transform:
             return 0.0
-        is_identity = (spec.resolution == self.source_resolution
-                       and spec.color_mode == "rgb")
-        if is_identity:
+        if spec.is_native((self.source_resolution, self.source_resolution,
+                           SOURCE_CHANNELS)):
             return 0.0
         values_touched = (self.source_values() + spec.num_values) * self._area_scale
         return self.device.transform_time(values_touched)

@@ -10,7 +10,9 @@ between queries:
 * a **shared, persistent** :class:`~repro.storage.store.RepresentationStore`
   holding full-corpus input representations, so a representation computed for
   one predicate (or one query) is reused by every later cascade level,
-  predicate and query that consumes the same representation.
+  predicate and query that consumes the same representation.  The native
+  representation (RGB at the frames' own resolution) is never stored: the
+  frames already are it.
 
 Plans come from :class:`~repro.db.planner.QueryPlanner`; the executor never
 chooses cascades or orders predicates itself.
@@ -969,10 +971,14 @@ class QueryExecutor:
                              materialize: bool) -> None:
         """Bring ``snap.reps[spec.name]`` to snapshot length, or stay lazy.
 
-        The one place a query resolves a representation, hence where
-        ``repro_store_hits_total`` (a stored array is used) and
+        The one place a query resolves a representation.  A native spec
+        (:meth:`~repro.transforms.spec.TransformSpec.is_native`) resolves to
+        the snapshot's frames themselves — no transform, no copy, nothing
+        for the merge to store or for the budget and checkpoints to pay —
+        and is not a store access.  Every other spec counts
+        ``repro_store_hits_total`` (a stored array is used) or
         ``repro_store_misses_total`` (none is, so the transform runs at
-        query time) are counted.  A captured array shorter than the snapshot
+        query time).  A captured array shorter than the snapshot
         (rows ingested since it was built) is topped up by transforming just
         the missing tail.  A missing one is built snapshot-wide only when
         ``materialize`` — and then registered at merge time, so ONGOING
@@ -982,6 +988,9 @@ class QueryExecutor:
         merge writes them back shift-adjusted; the shared store is never
         touched mid-query.
         """
+        if spec.is_native(snap.images.shape[1:]):
+            snap.reps[spec.name] = snap.images
+            return
         array = snap.reps.get(spec.name)
         if array is not None:
             self._store_hits.inc()

@@ -2,13 +2,13 @@
 
 Built on :mod:`repro.core.persistence` (the per-predicate model repository),
 plus a database-level manifest carrying the deployment scenario, device
-profile and the table catalog.  Layout (format version 6)::
+profile and the table catalog.  Layout (format version 7)::
 
     <root>/
       database.json            # manifest: scenario, device, predicates,
                                # store budget, per-table entries, WAL state
-      predicates/<name>/       # one model repository per predicate
-        repository.json
+      predicates/<name>/ckpt-<k>/  # the predicate's model repository,
+        repository.json            # version k (manifest-referenced)
         weights/*.npz
       tables/<table>/ckpt-<k>/ # table image version k (manifest-referenced)
         corpus.npz             # images + metadata + content
@@ -27,9 +27,11 @@ classified before the save.  Representation arrays are persisted per table
 (newest write first, up to a byte cap), so a reload *warm-starts*: queries load
 representation bytes instead of re-transforming the corpus.  Arrays that
 were evicted or fell over the cap are simply recomputed on demand — results
-are unaffected.
+are unaffected.  The native representation (RGB at a table's own frame
+size) is never an array of the store — the frames already are it — so a
+native entry or registration found in a save is dropped on load.
 
-Format 6 is the durability format: :func:`save_database` captures each
+The durability format: :func:`save_database` captures each
 table — corpus, labels, id offset *and* representation arrays — in one hold
 of its shard lock (a save taken under live server traffic is internally
 consistent, row for row), and a save into a WAL-enabled database's own root
@@ -47,14 +49,23 @@ its table files into a fresh ``tables/<table>/ckpt-<k>/`` directory (for a
 checkpoint, fsynced before the manifest moves), the manifest — itself
 written atomically (temp file + ``os.replace``) — references that version,
 and only once the new manifest is durably in place are the superseded image
-directories and absorbed WAL generations deleted.  A crash at any point
-mid-checkpoint therefore leaves the previous manifest pointing at its own
-intact image files and at a generation floor whose logs are still on disk.
+directories and absorbed WAL generations deleted.  Predicate repositories
+follow the same protocol in ``predicates/<name>/ckpt-<k>/``, with one
+difference: a checkpoint writes a repository only when the predicate's
+registration changed since the last checkpoint under that root (or the load
+that read it) made one durable, and otherwise names that directory again —
+trained weights never change, so a steady-state checkpoint touches nothing
+under ``predicates/``.  A crash at any point mid-checkpoint therefore
+leaves the previous manifest pointing at its own intact image files and
+repositories and at a generation floor whose logs are still on disk.
 
 Exactly one format is read: the one written.  :func:`load_database`
 raises ``ValueError("unsupported database format …")`` for any other
 ``format_version``, naming the version it found and the last commit whose
-checkout still reads it.  Format 5 differs from 6 only in keys that always
+checkout still reads it.  Format 6 differs from 7 only in where a
+predicate's repository lives (``predicates/<name>/`` itself, rewritten in
+place by every save, against a ``repository`` directory each predicate
+entry names).  Format 5 differs from 6 only in keys that always
 held one value: the scenario's compression flag and every representation
 spec's interpolation mode (in ``registered_specs``, ``store_arrays`` and the
 predicate repositories, whose own format went 1 → 2, gaining the training
@@ -93,7 +104,7 @@ if TYPE_CHECKING:
 __all__ = ["save_database", "load_database", "Durability",
            "DEFAULT_STORE_BYTES_CAP"]
 
-_FORMAT_VERSION = 6
+_FORMAT_VERSION = 7
 
 _MANIFEST_FILE = "database.json"
 _PREDICATES_DIR = "predicates"
@@ -211,34 +222,41 @@ def _load_store_arrays(executor, table_dir: Path, entries: list[dict]) -> None:
         return
     path = table_dir / _STORE_FILE
     n = len(executor.corpus)
+    frame_shape = executor.corpus.images.shape[1:]
     with np.load(path, allow_pickle=False) as archive:
         # Oldest write first, so the store's write order (and with it the
         # byte-budget eviction order) after the load mirrors the save's.
         for index in reversed(range(len(entries))):
+            spec = transform_from_dict(entries[index]["spec"])
+            if spec.is_native(frame_shape):
+                continue  # a copy of the frames: queries read them instead
             array = archive[f"rep_{index}"]
             if array.shape[0] > n:  # shorter is a stale array: topped up lazily
                 raise _corrupt(path, array.shape[0], n)
-            executor.store.add(transform_from_dict(entries[index]["spec"]),
-                               array)
+            executor.store.add(spec, array)
 
 
 # -- versioned table images ------------------------------------------------------
 def _next_image_version(root: Path) -> int:
-    """First unused ``ckpt-<k>`` version number across every table dir.
+    """First unused ``ckpt-<k>`` version number across every table and
+    predicate dir.
 
-    Table files are never overwritten in place: each save writes a *new*
-    ``tables/<table>/ckpt-<k>/`` directory and the still-live previous
-    manifest keeps pointing at its own, untouched files until the new
-    manifest is durably in place.  One shared counter for the whole catalog
-    keeps a save's image directories aligned across tables.
+    Table files and repositories are never overwritten in place: a save
+    writes a *new* ``tables/<table>/ckpt-<k>/`` (or ``predicates/<name>/
+    ckpt-<k>/``) directory and the still-live previous manifest keeps
+    pointing at its own, untouched files until the new manifest is durably
+    in place.  One shared counter for the whole root keeps a save's
+    directories aligned.
     """
     version = 0
-    tables_dir = root / _TABLES_DIR
-    if tables_dir.is_dir():
-        for table_dir in tables_dir.iterdir():
-            if not table_dir.is_dir():
+    for kind in (_TABLES_DIR, _PREDICATES_DIR):
+        parent = root / kind
+        if not parent.is_dir():
+            continue
+        for owner_dir in parent.iterdir():
+            if not owner_dir.is_dir():
                 continue
-            for child in table_dir.iterdir():
+            for child in owner_dir.iterdir():
                 match = _IMAGE_DIR_RE.match(child.name)
                 if match:
                     version = max(version, int(match.group(1)) + 1)
@@ -264,28 +282,28 @@ def _fsync_image_dir(directory: Path) -> None:
     fsync_dir(directory.parent)
 
 
-def _prune_stale_images(root: Path, tables: list[dict]) -> None:
-    """Delete table images the just-written manifest no longer references.
+def _prune_stale_images(parent: Path, referenced: dict[str, str]) -> None:
+    """Delete the ``ckpt-<k>`` directories under ``parent`` (``tables/`` or
+    ``predicates/``) the just-written manifest no longer references.
 
-    Called only *after* the new manifest is durably in place: superseded
-    ``ckpt-<k>`` directories and the directories of tables absent from the
-    manifest (detached) all go.
+    ``referenced`` maps each owner (table or predicate) to the relative
+    directory the manifest names for it.  Called only *after* the new
+    manifest is durably in place: superseded versions and the directories of
+    owners absent from the manifest (detached tables) all go.
     """
-    referenced = {entry["name"]: Path(entry["table_dir"]).name
-                  for entry in tables}
-    tables_dir = root / _TABLES_DIR
-    if not tables_dir.is_dir():
+    keep = {name: Path(relative).name for name, relative in referenced.items()}
+    if not parent.is_dir():
         return
-    for table_dir in tables_dir.iterdir():
-        if not table_dir.is_dir():
+    for owner_dir in parent.iterdir():
+        if not owner_dir.is_dir():
             continue
-        keep = referenced.get(table_dir.name)
-        if keep is None:
-            shutil.rmtree(table_dir, ignore_errors=True)
+        kept = keep.get(owner_dir.name)
+        if kept is None:
+            shutil.rmtree(owner_dir, ignore_errors=True)
             continue
-        for child in table_dir.iterdir():
+        for child in owner_dir.iterdir():
             if (child.is_dir() and _IMAGE_DIR_RE.match(child.name)
-                    and child.name != keep):
+                    and child.name != kept):
                 shutil.rmtree(child, ignore_errors=True)
 
 
@@ -305,10 +323,12 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
     generation at capture time (mutations racing the save land in the new
     generation), the manifest records the generation floor, and the absorbed
     generations are pruned once the manifest is durably in place.  Table
-    files always land in a fresh ``ckpt-<k>`` image directory (fsynced, for
-    a checkpoint, before the manifest is replaced), never over the previous
-    save's files — a crash at any point leaves the old manifest's image and
-    logs untouched, so the database stays recoverable.
+    files and predicate repositories always land in a fresh ``ckpt-<k>``
+    directory (fsynced, for a checkpoint, before the manifest is replaced),
+    never over the previous save's files — a crash at any point leaves the
+    old manifest's image, repositories and logs untouched, so the database
+    stays recoverable.  A checkpoint rewrites no repository whose
+    registration is unchanged since the last durable one under ``root``.
 
     :data:`DEFAULT_STORE_BYTES_CAP` bounds the on-disk bytes spent on
     representation arrays across all tables; materialized labels and corpora
@@ -320,10 +340,19 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
     checkpointing = (durability.root is not None
                      and durability.root.resolve() == root.resolve())
 
-    names = db.predicates()
-    for name in names:
-        save_optimizer(registry.optimizers[name], root / _PREDICATES_DIR / name,
-                       reference_params=registry.reference_params[name])
+    image_version = _next_image_version(root)
+    repositories = {}
+    for name in db.predicates():
+        optimizer = registry.optimizers[name]
+        durable = durability.repositories.get(name) if checkpointing else None
+        if durable is not None and durable[0] is optimizer:
+            repositories[name] = durable[1]
+            continue
+        relative_dir = f"{_PREDICATES_DIR}/{name}/ckpt-{image_version}"
+        save_optimizer(optimizer, root / relative_dir,
+                       reference_params=registry.reference_params[name],
+                       durable=checkpointing)
+        repositories[name] = relative_dir
 
     # The arrays are immutable by convention, so everything after the
     # captures — cap selection, serialization — happens lock-free.
@@ -332,7 +361,6 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
         images[table] = db.executor_for(table).capture_image(
             checkpoint=checkpointing)
     selected_arrays = _select_store_arrays(images)
-    image_version = _next_image_version(root)
     tables = []
     for table, image in images.items():
         # A fresh image directory per save: the previous manifest's files
@@ -377,8 +405,9 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
         "calibrate_target_fps": registry.calibrate_target_fps,
         "default_constraints": asdict(db.default_constraints),
         "predicates": [{"name": name,
-                        "reference_params": registry.reference_params[name]}
-                       for name in names],
+                        "reference_params": registry.reference_params[name],
+                        "repository": relative_dir}
+                       for name, relative_dir in repositories.items()],
         "store": {"byte_budget": db.store_budget},
         "tables": tables,
         "wal": {"enabled": checkpointing},
@@ -396,11 +425,16 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
         fsync_dir(root)
 
     # Only after the manifest is in place: drop whatever it superseded —
-    # previous image versions, absorbed WAL generations, and the files of
-    # tables since detached.
-    _prune_stale_images(root, tables)
+    # previous image and repository versions, absorbed WAL generations, and
+    # the files of tables since detached.
+    _prune_stale_images(root / _TABLES_DIR,
+                        {entry["name"]: entry["table_dir"] for entry in tables})
+    _prune_stale_images(root / _PREDICATES_DIR, repositories)
     if checkpointing:
         durability.checkpoints += 1
+        durability.repositories = {
+            name: (registry.optimizers[name], relative_dir)
+            for name, relative_dir in repositories.items()}
         for table, image in images.items():
             wal = db.executor_for(table).wal
             if wal is not None and image.wal_generation is not None:
@@ -436,8 +470,9 @@ def load_database(root: str | Path) -> VisualDatabase:
         raise ValueError(
             f"unsupported database format {version!r}: only format "
             f"{_FORMAT_VERSION} is read; to keep an older directory, open "
-            f"it from a checkout of commit 9334799, the last one that reads "
-            f"format 5 (2c4153f for format 4, f60db2e for formats 1-3)")
+            f"it from a checkout of commit 576884f, the last one that reads "
+            f"format 6 (9334799 for format 5, 2c4153f for format 4, f60db2e "
+            f"for formats 1-3)")
 
     from repro.db.database import VisualDatabase
 
@@ -455,7 +490,7 @@ def load_database(root: str | Path) -> VisualDatabase:
 
     for entry in manifest["predicates"]:
         db.register_optimizer(
-            entry["name"], load_optimizer(root / _PREDICATES_DIR / entry["name"]),
+            entry["name"], load_optimizer(root / entry["repository"]),
             reference_params=entry["reference_params"])
 
     for entry in manifest["tables"]:
@@ -468,8 +503,11 @@ def load_database(root: str | Path) -> VisualDatabase:
             executor.set_retention(
                 RetentionPolicy.from_dict(entry["retention"]))
         executor.id_offset = int(entry["id_offset"])
+        frame_shape = executor.corpus.images.shape[1:]
         for spec_entry in entry["registered_specs"]:
-            executor.store.register(transform_from_dict(spec_entry))
+            spec = transform_from_dict(spec_entry)
+            if not spec.is_native(frame_shape):
+                executor.store.register(spec)
         table_dir = root / entry["table_dir"]
         _load_materialized(executor, table_dir, entry["materialized"])
         _load_store_arrays(executor, table_dir, entry["store_arrays"])
@@ -483,13 +521,17 @@ def load_database(root: str | Path) -> VisualDatabase:
 class Durability:
     """One database's write-ahead-log lifecycle: ``root`` holds the journals
     and checkpoints (``None`` = durability off), ``checkpoints`` counts those
-    taken, and each table's :class:`~repro.db.wal.TableWal` is armed and
-    released here as tables come and go."""
+    taken, ``repositories`` maps each predicate to ``(optimizer, directory
+    under root)`` of its last durable repository (what the next checkpoint
+    names again instead of rewriting), and each table's
+    :class:`~repro.db.wal.TableWal` is armed and released here as tables
+    come and go."""
 
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
         self.root: Path | None = None
         self.checkpoints = 0
+        self.repositories: dict[str, tuple] = {}
 
     def stats(self) -> dict:
         return {"wal_enabled": self.root is not None,
@@ -512,6 +554,7 @@ class Durability:
             for name in self.catalog.tables():
                 self.release(name, tombstone=False)
             self.root = None
+            self.repositories = {}
             raise
 
     def checkpoint(self, db: VisualDatabase) -> Path:
@@ -559,7 +602,12 @@ class Durability:
         from its manifest generation floor (journals are per shard and
         self-contained).  An ``attach`` record brings back a table attached
         after the checkpoint, a ``detach`` tombstone drops one again; the
-        journals are armed only after replay, so replay never re-journals."""
+        journals are armed only after replay, so replay never re-journals.
+        The repositories the manifest names are durable: the next checkpoint
+        names them again."""
+        self.repositories = {
+            entry["name"]: (db.optimizer(entry["name"]), entry["repository"])
+            for entry in manifest["predicates"]}
         generation_floor = {entry["name"]: int(entry.get("wal_generation", 0))
                             for entry in manifest["tables"]}
         for table in wal_tables(root):

@@ -76,13 +76,21 @@ class TransformSpec:
         """Stable human-readable identifier, e.g. ``60x60-gray``."""
         return f"{self.resolution}x{self.resolution}-{self.color_mode}"
 
+    def is_native(self, frame_shape: tuple[int, ...]) -> bool:
+        """Whether this representation *is* frames of HWC ``frame_shape``:
+        RGB at the frames' own resolution, so producing it transforms
+        nothing.  The one definition of "native" — the cost model prices it
+        at zero and the query engine reads the frames in its place."""
+        return self.color_mode == "rgb" and tuple(frame_shape) == self.shape
+
     # -- application ---------------------------------------------------------
     def apply(self, image: np.ndarray) -> np.ndarray:
         # shape: (..., H, W, C) -> (..., R, R, C')
         """Transform one HWC image (or an NHWC batch) into this representation.
 
-        Always a fresh array: at native resolution ``to_color_mode`` makes
-        the one copy.
+        Always a fresh array: for a native spec (:meth:`is_native`)
+        ``to_color_mode`` still makes one copy, which is why the query
+        engine never calls this for one and reads the frames instead.
         """
         if image.shape[-3:-1] != (self.resolution, self.resolution):
             image = resize(image, self.resolution)

@@ -885,13 +885,13 @@ class TestFormatCompatibility:
     def test_unknown_format_rejected(self, tmp_path):
         # One format is read: the one written.  Older layouts (1: single
         # corpus, 2: multi-table, 3: retention, no WAL, 4: WAL records as a
-        # JSON line plus an array file, 5: one-value scenario and spec keys)
-        # and newer ones are refused alike, and the message says which
-        # version was found.
+        # JSON line plus an array file, 5: one-value scenario and spec keys,
+        # 6: predicate repositories rewritten in place) and newer ones are
+        # refused alike, and the message says which version was found.
         database = connect({"cam": timed_corpus([0.0])})
         root = database.save(tmp_path / "vdb")
         manifest = self._manifest(root)
-        for version in (1, 2, 3, 4, 5, 99):
+        for version in (1, 2, 3, 4, 5, 6, 99):
             manifest["format_version"] = version
             (root / "database.json").write_text(json.dumps(manifest))
             with pytest.raises(
@@ -899,18 +899,21 @@ class TestFormatCompatibility:
                     match=rf"unsupported database format {version}\b"):
                 VisualDatabase.load(root)
 
-    def test_written_manifest_is_the_v6_contract(self, tmp_path):
+    def test_written_manifest_is_the_v7_contract(self, tmp_path,
+                                                 fresh_optimizer):
         # The loader reads exactly what the writer writes, so the writer's
         # key sets are the on-disk contract: a writer change shows up here
         # as a diff, and directories written by earlier commits keep loading
         # for as long as these lists do not move.
         database = connect({"cam": timed_corpus([0.0, 1.0, 2.0])},
                            retention={"cam": RetentionPolicy(max_rows=8)})
+        database.register_optimizer("komondor",
+                                    fresh_optimizer(with_reference=False))
         database.ingest(*_batch([3.0]), table="cam")
         database.executor_for("cam").store.register(TransformSpec(8, "gray"))
         root = database.save(tmp_path / "vdb")
         manifest = self._manifest(root)
-        assert manifest["format_version"] == 6
+        assert manifest["format_version"] == 7
         assert sorted(manifest) == [
             "calibrate_target_fps", "cost_resolution", "default_constraints",
             "device", "device_calibrated", "format_version", "predicates",
@@ -927,6 +930,9 @@ class TestFormatCompatibility:
             {"resolution": 8, "color_mode": "gray"}]
         assert manifest["wal"] == {"enabled": False}
         assert manifest["store"] == {"byte_budget": None}
+        [predicate] = manifest["predicates"]
+        assert sorted(predicate) == ["name", "reference_params", "repository"]
+        assert predicate["repository"] == "predicates/komondor/ckpt-0"
 
         loaded = VisualDatabase.load(root)
         assert table_state(loaded) == table_state(database)
