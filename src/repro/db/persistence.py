@@ -31,7 +31,7 @@ are unaffected.  The native representation (RGB at a table's own frame
 size) is never an array of the store — the frames already are it — so a
 native entry or registration found in a save is dropped on load.
 
-The durability format: :func:`save_database` captures each
+Durability: :func:`save_database` captures each
 table — corpus, labels, id offset *and* representation arrays — in one hold
 of its shard lock (a save taken under live server traffic is internally
 consistent, row for row), and a save into a WAL-enabled database's own root
@@ -343,13 +343,13 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
     image_version = _next_image_version(root)
     repositories = {}
     for name in db.predicates():
-        optimizer = registry.optimizers[name]
-        durable = durability.repositories.get(name) if checkpointing else None
-        if durable is not None and durable[0] is optimizer:
-            repositories[name] = durable[1]
+        # A registration never changes once made, so a repository a
+        # checkpoint made durable under this root serves every later one.
+        if checkpointing and name in durability.repositories:
+            repositories[name] = durability.repositories[name]
             continue
         relative_dir = f"{_PREDICATES_DIR}/{name}/ckpt-{image_version}"
-        save_optimizer(optimizer, root / relative_dir,
+        save_optimizer(registry.optimizers[name], root / relative_dir,
                        reference_params=registry.reference_params[name],
                        durable=checkpointing)
         repositories[name] = relative_dir
@@ -427,14 +427,12 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
     # Only after the manifest is in place: drop whatever it superseded —
     # previous image and repository versions, absorbed WAL generations, and
     # the files of tables since detached.
-    _prune_stale_images(root / _TABLES_DIR,
-                        {entry["name"]: entry["table_dir"] for entry in tables})
+    _prune_stale_images(root / _TABLES_DIR, {entry["name"]: entry["table_dir"]
+                                             for entry in tables})
     _prune_stale_images(root / _PREDICATES_DIR, repositories)
     if checkpointing:
         durability.checkpoints += 1
-        durability.repositories = {
-            name: (registry.optimizers[name], relative_dir)
-            for name, relative_dir in repositories.items()}
+        durability.repositories = repositories
         for table, image in images.items():
             wal = db.executor_for(table).wal
             if wal is not None and image.wal_generation is not None:
@@ -521,9 +519,9 @@ def load_database(root: str | Path) -> VisualDatabase:
 class Durability:
     """One database's write-ahead-log lifecycle: ``root`` holds the journals
     and checkpoints (``None`` = durability off), ``checkpoints`` counts those
-    taken, ``repositories`` maps each predicate to ``(optimizer, directory
-    under root)`` of its last durable repository (what the next checkpoint
-    names again instead of rewriting), and each table's
+    taken, ``repositories`` maps each predicate to the directory (under
+    ``root``) of its durable repository, which the next checkpoint names
+    again instead of rewriting, and each table's
     :class:`~repro.db.wal.TableWal` is armed and released here as tables
     come and go."""
 
@@ -531,7 +529,7 @@ class Durability:
         self.catalog = catalog
         self.root: Path | None = None
         self.checkpoints = 0
-        self.repositories: dict[str, tuple] = {}
+        self.repositories: dict[str, str] = {}
 
     def stats(self) -> dict:
         return {"wal_enabled": self.root is not None,
@@ -605,9 +603,8 @@ class Durability:
         journals are armed only after replay, so replay never re-journals.
         The repositories the manifest names are durable: the next checkpoint
         names them again."""
-        self.repositories = {
-            entry["name"]: (db.optimizer(entry["name"]), entry["repository"])
-            for entry in manifest["predicates"]}
+        self.repositories = {entry["name"]: entry["repository"]
+                             for entry in manifest["predicates"]}
         generation_floor = {entry["name"]: int(entry.get("wal_generation", 0))
                             for entry in manifest["tables"]}
         for table in wal_tables(root):

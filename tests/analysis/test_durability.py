@@ -85,10 +85,10 @@ class TestDetections:
         assert "_append" in finding.message
 
     def test_write_after_prune_detected(self, scratch):
-        _edit(scratch, "db/persistence.py",
-              "    _prune_stale_images(root / _PREDICATES_DIR, repositories)\n",
-              "    _prune_stale_images(root / _PREDICATES_DIR, repositories)\n"
-              "    (root / \"late.json\").write_text(\"{}\")\n")
+        prune = ("    _prune_stale_images(root / _PREDICATES_DIR, "
+                 "repositories)\n")
+        _edit(scratch, "db/persistence.py", prune,
+              prune + "    (root / \"late.json\").write_text(\"{}\")\n")
         findings = check_durability(scratch)
         assert _rules(findings) == {"write-after-prune"}
         assert finding_path(findings) == "db/persistence.py"

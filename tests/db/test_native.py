@@ -61,15 +61,12 @@ def plan_for(evaluation, *metadata):
         (*(MetadataStep(predicate) for predicate in metadata), step)))
 
 
-def assert_brute_force(result, executor, cascade, mask=None):
+def assert_brute_force(ids, executor, cascade, mask=None):
     expected = cascade.classify(executor.corpus.images).astype(bool)
     if mask is not None:
         expected &= mask
-    selected = getattr(result, "selected_indices", None)
-    if selected is None:  # a database ResultSet
-        selected = result.image_ids
     np.testing.assert_array_equal(
-        selected, executor.id_offset + np.flatnonzero(expected))
+        ids, executor.id_offset + np.flatnonzero(expected))
 
 
 @pytest.fixture()
@@ -89,7 +86,8 @@ class TestExecutor:
         derived = derived_specs(evaluation)
         assert executor.store.specs() == derived
         assert executor.store.registered_specs() == derived
-        assert_brute_force(result, executor, evaluation.cascade)
+        assert_brute_force(result.selected_indices, executor,
+                           evaluation.cascade)
 
     def test_ongoing_ingests_store_only_derived_arrays(self, evaluation):
         executor = QueryExecutor(make_corpus(24, seed=77))
@@ -107,7 +105,8 @@ class TestExecutor:
         result = executor.execute(plan)
         assert result.images_classified["komondor"] == 30  # new rows only
         assert NATIVE not in executor.store
-        assert_brute_force(result, executor, evaluation.cascade)
+        assert_brute_force(result.selected_indices, executor,
+                           evaluation.cascade)
 
     def test_budget_spent_on_derived_arrays_only(self, evaluation):
         # The budget fits native plus derived arrays over the seed rows; the
@@ -129,7 +128,8 @@ class TestExecutor:
             executor.ingest(batch.images, metadata=batch.metadata,
                             materialize=True)
             result = executor.execute(plan)
-            assert_brute_force(result, executor, evaluation.cascade)
+            assert_brute_force(result.selected_indices, executor,
+                           evaluation.cascade)
         assert store.evictions == 0
         assert store.specs() == derived
         for spec in derived:
@@ -166,7 +166,8 @@ class TestExecutor:
             mask = executor.relation["location"] == "detroit"
             assert NATIVE not in executor.store
             assert len(executor.store) == 0
-        assert_brute_force(result, executor, evaluation.cascade, mask)
+        assert_brute_force(result.selected_indices, executor,
+                           evaluation.cascade, mask)
 
 
 class TestPersistence:
@@ -218,7 +219,8 @@ class TestPersistence:
             result = loaded.execute(SQL)
             cascade = native_evaluation(loaded.optimizer("komondor"),
                                         loaded.profiler).cascade
-            assert_brute_force(result, loaded.executor_for("images"), cascade)
+            assert_brute_force(result.image_ids,
+                               loaded.executor_for("images"), cascade)
             loaded.checkpoint()
             assert self.stored_specs(root)
             assert NATIVE.name not in self.stored_specs(root)

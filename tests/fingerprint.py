@@ -91,7 +91,7 @@ DB_SCENARIOS = ("archive", "ongoing")
 DB_FRAMES_PER_TABLE = 256
 DB_SEED = 2024
 
-#: The transforms group's batch: frames per scale and the seed they render from.
+#: The transforms group's batch: frames per scale, and their seed.
 TRANSFORM_FRAMES = 12
 TRANSFORM_SEED = 7
 
@@ -240,10 +240,12 @@ def _transform_facts() -> dict[str, str]:
     facts: dict[str, str] = {}
     categories = tuple(get_category(name) for name in CORPUS_CATEGORIES)
     for scale in (SMOKE_SCALE, DEFAULT_SCALE):
-        batch = generate_corpus(categories, TRANSFORM_FRAMES, scale.image_size,
-                                rng=np.random.default_rng(TRANSFORM_SEED)).images
+        rng = np.random.default_rng(TRANSFORM_SEED)
+        batch = generate_corpus(categories, TRANSFORM_FRAMES,
+                                scale.image_size, rng=rng).images
         for spec in scale.transforms():
-            facts[f"{scale.name}/{spec.name}"] = _digest(spec.apply_batch(batch))
+            facts[f"{scale.name}/{spec.name}"] = _digest(
+                spec.apply_batch(batch))
     return facts
 
 
