@@ -72,8 +72,8 @@ def main() -> None:
     print(f"      {len(result)} hits, classified "
           f"{result.images_classified[CATEGORY]} frames; store holds "
           f"{len(store)} representations "
-          f"({store.bytes_stored():,} simulated bytes), registered: "
-          f"{[spec.name for spec in store.registered_specs()]}")
+          f"({store.bytes_stored():,} simulated bytes), extended at ingest: "
+          f"{[spec.name for spec in store.specs()]}")
 
     print("[3/4] ingesting three batches of new frames ...")
     for index in range(3):

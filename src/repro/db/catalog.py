@@ -99,10 +99,10 @@ class Catalog:
             if executor is None:
                 raise KeyError(f"no table {name!r}; "
                                f"attached: {self.tables()}")
-        # Purge outside the membership-critical section: the shard is
+        # Clear outside the membership-critical section: the shard is
         # already invisible, and the store lock is taken without holding
         # the catalog lock on this (detach-only) path.
-        executor.store.purge()
+        executor.store.clear()
 
     # -- lookup ---------------------------------------------------------------
     def tables(self) -> list[str]:

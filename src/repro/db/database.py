@@ -207,7 +207,6 @@ class VisualDatabase:
         self._closed = False
         self._plan_cache = None
         self.default_constraints = default_constraints or UserConstraints()
-        self.store_budget = store_budget
 
         # One registry + tracer per database: every layer beneath (catalog,
         # store, executors, WAL, planner, plan cache) meters onto this
@@ -357,6 +356,12 @@ class VisualDatabase:
 
     # -- catalog ---------------------------------------------------------------
     @property
+    def store_budget(self) -> int | None:
+        """The byte budget the shared representation store enforces
+        (``None`` = unbounded); fixed at construction."""
+        return self._catalog.store.byte_budget
+
+    @property
     def catalog(self) -> Catalog:
         """The table catalog (one executor per attached corpus)."""
         return self._catalog
@@ -432,7 +437,6 @@ class VisualDatabase:
     def ingest(self, images: np.ndarray,
                metadata: dict[str, np.ndarray] | None = None,
                content: dict[str, np.ndarray] | None = None, *,
-               materialize: bool | None = None,
                table: str | None = None) -> np.ndarray:
         """Append new frames to one table — the paper's ONGOING ingest path.
 
@@ -441,11 +445,10 @@ class VisualDatabase:
         state grows incrementally: already-classified rows are never
         re-classified, so a repeated query after ingest pays only for the
         new frames.  Under a scenario that materializes at ingest (ONGOING),
-        every representation the table's store namespace has registered is
-        extended with the new frames now, so queries keep loading
-        representation bytes instead of transforming; other scenarios
-        (ARCHIVE, CAMERA) stay lazy.  ``materialize`` overrides the
-        scenario's policy.
+        every representation the table's store namespace holds is extended
+        with the new frames now, so queries keep loading representation
+        bytes instead of transforming; other scenarios (ARCHIVE, CAMERA)
+        stay lazy.
 
         A zero-row batch is a cheap no-op returning an empty id array.  When
         the table carries a retention policy, the window is enforced after
@@ -454,16 +457,14 @@ class VisualDatabase:
         Returns the new rows' (stable) image ids (within that table).
         """
         self._check_open()
-        if materialize is None:
-            materialize = self.scenario.materializes_on_ingest
         executor = (self.executor if table is None
                     else self.executor_for(table))
         trace = self._tracer.trace("ingest", table=executor.table or "-",
                                    rows=int(len(images)))
         with trace.root as span:
-            return executor.ingest(images, metadata=metadata,
-                                   content=content, materialize=materialize,
-                                   span=span)
+            return executor.ingest(
+                images, metadata=metadata, content=content,
+                materialize=self.scenario.materializes_on_ingest, span=span)
 
     def _default_executor(self) -> QueryExecutor:
         default = self._catalog.default_table()

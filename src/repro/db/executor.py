@@ -94,7 +94,6 @@ class _Snapshot:
     reps: dict[str, np.ndarray]
     dirty_materialized: set[tuple[str, str]] = field(default_factory=set)
     dirty_reps: dict[str, "TransformSpec"] = field(default_factory=dict)
-    registered: list = field(default_factory=list)
     # Per-plan-node execution measurements, keyed by ``id(plan node)``:
     # rows in/out, rows classified, elapsed seconds — accumulated across
     # chunks and surfaced as QueryResult.node_stats (EXPLAIN ANALYZE).
@@ -121,7 +120,6 @@ class TableImage:
     materialized: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
     retention: RetentionPolicy | None
     id_offset: int
-    registered_specs: list
     store_arrays: list
     wal_generation: int | None
 
@@ -265,11 +263,11 @@ class QueryExecutor:
         policy enforces the window (the returned ids are the ones the new
         rows were assigned, whether or not they immediately fall out of
         it); then, with ``materialize=True`` (the ONGOING scenario), every
-        registered representation still in the store is extended by
-        transforming just the rows past its stored prefix — queries then
-        load representation bytes without transforming.  Retention runs
-        first so no dropped row is transformed, and an entry the budget
-        evicted is not rebuilt here (see :meth:`_materialize_tail`).
+        representation the store holds is extended by transforming just the
+        rows past its stored prefix — queries then load representation bytes
+        without transforming.  Retention runs first so no dropped row is
+        transformed, and an entry the budget evicted is not rebuilt here
+        (see :meth:`_materialize_tail`).
         Otherwise (ARCHIVE and friends) stored representations go stale and
         are topped up lazily the next time a query needs them.
 
@@ -297,7 +295,7 @@ class QueryExecutor:
             # path pays the O(window) relation construction exactly once.
             dropped = self.retain()
             if materialize:
-                for spec in self.store.registered_specs():
+                for spec in self.store.specs():
                     self._materialize_tail(spec)
             if dropped == 0:
                 self._rebuild_base_relation()
@@ -466,8 +464,9 @@ class QueryExecutor:
     def clear_cache(self) -> None:
         """Drop materialized virtual columns and stored representations.
 
-        The store's byte budget and ingest-time registrations are
-        kept — only the cached arrays are released.
+        The store's byte budget is kept — only the cached arrays are
+        released, so ONGOING ingest extends nothing until a query stores a
+        representation again.
         """
         with self._lock:
             self._materialized.clear()
@@ -564,19 +563,23 @@ class QueryExecutor:
 
         With ``checkpoint`` the journal rotates *inside* the capture:
         everything before this instant is in the image, everything after
-        lands in the new generation.
+        lands in the new generation.  A native array (one a caller put in
+        the store by hand; queries read the frames themselves) is left
+        out, so no save writes the frames twice.
         """
         with self._lock:
-            corpus, store = self.corpus, self.store
+            corpus = self.corpus
+            images = corpus.images
             return TableImage(
-                images=corpus.images,
+                images=images,
                 metadata=dict(corpus.metadata),
                 content=dict(corpus.content),
                 materialized=dict(self._materialized),
                 retention=self.retention,
                 id_offset=self._id_offset,
-                registered_specs=store.registered_specs(),
-                store_arrays=store.arrays_by_recency(),
+                store_arrays=[(spec, array, rank) for spec, array, rank
+                              in self.store.arrays_by_recency()
+                              if not spec.is_native(images.shape[1:])],
                 wal_generation=(self._wal.rotate()
                                 if checkpoint and self._wal is not None
                                 else None))
@@ -635,8 +638,6 @@ class QueryExecutor:
                 # have raced ahead of this query.
                 if self.store.rows(spec) < usable:
                     self.store.add(spec, array[shift:shift + usable])
-            for spec in snap.registered:
-                self.store.register(spec)
 
     @staticmethod
     def _accumulate(node_stats: dict, node, rows_in: int, rows_out: int,
@@ -981,7 +982,7 @@ class QueryExecutor:
         query time).  A captured array shorter than the snapshot
         (rows ingested since it was built) is topped up by transforming just
         the missing tail.  A missing one is built snapshot-wide only when
-        ``materialize`` — and then registered at merge time, so ONGOING
+        ``materialize`` — and then stored at merge time, so ONGOING
         ingest keeps extending it for future frames; otherwise it stays out
         of ``snap.reps`` and the cascade transforms just the rows reaching
         the level that needs it.  All updates stay in the snapshot until the
@@ -1004,6 +1005,5 @@ class QueryExecutor:
             if not materialize:
                 return
             array = spec.apply_batch(snap.images)
-            snap.registered.append(spec)
         snap.reps[spec.name] = array
         snap.dirty_reps[spec.name] = spec

@@ -2,7 +2,7 @@
 
 Built on :mod:`repro.core.persistence` (the per-predicate model repository),
 plus a database-level manifest carrying the deployment scenario, device
-profile and the table catalog.  Layout (format version 7)::
+profile and the table catalog.  Layout (format version 8)::
 
     <root>/
       database.json            # manifest: scenario, device, predicates,
@@ -20,16 +20,17 @@ profile and the table catalog.  Layout (format version 7)::
 
 A trained database therefore round-trips without retraining: all optimizers,
 the active scenario, every table's corpus (including rows added by
-``db.ingest``), the store's byte budget, ingest-time registrations and
-materialized virtual columns come back — a reloaded database answers the
-same queries with identical results and without re-classifying rows
-classified before the save.  Representation arrays are persisted per table
-(newest write first, up to a byte cap), so a reload *warm-starts*: queries load
-representation bytes instead of re-transforming the corpus.  Arrays that
-were evicted or fell over the cap are simply recomputed on demand — results
-are unaffected.  The native representation (RGB at a table's own frame
-size) is never an array of the store — the frames already are it — so a
-native entry or registration found in a save is dropped on load.
+``db.ingest``), the store's byte budget and materialized virtual columns
+come back — a reloaded database answers the same queries with identical
+results and without re-classifying rows classified before the save.
+Representation arrays are persisted per table (newest write first, up to a
+byte cap), so a reload *warm-starts*: queries load representation bytes
+instead of re-transforming the corpus, and a reloaded ONGOING deployment
+keeps extending at ingest exactly the arrays it got back.  Arrays that were
+evicted or fell over the cap are simply recomputed on demand — results are
+unaffected.  Which arrays a save holds is decided when the table is
+captured (:meth:`~repro.db.executor.QueryExecutor.capture_image` leaves a
+native array out), so a load stores every array it reads.
 
 Durability: :func:`save_database` captures each
 table — corpus, labels, id offset *and* representation arrays — in one hold
@@ -62,12 +63,14 @@ repositories and at a generation floor whose logs are still on disk.
 Exactly one format is read: the one written.  :func:`load_database`
 raises ``ValueError("unsupported database format …")`` for any other
 ``format_version``, naming the version it found and the last commit whose
-checkout still reads it.  Format 6 differs from 7 only in where a
+checkout still reads it.  Format 7 differs from 8 only in each table
+entry's list of registered specs (what ONGOING ingest extended, now the
+store's own entries).  Format 6 differs from 7 only in where a
 predicate's repository lives (``predicates/<name>/`` itself, rewritten in
 place by every save, against a ``repository`` directory each predicate
 entry names).  Format 5 differs from 6 only in keys that always
 held one value: the scenario's compression flag and every representation
-spec's interpolation mode (in ``registered_specs``, ``store_arrays`` and the
+spec's interpolation mode (in table entries and the
 predicate repositories, whose own format went 1 → 2, gaining the training
 settings).  Format 4 differs only under ``wal/`` (a JSON-lines log beside
 one array file per record) and is refused like the rest: read as a later
@@ -104,7 +107,7 @@ if TYPE_CHECKING:
 __all__ = ["save_database", "load_database", "Durability",
            "DEFAULT_STORE_BYTES_CAP"]
 
-_FORMAT_VERSION = 7
+_FORMAT_VERSION = 8
 
 _MANIFEST_FILE = "database.json"
 _PREDICATES_DIR = "predicates"
@@ -222,14 +225,11 @@ def _load_store_arrays(executor, table_dir: Path, entries: list[dict]) -> None:
         return
     path = table_dir / _STORE_FILE
     n = len(executor.corpus)
-    frame_shape = executor.corpus.images.shape[1:]
     with np.load(path, allow_pickle=False) as archive:
         # Oldest write first, so the store's write order (and with it the
         # byte-budget eviction order) after the load mirrors the save's.
         for index in reversed(range(len(entries))):
             spec = transform_from_dict(entries[index]["spec"])
-            if spec.is_native(frame_shape):
-                continue  # a copy of the frames: queries read them instead
             array = archive[f"rep_{index}"]
             if array.shape[0] > n:  # shorter is a stale array: topped up lazily
                 raise _corrupt(path, array.shape[0], n)
@@ -378,8 +378,6 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
             "materialized": _save_materialized(image.materialized, table_dir),
             "store_arrays": _save_store_arrays(selected_arrays[table],
                                                table_dir),
-            "registered_specs": [transform_to_dict(spec)
-                                 for spec in image.registered_specs],
             # The retention window and the stable-id offset (rows ever
             # dropped), so a reloaded sliding window keeps its ids.
             "retention": (image.retention.to_dict()
@@ -468,9 +466,9 @@ def load_database(root: str | Path) -> VisualDatabase:
         raise ValueError(
             f"unsupported database format {version!r}: only format "
             f"{_FORMAT_VERSION} is read; to keep an older directory, open "
-            f"it from a checkout of commit 576884f, the last one that reads "
-            f"format 6 (9334799 for format 5, 2c4153f for format 4, f60db2e "
-            f"for formats 1-3)")
+            f"it from a checkout of commit 765ede0, the last one that reads "
+            f"format 7 (576884f for format 6, 9334799 for format 5, 2c4153f "
+            f"for format 4, f60db2e for formats 1-3)")
 
     from repro.db.database import VisualDatabase
 
@@ -501,11 +499,6 @@ def load_database(root: str | Path) -> VisualDatabase:
             executor.set_retention(
                 RetentionPolicy.from_dict(entry["retention"]))
         executor.id_offset = int(entry["id_offset"])
-        frame_shape = executor.corpus.images.shape[1:]
-        for spec_entry in entry["registered_specs"]:
-            spec = transform_from_dict(spec_entry)
-            if not spec.is_native(frame_shape):
-                executor.store.register(spec)
         table_dir = root / entry["table_dir"]
         _load_materialized(executor, table_dir, entry["materialized"])
         _load_store_arrays(executor, table_dir, entry["store_arrays"])

@@ -18,7 +18,7 @@ journaling each mutation as it happens:
 
 Recovery = load the checkpoint, then replay each table's log tail in order.
 
-Layout (inside a format-6 database directory): one file per generation,
+Layout (inside a format-8 database directory): one file per generation,
 ``wal/<table>/log-<g>.wal``, holding one **frame** per record::
 
     header   magic "RWAL" | body length (u64) | crc32(body) (u32)

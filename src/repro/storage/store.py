@@ -8,12 +8,11 @@ query executor, which takes every array of its table once per snapshot through
 :meth:`arrays_by_recency` (persistence captures a save through the same
 call) — and reading never reorders anything.
 
-Three pieces make the store safe to keep alive for the lifetime of a growing,
-multi-camera database:
+The entries themselves are the ONGOING policy: ingest extends every
+representation the store holds, and nothing else records which ones those
+are.  Two pieces make the store safe to keep alive for the lifetime of a
+growing, multi-camera database:
 
-* a **registration set** — representations a deployment has committed to
-  materializing at ingest time (the ONGOING policy); registration survives
-  :meth:`clear` and persistence, while the arrays themselves may come and go,
 * an optional **byte budget** with least-recently-*written* eviction — every
   :meth:`add` / :meth:`append_rows` makes its entry the newest, and whenever
   stored bytes exceed the budget the entries written longest ago are
@@ -22,8 +21,8 @@ multi-camera database:
   ingest does not — it only extends entries still present, so it never
   rebuilds a window the budget just evicted,
 * **namespaces** — a multi-table catalog gives each table a :meth:`scoped`
-  view of one shared store, so the byte budget is global while arrays, specs
-  and registrations stay per-table.  Budget accounting is namespace-aware:
+  view of one shared store, so the byte budget is global while arrays and
+  specs stay per-table.  Budget accounting is namespace-aware:
   eviction drains the inserting namespace's own oldest entries before
   touching any other namespace, so one hot camera cannot evict every other
   shard's representations.
@@ -82,12 +81,11 @@ class _StoreState:
 
     byte_budget: int | None
     entries: dict[_Key, _Entry] = field(default_factory=dict)  # guarded by: lock
-    registered: dict[_Key, TransformSpec] = field(default_factory=dict)  # guarded by: lock
     # The eviction count lives on the metrics registry (thread-safe on its
     # own lock), so `stats` and `metrics` views can never disagree.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     # Reentrant: public entry points hold it while calling each other
-    # (purge -> clear, add -> _enforce_budget -> total_bytes_stored).
+    # (add -> _enforce_budget -> total_bytes_stored).
     lock: threading.RLock = field(default_factory=lambda: make_rlock("store"))
 
     def __post_init__(self) -> None:
@@ -187,23 +185,6 @@ class RepresentationStore:
             state.entries[key] = state.entries.pop(key)
             self._enforce_budget(newest=key)
 
-    def register(self, spec: TransformSpec) -> None:
-        """Commit to materializing ``spec`` for new rows at ingest time.
-
-        Registration is policy, not data: it survives :meth:`clear` and
-        eviction, and is persisted with the database so a reloaded ONGOING
-        deployment keeps materializing the same representations.
-        """
-        with self._state.lock:
-            self._state.registered[self._key(spec.name)] = spec
-
-    def registered_specs(self) -> list[TransformSpec]:
-        """The specs committed to ingest-time materialization (this namespace)."""
-        state = self._state
-        with state.lock:
-            return [state.registered[key] for key in sorted(state.registered)
-                    if key[0] == self.namespace]
-
     # -- access --------------------------------------------------------------
     def __contains__(self, spec: TransformSpec) -> bool:
         with self._state.lock:
@@ -253,8 +234,8 @@ class RepresentationStore:
         survivors; only a chunk straddling the boundary is copied (never
         sliced — a view would pin the dropped rows' memory).  The freed
         bytes are credited against the global byte budget automatically —
-        accounting reads current chunk lengths.  Write order, specs and
-        registrations are unchanged; entries shorter than ``n`` become empty
+        accounting reads current chunk lengths.  Write order and specs are
+        unchanged; entries shorter than ``n`` become empty
         (and are topped back up lazily like any stale array).
         """
         if n < 0:
@@ -268,25 +249,12 @@ class RepresentationStore:
                 entry.chunks = _drop_chunk_rows(entry.chunks, n)
 
     def clear(self) -> None:
-        """Drop this namespace's stored arrays, keeping budget and
-        registrations (other namespaces are untouched)."""
+        """Drop this namespace's stored arrays, keeping the budget (other
+        namespaces are untouched)."""
         state = self._state
         with state.lock:
             for key in self._own_keys():
                 del state.entries[key]
-
-    def purge(self) -> None:
-        """Drop this namespace entirely: arrays *and* registrations.
-
-        Used when a table is detached from a catalog — nothing of the shard
-        should keep occupying the shared budget or the ingest policy.
-        """
-        state = self._state
-        with state.lock:
-            self.clear()
-            for key in [key for key in state.registered
-                        if key[0] == self.namespace]:
-                del state.registered[key]
 
     # -- accounting -------------------------------------------------------------
     def bytes_stored(self) -> int:

@@ -79,13 +79,13 @@ class TestCatalog:
         assert db.tables() == ["cam_north", "cam_south", "cam_east"]
         assert len(db.corpus_for("cam_south")) == 12
 
-    def test_detach_purges_store_namespace(self, db):
+    def test_detach_clears_store_namespace(self, db):
         db.execute("SELECT * FROM cam_north WHERE contains_object(komondor)")
         store = db.executor_for("cam_north").store
         assert store.bytes_stored() > 0
         db.detach("cam_north")
         assert store.bytes_stored() == 0
-        assert store.registered_specs() == []
+        assert store.specs() == [] and len(store) == 0
         assert "cam_north" not in db.tables()
 
     def test_single_corpus_registers_images_table(self, tiny_optimizer,
@@ -293,12 +293,12 @@ class TestFanout:
 
     def test_detach_then_reattach_starts_from_clean_state(self, db, cameras):
         # Regression guard: reattaching the same table name must not leak
-        # the old shard's store bytes, registrations or materialized labels.
+        # the old shard's store entries or materialized labels.
         db.use_scenario("ongoing")
         db.execute("SELECT * FROM cam_north WHERE contains_object(komondor)")
         old_executor = db.executor_for("cam_north")
         assert old_executor.store.bytes_stored() > 0
-        assert old_executor.store.registered_specs()
+        assert old_executor.store.specs()
         global_before = db.catalog.store.total_bytes_stored()
 
         db.detach("cam_north")
@@ -307,7 +307,7 @@ class TestFanout:
         assert executor is not old_executor
         assert executor.materialized_categories() == []
         assert executor.store.bytes_stored() == 0
-        assert executor.store.registered_specs() == []
+        assert executor.store.specs() == [] and len(executor.store) == 0
         assert db.catalog.store.total_bytes_stored() < global_before
         # The fresh shard classifies from scratch -- nothing inherited.
         result = db.execute(
@@ -360,17 +360,17 @@ class TestSharedStoreBudget:
         a.add(spec, np.zeros((3, 8, 8, 1)))
         assert spec in a and spec not in b
         assert a.rows(spec) == 3 and b.rows(spec) == 0
-        b.register(spec)
-        assert a.registered_specs() == []
-        assert [s.name for s in b.registered_specs()] == [spec.name]
+        assert a.specs() == [spec] and b.specs() == []
+        b.add(spec, np.zeros((2, 8, 8, 1)))
         a.clear()
-        assert a.bytes_stored() == 0
+        assert a.bytes_stored() == 0 and spec not in a
+        assert b.specs() == [spec] and b.rows(spec) == 2
 
 
 class TestCatalogPersistence:
     def test_three_table_roundtrip_mid_ingest(self, db, cameras, tmp_path):
         db.use_scenario("ongoing")
-        db.execute(FANOUT_SQL)  # classifies + registers + materializes reps
+        db.execute(FANOUT_SQL)  # classifies + stores reps
         batch = make_corpus(8, seed=60)
         db.ingest(batch.images, metadata=batch.metadata, content=batch.content,
                   table="cam_east")  # mid-ingest: cam_east has 8 fresh rows
@@ -384,12 +384,12 @@ class TestCatalogPersistence:
         assert loaded.scenario.name == "ongoing"
         assert loaded.tables() == db.tables()
         assert len(loaded.corpus_for("cam_east")) == 32
-        # Store namespaces survive: registered specs and warm arrays per table.
+        # Store namespaces survive: the budget and each table's entries.
+        assert loaded.store_budget == db.store_budget
         for table in loaded.tables():
             store = loaded.executor_for(table).store
             saved = db.executor_for(table).store
-            assert {s.name for s in store.registered_specs()} == \
-                {s.name for s in saved.registered_specs()}
+            assert store.specs() == saved.specs()
             for spec in saved.specs():
                 assert store.rows(spec) == saved.rows(spec)
         # Materialized labels survive: nothing is re-classified, rows match.

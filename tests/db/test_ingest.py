@@ -139,15 +139,16 @@ class TestExecutorIngest:
             result.selected_indices,
             executor.id_offset + np.flatnonzero(expected))
 
-    def test_materialize_on_ingest_extends_registered_reps(self, corpus,
-                                                           batch, planner):
+    def test_materialize_on_ingest_extends_stored_reps(self, corpus,
+                                                       batch, planner):
         executor = QueryExecutor(corpus)
-        executor.execute(content_plan(planner))  # registers + materializes
-        registered = executor.store.registered_specs()
-        assert registered
+        executor.execute(content_plan(planner))  # stores its reps
+        stored = executor.store.specs()
+        assert stored
         executor.ingest(batch.images, metadata=batch.metadata,
                         materialize=True)
-        for spec in registered:
+        assert executor.store.specs() == stored
+        for spec in stored:
             assert executor.store.rows(spec) == 34
 
     def test_observed_positive_rate_tracks_materialized_labels(self, corpus,
@@ -172,17 +173,17 @@ class TestExecutorIngest:
 
     def test_zero_row_ingest_is_a_cheap_noop(self, corpus):
         # Regression: an empty batch used to rebuild the base relation and
-        # walk the store registration path.
+        # walk the store's ingest path.
         executor = QueryExecutor(corpus)
         relation_before = executor.relation
-        gray = executor.store  # namespaceless store; registration must stay 0
+        gray = executor.store  # namespaceless store; must stay empty
         empty = np.zeros((0, TINY_SIZE, TINY_SIZE, 3))
         new_ids = executor.ingest(empty, materialize=True)
         assert new_ids.size == 0
         assert new_ids.dtype == np.int64
         assert executor.relation is relation_before  # nothing rebuilt
         assert len(executor.corpus) == 24
-        assert gray.registered_specs() == []
+        assert gray.specs() == []
         assert len(gray) == 0
 
     def test_zero_row_ingest_skips_metadata_validation_cost(self, corpus):
@@ -253,10 +254,11 @@ class TestDatabaseIngest:
         db.use_scenario("ongoing")
         assert db.scenario.materializes_on_ingest
         db.execute(SQL)
-        registered = db.executor.store.registered_specs()
-        assert registered
+        stored = db.executor.store.specs()
+        assert stored
         db.ingest(batch.images, metadata=batch.metadata)
-        for spec in registered:
+        assert db.executor.store.specs() == stored
+        for spec in stored:
             assert db.executor.store.rows(spec) == len(db.corpus)
 
     def test_camera_scenario_stays_lazy_at_ingest(self, db, batch):
@@ -303,15 +305,33 @@ class TestDatabaseIngest:
         database.register_optimizer("komondor", tiny_optimizer,
                                     reference_params=REFERENCE_PARAMS)
         database.execute(SQL)
-        registered = {spec.name
-                      for spec in database.executor.store.registered_specs()}
+        saved = database.executor.store
+        assert saved.specs()
         database.save(tmp_path / "db")
 
         from repro.db import VisualDatabase
         loaded = VisualDatabase.load(tmp_path / "db")
         store = loaded.executor.store
-        assert store.byte_budget == budget
-        assert {spec.name for spec in store.registered_specs()} == registered
+        assert store.byte_budget == budget == loaded.store_budget
+        assert store.specs() == saved.specs()
+        for spec in saved.specs():
+            assert store.rows(spec) == saved.rows(spec)
+
+    def test_store_budget_is_the_enforced_one(self, corpus, tiny_device,
+                                              tmp_path):
+        # One budget: the facade reads the store's, so what a save persists
+        # is what the saved database ran under.
+        database = connect(corpus, device=tiny_device,
+                           calibrate_target_fps=None, store_budget=4096)
+        with pytest.raises(AttributeError):
+            database.store_budget = 1
+        assert database.store_budget == database.catalog.store.byte_budget
+        database.save(tmp_path / "db")
+
+        from repro.db import VisualDatabase
+        loaded = VisualDatabase.load(tmp_path / "db")
+        assert (loaded.catalog.store.byte_budget
+                == database.catalog.store.byte_budget == 4096)
 
 
 @pytest.fixture()
@@ -352,8 +372,18 @@ class TestOngoingWindowIngest:
                                     reference_params=REFERENCE_PARAMS)
         if root is not None:
             database.enable_wal(root)
-        database.execute(self.FANOUT_SQL)  # registers the representations
+        database.execute(self.FANOUT_SQL)  # stores the representations
         return database
+
+    def cascade_specs(self, database, table):
+        """The derived specs ``table``'s plan reads: what its queries store
+        and ingest then extends (native ones are the frames themselves)."""
+        plan = database.explain(self.FANOUT_SQL)[table]
+        frame_shape = database.corpus_for(table).images.shape[1:]
+        return [spec for spec in dict.fromkeys(
+                    model.transform for step in plan.content_steps
+                    for model in step.evaluation.cascade.models)
+                if not spec.is_native(frame_shape)]
 
     def test_ingest_transforms_only_new_rows_and_queries_rebuild(
             self, tiny_optimizer, tiny_device, transformed_rows):
@@ -361,6 +391,8 @@ class TestOngoingWindowIngest:
         # Half a window per table is seeded: one window's bytes in total.
         budget = unbudgeted.catalog.store.total_bytes_stored()
         budgeted = self.open(tiny_optimizer, tiny_device, budget)
+        cascade_specs = {table: self.cascade_specs(budgeted, table)
+                         for table in budgeted.tables()}
         feed = make_corpus(12 * self.BATCH, seed=90)
         at_ingest, bound, rebuilt = 0, 0, 0
         for index in range(12):
@@ -369,7 +401,7 @@ class TestOngoingWindowIngest:
             metadata = {key: values[rows]
                         for key, values in feed.metadata.items()}
             store = budgeted.executor_for(table).store
-            specs = store.registered_specs()
+            specs = cascade_specs[table]
             before = transformed_rows[0]
             budgeted.ingest(feed.images[rows], metadata=metadata, table=table)
             at_ingest += transformed_rows[0] - before
@@ -383,7 +415,7 @@ class TestOngoingWindowIngest:
                 np.testing.assert_array_equal(
                     result.image_ids,
                     unbudgeted.execute(self.FANOUT_SQL).image_ids)
-        # Ingest transforms each new row once per registered spec and never
+        # Ingest transforms each new row once per stored spec and never
         # rebuilds what the budget evicted: the next query does that.
         assert at_ingest <= bound
         assert budgeted.catalog.store.evictions > 0
@@ -399,7 +431,7 @@ class TestOngoingWindowIngest:
         generation = wal.generation
         batch = make_corpus(self.WINDOW + 5, seed=91)
         new_ids = database.ingest(batch.images, metadata=batch.metadata,
-                                  materialize=True, table="cam_0")
+                                  table="cam_0")
         # The ids assigned before the drop, though 5 fell out at once.
         first = self.WINDOW // 2
         np.testing.assert_array_equal(
@@ -408,7 +440,8 @@ class TestOngoingWindowIngest:
         assert len(executor.corpus) == self.WINDOW
         np.testing.assert_array_equal(executor.corpus.images,
                                       batch.images[5:])
-        for spec in executor.store.registered_specs():
+        assert executor.store.specs()
+        for spec in executor.store.specs():
             assert executor.store.rows(spec) == self.WINDOW
         records = list(wal.records(from_generation=generation))
         assert [record["type"] for record in records] == ["segment", "drop"]

@@ -1,6 +1,6 @@
 """The native representation (RGB at the frames' own resolution) is the
 frames: the executor reads them in its place, so it is never transformed,
-copied, stored, registered, budgeted or checkpointed.  Every test pins a
+copied, stored, budgeted or checkpointed.  Every test pins a
 cascade that reads the native representation at one level and a derived
 one at another, and checks the answers against a brute-force
 ``Cascade.classify`` over the same frames."""
@@ -75,17 +75,15 @@ def evaluation(tiny_optimizer, camera_profiler):
 
 
 class TestExecutor:
-    def test_materializing_query_stores_and_registers_no_native(
-            self, evaluation):
+    def test_materializing_query_stores_no_native(self, evaluation):
         executor = QueryExecutor(make_corpus(24, seed=77))
         result = executor.execute(plan_for(evaluation))
         assert result.images_classified["komondor"] == 24  # materializes
 
         assert NATIVE not in executor.store
-        assert NATIVE not in executor.store.registered_specs()
         derived = derived_specs(evaluation)
         assert executor.store.specs() == derived
-        assert executor.store.registered_specs() == derived
+        assert len(executor.store) == len(derived)
         assert_brute_force(result.selected_indices, executor,
                            evaluation.cascade)
 
@@ -99,7 +97,6 @@ class TestExecutor:
                             materialize=True)
         derived = derived_specs(evaluation)
         assert executor.store.specs() == derived
-        assert executor.store.registered_specs() == derived
         for spec in derived:
             assert executor.store.rows(spec) == 54
         result = executor.execute(plan)
@@ -195,27 +192,31 @@ class TestPersistence:
                 assert len(archive.files) == len(names)
         return names
 
-    def test_a_saved_native_array_is_dropped_on_load(self, db, tmp_path):
+    def test_a_checkpoint_writes_no_native_entry(self, db, tmp_path):
         root = tmp_path / "vdb"
         db.enable_wal(root)
         db.execute(SQL)
         executor = db.executor_for("images")
         assert NATIVE not in executor.store
-        # What a save written before the native short-circuit carries.
+        derived = executor.store.specs()
+        assert derived
+        # A store filled by hand may hold a copy of the frames; no
+        # checkpoint writes it.
         executor.store.add(NATIVE, executor.corpus.images.copy())
-        executor.store.register(NATIVE)
         db.checkpoint()
-        assert NATIVE.name in self.stored_specs(root)
+        assert sorted(self.stored_specs(root)) == [spec.name
+                                                   for spec in derived]
         db.close()
 
         with VisualDatabase.load(root) as loaded:
             store = loaded.executor_for("images").store
             assert NATIVE not in store
-            assert NATIVE not in store.registered_specs()
-            assert store.registered_specs()  # the derived ones survive
+            assert store.specs() == derived
+            loaded.use_scenario("ongoing")
             batch = make_corpus(6, seed=79)
-            loaded.ingest(batch.images, metadata=batch.metadata,
-                          materialize=True)
+            loaded.ingest(batch.images, metadata=batch.metadata)
+            for spec in derived:
+                assert store.rows(spec) == 30
             result = loaded.execute(SQL)
             cascade = native_evaluation(loaded.optimizer("komondor"),
                                         loaded.profiler).cascade

@@ -886,20 +886,26 @@ class TestFormatCompatibility:
         # One format is read: the one written.  Older layouts (1: single
         # corpus, 2: multi-table, 3: retention, no WAL, 4: WAL records as a
         # JSON line plus an array file, 5: one-value scenario and spec keys,
-        # 6: predicate repositories rewritten in place) and newer ones are
-        # refused alike, and the message says which version was found.
+        # 6: predicate repositories rewritten in place, 7: a registration
+        # list beside the store arrays) and newer ones are refused alike,
+        # and the message says which version was found.
         database = connect({"cam": timed_corpus([0.0])})
         root = database.save(tmp_path / "vdb")
         manifest = self._manifest(root)
-        for version in (1, 2, 3, 4, 5, 6, 99):
+        for version in (1, 2, 3, 4, 5, 6, 7, 99):
             manifest["format_version"] = version
             (root / "database.json").write_text(json.dumps(manifest))
             with pytest.raises(
                     ValueError,
                     match=rf"unsupported database format {version}\b"):
                 VisualDatabase.load(root)
+        # The refusal names the last commit whose checkout reads format 7.
+        manifest["format_version"] = 7
+        (root / "database.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"765ede0.*format 7"):
+            VisualDatabase.load(root)
 
-    def test_written_manifest_is_the_v7_contract(self, tmp_path,
+    def test_written_manifest_is_the_v8_contract(self, tmp_path,
                                                  fresh_optimizer):
         # The loader reads exactly what the writer writes, so the writer's
         # key sets are the on-disk contract: a writer change shows up here
@@ -910,10 +916,12 @@ class TestFormatCompatibility:
         database.register_optimizer("komondor",
                                     fresh_optimizer(with_reference=False))
         database.ingest(*_batch([3.0]), table="cam")
-        database.executor_for("cam").store.register(TransformSpec(8, "gray"))
+        gray = TransformSpec(8, "gray")
+        executor = database.executor_for("cam")
+        executor.store.add(gray, gray.apply_batch(executor.corpus.images))
         root = database.save(tmp_path / "vdb")
         manifest = self._manifest(root)
-        assert manifest["format_version"] == 7
+        assert manifest["format_version"] == 8
         assert sorted(manifest) == [
             "calibrate_target_fps", "cost_resolution", "default_constraints",
             "device", "device_calibrated", "format_version", "predicates",
@@ -922,12 +930,11 @@ class TestFormatCompatibility:
             "description", "include_load", "include_transform",
             "load_full_image", "load_tier", "name"]
         table_keys = ["corpus_file", "id_offset", "materialized", "name",
-                      "registered_specs", "retention", "store_arrays",
-                      "table_dir"]
+                      "retention", "store_arrays", "table_dir"]
         [entry] = manifest["tables"]
         assert sorted(entry) == table_keys
-        assert entry["registered_specs"] == [
-            {"resolution": 8, "color_mode": "gray"}]
+        assert entry["store_arrays"] == [
+            {"spec": {"resolution": 8, "color_mode": "gray"}}]
         assert manifest["wal"] == {"enabled": False}
         assert manifest["store"] == {"byte_budget": None}
         [predicate] = manifest["predicates"]
@@ -936,8 +943,7 @@ class TestFormatCompatibility:
 
         loaded = VisualDatabase.load(root)
         assert table_state(loaded) == table_state(database)
-        assert (loaded.executor_for("cam").store.registered_specs()
-                == [TransformSpec(8, "gray")])
+        assert loaded.executor_for("cam").store.specs() == [gray]
         assert (loaded.executor_for("cam").retention
                 == RetentionPolicy(max_rows=8))
 

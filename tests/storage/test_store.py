@@ -13,9 +13,8 @@ def images():
 
 
 def materialize(store, images, specs):
-    """What ONGOING ingest does per spec: register it, store its array."""
+    """What a materializing query's merge does per spec: store its array."""
     for spec in specs:
-        store.register(spec)
         store.add(spec, spec.apply_batch(images))
 
 
@@ -68,12 +67,13 @@ def test_specs_listing(images):
     assert len(names) == 2
 
 
-def test_materialize_registers_specs(images):
+def test_stored_entries_are_the_specs_ingest_extends(images):
     store = RepresentationStore()
     specs = [TransformSpec(8, "rgb"), TransformSpec(8, "gray")]
     materialize(store, images, specs)
-    assert {spec.name for spec in store.registered_specs()} == \
-        {spec.name for spec in specs}
+    assert all(spec in store for spec in specs)
+    assert store.specs() == sorted(specs, key=lambda spec: spec.name)
+    assert TransformSpec(16, "gray") not in store
 
 
 def test_extend_appends_rows(images):
@@ -98,14 +98,17 @@ def test_extend_missing_or_mismatched_rejected(images):
     assert store.rows(spec) == 6  # the rejected rows left the entry intact
 
 
-def test_clear_keeps_policy(images):
+def test_clear_keeps_budget(images):
     store = RepresentationStore(byte_budget=10_000)
-    materialize(store, images, [TransformSpec(8, "rgb")])
+    spec = TransformSpec(8, "rgb")
+    materialize(store, images, [spec])
     store.clear()
     assert len(store) == 0
     assert store.bytes_stored() == 0
+    assert store.specs() == [] and spec not in store
     assert store.byte_budget == 10_000
-    assert [spec.name for spec in store.registered_specs()] == ["8x8-rgb"]
+    materialize(store, images, [spec])  # the budget still admits it
+    assert store.specs() == [spec]
 
 
 class TestByteBudget:
