@@ -9,7 +9,9 @@ once, in the source:
 
 ``guards.py``
     Discovery of the ``# guarded by:`` comments: guarded attributes and
-    called-with-lock helpers.  The comment is the whole declaration.
+    called-with-lock helpers.  The comment is the whole declaration.  Also
+    the one source walk and ``# <tag> ok:`` suppression reader the static
+    passes share.
 
 ``lockcheck.py``
     AST pass flagging reads/writes of guarded attributes outside a

@@ -16,10 +16,9 @@ import os
 import sys
 from pathlib import Path
 
-from repro.analysis import guards, shapes_spec
+from repro.analysis import guards
 from repro.analysis.durability import check_durability, durability_modules
-from repro.analysis.lockcheck import check_lock_discipline
-from repro.analysis.shapes import check_shapes
+from repro.analysis.lockcheck import lock_discipline
 
 __all__ = ["main"]
 
@@ -27,16 +26,15 @@ __all__ = ["main"]
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Static lock-discipline, durability and shape/dtype "
-                    "checks over the repro package.")
+        description="Static lock-discipline and durability checks over the "
+                    "repro package.")
     parser.add_argument(
         "--root", type=Path, default=None, metavar="DIR",
         help="package root to analyze (defaults to the installed repro "
              "package)")
     parser.add_argument(
         "--list", action="store_true",
-        help="show the lock contracts, durability modules and shape "
-             "contracts, then exit")
+        help="show the lock contracts and durability modules, then exit")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -57,18 +55,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _check(root: Path | None) -> tuple[int, list[str]]:
-    findings = (check_lock_discipline(root) + check_durability(root)
-                + check_shapes(root))
+    findings, declared = lock_discipline(root)
+    findings += check_durability(root)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     lines = [str(finding) for finding in findings]
     if findings:
         return 1, lines + [f"analysis: {len(findings)} finding(s)"]
-    declared = guards.discover(root)
     helpers = sum(guard.helper for guard in declared)
     return 0, [f"analysis: clean ({len(declared) - helpers} guarded "
                f"attributes, {helpers} called-with-lock helpers, "
-               f"{len(durability_modules(root))} durability modules, "
-               f"{len(shapes_spec.discover(root))} shape contracts "
+               f"{len(durability_modules(root))} durability modules "
                f"discovered from source)"]
 
 
@@ -89,9 +85,4 @@ def _coverage(root: Path | None) -> list[str]:
     modules = durability_modules(root)
     lines.append(f"durability: ({len(modules)} modules)")
     lines += [f"  {rel}" for rel in modules]
-    shapes = shapes_spec.discover(root)
-    lines.append(f"shapes: ({len(shapes)} contracts)")
-    for spec in shapes:
-        suffix = f" [{spec.dtype}]" if spec.dtype != "any" else ""
-        lines.append(f"  {spec.path}: {spec.qualname} '{spec.shape}'{suffix}")
     return lines

@@ -37,8 +37,8 @@ import ast
 from collections.abc import Iterator
 from pathlib import Path
 
+from repro.analysis.guards import iter_sources, suppressed_lines
 from repro.analysis.lockcheck import Finding
-from repro.analysis.shapes_spec import iter_sources, suppressed_lines
 
 __all__ = ["check_durability", "durability_modules"]
 

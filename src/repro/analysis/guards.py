@@ -18,8 +18,8 @@ The comment has two positions:
   display, a ``dict`` / ``list`` / ``set`` / ``deque`` / ``OrderedDict``
   call, or ``field(default_factory=dict|list|set)``.
 * **Called-with-lock helper** — a standalone comment directly under a
-  ``def`` line (the ``# shape:`` position) declares that every caller holds
-  the lock, so the helper's body counts as inside the lock region.
+  ``def`` line declares that every caller holds the lock, so the helper's
+  body counts as inside the lock region.
 
 The lock is ``self.<attr>[.<attr>...]``, or a bare name for a **state
 object**: ``# guarded by: lock`` means the lock is a sibling field of the
@@ -32,6 +32,11 @@ mutators replace, never mutate in place — carries ``# unguarded ok:
 <reason>`` on its line; the reason is mandatory, so every suppression
 documents itself.  State confined to one thread needs no declaration:
 what is not declared is not checked.
+
+This module is also the one source walk every static pass shares:
+:func:`iter_sources` yields the package's modules and
+:func:`suppressed_lines` the lines a ``# <tag> ok: <reason>`` comment
+exempts.
 """
 
 from __future__ import annotations
@@ -40,12 +45,15 @@ import ast
 import io
 import re
 import tokenize
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.shapes_spec import iter_sources
+__all__ = ["Guard", "SOURCE_ROOT", "discover", "iter_sources", "lineage",
+           "scan_module", "suppressed_lines"]
 
-__all__ = ["Guard", "discover", "lineage", "scan_module"]
+#: The package root discovery walks when no other root is given.
+SOURCE_ROOT = Path(__file__).resolve().parent.parent
 
 #: Anchored at the ``#`` of a comment token, so prose that mentions the
 #: phrase mid-comment is not a declaration.
@@ -206,6 +214,23 @@ def _assigned(cls: ast.ClassDef) -> set[str]:
 
 def _targets(stmt: ast.Assign | ast.AnnAssign) -> list[ast.expr]:
     return stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+
+
+def iter_sources(root: Path | None = None) -> Iterator[tuple[str, str]]:
+    """``(relative path, source)`` for every module under ``root`` (the
+    installed ``repro`` package when omitted), in path order."""
+    root = SOURCE_ROOT if root is None else root
+    for file in sorted(root.rglob("*.py")):
+        yield (file.relative_to(root).as_posix(),
+               file.read_text(encoding="utf-8"))
+
+
+def suppressed_lines(source: str, tag: str) -> set[int]:
+    """1-based line numbers carrying ``# <tag> ok: <reason>`` (``unguarded``
+    or ``durability``); the reason is mandatory."""
+    pattern = re.compile(rf"#\s*{tag} ok:\s*\S")
+    return {number for number, line in enumerate(source.splitlines(), 1)
+            if pattern.search(line)}
 
 
 def discover(root: Path | None = None) -> tuple[Guard, ...]:

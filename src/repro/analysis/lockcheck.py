@@ -32,10 +32,10 @@ import ast
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.guards import Guard, lineage, scan_module
-from repro.analysis.shapes_spec import iter_sources, suppressed_lines
+from repro.analysis.guards import (Guard, iter_sources, lineage, scan_module,
+                                   suppressed_lines)
 
-__all__ = ["Finding", "check_lock_discipline"]
+__all__ = ["Finding", "check_lock_discipline", "lock_discipline"]
 
 #: dict/list/set methods that mutate the receiver in place: calling one on a
 #: guarded attribute counts as a write, not a read.
@@ -61,9 +61,19 @@ class Finding:
 def check_lock_discipline(root: Path | None = None) -> list[Finding]:
     """Check every declared lock contract under ``root`` (the installed
     ``repro`` package when omitted); returns findings sorted by location."""
+    return lock_discipline(root)[0]
+
+
+def lock_discipline(root: Path | None = None
+                    ) -> tuple[list[Finding], tuple[Guard, ...]]:
+    """:func:`check_lock_discipline`'s findings plus the declarations they
+    were checked against (:func:`repro.analysis.guards.discover`'s), from
+    one walk of the tree."""
     findings: list[Finding] = []
+    declared: list[Guard] = []
     for path, source in iter_sources(root):
         guards, problems = scan_module(path, source)
+        declared += guards
         raw = [Finding(path, line, "bad-guard", reason)
                for line, reason in problems]
         if guards:
@@ -71,7 +81,7 @@ def check_lock_discipline(root: Path | None = None) -> list[Finding]:
         suppressed = suppressed_lines(source, "unguarded")
         findings.extend(f for f in raw if f.line not in suppressed)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return findings
+    return findings, tuple(declared)
 
 
 def _check_module(path: str, tree: ast.Module,

@@ -46,8 +46,6 @@ class FramePlan:
         return self.n_reused / self.n_frames
 
     def expand_labels(self, processed_labels: np.ndarray) -> np.ndarray:
-        # shape: (P,) -> (F,)
-        # dtype: int64
         """Propagate labels of processed frames to the frames reusing them."""
         processed_labels = np.asarray(processed_labels).ravel()
         if processed_labels.size != self.n_processed:
@@ -81,7 +79,6 @@ class DifferenceDetector:
         self.downsample = downsample
 
     def _signature(self, frame: np.ndarray) -> np.ndarray:
-        # shape: (H, W, C) -> (H', W', C)
         return frame[::self.downsample, ::self.downsample, :]
 
     def frame_distance(self, frame_a: np.ndarray, frame_b: np.ndarray) -> float:

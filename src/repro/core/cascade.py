@@ -81,8 +81,6 @@ class Cascade:
     def classify(self, raw_images: np.ndarray,
                  batch_size: int = 256,
                  metrics: "MetricsRegistry | None" = None) -> np.ndarray:
-        # shape: (N, H, W, C) -> (N,)
-        # dtype: int64
         """Execute the cascade over every raw image, returning hard labels."""
         labels, _ = self.classify_with_stats(raw_images,
                                              batch_size=batch_size,
@@ -95,8 +93,6 @@ class Cascade:
             rows: np.ndarray | None = None,
             representations: Mapping[str, np.ndarray] | None = None
             ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        # shape: (N, H, W, C) -> (R,)
-        # dtype: int64
         """Classify ``rows`` of ``raw_images``; labels plus per-level counts.
 
         ``rows`` are indices into ``raw_images`` (every row when omitted);

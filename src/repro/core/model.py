@@ -57,16 +57,12 @@ class TrainedModel:
     # -- inference -----------------------------------------------------------
     def predict_proba(self, raw_images: np.ndarray,
                       batch_size: int = 256) -> np.ndarray:
-        # shape: (N, H, W, C) -> (N, ...)
-        # dtype: float64
         """Probabilities for raw (full-size RGB) images; applies the transform."""
         transformed = self.transform.apply_batch(raw_images)
         return self.network.predict_proba(transformed, batch_size=batch_size)
 
     def predict_proba_transformed(self, representation: np.ndarray,
                                   batch_size: int = 256) -> np.ndarray:
-        # shape: (N, H, W, C) -> (N, ...)
-        # dtype: float64
         """Probabilities for images already in this model's representation."""
         if representation.shape[1:] != self.transform.shape:
             raise ValueError(
@@ -76,8 +72,6 @@ class TrainedModel:
 
     def predict(self, raw_images: np.ndarray, threshold: float = 0.5,
                 batch_size: int = 256) -> np.ndarray:
-        # shape: (N, H, W, C) -> (N,)
-        # dtype: int64
         """Hard binary labels for raw images."""
         return (self.predict_proba(raw_images, batch_size) >= threshold).astype(np.int64)
 

@@ -28,7 +28,6 @@ __all__ = ["GroupedPartials", "compute_partials", "merge_partials"]
 
 
 def _numeric_values(aggregate: Aggregate, values: np.ndarray) -> np.ndarray:
-    # shape: (V,) -> (V,)
     if values.dtype.kind not in ("b", "i", "u", "f"):
         raise QueryError(
             f"{aggregate.label}: column {aggregate.argument!r} has "
@@ -37,7 +36,6 @@ def _numeric_values(aggregate: Aggregate, values: np.ndarray) -> np.ndarray:
 
 
 def _non_null(values: np.ndarray) -> np.ndarray:
-    # shape: (V,) -> (W,)
     """Drop NaN entries of float columns — NaN is the relation's NULL.
 
     Every aggregate skips NULLs the SQL way: COUNT(col) counts the rest,

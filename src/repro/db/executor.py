@@ -818,8 +818,6 @@ class QueryExecutor:
 
     def _metadata_mask(self, snap: _Snapshot, step: MetadataStep,
                        cache: dict[int, np.ndarray]) -> np.ndarray:
-        # shape: -> (S,)
-        # dtype: bool
         """One metadata leaf's full-corpus mask, evaluated once per query."""
         mask = cache.get(id(step))
         if mask is None:
@@ -830,8 +828,6 @@ class QueryExecutor:
     def _evaluate_tree(self, snap: _Snapshot, node, mask: np.ndarray,
                        images_classified: dict[str, int],
                        metadata_masks: dict[int, np.ndarray]) -> np.ndarray:
-        # shape: (S,) -> (S,)
-        # dtype: bool
         """Short-circuit one predicate-tree node over the rows in ``mask``.
 
         Returns the mask of rows in ``mask`` the node accepts.  Only rows
@@ -909,8 +905,6 @@ class QueryExecutor:
     # -- internals -----------------------------------------------------------
     def _evaluate_content(self, snap: _Snapshot, step: ContentStep,
                           candidate_mask: np.ndarray) -> tuple[np.ndarray, int]:
-        # shape: (S,) -> (S,)
-        # dtype: int64
         """Populate the virtual column for one contains_object predicate.
 
         Only rows surviving the earlier predicates (and not already

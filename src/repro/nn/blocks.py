@@ -62,8 +62,6 @@ class ResidualBlock(Layer):
 
     # -- execution ---------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # shape: (N, H, W, C) -> (N, H, W, K)
-        # dtype: float64
         if training:
             hidden = self.relu1.forward(self.conv1.forward(x, training), training)
             main = self.conv2.forward(hidden, training)

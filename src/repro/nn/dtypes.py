@@ -1,12 +1,9 @@
 """Single entry point for float coercions in the ``nn/`` stack.
 
 Every ``np.asarray(..., dtype=...)`` in the training/loss path goes through
-:func:`as_float` / :func:`align_targets` so the ``# dtype:`` contracts
-(linted by ``repro.analysis.shapes``, checked on real arrays under
-``pytest --shape-check``) cover one audited helper instead of scattered
-coercions — and so a batch/target
-size mismatch raises a :class:`ValueError` naming both shapes instead of
-numpy's opaque reshape error.
+:func:`as_float` / :func:`align_targets`, so the stack's precision is set in
+one place and a batch/target size mismatch raises a :class:`ValueError`
+naming both shapes instead of numpy's opaque reshape error.
 """
 
 from __future__ import annotations
@@ -15,13 +12,11 @@ import numpy as np
 
 __all__ = ["DEFAULT_FLOAT", "as_float", "align_targets"]
 
-#: The stack's working precision (the checker's float boundary).
+#: The stack's working precision.
 DEFAULT_FLOAT = np.float64
 
 
 def as_float(values, dtype=DEFAULT_FLOAT):
-    # shape: (...) -> (...)
-    # dtype: float32|float64
     """Coerce ``values`` to a floating ndarray of the stack's precision."""
     dtype = np.dtype(dtype)
     if dtype.kind != "f":
@@ -30,8 +25,6 @@ def as_float(values, dtype=DEFAULT_FLOAT):
 
 
 def align_targets(predictions, targets):
-    # shape: (N, ...), (...) -> (N, ...)
-    # dtype: float32|float64
     """Return ``(predictions, targets)`` as floats with matching shapes.
 
     ``targets`` is reshaped to ``predictions.shape`` only when the element

@@ -51,7 +51,6 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
 
 def im2col(images: np.ndarray, kernel_h: int, kernel_w: int,
            stride: int = 1, pad: int = 0) -> np.ndarray:
-    # shape: (N, H, W, C) -> (M, D)
     """Unfold an NHWC batch into a matrix of receptive-field columns.
 
     Parameters
@@ -114,7 +113,6 @@ def im2col(images: np.ndarray, kernel_h: int, kernel_w: int,
 def col2im(cols: np.ndarray, image_shape: tuple[int, int, int, int],
            kernel_h: int, kernel_w: int, stride: int = 1,
            pad: int = 0) -> np.ndarray:
-    # shape: (M, D) -> (N, H, W, C)
     """Fold a column matrix back into an NHWC tensor, summing overlaps.
 
     This is the adjoint of :func:`im2col` and is used in the convolution

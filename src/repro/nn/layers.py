@@ -156,8 +156,6 @@ class Conv2D(Layer):
         return cols, out.reshape(batch, out_h, out_w, self.out_channels)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # shape: (N, H, W, C) -> (N, H', W', K)
-        # dtype: float64
         cols, out = self._convolve(x)
         out += self.params["bias"]
         if training:
@@ -211,7 +209,6 @@ def _window_max(x: np.ndarray, axis: int, pool: int, stride: int,
 
 def _window_argmax(x: np.ndarray, out: np.ndarray, pool: int,
                    stride: int) -> np.ndarray:
-    # shape: (N, H, W, C), (N, H', W', C) -> (N, H', W', C)
     """Flat in-window index (``row * pool + col``) of each window's maximum
     ``out``, as ``argmax`` over a copy of every window would give it: the
     first maximum, or the first NaN where ``out`` is NaN.
@@ -250,7 +247,6 @@ class MaxPool2D(Layer):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # shape: (N, H, W, C) -> (N, H', W', C)
         if x.ndim != 4:
             raise ValueError(
                 f"MaxPool2D expects NHWC input, got shape {x.shape}")
@@ -317,7 +313,6 @@ class GlobalAveragePool(Layer):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # shape: (N, H, W, C) -> (N, C)
         if training:
             self._cache = x.shape
         return x.mean(axis=(1, 2))
@@ -349,7 +344,6 @@ class Flatten(Layer):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # shape: (N, ...) -> (N, D)
         if training:
             self._cache = x.shape
         # The explicit product (not -1) keeps a batch of zero rows reshapable.
@@ -382,8 +376,6 @@ class Dense(Layer):
         self._cache: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # shape: (N, D) -> (N, K)
-        # dtype: float64
         if x.ndim != 2:
             raise ValueError(f"Dense expects 2-D input, got shape {x.shape}")
         if x.shape[1] != self.in_features:
@@ -422,7 +414,6 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # shape: (N, ...) -> (N, ...)
         # np.maximum, not np.where(x > 0, x, 0.0): a NaN stays a NaN instead
         # of becoming a confident 0.0.  Inference writes nothing to self, so
         # threads sharing a model share no state.
@@ -447,8 +438,6 @@ class Sigmoid(Layer):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # shape: (N, ...) -> (N, ...)
-        # dtype: float64
         out = np.empty_like(x, dtype=np.float64)
         pos = x >= 0
         out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))

@@ -28,8 +28,6 @@ class BinaryCrossEntropy(Loss):
     """Binary cross-entropy over sigmoid outputs in (0, 1)."""
 
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        # shape: (N, ...), (...) -> ()
-        # dtype: float64
         predictions, targets = align_targets(predictions, targets)
         clipped = np.clip(predictions, _EPS, 1.0 - _EPS)
         losses = -(targets * np.log(clipped)
@@ -37,8 +35,6 @@ class BinaryCrossEntropy(Loss):
         return float(losses.mean())
 
     def backward(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        # shape: (N, ...), (...) -> (N, ...)
-        # dtype: float64
         predictions, targets = align_targets(predictions, targets)
         clipped = np.clip(predictions, _EPS, 1.0 - _EPS)
         grad = (clipped - targets) / (clipped * (1.0 - clipped))

@@ -30,7 +30,6 @@ class Sequential:
 
     # -- execution -------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # shape: (N, ...) -> (N, ...)
         """Apply the layers in order.
 
         Inference (``training=False``) returns the bits the training-mode
@@ -72,7 +71,6 @@ class Sequential:
         self.layers[0].backward_params(grad)
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        # shape: (N, ...) -> (N, ...)
         """Run inference in batches; zero rows give an empty array of the
         output's trailing shape."""
         outputs = []
@@ -83,7 +81,6 @@ class Sequential:
         return np.concatenate(outputs, axis=0)
 
     def predict_proba(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        # shape: (N, ...) -> (N, ...)
         """Inference returning per-example probabilities.
 
         For a single sigmoid output node this drops the trailing feature

@@ -25,7 +25,6 @@ def iterate_minibatches(x: np.ndarray, y: np.ndarray, batch_size: int,
 
 def evaluate_accuracy(network: Sequential, x: np.ndarray, y: np.ndarray,
                       threshold: float = 0.5, batch_size: int = 256) -> float:
-    # shape: (N, ...), (...) -> ()
     """Binary classification accuracy of ``network`` on ``(x, y)``."""
     if x.shape[0] == 0:
         return float("nan")

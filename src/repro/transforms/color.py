@@ -42,7 +42,6 @@ def _check_rgb(image: np.ndarray) -> None:
 
 
 def to_grayscale(image: np.ndarray) -> np.ndarray:
-    # shape: (..., 3) -> (..., 1)
     """Convert an RGB image (HWC or NHWC) to single-channel grayscale."""
     _check_rgb(image)
     gray = image @ _LUMA
@@ -50,7 +49,6 @@ def to_grayscale(image: np.ndarray) -> np.ndarray:
 
 
 def extract_channel(image: np.ndarray, channel: str) -> np.ndarray:
-    # shape: (..., 3) -> (..., 1)
     """Extract one of the ``red``/``green``/``blue`` channels as a 1-channel image."""
     _check_rgb(image)
     try:
@@ -62,7 +60,6 @@ def extract_channel(image: np.ndarray, channel: str) -> np.ndarray:
 
 
 def to_color_mode(image: np.ndarray, mode: str) -> np.ndarray:
-    # shape: (..., 3) -> (..., C')
     """Apply one of the paper's color variants to an RGB image."""
     if mode == "rgb":
         _check_rgb(image)
@@ -75,7 +72,6 @@ def to_color_mode(image: np.ndarray, mode: str) -> np.ndarray:
 
 
 def quantize_color_depth(image: np.ndarray, bits: int) -> np.ndarray:
-    # shape: (...) -> (...)
     """Reduce color depth to ``bits`` bits per channel (values stay in [0, 1]).
 
     Not part of the paper's default grid but listed as one of the physical

@@ -8,7 +8,6 @@ __all__ = ["horizontal_flip"]
 
 
 def horizontal_flip(image: np.ndarray) -> np.ndarray:
-    # shape: (..., H, W, C) -> (..., H, W, C)
     """Mirror an HWC image (or NHWC batch) left-to-right.
 
     This is the data-augmentation operation the paper uses to double its

@@ -30,7 +30,6 @@ def _validate_size(size: int) -> None:
 
 
 def resize_bilinear(image: np.ndarray, size: int) -> np.ndarray:
-    # shape: (..., H, W, C) -> (..., R, R, C)
     """Bilinear resize to ``size`` x ``size``."""
     _validate_size(size)
     batch, squeeze = _as_batch(image)
@@ -56,7 +55,6 @@ def resize_bilinear(image: np.ndarray, size: int) -> np.ndarray:
 
 
 def resize_area(image: np.ndarray, size: int) -> np.ndarray:
-    # shape: (..., H, W, C) -> (..., R, R, C)
     """Area (block-average) resize to ``size`` x ``size``.
 
     Exact block averaging when the input size is an integer multiple of the
@@ -89,7 +87,6 @@ def resize_area(image: np.ndarray, size: int) -> np.ndarray:
 
 
 def resize(image: np.ndarray, size: int) -> np.ndarray:
-    # shape: (..., H, W, C) -> (..., R, R, C)
     """Area-resize ``image`` to ``size`` x ``size`` (a copy when already that size)."""
     spatial = image.shape[:2] if image.ndim == 3 else image.shape[1:3]
     if spatial == (size, size):

@@ -85,7 +85,6 @@ class TransformSpec:
 
     # -- application ---------------------------------------------------------
     def apply(self, image: np.ndarray) -> np.ndarray:
-        # shape: (..., H, W, C) -> (..., R, R, C')
         """Transform one HWC image (or an NHWC batch) into this representation.
 
         Always a fresh array: for a native spec (:meth:`is_native`)
@@ -97,7 +96,6 @@ class TransformSpec:
         return to_color_mode(image, self.color_mode)
 
     def apply_batch(self, images: np.ndarray) -> np.ndarray:
-        # shape: (N, H, W, C) -> (N, R, R, C')
         """Transform an NHWC batch; provided for readability at call sites."""
         if images.ndim != 4:
             raise ValueError(f"expected NHWC batch, got shape {images.shape}")

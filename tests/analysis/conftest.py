@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from repro.analysis.shapes_spec import SOURCE_ROOT
+from repro.analysis.guards import SOURCE_ROOT
 
 
 @pytest.fixture()

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.cli import main
 from repro.analysis.guards import discover
-from repro.analysis.lockcheck import check_lock_discipline
+from repro.analysis.lockcheck import check_lock_discipline, lock_discipline
 
 # Injection anchors in db/executor.py (the scratch copy is text-edited, so
 # the anchors must match the real source — the asserts in _edit catch drift).
@@ -42,6 +42,9 @@ class TestCleanTree:
 
     def test_scratch_copy_is_clean(self, scratch):
         assert check_lock_discipline(scratch) == []
+
+    def test_one_walk_yields_the_discovered_declarations(self):
+        assert lock_discipline() == ([], discover())
 
 
 class TestDetections:
@@ -171,7 +174,12 @@ class TestDeclaration:
 class TestCli:
     def test_clean_tree_exits_zero(self, capsys):
         assert main([]) == 0
-        assert "analysis: clean" in capsys.readouterr().out
+        declared = discover()
+        helpers = sum(guard.helper for guard in declared)
+        assert capsys.readouterr().out == (
+            f"analysis: clean ({len(declared) - helpers} guarded attributes, "
+            f"{helpers} called-with-lock helpers, 3 durability modules "
+            f"discovered from source)\n")
 
     def test_findings_exit_nonzero_with_locations(self, scratch, capsys):
         _edit(scratch, "db/executor.py", _LOCKED_REGION, _UNLOCKED_REGION)

@@ -30,6 +30,7 @@ class TestFramePlan:
                          reuse_from=np.array([-1, 0, 0, -1, 3]))
         labels = plan.expand_labels(np.array([1, 0]))
         np.testing.assert_array_equal(labels, [1, 1, 1, 0, 0])
+        assert labels.dtype == np.int64  # the cascade's label dtype
 
     def test_expand_labels_length_check(self):
         plan = FramePlan(processed=np.array([0]), reuse_from=np.array([-1, 0]))

@@ -1,10 +1,9 @@
 """Batched-vs-per-row equivalence: the batch dimension must be inert.
 
-Every registered layer (and the full cascade classify path) must produce,
-for a batch, exactly what it produces row by row — across batch sizes
-including the degenerate batch of one.  This is the property the shape
-contracts assert statically; these tests pin it dynamically before any
-vectorization refactor.
+Every registered layer, every representation transform and the full
+cascade classify path must produce, for a batch, exactly what it produces
+row by row, with the batch axis and the dtype intact — across batch sizes
+including the degenerate batch of one.
 """
 
 import numpy as np
@@ -18,7 +17,7 @@ from repro.nn.blocks import ResidualBlock
 from repro.nn.layers import (Conv2D, Dense, Flatten, GlobalAveragePool,
                              MaxPool2D, ReLU, Sigmoid)
 from repro.nn.network import Sequential
-from repro.transforms.spec import TransformSpec
+from repro.transforms.spec import TransformSpec, standard_transform_grid
 
 BATCH_SIZES = (1, 2, 7, 64)
 
@@ -51,6 +50,20 @@ def test_layer_batch_matches_per_row(layer, row_shape, batch_size):
     np.testing.assert_allclose(batched, per_row, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize(
+    "spec", standard_transform_grid((8, 16), ("rgb", "red", "gray")),
+    ids=str)
+def test_apply_batch_matches_per_row(spec, batch_size):
+    images = np.random.default_rng(batch_size).random((batch_size, 16, 16, 3))
+    batched = spec.apply_batch(images)
+    per_row = np.concatenate(
+        [spec.apply_batch(images[i:i + 1]) for i in range(batch_size)])
+    assert batched.shape == (batch_size, *spec.shape)
+    assert batched.dtype == np.float64
+    np.testing.assert_allclose(batched, per_row, rtol=1e-10, atol=1e-12)
+
+
 def _make_cascade():
     rng = np.random.default_rng(11)
     levels = []
@@ -72,6 +85,18 @@ def test_cascade_classify_batch_matches_per_row(batch_size):
     batched = cascade.classify(images)
     per_row = np.concatenate(
         [cascade.classify(images[i:i + 1]) for i in range(batch_size)])
+    assert batched.shape == (batch_size,)
+    assert batched.dtype == np.int64
+    np.testing.assert_array_equal(batched, per_row)
+
+
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+def test_model_predict_batch_matches_per_row(batch_size):
+    model = _make_cascade().levels[0].model
+    images = np.random.default_rng(batch_size).random((batch_size, 16, 16, 3))
+    batched = model.predict(images)
+    per_row = np.concatenate(
+        [model.predict(images[i:i + 1]) for i in range(batch_size)])
     assert batched.shape == (batch_size,)
     assert batched.dtype == np.int64
     np.testing.assert_array_equal(batched, per_row)

@@ -45,6 +45,21 @@ class TestSequential:
         monkeypatch.setattr(np, "concatenate", None)  # calling it would raise
         np.testing.assert_array_equal(net.predict(x, batch_size=7), expected)
 
+    def test_predict_joins_its_chunks_once(self, monkeypatch):
+        net = make_net()
+        x = np.random.default_rng(1).random((7, 8, 8, 3))
+        expected = net.forward(x)
+        joins = []
+        concatenate = np.concatenate
+
+        def counting(arrays, *args, **kwargs):
+            joins.append(len(arrays))
+            return concatenate(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counting)
+        np.testing.assert_allclose(net.predict(x, batch_size=3), expected)
+        assert joins == [3]  # one copy of every chunk, not a running join
+
     def test_predict_proba_squeezes_single_output(self):
         net = make_net()
         x = np.random.default_rng(2).random((4, 8, 8, 3))
