@@ -11,8 +11,9 @@ import sys
 
 import pytest
 
+from repro.analysis import guards, lockcheck
 from repro.analysis.cli import main
-from repro.analysis.guards import discover
+from repro.analysis.guards import discover, iter_sources
 from repro.analysis.lockcheck import check_lock_discipline, lock_discipline
 
 # Injection anchors in db/executor.py (the scratch copy is text-edited, so
@@ -180,6 +181,23 @@ class TestCli:
             f"analysis: clean ({len(declared) - helpers} guarded attributes, "
             f"{helpers} called-with-lock helpers, 3 durability modules "
             f"discovered from source)\n")
+
+    def test_clean_summary_comes_from_the_checking_walk(self, monkeypatch,
+                                                        capsys):
+        walks = []
+
+        def counted(root=None):
+            walks.append(root)
+            return iter_sources(root)
+
+        def rescan(root=None):
+            raise AssertionError("the clean summary rescanned the tree")
+
+        monkeypatch.setattr(lockcheck, "iter_sources", counted)
+        monkeypatch.setattr(guards, "discover", rescan)
+        assert main([]) == 0
+        assert walks == [None]
+        assert "analysis: clean" in capsys.readouterr().out
 
     def test_findings_exit_nonzero_with_locations(self, scratch, capsys):
         _edit(scratch, "db/executor.py", _LOCKED_REGION, _UNLOCKED_REGION)
