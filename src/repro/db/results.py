@@ -5,9 +5,11 @@ so callers can consume results the way they would from a database driver:
 ``len()``, row iteration, ``fetchone()`` / ``fetchmany(n)`` / ``fetchall()``
 with a cursor that advances, and ``to_relation()`` for columnar access.  Rows
 are built lazily, one page at a time: each column is sliced once and
-converted with ``tolist()``, and the slices are zipped into dictionaries, so
-batched consumers never materialize a million dictionaries at once and no
-cell pays a NumPy scalar conversion of its own.
+converted by :func:`column_values`, and the slices are zipped into
+dictionaries, so batched consumers never materialize a million dictionaries
+at once and no cell pays a NumPy scalar conversion of its own.
+:meth:`ResultSet.fetchmany` with ``columnar=True`` pages the same cursor as
+column slices, for consumers (the wire) that never need a row dictionary.
 
 This module is also where the tail of the logical pipeline
 (... -> Aggregate -> OrderBy -> Project -> Limit) is applied to executor
@@ -39,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.evaluator import CascadeEvaluation
 
 __all__ = ["ResultSet", "FanoutResultSet", "AggregateResultSet",
-           "build_result_set", "TABLE_COLUMN"]
+           "build_result_set", "column_values", "TABLE_COLUMN"]
 
 #: Provenance column added to merged fan-out results: the shard each row
 #: came from.
@@ -122,22 +124,19 @@ class ResultSet:
                    if key not in ("wall_time_s", "trace_id")}}
 
     # -- row access -----------------------------------------------------------
-    def _rows(self, start: int, stop: int) -> list[dict]:
-        """Rows ``start:stop`` as plain dictionaries, built from column slices.
-
-        Values and types equal :func:`~repro.query.relation.to_python` per
-        cell: ``tolist()`` converts a typed slice the same way, and object
-        columns (the ``None`` fill of :func:`_fill_column`, or NumPy scalars)
-        are converted cell by cell.
-        """
+    def _slices(self, start: int, stop: int) -> list[np.ndarray]:
+        """Rows ``start:stop`` as one array slice per column, in
+        :attr:`columns` order."""
         relation = self._result.relation
-        names = relation.column_names()
-        columns = []
-        for name in names:
-            values = relation.column(name)[start:stop]
-            columns.append([_to_python(value) for value in values]
-                           if values.dtype == object else values.tolist())
-        return [dict(zip(names, row)) for row in zip(*columns)]
+        return [relation.column(name)[start:stop]
+                for name in relation.column_names()]
+
+    def _rows(self, start: int, stop: int) -> list[dict]:
+        """Rows ``start:stop`` as plain dictionaries, zipped from
+        :func:`column_values` of each column slice."""
+        columns = [column_values(values)
+                   for values in self._slices(start, stop)]
+        return [dict(zip(self.columns, row)) for row in zip(*columns)]
 
     def row(self, index: int) -> dict:
         """The ``index``-th selected row as a plain dictionary."""
@@ -155,20 +154,25 @@ class ResultSet:
         rows = self.fetchmany(1)
         return rows[0] if rows else None
 
-    def fetchmany(self, size: int = 1) -> list[dict]:
+    def fetchmany(self, size: int = 1, *,
+                  columnar: bool = False) -> list[dict] | list[np.ndarray]:
         """The next ``size`` rows, advancing the cursor; shorter at the end.
 
-        DB-API-ish size semantics: ``fetchmany(0)`` returns ``[]`` without
-        moving the cursor; a negative size raises :class:`ValueError`.
+        ``fetchmany(0)`` returns no row without moving the cursor; a
+        negative size raises :class:`ValueError`.  With ``columnar=True``
+        the same rows come back as one array slice per column, in
+        :attr:`columns` order (each empty when no row is taken), so a
+        consumer that ships columns never builds a row dictionary;
+        :func:`column_values` turns a slice into the values the row
+        dictionaries would have held.
         """
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
-        if size == 0:
-            return []
-        stop = min(self._cursor + size, len(self))
-        rows = self._rows(self._cursor, stop)
-        self._cursor = stop
-        return rows
+        start = self._cursor
+        stop = self._cursor = min(start + size, len(self))
+        if columnar:
+            return self._slices(start, stop)
+        return self._rows(start, stop)
 
     def fetchall(self) -> list[dict]:
         """All remaining rows, advancing the cursor to the end."""
@@ -194,6 +198,19 @@ class ResultSet:
         return (f"ResultSet(rows={len(self)}, "
                 f"columns={self.columns}, "
                 f"scenario={scenario!r})")
+
+
+def column_values(values: np.ndarray) -> list:
+    """One column slice as plain Python values.
+
+    Values and types equal :func:`~repro.query.relation.to_python` per
+    cell: ``tolist()`` converts a typed slice the same way, and object
+    columns (the ``None`` fill of :func:`_fill_column`, or NumPy scalars)
+    are converted cell by cell.
+    """
+    if values.dtype == object:
+        return [_to_python(value) for value in values]
+    return values.tolist()
 
 
 def _sorted_permutation(relation: Relation,

@@ -52,6 +52,8 @@ docstring convention of :mod:`repro.query.sql`::
                result: {"columns": [name...], "values": [column...],
                         "remaining": int}; a fetch that leaves
                        "remaining" at 0 frees the cursor
+    column     := '[' value* ']'
+                | '{' '"dtype"' ':' ("i" | "f") ',' '"b64"' ':' string '}'
     close_cursor keys: "cursor"           result: {"closed": bool}
     explain    keys: "sql", "tables", "constraints" (as execute)
                result: {"plan": plan} | {"plans": {table: plan}}
@@ -72,11 +74,18 @@ docstring convention of :mod:`repro.query.sql`::
     ping       result: {"pong": true}
     quit       result: {"bye": true}; the server then closes the connection
 
-A page is columnar: "values" holds one list per name in "columns", in
-that order, each as long as the page (an empty page sends ``[]``).  An
-``id`` key, when present, is echoed verbatim in the response so clients can
-match pipelined requests.  Error ``type`` names the Python exception class
-on the server (``SqlParseError`` carries ``offset``/``token``,
+A page is columnar: "values" holds one column per name in "columns", in
+that order, each as long as the page (an empty page sends one empty column
+per name).  An ``int64`` column travels as ``{"dtype": "i", ...}`` and a
+``float64`` column as ``{"dtype": "f", ...}``: "b64" is the base64 of its
+little-endian 8-byte values, so NaN, ±inf, -0.0 and the ``int64`` extremes
+cross as their bits; every other column (strings, ``bool``, ``float32``,
+integers of other widths) is a JSON list.  The matching client decodes
+both with the stdlib alone.  Protocol 3 (``stats``' "protocol") is the
+first with binary columns.  An ``id`` key, when present, is echoed
+verbatim in the response so clients can match pipelined requests.  Error
+``type`` names the Python exception class on the server (``SqlParseError``
+carries ``offset``/``token``,
 ``BackpressureError`` means the admission gate was full — resubmit later,
 ``QueryTimeoutError`` means the per-query deadline passed and the query was
 aborted at a chunk boundary).  Sessions survive every error: a failed query
@@ -86,7 +95,8 @@ The serving pieces:
 
 * :mod:`repro.server.protocol` — framing, serializable error payloads;
 * :mod:`repro.server.session` — per-connection sessions and cursor paging
-  built on :meth:`repro.db.results.ResultSet.fetchmany`;
+  built on :meth:`repro.db.results.ResultSet.fetchmany` with
+  ``columnar=True``;
 * :mod:`repro.server.admission` — the gate that caps running and waiting
   queries (each runs on its connection's thread), with immediate
   backpressure rejection and cooperative per-query timeouts;

@@ -5,7 +5,10 @@ A thin, dependency-free driver for the NDJSON protocol.  One
 returns a :class:`RemoteCursor` holding the first page of rows, which the
 ``execute`` answer carries; further rows page in with server-side ``fetch``
 — iteration streams batches, the query never re-runs.  Pages arrive as
-columns and are zipped back into one dictionary per row.  A connection whose
+columns, are decoded with the stdlib alone (:func:`decode_page`: binary
+``int64`` / ``float64`` columns through :mod:`array`) and are zipped back
+into one dictionary per row whose values and types equal a local
+``fetchall()``'s.  A connection whose
 socket fails, or whose reply does not answer the request, is closed: every
 later call raises "connection is closed".  Server
 errors come back as the exceptions the server raised where a local
@@ -29,10 +32,11 @@ import threading
 
 from repro.query.ast import QueryError, QueryTimeoutError, SqlParseError
 from repro.server.protocol import (MAX_LINE_BYTES, BackpressureError,
-                                   ProtocolError, ServerError, decode, encode)
+                                   ProtocolError, ServerError, decode,
+                                   decode_column, encode)
 from repro.server.session import DEFAULT_FETCH_SIZE
 
-__all__ = ["connect", "Connection", "RemoteCursor"]
+__all__ = ["connect", "Connection", "RemoteCursor", "decode_page"]
 
 
 def _rebuild_error(payload: dict) -> Exception:
@@ -143,7 +147,8 @@ class Connection:
         return RemoteCursor(self, result)
 
     def fetch(self, cursor: int, n: int = DEFAULT_FETCH_SIZE) -> dict:
-        """Raw ``fetch``: ``{"columns", "values", "remaining"}``."""
+        """Raw ``fetch``: ``{"columns", "values", "remaining"}``, the
+        columns still encoded (:func:`decode_page` decodes them)."""
         return self._call("fetch", cursor=cursor, n=n)
 
     def close_cursor(self, cursor: int) -> bool:
@@ -200,10 +205,23 @@ class Connection:
         return f"Connection({peer})"
 
 
-def _rows(page: dict) -> list[dict]:
-    """A columnar page (``columns`` + one ``values`` list per column) as
-    one dictionary per row."""
-    return [dict(zip(page["columns"], row)) for row in zip(*page["values"])]
+def decode_page(page: dict) -> list[dict]:
+    """A columnar page (``columns`` + one ``values`` entry per column) as
+    one dictionary per row.
+
+    Raises :class:`~repro.server.protocol.ProtocolError` for a column that
+    does not decode (see :func:`~repro.server.protocol.decode_column`) or
+    for columns of unequal lengths.
+    """
+    names, columns = page["columns"], page["values"]
+    if len(columns) != len(names):
+        raise ProtocolError(f"page has {len(columns)} columns of values "
+                            f"for {len(names)} names")
+    columns = [decode_column(column) for column in columns]
+    if len({len(column) for column in columns}) > 1:
+        raise ProtocolError("page columns differ in length: "
+                            f"{[len(column) for column in columns]}")
+    return [dict(zip(names, row)) for row in zip(*columns)]
 
 
 class RemoteCursor:
@@ -224,8 +242,8 @@ class RemoteCursor:
         self.cursor_id: int | None = result["cursor"]
         self.rowcount: int = result["rowcount"]
         self.columns: list[str] = list(result["columns"])
-        self._buffer = _rows(result)       # received, not yet returned
-        self._unsent: int = result["remaining"]  # still on the server
+        self._buffer = decode_page(result)        # received, not yet returned
+        self._unsent: int = result["remaining"]   # still on the server
         self.batch_size = batch_size
         self.closed = False
 
@@ -253,7 +271,7 @@ class RemoteCursor:
         if len(self._buffer) < size and self._unsent:
             page = self._connection.fetch(self.cursor_id,
                                           n=size - len(self._buffer))
-            self._buffer += _rows(page)
+            self._buffer += decode_page(page)
             self._unsent = page["remaining"]
         rows, self._buffer = self._buffer[:size], self._buffer[size:]
         return rows

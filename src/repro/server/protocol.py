@@ -8,25 +8,43 @@ envelopes, and turning exceptions into machine-readable error payloads (the
 :class:`~repro.query.ast.QueryError`, with a generic fallback for everything
 else).
 
-Float columns may contain NaN (the typed fill for absent fan-out columns);
-encoding keeps Python's ``NaN`` spelling, which the matching client parses
-back — a non-Python client should treat bare ``NaN`` tokens as null.
+It also owns the page-column codec (:func:`encode_column` /
+:func:`decode_column`): an ``int64`` or ``float64`` column crosses as
+``{"dtype": "i" | "f", "b64": ...}``, the base64 of its little-endian
+bytes, and decodes with the stdlib ``array`` module; every other column is
+a JSON list.  Binary columns carry NaN, ±inf and -0.0 as their bits.  A
+list-path float column (``float32``) may still hold NaN — the typed fill for
+absent fan-out columns — and JSON keeps Python's ``NaN`` spelling for it,
+which the matching client parses back; a non-Python client should treat
+bare ``NaN`` tokens as null.
 """
 
 from __future__ import annotations
 
+import array
+import base64
+import binascii
 import json
+import sys
+
+from repro.db.results import column_values
 
 __all__ = ["PROTOCOL_VERSION", "MAX_LINE_BYTES",
            "ProtocolError", "ServerError", "BackpressureError",
-           "encode", "decode", "ok_response", "error_response",
-           "error_payload"]
+           "encode", "decode", "encode_column", "decode_column",
+           "ok_response", "error_response", "error_payload"]
 
 #: Bumped when the wire protocol changes incompatibly; the server speaks
-#: only this version.  2: pages are columnar, ``execute`` carries the first
-#: page, and a drained cursor is freed (1 sent one object per row and parked
-#: every result).
-PROTOCOL_VERSION = 2
+#: only this version.  3: ``int64`` and ``float64`` page columns travel as
+#: base64 little-endian bytes (2 sent every column as a JSON list).  2: pages
+#: are columnar, ``execute`` carries the first page, and a drained cursor is
+#: freed (1 sent one object per row and parked every result).
+PROTOCOL_VERSION = 3
+
+#: Binary page columns: NumPy ``(kind, itemsize)`` -> wire ``dtype``, and
+#: wire ``dtype`` -> the :mod:`array` typecode that decodes it.
+_BINARY_DTYPES = {("i", 8): "i", ("f", 8): "f"}
+_TYPECODES = {"i": "q", "f": "d"}
 
 #: Upper bound on one encoded line; a request beyond this is a protocol
 #: error (keeps a misbehaving client from ballooning server memory).
@@ -84,7 +102,12 @@ def decode(line: bytes | str) -> dict:
     if isinstance(line, bytes):
         if len(line) > MAX_LINE_BYTES:
             raise ProtocolError(f"message exceeds {MAX_LINE_BYTES} bytes")
-        line = line.decode("utf-8", errors="replace")
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # Replacing the bytes would run a different query than was sent.
+            raise ProtocolError(
+                f"invalid UTF-8 at byte offset {exc.start}") from None
     text = line.strip()
     if not text:
         raise ProtocolError("empty message")
@@ -96,6 +119,46 @@ def decode(line: bytes | str) -> dict:
         raise ProtocolError("message must be a JSON object, got "
                             f"{type(message).__name__}")
     return message
+
+
+def encode_column(values) -> dict | list:
+    """One page column from a NumPy slice: binary for ``int64`` /
+    ``float64``, else the list of :func:`repro.db.results.column_values`."""
+    dtype = _BINARY_DTYPES.get((values.dtype.kind, values.dtype.itemsize))
+    if dtype is None:
+        return column_values(values)
+    raw = values.astype(f"<{dtype}8", copy=False).tobytes()
+    return {"dtype": dtype, "b64": base64.b64encode(raw).decode("ascii")}
+
+
+def decode_column(column) -> list:
+    """One received page column as a list of Python values.
+
+    A binary column decodes to ``int`` / ``float`` exactly as ``tolist()``
+    gives them on the server; a list column is returned as sent.  Raises
+    :class:`ProtocolError` for anything else: an unknown ``dtype``, bad
+    base64, or a byte length that is not a multiple of 8.
+    """
+    if isinstance(column, list):
+        return column
+    typecode = (_TYPECODES.get(column.get("dtype"))
+                if isinstance(column, dict) else None)
+    if typecode is None:
+        raise ProtocolError(f"page column is neither a list nor a binary "
+                            f"column of dtype {sorted(_TYPECODES)}: "
+                            f"{column!r:.80}")
+    try:
+        raw = base64.b64decode(column.get("b64"), validate=True)
+    except (TypeError, ValueError, binascii.Error) as exc:
+        raise ProtocolError(f"binary page column is not base64: {exc}") \
+            from None
+    if len(raw) % 8:
+        raise ProtocolError(f"binary page column holds {len(raw)} bytes, "
+                            "not a multiple of 8")
+    values = array.array(typecode, raw)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values.tolist()
 
 
 def error_payload(exc: BaseException) -> dict:

@@ -7,13 +7,16 @@ answers with the first page of rows; only when rows remain does it park the
 resulting :class:`~repro.db.results.ResultSet` under a session-local cursor
 id, so a short result is one round trip and holds no cursor.  ``fetch``
 pages further rows off the parked result set with
-:meth:`~repro.db.results.ResultSet.fetchmany` — the query is never re-run —
-and reports how many rows remain so clients stop paging without a final
-empty round trip.  Every page travels as columns (``"values"``: one list per
-column, in ``"columns"`` order), not as one object per row.  Cursors are
-bounded per session (:data:`MAX_CURSORS`); a ``fetch`` that drains a cursor
-frees it, ``close_cursor`` frees one early, and closing the session frees
-them all.
+:meth:`~repro.db.results.ResultSet.fetchmany` with ``columnar=True`` —
+the query is never re-run — and reports how many rows remain so clients
+stop paging without a final empty round trip.  Every page travels as columns
+sliced straight from the result's arrays (``"values"``: one entry per
+column, in ``"columns"`` order): ``int64`` and ``float64`` columns as base64
+little-endian bytes, every other column as a JSON list (see
+:func:`~repro.server.protocol.encode_column`); no row is ever built on the
+server.  Cursors are bounded per session (:data:`MAX_CURSORS`); a ``fetch``
+that drains a cursor frees it, ``close_cursor`` frees one early, and closing
+the session frees them all.
 
 Sessions survive errors: a failed command — parse error, timeout,
 backpressure rejection — produces an error payload for that request and
@@ -29,7 +32,7 @@ from typing import Callable
 from repro.core.selector import UserConstraints
 from repro.query.ast import QueryTimeoutError
 from repro.server.protocol import (PROTOCOL_VERSION, BackpressureError,
-                                   ProtocolError)
+                                   ProtocolError, encode_column)
 from repro.telemetry.export import render_prometheus
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -202,14 +205,13 @@ class Session:
 
     @staticmethod
     def _page(result_set, n: int) -> dict:
-        """The next ``n`` rows of ``result_set`` as one columnar page.
-
-        Rows come from :meth:`~repro.db.results.ResultSet.fetchmany`, the
-        result set's one paging entry point, and are transposed here.
-        """
-        rows = result_set.fetchmany(n)
+        """The next ``n`` rows of ``result_set`` as one columnar page,
+        encoded from the column slices that
+        :meth:`~repro.db.results.ResultSet.fetchmany` returns with
+        ``columnar=True``."""
+        columns = result_set.fetchmany(n, columnar=True)
         return {"columns": result_set.columns,
-                "values": list(zip(*(row.values() for row in rows))),
+                "values": [encode_column(values) for values in columns],
                 "remaining": result_set.remaining}
 
     def _cmd_close_cursor(self, request: dict) -> dict:

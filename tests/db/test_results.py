@@ -87,6 +87,21 @@ class TestFetchCursor:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             _result_set().fetchmany(-1)
+        with pytest.raises(ValueError):
+            _result_set().fetchmany(-1, columnar=True)
+
+    def test_columnar_pages_share_the_row_cursor(self):
+        results = _result_set(5)
+        assert results.fetchmany(1)[0]["image_id"] == 0
+        columns = results.fetchmany(3, columnar=True)
+        assert [len(values) for values in columns] == [3, 3, 3]
+        ids = columns[results.columns.index("image_id")]
+        assert ids.dtype == np.int64 and ids.tolist() == [1, 2, 3]
+        assert results.remaining == 1
+        assert [row["image_id"] for row in results.fetchall()] == [4]
+        # Past the end (or with size 0): one empty slice per column.
+        assert [len(values)
+                for values in results.fetchmany(2, columnar=True)] == [0] * 3
 
 
 class TestColumnarAccess:

@@ -35,6 +35,13 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             decode(bad)
 
+    def test_invalid_utf8_rejected_with_its_offset(self):
+        # Decoding with replacement would run a different query.
+        line = b'{"sql": "SELECT * FROM images WHERE location = \'\xff\'"}\n'
+        with pytest.raises(ProtocolError, match=(
+                f"invalid UTF-8 at byte offset {line.index(0xff)}$")):
+            decode(line)
+
     def test_oversized_line_rejected(self):
         with pytest.raises(ProtocolError):
             decode(b"x" * (MAX_LINE_BYTES + 1))

@@ -23,6 +23,7 @@ from repro.db.retention import RetentionPolicy
 from repro.query.ast import QueryError, QueryTimeoutError, SqlParseError
 from repro.server import (AdmissionController, BackpressureError,
                           ProtocolError, ServerError, Session, connect, serve)
+from repro.server.client import decode_page
 from repro.server.session import DEFAULT_FETCH_SIZE, MAX_CURSORS
 from tests.conftest import TINY_SIZE
 
@@ -310,13 +311,15 @@ class TestColumnarWire:
         session = Session(paged_db, AdmissionController())
         result = session.handle({"cmd": "execute",
                                  "sql": "SELECT image_id FROM cam_wide"})
-        assert result["values"] == [tuple(range(DEFAULT_FETCH_SIZE))]
+        assert decode_page(result) == [
+            {"image_id": i} for i in range(DEFAULT_FETCH_SIZE)]
         assert session.handle({"cmd": "stats"})["open_cursors"] == 1
         page = session.handle({"cmd": "fetch", "cursor": result["cursor"],
                                "n": 1000})
-        assert page == {"columns": ["image_id"],
-                        "values": [tuple(range(DEFAULT_FETCH_SIZE, 150))],
-                        "remaining": 0}
+        assert page["columns"] == ["image_id"]
+        assert page["remaining"] == 0
+        assert decode_page(page) == [
+            {"image_id": i} for i in range(DEFAULT_FETCH_SIZE, 150)]
         assert session.handle({"cmd": "stats"})["open_cursors"] == 0
 
 
@@ -426,7 +429,29 @@ class TestRawProtocol:
             # The session and its open cursor survived both.
             response = self.request(
                 f, b'{"cmd": "fetch", "cursor": %d, "n": 1}\n' % cursor)
-            assert response["result"]["values"] == [[DEFAULT_FETCH_SIZE]]
+            assert decode_page(response["result"]) == [
+                {"image_id": DEFAULT_FETCH_SIZE}]
+
+    def test_invalid_utf8_refused_and_session_survives(self, paged_server):
+        with socket.create_connection(paged_server.address,
+                                      timeout=30) as sock:
+            f = sock.makefile("rwb")
+            response = self.request(
+                f, b'{"cmd": "execute", '
+                b'"sql": "SELECT image_id FROM cam_wide"}\n')
+            cursor = response["result"]["cursor"]
+            line = (b'{"cmd": "execute", "sql": "SELECT image_id FROM '
+                    b"cam_wide WHERE location = '\xff'\"}\n")
+            response = self.request(f, line)
+            assert response == {"ok": False, "error": {
+                "type": "ProtocolError",
+                "message": ("invalid UTF-8 at byte offset "
+                            f"{line.index(0xff)}")}}
+            # The session and its parked cursor survived.
+            response = self.request(
+                f, b'{"cmd": "fetch", "cursor": %d, "n": 1}\n' % cursor)
+            assert decode_page(response["result"]) == [
+                {"image_id": DEFAULT_FETCH_SIZE}]
 
     def test_cursor_cap(self, paged_server):
         execute = (b'{"cmd": "execute", '
@@ -518,7 +543,7 @@ class TestSessionValidation:
         short = session.handle(
             {"cmd": "execute", "sql": "SELECT image_id FROM cam_wide LIMIT 1"})
         assert short["cursor"] is None
-        assert short["values"] == [(0,)]
+        assert decode_page(short) == [{"image_id": 0}]
         one_page = session.handle(
             {"cmd": "execute", "sql": "SELECT image_id FROM cam_wide "
                                       f"LIMIT {DEFAULT_FETCH_SIZE}"})
