@@ -1,9 +1,10 @@
 """Durability lint: the fsync/rename/prune ordering crash-safety rests on.
 
-The lint covers every module whose code calls ``os.fsync``
-(:func:`durability_modules`; today the WAL and checkpoint code,
-:mod:`repro.db.wal` and :mod:`repro.db.persistence`, and the predicate
-repository writer a checkpoint calls, :mod:`repro.core.persistence`).
+The lint covers every module whose code calls ``os.fsync`` or one of the
+fsync helpers (:func:`durability_modules`; today the WAL and checkpoint
+code, :mod:`repro.db.wal` and :mod:`repro.db.persistence`, and the
+predicate repository writer every save calls, :mod:`repro.core.persistence`,
+which holds the one file-fsync helper, ``fsync_path``).
 They keep four
 ordering invariants, all of them easy to silently regress because every
 test passes without them — they only matter across a power loss:
@@ -16,10 +17,11 @@ test passes without them — they only matter across a power loss:
   return.
 * **fsync-before-rename** — an ``os.replace`` publishing a manifest must be
   preceded, in the same function, by an fsync of the bytes being published
-  (``os.fsync`` / ``_fsync_file``); otherwise the rename can become durable
+  (``os.fsync`` / ``fsync_path``); otherwise the rename can become durable
   before the content it names.
 * **dirsync-after-rename** — after the ``os.replace``, the directory entry
-  must be fsynced (``fsync_dir``) so the rename itself survives power loss.
+  must be fsynced (``fsync_dir``; ``_fsync_image_dir`` syncs an image
+  directory the same way) so the rename itself survives power loss.
 * **write-after-prune** — pruning (stale checkpoint images, absorbed WAL
   generations) must be the *last* thing a function does: any write event
   after a prune means state was deleted before its replacement was durable.
@@ -27,6 +29,8 @@ test passes without them — they only matter across a power loss:
 The lint is line-order within one function — deliberately simple and
 direction-correct: conditional branches (``if checkpointing:``) still
 appear in source order, which is exactly the order the protocol requires.
+The helpers are known by name, so a file fsync behind any other helper
+counts as no fsync at all.
 A deliberate exception carries ``# durability ok: <reason>`` on the
 ``os.replace`` (or write) line.
 """
@@ -49,22 +53,20 @@ _WRITE_NAMES = frozenset({"savez", "savez_compressed", "save", "dump",
 
 def _durable_trees(root: Path | None) -> Iterator[tuple[str, str, ast.Module]]:
     """``(path, source, tree)`` for every module under ``root`` that calls
-    ``os.fsync``."""
+    ``os.fsync`` or an fsync helper."""
     for path, source in iter_sources(root):
         if "fsync" not in source:
             continue
         tree = ast.parse(source)
         if any(isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "fsync"
-               and isinstance(node.func.value, ast.Name)
-               and node.func.value.id == "os"
+               and _call_kind(node) in ("fsync", "dirsync")
                for node in ast.walk(tree)):
             yield path, source, tree
 
 
 def durability_modules(root: Path | None = None) -> list[str]:
-    """The modules the lint covers: those whose code calls ``os.fsync``."""
+    """The modules the lint covers: those whose code calls ``os.fsync`` or
+    an fsync helper."""
     return [path for path, _, _ in _durable_trees(root)]
 
 
@@ -112,7 +114,7 @@ def _call_kind(call: ast.Call) -> str | None:
     if name == "replace":
         # Only os.replace is a rename; str.replace shares the name.
         return "replace" if is_os else None
-    if name == "fsync" and is_os or name == "_fsync_file":
+    if name == "fsync" and is_os or name == "fsync_path":
         return "fsync"
     if name in ("fsync_dir", "_fsync_image_dir"):
         return "dirsync"

@@ -104,6 +104,15 @@ def scan_module(path: str, source: str
     classes = [node for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)]
     by_name = {cls.name: cls for cls in classes}
+    # Each class's assignments, found by one walk the first time a
+    # declaration needs them (not one walk per declaration).
+    bindings: dict[ast.ClassDef, _Bindings] = {}
+
+    def bound(cls: ast.ClassDef) -> _Bindings:
+        if cls not in bindings:
+            bindings[cls] = _Bindings(cls)
+        return bindings[cls]
+
     guards: list[Guard] = []
     problems: list[tuple[int, str]] = []
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
@@ -124,12 +133,12 @@ def scan_module(path: str, source: str
             continue
         standalone = not token.line[:token.start[1]].strip()
         guard = (_helper(path, cls, lock, line) if standalone
-                 else _binding(path, cls, lock, line))
+                 else bound(cls).guard(path, lock, line))
         if guard is None:
             problems.append((line, f"{cls.name}: '# guarded by: {lock}' "
                                    f"binds nothing (put it on an attribute's "
                                    f"binding or directly under a def)"))
-        elif not any(guard.lock_path[0] in _assigned(owner)
+        elif not any(guard.lock_path[0] in bound(owner).names
                      for owner in lineage(cls, by_name)):
             problems.append((line, f"{cls.name} never assigns the lock "
                                    f"{lock!r} guarding {guard.name!r}"))
@@ -147,26 +156,46 @@ def _helper(path: str, cls: ast.ClassDef, lock: str,
     return None
 
 
-def _binding(path: str, cls: ast.ClassDef, lock: str,
-             line: int) -> Guard | None:
-    """The attribute the assignment spanning ``line`` binds, if any."""
-    stmt = max((node for node in ast.walk(cls)
-                if isinstance(node, (ast.Assign, ast.AnnAssign))
-                and node.lineno <= line <= node.end_lineno),
-               key=lambda node: node.lineno, default=None)
-    if stmt is None:
-        return None
-    target = _targets(stmt)[0]
-    if (isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"):
-        name = target.attr
-    elif isinstance(target, ast.Name) and stmt in cls.body:
-        name = target.id  # a class-body (dataclass) field
-    else:
-        return None
-    return Guard(path, cls.name, name, lock, line,
-                 mutable=_is_mutable(stmt.value))
+class _Bindings:
+    """The assignments one class makes (``self.<name>`` anywhere in its
+    body, and class-body fields), from one walk of the class."""
+
+    def __init__(self, cls: ast.ClassDef) -> None:
+        self.cls = cls
+        self.statements: list[ast.Assign | ast.AnnAssign] = []
+        self.names: set[str] = set()
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                self.statements.append(node)
+            elif (_is_self_attr(node)
+                  and isinstance(node.ctx, ast.Store)):
+                self.names.add(node.attr)
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                self.names.update(target.id for target in _targets(stmt)
+                                  if isinstance(target, ast.Name))
+
+    def guard(self, path: str, lock: str, line: int) -> Guard | None:
+        """The attribute the assignment spanning ``line`` binds, if any."""
+        stmt = max((node for node in self.statements
+                    if node.lineno <= line <= node.end_lineno),
+                   key=lambda node: node.lineno, default=None)
+        if stmt is None:
+            return None
+        target = _targets(stmt)[0]
+        if _is_self_attr(target):
+            name = target.attr
+        elif isinstance(target, ast.Name) and stmt in self.cls.body:
+            name = target.id  # a class-body (dataclass) field
+        else:
+            return None
+        return Guard(path, self.cls.name, name, lock, line,
+                     mutable=_is_mutable(stmt.value))
+
+
+def _is_self_attr(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
 
 
 def _callee(node: ast.expr) -> str | None:
@@ -196,20 +225,6 @@ def lineage(cls: ast.ClassDef,
         if isinstance(base, ast.Name) and base.id in classes:
             found += lineage(classes[base.id], classes)
     return found
-
-
-def _assigned(cls: ast.ClassDef) -> set[str]:
-    """Names ``cls`` binds: class-body fields and ``self.<name>``
-    assignments."""
-    names = {node.attr for node in ast.walk(cls)
-             if isinstance(node, ast.Attribute)
-             and isinstance(node.ctx, ast.Store)
-             and isinstance(node.value, ast.Name) and node.value.id == "self"}
-    for stmt in cls.body:
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            names.update(target.id for target in _targets(stmt)
-                         if isinstance(target, ast.Name))
-    return names
 
 
 def _targets(stmt: ast.Assign | ast.AnnAssign) -> list[ast.expr]:

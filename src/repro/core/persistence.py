@@ -7,11 +7,17 @@ and representation metadata, calibrated thresholds, cached evaluation-set
 predictions and the enumerated cascade structure inputs — to a directory, and
 restores it without retraining.
 
-Layout of a saved repository::
+Layout of a saved repository (format 3)::
 
     <root>/
       repository.json         # metadata: specs, thresholds, config, labels
-      weights/<model>.npz      # one archive per trained model (and reference)
+      weights.npz             # every network's parameters, one archive:
+                              # ``<model>/<param>`` for each trained model
+                              # and the reference
+
+Both files, and the directory entries naming them, are fsynced before
+:func:`save_optimizer` returns, so a database manifest may name the
+repository as soon as it is written.
 
 Cascades are not stored explicitly (there can be millions); they are re-built
 from the saved model pool and thresholds on load, which takes milliseconds.
@@ -31,16 +37,21 @@ from repro.core.optimizer import TahomaConfig, TahomaOptimizer
 from repro.core.spec import ArchitectureSpec
 from repro.core.thresholds import DecisionThresholds
 from repro.core.trainer import TrainingConfig
-from repro.nn.serialize import load_weights, save_weights
 from repro.transforms.spec import TransformSpec
 
 __all__ = ["save_optimizer", "load_optimizer", "transform_to_dict",
-           "transform_from_dict"]
+           "transform_from_dict", "fsync_path"]
 
-#: Format 2 dropped every transform's interpolation mode and the config's
-#: reference-tail switch and threshold grid size (each held one value), and
-#: added the config's ``training``; commit 9334799 is the last to read format 1.
-_FORMAT_VERSION = 2
+#: Format 3 keeps every network's parameters in one ``weights.npz`` (format 2
+#: wrote one ``weights/<model>.npz`` per network; commit 888284b is the last
+#: to read it).  Format 2 dropped every transform's interpolation mode and
+#: the config's reference-tail switch and threshold grid size (each held one
+#: value), and added the config's ``training``; commit 9334799 is the last to
+#: read format 1.
+_FORMAT_VERSION = 3
+
+_MANIFEST_FILE = "repository.json"
+_WEIGHTS_FILE = "weights.npz"
 
 
 def _architecture_to_dict(architecture: ArchitectureSpec | None) -> dict | None:
@@ -124,7 +135,7 @@ def _rebuild_network(model_meta: dict):
     return network, None, transform
 
 
-def _fsync(path: Path) -> None:
+def fsync_path(path: Path) -> None:
     """Flush one file's bytes, or one directory's entries, to disk."""
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -134,9 +145,8 @@ def _fsync(path: Path) -> None:
 
 
 def save_optimizer(optimizer: TahomaOptimizer, root: str | Path,
-                   reference_params: dict | None = None, *,
-                   durable: bool = False) -> Path:
-    """Persist an initialized optimizer to ``root``.
+                   reference_params: dict | None = None) -> Path:
+    """Persist an initialized optimizer to ``root``, durably.
 
     Parameters
     ----------
@@ -149,32 +159,28 @@ def save_optimizer(optimizer: TahomaOptimizer, root: str | Path,
         ``blocks_per_stage``, ``dense_units``) used to build the reference
         network, needed to re-instantiate it on load.  Required when the
         optimizer has a reference model built with non-default parameters.
-    durable:
-        Flush every file written, and the directory entries naming them
-        (``root``'s own entry in its parent too), to disk before returning —
-        so a database checkpoint can name ``root`` in a manifest that must
-        never reference bytes the page cache could still lose.
 
-    Files are written in place: a caller that must not tear a repository
-    a manifest already names writes into a fresh ``root``.
+    Both files, and the directory entries naming them (``root``'s own entry
+    in its parent too), are flushed to disk before this returns.  Files are
+    written in place: a caller that must not tear a repository a manifest
+    already names writes into a fresh ``root``.
     """
     if optimizer.cache is None:
         raise ValueError("optimizer is not initialized; nothing to save")
     root = Path(root)
-    weights_dir = root / "weights"
-    weights_dir.mkdir(parents=True, exist_ok=True)
+    root.mkdir(parents=True, exist_ok=True)
 
-    models_meta = []
-    for model in optimizer.models:
-        models_meta.append(_model_to_dict(model))
-        save_weights(model.network, weights_dir / f"{model.name}.npz")
-
+    networks = list(optimizer.models)
+    models_meta = [_model_to_dict(model) for model in optimizer.models]
     reference_meta = None
     if optimizer.reference_model is not None:
+        networks.append(optimizer.reference_model)
         reference_meta = _model_to_dict(optimizer.reference_model)
         reference_meta["reference_params"] = reference_params or {}
-        save_weights(optimizer.reference_model.network,
-                     weights_dir / f"{optimizer.reference_model.name}.npz")
+    np.savez(root / _WEIGHTS_FILE,
+             **{f"{model.name}/{param}": value
+                for model in networks
+                for param, value in model.network.parameters().items()})
 
     payload = {
         "format_version": _FORMAT_VERSION,
@@ -189,38 +195,42 @@ def save_optimizer(optimizer: TahomaOptimizer, root: str | Path,
                               for name, probs in optimizer.cache.probabilities.items()},
         },
     }
-    (root / "repository.json").write_text(json.dumps(payload))
-    if durable:
-        for path in weights_dir.iterdir():
-            _fsync(path)
-        for path in (root / "repository.json", weights_dir, root, root.parent):
-            _fsync(path)
+    (root / _MANIFEST_FILE).write_text(json.dumps(payload))
+    for path in (root / _WEIGHTS_FILE, root / _MANIFEST_FILE, root,
+                 root.parent):
+        fsync_path(path)
     return root
 
 
 def load_optimizer(root: str | Path) -> TahomaOptimizer:
     """Restore an optimizer saved with :func:`save_optimizer` (no retraining)."""
     root = Path(root)
-    manifest_path = root / "repository.json"
+    manifest_path = root / _MANIFEST_FILE
     if not manifest_path.exists():
-        raise FileNotFoundError(f"no repository.json under {root}")
+        raise FileNotFoundError(f"no {_MANIFEST_FILE} under {root}")
     payload = json.loads(manifest_path.read_text())
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported repository format {version!r}: only format "
             f"{_FORMAT_VERSION} is read; to keep an older directory, open it "
-            f"from a checkout of commit 9334799, the last one that reads "
-            f"format 1")
+            f"from a checkout of commit 888284b, the last one that reads "
+            f"format 2 (9334799 for format 1)")
 
-    weights_dir = root / "weights"
+    # One dict per network: ``set_parameters`` names any layer the archive
+    # lacks.
+    weights: dict[str, dict[str, np.ndarray]] = {}
+    with np.load(root / _WEIGHTS_FILE, allow_pickle=False) as archive:
+        for key in archive.files:
+            model, _, param = key.rpartition("/")
+            weights.setdefault(model, {})[param] = archive[key]
     config = _config_from_dict(payload["config"])
     optimizer = TahomaOptimizer(config)
 
     models = []
     for meta in payload["models"]:
         network, architecture, transform = _rebuild_network(meta)
-        load_weights(network, weights_dir / f"{meta['name']}.npz")
+        network.set_parameters(weights.get(meta["name"], {}))
         models.append(TrainedModel(
             name=meta["name"], network=network, transform=transform,
             architecture=architecture, kind=meta["kind"], flops=meta["flops"],
@@ -231,7 +241,7 @@ def load_optimizer(root: str | Path) -> TahomaOptimizer:
     if payload["reference"] is not None:
         meta = payload["reference"]
         network, _, transform = _rebuild_network(meta)
-        load_weights(network, weights_dir / f"{meta['name']}.npz")
+        network.set_parameters(weights.get(meta["name"], {}))
         reference = TrainedModel(
             name=meta["name"], network=network, transform=transform,
             architecture=None, kind="reference", flops=meta["flops"],

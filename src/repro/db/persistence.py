@@ -2,18 +2,20 @@
 
 Built on :mod:`repro.core.persistence` (the per-predicate model repository),
 plus a database-level manifest carrying the deployment scenario, device
-profile and the table catalog.  Layout (format version 8)::
+profile and the table catalog.  Layout (format version 9)::
 
     <root>/
       database.json            # manifest: scenario, device, predicates,
                                # store budget, per-table entries, WAL state
       predicates/<name>/ckpt-<k>/  # the predicate's model repository,
         repository.json            # version k (manifest-referenced)
-        weights/*.npz
+        weights.npz
       tables/<table>/ckpt-<k>/ # table image version k (manifest-referenced)
-        corpus.npz             # images + metadata + content
-        materialized.npz       # materialized virtual columns (optional)
-        store.npz              # representation arrays (optional, size-capped)
+        table.npz              # one archive: images, metadata/<k> and
+                               # content/<k> (the corpus), materialized/
+                               # mask_<i> and labels_<i> (virtual columns),
+                               # store/rep_<i> (representation arrays,
+                               # size-capped)
       wal/<table>/             # write-ahead log (WAL-enabled databases only)
         log-<g>.wal            # generation g of the table's journal: one
                                # checksummed frame per record, arrays inline
@@ -32,7 +34,7 @@ unaffected.  Which arrays a save holds is decided when the table is
 captured (:meth:`~repro.db.executor.QueryExecutor.capture_image` leaves a
 native array out), so a load stores every array it reads.
 
-Durability: :func:`save_database` captures each
+Durability: every save is durable.  :func:`save_database` captures each
 table — corpus, labels, id offset *and* representation arrays — in one hold
 of its shard lock (a save taken under live server traffic is internally
 consistent, row for row), and a save into a WAL-enabled database's own root
@@ -45,27 +47,31 @@ attached or detached since the checkpoint), then re-arms journaling — so a
 process killed at an arbitrary byte of the log recovers to exactly the
 state its last complete frame had made durable, with stable ids and
 materialized labels intact.
-Checkpoints never overwrite the previous image: each save writes
-its table files into a fresh ``tables/<table>/ckpt-<k>/`` directory (for a
-checkpoint, fsynced before the manifest moves), the manifest — itself
-written atomically (temp file + ``os.replace``) — references that version,
-and only once the new manifest is durably in place are the superseded image
-directories and absorbed WAL generations deleted.  Predicate repositories
-follow the same protocol in ``predicates/<name>/ckpt-<k>/``, with one
-difference: a checkpoint writes a repository only when the predicate's
-registration changed since the last checkpoint under that root (or the load
-that read it) made one durable, and otherwise names that directory again —
-trained weights never change, so a steady-state checkpoint touches nothing
-under ``predicates/``.  A crash at any point mid-checkpoint therefore
+Saves never overwrite the previous image: each save writes its table
+archive into a fresh ``tables/<table>/ckpt-<k>/`` directory, fsynced before
+the manifest moves, the manifest — itself written atomically (temp file,
+fsync, ``os.replace``, directory fsync) — references that version, and only
+once the new manifest is durably in place are the superseded image
+directories (and, for a checkpoint, absorbed WAL generations) deleted.
+Predicate repositories follow the same protocol in
+``predicates/<name>/ckpt-<k>/``, with one difference: a checkpoint writes a
+repository only when the predicate's registration changed since the last
+checkpoint under that root (or the load that read it) made one durable, and
+otherwise names that directory again — trained weights never change, so a
+steady-state checkpoint touches nothing under ``predicates/``.  A crash at any point mid-checkpoint therefore
 leaves the previous manifest pointing at its own intact image files and
 repositories and at a generation floor whose logs are still on disk.
 
 Exactly one format is read: the one written.  :func:`load_database`
 raises ``ValueError("unsupported database format …")`` for any other
 ``format_version``, naming the version it found and the last commit whose
-checkout still reads it.  Format 7 differs from 8 only in each table
-entry's list of registered specs (what ONGOING ingest extended, now the
-store's own entries).  Format 6 differs from 7 only in where a
+checkout still reads it.  Format 8 differs from 9 only in file layout:
+each table image was three archives (corpus, materialized columns, stored
+representations; the table entry named the corpus archive's path), each
+predicate repository one archive per network (repository format 2), and a
+save outside its database's WAL root was not fsynced.  Format 7 differs
+from 8 only in each table entry's list of registered specs (what ONGOING
+ingest extended, now the store's own entries).  Format 6 differs from 7 only in where a
 predicate's repository lives (``predicates/<name>/`` itself, rewritten in
 place by every save, against a ``repository`` directory each predicate
 entry names).  Format 5 differs from 6 only in keys that always
@@ -90,8 +96,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.persistence import (load_optimizer, save_optimizer,
-                                    transform_from_dict, transform_to_dict)
+from repro.core.persistence import (fsync_path, load_optimizer,
+                                    save_optimizer, transform_from_dict,
+                                    transform_to_dict)
 from repro.core.selector import UserConstraints
 from repro.costs.device import DeviceProfile
 from repro.costs.scenario import Scenario
@@ -107,14 +114,12 @@ if TYPE_CHECKING:
 __all__ = ["save_database", "load_database", "Durability",
            "DEFAULT_STORE_BYTES_CAP"]
 
-_FORMAT_VERSION = 8
+_FORMAT_VERSION = 9
 
 _MANIFEST_FILE = "database.json"
 _PREDICATES_DIR = "predicates"
 _TABLES_DIR = "tables"
-_CORPUS_FILE = "corpus.npz"
-_MATERIALIZED_FILE = "materialized.npz"
-_STORE_FILE = "store.npz"
+_TABLE_FILE = "table.npz"
 _IMAGE_DIR_RE = re.compile(r"^ckpt-(\d+)$")
 
 #: On-disk byte cap for persisted representation arrays, shared by the
@@ -135,31 +140,24 @@ def _scenario_from_dict(data: dict) -> Scenario:
     return Scenario(**data)
 
 
-def _load_corpus(path: Path) -> ImageCorpus:
-    with np.load(path, allow_pickle=False) as archive:
-        segment = CorpusSegment.from_arrays(archive)
-    return ImageCorpus(segment.images, segment.metadata, segment.content)
-
-
 # -- per-table state -------------------------------------------------------------
-def _save_materialized(materialized: dict, table_dir: Path) -> list[dict]:
-    """Persist one table's materialized virtual columns.
+def _materialized_arrays(materialized: dict) -> tuple[list[dict], dict]:
+    """One table's materialized virtual columns, as manifest entries and
+    ``materialized/*`` archive arrays.
 
     ``materialized`` is the executor's ``(category, cascade) -> (mask,
-    labels)`` mapping, captured under the shard lock.  Returns the manifest
-    entries ([{category, cascade}] in array order) — the labels a query
-    materialized before the save are served unchanged after a reload, so
-    ingested-then-queried rows are never re-classified.
+    labels)`` mapping, captured under the shard lock.  The entries
+    ([{category, cascade}] in array order) let a reload serve the labels a
+    query materialized before the save unchanged, so ingested-then-queried
+    rows are never re-classified.
     """
     entries, arrays = [], {}
     for index, ((category, cascade), (mask, labels)) in \
             enumerate(sorted(materialized.items())):
         entries.append({"category": category, "cascade": cascade})
-        arrays[f"mask_{index}"] = mask
-        arrays[f"labels_{index}"] = labels
-    if arrays:
-        np.savez_compressed(table_dir / _MATERIALIZED_FILE, **arrays)
-    return entries
+        arrays[f"materialized/mask_{index}"] = mask
+        arrays[f"materialized/labels_{index}"] = labels
+    return entries, arrays
 
 
 def _corrupt(path: Path, rows: int, n: int) -> ValueError:
@@ -167,19 +165,18 @@ def _corrupt(path: Path, rows: int, n: int) -> ValueError:
                       f"{n}-row corpus")
 
 
-def _load_materialized(executor, table_dir: Path, entries: list[dict]) -> None:
+def _load_materialized(executor, archive, path: Path,
+                       entries: list[dict]) -> None:
     if not entries:
         return
-    path = table_dir / _MATERIALIZED_FILE
     n = len(executor.corpus)
     columns = {}
-    with np.load(path, allow_pickle=False) as archive:
-        for index, entry in enumerate(entries):
-            mask = archive[f"mask_{index}"].astype(bool)
-            labels = archive[f"labels_{index}"].astype(np.int64)
-            if mask.shape[0] != n or labels.shape[0] != n:
-                raise _corrupt(path, mask.shape[0], n)
-            columns[entry["category"], entry["cascade"]] = (mask, labels)
+    for index, entry in enumerate(entries):
+        mask = archive[f"materialized/mask_{index}"].astype(bool)
+        labels = archive[f"materialized/labels_{index}"].astype(np.int64)
+        if mask.shape[0] != n or labels.shape[0] != n:
+            raise _corrupt(path, mask.shape[0], n)
+        columns[entry["category"], entry["cascade"]] = (mask, labels)
     executor.restore_materialized(columns)
 
 
@@ -209,31 +206,27 @@ def _select_store_arrays(images: dict) -> dict[str, list]:
     return selected
 
 
-def _save_store_arrays(selected: list, table_dir: Path) -> list[dict]:
-    """Persist one table's selected (spec, array) pairs, returning entries."""
+def _store_arrays(selected: list) -> tuple[list[dict], dict]:
+    """One table's selected (spec, array) pairs, as manifest entries and
+    ``store/*`` archive arrays."""
     entries, arrays = [], {}
     for spec, array in selected:
-        arrays[f"rep_{len(entries)}"] = array
+        arrays[f"store/rep_{len(entries)}"] = array
         entries.append({"spec": transform_to_dict(spec)})
-    if arrays:
-        np.savez_compressed(table_dir / _STORE_FILE, **arrays)
-    return entries
+    return entries, arrays
 
 
-def _load_store_arrays(executor, table_dir: Path, entries: list[dict]) -> None:
-    if not entries:
-        return
-    path = table_dir / _STORE_FILE
+def _load_store_arrays(executor, archive, path: Path,
+                       entries: list[dict]) -> None:
     n = len(executor.corpus)
-    with np.load(path, allow_pickle=False) as archive:
-        # Oldest write first, so the store's write order (and with it the
-        # byte-budget eviction order) after the load mirrors the save's.
-        for index in reversed(range(len(entries))):
-            spec = transform_from_dict(entries[index]["spec"])
-            array = archive[f"rep_{index}"]
-            if array.shape[0] > n:  # shorter is a stale array: topped up lazily
-                raise _corrupt(path, array.shape[0], n)
-            executor.store.add(spec, array)
+    # Oldest write first, so the store's write order (and with it the
+    # byte-budget eviction order) after the load mirrors the save's.
+    for index in reversed(range(len(entries))):
+        spec = transform_from_dict(entries[index]["spec"])
+        array = archive[f"store/rep_{index}"]
+        if array.shape[0] > n:  # shorter is a stale array: topped up lazily
+            raise _corrupt(path, array.shape[0], n)
+        executor.store.add(spec, array)
 
 
 # -- versioned table images ------------------------------------------------------
@@ -241,7 +234,7 @@ def _next_image_version(root: Path) -> int:
     """First unused ``ckpt-<k>`` version number across every table and
     predicate dir.
 
-    Table files and repositories are never overwritten in place: a save
+    Table archives and repositories are never overwritten in place: a save
     writes a *new* ``tables/<table>/ckpt-<k>/`` (or ``predicates/<name>/
     ckpt-<k>/``) directory and the still-live previous manifest keeps
     pointing at its own, untouched files until the new manifest is durably
@@ -263,21 +256,10 @@ def _next_image_version(root: Path) -> int:
     return version
 
 
-def _fsync_file(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def _fsync_image_dir(directory: Path) -> None:
-    """Make one table's freshly written image files durable (checkpoints
-    only): a checkpoint manifest must never reference files the page cache
-    could still lose."""
-    for child in directory.iterdir():
-        if child.is_file():
-            _fsync_file(child)
+    """Make one table's freshly written archive durable: a manifest must
+    never reference files the page cache could still lose."""
+    fsync_path(directory / _TABLE_FILE)
     fsync_dir(directory)
     fsync_dir(directory.parent)
 
@@ -323,11 +305,11 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
     generation at capture time (mutations racing the save land in the new
     generation), the manifest records the generation floor, and the absorbed
     generations are pruned once the manifest is durably in place.  Table
-    files and predicate repositories always land in a fresh ``ckpt-<k>``
-    directory (fsynced, for a checkpoint, before the manifest is replaced),
-    never over the previous save's files — a crash at any point leaves the
-    old manifest's image, repositories and logs untouched, so the database
-    stays recoverable.  A checkpoint rewrites no repository whose
+    archives and predicate repositories always land in a fresh ``ckpt-<k>``
+    directory, fsynced before the manifest is replaced (every save, not
+    only a checkpoint), never over the previous save's files — a crash at
+    any point leaves the old manifest's image, repositories and logs
+    untouched, so the database stays recoverable.  A checkpoint rewrites no repository whose
     registration is unchanged since the last durable one under ``root``.
 
     :data:`DEFAULT_STORE_BYTES_CAP` bounds the on-disk bytes spent on
@@ -350,8 +332,7 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
             continue
         relative_dir = f"{_PREDICATES_DIR}/{name}/ckpt-{image_version}"
         save_optimizer(registry.optimizers[name], root / relative_dir,
-                       reference_params=registry.reference_params[name],
-                       durable=checkpointing)
+                       reference_params=registry.reference_params[name])
         repositories[name] = relative_dir
 
     # The arrays are immutable by convention, so everything after the
@@ -368,16 +349,19 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
         relative_dir = f"{_TABLES_DIR}/{table}/ckpt-{image_version}"
         table_dir = root / relative_dir
         table_dir.mkdir(parents=True, exist_ok=True)
+        materialized_entries, materialized_arrays = _materialized_arrays(
+            image.materialized)
+        store_entries, store_arrays = _store_arrays(selected_arrays[table])
         np.savez_compressed(
-            table_dir / _CORPUS_FILE,
+            table_dir / _TABLE_FILE,
             **CorpusSegment(image.images, image.metadata,
-                            image.content).to_arrays())
+                            image.content).to_arrays(),
+            **materialized_arrays, **store_arrays)
+        _fsync_image_dir(table_dir)
         entry = {
             "name": table,
-            "corpus_file": f"{relative_dir}/{_CORPUS_FILE}",
-            "materialized": _save_materialized(image.materialized, table_dir),
-            "store_arrays": _save_store_arrays(selected_arrays[table],
-                                               table_dir),
+            "materialized": materialized_entries,
+            "store_arrays": store_entries,
             # The retention window and the stable-id offset (rows ever
             # dropped), so a reloaded sliding window keeps its ids.
             "retention": (image.retention.to_dict()
@@ -389,8 +373,6 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
             entry["wal_generation"] = image.wal_generation
         # After the optional key: the order every writer has emitted.
         entry["table_dir"] = relative_dir
-        if checkpointing:
-            _fsync_image_dir(table_dir)
         tables.append(entry)
 
     manifest = {
@@ -410,17 +392,15 @@ def save_database(db: VisualDatabase, root: str | Path) -> Path:
         "tables": tables,
         "wal": {"enabled": checkpointing},
     }
-    # Atomic manifest: a crash mid-checkpoint leaves the previous manifest
-    # (whose image files and generation-floor logs are still on disk)
-    # intact.  For a checkpoint the manifest is fsynced through the rename,
-    # so nothing below runs before the new image is actually durable.
+    # Atomic manifest: a crash mid-save leaves the previous manifest (whose
+    # image files and generation-floor logs are still on disk) intact.  The
+    # manifest is fsynced through the rename, so nothing below runs before
+    # the new image is actually durable.
     tmp_manifest = root / f".{_MANIFEST_FILE}.tmp"
     tmp_manifest.write_text(json.dumps(manifest))
-    if checkpointing:
-        _fsync_file(tmp_manifest)
+    fsync_path(tmp_manifest)
     os.replace(tmp_manifest, root / _MANIFEST_FILE)
-    if checkpointing:
-        fsync_dir(root)
+    fsync_dir(root)
 
     # Only after the manifest is in place: drop whatever it superseded —
     # previous image and repository versions, absorbed WAL generations, and
@@ -452,9 +432,9 @@ def load_database(root: str | Path) -> VisualDatabase:
     loaded database keeps appending to the same logs.
 
     Only the format :func:`save_database` writes is read; any other
-    ``format_version`` raises :class:`ValueError`.  A table file whose row
-    count contradicts the corpus saved beside it is a corrupt save and
-    raises :class:`ValueError` naming the file.
+    ``format_version`` raises :class:`ValueError`.  A table archive whose
+    label or representation arrays hold more rows than its corpus is a
+    corrupt save and raises :class:`ValueError` naming the file.
     """
     root = Path(root)
     manifest_path = root / _MANIFEST_FILE
@@ -466,9 +446,9 @@ def load_database(root: str | Path) -> VisualDatabase:
         raise ValueError(
             f"unsupported database format {version!r}: only format "
             f"{_FORMAT_VERSION} is read; to keep an older directory, open "
-            f"it from a checkout of commit 765ede0, the last one that reads "
-            f"format 7 (576884f for format 6, 9334799 for format 5, 2c4153f "
-            f"for format 4, f60db2e for formats 1-3)")
+            f"it from a checkout of commit 888284b, the last one that reads "
+            f"format 8 (765ede0 for format 7, 576884f for format 6, 9334799 "
+            f"for format 5, 2c4153f for format 4, f60db2e for formats 1-3)")
 
     from repro.db.database import VisualDatabase
 
@@ -491,17 +471,20 @@ def load_database(root: str | Path) -> VisualDatabase:
 
     for entry in manifest["tables"]:
         table = entry["name"]
-        db.attach(table, _load_corpus(root / entry["corpus_file"]))
-        executor = db.executor_for(table)
-        if entry["retention"] is not None:
-            # Through the setter so the shard lock is held; the WAL is not
-            # armed yet, so nothing is journaled.
-            executor.set_retention(
-                RetentionPolicy.from_dict(entry["retention"]))
-        executor.id_offset = int(entry["id_offset"])
-        table_dir = root / entry["table_dir"]
-        _load_materialized(executor, table_dir, entry["materialized"])
-        _load_store_arrays(executor, table_dir, entry["store_arrays"])
+        path = root / entry["table_dir"] / _TABLE_FILE
+        with np.load(path, allow_pickle=False) as archive:
+            segment = CorpusSegment.from_arrays(archive)
+            db.attach(table, ImageCorpus(segment.images, segment.metadata,
+                                         segment.content))
+            executor = db.executor_for(table)
+            if entry["retention"] is not None:
+                # Through the setter so the shard lock is held; the WAL is
+                # not armed yet, so nothing is journaled.
+                executor.set_retention(
+                    RetentionPolicy.from_dict(entry["retention"]))
+            executor.id_offset = int(entry["id_offset"])
+            _load_materialized(executor, archive, path, entry["materialized"])
+            _load_store_arrays(executor, archive, path, entry["store_arrays"])
 
     if manifest["wal"]["enabled"]:
         db.durability.recover(db, root, manifest)

@@ -8,9 +8,14 @@ to train and execute its convolutional classifiers.  It provides:
 * a :class:`~repro.nn.network.Sequential` container with forward/backward
   passes and parameter management,
 * a training loop (:mod:`repro.nn.train`) with mini-batching and shuffling,
+  and
 * per-layer FLOP accounting (:mod:`repro.nn.flops`) used by the analytic cost
-  model, and
-* weight (de)serialization (:mod:`repro.nn.serialize`).
+  model.
+
+A network's weights are the flat mapping
+:meth:`~repro.nn.network.Sequential.parameters` returns and
+:meth:`~repro.nn.network.Sequential.set_parameters` loads; the model
+repository (:mod:`repro.core.persistence`) stores them.
 
 The layer API is intentionally tiny: every layer implements ``forward``,
 ``backward`` and exposes ``params`` / ``grads`` dictionaries.  Input tensors

@@ -59,10 +59,14 @@ docstring convention of :mod:`repro.query.sql`::
                result: {"plan": plan} | {"plans": {table: plan}}
                        (plan is :meth:`repro.db.planner.QueryPlan.to_dict`)
     stats      result: {"protocol", "scenario", "tables", "predicates",
-                        "sessions", "open_cursors",
-                        "admission": {...}, "plan_cache": {...},
-                        "queries": {"completed", "failed", "timeouts",
-                                    "rejected"}}
+                        "sessions", "open_cursors", "storage",
+                        "admission": {"max_workers", "max_queue",
+                                      "queue_depth", "in_flight",
+                                      "submitted", "completed", "failed",
+                                      "timeouts", "rejected", "closing"},
+                        "plan_cache": {...}}; each "execute" is counted
+                       once, as one of "completed", "failed", "timeouts"
+                       or "rejected"
     metrics    keys: "format" ("json" default | "text")
                result: {"metrics": snapshot} — the
                        :mod:`repro.telemetry` registry snapshot — or

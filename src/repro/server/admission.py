@@ -24,6 +24,12 @@ Shutdown drains: :meth:`shutdown` first flips the gate into a rejecting
 state (new callers get a backpressure error naming the shutdown), then
 waits for waiting and running queries to finish before returning — the
 server's graceful-stop path.
+
+The gate is the server's one count of query outcomes: every :meth:`run`
+call ends in exactly one terminal event of ``repro_admission_queries_total``
+— ``completed``, ``failed``, ``timeouts`` (the query raised
+:class:`~repro.query.ast.QueryTimeoutError`) or ``rejected`` (a full queue,
+a gate shutting down, or a waiter abandoned by ``shutdown(drain=False)``).
 """
 
 from __future__ import annotations
@@ -53,8 +59,9 @@ class AdmissionController:
         with :class:`~repro.server.protocol.BackpressureError`.
     metrics:
         The registry the lifetime counters (``repro_admission_queries_total``
-        by event) and the queue-depth gauge live on; a private registry is
-        created when omitted.
+        by event: ``submitted`` plus one terminal event per call) and the
+        queue-depth gauge live on; a private registry is created when
+        omitted.
     """
 
     def __init__(self, max_workers: int = 4, max_queue: int = 16,
@@ -92,6 +99,7 @@ class AdmissionController:
         """
         with self._lock:
             if self._closing:
+                self._events.inc(event="rejected")
                 raise BackpressureError(
                     "server is shutting down; query rejected",
                     queue_depth=self._waiting, max_queue=self.max_queue)
@@ -109,6 +117,7 @@ class AdmissionController:
             self._waiting -= 1
             if self._abandoned:
                 self._changed.notify_all()
+                self._events.inc(event="rejected")
                 raise BackpressureError(
                     "server shut down before the query ran")
             self._running += 1
@@ -117,6 +126,9 @@ class AdmissionController:
             result = fn()
             event = "completed"
             return result
+        except QueryTimeoutError:
+            event = "timeouts"
+            raise
         finally:
             with self._lock:
                 self._running -= 1
@@ -180,4 +192,5 @@ class AdmissionController:
                 "rejected": int(self._events.value(event="rejected")),
                 "completed": int(self._events.value(event="completed")),
                 "failed": int(self._events.value(event="failed")),
+                "timeouts": int(self._events.value(event="timeouts")),
                 "closing": closing}

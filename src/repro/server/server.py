@@ -33,7 +33,7 @@ from repro.locking import make_lock
 from repro.server.admission import AdmissionController
 from repro.server.protocol import (MAX_LINE_BYTES, ProtocolError, decode,
                                    encode, error_response, ok_response)
-from repro.server.session import QueryCounters, Session
+from repro.server.session import Session
 
 __all__ = ["VisualDatabaseServer", "serve"]
 
@@ -127,7 +127,6 @@ class VisualDatabaseServer:
         self.admission = AdmissionController(max_workers=max_workers,
                                              max_queue=max_queue,
                                              metrics=registry)
-        self.counters = QueryCounters(registry)
         self._lock = make_lock("server")
         self._sessions = 0  # guarded by: self._lock
         self._closed = False  # guarded by: self._lock
@@ -142,7 +141,6 @@ class VisualDatabaseServer:
             self._sessions += 1
         return Session(self.database, self.admission,
                        default_timeout=self.default_timeout,
-                       counters=self.counters,
                        stats_extra=self._stats_extra)
 
     def _close_session(self) -> None:
@@ -201,14 +199,6 @@ class VisualDatabaseServer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def stats(self) -> dict:
-        """The ``stats`` command's view, server side (for tests/benchmarks)."""
-        cache = self.database.plan_cache
-        return {**self._stats_extra(),
-                "admission": self.admission.stats(),
-                "plan_cache": cache.stats() if cache is not None else None,
-                "queries": self.counters.snapshot()}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         host, port = self.address

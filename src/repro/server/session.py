@@ -30,13 +30,12 @@ import time
 from typing import Callable
 
 from repro.core.selector import UserConstraints
-from repro.query.ast import QueryTimeoutError
-from repro.server.protocol import (PROTOCOL_VERSION, BackpressureError,
-                                   ProtocolError, encode_column)
+from repro.server.protocol import (PROTOCOL_VERSION, ProtocolError,
+                                   encode_column)
 from repro.telemetry.export import render_prometheus
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = ["Session", "QueryCounters"]
+__all__ = ["Session"]
 
 #: Rows of the page ``execute`` answers with, and the page size of a
 #: ``fetch`` request that names none.
@@ -48,30 +47,6 @@ DEFAULT_FETCH_SIZE = 64
 MAX_CURSORS = 32
 
 _CONSTRAINT_KEYS = ("max_accuracy_loss", "min_throughput")
-
-
-class QueryCounters:
-    """Server-wide query outcome counters (shared across sessions).
-
-    A thin view over the ``repro_queries_total`` registry counter, so the
-    ``stats`` command's ``queries`` object and the ``metrics`` exposition
-    are the same numbers by construction."""
-
-    OUTCOMES = ("completed", "failed", "timeouts", "rejected")
-
-    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._outcomes = self.metrics.counter("repro_queries_total")
-
-    def record(self, outcome: str) -> None:
-        if outcome not in self.OUTCOMES:
-            raise ValueError(f"unknown query outcome {outcome!r}; "
-                             f"known: {list(self.OUTCOMES)}")
-        self._outcomes.inc(outcome=outcome)
-
-    def snapshot(self) -> dict:
-        return {outcome: int(self._outcomes.value(outcome=outcome))
-                for outcome in self.OUTCOMES}
 
 
 class Session:
@@ -87,13 +62,11 @@ class Session:
         The shared :class:`~repro.db.database.VisualDatabase` being served.
     admission:
         The server's :class:`~repro.server.admission.AdmissionController`;
-        every ``execute`` runs through it, on the calling thread.
+        every ``execute`` runs through it, on the calling thread, and it
+        counts each one's outcome.
     default_timeout:
         Per-query timeout (seconds) applied when a request carries none;
         ``None`` lets queries run to completion.
-    counters:
-        Shared :class:`QueryCounters` (the server's); a private one is made
-        when absent so sessions work standalone in tests.
     stats_extra:
         Optional callable contributing server-level keys (``sessions``,
         ``address``) to the ``stats`` command's result.
@@ -101,7 +74,6 @@ class Session:
 
     def __init__(self, database, admission, *,
                  default_timeout: float | None = None,
-                 counters: QueryCounters | None = None,
                  stats_extra: Callable[[], dict] | None = None) -> None:
         self.database = database
         self.admission = admission
@@ -109,8 +81,6 @@ class Session:
         registry = getattr(database, "metrics", None)
         self.metrics = (registry if isinstance(registry, MetricsRegistry)
                         else MetricsRegistry())
-        self.counters = (counters if counters is not None
-                         else QueryCounters(self.metrics))
         self._request_seconds = self.metrics.histogram(
             "repro_server_request_seconds")
         self._stats_extra = stats_extra
@@ -159,20 +129,9 @@ class Session:
         # counts, so an overloaded server aborts stale queries instead of
         # running them.
         cancel = self.admission.cancel_for(timeout)
-        try:
-            result_set = self.admission.run(
-                lambda: self.database.execute(sql, constraints,
-                                              tables=tables, cancel=cancel))
-        except BackpressureError:
-            self.counters.record("rejected")
-            raise
-        except QueryTimeoutError:
-            self.counters.record("timeouts")
-            raise
-        except BaseException:
-            self.counters.record("failed")
-            raise
-        self.counters.record("completed")
+        result_set = self.admission.run(
+            lambda: self.database.execute(sql, constraints, tables=tables,
+                                          cancel=cancel))
         if isinstance(result_set, dict):
             # EXPLAIN ANALYZE: the result is a JSON report, not row data —
             # return it whole, no cursor to page.
@@ -238,7 +197,6 @@ class Session:
                   "open_cursors": len(self._cursors),
                   "admission": self.admission.stats(),
                   "plan_cache": cache.stats() if cache is not None else None,
-                  "queries": self.counters.snapshot(),
                   # Storage-engine health per shard: segment fragmentation,
                   # WAL depth, checkpoint count (see VisualDatabase.storage_stats).
                   "storage": database.storage_stats()}

@@ -89,13 +89,10 @@ CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("repro_plan_cache_evictions_total", "counter",
                "Plan-cache LRU evictions."),
     MetricSpec("repro_admission_queries_total", "counter",
-               "Admission-controller events (submitted | rejected | "
-               "completed | failed).", ("event",)),
+               "Served query events: submitted, then one outcome "
+               "(completed | failed | timeouts | rejected).", ("event",)),
     MetricSpec("repro_admission_queue_depth", "gauge",
                "Queries waiting for an admission slot right now."),
-    MetricSpec("repro_queries_total", "counter",
-               "Served query outcomes (completed | failed | timeouts | "
-               "rejected).", ("outcome",)),
     MetricSpec("repro_server_request_seconds", "histogram",
                "Wire-request handling latency by command.", ("cmd",)),
 )

@@ -23,7 +23,9 @@ def _rules(findings):
 class TestCoverage:
     def test_modules_are_the_ones_calling_os_fsync(self):
         # core/persistence.py joined when a checkpoint's predicate
-        # repositories began to be fsynced before the manifest names them.
+        # repositories began to be fsynced before the manifest names them;
+        # db/persistence.py syncs only through helpers (fsync_path from
+        # core/persistence.py, fsync_dir from db/wal.py).
         assert durability_modules() == ["core/persistence.py",
                                         "db/persistence.py", "db/wal.py"]
 
@@ -42,8 +44,7 @@ class TestCleanTree:
         assert check_durability(scratch) == []
 
 
-_MANIFEST_FSYNC = ("    if checkpointing:\n"
-                   "        _fsync_file(tmp_manifest)\n"
+_MANIFEST_FSYNC = ("    fsync_path(tmp_manifest)\n"
                    "    os.replace(tmp_manifest, root / _MANIFEST_FILE)")
 _MANIFEST_NO_FSYNC = "    os.replace(tmp_manifest, root / _MANIFEST_FILE)"
 
@@ -62,8 +63,8 @@ class TestDetections:
 
     def test_removed_dirsync_detected(self, scratch):
         _edit(scratch, "db/persistence.py",
-              "\n        fsync_dir(root)\n",
-              "\n        pass\n")
+              "\n    fsync_dir(root)\n",
+              "\n    pass\n")
         findings = check_durability(scratch)
         assert _rules(findings) == {"dirsync-after-rename"}
         assert "directory fsync" in findings[0].message

@@ -1,6 +1,7 @@
 """Tests for the model-repository persistence layer."""
 
 import json
+import shutil
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -24,10 +25,15 @@ def saved_root(tmp_path_factory, tiny_optimizer):
 
 
 def test_save_creates_manifest_and_weights(saved_root, tiny_optimizer):
-    assert (saved_root / "repository.json").exists()
-    weight_files = list((saved_root / "weights").glob("*.npz"))
-    # One archive per specialized model plus one for the reference classifier.
-    assert len(weight_files) == tiny_optimizer.n_models + 1
+    assert sorted(path.name for path in saved_root.iterdir()) == [
+        "repository.json", "weights.npz"]
+    # One archive: every specialized model's and the reference classifier's
+    # parameters, each under <model>/<param>.
+    networks = [*tiny_optimizer.models, tiny_optimizer.reference_model]
+    with np.load(saved_root / "weights.npz") as archive:
+        assert sorted(archive.files) == sorted(
+            f"{model.name}/{param}" for model in networks
+            for param in model.network.parameters())
 
 
 def test_save_requires_initialized_optimizer(tmp_path):
@@ -103,23 +109,42 @@ def test_round_trip_preserves_config_with_training(tmp_path, tiny_optimizer,
     assert restored.config.training == training
 
 
-def test_other_format_version_rejected(tmp_path, saved_root):
-    # One format is read: the one written.  Format 1 carried one-value
-    # settings and no training config; its message names the last commit
-    # that reads it.
+@pytest.mark.parametrize("version, commit", [(2, "888284b"), (1, "9334799")])
+def test_other_format_version_rejected(tmp_path, saved_root, version, commit):
+    # One format is read: the one written.  Format 2 kept one weights
+    # archive per network, format 1 carried one-value settings and no
+    # training config; the message names the last commit that reads each.
     payload = json.loads((saved_root / "repository.json").read_text())
-    assert payload["format_version"] == 2
-    payload["format_version"] = 1
+    assert payload["format_version"] == 3
+    payload["format_version"] = version
     (tmp_path / "repository.json").write_text(json.dumps(payload))
     with pytest.raises(ValueError,
-                       match=r"unsupported repository format 1\b.*9334799"):
+                       match=rf"unsupported repository format {version}\b"
+                             rf".*{commit}"):
         load_optimizer(tmp_path)
 
 
-def test_written_repository_is_the_v2_contract(saved_root, tiny_optimizer):
+def test_weights_archive_missing_a_layer_raises(tmp_path, saved_root,
+                                                tiny_optimizer):
+    # Each network loads exactly the parameters its architecture declares:
+    # an archive that lacks one layer's names is refused, not half-loaded.
+    shutil.copy(saved_root / "repository.json", tmp_path / "repository.json")
+    model = tiny_optimizer.models[0].name
+    with np.load(saved_root / "weights.npz") as archive:
+        kept = {name: archive[name] for name in archive.files
+                if not name.startswith(f"{model}/layer0.")}
+    np.savez(tmp_path / "weights.npz", **kept)
+    with pytest.raises(KeyError, match="missing parameter layer0"):
+        load_optimizer(tmp_path)
+
+
+def test_written_repository_is_the_v3_contract(saved_root, tiny_optimizer):
     # The loader reads exactly what the writer writes, so the config's key
     # sets are the on-disk contract.
     payload = json.loads((saved_root / "repository.json").read_text())
+    assert payload["format_version"] == 3
+    assert sorted(payload) == ["cache", "config", "format_version", "models",
+                               "reference", "thresholds"]
     config = payload["config"]
     assert sorted(config) == ["architectures", "max_depth",
                               "precision_targets", "training", "transforms"]

@@ -187,9 +187,9 @@ class TestPersistence:
         [entry] = manifest["tables"]
         names = [TransformSpec(**item["spec"]).name
                  for item in entry["store_arrays"]]
-        if names:
-            with np.load(root / entry["table_dir"] / "store.npz") as archive:
-                assert len(archive.files) == len(names)
+        with np.load(root / entry["table_dir"] / "table.npz") as archive:
+            assert len([name for name in archive.files
+                        if name.startswith("store/")]) == len(names)
         return names
 
     def test_a_checkpoint_writes_no_native_entry(self, db, tmp_path):

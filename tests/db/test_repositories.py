@@ -1,11 +1,12 @@
-"""Predicate repositories under a checkpoint: written into a fresh
-``predicates/<name>/ckpt-<k>/`` the manifest names, fsynced before the
-manifest moves, and only when the predicate's registration changed since
-the last durable one under that root — so a crash inside any checkpoint
-leaves the previous one loadable, and a steady-state checkpoint touches
-nothing under ``predicates/``."""
+"""Predicate repositories and table archives under a save: written into a
+fresh ``ckpt-<k>/`` the manifest names, fsynced before the manifest moves
+(a plain save as much as a checkpoint), and a repository only when the
+predicate's registration changed since the last durable one under that
+root — so a crash inside any checkpoint leaves the previous one loadable,
+and a steady-state checkpoint touches nothing under ``predicates/``."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -82,31 +83,36 @@ def assert_recovers(root, rows, predicates, expected_ids):
 
 
 class TestCrashInsideACheckpoint:
-    def test_kill_in_the_third_savez_leaves_the_database_loadable(
+    def test_kill_in_the_table_archive_leaves_the_database_loadable(
             self, db, tmp_path, monkeypatch):
+        # A steady checkpoint writes one archive, the table's (its
+        # repository is named again); killed inside it, the previous
+        # checkpoint and the log still hold every row and label.
         root = tmp_path / "vdb"
         ingest(db, seed=78)
         expected = db.execute(SQL).image_ids
-        kill_inside(monkeypatch, np, "savez", call=3)
-        try:
+        kill_inside(monkeypatch, np, "savez_compressed", call=1)
+        with pytest.raises(Killed):
             db.checkpoint()
-        except Killed:
-            pass
         monkeypatch.undo()
         assert_recovers(root, 32, ["komondor"], expected)
 
-    @pytest.mark.parametrize("call", [1, 3, 6])
+        db.checkpoint()
+        [image] = (root / "tables" / "images").iterdir()
+        assert image.name == "ckpt-2"  # the torn ckpt-1 is pruned
+        assert_recovers(root, 32, ["komondor"], expected)
+
     def test_kill_while_writing_a_new_repository(
-            self, db, fresh_optimizer, tmp_path, monkeypatch, call):
+            self, db, fresh_optimizer, tmp_path, monkeypatch):
         # A predicate registered since the last checkpoint is written by
-        # the next one; killed mid-weights, the previous checkpoint (one
-        # predicate) and the log still hold every row.
+        # the next one; killed mid-weights (its one np.savez), the previous
+        # checkpoint (one predicate) and the log still hold every row.
         root = tmp_path / "vdb"
         ingest(db, seed=78)
         expected = db.execute(SQL).image_ids
         db.register_optimizer("komondor_b", fresh_optimizer(),
                               reference_params=REFERENCE_PARAMS)
-        kill_inside(monkeypatch, np, "savez", call=call)
+        kill_inside(monkeypatch, np, "savez", call=1)
         with pytest.raises(Killed):
             db.checkpoint()
         monkeypatch.undo()
@@ -179,3 +185,70 @@ class TestUnchangedRegistration:
         with VisualDatabase.load(copy) as loaded:
             np.testing.assert_array_equal(loaded.execute(SQL).image_ids,
                                           db.execute(SQL).image_ids)
+
+
+class TestOneArchivePerOwner:
+    def test_a_checkpoint_writes_one_file_per_table_and_two_per_predicate(
+            self, db, fresh_optimizer, tmp_path):
+        root = tmp_path / "vdb"
+        db.attach("other", make_corpus(8, seed=80))
+        db.register_optimizer("komondor_b", fresh_optimizer(),
+                              reference_params=REFERENCE_PARAMS)
+        ingest(db, seed=78)
+        db.execute(SQL)
+        db.checkpoint()
+        manifest = json.loads((root / "database.json").read_text())
+        for entry in manifest["tables"]:
+            assert sorted(path.name for path in
+                          (root / entry["table_dir"]).iterdir()) == [
+                "table.npz"]
+        for entry in manifest["predicates"]:
+            assert sorted(path.name for path in
+                          (root / entry["repository"]).iterdir()) == [
+                "repository.json", "weights.npz"]
+        assert sorted(path.name for path in (root / "tables").iterdir()) \
+            == ["images", "other"]
+        assert sorted(path.name for path in
+                      (root / "predicates").iterdir()) == [
+            "komondor", "komondor_b"]
+
+
+def fsynced_paths(monkeypatch) -> list:
+    """Record the path behind every ``os.fsync`` from now on (by the
+    descriptor ``os.open`` returned for it)."""
+    opened, synced = {}, []
+    real_open, real_fsync = os.open, os.fsync
+
+    def recording_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        opened[fd] = Path(path)
+        return fd
+
+    def recording_fsync(fd):
+        synced.append(opened.get(fd))
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    return synced
+
+
+class TestEverySaveIsDurable:
+    def test_a_plain_save_fsyncs_its_archives_and_manifest(
+            self, db, tmp_path, monkeypatch):
+        # A save outside the WAL root is no checkpoint, but it is as
+        # durable as one: each file it writes, the directories naming them
+        # and the manifest (through its temp file) reach the disk.
+        copy = tmp_path / "copy"
+        db.execute(SQL)
+        synced = fsynced_paths(monkeypatch)
+        db.save(copy)
+        monkeypatch.undo()
+        table_dir = copy / "tables" / "images" / "ckpt-0"
+        repository = copy / "predicates" / "komondor" / "ckpt-0"
+        for path in (table_dir / "table.npz", table_dir,
+                     repository / "weights.npz",
+                     repository / "repository.json", repository,
+                     copy / ".database.json.tmp", copy):
+            assert synced.count(path) == 1, path
+        assert len(synced) == 9  # and each image's parent directory

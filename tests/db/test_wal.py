@@ -418,7 +418,7 @@ class TestEnableWal:
         database.enable_wal(root)
         [entry] = json.loads((root / "database.json").read_text())["tables"]
         old_image = root / entry["table_dir"]
-        assert (old_image / "corpus.npz").exists()
+        assert (old_image / "table.npz").exists()
 
         database.ingest(*_batch([2.0]), table="cam")
         database.checkpoint()
@@ -427,7 +427,7 @@ class TestEnableWal:
         # and the superseded one went only after the new manifest did.
         assert after["table_dir"] != entry["table_dir"]
         assert not old_image.exists()
-        assert (root / after["corpus_file"]).exists()
+        assert (root / after["table_dir"] / "table.npz").exists()
 
     def test_crash_before_manifest_swap_stays_recoverable(self, tmp_path,
                                                           monkeypatch):
@@ -759,9 +759,10 @@ def test_save_racing_retention_keeps_representations_row_aligned(
         tmp_path, monkeypatch, tiny_optimizer, tiny_device, checkpoint):
     # An ingest that drops rows lands at the moment the save reads the
     # store's arrays.  Corpus and arrays must still come from one instant:
-    # with the arrays picked outside the shard lock, store.npz was persisted
-    # shifted by the dropped rows against corpus.npz (equal length, so it
-    # loaded) and queries classified the wrong rows' representations.
+    # with the arrays picked outside the shard lock, the stored arrays were
+    # persisted shifted by the dropped rows against the corpus (equal
+    # length, so they loaded) and queries classified the wrong rows'
+    # representations.
     from repro.core.selector import UserConstraints
     from repro.storage.store import RepresentationStore
     from tests.db.test_retention import REFERENCE_PARAMS, make_corpus
@@ -887,25 +888,31 @@ class TestFormatCompatibility:
         # corpus, 2: multi-table, 3: retention, no WAL, 4: WAL records as a
         # JSON line plus an array file, 5: one-value scenario and spec keys,
         # 6: predicate repositories rewritten in place, 7: a registration
-        # list beside the store arrays) and newer ones are refused alike,
-        # and the message says which version was found.
+        # list beside the store arrays, 8: three archives per table and one
+        # per network) and newer ones are refused alike, and the message
+        # says which version was found.
         database = connect({"cam": timed_corpus([0.0])})
         root = database.save(tmp_path / "vdb")
         manifest = self._manifest(root)
-        for version in (1, 2, 3, 4, 5, 6, 7, 99):
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 99):
             manifest["format_version"] = version
             (root / "database.json").write_text(json.dumps(manifest))
             with pytest.raises(
                     ValueError,
                     match=rf"unsupported database format {version}\b"):
                 VisualDatabase.load(root)
-        # The refusal names the last commit whose checkout reads format 7.
+        # The refusal names the last commit whose checkout reads format 8,
+        # and the one before for format 7.
+        manifest["format_version"] = 8
+        (root / "database.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"888284b.*format 8"):
+            VisualDatabase.load(root)
         manifest["format_version"] = 7
         (root / "database.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=r"765ede0.*format 7"):
+        with pytest.raises(ValueError, match=r"765ede0 for format 7"):
             VisualDatabase.load(root)
 
-    def test_written_manifest_is_the_v8_contract(self, tmp_path,
+    def test_written_manifest_is_the_v9_contract(self, tmp_path,
                                                  fresh_optimizer):
         # The loader reads exactly what the writer writes, so the writer's
         # key sets are the on-disk contract: a writer change shows up here
@@ -921,7 +928,7 @@ class TestFormatCompatibility:
         executor.store.add(gray, gray.apply_batch(executor.corpus.images))
         root = database.save(tmp_path / "vdb")
         manifest = self._manifest(root)
-        assert manifest["format_version"] == 8
+        assert manifest["format_version"] == 9
         assert sorted(manifest) == [
             "calibrate_target_fps", "cost_resolution", "default_constraints",
             "device", "device_calibrated", "format_version", "predicates",
@@ -929,12 +936,20 @@ class TestFormatCompatibility:
         assert sorted(manifest["scenario"]) == [
             "description", "include_load", "include_transform",
             "load_full_image", "load_tier", "name"]
-        table_keys = ["corpus_file", "id_offset", "materialized", "name",
-                      "retention", "store_arrays", "table_dir"]
+        table_keys = ["id_offset", "materialized", "name", "retention",
+                      "store_arrays", "table_dir"]
         [entry] = manifest["tables"]
         assert sorted(entry) == table_keys
         assert entry["store_arrays"] == [
             {"spec": {"resolution": 8, "color_mode": "gray"}}]
+        # One archive per table image: the corpus's names, then the
+        # materialized columns and stored representations under prefixes.
+        assert sorted(path.name for path in
+                      (root / entry["table_dir"]).iterdir()) == ["table.npz"]
+        with np.load(root / entry["table_dir"] / "table.npz") as archive:
+            assert [name for name in archive.files
+                    if not name.startswith(("metadata/", "content/"))] == [
+                "images", "store/rep_0"]
         assert manifest["wal"] == {"enabled": False}
         assert manifest["store"] == {"byte_budget": None}
         [predicate] = manifest["predicates"]
@@ -961,7 +976,7 @@ class TestFormatCompatibility:
     def test_corpus_array_names_are_the_contract(self, tmp_path):
         # Checkpoint images and WAL frames name a segment's arrays with one
         # codec (CorpusSegment.to_arrays); these names and dtypes are what
-        # every corpus.npz so far holds, so they must not move.
+        # every table archive so far holds, so they must not move.
         corpus = ImageCorpus(
             images=np.zeros((2, TINY_SIZE, TINY_SIZE, 3)),
             metadata={"timestamp": np.array([0.0, 1.0]),
@@ -972,7 +987,7 @@ class TestFormatCompatibility:
         database = connect({"cam": corpus})
         root = database.enable_wal(tmp_path / "vdb")
         [entry] = self._manifest(root)["tables"]
-        with np.load(root / entry["corpus_file"]) as archive:
+        with np.load(root / entry["table_dir"] / "table.npz") as archive:
             assert archive.files == names
             saved = CorpusSegment.from_arrays(archive)
         for kind in ("metadata", "content"):

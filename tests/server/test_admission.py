@@ -186,6 +186,58 @@ class TestShutdown:
         controller.shutdown()
 
 
+def outcomes(admission):
+    stats = admission.stats()
+    return {event: stats[event] for event in
+            ("submitted", "completed", "failed", "timeouts", "rejected")}
+
+
+class TestOneTerminalEventPerRun:
+    """Every ``run`` call ends in exactly one of ``completed``, ``failed``,
+    ``timeouts`` or ``rejected``: the gate is the server's one count of
+    query outcomes."""
+
+    def test_timeout_failure_and_shutdown_rejection(self):
+        admission = AdmissionController(max_workers=1, max_queue=1)
+
+        def timed_out():
+            raise QueryTimeoutError("deadline passed")
+
+        def broken():
+            raise ValueError("bad query")
+
+        with pytest.raises(QueryTimeoutError):
+            admission.run(timed_out)
+        with pytest.raises(ValueError):
+            admission.run(broken)
+        assert admission.run(lambda: 1) == 1
+        admission.shutdown()
+        with pytest.raises(BackpressureError, match="shutting down"):
+            admission.run(lambda: 1)
+        assert outcomes(admission) == {"submitted": 3, "completed": 1,
+                                       "failed": 1, "timeouts": 1,
+                                       "rejected": 1}
+
+    def test_abandoned_waiter_is_rejected(self):
+        admission = AdmissionController(max_workers=1, max_queue=1)
+        gate = threading.Event()
+        running = Caller(admission, gate.wait)
+        assert wait_until(lambda: admission.stats()["in_flight"] == 1)
+        queued = Caller(admission, lambda: "never")
+        assert wait_until(lambda: admission.stats()["queue_depth"] == 1)
+        closer = threading.Thread(
+            target=lambda: admission.shutdown(drain=False))
+        closer.start()
+        with pytest.raises(BackpressureError, match="shut down"):
+            queued.outcome()
+        gate.set()
+        closer.join(timeout=5)
+        assert running.outcome() is True
+        assert outcomes(admission) == {"submitted": 2, "completed": 1,
+                                       "failed": 0, "timeouts": 0,
+                                       "rejected": 1}
+
+
 class TestCancelFor:
     def test_none_timeout_means_no_hook(self, controller):
         assert controller.cancel_for(None) is None

@@ -323,10 +323,10 @@ class TestOverTheWire:
         cursor.close()
         stats = conn.stats()
         snapshot = conn.metrics()
-        completed = [series["value"]
-                     for series in snapshot["repro_queries_total"]["series"]
-                     if series["labels"]["outcome"] == "completed"]
-        assert stats["queries"]["completed"] == completed[0] > 0
+        completed = [series["value"] for series in
+                     snapshot["repro_admission_queries_total"]["series"]
+                     if series["labels"]["event"] == "completed"]
+        assert stats["admission"]["completed"] == completed[0] > 0
         lookups = {series["labels"]["outcome"]: series["value"] for series in
                    snapshot["repro_plan_cache_lookups_total"]["series"]}
         assert stats["plan_cache"]["hits"] == lookups.get("hit", 0)
