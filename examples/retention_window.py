@@ -2,8 +2,8 @@
 """Retention windows: an endless feed in bounded memory.
 
 The paper's ONGOING scenario assumes a camera that never stops.  Without
-retention, every ``db.ingest()`` grows the corpus, the base relation and the
-materialized virtual columns forever.  A ``RetentionPolicy`` turns a table
+retention, every ``db.ingest()`` grows the corpus and the materialized
+virtual columns forever.  A ``RetentionPolicy`` turns a table
 into a *sliding window* over its feed:
 
 1. open a database with ``retention=RetentionPolicy(max_rows=N)`` and a

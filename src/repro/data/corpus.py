@@ -250,13 +250,13 @@ class ImageCorpus:
     live rows are allocated and the dropped rows' memory goes with the old
     ones.  :meth:`drop_oldest` then just advances ``start``.
 
-    Memory contract: ``images``, ``metadata``, ``content``,
-    :meth:`images_from` and :meth:`metadata_arrays` return read-only views
-    (and read-only mappings), and the bytes inside any view ever returned
-    are never written again — folding writes only past ``stop`` — so a query
-    snapshot or a pending WAL write holds a consistent corpus without a
-    copy.  Dropped rows stay allocated until the next reallocation, which
-    sizes the buffer at twice the rows it then holds.
+    Memory contract: ``images``, ``metadata``, ``content`` and
+    :meth:`images_from` return read-only views (and read-only mappings),
+    and the bytes inside any view ever returned are never written again —
+    folding writes only past ``stop`` — so a query snapshot or a pending
+    WAL write holds a consistent corpus without a copy.  Dropped rows stay
+    allocated until the next reallocation, which sizes the buffer at twice
+    the rows it then holds.
     """
 
     def __init__(self, images: np.ndarray,
@@ -304,23 +304,6 @@ class ImageCorpus:
     @property
     def content(self) -> Mapping[str, np.ndarray]:
         return self._live().content
-
-    def metadata_arrays(self) -> Mapping[str, np.ndarray]:
-        """The metadata columns *without* folding pending batches.
-
-        The executor rebuilds its base relation after every ingest; going
-        through this method keeps that rebuild O(rows × metadata columns)
-        instead of folding the (much larger) image batches — images fold
-        when a query or a retention pass actually needs them.
-        """
-        window = self._window().metadata
-        if not self._pending:
-            return window
-        return MappingProxyType({
-            key: _read_only(np.concatenate(
-                [values, *(segment.metadata[key]
-                           for segment in self._pending)]))
-            for key, values in window.items()})
 
     @property
     def segments(self) -> tuple[CorpusSegment, ...]:

@@ -3,8 +3,8 @@
 The paper's CAMERA scenario assumes many live feeds; the catalog is the piece
 that lets one :class:`~repro.db.database.VisualDatabase` hold many of them as
 named tables (one per camera, archive, or other shard).  Each table owns its
-own :class:`~repro.db.executor.QueryExecutor` — corpus, base relation and
-materialized virtual columns — while all tables share a single
+own :class:`~repro.db.executor.QueryExecutor` — corpus and materialized
+virtual columns — while all tables share a single
 :class:`~repro.storage.store.RepresentationStore` budget through per-table
 :meth:`~repro.storage.store.RepresentationStore.scoped` namespaces, so one
 hot camera cannot evict every other shard's representations.

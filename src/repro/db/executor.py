@@ -3,7 +3,6 @@
 The executor owns the mutable query-time state the paper's system keeps
 between queries:
 
-* the base metadata relation over the corpus,
 * the **materialized virtual columns** — once ``contains_object(c)`` has been
   evaluated for a row, the label is kept and later queries never re-classify
   that row — and
@@ -18,10 +17,11 @@ Plans come from :class:`~repro.db.planner.QueryPlanner`; the executor never
 chooses cascades or orders predicates itself.
 
 Queries run against a **snapshot**: :meth:`execute` captures a frozen view of
-the shard (read-only views of the corpus window, base relation, materialized
-columns, stored representations, id offset) under the per-shard lock, then
-evaluates the plan entirely lock-free, and finally merges what it learned
-(new materialized labels, topped-up representations) back under the lock.
+the shard (read-only views of the corpus window, the metadata relation
+built over it, materialized columns, stored representations, id offset)
+under the per-shard lock, then evaluates the plan entirely lock-free, and
+finally merges what it learned (new materialized labels, topped-up
+representations) back under the lock.
 Reads therefore no longer serialize against ``ingest()``/``retain()`` for the
 duration of classification — only for the capture and merge instants — and a
 query always sees one consistent corpus even while the shard churns.  Merge
@@ -144,8 +144,8 @@ class QueryExecutor:
         Optional :class:`~repro.db.retention.RetentionPolicy` making this
         table a sliding window over its feed: the oldest rows are dropped at
         the end of every :meth:`ingest` (and on demand via :meth:`retain`),
-        truncating corpus, base relation, materialized virtual columns and
-        the store namespace coherently while image ids stay stable.
+        truncating corpus, materialized virtual columns and the store
+        namespace coherently while image ids stay stable.
     """
 
     def __init__(self, corpus: ImageCorpus,
@@ -179,7 +179,7 @@ class QueryExecutor:
         # discipline the runtime sanitizer asserts.
         self._lock = make_rlock(f"executor:{table or 'default'}")
         with self._lock:
-            self.retention = retention  # guarded by: self._lock
+            self.retention = None  # guarded by: self._lock
             # Rows ever dropped by retention: stable image id = offset + row
             # position.  Ids survive retention passes and are never reused.
             self._id_offset = 0  # guarded by: self._lock
@@ -193,29 +193,23 @@ class QueryExecutor:
             # Write-ahead log, attached by the database when durability is
             # on.
             self._wal: "TableWal | None" = None  # guarded by: self._lock
-            self._rebuild_base_relation()
             # Materialized virtual columns, keyed by (category, cascade
             # name) so labels are only ever served as output of the cascade
             # that produced them (the selected cascade changes with scenario
             # and constraints): (category, cascade) -> (mask, labels).
             self._materialized: dict[  # guarded by: self._lock
                 tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-
-    def _rebuild_base_relation(self) -> None:
-        # guarded by: self._lock
-        # metadata_arrays() reads the scalar columns without folding the
-        # pending image batches, so the per-ingest rebuild stays O(rows),
-        # not O(corpus bytes).
-        n = len(self.corpus)
-        self._base_relation = Relation(  # guarded by: self._lock
-            {**self.corpus.metadata_arrays(),
-             "image_id": np.arange(self._id_offset, self._id_offset + n)})
+            self.set_retention(retention)
 
     # -- public API ----------------------------------------------------------
     @property
     def relation(self) -> Relation:
-        """The metadata relation (without content columns)."""
-        return self._base_relation  # unguarded ok: snapshot read
+        """The metadata relation (without content columns) over the current
+        window, with each row's stable ``image_id``; built per call."""
+        with self._lock:
+            offset = self._id_offset
+            return Relation({**self.corpus.metadata, "image_id": np.arange(
+                offset, offset + len(self.corpus))})
 
     @property
     def id_offset(self) -> int:
@@ -229,7 +223,6 @@ class QueryExecutor:
         with self._lock:
             self._id_offset = int(offset)
             self._epoch += 1
-            self._rebuild_base_relation()
 
     @property
     def wal(self) -> "TableWal | None":
@@ -252,27 +245,29 @@ class QueryExecutor:
         """Append new frames and grow query-time state incrementally.
 
         The batch joins the corpus as one pending segment (nothing is
-        copied until a read folds it into the window buffer), the base
-        relation gains the new rows, and every materialized virtual column
-        is padded with *unevaluated* new rows — existing rows are never
-        re-classified, so a repeated query after ingest classifies only the
-        new frames.  With a write-ahead log attached, the segment is
-        journaled durably before the call returns.
+        copied until a read folds it into the window buffer), and every
+        materialized virtual column is padded with *unevaluated* new rows —
+        existing rows are never re-classified, so a repeated query after
+        ingest classifies only the new frames.  With a write-ahead log
+        attached, the segment is journaled durably before the call returns.
 
         The new rows get their stable ids first; then a :attr:`retention`
         policy enforces the window (the returned ids are the ones the new
         rows were assigned, whether or not they immediately fall out of
-        it); then, with ``materialize=True`` (the ONGOING scenario), every
-        representation the store holds is extended by transforming just the
-        rows past its stored prefix — queries then load representation bytes
-        without transforming.  Retention runs first so no dropped row is
+        it).  That drop is not journaled: it is a function of the segment
+        and the policy the log already holds, so replaying the segment
+        through this method drops the same rows again.  Then, with
+        ``materialize=True`` (the ONGOING scenario), every representation
+        the store holds is extended by transforming just the rows past its
+        stored prefix — queries then load representation bytes without
+        transforming.  Retention runs first so no dropped row is
         transformed, and an entry the budget evicted is not rebuilt here
         (see :meth:`_materialize_tail`).
         Otherwise (ARCHIVE and friends) stored representations go stale and
         are topped up lazily the next time a query needs them.
 
-        A zero-row batch is a cheap no-op: nothing is rebuilt, the store is
-        untouched, and an empty id array comes back.
+        A zero-row batch is a cheap no-op: nothing is journaled, the store
+        is untouched, and an empty id array comes back.
 
         Returns the new rows' (stable) image ids.
         """
@@ -290,15 +285,10 @@ class QueryExecutor:
                                 rows=int(new_ids.size)):
                     self._wal.log_segment(self.corpus.segments[-1])
             self._pad_materialized(new_ids.size)
-            # A retention drop rebuilds the base relation itself; only
-            # rebuild here when nothing was dropped, so the hot streaming
-            # path pays the O(window) relation construction exactly once.
-            dropped = self.retain()
+            self._drop_rows(self._rows_outside_window())
             if materialize:
                 for spec in self.store.specs():
                     self._materialize_tail(spec)
-            if dropped == 0:
-                self._rebuild_base_relation()
             return new_ids
 
     def _pad_materialized(self, n_new: int) -> None:
@@ -310,51 +300,62 @@ class QueryExecutor:
                 np.concatenate([labels, np.zeros(n_new, dtype=np.int64)]))
 
     def set_retention(self, policy: RetentionPolicy | None) -> None:
-        """Swap the shard's retention policy (journaled when a WAL is on)."""
+        """Swap the shard's retention policy (journaled when a WAL is on).
+
+        A policy this corpus cannot evaluate (``max_age`` over a missing or
+        non-numeric column) raises here, before it is journaled: replay
+        re-derives every ingest's drop from the policy, so one that raised
+        would leave the log unrecoverable.
+        """
         with self._lock:
+            if policy is not None:
+                policy.rows_to_drop(self.corpus)
             self.retention = policy
             if self._wal is not None:
                 self._wal.log_retention(
                     policy.to_dict() if policy is not None else None)
 
     def retain(self) -> int:
-        """Enforce :attr:`retention` now; returns rows dropped (0, no policy)."""
+        """Enforce :attr:`retention` now; returns rows dropped (0, no policy).
+
+        An explicit sweep is journaled (through :meth:`drop_oldest`): the
+        policy may change before the next segment, so replay could not
+        re-derive it.
+        """
         with self._lock:
-            # Snapshot under the lock: set_retention() may swap (or clear)
-            # the policy from another thread at any time.
-            policy = self.retention
-            if policy is None:
-                return 0
-            return self.drop_oldest(policy.rows_to_drop(self.corpus))
+            return self.drop_oldest(self._rows_outside_window())
+
+    def _rows_outside_window(self) -> int:
+        # guarded by: self._lock
+        """Rows the current :attr:`retention` policy drops (0, no policy)."""
+        policy = self.retention
+        return policy.rows_to_drop(self.corpus) if policy is not None else 0
 
     def drop_oldest(self, n: int) -> int:
         """Drop the ``n`` oldest rows from *all* per-table state coherently.
 
-        The corpus advances its window's start (nothing is copied), the
-        base relation is rebuilt, every materialized ``(evaluated,
-        labels)`` column is truncated, and the store namespace
-        trims its representation chunks in step (crediting the freed bytes
-        against the global budget).  Image ids stay stable: the id offset
-        advances by the rows dropped, so surviving rows keep their ids (a
-        repeated query never re-classifies them) and dropped ids are never
-        reused.  With a write-ahead log attached the drop is journaled.
-        Returns the number of rows actually dropped.
+        The corpus advances its window's start (nothing is copied), every
+        materialized ``(evaluated, labels)`` column is truncated, and the
+        store namespace trims its representation chunks in step (crediting
+        the freed bytes against the global budget).  Image ids stay stable:
+        the id offset advances by the rows dropped, so surviving rows keep
+        their ids (a repeated query never re-classifies them) and dropped
+        ids are never reused.  With a write-ahead log attached the drop is
+        journaled.  Returns the number of rows actually dropped.
         """
         with self._lock:
             n = self._drop_rows(n)
-            if n:
-                self._rebuild_base_relation()
+            if n and self._wal is not None:
+                self._wal.log_drop(n)
             return n
 
     def _drop_rows(self, n: int) -> int:
         # guarded by: self._lock
-        """Apply a drop to corpus/materialized/store without the relation
-        rebuild (callers batch the rebuild; WAL replay applies many drops)."""
+        """Apply a drop to corpus/materialized/store without journaling it
+        (an ingest's own drop is implied by its segment record)."""
         n = self.corpus.drop_oldest(n)
         if n == 0:
             return 0
-        if self._wal is not None:
-            self._wal.log_drop(n)
         self._id_offset += n
         for key, (evaluated, labels) in self._materialized.items():
             self._materialized[key] = (evaluated[n:].copy(),
@@ -366,11 +367,12 @@ class QueryExecutor:
         """Re-apply journaled mutations after a checkpoint restore.
 
         ``records`` come from :meth:`repro.db.wal.TableWal.records` — segment
-        appends, retention drops and policy changes, in log order.  Replay
-        mirrors the live mutation path (same id arithmetic, same truncation)
-        but batches the base-relation rebuild, so replaying a long tail is
-        O(total rows), not O(records × rows).  Journaling is suspended while
-        replaying — the log already holds these records.
+        appends, explicit retention sweeps and policy changes, in log order.
+        Each goes through the live mutation method that journaled it
+        (:meth:`ingest`, :meth:`drop_oldest`, :meth:`set_retention`), so a
+        segment re-derives its retention drop exactly as the live ingest
+        did.  Journaling is suspended while replaying — the log already
+        holds these records.
         """
         started = time.perf_counter()
         with self._lock:
@@ -380,15 +382,14 @@ class QueryExecutor:
                     kind = record["type"]
                     if kind == "segment":
                         segment = record["segment"]
-                        self.corpus.append(segment.images, segment.metadata,
-                                           segment.content)
-                        self._pad_materialized(len(segment))
+                        self.ingest(segment.images, segment.metadata,
+                                    segment.content)
                     elif kind == "drop":
-                        self._drop_rows(int(record["rows"]))
+                        self.drop_oldest(int(record["rows"]))
                     elif kind == "retention":
                         policy = record.get("policy")
-                        self.retention = (RetentionPolicy.from_dict(policy)
-                                          if policy is not None else None)
+                        self.set_retention(RetentionPolicy.from_dict(policy)
+                                           if policy is not None else None)
                     else:
                         # attach/detach are handled a level up; skipping any
                         # other journaled mutation would recover a different
@@ -398,7 +399,6 @@ class QueryExecutor:
                             f"for table {self.table!r}")
             finally:
                 self._wal = wal
-            self._rebuild_base_relation()
         self._replay_seconds.observe(time.perf_counter() - started,
                                      table=self.table or "-")
 
@@ -553,7 +553,7 @@ class QueryExecutor:
             images = self.corpus.images  # folds pending batches under the lock
             reps = {spec.name: array
                     for spec, array, _ in self.store.arrays_by_recency()}
-            return _Snapshot(images=images, relation=self._base_relation,
+            return _Snapshot(images=images, relation=self.relation,
                              materialized=dict(self._materialized),
                              id_offset=self._id_offset, epoch=self._epoch,
                              n=int(images.shape[0]), reps=reps)

@@ -2,7 +2,7 @@
 
 Built on :mod:`repro.core.persistence` (the per-predicate model repository),
 plus a database-level manifest carrying the deployment scenario, device
-profile and the table catalog.  Layout (format version 9)::
+profile and the table catalog.  Layout (format version 10)::
 
     <root>/
       database.json            # manifest: scenario, device, predicates,
@@ -42,11 +42,11 @@ is a **checkpoint** — each table's journal is rotated to a fresh generation
 *before* any file is written, the manifest records the new generation, and
 only then are the absorbed generations pruned.  :func:`load_database` of a
 WAL-enabled save restores the checkpoint image and **replays** each table's
-log tail (segments ingested, retention drops, policy changes, tables
-attached or detached since the checkpoint), then re-arms journaling — so a
-process killed at an arbitrary byte of the log recovers to exactly the
-state its last complete frame had made durable, with stable ids and
-materialized labels intact.
+log tail (segments ingested, explicit retention sweeps, policy changes,
+tables attached or detached since the checkpoint) through the live mutation
+methods, then re-arms journaling — so a process killed at an arbitrary byte
+of the log recovers to exactly the state its last complete frame had made
+durable, with stable ids and materialized labels intact.
 Saves never overwrite the previous image: each save writes its table
 archive into a fresh ``tables/<table>/ckpt-<k>/`` directory, fsynced before
 the manifest moves, the manifest — itself written atomically (temp file,
@@ -65,7 +65,12 @@ repositories and at a generation floor whose logs are still on disk.
 Exactly one format is read: the one written.  :func:`load_database`
 raises ``ValueError("unsupported database format …")`` for any other
 ``format_version``, naming the version it found and the last commit whose
-checkout still reads it.  Format 8 differs from 9 only in file layout:
+checkout still reads it.  Format 9 differs from 10 only in what the log
+journals: every ingest that pushed a table past its retention window wrote
+its ``drop`` record beside the segment, where format 10 journals ``drop``
+only for an explicit sweep and replay re-derives an ingest's drop from the
+segment and the policy (a format-9 log replayed as 10 would drop those rows
+twice).  Format 8 differs from 9 only in file layout:
 each table image was three archives (corpus, materialized columns, stored
 representations; the table entry named the corpus archive's path), each
 predicate repository one archive per network (repository format 2), and a
@@ -114,7 +119,7 @@ if TYPE_CHECKING:
 __all__ = ["save_database", "load_database", "Durability",
            "DEFAULT_STORE_BYTES_CAP"]
 
-_FORMAT_VERSION = 9
+_FORMAT_VERSION = 10
 
 _MANIFEST_FILE = "database.json"
 _PREDICATES_DIR = "predicates"
@@ -126,11 +131,6 @@ _IMAGE_DIR_RE = re.compile(r"^ckpt-(\d+)$")
 #: whole catalog.  Arrays beyond the cap (oldest writes first) are skipped and
 #: recomputed lazily after a load.
 DEFAULT_STORE_BYTES_CAP = 256 * 2 ** 20
-
-#: Journal records applied per ``replay_wal`` call during recovery: bounds
-#: the arrays held beside the corpus being rebuilt (each call also rebuilds
-#: the base relation once, so a larger batch is cheaper, a smaller leaner).
-_REPLAY_BATCH = 64
 
 
 # -- component (de)serialization ------------------------------------------------
@@ -446,9 +446,10 @@ def load_database(root: str | Path) -> VisualDatabase:
         raise ValueError(
             f"unsupported database format {version!r}: only format "
             f"{_FORMAT_VERSION} is read; to keep an older directory, open "
-            f"it from a checkout of commit 888284b, the last one that reads "
-            f"format 8 (765ede0 for format 7, 576884f for format 6, 9334799 "
-            f"for format 5, 2c4153f for format 4, f60db2e for formats 1-3)")
+            f"it from a checkout of commit 996fcce, the last one that reads "
+            f"format 9 (888284b for format 8, 765ede0 for format 7, 576884f "
+            f"for format 6, 9334799 for format 5, 2c4153f for format 4, "
+            f"f60db2e for formats 1-3)")
 
     from repro.db.database import VisualDatabase
 
@@ -599,21 +600,13 @@ def _replay_table(db: VisualDatabase, table: str,
                   records: Iterable[dict]) -> None:
     """Apply one table's journal records, in log order.
 
-    ``records`` may be (and during recovery is) a lazy stream — arrays load
-    one record at a time and are applied every :data:`_REPLAY_BATCH`
-    records, so replay memory tracks the batch size, not the whole log tail.
+    ``records`` may be (and during recovery is) a lazy stream: each record
+    is applied before the next one is read, so replay holds one segment's
+    arrays at a time, not the whole log tail.
     """
-    batch: list[dict] = []
-
-    def flush() -> None:
-        if batch and table in db.catalog:
-            db.executor_for(table).replay_wal(list(batch))
-        batch.clear()
-
     for record in records:
         kind = record["type"]
         if kind == "attach":
-            flush()
             segment = record["segment"]
             baseline = ImageCorpus(images=segment.images,
                                    metadata=segment.metadata,
@@ -624,11 +617,7 @@ def _replay_table(db: VisualDatabase, table: str,
                 db.attach(table, baseline)
             db.executor_for(table).id_offset = int(record.get("id_offset", 0))
         elif kind == "detach":
-            batch.clear()  # anything journaled before the tombstone is moot
             if table in db.catalog:
                 db.detach(table)
-        else:
-            batch.append(record)
-            if len(batch) >= _REPLAY_BATCH:
-                flush()
-    flush()
+        elif table in db.catalog:
+            db.executor_for(table).replay_wal([record])

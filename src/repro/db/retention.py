@@ -2,10 +2,10 @@
 
 The paper's ONGOING scenario assumes a camera feed that runs forever.  The
 byte-budgeted representation store bounds *representation* memory, but the
-corpus itself, the base relation and the materialized virtual columns still
-grow with every ``db.ingest()``.  A :class:`RetentionPolicy` closes that gap:
-it declares how much history one table keeps — a maximum row count, a maximum
-age relative to the newest frame's timestamp, or both — and the executor
+corpus itself and the materialized virtual columns still grow with every
+``db.ingest()``.  A :class:`RetentionPolicy` closes that gap: it declares
+how much history one table keeps — a maximum row count, a maximum age
+relative to the newest frame's timestamp, or both — and the executor
 drops the oldest rows whenever the window is exceeded (automatically at the
 end of every ingest, or on demand via ``db.retain()``).
 
@@ -70,9 +70,7 @@ class RetentionPolicy:
         if self.max_rows is not None and n > self.max_rows:
             drop = n - self.max_rows
         if self.max_age is not None:
-            # metadata_arrays() skips the image fold a .metadata read
-            # would force on a corpus with freshly ingested batches.
-            columns = corpus.metadata_arrays()
+            columns = corpus.metadata
             try:
                 timestamps = columns[self.timestamp_column]
             except KeyError:

@@ -8,17 +8,23 @@ wrong durability unit: a crash between checkpoints would lose every
 journaling each mutation as it happens:
 
 * ``ingest()`` appends a **segment** record carrying the freshly appended
-  :class:`~repro.data.corpus.CorpusSegment`'s arrays,
-* retention appends a **drop** record (``{"type": "drop", "rows": n}``),
+  :class:`~repro.data.corpus.CorpusSegment`'s arrays.  The segment implies
+  its retention drop: the rows it pushes out of the window follow from the
+  segment and the policy in force, so replay re-derives them and no record
+  is written for them,
+* an explicit sweep (``retain()``) appends a **drop** record
+  (``{"type": "drop", "rows": n}``): the policy may change before the next
+  segment, so that drop cannot be re-derived,
 * ``set_retention`` appends a **retention** record so the policy itself
   survives a crash,
 * attaching a table after the last checkpoint appends an **attach** record
   carrying the table's baseline corpus, and ``detach`` a **detach**
   tombstone.
 
-Recovery = load the checkpoint, then replay each table's log tail in order.
+Recovery = load the checkpoint, then replay each table's log tail in order
+through the same executor methods that journaled it.
 
-Layout (inside a format-8 database directory): one file per generation,
+Layout (inside a format-10 database directory): one file per generation,
 ``wal/<table>/log-<g>.wal``, holding one **frame** per record::
 
     header   magic "RWAL" | body length (u64) | crc32(body) (u32)

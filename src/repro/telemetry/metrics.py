@@ -71,7 +71,8 @@ CATALOG: tuple[MetricSpec, ...] = (
                "WAL record append latency (encode the frame, one write, one "
                "fsync), per table.", ("table",)),
     MetricSpec("repro_wal_replay_seconds", "histogram",
-               "WAL replay duration on recovery, per table.", ("table",)),
+               "WAL replay time on recovery, one observation per "
+               "replayed record, per table.", ("table",)),
     MetricSpec("repro_store_hits_total", "counter",
                "Representations a query needed and found stored."),
     MetricSpec("repro_store_misses_total", "counter",

@@ -175,15 +175,14 @@ class TestGuardedWrite:
 class TestLockHeld:
     def test_helper_called_without_its_lock(self, sanitized):
         executor = QueryExecutor(make_corpus())
-        executor._rebuild_base_relation()  # the deliberate violation
+        executor._drop_rows(1)  # the deliberate violation
         violations = sanitizer.take_violations()
         # One lock-held on entry; the helper's unlocked rebind of
-        # _base_relation then trips the guarded-write check as well.
+        # _id_offset then trips the guarded-write check as well.
         assert [v.kind for v in violations] == ["lock-held", "guarded-write"]
-        assert ("QueryExecutor._rebuild_base_relation"
-                in violations[0].message)
+        assert "QueryExecutor._drop_rows" in violations[0].message
         assert "test_sanitizer" in violations[0].stack
-        assert "QueryExecutor._base_relation" in violations[1].message
+        assert "QueryExecutor._id_offset" in violations[1].message
 
     def test_state_object_helper_called_without_its_lock(self, sanitized):
         store = RepresentationStore()
@@ -196,16 +195,15 @@ class TestLockHeld:
     def test_helper_called_with_its_lock_is_clean(self, sanitized):
         executor = QueryExecutor(make_corpus())
         with executor._lock:
-            executor._rebuild_base_relation()
+            executor._drop_rows(1)
         executor.drop_oldest(1)
         assert sanitizer.take_violations() == []
 
     def test_disable_restores_the_helpers(self, sanitized):
-        wrapped = QueryExecutor.__dict__["_rebuild_base_relation"]
+        wrapped = QueryExecutor.__dict__["_drop_rows"]
         sanitizer.disable()
         try:
-            assert (QueryExecutor.__dict__["_rebuild_base_relation"]
-                    is not wrapped)
+            assert QueryExecutor.__dict__["_drop_rows"] is not wrapped
             assert "__setattr__" not in QueryExecutor.__dict__
             assert "__setattr__" not in Gauge.__dict__
         finally:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.data.corpus import ImageCorpus
 
-READS = ("images", "metadata", "content", "images_from", "metadata_arrays")
+READS = ("images", "metadata", "content", "images_from")
 
 operations = st.lists(st.one_of(
     st.tuples(st.just("append"), st.integers(1, 70), st.integers(1, 12)),
@@ -85,18 +85,13 @@ def test_window_buffer_matches_a_list_of_rows(initial, ops):
                 expect(corpus.images, "images")
             elif read == "images_from":
                 expect(corpus.images_from(start), "images", start)
-            elif read == "metadata_arrays":
-                columns = corpus.metadata_arrays()
-                expect(columns["label"], "label")
-                expect(columns["stamp"], "stamp")
             else:
                 columns = getattr(corpus, read)
                 for key in columns:
                     expect(columns[key], key)
                 with pytest.raises(TypeError):
                     columns["extra"] = columns[next(iter(columns))]
-            if read != "metadata_arrays":
-                pending = 0
+            pending = 0
 
         assert len(corpus) == len(model)
         assert corpus.segment_count == 1 + pending

@@ -7,7 +7,7 @@ import pytest
 from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
-from repro.db import FANOUT_TABLE, RetentionPolicy, connect
+from repro.db import FANOUT_TABLE, RetentionPolicy, TableWal, connect
 from repro.db.executor import QueryExecutor
 from repro.db.planner import QueryPlanner
 from repro.query.predicates import ContainsObject, MetadataPredicate
@@ -171,20 +171,22 @@ class TestExecutorIngest:
         executor.ingest(frames.images, metadata=frames.metadata)
         assert not executor.corpus.content["komondor"][-3:].any()
 
-    def test_zero_row_ingest_is_a_cheap_noop(self, corpus):
-        # Regression: an empty batch used to rebuild the base relation and
-        # walk the store's ingest path.
+    def test_zero_row_ingest_is_a_cheap_noop(self, corpus, tmp_path):
+        # Regression: an empty batch used to walk the store's ingest path.
         executor = QueryExecutor(corpus)
-        relation_before = executor.relation
+        wal = TableWal(tmp_path, "images")
+        executor.set_wal(wal)
         gray = executor.store  # namespaceless store; must stay empty
         empty = np.zeros((0, TINY_SIZE, TINY_SIZE, 3))
         new_ids = executor.ingest(empty, materialize=True)
         assert new_ids.size == 0
         assert new_ids.dtype == np.int64
-        assert executor.relation is relation_before  # nothing rebuilt
+        assert wal.record_count() == 0  # nothing journaled
         assert len(executor.corpus) == 24
+        assert executor.corpus.segment_count == 1  # nothing queued
         assert gray.specs() == []
         assert len(gray) == 0
+        wal.close()
 
     def test_zero_row_ingest_skips_metadata_validation_cost(self, corpus):
         # The no-op does not even require matching metadata columns.
@@ -443,8 +445,9 @@ class TestOngoingWindowIngest:
         assert executor.store.specs()
         for spec in executor.store.specs():
             assert executor.store.rows(spec) == self.WINDOW
+        # The drop is implied by the segment and the policy: replay
+        # re-derives it, so it is not journaled.
         records = list(wal.records(from_generation=generation))
-        assert [record["type"] for record in records] == ["segment", "drop"]
+        assert [record["type"] for record in records] == ["segment"]
         assert len(records[0]["segment"]) == self.WINDOW + 5
-        assert records[1]["rows"] == first + 5
         database.close()

@@ -526,35 +526,97 @@ class TestEnableWal:
         with pytest.raises(ValueError, match="'vacuum'.*'cam'"):
             VisualDatabase.load(root)
 
-    def test_long_tail_replays_in_bounded_batches(self, tmp_path,
-                                                  monkeypatch):
-        from repro.db import persistence
+    def test_each_record_is_applied_before_the_next_is_read(
+            self, tmp_path, monkeypatch):
+        # Replay holds one segment's arrays at a time: the lazy record
+        # stream and the executor's replay alternate, one record each.
         from repro.db.executor import QueryExecutor
 
         root = tmp_path / "vdb"
         database = connect({"cam": timed_corpus([0.0])},
-                           retention=RetentionPolicy(max_rows=50))
+                           retention=RetentionPolicy(max_rows=4))
         database.enable_wal(root)
-        for step in range(2 * persistence._REPLAY_BATCH):
-            # Past the window every ingest journals a segment and a drop.
+        for step in range(6):
             database.ingest(*_batch([10.0 + step]), table="cam")
+        database.set_retention("cam", RetentionPolicy(max_rows=2))
+        database.retain()
         wal = database.executor_for("cam").wal
-        assert wal.record_count() >= 3 * persistence._REPLAY_BATCH
+        kinds = [record["type"] for record in
+                 wal.records(from_generation=wal.generation)]
+        assert kinds == ["segment"] * 6 + ["retention", "drop"]
 
-        batches = []
+        events = []
+        records = TableWal.records
         replay_wal = QueryExecutor.replay_wal
 
-        def counting_replay(executor, records):
-            assert isinstance(records, list)
-            batches.append(len(records))
-            return replay_wal(executor, records)
+        def reading(wal, *args, **kwargs):
+            for record in records(wal, *args, **kwargs):
+                events.append(("read", record["type"]))
+                yield record
 
-        monkeypatch.setattr(QueryExecutor, "replay_wal", counting_replay)
+        def applying(executor, batch):
+            assert isinstance(batch, list)
+            events.extend(("apply", record["type"]) for record in batch)
+            return replay_wal(executor, batch)
+
+        monkeypatch.setattr(TableWal, "records", reading)
+        monkeypatch.setattr(QueryExecutor, "replay_wal", applying)
         with VisualDatabase.load(root) as recovered:
             assert table_state(recovered) == table_state(database)
-        assert len(batches) >= 3
-        assert max(batches) <= persistence._REPLAY_BATCH
-        assert sum(batches) == wal.record_count()
+        assert events == [event for kind in kinds
+                          for event in (("read", kind), ("apply", kind))]
+        database.close()
+
+    def test_ingest_past_the_window_journals_one_record(self, tmp_path):
+        # An ingest's retention drop is derived from its segment on replay,
+        # so N batches past a full window journal N records, not 2N.
+        database = connect({"cam": timed_corpus(np.arange(8.0))},
+                           retention=RetentionPolicy(max_rows=8))
+        database.enable_wal(tmp_path / "vdb")
+        wal = database.executor_for("cam").wal
+        for step in range(40):
+            database.ingest(*_batch([10.0 + step]), table="cam")
+        assert wal.record_count() == 40
+        assert database.executor_for("cam").id_offset == 40
+        with VisualDatabase.load(tmp_path / "vdb") as recovered:
+            assert table_state(recovered) == table_state(database)
+            assert len(table_state(recovered)) == 8
+        database.close()
+
+    def test_explicit_sweep_is_journaled(self, tmp_path):
+        # Why retain() still writes a drop record: the policy changed after
+        # the sweep, so replaying the later segment under the new policy
+        # alone would keep rows the sweep had dropped.
+        database = connect({"cam": timed_corpus(np.arange(6.0))})
+        database.enable_wal(tmp_path / "vdb")
+        database.set_retention("cam", RetentionPolicy(max_rows=3))
+        assert database.retain() == {"cam": 3}
+        database.set_retention("cam", RetentionPolicy(max_rows=10))
+        database.ingest(*_batch([10.0, 11.0]), table="cam")
+        expected = table_state(database)
+        assert expected == [(3, 3.0), (4, 4.0), (5, 5.0),
+                            (6, 10.0), (7, 11.0)]
+        # A crash: no close(), no checkpoint.
+        recovered = VisualDatabase.load(tmp_path / "vdb")
+        assert table_state(recovered) == expected
+        assert recovered.executor_for("cam").id_offset == 3
+
+    def test_policy_the_corpus_cannot_evaluate_is_refused(self, tmp_path):
+        # Replay re-derives every ingest's drop from the policy, so one that
+        # raises on this corpus is refused before it is journaled; the log
+        # stays recoverable.
+        broken = RetentionPolicy(max_age=1.0, timestamp_column="recorded_at")
+        database = connect({"cam": timed_corpus([0.0, 1.0])})
+        database.enable_wal(tmp_path / "vdb")
+        with pytest.raises(KeyError, match="recorded_at"):
+            database.set_retention("cam", broken)
+        with pytest.raises(KeyError, match="recorded_at"):
+            database.attach("late", timed_corpus([0.0]), retention=broken)
+        assert database.executor_for("cam").retention is None
+        assert database.tables() == ["cam"]
+        database.ingest(*_batch([2.0]), table="cam")
+        with VisualDatabase.load(tmp_path / "vdb") as recovered:
+            assert table_state(recovered) == table_state(database)
         database.close()
 
     def test_attach_detach_replace_survive_recovery(self, tmp_path):
@@ -646,9 +708,12 @@ class TestCrashRecoveryProperty:
 
     The reference is an independent model of the log: a plain list of
     (id, timestamp) rows that applies segment/drop/retention records by
-    hand.  The model's final state is anchored against the live (uncrashed)
-    database, so the log's *content* is verified too — then every cut of
-    the log must recover to the model's state at its last complete record.
+    hand, re-deriving each segment's retention drop from the last
+    ``retention`` record.  The model's final state is anchored against the
+    live (uncrashed) database, so the log's *content* is verified too —
+    then every cut of the log must recover to the model's state at its last
+    complete record, and no cut may hold more rows than the window the last
+    ingest or sweep enforced.
     """
 
     def test_every_record_boundary_recovers(self, tmp_path):
@@ -670,20 +735,30 @@ class TestCrashRecoveryProperty:
         wal = database.executor_for("cam").wal
         generation = wal.generation
         records = list(wal.records(from_generation=generation))
-        assert len(records) >= 9  # segments + drops + retention markers
+        # Segments + retention markers + the one sweep that drops rows.
+        assert [record["type"] for record in records] == (
+            ["retention"] + ["segment"] * 5 + ["retention", "drop"])
 
         # Model: checkpoint image (enable_wal's) + the log applied by hand.
         rows = [(i, float(i)) for i in range(4)]
         next_id = 4
-        snapshots = [list(rows)]
+        max_rows = window = None  # the policy; the limit last enforced
+        snapshots, windows = [list(rows)], [window]
         for record in records:
             if record["type"] == "segment":
                 for ts in record["segment"].metadata["timestamp"]:
                     rows.append((next_id, float(ts)))
                     next_id += 1
+                if max_rows is not None:
+                    rows = rows[max(0, len(rows) - max_rows):]
+                window = max_rows
             elif record["type"] == "drop":
                 rows = rows[record["rows"]:]
+                window = max_rows
+            elif record["type"] == "retention":
+                max_rows = record["policy"]["max_rows"]
             snapshots.append(list(rows))
+            windows.append(window)
         assert snapshots[-1] == table_state(database)  # anchor the log
 
         log_name = f"log-{generation}.wal"
@@ -706,8 +781,12 @@ class TestCrashRecoveryProperty:
             # mid-array, one byte short of complete.
             for cut in sorted({start, start + header // 2, start + header + 1,
                                (start + header + end) // 2, end - 1}):
-                assert recover(log_bytes[:cut], cut) == snapshots[index], \
+                state = recover(log_bytes[:cut], cut)
+                assert state == snapshots[index], \
                     f"divergence cutting record {index} at byte {cut}"
+                assert windows[index] is None \
+                    or len(state) <= windows[index], \
+                    f"cut at byte {cut} recovers past the window"
         assert recover(log_bytes, "whole") == snapshots[-1]
         # Not a short write but a damaged one: the frame is all there and
         # one bit of it is wrong.  Only the checksum can tell.
@@ -889,31 +968,36 @@ class TestFormatCompatibility:
         # JSON line plus an array file, 5: one-value scenario and spec keys,
         # 6: predicate repositories rewritten in place, 7: a registration
         # list beside the store arrays, 8: three archives per table and one
-        # per network) and newer ones are refused alike, and the message
-        # says which version was found.
+        # per network, 9: a drop record beside every segment that pushed a
+        # table past its window) and newer ones are refused alike, and the
+        # message says which version was found.
         database = connect({"cam": timed_corpus([0.0])})
         root = database.save(tmp_path / "vdb")
         manifest = self._manifest(root)
-        for version in (1, 2, 3, 4, 5, 6, 7, 8, 99):
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 99):
             manifest["format_version"] = version
             (root / "database.json").write_text(json.dumps(manifest))
             with pytest.raises(
                     ValueError,
                     match=rf"unsupported database format {version}\b"):
                 VisualDatabase.load(root)
-        # The refusal names the last commit whose checkout reads format 8,
-        # and the one before for format 7.
+        # The refusal names the last commit whose checkout reads format 9,
+        # and the ones before for formats 8 and 7.
+        manifest["format_version"] = 9
+        (root / "database.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"996fcce.*format 9"):
+            VisualDatabase.load(root)
         manifest["format_version"] = 8
         (root / "database.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=r"888284b.*format 8"):
+        with pytest.raises(ValueError, match=r"888284b for format 8"):
             VisualDatabase.load(root)
         manifest["format_version"] = 7
         (root / "database.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=r"765ede0 for format 7"):
             VisualDatabase.load(root)
 
-    def test_written_manifest_is_the_v9_contract(self, tmp_path,
-                                                 fresh_optimizer):
+    def test_written_manifest_is_the_v10_contract(self, tmp_path,
+                                                  fresh_optimizer):
         # The loader reads exactly what the writer writes, so the writer's
         # key sets are the on-disk contract: a writer change shows up here
         # as a diff, and directories written by earlier commits keep loading
@@ -928,7 +1012,7 @@ class TestFormatCompatibility:
         executor.store.add(gray, gray.apply_batch(executor.corpus.images))
         root = database.save(tmp_path / "vdb")
         manifest = self._manifest(root)
-        assert manifest["format_version"] == 9
+        assert manifest["format_version"] == 10
         assert sorted(manifest) == [
             "calibrate_target_fps", "cost_resolution", "default_constraints",
             "device", "device_calibrated", "format_version", "predicates",
