@@ -42,12 +42,8 @@ from repro.transforms.spec import TransformSpec
 __all__ = ["save_optimizer", "load_optimizer", "transform_to_dict",
            "transform_from_dict", "fsync_path"]
 
-#: Format 3 keeps every network's parameters in one ``weights.npz`` (format 2
-#: wrote one ``weights/<model>.npz`` per network; commit 888284b is the last
-#: to read it).  Format 2 dropped every transform's interpolation mode and
-#: the config's reference-tail switch and threshold grid size (each held one
-#: value), and added the config's ``training``; commit 9334799 is the last to
-#: read format 1.
+#: The one repository format :func:`load_optimizer` reads (the one
+#: :func:`save_optimizer` writes).
 _FORMAT_VERSION = 3
 
 _MANIFEST_FILE = "repository.json"

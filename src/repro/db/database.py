@@ -171,14 +171,13 @@ class VisualDatabase:
         which keeps one hot camera from evicting every other shard's
         representations).  ``None`` keeps the store unbounded.
     retention:
-        Retention window(s) for the attached tables: a single
-        :class:`~repro.db.retention.RetentionPolicy` applied to every table
-        given in ``corpus``, or a ``{name: policy}`` mapping assigning
-        per-table windows (names must be a subset of the attached tables).
-        A table with a policy is a sliding window over its feed — the
-        oldest rows are dropped at the end of every :meth:`ingest` (and on
-        demand via :meth:`retain`), with image ids stable across drops.
-        ``None`` keeps every table unbounded.
+        A :class:`~repro.db.retention.RetentionPolicy` applied to every
+        table given in ``corpus``; give one table its own window with
+        :meth:`attach` (``retention=``) or :meth:`set_retention`.  A table
+        with a policy is a sliding window over its feed — the oldest rows
+        are dropped at the end of every :meth:`ingest` (and on demand via
+        :meth:`retain`), with image ids stable across drops.  ``None`` keeps
+        every table unbounded.
     plan_cache:
         Cache physical plans keyed by normalized query shape (literals
         stripped — see :class:`~repro.server.plan_cache.PlanCache`), so an
@@ -201,8 +200,7 @@ class VisualDatabase:
                  calibrate_target_fps: float | None = 75.0,
                  default_constraints: UserConstraints | None = None,
                  store_budget: int | None = None,
-                 retention: RetentionPolicy
-                 | Mapping[str, RetentionPolicy] | None = None,
+                 retention: RetentionPolicy | None = None,
                  plan_cache: bool = False) -> None:
         self._closed = False
         self._plan_cache = None
@@ -219,23 +217,15 @@ class VisualDatabase:
         self._durability = persistence.Durability(self._catalog)
 
         if retention is not None and not isinstance(retention,
-                                                    (RetentionPolicy, Mapping)):
-            raise TypeError("retention must be a RetentionPolicy or a "
-                            f"{{table: policy}} mapping, got {retention!r}")
-        if corpus is not None:
-            if isinstance(corpus, Mapping):
-                for name, table_corpus in corpus.items():
-                    self.attach(name, table_corpus,
-                                retention=self._policy_for(retention, name))
-            else:
-                self.register_corpus(
-                    corpus,
-                    retention=self._policy_for(retention, DEFAULT_TABLE))
-        if isinstance(retention, Mapping):
-            unknown = [name for name in retention if name not in self._catalog]
-            if unknown:
-                raise ValueError(f"retention names unknown tables {unknown}; "
-                                 f"attached: {self.tables()}")
+                                                    RetentionPolicy):
+            raise TypeError("retention must be a RetentionPolicy (give one "
+                            "table its own with attach() or set_retention()"
+                            f"), got {retention!r}")
+        if isinstance(corpus, Mapping):
+            for name, table_corpus in corpus.items():
+                self.attach(name, table_corpus, retention=retention)
+        elif corpus is not None:
+            self.register_corpus(corpus, retention=retention)
         self._registry = PredicateRegistry(
             self._catalog, device=device, scenario=scenario,
             cost_resolution=cost_resolution,
@@ -243,15 +233,6 @@ class VisualDatabase:
             calibrate_target_fps=calibrate_target_fps)
         if plan_cache:
             self.enable_plan_cache()
-
-    @staticmethod
-    def _policy_for(retention, name: str) -> RetentionPolicy | None:
-        """Resolve the constructor's ``retention`` argument for one table."""
-        if retention is None:
-            return None
-        if isinstance(retention, RetentionPolicy):
-            return retention
-        return retention.get(name)
 
     # -- lifecycle -------------------------------------------------------------
     @property
@@ -466,12 +447,18 @@ class VisualDatabase:
                 images, metadata=metadata, content=content,
                 materialize=self.scenario.materializes_on_ingest, span=span)
 
+    def _require_tables(self) -> list[str]:
+        """The attached table names; raises when there is none."""
+        tables = self.tables()
+        if not tables:
+            raise RuntimeError("no corpus registered; call "
+                               "register_corpus() or pass one to connect()")
+        return tables
+
     def _default_executor(self) -> QueryExecutor:
+        self._require_tables()
         default = self._catalog.default_table()
         if default is None:
-            if len(self._catalog) == 0:
-                raise RuntimeError("no corpus registered; call "
-                                   "register_corpus() or pass one to connect()")
             raise RuntimeError(
                 f"multiple tables attached ({self.tables()}) and none is "
                 f"{DEFAULT_TABLE!r}; name one explicitly "
@@ -590,41 +577,28 @@ class VisualDatabase:
     # -- queries ---------------------------------------------------------------
     def _parse(self, sql: str,
                constraints: UserConstraints | None) -> Query:
-        # Unknown tables are rejected at plan time, listing the catalog; an
-        # empty catalog skips validation so the "no corpus registered" error
-        # (not a parse error) surfaces, as in the single-corpus API.
-        known = self.tables()
+        # An empty catalog raises "no corpus registered" before any parse
+        # error; unknown tables are rejected by the parser, listing the
+        # catalog.
         return parse_query(sql, constraints=constraints
                            or self.default_constraints,
-                           known_tables=known + [FANOUT_TABLE]
-                           if known else None)
-
-    def _resolve_single_table(self, query: Query) -> str:
-        if query.table in self._catalog:
-            return query.table
-        # Empty catalog: fall through to the executor property so the
-        # single-corpus "no corpus registered" RuntimeError is raised.
-        self._default_executor()
-        raise AssertionError("unreachable")  # pragma: no cover
+                           known_tables=self._require_tables()
+                           + [FANOUT_TABLE])
 
     def _fanout_targets(self, query: Query,
                         tables: Iterable[str] | None) -> list[str]:
-        if tables is not None:
-            if query.table != FANOUT_TABLE:
-                # Never answer a FROM cam_a query with cam_b's rows: an
-                # explicit shard list goes with the virtual fan-out table.
-                raise ValueError(
-                    f"tables=[...] requires FROM {FANOUT_TABLE}; the query "
-                    f"names table {query.table!r}")
-            targets = list(tables)
-            if not targets:
-                raise ValueError("tables=[...] must name at least one "
-                                 f"attached table; attached: {self.tables()}")
-        else:
-            targets = self.tables()
-            if not targets:
-                raise RuntimeError("no corpus registered; call "
-                                   "register_corpus() or pass one to connect()")
+        if tables is None:
+            return self.tables()
+        if query.table != FANOUT_TABLE:
+            # Never answer a FROM cam_a query with cam_b's rows: an explicit
+            # shard list goes with the virtual fan-out table.
+            raise ValueError(
+                f"tables=[...] requires FROM {FANOUT_TABLE}; the query "
+                f"names table {query.table!r}")
+        targets = list(tables)
+        if not targets:
+            raise ValueError("tables=[...] must name at least one "
+                             f"attached table; attached: {self.tables()}")
         unknown = [name for name in targets if name not in self._catalog]
         if unknown:
             raise KeyError(f"unknown tables {unknown}; "
@@ -638,7 +612,7 @@ class VisualDatabase:
         if tables is not None or query.table == FANOUT_TABLE:
             return {table: self._registry.plan(query, table)
                     for table in self._fanout_targets(query, tables)}
-        return self._registry.plan(query, self._resolve_single_table(query))
+        return self._registry.plan(query, query.table)
 
     def _plan_for(self, sql: str, constraints: UserConstraints | None,
                   tables: Iterable[str] | None
@@ -728,17 +702,13 @@ class VisualDatabase:
                 plans = self._plan_for(sql, constraints, tables)
             if isinstance(plans, dict):
                 raw = self._fanout_results(plans, cancel=cancel, span=root)
-                if next(iter(plans.values())).is_aggregate:
-                    result_set = AggregateResultSet.from_fanout(raw, plans)
-                else:
-                    result_set = FanoutResultSet(raw, plans)
             else:
                 executor = self._catalog.executor(plans.table)
                 with root.child(f"table:{plans.table}",
                                 table=plans.table) as shard_span:
                     raw = executor.execute(plans, cancel=cancel,
                                            span=shard_span)
-                result_set = build_result_set(raw, plans)
+            result_set = build_result_set(raw, plans)
         wall = time.perf_counter() - started
         root.annotate(rows=len(result_set))
         result_set.attach_stats(trace_id=trace.trace_id, wall_time_s=wall)

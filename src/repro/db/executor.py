@@ -98,6 +98,8 @@ class _Snapshot:
     # rows in/out, rows classified, elapsed seconds — accumulated across
     # chunks and surfaced as QueryResult.node_stats (EXPLAIN ANALYZE).
     node_stats: dict = field(default_factory=dict)
+    # Rows classified per content category (QueryResult.images_classified).
+    images_classified: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -504,12 +506,18 @@ class QueryExecutor:
         limited queries pay for a fraction of the candidate set.  Early stop
         is disabled under aggregates and ORDER BY
         (:attr:`~repro.db.planner.QueryPlan.allow_early_stop`), where the
-        limit applies to the final groups / sorted rows instead.
+        limit applies to the final groups / sorted rows instead.  The result
+        is unshaped: ORDER BY, the post-sort LIMIT and the SELECT projection
+        are applied by :func:`~repro.db.results.build_result_set`.
 
         The :attr:`~repro.db.planner.QueryPlan.predicate_tree` is evaluated
         with mask-based short-circuiting: an AND child only sees rows every
         earlier child accepted, an OR child only classifies rows the earlier
-        (cheaper) children left undecided.
+        (cheaper) children left undecided.  Every classification — in the
+        tree, or filling labels the later stages read for selected rows the
+        tree left unclassified — is recorded once, by the content leaf's
+        evaluation: ``images_classified``, the leaf's ``rows_classified``
+        and ``repro_query_rows_classified_total`` count the same rows.
         For an aggregate plan the result additionally carries per-shard
         partial aggregates (:class:`~repro.db.aggregates.GroupedPartials`).
 
@@ -711,7 +719,8 @@ class QueryExecutor:
 
         cascades_used = {step.category: step.evaluation
                          for step in content_steps}
-        images_classified = {step.category: 0 for step in content_steps}
+        snap.images_classified.update({step.category: 0
+                                       for step in content_steps})
         # Metadata leaves below the top level are evaluated once per query
         # (keyed by node identity) and sliced per chunk — a LIMIT query over
         # many chunks must not re-evaluate full-corpus predicates per chunk.
@@ -729,7 +738,6 @@ class QueryExecutor:
                 if not chunk_mask.any():
                     break
                 chunk_mask = self._evaluate_tree(snap, conjunct, chunk_mask,
-                                                 images_classified,
                                                  metadata_masks)
             surviving = np.where(chunk_mask)[0]
             survivors.append(surviving)
@@ -759,17 +767,7 @@ class QueryExecutor:
             referenced = plan.referenced_columns()
             for step in content_steps:
                 if step.predicate.column_name in referenced:
-                    gap_started = time.perf_counter()
-                    _, n_classified = self._evaluate_content(snap, step,
-                                                             final_mask)
-                    images_classified[step.category] += n_classified
-                    if n_classified:
-                        self._accumulate(
-                            node_stats, step, 0, 0, n_classified,
-                            time.perf_counter() - gap_started)
-                        self._rows_classified.inc(
-                            n_classified, table=self.table or "-",
-                            category=step.category)
+                    self._evaluate_content(snap, step, final_mask)
 
         # Content columns are rebuilt from the materialized state: real
         # labels where a cascade evaluated the row (this query or an earlier
@@ -805,14 +803,14 @@ class QueryExecutor:
             span.annotate(short_circuit_rows_saved=root_stats[
                 "short_circuit_rows_saved"])
         span.annotate(rows_selected=int(selected.size),
-                      images_classified=dict(images_classified))
+                      images_classified=dict(snap.images_classified))
 
         # Selected indices are *stable* image ids (offset + row position),
         # matching the relation's image_id column across retention passes.
         return QueryResult(relation=selected_relation,
                            selected_indices=selected + snap.id_offset,
                            cascades_used=cascades_used,
-                           images_classified=images_classified,
+                           images_classified=snap.images_classified,
                            partials=partials,
                            node_stats=dict(node_stats))
 
@@ -826,7 +824,6 @@ class QueryExecutor:
         return mask
 
     def _evaluate_tree(self, snap: _Snapshot, node, mask: np.ndarray,
-                       images_classified: dict[str, int],
                        metadata_masks: dict[int, np.ndarray]) -> np.ndarray:
         """Short-circuit one predicate-tree node over the rows in ``mask``.
 
@@ -847,21 +844,17 @@ class QueryExecutor:
         if isinstance(node, ContentStep):
             if not mask.any():
                 return mask
-            labels, n_classified = self._evaluate_content(snap, node, mask)
-            images_classified[node.category] += n_classified
-            accepted = mask & labels.astype(bool)
+            accepted = mask & self._evaluate_content(snap, node,
+                                                     mask).astype(bool)
+            # Rows classified and elapsed time were recorded by
+            # _evaluate_content, on its own clock.
             self._accumulate(node_stats, node, rows_in, int(accepted.sum()),
-                             n_classified, time.perf_counter() - started)
-            if n_classified:
-                self._rows_classified.inc(
-                    n_classified, table=self.table or "-",
-                    category=node.category)
+                             0, 0.0)
             return accepted
         if isinstance(node, PlanAnd):
             accepted = mask
             for child in node.children:
                 accepted = self._evaluate_tree(snap, child, accepted,
-                                               images_classified,
                                                metadata_masks)
                 if not accepted.any():
                     break
@@ -878,7 +871,6 @@ class QueryExecutor:
                 if index:
                     saved += rows_in - int(undecided.sum())
                 child_mask = self._evaluate_tree(snap, child, undecided,
-                                                 images_classified,
                                                  metadata_masks)
                 decided |= child_mask
                 undecided &= ~child_mask
@@ -890,7 +882,6 @@ class QueryExecutor:
             return decided
         if isinstance(node, PlanNot):
             accepted = mask & ~self._evaluate_tree(snap, node.child, mask,
-                                                   images_classified,
                                                    metadata_masks)
             self._accumulate(node_stats, node, rows_in, int(accepted.sum()),
                              0, time.perf_counter() - started)
@@ -904,7 +895,7 @@ class QueryExecutor:
 
     # -- internals -----------------------------------------------------------
     def _evaluate_content(self, snap: _Snapshot, step: ContentStep,
-                          candidate_mask: np.ndarray) -> tuple[np.ndarray, int]:
+                          candidate_mask: np.ndarray) -> np.ndarray:
         """Populate the virtual column for one contains_object predicate.
 
         Only rows surviving the earlier predicates (and not already
@@ -913,8 +904,12 @@ class QueryExecutor:
         always the output of the cascade the plan reports in
         ``cascades_used``, even across scenario or constraint changes.
         Updates land in the snapshot; the merge step folds them into the
-        live shard.
+        live shard.  This is the one place a classification is recorded:
+        the rows classified count toward the snapshot's
+        ``images_classified``, the node's ``rows_classified`` (with this
+        call's elapsed time) and ``repro_query_rows_classified_total``.
         """
+        started = time.perf_counter()
         n = snap.n
         key = (step.category, step.evaluation.cascade.name)
         evaluated_mask, labels = snap.materialized.get(
@@ -936,8 +931,12 @@ class QueryExecutor:
             evaluated_mask = evaluated_mask | to_classify
             snap.materialized[key] = (evaluated_mask, labels)
             snap.dirty_materialized.add(key)
-
-        return labels, n_classified
+            snap.images_classified[step.category] += n_classified
+            self._accumulate(snap.node_stats, step, 0, 0, n_classified,
+                             time.perf_counter() - started)
+            self._rows_classified.inc(n_classified, table=self.table or "-",
+                                      category=step.category)
+        return labels
 
     def _materialize_tail(self, spec) -> None:
         # guarded by: self._lock

@@ -65,27 +65,7 @@ repositories and at a generation floor whose logs are still on disk.
 Exactly one format is read: the one written.  :func:`load_database`
 raises ``ValueError("unsupported database format …")`` for any other
 ``format_version``, naming the version it found and the last commit whose
-checkout still reads it.  Format 9 differs from 10 only in what the log
-journals: every ingest that pushed a table past its retention window wrote
-its ``drop`` record beside the segment, where format 10 journals ``drop``
-only for an explicit sweep and replay re-derives an ingest's drop from the
-segment and the policy (a format-9 log replayed as 10 would drop those rows
-twice).  Format 8 differs from 9 only in file layout:
-each table image was three archives (corpus, materialized columns, stored
-representations; the table entry named the corpus archive's path), each
-predicate repository one archive per network (repository format 2), and a
-save outside its database's WAL root was not fsynced.  Format 7 differs
-from 8 only in each table entry's list of registered specs (what ONGOING
-ingest extended, now the store's own entries).  Format 6 differs from 7 only in where a
-predicate's repository lives (``predicates/<name>/`` itself, rewritten in
-place by every save, against a ``repository`` directory each predicate
-entry names).  Format 5 differs from 6 only in keys that always
-held one value: the scenario's compression flag and every representation
-spec's interpolation mode (in table entries and the
-predicate repositories, whose own format went 1 → 2, gaining the training
-settings).  Format 4 differs only under ``wal/`` (a JSON-lines log beside
-one array file per record) and is refused like the rest: read as a later
-format, its log tail would be silently skipped.
+checkout still reads it.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ at once and no cell pays a NumPy scalar conversion of its own.
 :meth:`ResultSet.fetchmany` with ``columnar=True`` pages the same cursor as
 column slices, for consumers (the wire) that never need a row dictionary.
 
-This module is also where the tail of the logical pipeline
-(... -> Aggregate -> OrderBy -> Project -> Limit) is applied to executor
-output: :func:`build_result_set` finalizes aggregates into an
-:class:`AggregateResultSet`, sorts ORDER BY rows, projects the SELECT list
-and applies post-sort limits.
+This module is also where the query's tail is applied to executor output.
+:func:`build_result_set` is the one dispatch from what the executors
+returned (one table's result, or a fan-out's per-shard results) to a result
+set, and every kind — one table's rows, merged fan-out rows, finalized
+groups — is shaped by one step, :func:`_tail`: sort by ORDER BY, take the
+first LIMIT rows, project the SELECT list.
 
 A fan-out query (``SELECT * FROM all_cameras`` or ``execute(sql,
 tables=[...])``) returns a :class:`FanoutResultSet`: the same cursor API over
@@ -27,6 +28,7 @@ came from, and per-shard plans and execution statistics.  A fan-out
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
@@ -245,44 +247,63 @@ def _project(relation: Relation, names: list[str]) -> Relation:
     return relation.project(list(dict.fromkeys(names)))
 
 
-def _shape_rows(result: "QueryResult", plan: QueryPlan | None,
-                extra_columns: tuple[str, ...] = ()) -> "QueryResult":
-    """Apply the OrderBy -> Project -> Limit tail to a row result.
+def _tail(result: "QueryResult", plan: QueryPlan | None,
+          keep: tuple[str, ...] = ()) -> "QueryResult":
+    """The ORDER BY -> LIMIT -> SELECT tail, over rows or finalized groups.
 
-    The executor already applied ``LIMIT`` when early stop was legal; under
-    ORDER BY it deferred both, so the limit is applied here, after the sort.
-    ``extra_columns`` (fan-out provenance) survive projection.
+    Sorts by the ORDER BY keys, takes the first LIMIT rows and projects the
+    SELECT list plus ``keep`` (fan-out provenance).  The executor already
+    applied LIMIT where early stop was legal; under ORDER BY it deferred the
+    limit to here, after the sort.  A result already within LIMIT with no
+    ORDER BY and no projection passes through as the same object.
     """
-    if plan is None or (not plan.order_by and plan.select is None):
+    if plan is None:
         return result
-    relation, selected = result.relation, result.selected_indices
+    rows = None
     if plan.order_by:
-        permutation = _sorted_permutation(relation, plan.order_by)
-        if plan.limit is not None:
-            permutation = permutation[:plan.limit]
-        relation = relation.take(permutation)
-        selected = selected[permutation]
+        rows = _sorted_permutation(result.relation, plan.order_by)[:plan.limit]
+    elif plan.limit is not None and plan.limit < len(result.relation):
+        rows = np.arange(plan.limit)
+    if rows is not None:
+        result = replace(result, relation=result.relation.take(rows),
+                         selected_indices=result.selected_indices[rows])
     if plan.select is not None:
-        names = [select_label(item) for item in plan.select]
-        relation = _project(relation, names + list(extra_columns))
-    return QueryResult(relation=relation, selected_indices=selected,
-                       cascades_used=result.cascades_used,
-                       images_classified=result.images_classified)
+        names = [select_label(item) for item in plan.select] + list(keep)
+        result = replace(result, relation=_project(result.relation, names))
+    return result
 
 
-def build_result_set(result: "QueryResult",
-                     plan: QueryPlan | None) -> "ResultSet":
-    """Wrap one executor result according to its plan.
+def _shard_provenance(results: "Mapping[str, QueryResult]") -> dict:
+    """A fan-out's provenance: ``cascades_used`` and ``images_classified``,
+    each keyed by shard."""
+    if not results:
+        raise ValueError("a fan-out needs at least one table")
+    return {"cascades_used": {table: dict(result.cascades_used)
+                              for table, result in results.items()},
+            "images_classified": {table: dict(result.images_classified)
+                                  for table, result in results.items()}}
 
-    Aggregate plans finalize the executor's partial aggregates into an
-    :class:`AggregateResultSet`; row plans get ORDER BY / projection /
-    post-sort LIMIT applied and come back as a plain :class:`ResultSet`.
+
+def build_result_set(raw: "QueryResult | Mapping[str, QueryResult]",
+                     plans: "QueryPlan | Mapping[str, QueryPlan] | None"
+                     ) -> "ResultSet":
+    """Wrap executor output according to its plan(s): the one dispatch.
+
+    One table's result with its plan becomes an :class:`AggregateResultSet`
+    (aggregate plans) or a plain :class:`ResultSet`; a fan-out's
+    ``{table: QueryResult}`` with its ``{table: QueryPlan}`` becomes an
+    :class:`AggregateResultSet` merged from per-shard partials or a
+    :class:`FanoutResultSet`.  Each is shaped by :func:`_tail`.
     """
-    if plan is not None and plan.is_aggregate:
-        return AggregateResultSet(result.partials, plan,
-                                  cascades_used=result.cascades_used,
-                                  images_classified=result.images_classified)
-    return ResultSet(_shape_rows(result, plan), plan)
+    if isinstance(plans, Mapping):
+        if next(iter(plans.values())).is_aggregate:
+            return AggregateResultSet.from_fanout(raw, plans)
+        return FanoutResultSet(raw, plans)
+    if plans is not None and plans.is_aggregate:
+        return AggregateResultSet(raw.partials, plans,
+                                  cascades_used=raw.cascades_used,
+                                  images_classified=raw.images_classified)
+    return ResultSet(_tail(raw, plans), plans)
 
 
 class AggregateResultSet(ResultSet):
@@ -291,7 +312,7 @@ class AggregateResultSet(ResultSet):
     Rows are *group tuples* — the GROUP BY columns plus one column per
     aggregate, named by its SQL spelling (``count(*)``, ``avg(speed)``).
     The full cursor API of :class:`ResultSet` works over the groups; ORDER
-    BY, the SELECT projection and LIMIT have already been applied.  For a
+    BY, LIMIT and the SELECT projection have already been applied.  For a
     fan-out query (:meth:`from_fanout`) the groups are the coordinator-side
     merge of every shard's partial aggregates — COUNT/SUM/MIN/MAX merge
     associatively and AVG merges exactly via (sum, count) — and
@@ -305,21 +326,11 @@ class AggregateResultSet(ResultSet):
         if partials is None:
             raise ValueError("aggregate plan executed without partials; "
                              "the executor did not aggregate")
-        relation = partials.finalize()
-        if plan.order_by:
-            permutation = _sorted_permutation(relation, plan.order_by)
-            relation = relation.take(permutation)
-        if plan.limit is not None:
-            relation = relation.take(np.arange(min(plan.limit,
-                                                   len(relation))))
-        if plan.select is not None:
-            relation = _project(relation,
-                                [select_label(item) for item in plan.select])
-        result = QueryResult(relation=relation,
-                             selected_indices=np.arange(len(relation)),
-                             cascades_used=cascades_used,
-                             images_classified=images_classified)
-        super().__init__(result, plan)
+        groups = partials.finalize()
+        super().__init__(_tail(QueryResult(
+            relation=groups, selected_indices=np.arange(len(groups)),
+            cascades_used=cascades_used,
+            images_classified=images_classified), plan), plan)
         self.partials = partials
         self.plans = dict(plans) if plans is not None else None
 
@@ -330,20 +341,14 @@ class AggregateResultSet(ResultSet):
 
         Shards ship group tuples, never selected rows; the reference plan
         (they differ only in per-shard cascade choices) supplies the
-        ORDER BY / projection / LIMIT tail applied to the merged groups.
+        ORDER BY / LIMIT / projection tail applied to the merged groups.
         """
-        if not results:
-            raise ValueError("a fan-out needs at least one table")
+        provenance = _shard_provenance(results)
         merged = None
         for result in results.values():
             merged = (result.partials if merged is None
                       else merge_partials(merged, result.partials))
-        reference = next(iter(plans.values()))
-        return cls(merged, reference,
-                   cascades_used={table: dict(result.cascades_used)
-                                  for table, result in results.items()},
-                   images_classified={table: dict(result.images_classified)
-                                      for table, result in results.items()},
+        return cls(merged, next(iter(plans.values())), **provenance,
                    plans=plans)
 
     @property
@@ -402,16 +407,6 @@ def _merge_relations(results: "Mapping[str, QueryResult]") -> Relation:
     return Relation(columns)
 
 
-def _head(result: "QueryResult", n: int) -> "QueryResult":
-    """The first ``n`` selected rows of a shard's result (corpus order)."""
-    mask = np.zeros(len(result.relation), dtype=bool)
-    mask[:n] = True
-    return QueryResult(relation=result.relation.filter(mask),
-                       selected_indices=result.selected_indices[:n],
-                       cascades_used=result.cascades_used,
-                       images_classified=result.images_classified)
-
-
 def _apply_limit(results: "Mapping[str, QueryResult]",
                  limit: int | None) -> "dict[str, QueryResult]":
     """Cap the merged fan-out at ``limit`` rows.
@@ -426,9 +421,8 @@ def _apply_limit(results: "Mapping[str, QueryResult]",
         return dict(results)
     capped, remaining = {}, limit
     for table, result in results.items():
-        take = min(len(result), remaining)
-        capped[table] = result if take == len(result) else _head(result, take)
-        remaining -= take
+        capped[table] = _tail(result, QueryPlan(limit=remaining))
+        remaining -= len(capped[table])
     return capped
 
 
@@ -443,7 +437,9 @@ class FanoutResultSet(ResultSet):
     different cascade than its neighbour's), :attr:`plans` maps table name →
     the :class:`~repro.db.planner.QueryPlan` that shard ran, and
     :meth:`per_table` recovers one shard's rows as a plain
-    :class:`ResultSet`.
+    :class:`ResultSet`.  :attr:`image_ids` are per-shard stable ids,
+    concatenated in fan-out order: unique only *within* a shard, so pair
+    them with the ``__table__`` column (or use :meth:`per_table`).
 
     A ``LIMIT n`` query caps the *merged* rows at ``n`` (corpus order within
     a shard, attachment order across shards); per-shard statistics still
@@ -457,29 +453,23 @@ class FanoutResultSet(ResultSet):
 
     def __init__(self, results: "Mapping[str, QueryResult]",
                  plans: Mapping[str, QueryPlan]) -> None:
-        if not results:
-            raise ValueError("a fan-out needs at least one table")
-        reference = next(iter(plans.values())) if plans else None
-        limit = reference.limit if reference is not None else None
-        if reference is None or not reference.order_by:
+        provenance = _shard_provenance(results)
+        reference = next(iter(plans.values()))
+        if not reference.order_by:
             # Per-shard plans carry LIMIT n as an upper bound (each shard's
             # chunked early stop), so the union can hold up to n x shards
             # rows; the merged result still honours the query's LIMIT.
-            results = _apply_limit(results, limit)
+            results = _apply_limit(results, reference.limit)
         merged = QueryResult(
             relation=_merge_relations(results),
             selected_indices=np.concatenate(
                 [result.selected_indices for result in results.values()]),
-            cascades_used={table: dict(result.cascades_used)
-                           for table, result in results.items()},
-            images_classified={table: dict(result.images_classified)
-                               for table, result in results.items()})
+            **provenance)
         # Under ORDER BY the merged rows are sorted globally before the
         # LIMIT applies (shards could not early-stop), and the projection
         # keeps the provenance column.
-        merged = _shape_rows(merged, reference,
-                             extra_columns=(TABLE_COLUMN,))
-        super().__init__(merged, plan=None)
+        super().__init__(_tail(merged, reference, keep=(TABLE_COLUMN,)),
+                         plan=None)
         self._per_table = dict(results)
         self.plans = dict(plans)
 
@@ -487,25 +477,6 @@ class FanoutResultSet(ResultSet):
     def tables(self) -> tuple[str, ...]:
         """The shards this result was merged from, in fan-out order."""
         return tuple(self._per_table)
-
-    @property
-    def image_ids(self) -> np.ndarray:
-        """Per-shard stable image ids, concatenated in fan-out order.
-
-        Ids are only unique *within* a shard; pair them with the
-        ``__table__`` column (or use :meth:`per_table`) to address images.
-        """
-        return self._result.selected_indices
-
-    @property
-    def cascades_used(self) -> dict[str, dict[str, "CascadeEvaluation"]]:
-        """Per shard: the cascade selected for each content predicate."""
-        return self._result.cascades_used
-
-    @property
-    def images_classified(self) -> dict[str, dict[str, int]]:
-        """Per shard: how many rows each content predicate classified."""
-        return self._result.images_classified
 
     def per_table(self, table: str) -> ResultSet:
         """One shard's rows as a plain :class:`ResultSet` (fresh cursor)."""

@@ -22,14 +22,14 @@ the session that ran it stays usable.
 
 Shutdown drains: :meth:`shutdown` first flips the gate into a rejecting
 state (new callers get a backpressure error naming the shutdown), then
-waits for waiting and running queries to finish before returning — the
-server's graceful-stop path.
+waits for waiting and running queries to finish before returning, so every
+admitted query's session gets a real answer.
 
 The gate is the server's one count of query outcomes: every :meth:`run`
 call ends in exactly one terminal event of ``repro_admission_queries_total``
 — ``completed``, ``failed``, ``timeouts`` (the query raised
-:class:`~repro.query.ast.QueryTimeoutError`) or ``rejected`` (a full queue,
-a gate shutting down, or a waiter abandoned by ``shutdown(drain=False)``).
+:class:`~repro.query.ast.QueryTimeoutError`) or ``rejected`` (a full queue
+or a gate shutting down).
 """
 
 from __future__ import annotations
@@ -74,11 +74,10 @@ class AdmissionController:
         self.max_queue = max_queue
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = make_lock("admission")
-        # Signalled whenever a counter drops or the gate is abandoned: a
-        # freed slot wakes waiters, the last one out wakes shutdown().
+        # Signalled whenever a counter drops: a freed slot wakes waiters,
+        # the last one out wakes shutdown().
         self._changed = threading.Condition(self._lock)
         self._closing = False  # guarded by: self._lock
-        self._abandoned = False  # guarded by: self._lock
         self._running = 0  # guarded by: self._lock
         self._waiting = 0  # guarded by: self._lock
         self._events = self.metrics.counter("repro_admission_queries_total")
@@ -93,9 +92,7 @@ class AdmissionController:
         ``fn()`` (or raises what it raised).  Raises
         :class:`~repro.server.protocol.BackpressureError` without waiting
         when ``max_queue`` callers are already waiting or the gate is
-        shutting down, and to callers still waiting when
-        ``shutdown(drain=False)`` abandons them.  Waiters are woken in no
-        particular order.
+        shutting down.  Waiters are woken in no particular order.
         """
         with self._lock:
             if self._closing:
@@ -112,14 +109,9 @@ class AdmissionController:
                     queue_depth=self._waiting, max_queue=self.max_queue)
             self._events.inc(event="submitted")
             self._waiting += 1
-            while self._running >= self.max_workers and not self._abandoned:
+            while self._running >= self.max_workers:
                 self._changed.wait()
             self._waiting -= 1
-            if self._abandoned:
-                self._changed.notify_all()
-                self._events.inc(event="rejected")
-                raise BackpressureError(
-                    "server shut down before the query ran")
             self._running += 1
         event = "failed"
         try:
@@ -159,22 +151,16 @@ class AdmissionController:
         return cancel
 
     # -- lifecycle ------------------------------------------------------------
-    def shutdown(self, drain: bool = True) -> None:
+    def shutdown(self) -> None:
         """Stop admitting queries and wait for the admitted ones (idempotent).
 
-        New callers are rejected from the moment this is called.  With
-        ``drain=True`` (the graceful path) every already-admitted query —
-        running or still waiting for a slot — finishes, so its session gets
-        a real answer; ``drain=False`` fails the waiting callers with a
-        backpressure error instead (no waiter hangs forever).  Queries
-        already running finish either way, and this returns once nothing
-        is running or waiting.
+        New callers are rejected from the moment this is called.  Every
+        already-admitted query — running or still waiting for a slot —
+        finishes, so its session gets a real answer; this returns once
+        nothing is running or waiting.
         """
         with self._lock:
             self._closing = True
-            if not drain:
-                self._abandoned = True
-                self._changed.notify_all()
             while self._running or self._waiting:
                 self._changed.wait()
 

@@ -35,10 +35,7 @@ __all__ = ["PROTOCOL_VERSION", "MAX_LINE_BYTES",
            "ok_response", "error_response", "error_payload"]
 
 #: Bumped when the wire protocol changes incompatibly; the server speaks
-#: only this version.  3: ``int64`` and ``float64`` page columns travel as
-#: base64 little-endian bytes (2 sent every column as a JSON list).  2: pages
-#: are columnar, ``execute`` carries the first page, and a drained cursor is
-#: freed (1 sent one object per row and parked every result).
+#: only this version.
 PROTOCOL_VERSION = 3
 
 #: Binary page columns: NumPy ``(kind, itemsize)`` -> wire ``dtype``, and

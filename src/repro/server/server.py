@@ -13,9 +13,9 @@ immediate backpressure error.  The served database gets its plan cache
 enabled, so repeated dashboard shapes skip parsing and lowering; per-shard
 executor locks (not the server) provide the correctness under concurrency.
 
-Shutdown is graceful by default: :meth:`VisualDatabaseServer.close` stops
-accepting connections, lets every admitted query finish (their sessions get
-real answers), then releases the port.  The context-manager form does the
+Shutdown is graceful: :meth:`VisualDatabaseServer.close` stops accepting
+connections, lets every admitted query finish (their sessions get real
+answers), then releases the port.  The context-manager form does the
 same::
 
     with repro.server.serve(db, port=0) as server:
@@ -98,8 +98,10 @@ class VisualDatabaseServer:
     Parameters
     ----------
     database:
-        The database to serve; shared by every connection (per-shard
-        executor locks make concurrent queries, ingest and retention safe).
+        The :class:`~repro.db.database.VisualDatabase` to serve; shared by
+        every connection (per-shard executor locks make concurrent queries,
+        ingest and retention safe).  The admission gate meters onto its
+        :attr:`~repro.db.database.VisualDatabase.metrics` registry.
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`address`).
     max_workers, max_queue:
@@ -123,10 +125,9 @@ class VisualDatabaseServer:
         self.default_timeout = default_timeout
         self._close_database = close_database
         database.enable_plan_cache()
-        registry = getattr(database, "metrics", None)
         self.admission = AdmissionController(max_workers=max_workers,
                                              max_queue=max_queue,
-                                             metrics=registry)
+                                             metrics=database.metrics)
         self._lock = make_lock("server")
         self._sessions = 0  # guarded by: self._lock
         self._closed = False  # guarded by: self._lock
@@ -170,14 +171,12 @@ class VisualDatabaseServer:
                 self._thread.start()
         return self
 
-    def close(self, drain: bool = True) -> None:
+    def close(self) -> None:
         """Graceful shutdown (idempotent).
 
-        Stops accepting connections, then — with ``drain`` — waits for
-        every admitted query to finish (connection threads deliver those
-        answers before their sockets go away), and finally releases the
-        port.  ``drain=False`` abandons queries still waiting for a slot
-        instead (their sessions receive backpressure errors).
+        Stops accepting connections, then waits for every admitted query to
+        finish (connection threads deliver those answers before their
+        sockets go away), and finally releases the port.
         """
         # Flip the closed flag atomically so a concurrent close() (or a
         # start() racing it) sees a consistent state; release the lock
@@ -189,7 +188,7 @@ class VisualDatabaseServer:
             thread = self._thread
         if thread is not None:
             self._tcp.shutdown()
-        self.admission.shutdown(drain=drain)
+        self.admission.shutdown()
         self._tcp.server_close()
         if self._close_database:
             self.database.close()

@@ -33,7 +33,6 @@ from repro.core.selector import UserConstraints
 from repro.server.protocol import (PROTOCOL_VERSION, ProtocolError,
                                    encode_column)
 from repro.telemetry.export import render_prometheus
-from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["Session"]
 
@@ -78,9 +77,7 @@ class Session:
         self.database = database
         self.admission = admission
         self.default_timeout = default_timeout
-        registry = getattr(database, "metrics", None)
-        self.metrics = (registry if isinstance(registry, MetricsRegistry)
-                        else MetricsRegistry())
+        self.metrics = database.metrics
         self._request_seconds = self.metrics.histogram(
             "repro_server_request_seconds")
         self._stats_extra = stats_extra

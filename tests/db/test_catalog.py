@@ -248,6 +248,9 @@ class TestFanout:
         database.register_optimizer("komondor", tiny_optimizer)
         with pytest.raises(RuntimeError, match="no corpus"):
             database.execute(FANOUT_SQL)
+        # Named shards on an empty catalog meet the same check first.
+        with pytest.raises(RuntimeError, match="no corpus"):
+            database.execute(FANOUT_SQL, tables=["cam_north"])
 
     def test_fanout_limit_caps_merged_result(self, db, cameras):
         # Regression: LIMIT used to apply per shard, so the merged result

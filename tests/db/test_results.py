@@ -1,6 +1,7 @@
 """Tests for ResultSet: cursor semantics, streaming, columnar access."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,6 +239,72 @@ class TestShapedRows:
         plan = QueryPlan(order_by=(OrderItem("nope"),))
         with pytest.raises(QueryError, match="ORDER BY"):
             build_result_set(self._result(), plan)
+
+
+#: Two shards with unique speeds and per-location sums (no sort ties).
+_TAIL_SHARDS = {"cam_a": (["x", "y", "x", "z"], [3.0, 8.0, 1.5, 5.0]),
+                "cam_b": (["y", "w", "x"], [7.0, 2.0, 9.25])}
+
+
+class TestOneTail:
+    """Every result kind is shaped by one ORDER BY -> LIMIT -> SELECT step:
+    its rows equal sort, then first LIMIT, then project, applied to the
+    unshaped rows or the merged groups."""
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["rows", "groups"])
+    @pytest.mark.parametrize("fanout", [False, True],
+                             ids=["one_table", "fanout"])
+    def test_sort_then_limit_then_project(self, fanout, grouped):
+        from repro.db.aggregates import compute_partials
+        from repro.db.results import TABLE_COLUMN, build_result_set
+        from repro.query.ast import Aggregate, OrderItem
+
+        total = Aggregate("sum", "speed")
+        if grouped:
+            # The projection drops the GROUP BY column.
+            plan = QueryPlan(select=(total,), group_by=("location",),
+                             order_by=(OrderItem(total, ascending=False),),
+                             limit=2)
+        else:
+            # The projection drops the ORDER BY column.
+            plan = QueryPlan(select=("location", "image_id"),
+                             order_by=(OrderItem("speed", ascending=False),),
+                             limit=3)
+        tables = list(_TAIL_SHARDS)[:2 if fanout else 1]
+        raw, unshaped, next_id = {}, [], 0
+        for table in tables:
+            locations, speeds = _TAIL_SHARDS[table]
+            ids = np.arange(next_id, next_id + len(speeds))
+            next_id += len(speeds)
+            result = _shard_result(ids, {"image_id": ids,
+                                         "location": np.array(locations),
+                                         "speed": np.array(speeds)})
+            result.partials = compute_partials(result.relation,
+                                               plan.aggregates, plan.group_by)
+            raw[table] = result
+            unshaped.extend({"image_id": int(i), "location": location,
+                             "speed": speed, TABLE_COLUMN: table}
+                            for i, location, speed in zip(ids, locations,
+                                                          speeds))
+        if grouped:
+            sums: dict[str, float] = {}
+            for row in unshaped:
+                sums[row["location"]] = sums.get(row["location"], 0.0) + \
+                    row["speed"]
+            expected = [{"sum(speed)": value}
+                        for value in sorted(sums.values(), reverse=True)]
+        else:
+            keep = ["location", "image_id"] + ([TABLE_COLUMN] if fanout
+                                               else [])
+            expected = [{name: row[name] for name in keep}
+                        for row in sorted(unshaped,
+                                          key=lambda row: -row["speed"])]
+        expected = expected[:plan.limit]
+
+        results = (build_result_set(raw, {table: replace(plan, table=table)
+                                          for table in raw}) if fanout
+                   else build_result_set(raw[tables[0]], plan))
+        assert list(results) == expected
 
 
 class TestAggregateResultSet:

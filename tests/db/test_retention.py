@@ -251,20 +251,20 @@ class TestDatabaseRetention:
         db.ingest(batch.images, metadata=batch.metadata)
         assert len(db.corpus) == 12
 
-    def test_connect_mapping_assigns_per_table_policies(self, tiny_device):
-        policies = {"cam_a": RetentionPolicy(max_rows=8)}
+    def test_set_retention_assigns_per_table_policies(self, tiny_device):
+        policy = RetentionPolicy(max_rows=8)
         database = connect({"cam_a": make_corpus(6, seed=32),
                             "cam_b": make_corpus(6, seed=33)},
-                           device=tiny_device, calibrate_target_fps=None,
-                           retention=policies)
-        assert database.executor_for("cam_a").retention == policies["cam_a"]
+                           device=tiny_device, calibrate_target_fps=None)
+        database.set_retention("cam_a", policy)
+        assert database.executor_for("cam_a").retention == policy
         assert database.executor_for("cam_b").retention is None
 
-    def test_connect_rejects_unknown_retention_tables(self, tiny_device):
-        with pytest.raises(ValueError, match="cam_typo"):
+    def test_connect_rejects_a_retention_mapping(self, tiny_device):
+        with pytest.raises(TypeError, match="set_retention"):
             connect({"cam_a": make_corpus(4, seed=34)},
                     device=tiny_device, calibrate_target_fps=None,
-                    retention={"cam_typo": RetentionPolicy(max_rows=4)})
+                    retention={"cam_a": RetentionPolicy(max_rows=4)})
 
     def test_set_retention_and_retain_on_demand(self, tiny_optimizer,
                                                 tiny_device):
@@ -398,8 +398,8 @@ class TestConcurrentFanoutAndRetention:
             {"cam_live": make_corpus(window, seed=50),
              "cam_static": make_corpus(10, seed=51)},
             device=tiny_device, scenario="camera", calibrate_target_fps=None,
-            default_constraints=CONSTRAINED,
-            retention={"cam_live": RetentionPolicy(max_rows=window)})
+            default_constraints=CONSTRAINED)
+        database.set_retention("cam_live", RetentionPolicy(max_rows=window))
         database.register_optimizer("komondor", tiny_optimizer,
                                     reference_params=REFERENCE_PARAMS)
         fanout_sql = "SELECT * FROM all_cameras WHERE contains_object(komondor)"

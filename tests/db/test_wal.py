@@ -653,7 +653,7 @@ class TestEnableWal:
         # A save after close() used to checkpoint the emptied catalog into
         # the WAL root and prune every table image and journal under it.
         database = connect({"cam": timed_corpus([0.0])},
-                           retention={"cam": RetentionPolicy(max_rows=8)})
+                           retention=RetentionPolicy(max_rows=8))
         root = database.enable_wal(tmp_path / "vdb")
         database.ingest(*_batch([1.0, 2.0]), table="cam")
         expected = table_state(database)
@@ -1003,7 +1003,7 @@ class TestFormatCompatibility:
         # as a diff, and directories written by earlier commits keep loading
         # for as long as these lists do not move.
         database = connect({"cam": timed_corpus([0.0, 1.0, 2.0])},
-                           retention={"cam": RetentionPolicy(max_rows=8)})
+                           retention=RetentionPolicy(max_rows=8))
         database.register_optimizer("komondor",
                                     fresh_optimizer(with_reference=False))
         database.ingest(*_batch([3.0]), table="cam")

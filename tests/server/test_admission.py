@@ -48,7 +48,7 @@ class Caller(threading.Thread):
 def controller():
     admission = AdmissionController(max_workers=2, max_queue=4)
     yield admission
-    admission.shutdown(drain=False)
+    admission.shutdown()
 
 
 class TestSubmit:
@@ -162,25 +162,6 @@ class TestShutdown:
         assert first.outcome(timeout=1) is True
         assert [c.outcome(timeout=1) for c in others] == list(range(4))
 
-    def test_no_drain_fails_waiting_callers(self):
-        admission = AdmissionController(max_workers=1, max_queue=8)
-        gate = threading.Event()
-        running = Caller(admission, gate.wait)
-        assert wait_until(lambda: admission.stats()["in_flight"] == 1)
-        queued = Caller(admission, lambda: "never")
-        assert wait_until(lambda: admission.stats()["queue_depth"] == 1)
-        closer = threading.Thread(
-            target=lambda: admission.shutdown(drain=False))
-        closer.start()
-        # The waiting caller fails at once, while the running one still runs.
-        with pytest.raises(BackpressureError):
-            queued.outcome()
-        assert closer.is_alive() and running.is_alive()
-        gate.set()
-        closer.join(timeout=5)
-        assert not closer.is_alive()
-        assert running.outcome() is True
-
     def test_idempotent(self, controller):
         controller.shutdown()
         controller.shutdown()
@@ -217,26 +198,6 @@ class TestOneTerminalEventPerRun:
         assert outcomes(admission) == {"submitted": 3, "completed": 1,
                                        "failed": 1, "timeouts": 1,
                                        "rejected": 1}
-
-    def test_abandoned_waiter_is_rejected(self):
-        admission = AdmissionController(max_workers=1, max_queue=1)
-        gate = threading.Event()
-        running = Caller(admission, gate.wait)
-        assert wait_until(lambda: admission.stats()["in_flight"] == 1)
-        queued = Caller(admission, lambda: "never")
-        assert wait_until(lambda: admission.stats()["queue_depth"] == 1)
-        closer = threading.Thread(
-            target=lambda: admission.shutdown(drain=False))
-        closer.start()
-        with pytest.raises(BackpressureError, match="shut down"):
-            queued.outcome()
-        gate.set()
-        closer.join(timeout=5)
-        assert running.outcome() is True
-        assert outcomes(admission) == {"submitted": 2, "completed": 1,
-                                       "failed": 0, "timeouts": 0,
-                                       "rejected": 1}
-
 
 class TestCancelFor:
     def test_none_timeout_means_no_hook(self, controller):

@@ -5,6 +5,7 @@ fixtures) backs every test; the server tests run it behind a real socket.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -182,6 +183,83 @@ class TestExplainAnalyzeSingleTable:
         assert tree["actual"]["short_circuit_rows_saved"] >= 0
         for child in tree["children"]:
             assert "estimated_selectivity" in child
+
+
+def _cascade_leaves(node):
+    """Every cascade leaf of a serialized predicate tree."""
+    if node["op"] == "cascade":
+        return [node]
+    children = [node["child"]] if node["op"] == "not" else \
+        node.get("children", [])
+    return [leaf for child in children for leaf in _cascade_leaves(child)]
+
+
+class TestOneRecordPerClassification:
+    """A classification is recorded once, where the content leaf is
+    evaluated: the leaves' ``rows_classified``, ``images_classified`` and
+    ``repro_query_rows_classified_total`` count the same rows."""
+
+    @pytest.fixture()
+    def cold(self, tiny_optimizer, tiny_device):
+        database = db_connect({"cam_a": make_corpus(30, seed=9)},
+                              device=tiny_device, scenario=CAMERA,
+                              calibrate_target_fps=None,
+                              default_constraints=CONSTRAINED)
+        database.register_optimizer("komondor", tiny_optimizer,
+                                    reference_params=REFERENCE_PARAMS)
+        return database
+
+    @pytest.mark.parametrize("sql", [
+        # Classified inside the tree only.
+        "SELECT * FROM cam_a WHERE location = 'detroit' "
+        "AND contains_object(komondor)",
+        # The free disjunct decides every row, so the selected column is
+        # classified only after the tree.
+        "SELECT image_id, contains_komondor FROM cam_a "
+        "WHERE timestamp > 0 OR contains_object(komondor)",
+        # Both: the tree classifies the rows the filter left undecided,
+        # the fill after it the rows the filter accepted.
+        "SELECT contains_komondor FROM cam_a "
+        "WHERE location = 'detroit' OR contains_object(komondor)",
+    ], ids=["tree", "fill", "tree_and_fill"])
+    def test_leaf_counts_equal_images_classified(self, cold, sql):
+        report = cold.explain_analyze(sql)
+        (shard,) = [child for child in report["spans"]["children"]
+                    if child["name"] == "table:cam_a"]
+        (execute,) = [child for child in shard["children"]
+                      if child["name"] == "execute"]
+        classified = execute["attrs"]["images_classified"]
+        assert classified["komondor"] > 0
+        per_category: dict[str, int] = {}
+        for leaf in _cascade_leaves(report["plan"]["predicate_tree"]):
+            per_category[leaf["category"]] = (
+                per_category.get(leaf["category"], 0)
+                + leaf.get("actual", {}).get("rows_classified", 0))
+        assert per_category == classified
+        assert cold.metrics.value("repro_query_rows_classified_total",
+                                  table="cam_a", category="komondor") == \
+            classified["komondor"]
+
+    def test_leaf_elapsed_is_timed_by_one_clock(self, cold, monkeypatch):
+        # Each classify call sleeps DELAY: a leaf timed by one clock reads
+        # one DELAY per call, a tree-branch clock around the leaf's own
+        # would count it twice.
+        from repro.core.cascade import Cascade
+
+        delay, calls = 0.25, []
+        classify = Cascade.classify_with_stats
+
+        def slow(self, *args, **kwargs):
+            calls.append(1)
+            time.sleep(delay)
+            return classify(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cascade, "classify_with_stats", slow)
+        report = cold.explain_analyze("SELECT * FROM cam_a "
+                                      "WHERE contains_object(komondor)")
+        (leaf,) = report["plan"]["content_steps"]
+        assert len(calls) == 1 and leaf["actual"]["rows_classified"] > 0
+        assert delay <= leaf["actual"]["elapsed_s"] < 2 * delay
 
 
 class TestExplainAnalyzeFanout:
