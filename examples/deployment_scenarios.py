@@ -24,8 +24,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import UserConstraints, evaluate_cascade
-from repro.core.selector import select_cascade
+from repro.core.evaluator import evaluate_cascade
+from repro.core.selector import UserConstraints, select_cascade
 from repro.experiments.presets import SMOKE_SCALE
 from repro.experiments.workspace import get_workspace
 

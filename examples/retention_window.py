@@ -30,10 +30,14 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import repro
-from repro.core import ArchitectureSpec, TahomaConfig, TrainingConfig, UserConstraints
-from repro.data import build_predicate_splits, generate_corpus, get_category
+from repro.core.optimizer import TahomaConfig
+from repro.core.selector import UserConstraints
+from repro.core.spec import ArchitectureSpec
+from repro.core.trainer import TrainingConfig
+from repro.data.categories import get_category
+from repro.data.corpus import build_predicate_splits, generate_corpus
 from repro.db import RetentionPolicy
-from repro.transforms import standard_transform_grid
+from repro.transforms.spec import standard_transform_grid
 
 IMAGE_SIZE = 32
 CATEGORY = "komondor"

@@ -27,7 +27,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.baselines import DifferenceDetector
+from repro.baselines.difference import DifferenceDetector
 from repro.data.video import CORAL_PRESET, JACKSON_PRESET, generate_video_stream
 from repro.experiments.noscope_exp import noscope_comparison, split_stream
 from repro.experiments.presets import SMOKE_SCALE

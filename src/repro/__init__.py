@@ -28,11 +28,11 @@ Package map
 ``repro.baselines``   reference classifier, baseline cascades, NoScope, +DD
 ``repro.query``       relational layer with the contains_object operator
 ``repro.db``          the database facade: connect(), the table catalog,
-                      planner/executor split, result sets and
+                      planner/executor split, plan cache, result sets and
                       whole-database persistence
 ``repro.server``      network serving layer: NDJSON wire protocol, sessions
-                      with server-side cursors, admission control, plan
-                      cache, and the matching connect() client
+                      with server-side cursors, admission control, and the
+                      matching connect() client
 ``repro.experiments`` harness regenerating every table and figure
 """
 

@@ -32,7 +32,7 @@ once, in the source:
     its lock held.  Activated over the whole test suite with ``pytest
     --sanitize``.
 
-Run the static passes from the repo root::
+Run the static passes (``cli.py``) from the repo root::
 
     PYTHONPATH=src python -m repro.analysis          # exits 1 on findings
     PYTHONPATH=src python -m repro.analysis --list   # show what is checked
@@ -42,16 +42,3 @@ discipline) or ``# durability ok: <reason>`` (fsync ordering) on the
 offending line; a reason is mandatory.  Both the CLI and a ``--sanitize``
 test pass run as the ``analysis`` job in CI.
 """
-
-from __future__ import annotations
-
-from repro.analysis.durability import check_durability
-from repro.analysis.guards import Guard
-from repro.analysis.lockcheck import Finding, check_lock_discipline
-
-__all__ = [
-    "Finding",
-    "Guard",
-    "check_durability",
-    "check_lock_discipline",
-]

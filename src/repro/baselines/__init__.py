@@ -12,29 +12,3 @@
   pipeline that runs a cascade behind the difference detector, used for
   NoScope and TAHOMA+DD in the Figure 8 comparison.
 """
-
-from repro.baselines.baseline_cascades import build_baseline_cascades, baseline_model_specs
-from repro.baselines.difference import DifferenceDetector, FramePlan
-from repro.baselines.noscope import (
-    PipelineResult,
-    TahomaWithDifferenceDetector,
-    noscope_cascade,
-)
-from repro.baselines.reference import (
-    build_reference_network,
-    reference_transform,
-    train_reference_model,
-)
-
-__all__ = [
-    "build_reference_network",
-    "train_reference_model",
-    "reference_transform",
-    "build_baseline_cascades",
-    "baseline_model_specs",
-    "DifferenceDetector",
-    "FramePlan",
-    "TahomaWithDifferenceDetector",
-    "noscope_cascade",
-    "PipelineResult",
-]

@@ -3,6 +3,7 @@
 The pieces map one-to-one onto the paper's architecture diagram (Figure 2):
 
 * :mod:`repro.core.spec` — the model design space ``A x F``,
+* :mod:`repro.core.model` — a trained model (the elements of the set ``M``),
 * :mod:`repro.core.trainer` — the model trainer,
 * :mod:`repro.core.thresholds` — per-model decision-threshold calibration,
 * :mod:`repro.core.cascade` — cascade construction (the cascade builder),
@@ -11,85 +12,8 @@ The pieces map one-to-one onto the paper's architecture diagram (Figure 2):
 * :mod:`repro.core.pareto` / :mod:`repro.core.alc` — Pareto frontiers and the
   area-left-of-curve comparison metric,
 * :mod:`repro.core.selector` — the cascade selector driven by user
-  constraints, and
+  constraints,
 * :mod:`repro.core.optimizer` — the end-to-end orchestration
-  (:class:`~repro.core.optimizer.TahomaOptimizer`).
+  (:class:`~repro.core.optimizer.TahomaOptimizer`), and
+* :mod:`repro.core.persistence` — the model repository on disk.
 """
-
-from repro.core.alc import (
-    area_left_of_curve,
-    average_throughput,
-    shared_accuracy_range,
-    speedup,
-)
-from repro.core.cascade import Cascade, CascadeBuilder, CascadeLevel, count_cascades
-from repro.core.evaluator import (
-    CascadeEvaluation,
-    EvaluatedCascadeSet,
-    ModelPredictionCache,
-    evaluate_cascade,
-    evaluate_cascades,
-)
-from repro.core.model import TrainedModel
-from repro.core.optimizer import TahomaConfig, TahomaOptimizer
-from repro.core.pareto import is_dominated, pareto_frontier, pareto_frontier_indices
-from repro.core.persistence import load_optimizer, save_optimizer
-from repro.core.selector import (
-    UserConstraints,
-    select_cascade,
-    select_fastest,
-    select_matching_accuracy,
-    select_most_accurate,
-)
-from repro.core.spec import (
-    ArchitectureSpec,
-    ModelSpec,
-    build_model_grid,
-    standard_architecture_grid,
-)
-from repro.core.thresholds import (
-    PAPER_PRECISION_TARGETS,
-    DecisionThresholds,
-    ThresholdCalibration,
-    calibrate_thresholds,
-)
-from repro.core.trainer import ModelTrainer, TrainingConfig
-
-__all__ = [
-    "ArchitectureSpec",
-    "ModelSpec",
-    "standard_architecture_grid",
-    "build_model_grid",
-    "TrainedModel",
-    "TrainingConfig",
-    "ModelTrainer",
-    "DecisionThresholds",
-    "ThresholdCalibration",
-    "calibrate_thresholds",
-    "PAPER_PRECISION_TARGETS",
-    "CascadeLevel",
-    "Cascade",
-    "CascadeBuilder",
-    "count_cascades",
-    "ModelPredictionCache",
-    "CascadeEvaluation",
-    "EvaluatedCascadeSet",
-    "evaluate_cascade",
-    "evaluate_cascades",
-    "pareto_frontier",
-    "pareto_frontier_indices",
-    "is_dominated",
-    "area_left_of_curve",
-    "average_throughput",
-    "speedup",
-    "shared_accuracy_range",
-    "UserConstraints",
-    "select_cascade",
-    "select_fastest",
-    "select_most_accurate",
-    "select_matching_accuracy",
-    "TahomaConfig",
-    "TahomaOptimizer",
-    "save_optimizer",
-    "load_optimizer",
-]

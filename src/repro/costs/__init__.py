@@ -17,37 +17,3 @@ package provides:
   expected execution) into a :class:`~repro.costs.profiler.CostBreakdown`,
   analytically from FLOPs/bytes or measured with wall-clock timing.
 """
-
-from repro.costs.device import (
-    DEFAULT_DEVICE,
-    SERVER_GPU,
-    DeviceProfile,
-    calibrate_device,
-)
-from repro.costs.profiler import CostBreakdown, CostProfiler, measure_inference_time
-from repro.costs.scenario import (
-    ARCHIVE,
-    CAMERA,
-    INFER_ONLY,
-    ONGOING,
-    PAPER_SCENARIOS,
-    Scenario,
-    get_scenario,
-)
-
-__all__ = [
-    "DeviceProfile",
-    "SERVER_GPU",
-    "DEFAULT_DEVICE",
-    "calibrate_device",
-    "Scenario",
-    "INFER_ONLY",
-    "ARCHIVE",
-    "ONGOING",
-    "CAMERA",
-    "PAPER_SCENARIOS",
-    "get_scenario",
-    "CostBreakdown",
-    "CostProfiler",
-    "measure_inference_time",
-]

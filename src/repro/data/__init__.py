@@ -18,47 +18,3 @@ The relevant behaviour preserved by the substitution: labels are exact, task
 difficulty responds to resolution and color-channel reduction, and video
 streams exhibit controllable frame-to-frame redundancy.
 """
-
-from repro.data.augment import augment_with_flips
-from repro.data.categories import (
-    TABLE2_CATEGORIES,
-    CategoryDef,
-    get_category,
-    list_category_names,
-)
-from repro.data.corpus import (
-    ImageCorpus,
-    LabeledDataset,
-    PredicateDataSplits,
-    build_predicate_dataset,
-    build_predicate_splits,
-    generate_corpus,
-)
-from repro.data.synthesis import render_image
-from repro.data.video import (
-    CORAL_PRESET,
-    JACKSON_PRESET,
-    VideoStream,
-    VideoStreamConfig,
-    generate_video_stream,
-)
-
-__all__ = [
-    "CategoryDef",
-    "TABLE2_CATEGORIES",
-    "get_category",
-    "list_category_names",
-    "render_image",
-    "LabeledDataset",
-    "PredicateDataSplits",
-    "ImageCorpus",
-    "build_predicate_dataset",
-    "build_predicate_splits",
-    "generate_corpus",
-    "augment_with_flips",
-    "VideoStream",
-    "VideoStreamConfig",
-    "generate_video_stream",
-    "CORAL_PRESET",
-    "JACKSON_PRESET",
-]

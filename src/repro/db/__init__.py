@@ -1,12 +1,7 @@
 """The database facade: TAHOMA as a visual analytics *database*.
 
-This package is the repository's single public entry point.  It wraps system
-initialization (:func:`~repro.db.database.VisualDatabase.register_predicate`),
-deployment-cost-aware cascade selection (:mod:`repro.db.planner`), execution
-with materialized virtual columns and a shared representation store
-(:mod:`repro.db.executor`), DB-API-flavoured result consumption
-(:mod:`repro.db.results`) and whole-database persistence
-(:mod:`repro.db.persistence`) behind a connection-style API::
+This package is the repository's single public entry point, a
+connection-style API::
 
     import repro.db
 
@@ -23,53 +18,33 @@ the virtual ``all_cameras`` table fans out across all of them::
     db = repro.db.connect({"cam_north": north, "cam_south": south})
     merged = db.execute("SELECT * FROM all_cameras "
                         "WHERE contains_object(bicycle)")
+
+The modules:
+
+* :mod:`repro.db.database` — ``connect()`` and
+  :class:`~repro.db.database.VisualDatabase`, the facade;
+* :mod:`repro.db.catalog` — named tables behind one representation budget;
+* :mod:`repro.db.registry` — what a content predicate is priced with;
+* :mod:`repro.db.planner` — a query becomes a cost-ordered physical plan;
+* :mod:`repro.db.plan_cache` — plans keyed by normalized query shape
+  (literals stripped): an exact repeat skips parse + lowering, and
+  hit/miss/rebind outcomes are counted on the :mod:`repro.telemetry`
+  registry;
+* :mod:`repro.db.executor` — runs a plan over a table's snapshot;
+* :mod:`repro.db.aggregates` — per-shard aggregate partials and their merge;
+* :mod:`repro.db.results` — result sets over rows and groups;
+* :mod:`repro.db.retention` — a table as a sliding window over its feed;
+* :mod:`repro.db.wal` — the per-table write-ahead log;
+* :mod:`repro.db.persistence` — checkpoints, WAL replay and plain saves.
 """
 
-from repro.db.catalog import DEFAULT_TABLE, FANOUT_TABLE, Catalog
-
-from repro.db.database import (
-    VisualDatabase,
-    connect,
-    initialize_predicate,
-)
-from repro.db.executor import QueryExecutor
-from repro.db.planner import (
-    ContentStep,
-    MetadataStep,
-    QueryPlan,
-    QueryPlanner,
-    estimate_selectivity,
-)
-from repro.db.aggregates import GroupedPartials, compute_partials, merge_partials
-from repro.db.results import (TABLE_COLUMN, AggregateResultSet,
-                              FanoutResultSet, ResultSet, build_result_set)
+from repro.db.catalog import FANOUT_TABLE
+from repro.db.database import VisualDatabase, connect
+from repro.db.planner import QueryPlan
+from repro.db.results import FanoutResultSet, ResultSet
 from repro.db.retention import RetentionPolicy
-from repro.db.wal import TableWal
 from repro.query.ast import QueryError, SqlParseError
 
-__all__ = [
-    "VisualDatabase",
-    "connect",
-    "Catalog",
-    "DEFAULT_TABLE",
-    "FANOUT_TABLE",
-    "initialize_predicate",
-    "QueryPlanner",
-    "QueryPlan",
-    "MetadataStep",
-    "ContentStep",
-    "estimate_selectivity",
-    "QueryExecutor",
-    "ResultSet",
-    "FanoutResultSet",
-    "AggregateResultSet",
-    "build_result_set",
-    "GroupedPartials",
-    "compute_partials",
-    "merge_partials",
-    "QueryError",
-    "SqlParseError",
-    "TABLE_COLUMN",
-    "RetentionPolicy",
-    "TableWal",
-]
+__all__ = ["connect", "VisualDatabase", "RetentionPolicy", "ResultSet",
+           "FanoutResultSet", "QueryPlan", "QueryError", "SqlParseError",
+           "FANOUT_TABLE"]

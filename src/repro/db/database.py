@@ -55,6 +55,7 @@ from repro.data.corpus import ImageCorpus, PredicateDataSplits
 from repro.db import persistence
 from repro.db.catalog import DEFAULT_TABLE, FANOUT_TABLE, Catalog
 from repro.db.executor import QueryExecutor
+from repro.db.plan_cache import PlanCache
 from repro.db.planner import QueryPlan, annotate_plan_dict
 from repro.db.registry import PredicateRegistry
 from repro.db.results import (AggregateResultSet, FanoutResultSet, ResultSet,
@@ -180,7 +181,7 @@ class VisualDatabase:
         every table unbounded.
     plan_cache:
         Cache physical plans keyed by normalized query shape (literals
-        stripped — see :class:`~repro.server.plan_cache.PlanCache`), so an
+        stripped — see :class:`~repro.db.plan_cache.PlanCache`), so an
         exactly repeated dashboard query skips parse + lowering.  (Cascade
         selection is remembered by each predicate's optimizer whether or
         not this cache is on.)  ``False`` (the default) parses and lowers
@@ -309,7 +310,7 @@ class VisualDatabase:
     # -- plan cache ------------------------------------------------------------
     @property
     def plan_cache(self):
-        """The :class:`~repro.server.plan_cache.PlanCache` (``None`` = off)."""
+        """The :class:`~repro.db.plan_cache.PlanCache` (``None`` = off)."""
         return self._plan_cache
 
     def enable_plan_cache(self):
@@ -326,8 +327,6 @@ class VisualDatabase:
         pace of ingest, which only affects *ordering*, never correctness.
         """
         if self._plan_cache is None:
-            from repro.server.plan_cache import PlanCache
-
             self._plan_cache = PlanCache(metrics=self._metrics)
         return self._plan_cache
 

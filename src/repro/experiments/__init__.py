@@ -18,73 +18,8 @@ Table III   table3    :func:`repro.experiments.scenarios.scenario_awareness_tabl
 Figure 10   fig10     :func:`repro.experiments.ablation.transform_ablation`
 Figure 11   fig11     :func:`repro.experiments.ablation.depth_analysis`
 ==========  ========  ==========================================================
+
+They share :mod:`repro.experiments.presets` (experiment scales and
+deployment presets) and :mod:`repro.experiments.workspace` (the
+trained model pools every figure reads).
 """
-
-from repro.experiments.ablation import (
-    DepthRow,
-    TransformAblationRow,
-    depth_analysis,
-    transform_ablation,
-)
-from repro.experiments.noscope_exp import StreamComparison, noscope_comparison
-from repro.experiments.presets import (
-    DEFAULT_SCALE,
-    PAPER_SCALE,
-    SMOKE_SCALE,
-    ExperimentScale,
-    simulation_scenarios,
-)
-from repro.experiments.scenarios import (
-    AwarenessRow,
-    FrontierComparison,
-    frontier_example,
-    reference_only_evaluation,
-    scenario_awareness_table,
-    scenario_frontiers,
-)
-from repro.experiments.speedups import (
-    DesignSpaceComparison,
-    FastestRow,
-    SpeedupRow,
-    average_speedups,
-    baseline_evaluation,
-    design_space_comparison,
-    fastest_throughput,
-)
-from repro.experiments.workspace import (
-    ExperimentWorkspace,
-    PredicateWorkspace,
-    build_workspace,
-    get_workspace,
-)
-
-__all__ = [
-    "ExperimentScale",
-    "SMOKE_SCALE",
-    "DEFAULT_SCALE",
-    "PAPER_SCALE",
-    "simulation_scenarios",
-    "ExperimentWorkspace",
-    "PredicateWorkspace",
-    "build_workspace",
-    "get_workspace",
-    "FrontierComparison",
-    "frontier_example",
-    "scenario_frontiers",
-    "AwarenessRow",
-    "scenario_awareness_table",
-    "reference_only_evaluation",
-    "DesignSpaceComparison",
-    "design_space_comparison",
-    "SpeedupRow",
-    "average_speedups",
-    "FastestRow",
-    "fastest_throughput",
-    "baseline_evaluation",
-    "TransformAblationRow",
-    "transform_ablation",
-    "DepthRow",
-    "depth_analysis",
-    "StreamComparison",
-    "noscope_comparison",
-]

@@ -5,6 +5,8 @@ corpus and envisions the `contains_object` operator wrapped as an RDBMS UDF.
 This package provides that surface:
 
 * :mod:`repro.query.relation` — an in-memory columnar relation,
+* :mod:`repro.query.ast` — tokens, boolean predicate trees, select items
+  and the query errors,
 * :mod:`repro.query.predicates` — metadata predicates and the
   ``contains_object`` binary predicate,
 * :mod:`repro.query.model` — the :class:`Query` / :class:`QueryResult`
@@ -15,30 +17,3 @@ Planning and execution (metadata predicates first, the selected cascade
 only over the surviving rows, materialized predicate columns reused by later
 queries) live in :mod:`repro.db`.
 """
-
-from repro.query.ast import (Aggregate, AndExpr, BooleanExpr, NotExpr,
-                             OrderItem, OrExpr, PredicateExpr, QueryError,
-                             SqlParseError, tokenize)
-from repro.query.model import Query, QueryResult
-from repro.query.predicates import ContainsObject, MetadataPredicate
-from repro.query.relation import Relation
-from repro.query.sql import parse_query
-
-__all__ = [
-    "Relation",
-    "MetadataPredicate",
-    "ContainsObject",
-    "Query",
-    "QueryResult",
-    "parse_query",
-    "tokenize",
-    "SqlParseError",
-    "QueryError",
-    "BooleanExpr",
-    "PredicateExpr",
-    "AndExpr",
-    "OrExpr",
-    "NotExpr",
-    "Aggregate",
-    "OrderItem",
-]

@@ -104,21 +104,16 @@ The serving pieces:
 * :mod:`repro.server.admission` — the gate that caps running and waiting
   queries (each runs on its connection's thread), with immediate
   backpressure rejection and cooperative per-query timeouts;
-* :mod:`repro.server.plan_cache` — plans keyed by normalized query shape
-  (literals stripped): an exact repeat skips parse + lowering, and
-  hit/miss/rebind outcomes are counted on the :mod:`repro.telemetry`
-  registry;
 * :mod:`repro.server.server` — the TCP server and graceful shutdown;
 * :mod:`repro.server.client` — the matching ``connect()`` client.
 """
 
 from repro.server.admission import AdmissionController
 from repro.server.client import connect
-from repro.server.plan_cache import PlanCache
 from repro.server.protocol import BackpressureError, ProtocolError, ServerError
 from repro.server.server import VisualDatabaseServer, serve
 from repro.server.session import Session
 
 __all__ = ["VisualDatabaseServer", "serve", "connect", "Session",
-           "AdmissionController", "PlanCache",
+           "AdmissionController",
            "BackpressureError", "ProtocolError", "ServerError"]

@@ -11,16 +11,3 @@ This package models those placements:
 * :mod:`repro.storage.store` — a representation store that pre-materializes
   resized representations on ingest (the ONGOING scenario).
 """
-
-from repro.storage.encoding import raw_bytes, representation_bytes
-from repro.storage.store import RepresentationStore
-from repro.storage.tiers import MEMORY, SSD, StorageTier
-
-__all__ = [
-    "raw_bytes",
-    "representation_bytes",
-    "StorageTier",
-    "MEMORY",
-    "SSD",
-    "RepresentationStore",
-]

@@ -19,13 +19,3 @@ snapshot (or its text exposition) remotely, and ``EXPLAIN ANALYZE <sql>``
 turns one query's trace into a plan tree annotated with estimated vs.
 actual selectivity per node.
 """
-
-from repro.telemetry.export import render_json, render_prometheus
-from repro.telemetry.metrics import (CATALOG, DEFAULT_BUCKETS, Counter,
-                                     Gauge, Histogram, MetricSpec,
-                                     MetricsRegistry)
-from repro.telemetry.trace import NO_SPAN, Span, Trace, Tracer
-
-__all__ = ["MetricsRegistry", "MetricSpec", "Counter", "Gauge", "Histogram",
-           "CATALOG", "DEFAULT_BUCKETS", "Tracer", "Trace", "Span",
-           "NO_SPAN", "render_json", "render_prometheus"]

@@ -7,9 +7,10 @@ import pytest
 from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
-from repro.db import FANOUT_TABLE, RetentionPolicy, TableWal, connect
+from repro.db import FANOUT_TABLE, RetentionPolicy, connect
 from repro.db.executor import QueryExecutor
 from repro.db.planner import QueryPlanner
+from repro.db.wal import TableWal
 from repro.query.predicates import ContainsObject, MetadataPredicate
 from repro.query.model import Query
 from repro.storage.store import RepresentationStore

@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 
 from repro.data.corpus import CorpusSegment, ImageCorpus
-from repro.db import RetentionPolicy, TableWal, VisualDatabase, connect
-from repro.db.wal import wal_dir, wal_tables
+from repro.db import RetentionPolicy, VisualDatabase, connect
+from repro.db.wal import TableWal, wal_dir, wal_tables
 from repro.transforms.spec import TransformSpec
 from tests.conftest import TINY_SIZE
 

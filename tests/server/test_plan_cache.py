@@ -7,10 +7,10 @@ from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
 from repro.db import connect
+from repro.db import plan_cache as plan_cache_module
+from repro.db.plan_cache import PlanCache, normalize
 from repro.db.retention import RetentionPolicy
 from repro.query.ast import SqlParseError
-from repro.server import plan_cache as plan_cache_module
-from repro.server.plan_cache import PlanCache, normalize
 from tests.conftest import TINY_SIZE
 
 
